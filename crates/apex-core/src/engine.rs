@@ -27,7 +27,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::cache::TranslatorCache;
 use crate::transcript::{QueryRecord, Transcript, TranscriptEntry};
-use crate::translator::choose_mechanism_cached_at_epoch;
+use crate::translator::choose_mechanism_cached;
 use crate::EngineError;
 
 /// How APEx picks among mechanisms whose privacy loss is data dependent
@@ -178,9 +178,7 @@ pub struct EvalContext {
     engine_id: u64,
     data: Arc<Dataset>,
     /// Dataset epoch at extraction — stamped into the [`PendingCharge`]
-    /// so commit can refuse answers computed over a superseded row set,
-    /// and mixed into the strategy-artifact cache key so post-mutation
-    /// lookups can never resolve pre-mutation artifacts.
+    /// so commit can refuse answers computed over a superseded row set.
     epoch: u64,
     cache: Option<Arc<SmCache>>,
     mode: Mode,
@@ -228,13 +226,12 @@ impl EvalContext {
         // whose worst case fits, choose by mode. The decision depends
         // only on the query, the accuracy, and the remaining budget —
         // never the data (Case 3 of the Theorem 6.2 proof).
-        let choice = choose_mechanism_cached_at_epoch(
+        let choice = choose_mechanism_cached(
             &prepared,
             accuracy,
             self.remaining.min(cap),
             self.mode,
             self.cache.clone(),
-            self.epoch,
         )?;
 
         let Some(choice) = choice else {
@@ -432,6 +429,20 @@ impl ApexEngine {
         self.data.pool_stats()
     }
 
+    /// Counters of the dataset's maintained histograms (`apex_data::views`;
+    /// all zero for a paged dataset, which keeps none). Telemetry only:
+    /// they follow the query history, never tuple values.
+    pub fn dataset_view_stats(&self) -> apex_data::ViewStats {
+        self.data.view_stats()
+    }
+
+    /// Compares every maintained histogram with a rescan, bit for bit
+    /// (`apex_data::Dataset::audit_views`): views checked, or the first
+    /// divergence. For the schedule exerciser and the service self-test.
+    pub fn audit_dataset_views(&self) -> Result<usize, String> {
+        self.data.audit_views()
+    }
+
     /// Storage generation of a paged dataset (`None` when resident).
     pub fn dataset_epoch(&self) -> Option<u64> {
         self.data.storage_epoch()
@@ -452,10 +463,11 @@ impl ApexEngine {
         self.data.mutations_applied()
     }
 
-    /// Inserts rows into the live dataset, bumping its epoch. Values may
-    /// widen numeric domains (the schema grows; compiled artifacts keyed
-    /// by older epochs are never reused). In-flight [`EvalContext`]s are
-    /// safe: resident datasets are snapshotted by the `Arc` clone, and
+    /// Inserts rows into the live dataset, bumping its epoch, and folds
+    /// them into the dataset's maintained histograms. Values may widen
+    /// numeric domains (the schema grows and the histograms are dropped;
+    /// workloads compile afresh against it). In-flight [`EvalContext`]s
+    /// are safe: resident datasets are snapshotted by the `Arc` clone, and
     /// paged scans each observe one consistent storage epoch — either
     /// way, a commit whose evaluate raced this mutation is refused as
     /// epoch-stale, so the mutation is a serialization point, not a data
@@ -720,13 +732,12 @@ impl ApexEngine {
                 .push(TranscriptEntry::Denied { query: record });
             return Ok(response);
         }
-        let answered = Answered {
-            answer: p.answer.clone(),
+        let response = EngineResponse::Answered(Answered {
+            answer: p.answer,
             epsilon: p.epsilon,
             epsilon_upper: p.epsilon_upper,
             mechanism: p.mechanism,
-        };
-        let response = EngineResponse::Answered(answered);
+        });
         crate::sched_point!("engine.commit.pre_log");
         // The canary flips append-before-charge to charge-before-append;
         // with it set, a failed `log` strands a charge no durable record
@@ -757,7 +768,6 @@ impl ApexEngine {
             mechanism: p.mechanism,
             epsilon: p.epsilon,
             epsilon_upper: p.epsilon_upper,
-            answer: p.answer,
         });
         crate::sched_point!("engine.commit.done");
         Ok(response)
@@ -1094,34 +1104,77 @@ mod tests {
     }
 
     #[test]
-    fn mutation_makes_translator_cache_hits_impossible() {
-        // The SM artifact cache keys on the dataset epoch: after a
-        // mutation, the same workload structure must *miss* — the
-        // counters prove no pre-mutation artifact is ever reused.
-        let mut e = engine(100.0);
+    fn a_mutation_keeps_the_translator_cache_warm_and_the_epsilon_exact() {
+        // Strategy artifacts derive from the compiled workload alone, so
+        // a row mutation must not cost a rebuild — and the ε translated
+        // from the shared artifact is the ε a fresh cache would give.
         let acc = AccuracySpec::new(30.0, 0.01).unwrap();
         let prefix = ExplorationQuery::wcq(
             (1..=16)
                 .map(|i| Predicate::range("v", 0.0, (4 * i) as f64))
                 .collect(),
         );
-        e.submit(&prefix, &acc).unwrap();
-        e.submit(&prefix, &acc).unwrap();
+        let upper = |e: &mut ApexEngine| {
+            let r = e.submit(&prefix, &acc).unwrap();
+            r.answered().unwrap().epsilon_upper.to_bits()
+        };
+        let mut e = engine(100.0);
+        let before_eps = upper(&mut e);
         let before = e.translator_cache().stats();
         assert_eq!(before.misses, 1);
-        assert!(before.hits >= 1);
 
         e.insert_rows(&[vec![Value::Int(7)]]).unwrap();
-        e.submit(&prefix, &acc).unwrap();
+        assert_eq!(upper(&mut e), before_eps);
+        e.delete_rows(&[vec![Value::Int(7)]]).unwrap();
+        assert_eq!(upper(&mut e), before_eps);
         let after = e.translator_cache().stats();
-        assert_eq!(
-            after.misses, 2,
-            "identical workload at a new epoch must rebuild: {after:?}"
+        assert_eq!(after.misses, 1, "same workload after a mutation hits");
+        assert!(after.hits > before.hits);
+
+        // A fresh cache over the mutated data translates to the same bits.
+        let mut fresh = ApexEngine::new(
+            (*e.data).clone(),
+            EngineConfig {
+                budget: 100.0,
+                mode: Mode::Pessimistic,
+                seed: 9,
+            },
         );
-        // Repeats at the *same* epoch hit again — the key is the epoch,
-        // not per-call uniqueness.
-        e.submit(&prefix, &acc).unwrap();
-        assert!(e.translator_cache().stats().hits > after.hits);
+        assert_eq!(upper(&mut fresh), before_eps);
+    }
+
+    #[test]
+    fn a_widening_insert_shares_artifacts_exactly_when_the_matrix_is_the_same() {
+        let acc = AccuracySpec::new(30.0, 0.01).unwrap();
+        let compile = |e: &ApexEngine, q: &ExplorationQuery| {
+            let p = PreparedQuery::prepare(e.schema(), q).unwrap();
+            (p.compiled().signature(), p.compiled().csr().clone())
+        };
+        let prefixes = || (1..=16).map(|i| Predicate::range("v", 0.0, (4 * i) as f64));
+        // Ranges inside the old domain: widening v to 0..=500 leaves the
+        // cells, hence the CSR and its signature, untouched — a hit, and
+        // equal signature means the shared artifact is for this matrix.
+        let inner = ExplorationQuery::wcq(prefixes().collect());
+        // An open-ended comparison: its cell grows a neighbour when the
+        // domain does, so the matrix — and the signature — change.
+        let open_end = Predicate::cmp("v", apex_data::CmpOp::Ge, 64_i64);
+        let outer = ExplorationQuery::wcq(prefixes().chain([open_end]).collect());
+        let mut e = engine(100.0);
+        e.submit(&inner, &acc).unwrap();
+        e.submit(&outer, &acc).unwrap();
+        let (inner_old, outer_old) = (compile(&e, &inner), compile(&e, &outer));
+        let misses = e.translator_cache().stats().misses;
+
+        e.insert_rows(&[vec![Value::Int(500)]]).unwrap();
+        let (inner_new, outer_new) = (compile(&e, &inner), compile(&e, &outer));
+        assert_eq!(inner_new.0, inner_old.0);
+        assert_eq!(inner_new.1, inner_old.1, "equal signature, equal CSR");
+        assert_ne!(outer_new.0, outer_old.0, "a changed matrix re-keys");
+
+        e.submit(&inner, &acc).unwrap();
+        assert_eq!(e.translator_cache().stats().misses, misses);
+        e.submit(&outer, &acc).unwrap();
+        assert_eq!(e.translator_cache().stats().misses, misses + 1);
     }
 
     #[test]

@@ -5,8 +5,17 @@
 //! 6.2) is stated over *valid* transcripts (Definition 6.1): cumulative
 //! actual loss never exceeds `B`, and every answered query also fit under
 //! `B` in the worst case at submission time.
-
-use apex_query::QueryAnswer;
+//!
+//! The engine's transcript keeps the *accounting* half of each
+//! interaction — the query record, the mechanism and both losses, which is
+//! everything Definition 6.1 checks. The noisy answer `ω` is handed to the
+//! analyst in the response and not retained: a long-lived engine answers
+//! without bound, and a per-answer payload kept forever is memory that
+//! grows with traffic for nothing the engine ever reads back. For the same
+//! reason only the most recent [`Transcript::RETAINED`] entries are kept
+//! verbatim; the counts, the total loss and the Definition 6.1 check run
+//! on aggregates folded in at every push and always cover the whole
+//! history.
 
 /// The analyst-visible description of a submitted query.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +44,6 @@ pub enum TranscriptEntry {
         epsilon: f64,
         /// Worst-case loss `εᵘ` the analyzer admitted against the budget.
         epsilon_upper: f64,
-        /// The noisy answer `ω`.
-        answer: QueryAnswer,
     },
     /// The query was denied (`ω = ⊥`, `ε = 0`).
     Denied {
@@ -60,13 +67,26 @@ impl TranscriptEntry {
     }
 }
 
-/// The full interaction history between one analyst and the engine.
+/// The interaction history between one analyst and the engine.
 #[derive(Debug, Clone, Default)]
 pub struct Transcript {
+    /// The newest entries, oldest first: between [`Self::RETAINED`] and
+    /// twice that many once the history is longer (trimmed in halves).
     entries: Vec<TranscriptEntry>,
+    len: usize,
+    denied: usize,
+    /// `B_i`: the running sum of actual losses.
+    spent: f64,
+    /// Largest `B_i` so far.
+    max_spent: f64,
+    /// Largest `B_{i−1} + εᵘᵢ` over answered entries so far.
+    max_admitted: f64,
 }
 
 impl Transcript {
+    /// How many of the newest entries [`Self::entries`] is sure to hold.
+    pub const RETAINED: usize = 1024;
+
     /// An empty transcript.
     pub fn new() -> Self {
         Self::default()
@@ -74,37 +94,54 @@ impl Transcript {
 
     /// Appends an entry.
     pub(crate) fn push(&mut self, entry: TranscriptEntry) {
+        self.len += 1;
+        match entry {
+            TranscriptEntry::Denied { .. } => self.denied += 1,
+            TranscriptEntry::Answered {
+                epsilon,
+                epsilon_upper,
+                ..
+            } => {
+                self.max_admitted = self.max_admitted.max(self.spent + epsilon_upper);
+                self.spent += epsilon;
+                self.max_spent = self.max_spent.max(self.spent);
+            }
+        }
+        if self.entries.len() == 2 * Self::RETAINED {
+            self.entries.drain(..Self::RETAINED);
+        }
         self.entries.push(entry);
     }
 
-    /// All entries, oldest first.
+    /// The most recent entries (all of them up to [`Self::RETAINED`]),
+    /// oldest first.
     pub fn entries(&self) -> &[TranscriptEntry] {
-        &self.entries
+        &self.entries[self.entries.len().saturating_sub(Self::RETAINED)..]
     }
 
     /// Number of interactions (answered + denied).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether any interaction happened yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Total actual privacy loss `B_i = Σ ε_j`.
     pub fn total_epsilon(&self) -> f64 {
-        self.entries.iter().map(TranscriptEntry::epsilon).sum()
+        self.spent
     }
 
     /// Number of answered queries.
     pub fn answered(&self) -> usize {
-        self.entries.iter().filter(|e| !e.is_denied()).count()
+        self.len - self.denied
     }
 
     /// Number of denied queries.
     pub fn denied(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_denied()).count()
+        self.denied
     }
 
     /// Checks Definition 6.1 (valid APEx transcript) against a budget:
@@ -114,25 +151,8 @@ impl Transcript {
     ///    submission time also fit: `B_{i−1} + εᵘᵢ ≤ budget`.
     pub fn is_valid(&self, budget: f64) -> bool {
         // Small tolerance for floating-point accumulation.
-        let tol = 1e-9 * budget.max(1.0);
-        let mut spent = 0.0;
-        for e in &self.entries {
-            if let TranscriptEntry::Answered {
-                epsilon,
-                epsilon_upper,
-                ..
-            } = e
-            {
-                if spent + epsilon_upper > budget + tol {
-                    return false;
-                }
-                spent += epsilon;
-                if spent > budget + tol {
-                    return false;
-                }
-            }
-        }
-        true
+        let bound = budget + 1e-9 * budget.max(1.0);
+        self.max_admitted <= bound && self.max_spent <= bound
     }
 }
 
@@ -155,7 +175,6 @@ mod tests {
             mechanism: "LM",
             epsilon: eps,
             epsilon_upper: upper,
-            answer: QueryAnswer::Counts(vec![0.0; 4]),
         }
     }
 
@@ -202,6 +221,23 @@ mod tests {
         }
         assert_eq!(t.total_epsilon(), 0.0);
         assert!(t.is_valid(0.1));
+    }
+
+    #[test]
+    fn a_long_history_keeps_its_totals_and_only_its_newest_entries() {
+        let mut t = Transcript::new();
+        let n = 5 * Transcript::RETAINED / 2;
+        for i in 0..n {
+            t.push(answered(1e-3, 2e-3 + i as f64));
+            t.push(TranscriptEntry::Denied { query: record() });
+        }
+        assert_eq!((t.len(), t.answered(), t.denied()), (2 * n, n, n));
+        assert!((t.total_epsilon() - 1e-3 * n as f64).abs() < 1e-9);
+        assert_eq!(t.entries().len(), Transcript::RETAINED);
+        assert!(t.entries().last().unwrap().is_denied());
+        // Validity still sees the entries that were let go.
+        let worst = 1e-3 * (n - 1) as f64 + 2e-3 + (n - 1) as f64;
+        assert!(t.is_valid(worst) && !t.is_valid(worst - 1.0));
     }
 
     #[test]

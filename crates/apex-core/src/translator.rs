@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use apex_mech::mc::McConfig;
 use apex_mech::{
-    mechanisms_for_cached_at_epoch, MechError, Mechanism, PreparedQuery, SmArtifacts, SmCache,
-    Translation,
+    mechanisms_for_cached, MechError, Mechanism, PreparedQuery, SmArtifacts, SmCache, Translation,
 };
 use apex_query::{AccuracySpec, CompiledWorkload, Strategy};
 
@@ -60,24 +59,6 @@ impl PreparedTranslator {
         mc: McConfig,
         cache: Option<&TranslatorCache>,
     ) -> Result<Self, MechError> {
-        Self::prepare_at_epoch(workload, strategy, mc, cache, 0)
-    }
-
-    /// [`PreparedTranslator::prepare`] pinned to a dataset epoch: the
-    /// epoch joins the cache key, so translators resolved before a live
-    /// mutation (which bumps the epoch) are never handed out after it.
-    /// Epoch-less callers (benchmarks, data-independent tooling) use
-    /// [`PreparedTranslator::prepare`], which pins epoch 0.
-    ///
-    /// # Errors
-    /// Same contract as [`PreparedTranslator::prepare`].
-    pub fn prepare_at_epoch(
-        workload: &CompiledWorkload,
-        strategy: Strategy,
-        mc: McConfig,
-        cache: Option<&TranslatorCache>,
-        dataset_epoch: u64,
-    ) -> Result<Self, MechError> {
         let path = OperatorSelector::choose(workload.csr().cols(), mc.samples);
         let artifacts = match cache {
             None => Arc::new(SmArtifacts::build_with_path(
@@ -93,7 +74,6 @@ impl PreparedTranslator {
                 strategy,
                 mc,
                 path,
-                dataset_epoch,
             )?,
         };
         Ok(Self { artifacts })
@@ -199,27 +179,8 @@ pub fn choose_mechanism_cached(
     mode: Mode,
     cache: Option<Arc<SmCache>>,
 ) -> Result<Option<MechanismChoice>, MechError> {
-    choose_mechanism_cached_at_epoch(q, acc, remaining_budget, mode, cache, 0)
-}
-
-/// [`choose_mechanism_cached`] pinned to a dataset epoch: the strategy
-/// mechanism's cache key carries `dataset_epoch`, so a selection made
-/// after a live mutation can never reuse artifacts cached before it.
-/// The engine's evaluate phase passes the epoch it snapshotted when the
-/// [`crate::EvalContext`] was extracted.
-///
-/// # Errors
-/// Same contract as [`choose_mechanism`].
-pub fn choose_mechanism_cached_at_epoch(
-    q: &PreparedQuery,
-    acc: &AccuracySpec,
-    remaining_budget: f64,
-    mode: Mode,
-    cache: Option<Arc<SmCache>>,
-    dataset_epoch: u64,
-) -> Result<Option<MechanismChoice>, MechError> {
     let mut best: Option<MechanismChoice> = None;
-    for mechanism in mechanisms_for_cached_at_epoch(q.kind(), cache, dataset_epoch) {
+    for mechanism in mechanisms_for_cached(q.kind(), cache) {
         if !mechanism.supports(q.kind()) {
             continue;
         }
@@ -253,6 +214,24 @@ pub fn choose_mechanism_cached_at_epoch(
         }
     }
     Ok(best)
+}
+
+/// [`choose_mechanism_cached`] under its former name; `_dataset_epoch` is
+/// ignored. The strategy artifacts are data-independent, so the epoch no
+/// longer takes part in the cache key. Kept only because the request-path
+/// benchmark (`benchmark/`, frozen) calls this signature.
+///
+/// # Errors
+/// Same contract as [`choose_mechanism`].
+pub fn choose_mechanism_cached_at_epoch(
+    q: &PreparedQuery,
+    acc: &AccuracySpec,
+    remaining_budget: f64,
+    mode: Mode,
+    cache: Option<Arc<SmCache>>,
+    _dataset_epoch: u64,
+) -> Result<Option<MechanismChoice>, MechError> {
+    choose_mechanism_cached(q, acc, remaining_budget, mode, cache)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Multiset table instances.
 
 use crate::store::{widen_schema, PagedRows, PoolStats, StoreError};
-use crate::{Predicate, Schema, SchemaError, Value};
+use crate::views::{ViewCache, ViewStats};
+use crate::{DomainPartition, Predicate, Schema, SchemaError, Value};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -98,17 +99,36 @@ pub struct Dataset {
     mem_epoch: u64,
     /// Mutations applied to a resident dataset (paged: from the store).
     mem_applied: u64,
+    /// Maintained histograms of recently asked partitions (see
+    /// [`crate::views`]): read by [`Self::histogram`], folded by every
+    /// mutation, cloned with the value. Always empty when paged.
+    views: ViewCache,
 }
 
 impl Dataset {
-    /// Creates an empty dataset over `schema`.
-    pub fn empty(schema: Schema) -> Self {
+    fn from_rows(schema: Schema, rows: Rows) -> Self {
         Self {
             schema,
-            rows: Rows::Mem(Vec::new()),
+            rows,
             mem_epoch: 0,
             mem_applied: 0,
+            views: ViewCache::default(),
         }
+    }
+
+    fn from_store(store: PagedRows) -> Self {
+        Self::from_rows(
+            store.schema(),
+            Rows::Paged {
+                store: Arc::new(store),
+                resident: Arc::new(OnceLock::new()),
+            },
+        )
+    }
+
+    /// Creates an empty dataset over `schema`.
+    pub fn empty(schema: Schema) -> Self {
+        Self::from_rows(schema, Rows::Mem(Vec::new()))
     }
 
     /// Creates a dataset from pre-built rows, validating each against the
@@ -117,12 +137,7 @@ impl Dataset {
         for row in &rows {
             schema.validate_row(row)?;
         }
-        Ok(Self {
-            schema,
-            rows: Rows::Mem(rows),
-            mem_epoch: 0,
-            mem_applied: 0,
-        })
+        Ok(Self::from_rows(schema, Rows::Mem(rows)))
     }
 
     /// Persists this dataset into `dir` (pages + checksums + manifest) and
@@ -156,15 +171,7 @@ impl Dataset {
                 )?
             }
         };
-        Ok(Dataset {
-            schema: self.schema.clone(),
-            rows: Rows::Paged {
-                store: Arc::new(store),
-                resident: Arc::new(OnceLock::new()),
-            },
-            mem_epoch: 0,
-            mem_applied: 0,
-        })
+        Ok(Self::from_store(store))
     }
 
     /// Opens a dataset previously persisted with [`Self::ingest_paged`],
@@ -172,16 +179,7 @@ impl Dataset {
     /// without reading any data pages. Acked-but-uncommitted mutations in
     /// the store's mutation log are replayed before the dataset is served.
     pub fn open_paged(dir: &Path, pool_frames: usize) -> Result<Dataset, StoreError> {
-        let store = PagedRows::open(dir, pool_frames)?;
-        Ok(Dataset {
-            schema: store.schema(),
-            rows: Rows::Paged {
-                store: Arc::new(store),
-                resident: Arc::new(OnceLock::new()),
-            },
-            mem_epoch: 0,
-            mem_applied: 0,
-        })
+        Ok(Self::from_store(PagedRows::open(dir, pool_frames)?))
     }
 
     /// Whether this dataset is backed by the durable store.
@@ -236,35 +234,40 @@ impl Dataset {
         if rows.is_empty() {
             return Err(MutationError::EmptyBatch);
         }
-        match &mut self.rows {
+        let (schema, epoch) = match &mut self.rows {
             Rows::Mem(existing) => {
                 let widened = widen_schema(&self.schema, rows);
                 for row in rows {
                     widened.validate_row(row)?;
                 }
-                self.schema = widened;
                 existing.extend(rows.iter().cloned());
                 self.mem_epoch += 1;
                 self.mem_applied += 1;
-                Ok(RowDelta {
-                    inserted: rows.to_vec(),
-                    deleted: Vec::new(),
-                    epoch: self.mem_epoch,
-                })
+                (widened, self.mem_epoch)
             }
             Rows::Paged { store, resident } => {
                 let outcome = store.insert_rows(rows)?;
-                // The store may have widened the schema; mirror it, and
-                // drop any stale materialization.
-                self.schema = store.schema();
+                // Drop any stale materialization; the store may have
+                // widened the schema, mirrored below.
                 *resident = Arc::new(OnceLock::new());
-                Ok(RowDelta {
-                    inserted: rows.to_vec(),
-                    deleted: Vec::new(),
-                    epoch: outcome.epoch,
-                })
+                (store.schema(), outcome.epoch)
             }
+        };
+        let delta = RowDelta {
+            inserted: rows.to_vec(),
+            deleted: Vec::new(),
+            epoch,
+        };
+        if schema == self.schema {
+            self.views.fold(&delta);
+        } else {
+            // A widened domain moves segment boundaries: partitions
+            // compiled from now on map rows differently, so the old views
+            // could never be asked for again.
+            self.schema = schema;
+            self.views.clear();
         }
+        Ok(delta)
     }
 
     /// Deletes the first matching occurrence (in storage order) of each
@@ -276,7 +279,7 @@ impl Dataset {
         if rows.is_empty() {
             return Err(MutationError::EmptyBatch);
         }
-        match &mut self.rows {
+        let (deleted, epoch) = match &mut self.rows {
             Rows::Mem(existing) => {
                 let arity = self.schema.arity();
                 for row in rows {
@@ -301,22 +304,21 @@ impl Dataset {
                 *existing = kept;
                 self.mem_epoch += 1;
                 self.mem_applied += 1;
-                Ok(RowDelta {
-                    inserted: Vec::new(),
-                    deleted,
-                    epoch: self.mem_epoch,
-                })
+                (deleted, self.mem_epoch)
             }
             Rows::Paged { store, resident } => {
                 let outcome = store.delete_rows(rows)?;
                 *resident = Arc::new(OnceLock::new());
-                Ok(RowDelta {
-                    inserted: Vec::new(),
-                    deleted: outcome.deleted,
-                    epoch: outcome.epoch,
-                })
+                (outcome.deleted, outcome.epoch)
             }
-        }
+        };
+        let delta = RowDelta {
+            inserted: Vec::new(),
+            deleted,
+            epoch,
+        };
+        self.views.fold(&delta);
+        Ok(delta)
     }
 
     /// The schema of the dataset.
@@ -360,6 +362,50 @@ impl Dataset {
         }
     }
 
+    /// The histogram `x = T_W(D)` over `partition`'s cells. A resident
+    /// dataset answers through its maintained views: O(cells) when this
+    /// partition's row→cell mapping was already asked for since the last
+    /// domain change, one [`DomainPartition::histogram`] scan (then
+    /// cached) otherwise. A paged dataset always scans (see
+    /// [`crate::views`]). Either way the result is bit-identical to that
+    /// scan.
+    pub fn histogram(&self, partition: &Arc<DomainPartition>) -> Vec<f64> {
+        if self.is_paged() {
+            return partition.histogram(self);
+        }
+        if let Some(x) = self.views.lookup(partition) {
+            return x;
+        }
+        let x = partition.histogram(self);
+        self.views.insert(partition, &x);
+        x
+    }
+
+    /// Counters and sizes of the maintained histograms.
+    pub fn view_stats(&self) -> ViewStats {
+        self.views.stats()
+    }
+
+    /// Rescans the rows once per cached view and compares bit for bit:
+    /// `Ok(views checked)`, or the first divergence. An integrity probe
+    /// for tests, the schedule exerciser and the service self-test.
+    pub fn audit_views(&self) -> Result<usize, String> {
+        let views = self.views.snapshot();
+        for (i, (partition, x)) in views.iter().enumerate() {
+            let fresh = partition.histogram(self);
+            let differs = |(a, b): (&f64, &f64)| a.to_bits() != b.to_bits();
+            if let Some(cell) = fresh.iter().zip(x).position(differs) {
+                return Err(format!(
+                    "view {i} of {}: cell {cell} holds {} but a rescan counts {}",
+                    views.len(),
+                    x[cell],
+                    fresh[cell]
+                ));
+            }
+        }
+        Ok(views.len())
+    }
+
     /// Immutable access to the rows as one slice.
     ///
     /// For a paged dataset this materializes **all** rows on first call
@@ -378,7 +424,8 @@ impl Dataset {
 
     /// Appends a row after validating it — the pre-serving *builder* API
     /// (synthesis, tests). Deliberately does **not** bump the epoch: a
-    /// dataset under construction has no consumers to invalidate. Once a
+    /// dataset under construction has no consumers to invalidate (its
+    /// maintained histograms, if any were built, are dropped). Once a
     /// dataset is live, use [`Self::insert_rows`] / [`Self::delete_rows`],
     /// which commit real epochs; `push` on a paged dataset is refused.
     pub fn push(&mut self, row: Vec<Value>) -> Result<(), SchemaError> {
@@ -386,6 +433,7 @@ impl Dataset {
         match &mut self.rows {
             Rows::Mem(rows) => {
                 rows.push(row);
+                self.views.clear();
                 Ok(())
             }
             Rows::Paged { .. } => Err(SchemaError::RowMismatch(
@@ -426,12 +474,7 @@ impl Dataset {
                 rows.push(row.to_vec());
             }
         });
-        Dataset {
-            schema: self.schema.clone(),
-            rows: Rows::Mem(rows),
-            mem_epoch: 0,
-            mem_applied: 0,
-        }
+        Self::from_rows(self.schema.clone(), Rows::Mem(rows))
     }
 }
 

@@ -11,6 +11,8 @@
 //!   that workloads are built from,
 //! * [`partition`] — the workload-driven domain partitioning
 //!   `T(W), T_W(D)` of Section 5 (workload matrix + histogram vector),
+//! * [`views`] — the histograms a [`Dataset`] maintains per partition, so
+//!   an answered query does not rescan `D` (docs/PERFORMANCE.md),
 //! * [`synth`] — seeded synthetic generators standing in for the paper's
 //!   Adult, NYTaxi and citations datasets (see DESIGN.md §3 for the
 //!   substitution rationale),
@@ -25,6 +27,7 @@ pub mod schema;
 pub mod store;
 pub mod synth;
 pub mod value;
+pub mod views;
 
 pub use dataset::{Dataset, MutationError, RowDelta};
 pub use partition::{DomainPartition, PartitionError};
@@ -32,3 +35,4 @@ pub use predicate::{CmpOp, Predicate};
 pub use schema::{Attribute, Domain, Schema, SchemaError};
 pub use store::{PoolStats, StoreError};
 pub use value::{DataType, Value};
+pub use views::ViewStats;

@@ -57,7 +57,7 @@ impl std::fmt::Display for PartitionError {
 impl std::error::Error for PartitionError {}
 
 /// Per-attribute elementary segmentation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum AttrSegments {
     /// Numeric attribute: sorted cut positions `c₁ < … < c_k` partitioning
     /// the domain into `[min, c₁), [c₁, c₂), …, [c_k, end)`, plus one NULL
@@ -86,6 +86,21 @@ impl AttrSegments {
                 other_rep,
             } => mentioned.len() + usize::from(other_rep.is_some()) + 1,
             AttrSegments::Boolean => 3,
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            AttrSegments::Numeric { starts, .. } => std::mem::size_of_val(starts.as_slice()),
+            AttrSegments::Categorical {
+                mentioned,
+                other_rep,
+            } => mentioned
+                .iter()
+                .chain(other_rep)
+                .map(|s| s.len() + std::mem::size_of::<String>())
+                .sum(),
+            AttrSegments::Boolean => 0,
         }
     }
 
@@ -285,6 +300,25 @@ impl DomainPartition {
         })
     }
 
+    /// The first attribute, an integer, cut at every value of `0..cells`, each
+    /// segment (and NULL) its own cell — what `build` yields for a
+    /// `cells`-bin unit histogram, minus the predicates. Lets cache-cap
+    /// tests make a partition of a chosen size without compiling one.
+    #[cfg(test)]
+    pub(crate) fn identity_grid(cells: usize) -> Self {
+        Self {
+            n_cells: cells + 1,
+            n_predicates: 0,
+            incidence: Vec::new(),
+            attrs: vec![0],
+            segments: vec![AttrSegments::Numeric {
+                starts: (0..cells).map(|c| c as f64).collect(),
+                is_int: true,
+            }],
+            elementary_to_cell: (0..=cells).collect(),
+        }
+    }
+
     /// Number of merged cells `|dom_W(R)|`.
     pub fn n_cells(&self) -> usize {
         self.n_cells
@@ -332,7 +366,11 @@ impl DomainPartition {
         self.elementary_to_cell[idx]
     }
 
-    /// The histogram `x = T_W(D)`: counts of `D`'s tuples per merged cell.
+    /// The histogram `x = T_W(D)` by a full scan: counts of `D`'s tuples
+    /// per merged cell. This is the miss path of the dataset's maintained
+    /// views and the reference they are audited against — serving code
+    /// asks [`Dataset::histogram`], which scans only for a partition it
+    /// has not seen.
     ///
     /// Streams rows (page-by-page for a paged dataset), so memory is
     /// bounded by the buffer pool even when `D` exceeds RAM.
@@ -342,6 +380,52 @@ impl DomainPartition {
             x[self.cell_of_row(row)] += 1.0;
         });
         x
+    }
+
+    /// The fold primitive of incremental maintenance: reports `(cell, +1)`
+    /// for every inserted row and `(cell, −1)` for every deleted one, in
+    /// O(rows). Folding these into a histogram of the pre-mutation rows
+    /// yields, bit for bit, the histogram of the post-mutation rows —
+    /// provided every row lies inside the domain this partition was built
+    /// over (see [`Self::cell_of_row`]).
+    pub fn fold_rows(
+        &self,
+        inserted: &[Vec<Value>],
+        deleted: &[Vec<Value>],
+        mut f: impl FnMut(usize, f64),
+    ) {
+        for row in inserted {
+            f(self.cell_of_row(row), 1.0);
+        }
+        for row in deleted {
+            f(self.cell_of_row(row), -1.0);
+        }
+    }
+
+    /// Whether `other` sends every row to the same cell as `self`: same
+    /// driving attributes, same segment boundaries, same elementary→merged
+    /// table. This — not the predicates, and not the incidence matrix,
+    /// which prefix workloads with different cuts share — is what makes
+    /// two partitions' histograms interchangeable.
+    pub fn same_mapping(&self, other: &DomainPartition) -> bool {
+        self.n_cells == other.n_cells
+            && self.attrs == other.attrs
+            && self.segments == other.segments
+            && self.elementary_to_cell == other.elementary_to_cell
+    }
+
+    /// Approximate heap footprint of the partition's own tables, for the
+    /// byte cap on cached views.
+    pub fn heap_bytes(&self) -> usize {
+        let words = self.attrs.len()
+            + self.elementary_to_cell.len()
+            + self.incidence.iter().map(Vec::len).sum::<usize>();
+        words * std::mem::size_of::<usize>()
+            + self
+                .segments
+                .iter()
+                .map(AttrSegments::heap_bytes)
+                .sum::<usize>()
     }
 
     /// Maps every merged cell of `self` to the merged cell of `new` that

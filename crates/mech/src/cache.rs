@@ -38,7 +38,11 @@ use apex_query::Strategy;
 use crate::sm::{OperatorPath, SmArtifacts};
 use crate::MechError;
 
-/// Cache key: everything the artifacts depend on.
+/// Cache key: everything the artifacts depend on. The dataset is not in
+/// it — the artifacts derive from public workload structure only, so a
+/// row mutation cannot stale them, and a mutation that widens the domain
+/// recompiles the workload to a different `workload_signature` (or to the
+/// same CSR, for which the same artifacts are exact).
 ///
 /// `McConfig::sample_block` is deliberately absent — panel width is a pure
 /// performance knob that never changes results, so blocking must not
@@ -56,14 +60,6 @@ pub struct SmCacheKey {
     pub seed: u64,
     /// Bit pattern of the binary-search tolerance (f64 is not `Hash`).
     pub tolerance_bits: u64,
-    /// Epoch of the dataset the querying engine was serving when the
-    /// artifacts were requested. The artifacts themselves are
-    /// data-independent, but live mutations can grow the domain and
-    /// recompile the workload; keying by epoch guarantees that **no
-    /// artifact resolved before a mutation is ever handed out after
-    /// it** — a post-mutation lookup is a provable cache miss (the
-    /// epoch-staleness tests assert this through the miss counters).
-    pub dataset_epoch: u64,
     /// Which prepare pipeline built the artifacts. The operator paths are
     /// bit-identical to each other but the dense reference rounds
     /// differently, so artifacts from different paths must never alias.
@@ -287,7 +283,6 @@ mod tests {
             samples: 10,
             seed: 1,
             tolerance_bits: 1e-3_f64.to_bits(),
-            dataset_epoch: 0,
             path: OperatorPath::HierBlocked,
         }
     }
@@ -363,14 +358,8 @@ mod tests {
         let mut k = key(1);
         k.samples = 11;
         cache.get_or_build(k, || Ok(artifacts())).unwrap();
-        // A dataset mutation bumps the epoch: same workload, same config,
-        // but the post-mutation key must miss (never reuse a pre-mutation
-        // resolution).
-        let mut stale = key(1);
-        stale.dataset_epoch = 3;
-        cache.get_or_build(stale, || Ok(artifacts())).unwrap();
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.stats().misses, 4);
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stats().misses, 3);
     }
 
     #[test]

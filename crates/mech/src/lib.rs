@@ -39,7 +39,7 @@ pub use lm::LaplaceMechanism;
 pub use ltm::LaplaceTopKMechanism;
 pub use mpm::MultiPokingMechanism;
 pub use prepared::PreparedQuery;
-pub use registry::{mechanisms_for, mechanisms_for_cached, mechanisms_for_cached_at_epoch};
+pub use registry::{mechanisms_for, mechanisms_for_cached};
 pub use relax::relax_laplace;
 pub use sm::{OperatorPath, ReconBackend, SmArtifacts, StrategyMechanism};
 pub use traits::{MechError, MechOutput, Mechanism, Translation};

@@ -30,26 +30,12 @@ pub fn mechanisms_for_cached(
     kind: QueryKind,
     cache: Option<Arc<SmCache>>,
 ) -> Vec<Box<dyn Mechanism>> {
-    mechanisms_for_cached_at_epoch(kind, cache, 0)
-}
-
-/// [`mechanisms_for_cached`] pinned to a dataset epoch: the strategy
-/// mechanism's cache key carries the epoch, so a suite constructed after
-/// a live mutation (which bumps the epoch) can never resolve artifacts
-/// cached by a pre-mutation suite. Engines thread the epoch snapshotted
-/// at evaluate time through here.
-pub fn mechanisms_for_cached_at_epoch(
-    kind: QueryKind,
-    cache: Option<Arc<SmCache>>,
-    dataset_epoch: u64,
-) -> Vec<Box<dyn Mechanism>> {
     let sm = || -> Box<dyn Mechanism> {
         match &cache {
-            Some(c) => Box::new(StrategyMechanism::with_cache_at_epoch(
+            Some(c) => Box::new(StrategyMechanism::with_cache(
                 apex_query::Strategy::H2,
                 McConfig::default(),
                 c.clone(),
-                dataset_epoch,
             )),
             None => Box::new(StrategyMechanism::h2()),
         }

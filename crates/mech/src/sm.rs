@@ -173,41 +173,16 @@ impl SmArtifacts {
     /// collision the artifacts are rebuilt uncached rather than answering
     /// with another workload's reconstruction.
     ///
-    /// # Errors
-    /// Propagates build failures.
-    pub fn get_or_build_cached(
-        cache: &SmCache,
-        workload: &CsrMatrix,
-        signature: u64,
-        strategy: Strategy,
-        mc: McConfig,
-    ) -> Result<Arc<Self>, MechError> {
-        Self::get_or_build_cached_with_path(
-            cache,
-            workload,
-            signature,
-            strategy,
-            mc,
-            OperatorPath::HierBlocked,
-            0,
-        )
-    }
-
-    /// [`SmArtifacts::get_or_build_cached`] through an explicit
-    /// [`OperatorPath`]. The path is part of the cache key: the two
+    /// The [`OperatorPath`] is part of the cache key: the two
     /// operator paths produce bit-identical translators, but the dense
     /// reference differs in low-order floating-point bits, and a path
     /// switch (e.g. a changed `APEX_OPERATOR_PATH` override) must never
     /// hand back artifacts built by a differently-rounding pipeline.
     /// `mc.sample_block` is deliberately **not** in the key — panel width
-    /// cannot change results. `dataset_epoch` **is**: a mutation to the
-    /// served dataset bumps its epoch, and any artifact resolved against
-    /// the pre-mutation epoch must never be handed out afterwards (pass
-    /// `0` for epoch-less callers such as benchmarks).
+    /// cannot change results.
     ///
     /// # Errors
     /// Propagates build failures.
-    #[allow(clippy::too_many_arguments)]
     pub fn get_or_build_cached_with_path(
         cache: &SmCache,
         workload: &CsrMatrix,
@@ -215,7 +190,6 @@ impl SmArtifacts {
         strategy: Strategy,
         mc: McConfig,
         path: OperatorPath,
-        dataset_epoch: u64,
     ) -> Result<Arc<Self>, MechError> {
         let key = SmCacheKey {
             workload_signature: signature,
@@ -223,7 +197,6 @@ impl SmArtifacts {
             samples: mc.samples,
             seed: mc.seed,
             tolerance_bits: mc.tolerance.to_bits(),
-            dataset_epoch,
             path,
         };
         let art =
@@ -299,10 +272,6 @@ pub struct StrategyMechanism {
     mc: McConfig,
     cache: Option<Arc<SmCache>>,
     dense_reference: bool,
-    /// Epoch of the dataset this mechanism instance serves — part of the
-    /// cache key, so artifacts resolved before a live mutation can never
-    /// be reused after it. Zero for epoch-less construction.
-    dataset_epoch: u64,
 }
 
 impl StrategyMechanism {
@@ -318,32 +287,17 @@ impl StrategyMechanism {
             mc,
             cache: None,
             dense_reference: false,
-            dataset_epoch: 0,
         }
     }
 
     /// Like [`StrategyMechanism::new`], but artifacts (operator + MC
     /// translator) are looked up in / inserted into `cache`.
     pub fn with_cache(strategy: Strategy, mc: McConfig, cache: Arc<SmCache>) -> Self {
-        Self::with_cache_at_epoch(strategy, mc, cache, 0)
-    }
-
-    /// [`StrategyMechanism::with_cache`] pinned to a dataset epoch: the
-    /// epoch joins the cache key, so a lookup made after a live mutation
-    /// (which bumps the epoch) can never resolve to artifacts cached
-    /// before it.
-    pub fn with_cache_at_epoch(
-        strategy: Strategy,
-        mc: McConfig,
-        cache: Arc<SmCache>,
-        dataset_epoch: u64,
-    ) -> Self {
         Self {
             strategy,
             mc,
             cache: Some(cache),
             dense_reference: false,
-            dataset_epoch,
         }
     }
 
@@ -359,7 +313,6 @@ impl StrategyMechanism {
             mc,
             cache: None,
             dense_reference: true,
-            dataset_epoch: 0,
         }
     }
 
@@ -381,7 +334,6 @@ impl StrategyMechanism {
                 self.strategy,
                 self.mc,
                 OperatorPath::HierBlocked,
-                self.dataset_epoch,
             ),
         }
     }
@@ -670,7 +622,6 @@ mod tests {
             samples: small_mc().samples,
             seed: small_mc().seed,
             tolerance_bits: small_mc().tolerance.to_bits(),
-            dataset_epoch: 0,
             path: OperatorPath::HierBlocked,
         };
         cache

@@ -7,7 +7,7 @@
 //! run over nonzeros; the dense form is materialized lazily and only for
 //! callers that genuinely need it (QR-based numerics).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use apex_data::{Dataset, DomainPartition, PartitionError, Predicate, RowDelta, Schema};
 use apex_linalg::{CsrBuilder, CsrMatrix, Matrix};
@@ -97,7 +97,9 @@ impl HistogramDelta {
 /// the accuracy-to-privacy translation before any data access.
 #[derive(Debug, Clone)]
 pub struct CompiledWorkload {
-    partition: DomainPartition,
+    /// Shared with the dataset's maintained histogram of this partition
+    /// (which outlives the compiled workload), hence the `Arc`.
+    partition: Arc<DomainPartition>,
     /// Schema the partition was built over — consulted by
     /// [`Self::apply_delta`] to tell in-domain mutations from ones that
     /// grew the domain (which require [`Self::extended`]).
@@ -122,7 +124,7 @@ impl CompiledWorkload {
     /// Propagates partitioning failures (unknown attributes, empty
     /// workload, cell blow-up).
     pub fn compile(schema: &Schema, workload: &[Predicate]) -> Result<Self, WorkloadError> {
-        let partition = DomainPartition::build(schema, workload)?;
+        let partition = Arc::new(DomainPartition::build(schema, workload)?);
         let mut b = CsrBuilder::new(partition.n_cells());
         for i in 0..partition.n_predicates() {
             b.push_row(partition.cells_of(i).iter().map(|&c| (c, 1.0)));
@@ -182,9 +184,12 @@ impl CompiledWorkload {
         self.signature
     }
 
-    /// The histogram `x = T_W(D)` of a dataset over the partition cells.
+    /// The histogram `x = T_W(D)` of a dataset over the partition cells,
+    /// read from the dataset's maintained views: O(cells) once this
+    /// partition has been asked of a resident `data`, one scan the first
+    /// time (and every time when `data` is paged).
     pub fn histogram(&self, data: &Dataset) -> Vec<f64> {
-        self.partition.histogram(data)
+        data.histogram(&self.partition)
     }
 
     /// The exact (non-private) workload answer `W x`, computed over the
@@ -198,7 +203,9 @@ impl CompiledWorkload {
 
     /// Folds a committed [`RowDelta`] into a [`HistogramDelta`] in
     /// O(rows touched): each inserted/deleted row locates its partition
-    /// cell directly — no dataset rescan.
+    /// cell directly — no dataset rescan. A checked wrapper over
+    /// [`DomainPartition::fold_rows`], the primitive the dataset's own
+    /// views are maintained with.
     ///
     /// # Errors
     /// [`DeltaError::DomainGrowth`] when a delta row lies outside the
@@ -206,25 +213,23 @@ impl CompiledWorkload {
     /// schema): recompile via [`Self::extended`] and retry against the
     /// new workload. [`DeltaError::RowMismatch`] on arity mismatch.
     pub fn apply_delta(&self, delta: &RowDelta) -> Result<HistogramDelta, DeltaError> {
-        let mut net: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-        let mut fold = |rows: &[Vec<apex_data::Value>], sign: f64| -> Result<(), DeltaError> {
-            for row in rows {
-                if row.len() != self.schema.arity() {
-                    return Err(DeltaError::RowMismatch(format!(
-                        "expected {} values, got {}",
-                        self.schema.arity(),
-                        row.len()
-                    )));
-                }
-                self.schema
-                    .validate_row(row)
-                    .map_err(|e| DeltaError::DomainGrowth(e.to_string()))?;
-                *net.entry(self.partition.cell_of_row(row)).or_insert(0.0) += sign;
+        let arity = self.schema.arity();
+        for row in delta.inserted.iter().chain(&delta.deleted) {
+            if row.len() != arity {
+                return Err(DeltaError::RowMismatch(format!(
+                    "expected {arity} values, got {}",
+                    row.len()
+                )));
             }
-            Ok(())
-        };
-        fold(&delta.inserted, 1.0)?;
-        fold(&delta.deleted, -1.0)?;
+            self.schema
+                .validate_row(row)
+                .map_err(|e| DeltaError::DomainGrowth(e.to_string()))?;
+        }
+        let mut net = std::collections::BTreeMap::new();
+        self.partition
+            .fold_rows(&delta.inserted, &delta.deleted, |cell, dv| {
+                *net.entry(cell).or_insert(0.0) += dv;
+            });
         Ok(HistogramDelta {
             updates: net.into_iter().filter(|&(_, v)| v != 0.0).collect(),
             epoch: delta.epoch,
@@ -301,6 +306,11 @@ mod tests {
             d.push(vec![Value::Int(v)]).unwrap();
         }
         d
+    }
+
+    /// The reference the dataset's maintained views must equal.
+    fn rescan(c: &CompiledWorkload, d: &Dataset) -> Vec<f64> {
+        c.partition().histogram(d)
     }
 
     fn histogram_workload(bins: usize, width: i64) -> Vec<Predicate> {
@@ -380,14 +390,16 @@ mod tests {
         let hd = c.apply_delta(&delta).unwrap();
         hd.apply_to(&mut x);
         c.update_answer(&hd, &mut y);
-        assert_eq!(x, c.histogram(&d), "insert: incremental == rescan");
+        assert_eq!(x, rescan(&c, &d), "insert: incremental == rescan");
+        assert_eq!(x, c.histogram(&d), "insert: the dataset's view folded too");
         assert_eq!(y, c.true_answer(&d), "insert: answers track");
 
         let delta = d.delete_rows(&[vec![Value::Int(15)]]).unwrap();
         let hd = c.apply_delta(&delta).unwrap();
         hd.apply_to(&mut x);
         c.update_answer(&hd, &mut y);
-        assert_eq!(x, c.histogram(&d), "delete: incremental == rescan");
+        assert_eq!(x, rescan(&c, &d), "delete: incremental == rescan");
+        assert_eq!(x, c.histogram(&d), "delete: the dataset's view folded too");
         assert_eq!(y, c.true_answer(&d), "delete: answers track");
     }
 
@@ -425,7 +437,36 @@ mod tests {
             x[map[cell]] += v;
         }
         c2.apply_delta(&delta).unwrap().apply_to(&mut x);
+        assert_eq!(x, rescan(&c2, &d));
         assert_eq!(x, c2.histogram(&d));
+    }
+
+    #[test]
+    fn prefix_workloads_with_one_matrix_but_different_cuts_get_different_views() {
+        // Both compile to the same lower-triangular incidence — equal CSR,
+        // equal signature, one shared translator — yet they cut the domain
+        // at different points, so their histograms differ. The dataset's
+        // views are keyed by the row→cell mapping and must not alias.
+        let prefix = |step: i64| -> Vec<Predicate> {
+            (1..=8)
+                .map(|i| Predicate::cmp("v", CmpOp::Lt, i * step))
+                .collect()
+        };
+        let d = data(&[5, 15, 15, 25, 65, 95]);
+        let a = CompiledWorkload::compile(&schema(), &prefix(10)).unwrap();
+        let b = CompiledWorkload::compile(&schema(), &prefix(4)).unwrap();
+        assert_eq!(a.signature(), b.signature());
+        assert_eq!(a.csr(), b.csr());
+        assert!(!a.partition().same_mapping(b.partition()));
+
+        let (xa, xb) = (a.histogram(&d), b.histogram(&d));
+        assert_ne!(xa, xb);
+        assert_eq!(d.view_stats().entries, 2);
+        // Second asks are hits, each on its own view.
+        assert_eq!(a.histogram(&d), rescan(&a, &d));
+        assert_eq!(b.histogram(&d), rescan(&b, &d));
+        let s = d.view_stats();
+        assert_eq!((s.hits, s.misses), (2, 2));
     }
 
     #[test]

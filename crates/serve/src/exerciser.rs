@@ -15,6 +15,12 @@
 //!   and after recovery. Closing, reaping, compaction and crashes move
 //!   budget between those buckets but never create or destroy it.
 //! * **Per-answer bound** — every acked answer has `ε ≤ εᵘ`.
+//! * **Maintained histograms** — at every step and after recovery, every
+//!   histogram the live dataset has cached for itself equals a rescan of
+//!   its rows, bit for bit: a mutation folds into the views (or a
+//!   copy-on-write clone of them, when an evaluate is in flight) and
+//!   never leaves one behind. Views are volatile, so a crash simply
+//!   loses them — recovery needs no protocol for them.
 //! * **Crash recovery** — after a kill at *any* yield point, recovered
 //!   `spent` is at least the acked sum (no acked charge forgotten) and
 //!   at most acked + the one in-flight commit's `εᵘ` (a durable-but-
@@ -515,6 +521,9 @@ impl World {
                 "dataset scans {rows} rows, expected 8 base + {applied} inserted"
             ));
         }
+        engine
+            .with_engine(|e| e.audit_dataset_views())
+            .map_err(|e| format!("a maintained histogram diverged from its rescan: {e}"))?;
         Ok(())
     }
 
@@ -956,6 +965,35 @@ mod tests {
         // epoch moved.
         let t = run_one(&scenario, &[0, 0, 1], None).unwrap_or_else(|(m, _)| panic!("{m}"));
         assert!(t.acked > 0.0, "a commit that beat the mutation must land");
+    }
+
+    #[test]
+    fn pinned_mutation_folds_into_the_view_an_evaluate_left_behind() {
+        // The maintained-histogram invariant is not vacuous: the evaluate
+        // caches the workload's `x`, the mutation folds into it rather
+        // than dropping it, and `check_live` compared it with a rescan.
+        let scenario = mutate_racing_queriers();
+        let dir = fresh_dir("view-fold");
+        let mut world = World::new(&dir, &scenario).unwrap();
+        for op in [Op::Evaluate(0), Op::Mutate, Op::Commit(0), Op::Evaluate(1)] {
+            world.apply(op).unwrap();
+            world.check_live().unwrap_or_else(|m| panic!("{m}"));
+        }
+        let state = world.state.as_ref().unwrap();
+        let engine = &state.tenant(TENANT).unwrap().engine;
+        let views = engine.with_engine(|e| e.dataset_view_stats());
+        assert_eq!((views.entries, views.misses, views.folds), (1, 1, 1));
+        assert!(views.hits >= 1, "the second evaluate read the folded view");
+        assert_eq!(engine.with_engine(|e| e.audit_dataset_views()), Ok(1));
+        // Volatile: recovery starts with none and needs none.
+        world
+            .check_recovered(false)
+            .unwrap_or_else(|m| panic!("{m}"));
+        let state = world.state.as_ref().unwrap();
+        let engine = &state.tenant(TENANT).unwrap().engine;
+        assert_eq!(engine.with_engine(|e| e.dataset_view_stats()).entries, 0);
+        drop(world);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // ---- satellite 1: poison recovery proof ----

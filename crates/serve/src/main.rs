@@ -268,10 +268,11 @@ fn main() {
                 }
                 println!(
                     "  store: {} ingested, {} opened from disk, pool hits {}, \
-                     transcript records {}",
+                     view hits {}, transcript records {}",
                     report.datasets_synthesized,
                     report.datasets_opened,
                     report.store_pool_hits,
+                    report.view_hits,
                     report.transcript_records
                 );
                 println!(

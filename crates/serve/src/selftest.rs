@@ -38,6 +38,12 @@
 //!    reproduce the epoch, the mutation count, and the row count from
 //!    disk (store replay for the paged tenant, WAL/snapshot-journal
 //!    replay for the resident one).
+//! 7. **maintained histograms** — the resident tenant is asked one shape
+//!    before its mutation and again after it: the histogram it maintains
+//!    for that shape (docs/PERFORMANCE.md) must equal a rescan after the
+//!    insert, and `/v1/stats` must report `views.folds` > 0 and
+//!    `views.hits` > 0 for it — the second answer read the folded view,
+//!    not the rows. (Paged tenants keep no views and scan.)
 //!
 //! Sessions *oversubscribe* on purpose: each holds a slice of `B` large
 //! enough that the slices jointly exceed `B`, so both the per-session and
@@ -158,6 +164,9 @@ pub struct SelfTestReport {
     /// Buffer-pool hits summed over the paged tenants at the end
     /// (must be > 0: re-scans are served from memory, not disk).
     pub store_pool_hits: u64,
+    /// Maintained-histogram hits on the resident tenant (must be > 0:
+    /// the shape repeated after the mutation does not rescan).
+    pub view_hits: u64,
     /// Transcript records across all tenants and shards at shutdown.
     pub transcript_records: u64,
     /// Row-mutation batches acked over the wire (the live-update leg:
@@ -242,6 +251,38 @@ fn slow_wide_query(prefixes: usize) -> String {
         "BIN wide ON COUNT(*) WHERE W = {{ {} }} ERROR 200 CONFIDENCE 0.99;",
         preds.join(", ")
     )
+}
+
+/// Opens a session on the resident `wide` tenant and asks it one cheap
+/// fixed shape, which must be answered (`wide`'s budget is ample at every
+/// point of the run). `when` labels the failure.
+fn ask_wide(addr: std::net::SocketAddr, when: &str) -> Result<(), String> {
+    let (status, created) = client::request(
+        addr,
+        "POST",
+        "/v1/sessions",
+        Some("{\"dataset\":\"wide\",\"budget\":1.0}"),
+    )?;
+    if status != 201 {
+        return Err(format!("{when} session creation returned {status}"));
+    }
+    let id = created
+        .get("session")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{when} session id missing"))?;
+    let q = "BIN wide ON COUNT(*) WHERE W = { v IN [0, 16) } ERROR 200 CONFIDENCE 0.99;";
+    let (status, resp) = client::request(
+        addr,
+        "POST",
+        &format!("/v1/sessions/{id}/query"),
+        Some(&format!("{{\"query\":{}}}", Json::from(q).render())),
+    )?;
+    if status != 200 {
+        return Err(format!(
+            "{when} query returned {status} (must answer at the current epoch): {resp:?}"
+        ));
+    }
+    Ok(())
 }
 
 /// One wire-encodable row at each attribute's domain floor — valid for
@@ -579,6 +620,9 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     // snapshot's mutation journal). The ack's epoch must match the
     // owning engine, the scan must see the rows immediately, and the
     // restart leg below must reproduce all three numbers from disk.
+    // (`wide` is asked one shape first, so its insert has a maintained
+    // histogram to fold into — leg 7.)
+    ask_wide(addr, "pre-mutation")?;
     let mut mutation_expect: Vec<(String, u64, u64, u64)> = Vec::new();
     for name in ["adult", "wide"] {
         let engine = &set
@@ -625,6 +669,9 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
                 engine.epoch()
             ));
         }
+        engine
+            .with_engine(|e| e.audit_dataset_views())
+            .map_err(|e| format!("{name}: maintained histogram diverged after insert: {e}"))?;
         report.mutations_acked += 1;
         mutation_expect.push((name.to_string(), acked_epoch, acked_applied, after_rows));
     }
@@ -650,32 +697,27 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             ));
         }
     }
-    {
-        let (status, created) = client::request(
-            addr,
-            "POST",
-            "/v1/sessions",
-            Some("{\"dataset\":\"wide\",\"budget\":1.0}"),
-        )?;
-        if status != 201 {
-            return Err(format!("post-mutation session creation returned {status}"));
-        }
-        let id = created
-            .get("session")
+    ask_wide(addr, "post-mutation")?;
+    // Leg 7: that answer read the view the first one left and the insert
+    // folded (audited against a rescan above).
+    let (_, stats) = client::request(addr, "GET", "/v1/stats", None)?;
+    let wide_views = |field: &str| {
+        stats
+            .get("datasets")
+            .and_then(|d| d.get("wide"))
+            .and_then(|d| d.get("views"))
+            .and_then(|v| v.get(field))
             .and_then(Json::as_u64)
-            .ok_or("post-mutation session id missing")?;
-        let q = "BIN wide ON COUNT(*) WHERE W = { v IN [0, 16) } ERROR 200 CONFIDENCE 0.99;";
-        let (status, resp) = client::request(
-            addr,
-            "POST",
-            &format!("/v1/sessions/{id}/query"),
-            Some(&format!("{{\"query\":{}}}", Json::from(q).render())),
-        )?;
-        if status != 200 {
-            return Err(format!(
-                "post-mutation query returned {status} (must answer at the new epoch): {resp:?}"
-            ));
-        }
+            .ok_or_else(|| format!("stats missing datasets.wide.views.{field}"))
+    };
+    let folds = wide_views("folds")?;
+    report.view_hits = wide_views("hits")?;
+    if report.view_hits == 0 || folds == 0 {
+        return Err(format!(
+            "maintained histogram not used: wide reports {} hits and {folds} folds — \
+             the repeated shape rescanned",
+            report.view_hits
+        ));
     }
 
     report.prepare_ms = prepare_timings(cfg);
@@ -1061,6 +1103,10 @@ mod tests {
         assert_eq!(report.datasets_synthesized, 2, "fresh data dir ingests");
         assert_eq!(report.datasets_opened, 0);
         assert!(report.store_pool_hits > 0, "rescans come from the pool");
+        assert!(
+            report.view_hits > 0,
+            "repeated shapes read maintained views"
+        );
         assert!(
             report.transcript_records >= report.answered + report.denied,
             "every response must reach a transcript log"

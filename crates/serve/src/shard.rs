@@ -302,8 +302,19 @@ pub fn stats_json(set: &ShardSet) -> Json {
         let (mut mutation_epoch, mut mutations_applied) = (0u64, 0u64);
         let mut pool = apex_data::PoolStats::default();
         let (mut transcript_records, mut transcript_dropped) = (0u64, 0u64);
+        // Maintained histograms live with each shard's copy of the
+        // dataset; only the owning shard's is ever asked, so the sum is
+        // its counters.
+        let mut views = apex_data::ViewStats::default();
         for st in set.states() {
             let Some(t) = st.tenant(name) else { continue };
+            let v = t.view_stats();
+            views.entries += v.entries;
+            views.bytes += v.bytes;
+            views.hits += v.hits;
+            views.misses += v.misses;
+            views.folds += v.folds;
+            views.cleared += v.cleared;
             let ledger = t.engine.export_ledger();
             budget = ledger.budget;
             spent += ledger.spent;
@@ -331,6 +342,7 @@ pub fn stats_json(set: &ShardSet) -> Json {
             name.clone(),
             Json::obj(vec![
                 ("cache", wire::cache_stats_json(cache)),
+                ("views", wire::view_stats_json(views)),
                 (
                     "store",
                     Json::obj(vec![

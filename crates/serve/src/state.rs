@@ -186,6 +186,11 @@ impl Tenant {
         self.engine.with_engine(|e| e.dataset_pool_stats())
     }
 
+    /// Counters of the histograms this tenant's dataset maintains.
+    pub fn view_stats(&self) -> apex_data::ViewStats {
+        self.engine.with_engine(|e| e.dataset_view_stats())
+    }
+
     /// Storage epoch of this tenant's dataset (None = resident).
     pub fn dataset_epoch(&self) -> Option<u64> {
         self.engine.with_engine(|e| e.dataset_epoch())

@@ -268,6 +268,20 @@ pub fn cache_stats_json(stats: apex_mech::CacheStats) -> Json {
     ])
 }
 
+/// Renders one dataset's maintained-histogram counters (`/v1/stats`
+/// `views`). Hits and misses follow the query history and the public
+/// `|D|` only, so the object says nothing about row values.
+pub fn view_stats_json(stats: apex_data::ViewStats) -> Json {
+    Json::obj(vec![
+        ("entries", Json::from(stats.entries)),
+        ("bytes", Json::from(stats.bytes)),
+        ("hits", Json::from(stats.hits)),
+        ("misses", Json::from(stats.misses)),
+        ("folds", Json::from(stats.folds)),
+        ("cleared", Json::from(stats.cleared)),
+    ])
+}
+
 /// A uniform error body.
 pub fn error_json(msg: &str) -> String {
     Json::obj(vec![("error", Json::from(msg))]).render()

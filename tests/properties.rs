@@ -435,70 +435,150 @@ fn transcript_valid_for_random_budgets() {
 /// are **bit-identical** to compiling from scratch over a fresh re-ingest
 /// of the final rows — across Mem and Paged backends, including deletes
 /// of absent rows and inserts that widen the domain mid-script.
+///
+/// The same script drives the histograms the datasets maintain for
+/// themselves, both directly and through the engine path (Mem and Paged
+/// engines answering a query of the workload after every step): after
+/// each mutation — random ones, a delete of only absent rows, a
+/// self-cancelling insert-then-delete, and one guaranteed widening insert
+/// — every cached `x` equals a fresh rescan, f64 bit for f64 bit. (The
+/// paged dataset and engine keep no views; they must scan to the same `x`.)
 #[test]
 fn k_mutations_maintain_answers_bit_identical_to_reingest() {
+    use apex_core::{ApexEngine, EngineConfig, EngineError, Mode};
     use apex_query::{CompiledWorkload, DeltaError};
+
+    enum Step {
+        Random,
+        Insert(Vec<Vec<Value>>),
+        Delete(Vec<Vec<Value>>),
+    }
 
     let mut rng = StdRng::seed_from_u64(0xAB5E);
     let tmp = std::env::temp_dir().join(format!("apex-prop-mut-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
+    let engine = |d: Dataset| {
+        ApexEngine::new(
+            d,
+            EngineConfig {
+                budget: 1e9,
+                mode: Mode::Pessimistic,
+                seed: 1,
+            },
+        )
+    };
+    let acc = AccuracySpec::new(25.0, 1e-3).unwrap();
 
     for case in 0..24 {
         let base: Vec<Vec<Value>> = (0..rng.gen_range(0..200))
             .map(|_| vec![Value::Int(rng.gen_range(0i64..64))])
             .collect();
         let workload = interval_workload(&mut rng);
+        // The engines answer the workload as a top-1 query: LM and LTM
+        // only, so no Monte-Carlo prepare, and `run` reads `x`.
+        let query = ExplorationQuery::tcq(workload.clone(), 1);
         let mut mem = Dataset::new(schema(63), base.clone()).unwrap();
         let dir = tmp.join(format!("case-{case}"));
         let mut paged = mem.ingest_paged(&dir, 1, 8).unwrap();
+        let mut engines = [
+            engine(mem.clone()),
+            engine(
+                mem.ingest_paged(&tmp.join(format!("case-{case}-engine")), 1, 8)
+                    .unwrap(),
+            ),
+        ];
 
         let mut w = CompiledWorkload::compile(&schema(63), &workload).unwrap();
         let mut hist = w.histogram(&mem);
         let mut answer = w.true_answer(&mem);
+        for e in &mut engines {
+            e.submit(&query, &acc).unwrap();
+        }
         // `shadow` mirrors the multiset the mutations should leave behind;
         // the fresh re-ingest at the end is built from it.
         let mut shadow = base.clone();
 
-        for _ in 0..rng.gen_range(1..8) {
-            let delta = if shadow.is_empty() || rng.gen::<f64>() < 0.6 {
-                let rows: Vec<Vec<Value>> = (0..rng.gen_range(1..5))
-                    .map(|_| {
-                        // ~1 in 6 rows lands outside [0, 64): domain growth.
-                        let v = if rng.gen_range(0..6) == 0 {
-                            rng.gen_range(64i64..96)
-                        } else {
-                            rng.gen_range(0i64..64)
-                        };
-                        vec![Value::Int(v)]
-                    })
-                    .collect();
-                let d_mem = mem.insert_rows(&rows).unwrap();
-                let d_paged = paged.insert_rows(&rows).unwrap();
-                assert_eq!(d_mem.inserted, d_paged.inserted, "case {case}");
-                shadow.extend(rows);
-                d_mem
-            } else {
+        let pair = vec![vec![Value::Int(rng.gen_range(0i64..64))]; 2];
+        let mut plan: Vec<Step> = (0..rng.gen_range(1..8)).map(|_| Step::Random).collect();
+        plan.push(Step::Delete(vec![vec![Value::Int(1_000_000)]])); // absent
+        plan.push(Step::Insert(pair.clone())); // …and straight back out:
+        plan.push(Step::Delete(pair)); // a self-cancelling pair
+        let at = rng.gen_range(0..=plan.len() - 2);
+        plan.insert(at, Step::Insert(vec![vec![Value::Int(96 + case)]])); // widens
+
+        for (n, step) in plan.into_iter().enumerate() {
+            let step = match step {
+                Step::Random if shadow.is_empty() || rng.gen::<f64>() < 0.6 => Step::Insert(
+                    (0..rng.gen_range(1..5))
+                        .map(|_| {
+                            // ~1 in 6 rows lands outside [0, 64): domain growth.
+                            let v = if rng.gen_range(0..6) == 0 {
+                                rng.gen_range(64i64..96)
+                            } else {
+                                rng.gen_range(0i64..64)
+                            };
+                            vec![Value::Int(v)]
+                        })
+                        .collect(),
+                ),
                 // Deletes mix present rows with absent ones (no-ops).
-                let rows: Vec<Vec<Value>> = (0..rng.gen_range(1..4))
-                    .map(|_| {
-                        if rng.gen::<f64>() < 0.7 {
-                            shadow[rng.gen_range(0..shadow.len())].clone()
-                        } else {
-                            vec![Value::Int(rng.gen_range(0i64..64))]
-                        }
-                    })
-                    .collect();
-                let d_mem = mem.delete_rows(&rows).unwrap();
-                let d_paged = paged.delete_rows(&rows).unwrap();
-                assert_eq!(d_mem.deleted, d_paged.deleted, "case {case}");
-                for row in &d_mem.deleted {
-                    let at = shadow.iter().position(|r| r == row).unwrap();
-                    shadow.remove(at);
-                }
-                d_mem
+                Step::Random => Step::Delete(
+                    (0..rng.gen_range(1..4))
+                        .map(|_| {
+                            if rng.gen::<f64>() < 0.7 {
+                                shadow[rng.gen_range(0..shadow.len())].clone()
+                            } else {
+                                vec![Value::Int(rng.gen_range(0i64..64))]
+                            }
+                        })
+                        .collect(),
+                ),
+                scripted => scripted,
             };
+            // On odd steps an evaluate is in flight across the mutation, so
+            // the engine mutates a copy-on-write clone of the dataset (views
+            // included) and the stale evaluate's commit must be refused.
+            let in_flight: Vec<_> = engines
+                .iter_mut()
+                .filter(|_| n % 2 == 1)
+                .map(|e| e.evaluation_context())
+                .collect();
+            let (d_mem, d_paged) = match &step {
+                Step::Insert(rows) => {
+                    for e in &mut engines {
+                        e.insert_rows(rows).unwrap();
+                    }
+                    shadow.extend(rows.iter().cloned());
+                    (
+                        mem.insert_rows(rows).unwrap(),
+                        paged.insert_rows(rows).unwrap(),
+                    )
+                }
+                Step::Delete(rows) => {
+                    for e in &mut engines {
+                        e.delete_rows(rows).unwrap();
+                    }
+                    let d_mem = mem.delete_rows(rows).unwrap();
+                    for row in &d_mem.deleted {
+                        let at = shadow.iter().position(|r| r == row).unwrap();
+                        shadow.remove(at);
+                    }
+                    (d_mem, paged.delete_rows(rows).unwrap())
+                }
+                Step::Random => unreachable!("resolved above"),
+            };
+            assert_eq!(d_mem.inserted, d_paged.inserted, "case {case}");
+            assert_eq!(d_mem.deleted, d_paged.deleted, "case {case}");
+            let delta = d_mem;
             // Widening must be deterministic across backends.
             assert_eq!(mem.schema(), paged.schema(), "case {case}");
+            for (e, ctx) in engines.iter_mut().zip(in_flight) {
+                let stale = ctx.evaluate(&query, &acc, f64::INFINITY).unwrap();
+                assert!(
+                    matches!(e.commit(stale), Err(EngineError::StaleEpoch { .. })),
+                    "case {case} step {n}: an evaluate that raced a mutation committed"
+                );
+            }
 
             let hd = match w.apply_delta(&delta) {
                 Ok(hd) => hd,
@@ -518,7 +598,30 @@ fn k_mutations_maintain_answers_bit_identical_to_reingest() {
                 hist[cell] += dv;
             }
             w.update_answer(&hd, &mut answer);
+
+            // What the datasets maintained for themselves, against a rescan:
+            // first whatever survived the mutation, then (asking again, so a
+            // widening insert's cleared views are rebuilt) the served `x`.
+            // (A paged dataset keeps no views: it scans, and must agree.)
+            let at = format!("case {case} step {n}");
+            assert!(mem.audit_views().is_ok(), "{at}: {:?}", mem.audit_views());
+            let rescan = w.partition().histogram(&mem);
+            assert_eq!(hist, rescan, "{at}: incremental != rescan");
+            assert_eq!(w.histogram(&mem), rescan, "{at}: mem view != rescan");
+            assert_eq!(w.histogram(&paged), rescan, "{at}: paged scan != rescan");
+            assert_eq!((mem.audit_views(), paged.audit_views()), (Ok(1), Ok(0)));
+            for (e, views) in engines.iter_mut().zip([1, 0]) {
+                assert!(e.audit_dataset_views().is_ok(), "{at}: engine views");
+                e.submit(&query, &acc).unwrap();
+                assert_eq!(e.audit_dataset_views(), Ok(views), "{at}: engine views");
+            }
         }
+        let s = engines[0].dataset_view_stats();
+        assert!(
+            s.folds > 0 && s.cleared > 0 && s.hits > 0,
+            "case {case}: {s:?}"
+        );
+        assert_eq!(engines[1].dataset_view_stats(), Default::default());
 
         // From-scratch reference: fresh compile over a fresh re-ingest of
         // the final rows. Equality is full f64 bit-equality, not epsilon.
