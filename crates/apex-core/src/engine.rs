@@ -20,12 +20,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use apex_data::Dataset;
-use apex_mech::{PreparedQuery, SmCache};
+use apex_mech::{PreparedQuery, TranslatorCache};
 use apex_query::{AccuracySpec, ExplorationQuery, QueryAnswer};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::cache::TranslatorCache;
 use crate::transcript::{QueryRecord, Transcript, TranscriptEntry};
 use crate::translator::choose_mechanism_cached;
 use crate::EngineError;
@@ -180,7 +179,7 @@ pub struct EvalContext {
     /// Dataset epoch at extraction — stamped into the [`PendingCharge`]
     /// so commit can refuse answers computed over a superseded row set.
     epoch: u64,
-    cache: Option<Arc<SmCache>>,
+    cache: TranslatorCache,
     mode: Mode,
     remaining: f64,
     rng: StdRng,
@@ -231,7 +230,7 @@ impl EvalContext {
             accuracy,
             self.remaining.min(cap),
             self.mode,
-            self.cache.clone(),
+            Some(self.cache.clone()),
         )?;
 
         let Some(choice) = choice else {
@@ -385,7 +384,7 @@ impl ApexEngine {
         self.bug_charge_before_log = on;
     }
 
-    /// The engine's translator/pseudoinverse cache (inspect its stats to
+    /// The engine's translator cache (inspect its stats to
     /// observe warm-up behavior across a session).
     pub fn translator_cache(&self) -> &TranslatorCache {
         &self.cache
@@ -604,7 +603,7 @@ impl ApexEngine {
             engine_id: self.id,
             epoch: self.data.epoch(),
             data: self.data.clone(),
-            cache: Some(self.cache.handle()),
+            cache: self.cache.clone(),
             mode: self.mode,
             remaining: self.remaining(),
             rng: StdRng::seed_from_u64(self.rng.next_u64()),

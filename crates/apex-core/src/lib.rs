@@ -43,13 +43,10 @@
 //! assert!(engine.spent() <= 1.0);
 //! ```
 
-pub mod cache;
 pub mod engine;
 pub mod error;
 #[cfg(any(test, feature = "sched"))]
 pub mod sched;
-pub mod selector;
-mod selector_table;
 pub mod shared;
 pub mod transcript;
 pub mod translator;
@@ -72,16 +69,14 @@ macro_rules! sched_point {
     }};
 }
 
-pub use cache::TranslatorCache;
+pub use apex_mech::TranslatorCache;
 pub use engine::{
     Answered, ApexEngine, CommitError, EngineConfig, EngineResponse, EvalContext, LedgerExport,
     Mode, PendingCharge,
 };
 pub use error::EngineError;
-pub use selector::OperatorSelector;
 pub use shared::{EngineSession, SharedEngine};
 pub use transcript::{QueryRecord, Transcript, TranscriptEntry};
 pub use translator::{
     choose_mechanism, choose_mechanism_cached, choose_mechanism_cached_at_epoch, MechanismChoice,
-    PreparedTranslator,
 };

@@ -1,124 +1,12 @@
 //! The accuracy translator: choose the admissible mechanism with least
-//! privacy loss (Algorithm 1, Lines 4–10), and the standalone
-//! [`PreparedTranslator`] for callers that manage strategy translation
-//! directly (benchmarks, multi-tenant services).
+//! privacy loss (Algorithm 1, Lines 4–10).
 
-use std::sync::Arc;
-
-use apex_mech::mc::McConfig;
 use apex_mech::{
-    mechanisms_for_cached, MechError, Mechanism, PreparedQuery, SmArtifacts, SmCache, Translation,
+    mechanisms_for_cached, MechError, Mechanism, PreparedQuery, Translation, TranslatorCache,
 };
-use apex_query::{AccuracySpec, CompiledWorkload, Strategy};
+use apex_query::AccuracySpec;
 
-use crate::cache::TranslatorCache;
 use crate::engine::Mode;
-use crate::selector::OperatorSelector;
-
-/// A workload's accuracy-to-privacy translator, prepared once and reused:
-/// the strategy operator, its Monte-Carlo simulation, and the
-/// reconstruction path.
-///
-/// Since the operator refactor, preparation is `O(n log n)` — the
-/// strategy's normal equations are solved recursively instead of through
-/// a dense `O(n³)` pseudoinverse — and the prepared state is `O(n log n)`
-/// small, so translators are cheap to build per workload and cheap to
-/// share across engines through a bounded [`TranslatorCache`].
-/// Reconstruction computes `ω = W A⁺ ŷ` as
-/// `apply_transpose` + `solve_normal` + one sparse workload product; no
-/// dense `W A⁺` is ever stored.
-///
-/// Everything here is data-independent: a `PreparedTranslator` can be
-/// built before any data access and reused across tenant datasets.
-#[derive(Debug, Clone)]
-pub struct PreparedTranslator {
-    artifacts: Arc<SmArtifacts>,
-}
-
-impl PreparedTranslator {
-    /// Prepares the translator for `workload` answered through
-    /// `strategy`, consulting (and warming) `cache` when given. Cache
-    /// hits are verified against the workload's actual structure, so a
-    /// 64-bit signature collision can never hand out another workload's
-    /// translator.
-    ///
-    /// The build pipeline (dense reference, single-RHS operator loop, or
-    /// blocked multi-RHS operator) is picked by [`OperatorSelector`] from
-    /// bench-measured crossover points, so preparation takes the fastest
-    /// path for the workload's domain size. The choice is a pure function
-    /// of `(n, samples)` plus the `APEX_OPERATOR_PATH` override, and the
-    /// path is part of the cache key — cached and fresh prepares always
-    /// agree, and a path switch never aliases another path's artifacts.
-    ///
-    /// # Errors
-    /// Propagates strategy-construction failures (empty domain, bad
-    /// branching).
-    pub fn prepare(
-        workload: &CompiledWorkload,
-        strategy: Strategy,
-        mc: McConfig,
-        cache: Option<&TranslatorCache>,
-    ) -> Result<Self, MechError> {
-        let path = OperatorSelector::choose(workload.csr().cols(), mc.samples);
-        let artifacts = match cache {
-            None => Arc::new(SmArtifacts::build_with_path(
-                workload.csr(),
-                strategy,
-                mc,
-                path,
-            )?),
-            Some(cache) => SmArtifacts::get_or_build_cached_with_path(
-                &cache.handle(),
-                workload.csr(),
-                workload.signature(),
-                strategy,
-                mc,
-                path,
-            )?,
-        };
-        Ok(Self { artifacts })
-    }
-
-    /// The minimal `ε` meeting `(α, β)` accuracy for the WCQ form of the
-    /// workload (Algorithm 3's `translate`).
-    pub fn translate(&self, alpha: f64, beta: f64) -> f64 {
-        self.artifacts.translator.translate(alpha, beta)
-    }
-
-    /// The strategy's true answer `A x` on a histogram `x` (noise is the
-    /// caller's job — mechanisms own the RNG).
-    ///
-    /// # Errors
-    /// Shape mismatches surface as [`MechError::Linalg`].
-    pub fn strategy_answer(&self, x: &[f64]) -> Result<Vec<f64>, MechError> {
-        self.artifacts.strategy_answer(x)
-    }
-
-    /// Reconstructs workload answers `ω = W A⁺ ŷ` from noisy strategy
-    /// answers, via `solve_normal` + `apply_transpose`.
-    ///
-    /// # Errors
-    /// Shape mismatches surface as [`MechError::Linalg`].
-    pub fn reconstruct(&self, y_hat: &[f64]) -> Result<Vec<f64>, MechError> {
-        self.artifacts.reconstruct(y_hat)
-    }
-
-    /// The strategy sensitivity `‖A‖₁` (the Laplace scale is
-    /// `‖A‖₁ / ε`).
-    pub fn strategy_sensitivity(&self) -> f64 {
-        self.artifacts.strat_sensitivity
-    }
-
-    /// Number of strategy rows `m` — the noise dimension.
-    pub fn strategy_rows(&self) -> usize {
-        self.artifacts.strategy_rows()
-    }
-
-    /// The underlying shared artifacts (for interop with `apex-mech`).
-    pub fn artifacts(&self) -> &Arc<SmArtifacts> {
-        &self.artifacts
-    }
-}
 
 /// A mechanism admitted by the privacy analyzer, with its translation.
 pub struct MechanismChoice {
@@ -165,7 +53,7 @@ pub fn choose_mechanism(
 
 /// [`choose_mechanism`] with the strategy mechanism wired to a shared
 /// artifact cache, so the analyzer's translation and the subsequent `run`
-/// reuse one pseudoinverse + Monte-Carlo translator per workload
+/// reuse one strategy operator + Monte-Carlo translator per workload
 /// signature. The selection logic — and, because cached artifacts are
 /// exact, every selected mechanism and ε — is identical to the uncached
 /// path.
@@ -177,7 +65,7 @@ pub fn choose_mechanism_cached(
     acc: &AccuracySpec,
     remaining_budget: f64,
     mode: Mode,
-    cache: Option<Arc<SmCache>>,
+    cache: Option<TranslatorCache>,
 ) -> Result<Option<MechanismChoice>, MechError> {
     let mut best: Option<MechanismChoice> = None;
     for mechanism in mechanisms_for_cached(q.kind(), cache) {
@@ -228,7 +116,7 @@ pub fn choose_mechanism_cached_at_epoch(
     acc: &AccuracySpec,
     remaining_budget: f64,
     mode: Mode,
-    cache: Option<Arc<SmCache>>,
+    cache: Option<TranslatorCache>,
     _dataset_epoch: u64,
 ) -> Result<Option<MechanismChoice>, MechError> {
     choose_mechanism_cached(q, acc, remaining_budget, mode, cache)
@@ -238,7 +126,9 @@ pub fn choose_mechanism_cached_at_epoch(
 mod tests {
     use super::*;
     use apex_data::{Attribute, Domain, Predicate, Schema};
-    use apex_query::ExplorationQuery;
+    use apex_mech::mc::McConfig;
+    use apex_mech::SmArtifacts;
+    use apex_query::{ExplorationQuery, Strategy};
 
     fn schema() -> Schema {
         Schema::new(vec![Attribute::new(
@@ -326,22 +216,22 @@ mod tests {
                 .map(|i| Predicate::range("v", 0.0, (4 * i) as f64))
                 .collect(),
         ));
-        let mc = apex_mech::mc::McConfig {
+        let mc = McConfig {
             samples: 500,
             ..Default::default()
         };
-        let t = PreparedTranslator::prepare(q.compiled(), Strategy::H2, mc, None).unwrap();
+        let art = SmArtifacts::build(q.compiled().csr(), Strategy::H2, mc).unwrap();
         let n = q.compiled().n_cells();
         let x: Vec<f64> = (0..n).map(|i| (i % 11) as f64).collect();
-        let y = t.strategy_answer(&x).unwrap();
-        assert_eq!(y.len(), t.strategy_rows());
-        let omega = t.reconstruct(&y).unwrap();
+        let y = art.strategy_answer(&x).unwrap();
+        assert_eq!(y.len(), art.strategy_rows());
+        let omega = art.reconstruct(&y).unwrap();
         let wx = q.compiled().csr().matvec(&x).unwrap();
         for (a, b) in omega.iter().zip(&wx) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
         }
-        assert!(t.strategy_sensitivity() >= 1.0);
-        assert!(t.translate(20.0, 0.01) > 0.0);
+        assert!(art.strat_sensitivity >= 1.0);
+        assert!(art.translator.translate(20.0, 0.01) > 0.0);
     }
 
     #[test]
@@ -351,71 +241,25 @@ mod tests {
                 .map(|i| Predicate::range("v", 0.0, (8 * i) as f64))
                 .collect(),
         ));
-        let mc = apex_mech::mc::McConfig {
+        let mc = McConfig {
             samples: 200,
             ..Default::default()
         };
         let cache = TranslatorCache::with_capacity(4);
-        let a = PreparedTranslator::prepare(q.compiled(), Strategy::H2, mc, Some(&cache)).unwrap();
-        let b = PreparedTranslator::prepare(q.compiled(), Strategy::H2, mc, Some(&cache)).unwrap();
-        assert!(Arc::ptr_eq(a.artifacts(), b.artifacts()));
+        let cached = || {
+            let w = q.compiled();
+            SmArtifacts::get_or_build_cached(&cache, w.csr(), w.signature(), Strategy::H2, mc)
+                .unwrap()
+        };
+        let (a, b) = (cached(), cached());
+        assert!(std::sync::Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // Cached and fresh translations are identical (reuse is exact).
-        let fresh = PreparedTranslator::prepare(q.compiled(), Strategy::H2, mc, None).unwrap();
-        assert_eq!(a.translate(10.0, 0.05), fresh.translate(10.0, 0.05));
-    }
-
-    #[test]
-    fn every_selector_path_reproduces_the_dense_reference_unit_errors() {
-        // Whatever the selector picks for a given (n, samples), the
-        // resulting translator must be statistically the same object:
-        // the two operator paths are bit-identical to each other, and all
-        // paths match the dense reference to solver tolerance, so a
-        // crossover-table update can shift timings but never a privacy
-        // decision.
-        use apex_mech::OperatorPath;
-        let q = prepare(&ExplorationQuery::wcq(
-            (1..=16)
-                .map(|i| Predicate::range("v", 0.0, (4 * i) as f64))
-                .collect(),
-        ));
-        let mc = apex_mech::mc::McConfig {
-            samples: 400,
-            ..Default::default()
-        };
-        let dense =
-            SmArtifacts::build_with_path(q.compiled().csr(), Strategy::H2, mc, OperatorPath::Dense)
-                .unwrap();
-        let reference = dense.translator.unit_errors();
-        for path in [
-            OperatorPath::Dense,
-            OperatorPath::HierSingle,
-            OperatorPath::HierBlocked,
-        ] {
-            let built =
-                SmArtifacts::build_with_path(q.compiled().csr(), Strategy::H2, mc, path).unwrap();
-            let errs = built.translator.unit_errors();
-            assert_eq!(errs.len(), reference.len(), "{path:?}");
-            for (a, b) in errs.iter().zip(reference) {
-                assert!(
-                    (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                    "{path:?}: {a} vs {b}"
-                );
-            }
-        }
-        // The selected path (whatever the committed table says for this
-        // size) is one of the three above, so prepare() inherits the
-        // equivalence; check the end-to-end translation anyway.
-        let selected = PreparedTranslator::prepare(q.compiled(), Strategy::H2, mc, None).unwrap();
-        let eps = selected.translate(20.0, 0.01);
-        let eps_dense = {
-            let t = &dense.translator;
-            t.translate(20.0, 0.01)
-        };
-        assert!(
-            (eps - eps_dense).abs() <= 1e-9 * eps_dense.abs().max(1.0),
-            "{eps} vs {eps_dense}"
+        let fresh = SmArtifacts::build(q.compiled().csr(), Strategy::H2, mc).unwrap();
+        assert_eq!(
+            a.translator.translate(10.0, 0.05),
+            fresh.translator.translate(10.0, 0.05)
         );
     }
 

@@ -1,35 +1,23 @@
-//! Benchmarks of the strategy mechanism's Monte-Carlo accuracy-to-privacy
-//! translation (Algorithm 3) and the sparse strategy algebra feeding it.
+//! Benchmarks of the strategy mechanism's translator prepare (Algorithm
+//! 3's Monte-Carlo accuracy-to-privacy translation) and the sparse
+//! strategy algebra feeding it. Every row times code a request can reach.
 //!
-//! Four questions, each a benchmark group:
+//! Three questions, each a benchmark group:
 //!
-//! * `mc_translate_domain` — serial per-sample simulation vs the batched
-//!   blocked formulation, per domain size, plus the translate-only cost a
-//!   cache hit pays. This is the headline serial-vs-parallel evidence
-//!   (`docs/PERFORMANCE.md` records the numbers).
-//! * `strategy_sparse_vs_dense` — CSR vs dense construction and `A·x`
-//!   cost of the `H₂` strategy per domain size: the sparse-vs-dense
-//!   evidence.
-//! * `mc_translate_samples` / `mc_translate_branching` — the original
-//!   ablations over the sample count `N` and the branching factor `b`.
+//! * `translator_prepare_multi` — end-to-end translator preparation
+//!   (strategy operator + blocked Monte-Carlo simulation) through
+//!   `SmArtifacts::build`, what a translator-cache miss pays, per domain
+//!   size up to 16384 (`blocked/{n}`).
+//! * `mc_translate_domain` — what a translator-cache hit pays: the
+//!   translate-only binary search over the prepared samples
+//!   (`cached/{n}`).
+//! * `strategy_sparse_vs_dense` — CSR construction, `A·x` and `‖A‖₁` cost
+//!   of the `H₂` strategy per domain size.
 //!
 //! Monte-Carlo sample counts shrink as the domain grows to keep one
-//! iteration tractable on one core; the serial/batched *ratio* is
-//! unaffected (both paths scale linearly in `N`), and the JSON output
-//! records `N` per config. Domain 4096 uses the identity strategy for the
-//! MC scaling row: H₂'s one-time `O(n³)` pseudoinverse takes on the order
-//! of an hour at that size on one core (the cost the translator cache
-//! exists to amortize), while the simulation itself — what this group
-//! measures — is strategy-independent in shape. The dense 4096² strategy
-//! materialization is likewise gated behind `APEX_BENCH_FULL=1` in the
-//! sparse-vs-dense group (128 MiB per iteration).
-//!
-//! * `translator_prepare` — end-to-end translator preparation (strategy
-//!   operator + Monte-Carlo simulation) through the matrix-free
-//!   `SmArtifacts::build` path vs the dense `O(n³)`-pseudoinverse
-//!   reference, per domain size up to 16384 — domains the dense path
-//!   cannot reach (its 4096 prepare is ~an hour of one-core QR; the
-//!   dense rows stop at 256, 1024 behind `APEX_BENCH_FULL=1`).
+//! iteration tractable on one core, and the JSON output records `N` per
+//! config. `cached/4096` prepares through the identity strategy, as the
+//! committed row records.
 //!
 //! Besides the textual report, the harness writes the medians to
 //! `BENCH_mc_translate.json` at the workspace root (override with
@@ -37,45 +25,44 @@
 //! across PRs.
 //!
 //! Pass `--quick` (the CI smoke mode) to restrict every group to small
-//! domains and skip the ablations; quick runs only write JSON when
-//! `APEX_BENCH_JSON` is set, so a smoke pass can never clobber the
-//! committed full-run medians.
+//! domains; quick runs only write JSON when `APEX_BENCH_JSON` is set, so a
+//! smoke pass can never clobber the committed full-run medians.
 
-use apex_core::OperatorSelector;
-use apex_linalg::{pinv, CsrBuilder, CsrMatrix, Matrix};
-use apex_mech::mc::{McConfig, McTranslator};
-use apex_mech::{OperatorPath, SmArtifacts};
+use apex_linalg::{CsrBuilder, CsrMatrix};
+use apex_mech::mc::McConfig;
+use apex_mech::SmArtifacts;
 use apex_query::Strategy;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::io::Write as _;
 
-/// `--quick`: the CI smoke configuration (small domains, no ablations).
+/// `--quick`: the CI smoke configuration (small domains only).
 fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Prefix workload over `n` cells, limited to `l_max` rows (row `i` sums
-/// the first `⌈(i+1)·n/L⌉` cells).
-fn prefix_workload(n: usize, l_max: usize) -> Matrix {
-    let l = n.min(l_max);
-    let mut w = Matrix::zeros(l, n);
-    for i in 0..l {
-        let hi = (i + 1) * n / l;
-        for c in 0..hi.max(1) {
-            w[(i, c)] = 1.0;
-        }
-    }
-    w
-}
-
-/// Monte-Carlo sample count per domain size (kept tractable on one core;
-/// the serial/batched ratio does not depend on it).
+/// Monte-Carlo sample count per domain size (kept tractable on one core).
 fn samples_for(n: usize) -> usize {
     match n {
         0..=64 => 10_000,
         65..=1024 => 2_000,
         _ => 300,
+    }
+}
+
+fn mc_for(n: usize) -> McConfig {
+    McConfig {
+        samples: samples_for(n),
+        ..Default::default()
+    }
+}
+
+/// The strategy the `mc_translate_domain` rows prepare through.
+fn domain_strategy(n: usize) -> Strategy {
+    if n <= 1024 {
+        Strategy::H2
+    } else {
+        Strategy::Identity
     }
 }
 
@@ -94,55 +81,8 @@ fn prefix_workload_csr(n: usize) -> CsrMatrix {
     b.finish()
 }
 
-/// End-to-end translator prepare: operator path at every domain size, the
-/// dense `O(n³)` pseudoinverse baseline only where it is still feasible.
-fn bench_translator_prepare(c: &mut Criterion) {
-    let mut g = c.benchmark_group("translator_prepare");
-    g.sample_size(if quick() { 3 } else { 5 });
-    let full = std::env::var("APEX_BENCH_FULL").is_ok_and(|s| s == "1");
-    let domains: &[usize] = if quick() {
-        &[64, 256]
-    } else {
-        &[64, 256, 1024, 4096, 16384]
-    };
-    for &n in domains {
-        let w = prefix_workload_csr(n);
-        let cfg = McConfig {
-            samples: samples_for(n),
-            ..Default::default()
-        };
-        // "hier" stays the single-RHS operator loop — the committed
-        // medians for this id predate the blocked kernels, and keeping
-        // the pipeline fixed keeps them comparable across PRs. The
-        // blocked path is benched in `translator_prepare_multi`.
-        g.bench_with_input(BenchmarkId::new("hier", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(
-                    SmArtifacts::build_with_path(&w, Strategy::H2, cfg, OperatorPath::HierSingle)
-                        .unwrap(),
-                )
-            })
-        });
-        // The dense baseline's QR pseudoinverse is O(n³): ~seconds at
-        // 1024 (gated), ~an hour at 4096 (never run) — which is the
-        // point of the comparison.
-        if n <= 256 || (n <= 1024 && full) {
-            g.bench_with_input(BenchmarkId::new("dense", n), &n, |b, _| {
-                b.iter(|| {
-                    black_box(SmArtifacts::build_dense_reference(&w, Strategy::H2, cfg).unwrap())
-                })
-            });
-        }
-    }
-    g.finish();
-}
-
-/// The blocked multi-RHS prepare, and what the measured auto-selector
-/// actually picks per domain size. `blocked/{n}` is the acceptance number
-/// for the multi-RHS kernels; `selected/{n}` guards against crossover
-/// inversions — its median must track the fastest of the three paths,
-/// because it *is* one of them (the selection is a table lookup, so a
-/// wrong table shows up here as a slow `selected` row).
+/// The translator prepare a cache miss runs: `blocked/{n}` is the
+/// acceptance number for the multi-RHS kernels.
 fn bench_translator_prepare_multi(c: &mut Criterion) {
     let mut g = c.benchmark_group("translator_prepare_multi");
     g.sample_size(if quick() { 3 } else { 5 });
@@ -153,28 +93,15 @@ fn bench_translator_prepare_multi(c: &mut Criterion) {
     };
     for &n in domains {
         let w = prefix_workload_csr(n);
-        let cfg = McConfig {
-            samples: samples_for(n),
-            ..Default::default()
-        };
+        let cfg = mc_for(n);
         g.bench_with_input(BenchmarkId::new("blocked", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(
-                    SmArtifacts::build_with_path(&w, Strategy::H2, cfg, OperatorPath::HierBlocked)
-                        .unwrap(),
-                )
-            })
-        });
-        // The committed-table choice (ignoring any APEX_OPERATOR_PATH in
-        // the benching environment, so the row is reproducible).
-        let path = OperatorSelector::choose_measured(n, cfg.samples);
-        g.bench_with_input(BenchmarkId::new("selected", n), &n, |b, _| {
-            b.iter(|| black_box(SmArtifacts::build_with_path(&w, Strategy::H2, cfg, path).unwrap()))
+            b.iter(|| black_box(SmArtifacts::build(&w, Strategy::H2, cfg).unwrap()))
         });
     }
     g.finish();
 }
 
+/// What a translator-cache hit pays: translation only, no rebuild.
 fn bench_domain_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("mc_translate_domain");
     g.sample_size(5);
@@ -184,47 +111,18 @@ fn bench_domain_scaling(c: &mut Criterion) {
         &[64, 256, 1024, 4096]
     };
     for &n in domains {
-        // Full prefix (CDF) workload — the paper's high-sensitivity
-        // benchmark shape, answered through H2. At 4096 the H2
-        // pseudoinverse alone is ~an hour of one-core QR, so that size
-        // runs the identity strategy (recon = W): the simulation work
-        // being measured has the same shape either way.
-        let w = prefix_workload(n, n);
-        let (sens, recon) = if n <= 1024 {
-            let a = Strategy::H2.build_csr(n).unwrap();
-            let a_pinv = pinv(&a.to_dense()).unwrap();
-            let w_csr = apex_linalg::CsrMatrix::from_dense(&w);
-            (a.l1_operator_norm(), w_csr.matmul(&a_pinv).unwrap())
-        } else {
-            (1.0, w)
-        };
-        let samples = samples_for(n);
-        let cfg = McConfig {
-            samples,
-            ..Default::default()
-        };
-
-        g.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
-            b.iter(|| black_box(McTranslator::new_serial(&recon, sens, cfg).translate(40.0, 5e-4)))
-        });
-        g.bench_with_input(BenchmarkId::new("batched", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(McTranslator::with_sensitivity(&recon, sens, cfg).translate(40.0, 5e-4))
-            })
-        });
-        // What a translator-cache hit pays: translation only, no rebuild.
-        let prepared = McTranslator::with_sensitivity(&recon, sens, cfg);
+        let w = prefix_workload_csr(n);
+        let prepared = SmArtifacts::build(&w, domain_strategy(n), mc_for(n)).unwrap();
         g.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
-            b.iter(|| black_box(prepared.translate(40.0, 5e-4)))
+            b.iter(|| black_box(prepared.translator.translate(40.0, 5e-4)))
         });
     }
     g.finish();
 }
 
-fn bench_sparse_vs_dense(c: &mut Criterion) {
+fn bench_sparse(c: &mut Criterion) {
     let mut g = c.benchmark_group("strategy_sparse_vs_dense");
     g.sample_size(10);
-    let full = std::env::var("APEX_BENCH_FULL").is_ok_and(|s| s == "1");
     let domains: &[usize] = if quick() {
         &[64, 256]
     } else {
@@ -242,96 +140,22 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("l1_norm_csr", n), &n, |b, _| {
             b.iter(|| black_box(a_csr.l1_operator_norm()))
         });
-
-        // The dense side at 4096 costs 128 MiB per materialization and a
-        // multi-second column-major norm scan: only with APEX_BENCH_FULL=1.
-        if n <= 1024 || full {
-            g.bench_with_input(BenchmarkId::new("build_dense", n), &n, |b, &n| {
-                b.iter(|| black_box(Strategy::H2.build(n).unwrap()))
-            });
-            let a_dense = a_csr.to_dense();
-            g.bench_with_input(BenchmarkId::new("matvec_dense", n), &n, |b, _| {
-                b.iter(|| black_box(a_dense.matvec(&x).unwrap()))
-            });
-            g.bench_with_input(BenchmarkId::new("l1_norm_dense", n), &n, |b, _| {
-                b.iter(|| black_box(apex_linalg::l1_operator_norm(&a_dense)))
-            });
-        }
-    }
-    g.finish();
-}
-
-/// The original ablations: sample size and branching factor at n = 64.
-/// Skipped in `--quick` mode (they vary `N` and `b`, not the domain — no
-/// smoke value).
-fn bench_mc(c: &mut Criterion) {
-    if quick() {
-        return;
-    }
-    let n_cells = 64;
-    let w = prefix_workload(n_cells, n_cells);
-
-    let mut g = c.benchmark_group("mc_translate_samples");
-    g.sample_size(10);
-    for samples in [1_000usize, 5_000, 10_000] {
-        let a = Strategy::H2.build(n_cells).unwrap();
-        let recon = w.matmul(&pinv(&a).unwrap()).unwrap();
-        g.bench_with_input(BenchmarkId::from_parameter(samples), &samples, |b, &n| {
-            b.iter(|| {
-                let t = McTranslator::new(
-                    &recon,
-                    &a,
-                    McConfig {
-                        samples: n,
-                        ..Default::default()
-                    },
-                );
-                black_box(t.translate(40.0, 5e-4))
-            })
-        });
-    }
-    g.finish();
-
-    let mut g = c.benchmark_group("mc_translate_branching");
-    g.sample_size(10);
-    for branching in [2usize, 4, 8] {
-        let a = Strategy::Hierarchical { branching }.build(n_cells).unwrap();
-        let recon = w.matmul(&pinv(&a).unwrap()).unwrap();
-        g.bench_with_input(
-            BenchmarkId::from_parameter(branching),
-            &branching,
-            |b, _| {
-                b.iter(|| {
-                    let t = McTranslator::new(
-                        &recon,
-                        &a,
-                        McConfig {
-                            samples: 5_000,
-                            ..Default::default()
-                        },
-                    );
-                    black_box(t.translate(40.0, 5e-4))
-                })
-            },
-        );
     }
     g.finish();
 }
 
 criterion_group!(
     benches,
-    bench_translator_prepare,
     bench_translator_prepare_multi,
     bench_domain_scaling,
-    bench_sparse_vs_dense,
-    bench_mc
+    bench_sparse
 );
 
 use apex_bench::json_escape as esc;
 
-/// Writes every measurement as machine-readable JSON, plus the derived
-/// serial/batched speedups per domain size, so future PRs can track the
-/// perf trajectory (`BENCH_mc_translate.json` at the workspace root).
+/// Writes every measurement as machine-readable JSON, plus the prepare
+/// medians in milliseconds, so future PRs can track the perf trajectory
+/// (`BENCH_mc_translate.json` at the workspace root).
 fn write_json(c: &criterion::Criterion) -> std::io::Result<std::path::PathBuf> {
     let path = match std::env::var("APEX_BENCH_JSON") {
         Ok(p) => std::path::PathBuf::from(p),
@@ -345,25 +169,20 @@ fn write_json(c: &criterion::Criterion) -> std::io::Result<std::path::PathBuf> {
         if i > 0 {
             out.push_str(",\n");
         }
-        let domain =
-            r.id.rsplit('/')
-                .next()
-                .and_then(|n| n.parse::<usize>().ok())
-                .filter(|_| {
-                    r.group == "mc_translate_domain"
-                        || r.group == "translator_prepare"
-                        || r.group == "translator_prepare_multi"
-                });
+        let domain = r
+            .id
+            .rsplit('/')
+            .next()
+            .and_then(|n| n.parse::<usize>().ok())
+            .filter(|_| r.group == "mc_translate_domain" || r.group == "translator_prepare_multi");
         let extra = domain
             .map(|n| {
+                let identity =
+                    r.group == "mc_translate_domain" && domain_strategy(n) == Strategy::Identity;
                 format!(
                     ", \"mc_samples\": {}, \"strategy\": \"{}\"",
                     samples_for(n),
-                    if r.group.starts_with("translator_prepare") || n <= 1024 {
-                        "H2"
-                    } else {
-                        "identity"
-                    }
+                    if identity { "identity" } else { "H2" }
                 )
             })
             .unwrap_or_default();
@@ -380,142 +199,31 @@ fn write_json(c: &criterion::Criterion) -> std::io::Result<std::path::PathBuf> {
         ));
     }
     out.push_str("\n  ],\n  \"derived\": {\n");
-    let median = |group: &str, id: &str| -> Option<f64> {
-        c.results()
-            .iter()
-            .find(|r| r.group == group && r.id == id)
-            .map(|r| r.median_ns)
-    };
-    let mut first = true;
-    let mut emit = |out: &mut String, key: String, value: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!("    \"{key}\": {value}"));
-    };
-    for n in [64usize, 256, 1024, 4096] {
-        if let (Some(s), Some(b)) = (
-            median("mc_translate_domain", &format!("serial/{n}")),
-            median("mc_translate_domain", &format!("batched/{n}")),
-        ) {
-            emit(
-                &mut out,
-                format!("speedup_serial_over_batched_n{n}"),
-                format!("{:.2}", s / b),
-            );
-        }
-    }
-    // Operator-backed translator prepare medians (ms), the acceptance
-    // numbers for the hierarchical-solve refactor.
-    for n in [64usize, 256, 1024, 4096, 16384] {
-        if let Some(h) = median("translator_prepare", &format!("hier/{n}")) {
-            emit(
-                &mut out,
-                format!("prepare_hier_ms_n{n}"),
-                format!("{:.3}", h / 1e6),
-            );
-        }
-        if let Some(d) = median("translator_prepare", &format!("dense/{n}")) {
-            emit(
-                &mut out,
-                format!("prepare_dense_ms_n{n}"),
-                format!("{:.3}", d / 1e6),
-            );
-        }
-        if let Some(m) = median("translator_prepare_multi", &format!("blocked/{n}")) {
-            emit(
-                &mut out,
-                format!("prepare_blocked_ms_n{n}"),
-                format!("{:.3}", m / 1e6),
-            );
-        }
-        if let Some(s) = median("translator_prepare_multi", &format!("selected/{n}")) {
-            emit(
-                &mut out,
-                format!("prepare_selected_ms_n{n}"),
-                format!("{:.3}", s / 1e6),
-            );
-        }
-    }
+    // The prepare medians in milliseconds — the acceptance numbers for the
+    // multi-RHS kernels.
+    let derived: Vec<String> = c
+        .results()
+        .iter()
+        .filter(|r| r.group == "translator_prepare_multi")
+        .filter_map(|r| {
+            let n = r.id.strip_prefix("blocked/")?;
+            Some(format!(
+                "    \"prepare_blocked_ms_n{n}\": {:.3}",
+                r.median_ns / 1e6
+            ))
+        })
+        .collect();
+    out.push_str(&derived.join(",\n"));
     out.push_str("\n  }\n}\n");
     let mut f = std::fs::File::create(&path)?;
     f.write_all(out.as_bytes())?;
     Ok(path)
 }
 
-/// Emits the measured crossover table consumed by apex-core's
-/// `OperatorSelector` (set `APEX_SELECTOR_RS` to the destination path,
-/// normally `crates/apex-core/src/selector_table.rs`, during a full run).
-/// Rows cover every domain size where both operator paths were benched;
-/// `f64::INFINITY` marks a dense median the run did not measure.
-fn write_selector_table(c: &criterion::Criterion, path: &std::path::Path) -> std::io::Result<()> {
-    let median = |group: &str, id: String| -> Option<f64> {
-        c.results()
-            .iter()
-            .find(|r| r.group == group && r.id == id)
-            .map(|r| r.median_ns)
-    };
-    let mut rows = String::new();
-    for n in [64usize, 256, 1024, 4096, 16384] {
-        let (Some(hier), Some(blocked)) = (
-            median("translator_prepare", format!("hier/{n}")),
-            median("translator_prepare_multi", format!("blocked/{n}")),
-        ) else {
-            continue;
-        };
-        let dense = median("translator_prepare", format!("dense/{n}"))
-            .map(|d| format!("{d:.1}"))
-            .unwrap_or_else(|| "f64::INFINITY".to_string());
-        rows.push_str(&format!(
-            "    MeasuredRow {{\n        n: {n},\n        samples: {},\n        dense_ns: {dense},\n        hier_ns: {hier:.1},\n        blocked_ns: {blocked:.1},\n    }},\n",
-            samples_for(n),
-        ));
-    }
-    let table = format!(
-        "//! GENERATED FILE — measured prepare medians backing [`crate::selector`].\n\
-         //!\n\
-         //! Regenerate with a full benchmark run on the target machine:\n\
-         //!\n\
-         //! ```text\n\
-         //! APEX_SELECTOR_RS=crates/apex-core/src/selector_table.rs \\\n\
-         //!     cargo bench --bench mc_translate\n\
-         //! ```\n\
-         //!\n\
-         //! Each row is one benched domain size: the `translator_prepare` groups\n\
-         //! contribute the dense and single-RHS hier medians, the\n\
-         //! `translator_prepare_multi` group the blocked median. `f64::INFINITY`\n\
-         //! marks a path not measured at that size (the dense `O(n³)` prepare is\n\
-         //! only benched on small domains); the selector never picks an unmeasured\n\
-         //! path.\n\
-         \n\
-         use crate::selector::MeasuredRow;\n\
-         \n\
-         /// Measured `translator_prepare[_multi]` medians, ascending by `n`.\n\
-         pub(crate) const MEASURED: &[MeasuredRow] = &[\n{rows}];\n"
-    );
-    std::fs::write(path, table)
-}
-
 fn main() {
     let mut c = criterion::Criterion::default();
     benches(&mut c);
     c.final_summary();
-    if let Ok(path) = std::env::var("APEX_SELECTOR_RS") {
-        // Anchor relative destinations at the workspace root: cargo runs
-        // bench binaries with the package directory as CWD, so a path
-        // like `crates/apex-core/...` would otherwise silently miss.
-        let mut dest = std::path::PathBuf::from(&path);
-        if dest.is_relative() {
-            dest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(dest);
-        }
-        match write_selector_table(&c, &dest) {
-            Ok(()) => println!("wrote {}", dest.display()),
-            Err(e) => eprintln!("could not write {}: {e}", dest.display()),
-        }
-    }
     // A quick (smoke) pass measures a subset; rewriting the committed
     // full-run medians with it would silently rot the file. Only write
     // when the caller explicitly redirects the output.

@@ -12,8 +12,7 @@
 //! group stops being measured but the stale committed numbers keep
 //! telling a good story):
 //!
-//! 1. every committed group must appear in the smoke run, except the
-//!    ablation groups `--quick` deliberately skips;
+//! 1. every committed group must appear in the smoke run;
 //! 2. the smoke run must not contain groups the committed file has never
 //!    recorded (a new group belongs in a regenerated committed file);
 //! 3. within a shared group, every domain point the smoke run measured
@@ -21,11 +20,11 @@
 //!    domains, never new ones);
 //! 4. no shared group may be empty in the smoke run.
 //!
-//! **Regression rule** (the `translator_prepare[_multi]`, `serve_soak`,
-//! and `dataset_store` groups only — the prepare medians, soak
-//! ns/session, and store ingest/open/scan medians are the perf numbers
-//! this repo actually promises, and unlike the ablations they are
-//! stable enough on a quiet CI runner to gate on):
+//! **Regression rule** (the `translator_prepare_multi`, `serve_soak`,
+//! `dataset_store` and `mutate` groups only — the prepare medians, soak
+//! ns/session, store ingest/open/scan and mutation medians are the perf
+//! numbers this repo actually promises, and they are stable enough on a
+//! quiet CI runner to gate on):
 //!
 //! 5. for every id measured by both runs in a regression-gated group, the
 //!    smoke median must not exceed the committed median by more than the
@@ -48,15 +47,10 @@ use std::process::ExitCode;
 
 use apex_serve::json::{self, Json};
 
-/// Groups `--quick` skips by design (ablations over `N` and `b` with no
-/// meaningful smoke-sized configuration).
-const QUICK_SKIPPED: &[&str] = &["mc_translate_samples", "mc_translate_branching"];
-
 /// Groups whose medians are gated (rule 5), not just their shape.
 /// `serve_soak` medians are ns/session, so "smoke must not exceed
 /// committed by more than the tolerance" reads as a throughput floor.
 const REGRESS_GROUPS: &[&str] = &[
-    "translator_prepare",
     "translator_prepare_multi",
     "serve_soak",
     "dataset_store",
@@ -140,9 +134,6 @@ fn run(
     let mut violations = Vec::new();
 
     for (group, (_, committed_domains)) in &committed {
-        if QUICK_SKIPPED.contains(&group.as_str()) {
-            continue;
-        }
         let Some((smoke_ids, smoke_domains)) = smoke.get(group) else {
             violations.push(format!(
                 "group \"{group}\" is in {committed_path} but the smoke run no longer measures it"
@@ -281,12 +272,11 @@ mod tests {
         let committed = write_tmp(
             "c1",
             &doc(&[
-                ("translator_prepare", "hier/64"),
-                ("translator_prepare", "hier/4096"),
-                ("mc_translate_samples", "samples/1000"),
+                ("translator_prepare_multi", "blocked/64"),
+                ("translator_prepare_multi", "blocked/4096"),
             ]),
         );
-        let smoke = write_tmp("s1", &doc(&[("translator_prepare", "hier/64")]));
+        let smoke = write_tmp("s1", &doc(&[("translator_prepare_multi", "blocked/64")]));
         assert_eq!(
             run(&committed, &smoke, &no_tol()).unwrap(),
             Vec::<String>::new()
@@ -298,40 +288,23 @@ mod tests {
         let committed = write_tmp(
             "c2",
             &doc(&[
-                ("translator_prepare", "hier/64"),
-                ("mc_translate_domain", "serial/64"),
+                ("translator_prepare_multi", "blocked/64"),
+                ("mc_translate_domain", "cached/64"),
             ]),
         );
-        let smoke = write_tmp("s2", &doc(&[("translator_prepare", "hier/64")]));
+        let smoke = write_tmp("s2", &doc(&[("translator_prepare_multi", "blocked/64")]));
         let v = run(&committed, &smoke, &no_tol()).unwrap();
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("mc_translate_domain"), "{v:?}");
     }
 
     #[test]
-    fn quick_skipped_ablations_are_allowed_to_be_absent() {
-        let committed = write_tmp(
-            "c3",
-            &doc(&[
-                ("translator_prepare", "hier/64"),
-                ("mc_translate_samples", "samples/1000"),
-                ("mc_translate_branching", "b/2"),
-            ]),
-        );
-        let smoke = write_tmp("s3", &doc(&[("translator_prepare", "hier/64")]));
-        assert_eq!(
-            run(&committed, &smoke, &no_tol()).unwrap(),
-            Vec::<String>::new()
-        );
-    }
-
-    #[test]
     fn unknown_domains_and_new_groups_fail() {
-        let committed = write_tmp("c4", &doc(&[("translator_prepare", "hier/64")]));
+        let committed = write_tmp("c4", &doc(&[("translator_prepare_multi", "blocked/64")]));
         let smoke = write_tmp(
             "s4",
             &doc(&[
-                ("translator_prepare", "hier/128"),
+                ("translator_prepare_multi", "blocked/128"),
                 ("brand_new_group", "x/64"),
             ]),
         );
@@ -346,16 +319,16 @@ mod tests {
         let committed = write_tmp(
             "c5",
             &doc_with_medians(&[
-                ("translator_prepare", "hier/64", 100.0e6),
                 ("translator_prepare_multi", "blocked/64", 100.0e6),
+                ("mutate", "full_k1/4096", 100.0e6),
             ]),
         );
         // +20% passes at the default 25%, +30% fails; faster never fails.
         let ok = write_tmp(
             "s5ok",
             &doc_with_medians(&[
-                ("translator_prepare", "hier/64", 120.0e6),
-                ("translator_prepare_multi", "blocked/64", 50.0e6),
+                ("translator_prepare_multi", "blocked/64", 120.0e6),
+                ("mutate", "full_k1/4096", 50.0e6),
             ]),
         );
         assert_eq!(
@@ -365,14 +338,14 @@ mod tests {
         let bad = write_tmp(
             "s5bad",
             &doc_with_medians(&[
-                ("translator_prepare", "hier/64", 130.0e6),
-                ("translator_prepare_multi", "blocked/64", 50.0e6),
+                ("translator_prepare_multi", "blocked/64", 130.0e6),
+                ("mutate", "full_k1/4096", 50.0e6),
             ]),
         );
         let v = run(&committed, &bad, &no_tol()).unwrap();
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(
-            v[0].contains("regressed") && v[0].contains("hier/64"),
+            v[0].contains("regressed") && v[0].contains("blocked/64"),
             "{v:?}"
         );
     }
@@ -382,37 +355,37 @@ mod tests {
         let committed = write_tmp(
             "c6",
             &doc_with_medians(&[
-                ("translator_prepare", "hier/64", 100.0e6),
                 ("translator_prepare_multi", "blocked/64", 100.0e6),
+                ("mutate", "full_k1/4096", 100.0e6),
             ]),
         );
         let smoke = write_tmp(
             "s6",
             &doc_with_medians(&[
-                ("translator_prepare", "hier/64", 140.0e6),
                 ("translator_prepare_multi", "blocked/64", 140.0e6),
+                ("mutate", "full_k1/4096", 140.0e6),
             ]),
         );
         // +40% on both: loosening one group leaves the other failing.
         let tol = parse_tolerances(&[
             "--tolerance".to_string(),
-            "translator_prepare=50".to_string(),
+            "translator_prepare_multi=50".to_string(),
         ])
         .unwrap();
         let v = run(&committed, &smoke, &tol).unwrap();
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("translator_prepare_multi"), "{v:?}");
+        assert!(v[0].contains("mutate"), "{v:?}");
     }
 
     #[test]
     fn medians_outside_the_regression_groups_are_not_gated() {
         let committed = write_tmp(
             "c7",
-            &doc_with_medians(&[("mc_translate_domain", "serial/64", 100.0e6)]),
+            &doc_with_medians(&[("mc_translate_domain", "cached/64", 100.0e6)]),
         );
         let smoke = write_tmp(
             "s7",
-            &doc_with_medians(&[("mc_translate_domain", "serial/64", 900.0e6)]),
+            &doc_with_medians(&[("mc_translate_domain", "cached/64", 900.0e6)]),
         );
         assert_eq!(
             run(&committed, &smoke, &no_tol()).unwrap(),
@@ -520,16 +493,10 @@ mod tests {
         let smoke = write_tmp(
             "s8",
             &doc(&[
-                ("translator_prepare", "hier/64"),
-                ("translator_prepare", "dense/64"),
-                ("translator_prepare", "hier/256"),
                 ("translator_prepare_multi", "blocked/64"),
-                ("translator_prepare_multi", "selected/64"),
                 ("translator_prepare_multi", "blocked/256"),
-                ("translator_prepare_multi", "selected/256"),
-                ("mc_translate_domain", "serial/64"),
-                ("mc_translate_domain", "batched/64"),
                 ("mc_translate_domain", "cached/64"),
+                ("mc_translate_domain", "cached/256"),
                 ("strategy_sparse_vs_dense", "build_csr/64"),
                 ("strategy_sparse_vs_dense", "matvec_csr/256"),
             ]),

@@ -109,7 +109,8 @@ pub fn row_size(row: &[Value]) -> usize {
         .sum::<usize>()
 }
 
-fn take_row(b: &[u8]) -> Result<(Vec<Value>, &[u8]), StoreError> {
+/// Decodes one row from the front of `b`, returning the remainder.
+pub(super) fn take_row(b: &[u8]) -> Result<(Vec<Value>, &[u8]), StoreError> {
     let (head, mut rest) = take(b, 2, "row arity")?;
     let n = u16::from_le_bytes(head.try_into().expect("2 bytes")) as usize;
     let mut row = Vec::with_capacity(n);

@@ -143,7 +143,7 @@ impl MutationRecord {
         for _ in 0..n {
             // Row decoding via the strict page codec; a short or malformed
             // row invalidates the record.
-            let (row, r) = decode_one_row(rest)?;
+            let (row, r) = codec::take_row(rest).ok()?;
             rows.push(row);
             rest = r;
         }
@@ -152,50 +152,6 @@ impl MutationRecord {
         }
         Some(MutationRecord { seq, op, rows })
     }
-}
-
-/// Decodes one codec row from the front of `bytes`.
-fn decode_one_row(bytes: &[u8]) -> Option<(Vec<Value>, &[u8])> {
-    // The page codec only exposes whole-payload decoding; frame a
-    // one-row payload on the fly by prepending its own count… instead we
-    // re-implement the row walk via `decode_rows` over a synthetic
-    // single-row payload, which needs the row's length first. Simpler and
-    // allocation-free: walk the encoding directly.
-    let (head, rest) = bytes.split_at_checked(2)?;
-    let arity = u16::from_le_bytes(head.try_into().expect("2 bytes")) as usize;
-    let mut row = Vec::with_capacity(arity);
-    let mut cur = rest;
-    for _ in 0..arity {
-        let (&tag, r) = cur.split_first()?;
-        let (v, r) = match tag {
-            0 => (Value::Null, r),
-            1 => {
-                let (b, r) = r.split_at_checked(8)?;
-                (Value::Int(i64::from_le_bytes(b.try_into().ok()?)), r)
-            }
-            2 => {
-                let (b, r) = r.split_at_checked(8)?;
-                (
-                    Value::Float(f64::from_bits(u64::from_le_bytes(b.try_into().ok()?))),
-                    r,
-                )
-            }
-            3 => {
-                let (b, r) = r.split_at_checked(4)?;
-                let len = u32::from_le_bytes(b.try_into().ok()?) as usize;
-                let (s, r) = r.split_at_checked(len)?;
-                (Value::Str(std::str::from_utf8(s).ok()?.to_string()), r)
-            }
-            4 => {
-                let (b, r) = r.split_at_checked(1)?;
-                (Value::Bool(b[0] != 0), r)
-            }
-            _ => return None,
-        };
-        row.push(v);
-        cur = r;
-    }
-    Some((row, cur))
 }
 
 /// An open mutation log positioned after its valid prefix.

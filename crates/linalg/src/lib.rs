@@ -11,9 +11,6 @@
 //!   (workloads, hierarchical strategies) whose products should scale with
 //!   *nonzeros*, not *cells* — see the [`sparse`] module docs for when each
 //!   representation wins,
-//! * [`matmul_batched`] — a blocked, optionally thread-parallel dense
-//!   product (feature `par`) whose results are bit-identical to serial
-//!   per-column `matvec`, used to batch the Monte-Carlo translation,
 //! * the [`StrategyOperator`] abstraction — matrix-free `apply` /
 //!   `apply_transpose` / `solve_normal` actions of a strategy matrix —
 //!   with the `O(n)`-per-solve [`HierarchicalOperator`] (recursive
@@ -46,10 +43,7 @@ pub use hier_solve::HierarchicalOperator;
 pub use matrix::Matrix;
 pub use norms::{frobenius_norm, l1_operator_norm, linf_norm};
 pub use operator::{DenseOperator, IdentityOperator, OpScratch, SharedOperator, StrategyOperator};
-pub use par::{
-    matmul_batched, matmul_batched_bt, matmul_batched_bt_with_threads, matmul_batched_with_threads,
-    max_threads,
-};
+pub use par::max_threads;
 pub use pinv::pinv;
 pub use qr::{qr_decompose, QrDecomposition};
 pub use solve::{invert, solve_least_squares, solve_upper_triangular};

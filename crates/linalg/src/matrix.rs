@@ -130,11 +130,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable borrow of the underlying row-major buffer.
-    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// A single column, copied out.
     ///
     /// # Panics

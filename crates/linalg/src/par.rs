@@ -1,350 +1,14 @@
-//! Blocked, optionally thread-parallel dense matrix multiplication.
+//! The thread budget for the Monte-Carlo translator prepare.
 //!
-//! The Monte-Carlo translation multiplies the dense reconstruction matrix
-//! `W A⁺` against a *batch* of noise vectors. Done one vector at a time
-//! (`matvec` per sample), each output element is a strict left-to-right
-//! dot product — a loop-carried floating-point dependency the compiler
-//! cannot vectorize without reassociating. The batched kernel here keeps
-//! the **same accumulation order per output element** (ascending `k`) but
-//! iterates columns innermost, so every lane is independent and the loop
-//! vectorizes; column blocking keeps the working set in L1.
-//!
-//! Determinism contract: for every element, the sequence of floating-point
-//! operations is identical to `Matrix::matvec` on the corresponding column
-//! — results are **bit-for-bit equal** to the serial per-vector path, for
-//! any thread count and any block size (threads split *output rows*, never
-//! the reduction dimension). Property tests in `tests/properties.rs` pin
-//! this down.
-//!
-//! The `par` feature (default on) enables `std::thread::scope`-based
-//! row-parallelism sized by `available_parallelism`; without it the same
-//! blocked kernel runs on the calling thread. There is deliberately no
-//! external thread-pool dependency — scoped std threads are enough for
-//! coarse row blocks and keep the crate offline-buildable.
+//! The prepare (`apex-mech`'s `unit_errors_operator_blocked`) splits its
+//! samples across `std::thread::scope` workers — no external thread-pool
+//! dependency, which keeps the crate offline-buildable. Every sample owns
+//! its RNG stream and output slot, so the thread count changes wall-clock
+//! only, never a result.
 
-use crate::{LinalgError, Matrix, Result};
-
-/// Register-tile shape: `MR × NR` output elements are accumulated in
-/// registers at a time. `NR = 8` doubles is one AVX-512 register (two
-/// AVX2); `MR = 8` rows gives 64 independent accumulation chains — enough
-/// to hide floating-point latency without spilling on any x86-64 with 16+
-/// vector registers.
-const MR: usize = 8;
-/// Columns per register tile (see [`MR`]).
-const NR: usize = 8;
-
-/// Maximum worker threads the `par` feature will use.
-#[cfg(feature = "par")]
+/// Worker threads a prepare may use: the host's available parallelism.
 pub fn max_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Maximum worker threads with the `par` feature disabled: one.
-#[cfg(not(feature = "par"))]
-pub fn max_threads() -> usize {
-    1
-}
-
-/// Blocked dense product `a * b`, parallel over output rows when the `par`
-/// feature is enabled. Bit-identical to `a.matvec(column)` per column.
-///
-/// # Errors
-/// [`LinalgError::ShapeMismatch`] when `a.cols() != b.rows()`.
-pub fn matmul_batched(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    matmul_batched_with_threads(a, b, max_threads())
-}
-
-/// [`matmul_batched`] with an explicit thread count (clamped to ≥ 1).
-/// The result does not depend on `threads` — only wall-clock does.
-///
-/// # Errors
-/// [`LinalgError::ShapeMismatch`] when `a.cols() != b.rows()`.
-pub fn matmul_batched_with_threads(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> {
-    let k = a.cols();
-    if k != b.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "matmul_batched",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    run_tiled(a, b.as_slice(), b.cols(), threads, Layout::RowMajor)
-}
-
-/// Blocked dense product `a * bᵀ` where the right-hand side is handed over
-/// in **transposed storage**: `b_t` is `n × k` and the result is the
-/// `m × n` product of `a` with `b_tᵀ`.
-///
-/// This is the natural orientation for batched Monte-Carlo noise: sample
-/// `j`'s noise vector is row `j` of `b_t`, written contiguously. Results
-/// are bit-identical to [`matmul_batched`] on the equivalent row-major
-/// matrix (the kernel and the per-element operation order are shared; only
-/// the panel packing reads a different layout).
-///
-/// # Errors
-/// [`LinalgError::ShapeMismatch`] when `a.cols() != b_t.cols()`.
-pub fn matmul_batched_bt(a: &Matrix, b_t: &Matrix) -> Result<Matrix> {
-    matmul_batched_bt_with_threads(a, b_t, max_threads())
-}
-
-/// [`matmul_batched_bt`] with an explicit thread count (clamped to ≥ 1).
-///
-/// # Errors
-/// [`LinalgError::ShapeMismatch`] when `a.cols() != b_t.cols()`.
-pub fn matmul_batched_bt_with_threads(a: &Matrix, b_t: &Matrix, threads: usize) -> Result<Matrix> {
-    let k = a.cols();
-    if k != b_t.cols() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "matmul_batched_bt",
-            lhs: a.shape(),
-            rhs: b_t.shape(),
-        });
-    }
-    run_tiled(a, b_t.as_slice(), b_t.rows(), threads, Layout::Transposed)
-}
-
-/// Storage layout of the right-hand side handed to the kernel.
-#[derive(Clone, Copy)]
-enum Layout {
-    /// `b` is `k × n` row-major.
-    RowMajor,
-    /// `b` is `n × k` row-major (i.e. the transpose of the operand).
-    Transposed,
-}
-
-fn run_tiled(a: &Matrix, b: &[f64], n: usize, threads: usize, layout: Layout) -> Result<Matrix> {
-    let (m, k) = a.shape();
-    let mut out = Matrix::zeros(m, n);
-    // k == 0: every element is an empty sum — already the zero matrix
-    // (and `chunks(rows_per_chunk * k)` below would be `chunks(0)`).
-    if m == 0 || n == 0 || k == 0 {
-        return Ok(out);
-    }
-    let threads = threads.clamp(1, m);
-    let rows_per_chunk = m.div_ceil(threads);
-    let a_data = a.as_slice();
-
-    if threads == 1 {
-        kernel(a_data, b, out.data_mut(), k, n, layout);
-    } else {
-        let a_chunks = a_data.chunks(rows_per_chunk * k);
-        let out_chunks = out.data_mut().chunks_mut(rows_per_chunk * n);
-        std::thread::scope(|s| {
-            for (a_chunk, out_chunk) in a_chunks.zip(out_chunks) {
-                s.spawn(move || kernel(a_chunk, b, out_chunk, k, n, layout));
-            }
-        });
-    }
-    Ok(out)
-}
-
-/// Packs column-tile `jt..jt+NR` of row-major `b` (`k × n`) into a
-/// contiguous `k × NR` panel, zero-padding ragged lanes. The kernel then
-/// streams the panel strictly sequentially — no strided access, so the
-/// cache/TLB behavior is independent of `n` (a power-of-two `n` would
-/// otherwise alias a handful of cache sets). The zero lanes are discarded
-/// on write-back, so padding never touches a real output element.
-fn pack_panel(b: &[f64], k: usize, n: usize, jt: usize, panel: &mut [f64]) {
-    let w = NR.min(n - jt);
-    for kk in 0..k {
-        let src = &b[kk * n + jt..kk * n + jt + w];
-        let dst = &mut panel[kk * NR..kk * NR + NR];
-        dst[..w].copy_from_slice(src);
-        dst[w..].fill(0.0);
-    }
-}
-
-/// [`pack_panel`] for a transposed right-hand side: `b_t` is `n × k`, and
-/// panel lane `t` at step `kk` is `b_t[jt + t][kk]`. Reads `w` contiguous
-/// rows of `b_t` in an interleaved sweep (each a sequential stream).
-fn pack_panel_bt(b_t: &[f64], k: usize, n: usize, jt: usize, panel: &mut [f64]) {
-    let w = NR.min(n - jt);
-    for kk in 0..k {
-        panel[kk * NR..(kk + 1) * NR].fill(0.0);
-    }
-    for t in 0..w {
-        let row = &b_t[(jt + t) * k..(jt + t + 1) * k];
-        for (kk, &v) in row.iter().enumerate() {
-            panel[kk * NR + t] = v;
-        }
-    }
-}
-
-/// The register-tiled kernel over a contiguous chunk of output rows.
-///
-/// For each output element `(i, j)` the accumulation runs over `kk`
-/// ascending with no skipping, no reassociation, and no mul/add fusion —
-/// the exact operation sequence of a serial dot product. Only
-/// *independent* elements are interleaved: an `MR × NR` accumulator tile
-/// lives in registers across the whole `kk` loop, so the naive
-/// 2-loads-+-1-store per multiply-add becomes ~1/MR streaming loads, and
-/// the `MR · NR` independent chains keep the vector units saturated
-/// instead of waiting on a single addition's latency. This — not thread
-/// count — is what makes the batched Monte-Carlo path several times
-/// faster than the per-sample `matvec` loop on a single core.
-fn kernel(a_chunk: &[f64], b: &[f64], out_chunk: &mut [f64], k: usize, n: usize, layout: Layout) {
-    let rows = out_chunk.len() / n;
-    let mut panel = vec![0.0_f64; k * NR];
-    let mut jt = 0;
-    while jt < n {
-        let w = NR.min(n - jt);
-        match layout {
-            Layout::RowMajor => pack_panel(b, k, n, jt, &mut panel),
-            Layout::Transposed => pack_panel_bt(b, k, n, jt, &mut panel),
-        }
-
-        // Full MR-row tiles.
-        let mut i = 0;
-        while i + MR <= rows {
-            let mut acc = [[0.0_f64; NR]; MR];
-            // Pre-slice the MR rows of `a` so every inner access is a
-            // bounds-hoistable `arows[r][kk]`.
-            let arows: [&[f64]; MR] =
-                std::array::from_fn(|r| &a_chunk[(i + r) * k..(i + r + 1) * k]);
-            for (kk, bv) in panel.chunks_exact(NR).enumerate() {
-                for (accr, arow) in acc.iter_mut().zip(&arows) {
-                    let aik = arow[kk];
-                    for t in 0..NR {
-                        accr[t] += aik * bv[t];
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                out_chunk[(i + r) * n + jt..(i + r) * n + jt + w].copy_from_slice(&accr[..w]);
-            }
-            i += MR;
-        }
-
-        // Ragged rows: one row at a time, same NR-wide lanes.
-        while i < rows {
-            let mut acc = [0.0_f64; NR];
-            let arow = &a_chunk[i * k..(i + 1) * k];
-            for (kk, &aik) in arow.iter().enumerate() {
-                let bv = &panel[kk * NR..(kk + 1) * NR];
-                for t in 0..NR {
-                    acc[t] += aik * bv[t];
-                }
-            }
-            out_chunk[i * n + jt..i * n + jt + w].copy_from_slice(&acc[..w]);
-            i += 1;
-        }
-
-        jt += NR;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Deterministic pseudo-random matrix (no RNG dependency in this crate).
-    fn pseudo_random(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect())
-    }
-
-    #[test]
-    fn matches_naive_matmul_numerically() {
-        let a = pseudo_random(17, 23, 1);
-        let b = pseudo_random(23, 31, 2);
-        let got = matmul_batched(&a, &b).unwrap();
-        let want = a.matmul(&b).unwrap();
-        assert!(got.approx_eq(&want, 1e-12));
-    }
-
-    #[test]
-    fn bit_identical_to_per_column_matvec() {
-        let a = pseudo_random(13, 37, 3);
-        let b = pseudo_random(37, 29, 4);
-        let got = matmul_batched(&a, &b).unwrap();
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let want = a.matvec(&col).unwrap();
-            for i in 0..a.rows() {
-                assert_eq!(
-                    got[(i, j)].to_bits(),
-                    want[i].to_bits(),
-                    "element ({i},{j}) differs from serial matvec"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn independent_of_thread_count() {
-        let a = pseudo_random(40, 19, 5);
-        let b = pseudo_random(19, 300, 6);
-        let one = matmul_batched_with_threads(&a, &b, 1).unwrap();
-        for threads in [2, 3, 7, 64] {
-            let t = matmul_batched_with_threads(&a, &b, threads).unwrap();
-            assert_eq!(one, t, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn transposed_rhs_is_bit_identical_to_row_major() {
-        for (m, k, n) in [(13, 29, 37), (8, 64, 500), (3, 5, 7)] {
-            let a = pseudo_random(m, k, 10);
-            let b = pseudo_random(k, n, 11);
-            let bt = b.transpose();
-            let via_rows = matmul_batched(&a, &b).unwrap();
-            let via_bt = matmul_batched_bt(&a, &bt).unwrap();
-            assert_eq!(via_rows, via_bt, "{m}x{k}x{n}");
-            for threads in [2, 5] {
-                assert_eq!(
-                    matmul_batched_bt_with_threads(&a, &bt, threads).unwrap(),
-                    via_rows,
-                    "{m}x{k}x{n} threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn transposed_rhs_shape_mismatch_rejected() {
-        let a = Matrix::zeros(2, 3);
-        let bt = Matrix::zeros(4, 2); // cols = 2 != a.cols() = 3
-        assert!(matches!(
-            matmul_batched_bt(&a, &bt),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn shape_mismatch_rejected() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(
-            matmul_batched(&a, &b),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn empty_shapes() {
-        let a = Matrix::zeros(0, 3);
-        let b = Matrix::zeros(3, 4);
-        assert_eq!(matmul_batched(&a, &b).unwrap().shape(), (0, 4));
-        let a = Matrix::zeros(2, 0);
-        let b = Matrix::zeros(0, 4);
-        assert_eq!(matmul_batched(&a, &b).unwrap(), Matrix::zeros(2, 4));
-        // Regression: k == 0 with an explicit multi-thread request must not
-        // panic (`chunks(0)`), regardless of the host's core count.
-        assert_eq!(
-            matmul_batched_with_threads(&a, &b, 4).unwrap(),
-            Matrix::zeros(2, 4)
-        );
-        assert_eq!(
-            matmul_batched_bt_with_threads(&a, &Matrix::zeros(4, 0), 4).unwrap(),
-            Matrix::zeros(2, 4)
-        );
-    }
 }

@@ -15,9 +15,9 @@
 //!   strategy is ~99.5% sparse, so sparse products are ~200× less work.
 //! * **[`Matrix`]** (dense) — anything built from a pseudoinverse: `A⁺` and
 //!   the reconstruction `W A⁺` are numerically dense (nearly every entry is
-//!   nonzero), so CSR would only add indirection. The Monte-Carlo
-//!   translation keeps `W A⁺` dense and batches its products instead (see
-//!   [`crate::matmul_batched`]).
+//!   nonzero), so CSR would only add indirection. Only the test oracles
+//!   materialize them; the served pipeline applies `A⁺` matrix-free (see
+//!   [`crate::StrategyOperator`]).
 //!
 //! Conversions are **numerically lossless**: `Matrix → CsrMatrix → Matrix`
 //! reproduces every nonzero value bit-for-bit; exact zeros are dropped and

@@ -1,41 +1,45 @@
 //! Shared, capacity-bounded cache of strategy-mechanism artifacts
 //! (strategy operator + Monte-Carlo translator).
 //!
-//! Building the strategy mechanism's state for a query used to be the most
-//! expensive step in the whole engine — an `O(n³)` pseudoinverse. The
-//! operator refactor cut the build to `O(n log n)`, but the Monte-Carlo
-//! simulation still costs thousands of solves, and both depend **only** on
-//! the workload's compiled incidence structure (not the data, not
-//! `α`/`β`), so the common APEx session pattern — many exploration queries
-//! over the same domain partition — would recompute identical artifacts
-//! over and over.
+//! The dominant cost of answering an exploration query through the
+//! strategy mechanism is *data-independent*: the strategy operator is
+//! `O(n log n)` to build, but the Monte-Carlo simulation behind the
+//! accuracy-to-privacy translation costs thousands of solves, and both
+//! depend **only** on the workload's compiled incidence structure (not
+//! the data, not `α`/`β`). The common APEx session pattern — many
+//! exploration queries over the same domain partition — would otherwise
+//! rebuild identical artifacts on every `submit`, twice (once in the
+//! analyzer's `translate`, once in `run`).
 //!
-//! [`SmCache`] memoizes them behind an [`Arc`], keyed by the workload's
-//! structural [`signature`](apex_query::CompiledWorkload::signature), the
-//! strategy, and the full Monte-Carlo configuration. The cached translator
-//! is reused byte-for-byte, so caching cannot change any engine decision —
-//! it only removes the rebuild (determinism of the analyzer is preserved
-//! trivially: the cached value *is* the value that would be rebuilt).
+//! [`TranslatorCache`] memoizes them behind an [`Arc`], keyed by the
+//! workload's structural
+//! [`signature`](apex_query::CompiledWorkload::signature), the strategy,
+//! and the full Monte-Carlo configuration. Reuse is **exact**: the cached
+//! translator is the very value a rebuild would produce, so caching cannot
+//! change any admit/deny decision or any translated ε (the privacy proof
+//! of Theorem 6.2 is untouched).
 //!
-//! The cache is **capacity-bounded** (least-recently-used eviction,
-//! default [`SmCache::DEFAULT_CAPACITY`] entries) so a multi-tenant
-//! deployment can share one cache across engines without unbounded memory
-//! growth: operator-backed artifacts are small (`O(n log n)`), but
-//! adversarial analysts could still submit unboundedly many distinct
-//! workloads. Evictions only ever cost a rebuild, never correctness —
-//! [`CacheStats::evictions`] counts them.
+//! Two properties make the cache fit multi-tenant deployments:
 //!
-//! The engine-facing ownership lives in `apex-core` (`ApexEngine` holds a
-//! cache handle and threads it through mechanism selection; handles can be
-//! shared across engines); this module only provides the storage, because
-//! the artifact types are defined here.
+//! * **capacity-bounded** — least-recently-used eviction with a
+//!   configurable entry cap ([`TranslatorCache::with_capacity`], default
+//!   [`TranslatorCache::DEFAULT_CAPACITY`]): artifacts are small
+//!   (`O(n log n)`), but adversarial analysts could still submit
+//!   unboundedly many distinct workloads. Evictions only ever cost a
+//!   rebuild, never correctness — [`CacheStats::evictions`] counts them;
+//! * **shareable** — the handle is cloneable and clones share the storage,
+//!   so many engines (one per tenant dataset) can warm one cache, which is
+//!   sound because the artifacts are data-independent.
+//!
+//! The type lives here because the artifact types do; `apex-core`
+//! re-exports it and threads it through mechanism selection.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use apex_query::Strategy;
 
-use crate::sm::{OperatorPath, SmArtifacts};
+use crate::sm::SmArtifacts;
 use crate::MechError;
 
 /// Cache key: everything the artifacts depend on. The dataset is not in
@@ -43,10 +47,6 @@ use crate::MechError;
 /// row mutation cannot stale them, and a mutation that widens the domain
 /// recompiles the workload to a different `workload_signature` (or to the
 /// same CSR, for which the same artifacts are exact).
-///
-/// `McConfig::sample_block` is deliberately absent — panel width is a pure
-/// performance knob that never changes results, so blocking must not
-/// fragment the cache.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SmCacheKey {
     /// Structural signature of the compiled workload (shape + sparsity
@@ -60,10 +60,6 @@ pub struct SmCacheKey {
     pub seed: u64,
     /// Bit pattern of the binary-search tolerance (f64 is not `Hash`).
     pub tolerance_bits: u64,
-    /// Which prepare pipeline built the artifacts. The operator paths are
-    /// bit-identical to each other but the dense reference rounds
-    /// differently, so artifacts from different paths must never alias.
-    pub path: OperatorPath,
 }
 
 /// Running hit/miss/eviction counters.
@@ -121,69 +117,74 @@ impl Store {
     }
 }
 
-/// A thread-safe, LRU-bounded memo table for [`SmArtifacts`].
+/// A cloneable handle to a thread-safe, LRU-bounded memo table for
+/// [`SmArtifacts`].
 ///
-/// An `SmCache` value is a **scope** onto shared storage: cloning the
-/// `Arc` handle shares both storage and counters, while
-/// [`SmCache::scoped`] creates a new handle that shares the storage (and
-/// its capacity bound) but owns fresh hit/miss/eviction counters. A
+/// A handle is a **scope** onto shared storage: cloning it shares both the
+/// storage and the scope's counters (all analysts of one engine warm the
+/// same cache and count into the same scope), while
+/// [`TranslatorCache::scoped`] creates a handle that shares the storage
+/// (and its capacity bound) but owns fresh hit/miss/eviction counters. A
 /// multi-tenant deployment gives each tenant engine its own scope of one
 /// shared cache, so `/stats`-style endpoints can report per-tenant
-/// counters ([`SmCache::local_stats`]) next to the global aggregate
-/// ([`SmCache::stats`]).
-#[derive(Debug)]
-pub struct SmCache {
+/// counters ([`TranslatorCache::local_stats`]) next to the global
+/// aggregate ([`TranslatorCache::stats`]).
+#[derive(Debug, Clone)]
+pub struct TranslatorCache {
     store: Arc<Mutex<Store>>,
     capacity: usize,
     /// This scope's counters (for the root scope of a cache these track
-    /// exactly the lookups made through it, not other scopes').
-    local: Mutex<CacheStats>,
+    /// exactly the lookups made through it and its clones, not other
+    /// scopes').
+    local: Arc<Mutex<CacheStats>>,
 }
 
-impl Default for SmCache {
+impl Default for TranslatorCache {
     fn default() -> Self {
-        Self {
-            store: Arc::new(Mutex::new(Store::default())),
-            capacity: Self::DEFAULT_CAPACITY,
-            local: Mutex::new(CacheStats::default()),
-        }
+        Self::with_capacity(Self::DEFAULT_CAPACITY)
     }
 }
 
-impl SmCache {
+impl TranslatorCache {
     /// Default entry cap: generous for single-engine sessions (an analyst
     /// rarely touches more than a handful of domain partitions) while
     /// bounding a shared multi-tenant cache to a few hundred `O(n log n)`
     /// artifact bundles.
     pub const DEFAULT_CAPACITY: usize = 128;
 
-    /// An empty cache behind an [`Arc`] (the shape every holder wants),
-    /// with the default capacity.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    /// An empty cache with the default capacity.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// An empty cache bounded to `capacity` entries (clamped to ≥ 1 — a
     /// zero-capacity cache would silently disable memoization, which is
     /// never what a caller configuring a cache wants).
-    pub fn with_capacity(capacity: usize) -> Arc<Self> {
-        Arc::new(Self {
-            store: Arc::new(Mutex::new(Store::default())),
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            store: Arc::default(),
             capacity: capacity.max(1),
-            local: Mutex::new(CacheStats::default()),
-        })
+            local: Arc::default(),
+        }
     }
 
     /// A new scope onto the same storage: entries, capacity bound, and
     /// global counters are shared; hit/miss/eviction counters local to the
     /// new handle start at zero. This is how a multi-tenant service gives
     /// each tenant its own attribution window over one shared cache.
-    pub fn scoped(&self) -> Arc<Self> {
-        Arc::new(Self {
+    pub fn scoped(&self) -> Self {
+        Self {
             store: self.store.clone(),
             capacity: self.capacity,
-            local: Mutex::new(CacheStats::default()),
-        })
+            local: Arc::default(),
+        }
+    }
+
+    /// A clone of this handle. Exists only because the request-path
+    /// benchmark (`benchmark/`, frozen) spells it this way; new code
+    /// clones.
+    pub fn handle(&self) -> Self {
+        self.clone()
     }
 
     /// The configured entry cap.
@@ -247,13 +248,13 @@ impl SmCache {
     }
 
     /// The counters attributable to lookups made through *this* handle
-    /// (see [`SmCache::scoped`]); evictions count against the scope whose
-    /// insert triggered them.
+    /// and its clones (see [`TranslatorCache::scoped`]); evictions count
+    /// against the scope whose insert triggered them.
     pub fn local_stats(&self) -> CacheStats {
         *self.local.lock().expect("no poisoning")
     }
 
-    /// Number of cached entries.
+    /// Number of distinct `(workload, strategy, MC config)` entries.
     pub fn len(&self) -> usize {
         self.store.lock().expect("no poisoning").map.len()
     }
@@ -263,8 +264,8 @@ impl SmCache {
         self.len() == 0
     }
 
-    /// Drops every cached entry (counters are kept; clearing is not an
-    /// eviction).
+    /// Drops every cached entry (e.g. to bound memory in a long-running
+    /// service); counters are kept — clearing is not an eviction.
     pub fn clear(&self) {
         self.store.lock().expect("no poisoning").map.clear();
     }
@@ -283,7 +284,6 @@ mod tests {
             samples: 10,
             seed: 1,
             tolerance_bits: 1e-3_f64.to_bits(),
-            path: OperatorPath::HierBlocked,
         }
     }
 
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn scopes_share_storage_but_own_their_counters() {
-        let root = SmCache::with_capacity(2);
+        let root = TranslatorCache::with_capacity(2);
         let scope = root.scoped();
         // Build through the root, hit through the scope: one shared entry.
         let a = root.get_or_build(key(1), || Ok(artifacts())).unwrap();
@@ -332,8 +332,41 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_storage() {
+        let a = TranslatorCache::new();
+        let b = a.handle();
+        assert!(a.is_empty());
+        assert_eq!(a.stats(), CacheStats::default());
+        let built = a.get_or_build(key(1), || Ok(artifacts())).unwrap();
+        let hit = b
+            .get_or_build(key(1), || panic!("clones share storage"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&built, &hit));
+        assert_eq!(b.len(), 1);
+        // A clone is the same scope: both count into one set of counters.
+        let both = CacheStats {
+            hits: 1,
+            misses: 1,
+            evictions: 0,
+        };
+        assert_eq!(a.local_stats(), both);
+        assert_eq!(b.local_stats(), both);
+    }
+
+    #[test]
+    fn capacity_is_configurable() {
+        let c = TranslatorCache::with_capacity(7);
+        assert_eq!(c.capacity(), 7);
+        assert_eq!(c.clone().capacity(), 7);
+        assert_eq!(
+            TranslatorCache::new().capacity(),
+            TranslatorCache::DEFAULT_CAPACITY
+        );
+    }
+
+    #[test]
     fn hit_returns_same_arc() {
-        let cache = SmCache::new();
+        let cache = TranslatorCache::new();
         let a = cache.get_or_build(key(7), || Ok(artifacts())).unwrap();
         let b = cache
             .get_or_build(key(7), || panic!("must not rebuild"))
@@ -352,7 +385,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_build_separately() {
-        let cache = SmCache::new();
+        let cache = TranslatorCache::new();
         cache.get_or_build(key(1), || Ok(artifacts())).unwrap();
         cache.get_or_build(key(2), || Ok(artifacts())).unwrap();
         let mut k = key(1);
@@ -364,7 +397,7 @@ mod tests {
 
     #[test]
     fn errors_are_not_cached() {
-        let cache = SmCache::new();
+        let cache = TranslatorCache::new();
         let err = cache.get_or_build(key(9), || Err(MechError::BadK { k: 1, workload: 0 }));
         assert!(err.is_err());
         assert_eq!(cache.len(), 0);
@@ -375,7 +408,7 @@ mod tests {
 
     #[test]
     fn clear_empties_the_map() {
-        let cache = SmCache::new();
+        let cache = TranslatorCache::new();
         cache.get_or_build(key(3), || Ok(artifacts())).unwrap();
         assert!(!cache.is_empty());
         cache.clear();
@@ -385,7 +418,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
-        let cache = SmCache::with_capacity(2);
+        let cache = TranslatorCache::with_capacity(2);
         assert_eq!(cache.capacity(), 2);
         cache.get_or_build(key(1), || Ok(artifacts())).unwrap();
         cache.get_or_build(key(2), || Ok(artifacts())).unwrap();
@@ -410,7 +443,7 @@ mod tests {
 
     #[test]
     fn capacity_is_clamped_to_one() {
-        let cache = SmCache::with_capacity(0);
+        let cache = TranslatorCache::with_capacity(0);
         assert_eq!(cache.capacity(), 1);
         cache.get_or_build(key(1), || Ok(artifacts())).unwrap();
         cache.get_or_build(key(2), || Ok(artifacts())).unwrap();
@@ -420,7 +453,7 @@ mod tests {
 
     #[test]
     fn shared_across_threads() {
-        let cache = SmCache::with_capacity(8);
+        let cache = TranslatorCache::with_capacity(8);
         std::thread::scope(|s| {
             for t in 0..4 {
                 let cache = cache.clone();

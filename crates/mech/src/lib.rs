@@ -33,7 +33,7 @@ pub mod relax;
 pub mod sm;
 pub mod traits;
 
-pub use cache::{CacheStats, SmCache, SmCacheKey};
+pub use cache::{CacheStats, SmCacheKey, TranslatorCache};
 pub use laplace::Laplace;
 pub use lm::LaplaceMechanism;
 pub use ltm::LaplaceTopKMechanism;
@@ -41,7 +41,7 @@ pub use mpm::MultiPokingMechanism;
 pub use prepared::PreparedQuery;
 pub use registry::{mechanisms_for, mechanisms_for_cached};
 pub use relax::relax_laplace;
-pub use sm::{OperatorPath, ReconBackend, SmArtifacts, StrategyMechanism};
+pub use sm::{SmArtifacts, StrategyMechanism};
 pub use traits::{MechError, MechOutput, Mechanism, Translation};
 
 /// Numerical floor for translated privacy costs: extremely loose accuracy

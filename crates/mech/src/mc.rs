@@ -16,50 +16,37 @@
 //! sample only removes simulation noise *between* candidates (making the
 //! search strictly better behaved).
 //!
-//! # The batched fast path
+//! # The simulation pipeline
 //!
-//! Simulating the `N` unit-scale errors one noise vector at a time makes
-//! each output element a strict left-to-right dot product — a loop-carried
-//! floating-point dependency the compiler must execute serially. The fast
-//! path instead samples noise vectors in column blocks `E ∈ ℝ^{l × B}` and
-//! computes `(W A⁺) · E` with [`apex_linalg::matmul_batched`], whose kernel
-//! keeps the per-element accumulation order identical (ascending `k`) but
-//! iterates independent output columns innermost — vectorizable, cache
-//! blocked, and thread-parallel across output rows under `apex-linalg`'s
-//! `par` feature.
+//! There is one: [`McTranslator::with_operator`] pushes panels of noise
+//! vectors through the matrix-free `A⁺` of a [`StrategyOperator`] and the
+//! sparse workload ([`unit_errors_operator_blocked`]) — no dense `A⁺` or
+//! `W A⁺` is ever materialized, and the inner loops are independent
+//! fixed-width lanes instead of loop-carried reductions.
 //!
 //! Determinism is load-bearing (the privacy analyzer's deny decision must
 //! be a pure function of its inputs), so each sample index draws from its
-//! **own seeded RNG stream** derived from `(cfg.seed, index)`. Blocking and
-//! thread count therefore cannot reorder sampling, and the batched path is
-//! **bit-identical** to the serial reference path
-//! ([`McTranslator::new_serial`]) — pinned down by property tests.
+//! **own seeded RNG stream** derived from `(cfg.seed, index)`. Panel width
+//! and thread count therefore cannot reorder sampling or change a result.
 //!
-//! Compatibility note: per-sample streams are a deliberate break from the
-//! earlier formulation, which drew all `N` noise vectors sequentially from
-//! one `StdRng::seed_from_u64(cfg.seed)` stream. A given `(seed, inputs)`
-//! pair therefore translates to a (statistically equivalent but)
-//! numerically different ε than pre-rewrite code would have produced. The
-//! determinism guarantee is *within* a build — same inputs, same ε, any
-//! thread count — not across this revision boundary; nothing persisted
-//! (budgets, transcripts) encodes pre-rewrite ε values, so no stored state
-//! can go stale.
+//! Two oracles are kept for the tests to check the pipeline against, and
+//! nothing serves them: [`unit_errors_operator_single_rhs`] (one solve per
+//! sample — the blocked kernel must match it **bit for bit**) and the
+//! dense serial simulation over a materialized `W A⁺`
+//! ([`unit_errors_serial`] / [`McTranslator::new_serial`] — same noise
+//! streams, so the pipeline must match it to ≈1e-9 relative; only the
+//! floating-point summation order differs).
 
-use apex_linalg::{
-    frobenius_norm, l1_operator_norm, matmul_batched_bt, CsrMatrix, Matrix, OpScratch,
-    StrategyOperator,
-};
+use apex_linalg::{frobenius_norm, CsrMatrix, Matrix, OpScratch, StrategyOperator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::Laplace;
 
-/// Default samples per noise block in the batched paths (dense blocks and
-/// operator panels): large enough to amortize the kernel setup, small
-/// enough that a block (`l × 512` doubles) stays in cache for realistic
-/// strategy sizes. Tunable per translation via [`McConfig::sample_block`];
-/// the block size never changes results (bit-identity is per sample), only
-/// wall-clock and peak memory.
+/// Samples per noise panel: large enough to amortize the kernel setup,
+/// small enough that a panel (`m × 512` doubles) stays in cache for
+/// realistic strategy sizes. The panel width never changes results
+/// (bit-identity is per sample), only wall-clock and peak memory.
 pub const SAMPLE_BLOCK: usize = 512;
 
 /// z-score for the (1 − p/2) normal quantile used in the confidence band.
@@ -128,12 +115,6 @@ pub struct McConfig {
     /// deterministic function of its inputs (required for the privacy
     /// analyzer: the denial decision must be data- and coin-independent).
     pub seed: u64,
-    /// Samples per noise panel in the batched simulation paths (clamped to
-    /// ≥ 1). Purely a performance/memory knob: per-sample RNG streams and
-    /// per-column kernel bit-identity mean the results are independent of
-    /// the block size (property-tested), so this deliberately does **not**
-    /// participate in the artifact cache key.
-    pub sample_block: usize,
 }
 
 impl Default for McConfig {
@@ -142,7 +123,6 @@ impl Default for McConfig {
             samples: 10_000,
             tolerance: 1e-3,
             seed: 0x4150_4578, /* "APEx" */
-            sample_block: SAMPLE_BLOCK,
         }
     }
 }
@@ -172,28 +152,9 @@ fn sample_stream(seed: u64, index: u64) -> StdRng {
 
 impl McTranslator {
     /// Prepares the translator by simulating `cfg.samples` unit-scale
-    /// reconstruction errors for `recon = W A⁺` via the batched fast path.
-    ///
-    /// `strategy` is consulted only for its sensitivity `‖A‖₁`; use
-    /// [`McTranslator::with_sensitivity`] when the strategy is held in CSR
-    /// form and the norm is already known.
-    pub fn new(recon: &Matrix, strategy: &Matrix, cfg: McConfig) -> Self {
-        Self::with_sensitivity(recon, l1_operator_norm(strategy), cfg)
-    }
-
-    /// [`McTranslator::new`] with a precomputed strategy sensitivity
-    /// `‖A‖₁` — the batched dense construction path (the reference the
-    /// operator path is tested against, and the right choice when a dense
-    /// `W A⁺` already exists).
-    pub fn with_sensitivity(recon: &Matrix, strat_sensitivity: f64, cfg: McConfig) -> Self {
-        let unit_errors =
-            unit_errors_batched_with_block(recon, cfg.samples, cfg.seed, cfg.sample_block);
-        Self::from_unit_errors(recon, strat_sensitivity, cfg, unit_errors)
-    }
-
-    /// The matrix-free construction: simulates the reconstruction errors
-    /// `‖W A⁺ η‖∞` through a [`StrategyOperator`] — `A⁺η` is one
-    /// `apply_transpose` + one `solve_normal`, never a dense `W A⁺`.
+    /// reconstruction errors `‖W A⁺ η‖∞` through a [`StrategyOperator`] —
+    /// `A⁺η` is one `apply_transpose` + one `solve_normal`, never a dense
+    /// `W A⁺`.
     ///
     /// The Chebyshev bound's `‖W A⁺‖_F` is computed without
     /// materialization either, via the trace identity
@@ -201,10 +162,9 @@ impl McTranslator {
     /// `solve_normal` per workload row.
     ///
     /// Noise is drawn from the same per-sample streams as the dense
-    /// paths, so the simulated errors differ from
-    /// [`McTranslator::with_sensitivity`] only by floating-point
-    /// summation order (≈1e-9 relative — property-tested), not by
-    /// distribution.
+    /// oracle, so the simulated errors differ from
+    /// [`McTranslator::new_serial`] only by floating-point summation
+    /// order (≈1e-9 relative — property-tested), not by distribution.
     ///
     /// # Panics
     /// Panics if `workload.cols() != op.cols()` (caller bug: the workload
@@ -226,48 +186,18 @@ impl McTranslator {
             cfg.samples,
             cfg.seed,
             apex_linalg::max_threads(),
-            cfg.sample_block,
+            SAMPLE_BLOCK,
         );
         let recon_frobenius = recon_frobenius_via_operator(workload, op);
         Self::from_parts(strat_sensitivity, recon_frobenius, cfg, unit_errors)
     }
 
-    /// [`McTranslator::with_operator`] through the legacy one-sample-at-a-
-    /// time `pinv_apply_into` loop instead of the blocked panels. Kept so
-    /// the single-RHS path stays measurable (the `translator_prepare`
-    /// benchmark's `hier` rows) and directly comparable: both paths
-    /// produce bit-identical `unit_errors`.
-    pub fn with_operator_single_rhs(
-        workload: &CsrMatrix,
-        op: &dyn StrategyOperator,
-        strat_sensitivity: f64,
-        cfg: McConfig,
-    ) -> Self {
-        assert_eq!(
-            workload.cols(),
-            op.cols(),
-            "workload and strategy operator must share the domain"
-        );
-        let unit_errors = unit_errors_operator_single_rhs(workload, op, cfg.samples, cfg.seed);
-        let recon_frobenius = recon_frobenius_via_operator(workload, op);
-        Self::from_parts(strat_sensitivity, recon_frobenius, cfg, unit_errors)
-    }
-
-    /// The serial reference construction: one noise vector and one dense
-    /// `matvec` per sample. Kept (and exported) because the batched path's
-    /// correctness claim is "bit-identical to this" — property tests and
-    /// the `mc_translate` benchmark compare the two directly.
+    /// The dense oracle: one noise vector and one dense `matvec` against
+    /// a materialized `recon = W A⁺` per sample. Obviously right, not
+    /// fast — the tests check [`McTranslator::with_operator`] against it;
+    /// nothing serves it.
     pub fn new_serial(recon: &Matrix, strat_sensitivity: f64, cfg: McConfig) -> Self {
         let unit_errors = unit_errors_serial(recon, cfg.samples, cfg.seed);
-        Self::from_unit_errors(recon, strat_sensitivity, cfg, unit_errors)
-    }
-
-    fn from_unit_errors(
-        recon: &Matrix,
-        strat_sensitivity: f64,
-        cfg: McConfig,
-        unit_errors: Vec<f64>,
-    ) -> Self {
         Self::from_parts(strat_sensitivity, frobenius_norm(recon), cfg, unit_errors)
     }
 
@@ -349,7 +279,7 @@ impl McTranslator {
     }
 }
 
-/// The serial reference simulation: per sample, draw `l` unit-Laplace
+/// The dense oracle's simulation: per sample, draw `l` unit-Laplace
 /// variables from the sample's own stream and reduce `‖recon · η‖∞` with a
 /// dense `matvec`. `O(N · L · l)` with a strictly serial inner reduction.
 pub fn unit_errors_serial(recon: &Matrix, samples: usize, seed: u64) -> Vec<f64> {
@@ -368,58 +298,8 @@ pub fn unit_errors_serial(recon: &Matrix, samples: usize, seed: u64) -> Vec<f64>
         .collect()
 }
 
-/// The batched simulation: noise vectors are drawn per sample stream into
-/// `l × B` column blocks and reduced through the blocked (and, with
-/// `apex-linalg`'s `par` feature, thread-parallel) dense product. Same
-/// floating-point operation sequence per output element as
-/// [`unit_errors_serial`] — the results are bit-identical.
-pub fn unit_errors_batched(recon: &Matrix, samples: usize, seed: u64) -> Vec<f64> {
-    unit_errors_batched_with_block(recon, samples, seed, SAMPLE_BLOCK)
-}
-
-/// [`unit_errors_batched`] with an explicit block size (clamped to ≥ 1).
-/// The block size only affects wall-clock and memory, never results.
-pub fn unit_errors_batched_with_block(
-    recon: &Matrix,
-    samples: usize,
-    seed: u64,
-    block: usize,
-) -> Vec<f64> {
-    let block = block.max(1);
-    let unit = Laplace::new(1.0);
-    let l = recon.cols();
-    let rows = recon.rows();
-    let mut errors = vec![0.0_f64; samples];
-    let mut start = 0;
-    while start < samples {
-        let bs = block.min(samples - start);
-        // Row j of the (transposed-storage) block is sample `start + j`'s
-        // noise vector — generated as one contiguous write.
-        let mut e_t = Matrix::zeros(bs, l);
-        for j in 0..bs {
-            let mut rng = sample_stream(seed, (start + j) as u64);
-            for v in e_t.row_mut(j) {
-                *v = unit.sample(&mut rng);
-            }
-        }
-        // r[i][j] = Σ_k recon[i][k] · η_{start+j}[k], k ascending — the
-        // same operation sequence as the serial matvec.
-        let r = matmul_batched_bt(recon, &e_t).expect("block shape matches recon columns");
-        // Streaming ℓ∞ reduction: per column j the max-fold still runs
-        // over i ascending, exactly like the serial path's fold.
-        let maxs = &mut errors[start..start + bs];
-        for i in 0..rows {
-            for (mx, v) in maxs.iter_mut().zip(r.row(i)) {
-                *mx = mx.max(v.abs());
-            }
-        }
-        start += bs;
-    }
-    errors
-}
-
 /// The matrix-free simulation: noise vectors (`m` = strategy rows, the
-/// same per-sample streams as the dense paths) are drawn into column-major
+/// same per-sample streams as the oracles) are drawn into column-major
 /// panels and pushed through `A⁺` via
 /// [`StrategyOperator::pinv_apply_multi`] and the sparse workload via
 /// [`CsrMatrix::matvec_panel`] — one interval-tree / sparsity-pattern walk
@@ -429,35 +309,12 @@ pub fn unit_errors_batched_with_block(
 ///
 /// Every batched kernel is bit-identical per column to its single-RHS
 /// counterpart and every sample owns its RNG stream and output slot, so
-/// blocking, panel width, and thread count never change a result — pinned
-/// by property tests (parallelism must never change a privacy decision).
-pub fn unit_errors_operator(
-    workload: &CsrMatrix,
-    op: &dyn StrategyOperator,
-    samples: usize,
-    seed: u64,
-) -> Vec<f64> {
-    unit_errors_operator_with_threads(workload, op, samples, seed, apex_linalg::max_threads())
-}
-
-/// [`unit_errors_operator`] with an explicit thread count (clamped to
-/// ≥ 1). The result does not depend on `threads` — only wall-clock does.
-pub fn unit_errors_operator_with_threads(
-    workload: &CsrMatrix,
-    op: &dyn StrategyOperator,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<f64> {
-    unit_errors_operator_blocked(workload, op, samples, seed, threads, SAMPLE_BLOCK)
-}
-
-/// [`unit_errors_operator`] with explicit thread count and panel width
-/// (both clamped to ≥ 1) — the full-control entry point behind
-/// [`McConfig::sample_block`]. Neither knob affects results. The
-/// effective panel width is additionally capped so the per-thread noise
-/// panel stays within a fixed memory budget (see `capped_panel_width`);
-/// that cap is equally invisible in the results.
+/// the thread count and the panel width `block` (both clamped to ≥ 1)
+/// never change a result — pinned by property tests (parallelism must
+/// never change a privacy decision). The effective panel width is
+/// additionally capped so the per-thread noise panel stays within a fixed
+/// memory budget (see `capped_panel_width`); that cap is equally
+/// invisible in the results.
 ///
 /// Samples are split across scoped threads in **balanced** contiguous
 /// chunks (`base + 1` samples for the first `samples % threads` threads,
@@ -535,12 +392,10 @@ pub fn unit_errors_operator_blocked(
     errors
 }
 
-/// The single-RHS reference simulation: one noise vector, one
-/// `pinv_apply_into`, and one sparse `matvec_into` per sample (the
-/// pre-blocking hot loop, single-threaded). Kept and exported because the
-/// blocked path's correctness claim is "bit-identical to this" — property
-/// tests and the `translator_prepare` benchmark's `hier` rows use it
-/// directly.
+/// The single-RHS oracle: one noise vector, one `pinv_apply_into`, and
+/// one sparse `matvec_into` per sample, single-threaded. Kept and exported
+/// because the blocked pipeline's correctness claim is "bit-identical to
+/// this" — the tests compare the two directly; nothing serves it.
 pub fn unit_errors_operator_single_rhs(
     workload: &CsrMatrix,
     op: &dyn StrategyOperator,
@@ -570,12 +425,12 @@ pub fn unit_errors_operator_single_rhs(
 }
 
 /// Caps a requested panel width so the per-panel working buffers stay
-/// within a fixed ~8 MiB budget. `sample_block`-wide panels at very large
-/// strategies (78 MiB of noise at n = 16384 with the default block of 512)
-/// thrash the cache and TLB badly enough to make the blocked path *slower*
-/// than narrow panels; panel width provably never changes results (pinned
-/// by `sample_block_config_does_not_change_the_translation`), so clamping
-/// it is a locality decision the caller never observes.
+/// within a fixed ~8 MiB budget. [`SAMPLE_BLOCK`]-wide panels at very
+/// large strategies (78 MiB of noise at n = 16384) thrash the cache and
+/// TLB badly enough to make the blocked path *slower* than narrow panels;
+/// panel width provably never changes results (pinned by the
+/// `blocked_is_bit_identical_*` tests), so clamping it is a locality
+/// decision the caller never observes.
 fn capped_panel_width(requested: usize, col_len: usize) -> usize {
     const PANEL_BUDGET_BYTES: usize = 8 << 20;
     const MIN_WIDTH: usize = 8;
@@ -623,10 +478,53 @@ pub fn recon_frobenius_via_operator(workload: &CsrMatrix, op: &dyn StrategyOpera
     total.max(0.0).sqrt()
 }
 
+/// The dense oracle for `workload` answered through `strategy`: the
+/// materialized `W A⁺` (QR pseudoinverse of the dense `A`) and the serial
+/// translator over it.
+#[cfg(test)]
+pub(crate) fn dense_oracle(
+    workload: &CsrMatrix,
+    strategy: apex_query::Strategy,
+    cfg: McConfig,
+) -> (Matrix, McTranslator) {
+    let a = strategy.build_csr(workload.cols()).unwrap();
+    let a_pinv = apex_linalg::pinv(&a.to_dense()).unwrap();
+    let recon = workload.matmul(&a_pinv).unwrap();
+    let translator = McTranslator::new_serial(&recon, a.l1_operator_norm(), cfg);
+    (recon, translator)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apex_linalg::Matrix;
+    use apex_linalg::{CsrBuilder, HierarchicalOperator, IdentityOperator};
+    use apex_query::Strategy;
+
+    fn mc(samples: usize) -> McConfig {
+        McConfig {
+            samples,
+            ..Default::default()
+        }
+    }
+
+    /// `n` counting queries answered directly (`W = A = I`), through the
+    /// served constructor.
+    fn identity_translator(n: usize, samples: usize) -> McTranslator {
+        McTranslator::with_operator(
+            &CsrMatrix::identity(n),
+            &IdentityOperator::new(n),
+            1.0,
+            mc(samples),
+        )
+    }
+
+    fn prefix_workload_csr(n: usize) -> CsrMatrix {
+        let mut b = CsrBuilder::new(n);
+        for i in 0..n {
+            b.push_interval_row(0, i + 1);
+        }
+        b.finish()
+    }
 
     #[test]
     fn inverse_normal_cdf_known_values() {
@@ -636,21 +534,13 @@ mod tests {
         assert!((inverse_normal_cdf(0.999) - 3.090232).abs() < 1e-4);
     }
 
-    /// With `recon = I₁` (a single counting query answered directly), the
+    /// With `W = A = I₁` (a single counting query answered directly), the
     /// mechanism is the plain scalar Laplace mechanism, whose exact
     /// requirement is `ε = ln(1/β)/α`. The MC translation must land near
     /// it (slightly above, because of the confidence margin).
     #[test]
     fn translate_matches_scalar_laplace_closed_form() {
-        let i1 = Matrix::identity(1);
-        let t = McTranslator::new(
-            &i1,
-            &i1,
-            McConfig {
-                samples: 40_000,
-                ..Default::default()
-            },
-        );
+        let t = identity_translator(1, 40_000);
         let (alpha, beta) = (10.0, 0.05);
         let eps = t.translate(alpha, beta);
         let exact = (1.0 / beta).ln() / alpha;
@@ -662,15 +552,7 @@ mod tests {
 
     #[test]
     fn translate_is_monotone_in_alpha() {
-        let i = Matrix::identity(4);
-        let t = McTranslator::new(
-            &i,
-            &i,
-            McConfig {
-                samples: 5_000,
-                ..Default::default()
-            },
-        );
+        let t = identity_translator(4, 5_000);
         let e1 = t.translate(5.0, 0.05);
         let e2 = t.translate(10.0, 0.05);
         let e3 = t.translate(20.0, 0.05);
@@ -681,15 +563,7 @@ mod tests {
 
     #[test]
     fn translate_is_monotone_in_beta() {
-        let i = Matrix::identity(4);
-        let t = McTranslator::new(
-            &i,
-            &i,
-            McConfig {
-                samples: 5_000,
-                ..Default::default()
-            },
-        );
+        let t = identity_translator(4, 5_000);
         let tight = t.translate(10.0, 0.01);
         let loose = t.translate(10.0, 0.2);
         assert!(tight > loose);
@@ -697,15 +571,7 @@ mod tests {
 
     #[test]
     fn estimate_beta_ok_is_monotone_in_eps() {
-        let i = Matrix::identity(3);
-        let t = McTranslator::new(
-            &i,
-            &i,
-            McConfig {
-                samples: 5_000,
-                ..Default::default()
-            },
-        );
+        let t = identity_translator(3, 5_000);
         let eps_star = t.translate(10.0, 0.05);
         assert!(t.estimate_beta_ok(eps_star * 2.0, 10.0, 0.05));
         assert!(!t.estimate_beta_ok(eps_star * 0.5, 10.0, 0.05));
@@ -713,66 +579,14 @@ mod tests {
 
     #[test]
     fn translation_is_deterministic() {
-        let i = Matrix::identity(2);
-        let a = McTranslator::new(&i, &i, McConfig::default()).translate(5.0, 0.1);
-        let b = McTranslator::new(&i, &i, McConfig::default()).translate(5.0, 0.1);
+        let a = identity_translator(2, 10_000).translate(5.0, 0.1);
+        let b = identity_translator(2, 10_000).translate(5.0, 0.1);
         assert_eq!(a, b);
-    }
-
-    /// A dense pseudo-random reconstruction matrix for parity tests.
-    fn dense_recon(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Matrix::from_vec(
-            rows,
-            cols,
-            (0..rows * cols)
-                .map(|_| rand::Rng::gen::<f64>(&mut rng) - 0.5)
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn batched_is_bit_identical_to_serial() {
-        // Shapes straddling the block size, including non-multiples.
-        for (rows, cols, n) in [(3, 7, 10), (17, 33, 700), (5, 64, 1025)] {
-            let recon = dense_recon(rows, cols, 7 + rows as u64);
-            let serial = unit_errors_serial(&recon, n, 0xA5A5);
-            let batched = unit_errors_batched(&recon, n, 0xA5A5);
-            assert_eq!(serial.len(), batched.len());
-            for (i, (s, b)) in serial.iter().zip(&batched).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    b.to_bits(),
-                    "sample {i} differs ({rows}x{cols}, N={n})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn serial_and_batched_translators_agree_exactly() {
-        let recon = dense_recon(6, 11, 3);
-        let cfg = McConfig {
-            samples: 2_000,
-            ..Default::default()
-        };
-        let a = McTranslator::with_sensitivity(&recon, 4.0, cfg);
-        let b = McTranslator::new_serial(&recon, 4.0, cfg);
-        assert_eq!(a.unit_errors(), b.unit_errors());
-        assert_eq!(a.translate(20.0, 0.05), b.translate(20.0, 0.05));
     }
 
     #[test]
     fn empty_sample_set_is_conservative() {
-        let i1 = Matrix::identity(1);
-        let t = McTranslator::new(
-            &i1,
-            &i1,
-            McConfig {
-                samples: 0,
-                ..Default::default()
-            },
-        );
+        let t = identity_translator(1, 0);
         assert!(t.unit_errors().is_empty());
         // No evidence: every candidate fails the test...
         assert!(!t.estimate_beta_ok(1e6, 10.0, 0.05));
@@ -782,38 +596,31 @@ mod tests {
         assert_eq!(t.translate(alpha, beta), chebyshev);
     }
 
-    /// Build the dense `W A⁺` alongside the operator to compare paths.
-    fn prefix_workload_csr(n: usize) -> CsrMatrix {
-        let mut b = apex_linalg::CsrBuilder::new(n);
-        for i in 0..n {
-            b.push_interval_row(0, i + 1);
-        }
-        b.finish()
-    }
-
     #[test]
     fn operator_translator_agrees_with_dense_translator() {
-        use apex_query::Strategy;
-        for n in [5usize, 16, 33] {
+        // Branchings 2/3/5 over power and non-power domains.
+        for (n, b) in [
+            (5usize, 2usize),
+            (16, 2),
+            (33, 2),
+            (13, 3),
+            (27, 3),
+            (50, 5),
+        ] {
+            let strategy = Strategy::Hierarchical { branching: b };
             let w = prefix_workload_csr(n);
-            let op = Strategy::H2.operator(n).unwrap();
-            let a_dense = Strategy::H2.build(n).unwrap();
-            let recon = w.matmul(&apex_linalg::pinv(&a_dense).unwrap()).unwrap();
-            let sens = op.l1_operator_norm();
-            let cfg = McConfig {
-                samples: 1_500,
-                ..Default::default()
-            };
-            let t_op = McTranslator::with_operator(&w, op.as_ref(), sens, cfg);
-            let t_dense = McTranslator::with_sensitivity(&recon, sens, cfg);
+            let op = strategy.operator(n).unwrap();
+            let cfg = mc(1_500);
+            let t_op = McTranslator::with_operator(&w, op.as_ref(), op.l1_operator_norm(), cfg);
+            let (_, t_dense) = dense_oracle(&w, strategy, cfg);
 
             // Same noise, same distribution; only FP summation order
             // differs, so the per-sample errors match tightly...
             assert_eq!(t_op.unit_errors().len(), t_dense.unit_errors().len());
-            for (a, b) in t_op.unit_errors().iter().zip(t_dense.unit_errors()) {
+            for (a, d) in t_op.unit_errors().iter().zip(t_dense.unit_errors()) {
                 assert!(
-                    (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                    "n={n}: {a} vs {b}"
+                    (a - d).abs() <= 1e-9 * d.abs().max(1.0),
+                    "n={n} b={b}: {a} vs {d}"
                 );
             }
             // ...and the translations land within the search tolerance.
@@ -822,19 +629,17 @@ mod tests {
             let e_dense = t_dense.translate(alpha, beta);
             assert!(
                 (e_op - e_dense).abs() <= 2.0 * cfg.tolerance * e_dense,
-                "n={n}: {e_op} vs {e_dense}"
+                "n={n} b={b}: {e_op} vs {e_dense}"
             );
         }
     }
 
     #[test]
     fn operator_frobenius_matches_dense_frobenius() {
-        use apex_query::Strategy;
         for n in [4usize, 9, 20] {
             let w = prefix_workload_csr(n);
             let op = Strategy::H2.operator(n).unwrap();
-            let a_dense = Strategy::H2.build(n).unwrap();
-            let recon = w.matmul(&apex_linalg::pinv(&a_dense).unwrap()).unwrap();
+            let (recon, _) = dense_oracle(&w, Strategy::H2, mc(0));
             let f_op = recon_frobenius_via_operator(&w, op.as_ref());
             let f_dense = frobenius_norm(&recon);
             assert!(
@@ -846,13 +651,19 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_identical_to_allocating_reference() {
-        // The operator path reuses per-thread scratch buffers; re-derive
-        // every sample with fresh allocations and demand bitwise equality.
-        use apex_query::Strategy;
+        // The pipeline reuses per-thread scratch buffers; re-derive every
+        // sample with fresh allocations and demand bitwise equality.
         for (n, samples) in [(5usize, 40usize), (33, 130), (64, 700)] {
             let w = prefix_workload_csr(n);
             let op = Strategy::H2.operator(n).unwrap();
-            let got = unit_errors_operator(&w, op.as_ref(), samples, 0xC0FFEE);
+            let got = unit_errors_operator_blocked(
+                &w,
+                op.as_ref(),
+                samples,
+                0xC0FFEE,
+                apex_linalg::max_threads(),
+                SAMPLE_BLOCK,
+            );
             let unit = Laplace::new(1.0);
             for (i, g) in got.iter().enumerate() {
                 let mut rng = sample_stream(0xC0FFEE, i as u64);
@@ -869,14 +680,15 @@ mod tests {
 
     #[test]
     fn operator_unit_errors_are_thread_count_invariant() {
-        use apex_query::Strategy;
         for (n, samples) in [(7usize, 1usize), (16, 37), (33, 260)] {
             let w = prefix_workload_csr(n);
             let op = Strategy::H2.operator(n).unwrap();
-            let one = unit_errors_operator_with_threads(&w, op.as_ref(), samples, 0xBEE, 1);
+            let run = |threads| {
+                unit_errors_operator_blocked(&w, op.as_ref(), samples, 0xBEE, threads, SAMPLE_BLOCK)
+            };
+            let one = run(1);
             for threads in [2usize, 3, 8, 64] {
-                let t = unit_errors_operator_with_threads(&w, op.as_ref(), samples, 0xBEE, threads);
-                assert_eq!(one, t, "n={n} N={samples} threads={threads}");
+                assert_eq!(one, run(threads), "n={n} N={samples} threads={threads}");
             }
         }
     }
@@ -887,7 +699,6 @@ mod tests {
         // bit for bit for every panel width — including 1, widths around
         // the default block, and widths straddling the sample count — over
         // non-power domains and branchings 2/3/5.
-        use apex_linalg::HierarchicalOperator;
         for (n, b) in [(13usize, 2usize), (33, 3), (50, 5)] {
             let w = prefix_workload_csr(n);
             let op = HierarchicalOperator::new(n, b).unwrap();
@@ -907,7 +718,7 @@ mod tests {
         // final panel all occur.
         let n = 16;
         let w = prefix_workload_csr(n);
-        let op = apex_linalg::HierarchicalOperator::new(n, 2).unwrap();
+        let op = HierarchicalOperator::new(n, 2).unwrap();
         let samples = SAMPLE_BLOCK + 37;
         let reference = unit_errors_operator_single_rhs(&w, &op, samples, 0x51AB);
         for block in [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1] {
@@ -917,51 +728,17 @@ mod tests {
     }
 
     #[test]
-    fn sample_block_config_does_not_change_the_translation() {
-        use apex_query::Strategy;
-        let n = 33;
-        let w = prefix_workload_csr(n);
-        let op = Strategy::H2.operator(n).unwrap();
-        let sens = op.l1_operator_norm();
-        let base = McConfig {
-            samples: 600,
-            ..Default::default()
-        };
-        let reference = McTranslator::with_operator(&w, op.as_ref(), sens, base);
-        for sample_block in [1usize, 5, 599, 600, 601, 4096] {
-            let cfg = McConfig {
-                sample_block,
-                ..base
-            };
-            let t = McTranslator::with_operator(&w, op.as_ref(), sens, cfg);
-            assert_eq!(
-                reference.unit_errors(),
-                t.unit_errors(),
-                "sample_block={sample_block}"
-            );
-            assert_eq!(
-                reference.translate(10.0, 0.05),
-                t.translate(10.0, 0.05),
-                "sample_block={sample_block}"
-            );
-        }
-    }
-
-    #[test]
     fn single_rhs_translator_agrees_exactly_with_blocked_translator() {
-        use apex_query::Strategy;
+        // The served constructor (host thread count, default panel width)
+        // against the single-RHS oracle's samples, sorted as it sorts.
         let n = 27;
         let w = prefix_workload_csr(n);
         let op = Strategy::H2.operator(n).unwrap();
-        let sens = op.l1_operator_norm();
-        let cfg = McConfig {
-            samples: 500,
-            ..Default::default()
-        };
-        let blocked = McTranslator::with_operator(&w, op.as_ref(), sens, cfg);
-        let single = McTranslator::with_operator_single_rhs(&w, op.as_ref(), sens, cfg);
-        assert_eq!(blocked.unit_errors(), single.unit_errors());
-        assert_eq!(blocked.translate(10.0, 0.05), single.translate(10.0, 0.05));
+        let cfg = mc(SAMPLE_BLOCK + 100);
+        let blocked = McTranslator::with_operator(&w, op.as_ref(), op.l1_operator_norm(), cfg);
+        let mut single = unit_errors_operator_single_rhs(&w, op.as_ref(), cfg.samples, cfg.seed);
+        single.sort_by(f64::total_cmp);
+        assert_eq!(blocked.unit_errors(), single);
     }
 
     #[test]
@@ -970,32 +747,26 @@ mod tests {
         // and never an empty trailing chunk) — checked behaviorally: every
         // thread count and remainder combination reproduces the
         // single-thread result, including threads > samples.
-        use apex_query::Strategy;
         let n = 16;
         let w = prefix_workload_csr(n);
         let op = Strategy::H2.operator(n).unwrap();
         for samples in [1usize, 2, 9, 10, 37] {
-            let one = unit_errors_operator_with_threads(&w, op.as_ref(), samples, 0xFA1, 1);
+            let run = |threads| {
+                unit_errors_operator_blocked(&w, op.as_ref(), samples, 0xFA1, threads, SAMPLE_BLOCK)
+            };
+            let one = run(1);
             for threads in [2usize, 3, 4, 7, samples, samples + 5, 64] {
-                let t = unit_errors_operator_with_threads(&w, op.as_ref(), samples, 0xFA1, threads);
-                assert_eq!(one, t, "samples={samples} threads={threads}");
+                assert_eq!(one, run(threads), "samples={samples} threads={threads}");
             }
         }
     }
 
     #[test]
     fn identity_operator_translator_matches_identity_recon() {
-        use apex_linalg::IdentityOperator;
         let n = 6;
-        let w = CsrMatrix::identity(n);
-        let op = IdentityOperator::new(n);
-        let cfg = McConfig {
-            samples: 2_000,
-            ..Default::default()
-        };
-        let t_op = McTranslator::with_operator(&w, &op, 1.0, cfg);
-        let t_dense = McTranslator::with_sensitivity(&Matrix::identity(n), 1.0, cfg);
-        // With W = A = I both paths compute |η_j| maxima — identically.
+        let t_op = identity_translator(n, 2_000);
+        let t_dense = McTranslator::new_serial(&Matrix::identity(n), 1.0, mc(2_000));
+        // With W = A = I both compute |η_j| maxima — identically.
         assert_eq!(t_op.unit_errors(), t_dense.unit_errors());
         assert_eq!(t_op.translate(8.0, 0.05), t_dense.translate(8.0, 0.05));
     }
@@ -1004,9 +775,10 @@ mod tests {
     fn per_sample_streams_are_independent_of_order() {
         // Stream derivation depends only on (seed, index): sampling a
         // prefix yields a prefix.
-        let recon = dense_recon(4, 9, 11);
-        let all = unit_errors_serial(&recon, 50, 99);
-        let prefix = unit_errors_serial(&recon, 20, 99);
+        let w = prefix_workload_csr(9);
+        let op = Strategy::H2.operator(9).unwrap();
+        let all = unit_errors_operator_single_rhs(&w, op.as_ref(), 50, 99);
+        let prefix = unit_errors_operator_single_rhs(&w, op.as_ref(), 20, 99);
         assert_eq!(&all[..20], &prefix[..]);
     }
 }

@@ -1,11 +1,9 @@
 //! The mechanism registry: which mechanisms apply to each query type
 //! (Algorithm 1, Line 4).
 
-use std::sync::Arc;
-
 use apex_query::QueryKind;
 
-use crate::cache::SmCache;
+use crate::cache::TranslatorCache;
 use crate::mc::McConfig;
 use crate::{
     LaplaceMechanism, LaplaceTopKMechanism, Mechanism, MultiPokingMechanism, StrategyMechanism,
@@ -22,13 +20,12 @@ pub fn mechanisms_for(kind: QueryKind) -> Vec<Box<dyn Mechanism>> {
 }
 
 /// [`mechanisms_for`], with the strategy mechanism wired to a shared
-/// artifact cache (pseudoinverse + Monte-Carlo translator) when one is
-/// provided. The engine in `apex-core` passes its per-engine cache here so
-/// repeated queries over the same domain partition skip the `O(n³)` QR and
-/// the MC resampling.
+/// artifact cache (strategy operator + Monte-Carlo translator) when one is
+/// provided. The engine in `apex-core` passes its cache here so repeated
+/// queries over the same domain partition skip the MC resampling.
 pub fn mechanisms_for_cached(
     kind: QueryKind,
-    cache: Option<Arc<SmCache>>,
+    cache: Option<TranslatorCache>,
 ) -> Vec<Box<dyn Mechanism>> {
     let sm = || -> Box<dyn Mechanism> {
         match &cache {
@@ -73,7 +70,7 @@ mod tests {
 
     #[test]
     fn cached_suite_matches_uncached() {
-        let cache = SmCache::new();
+        let cache = TranslatorCache::new();
         for kind in [
             QueryKind::Wcq,
             QueryKind::Icq { threshold: 1.0 },

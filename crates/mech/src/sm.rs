@@ -4,63 +4,22 @@
 use std::sync::Arc;
 
 use apex_data::Dataset;
-use apex_linalg::{pinv, CsrMatrix, Matrix, SharedOperator};
+use apex_linalg::{CsrMatrix, SharedOperator};
 use apex_query::{AccuracySpec, QueryAnswer, QueryKind, Strategy};
 use rand::rngs::StdRng;
 
-use crate::cache::{SmCache, SmCacheKey};
+use crate::cache::{SmCacheKey, TranslatorCache};
 use crate::mc::{McConfig, McTranslator};
 use crate::traits::unsupported;
 use crate::{Laplace, MechError, MechOutput, Mechanism, PreparedQuery, Translation};
 
-/// Which prepare pipeline builds a query's [`SmArtifacts`].
-///
-/// All three produce translators drawing the same per-sample noise
-/// streams: the two operator paths are bit-identical to each other, and
-/// the dense reference differs only in floating-point summation order
-/// (≈1e-9 relative). The fastest path depends on the domain size — see
-/// `apex-core`'s `OperatorSelector`, which picks per `(n, mc_samples)`
-/// from bench-measured crossovers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OperatorPath {
-    /// The dense reference pipeline: `O(n³)` QR pseudoinverse,
-    /// materialized `W A⁺`, batched dense Monte-Carlo. Fastest only for
-    /// small domains, where the cubic prepare is cheap and dense products
-    /// beat the tree walk.
-    Dense,
-    /// Matrix-free operator with the legacy single-RHS per-sample loop.
-    HierSingle,
-    /// Matrix-free operator with blocked multi-RHS panels (the default).
-    HierBlocked,
-}
-
-/// How the artifacts answer the strategy and reconstruct workload
-/// answers.
-#[derive(Debug)]
-pub enum ReconBackend {
-    /// The matrix-free default: `ŷ = op.apply(x)` and
-    /// `ω = W · op.pinv_apply(ŷ)` (one `apply_transpose` + one
-    /// `solve_normal`). No `O(n³)` pseudoinverse, no dense `W A⁺`.
-    Operator(SharedOperator),
-    /// The dense reference: `A` in CSR plus the materialized `W A⁺`,
-    /// exactly the pre-operator pipeline. Kept for property tests and
-    /// benchmarks (see
-    /// [`StrategyMechanism::new_dense_reference`]).
-    Dense {
-        /// The strategy matrix `A` in sparse form.
-        strategy: CsrMatrix,
-        /// The dense reconstruction matrix `W A⁺`.
-        recon: Matrix,
-    },
-}
-
 /// Everything the strategy mechanism derives from a query's incidence
-/// structure: the strategy's action (operator or dense reference), its
-/// sensitivity, and the prepared Monte-Carlo translator.
+/// structure: the strategy operator, its sensitivity, and the prepared
+/// Monte-Carlo translator.
 ///
 /// Data-independent (only the compiled workload and the strategy go in),
 /// so it is safe to reuse across queries and analysts — see
-/// [`SmCache`].
+/// [`TranslatorCache`].
 #[derive(Debug)]
 pub struct SmArtifacts {
     /// The compiled workload incidence `W` these artifacts were built
@@ -73,13 +32,16 @@ pub struct SmArtifacts {
     pub strat_sensitivity: f64,
     /// The Monte-Carlo translator prepared for `W A⁺`.
     pub translator: McTranslator,
-    /// Strategy answering + reconstruction backend.
-    pub backend: ReconBackend,
+    /// The matrix-free strategy: `ŷ = op.apply(x)` and
+    /// `ω = W · op.pinv_apply(ŷ)` (one `apply_transpose` + one
+    /// `solve_normal`). No `O(n³)` pseudoinverse, no dense `W A⁺`.
+    pub operator: SharedOperator,
 }
 
 impl SmArtifacts {
-    /// Builds operator-backed artifacts for `workload` answered through
-    /// `strategy` — the default, `O(n log n)`-prepare path.
+    /// Builds the artifacts for `workload` answered through `strategy` —
+    /// the one prepare pipeline, `O(n log n)` plus the Monte-Carlo
+    /// simulation.
     ///
     /// # Errors
     /// Propagates strategy-construction failures (empty domain, bad
@@ -96,74 +58,12 @@ impl SmArtifacts {
             workload: workload.clone(),
             strat_sensitivity,
             translator,
-            backend: ReconBackend::Operator(op),
+            operator: op,
         })
     }
 
-    /// Builds the dense reference artifacts: `A` in CSR, `A⁺` via the
-    /// `O(n³)` QR pseudoinverse, the materialized `W A⁺`, and the batched
-    /// dense Monte-Carlo simulation — byte-for-byte the pre-operator
-    /// pipeline, kept for tests and benchmarks.
-    ///
-    /// # Errors
-    /// Propagates strategy-construction and pseudoinverse failures.
-    pub fn build_dense_reference(
-        workload: &CsrMatrix,
-        strategy: Strategy,
-        mc: McConfig,
-    ) -> Result<Self, MechError> {
-        let a = strategy.build_csr(workload.cols())?;
-        let a_pinv = pinv(&a.to_dense())?;
-        let recon = workload.matmul(&a_pinv)?;
-        let strat_sensitivity = a.l1_operator_norm();
-        let translator = McTranslator::with_sensitivity(&recon, strat_sensitivity, mc);
-        Ok(SmArtifacts {
-            workload: workload.clone(),
-            strat_sensitivity,
-            translator,
-            backend: ReconBackend::Dense { strategy: a, recon },
-        })
-    }
-
-    /// Builds artifacts through an explicit [`OperatorPath`] — the entry
-    /// point of `apex-core`'s measured path selection (and of the
-    /// benchmark rows that keep each path measurable in isolation).
-    ///
-    /// # Errors
-    /// Propagates strategy-construction (and, on the dense path,
-    /// pseudoinverse) failures.
-    pub fn build_with_path(
-        workload: &CsrMatrix,
-        strategy: Strategy,
-        mc: McConfig,
-        path: OperatorPath,
-    ) -> Result<Self, MechError> {
-        match path {
-            OperatorPath::Dense => Self::build_dense_reference(workload, strategy, mc),
-            OperatorPath::HierBlocked => Self::build(workload, strategy, mc),
-            OperatorPath::HierSingle => {
-                let op = strategy.operator(workload.cols())?;
-                let strat_sensitivity = op.l1_operator_norm();
-                let translator = McTranslator::with_operator_single_rhs(
-                    workload,
-                    op.as_ref(),
-                    strat_sensitivity,
-                    mc,
-                );
-                Ok(SmArtifacts {
-                    workload: workload.clone(),
-                    strat_sensitivity,
-                    translator,
-                    backend: ReconBackend::Operator(op),
-                })
-            }
-        }
-    }
-
-    /// Operator-backed artifacts through a cache, with the
-    /// verify-on-hit collision check — the one shared implementation of
-    /// this security-relevant pattern (used by [`StrategyMechanism`] and
-    /// by `apex-core`'s `PreparedTranslator`).
+    /// [`SmArtifacts::build`] through a cache, with the verify-on-hit
+    /// collision check.
     ///
     /// `signature` must be the workload's structural signature
     /// (`CsrMatrix::signature`; pass the precomputed
@@ -173,23 +73,14 @@ impl SmArtifacts {
     /// collision the artifacts are rebuilt uncached rather than answering
     /// with another workload's reconstruction.
     ///
-    /// The [`OperatorPath`] is part of the cache key: the two
-    /// operator paths produce bit-identical translators, but the dense
-    /// reference differs in low-order floating-point bits, and a path
-    /// switch (e.g. a changed `APEX_OPERATOR_PATH` override) must never
-    /// hand back artifacts built by a differently-rounding pipeline.
-    /// `mc.sample_block` is deliberately **not** in the key — panel width
-    /// cannot change results.
-    ///
     /// # Errors
     /// Propagates build failures.
-    pub fn get_or_build_cached_with_path(
-        cache: &SmCache,
+    pub fn get_or_build_cached(
+        cache: &TranslatorCache,
         workload: &CsrMatrix,
         signature: u64,
         strategy: Strategy,
         mc: McConfig,
-        path: OperatorPath,
     ) -> Result<Arc<Self>, MechError> {
         let key = SmCacheKey {
             workload_signature: signature,
@@ -197,16 +88,12 @@ impl SmArtifacts {
             samples: mc.samples,
             seed: mc.seed,
             tolerance_bits: mc.tolerance.to_bits(),
-            path,
         };
-        let art =
-            cache.get_or_build(key, || Self::build_with_path(workload, strategy, mc, path))?;
+        let art = cache.get_or_build(key, || Self::build(workload, strategy, mc))?;
         if art.workload == *workload {
             Ok(art)
         } else {
-            Ok(Arc::new(Self::build_with_path(
-                workload, strategy, mc, path,
-            )?))
+            Ok(Arc::new(Self::build(workload, strategy, mc)?))
         }
     }
 
@@ -215,31 +102,21 @@ impl SmArtifacts {
     /// # Errors
     /// Shape mismatches surface as [`MechError::Linalg`].
     pub fn strategy_answer(&self, x: &[f64]) -> Result<Vec<f64>, MechError> {
-        match &self.backend {
-            ReconBackend::Operator(op) => Ok(op.apply(x)?),
-            ReconBackend::Dense { strategy, .. } => Ok(strategy.matvec(x)?),
-        }
+        Ok(self.operator.apply(x)?)
     }
 
     /// Reconstructs workload answers `ω = (W A⁺) ŷ` from noisy strategy
-    /// answers — via `solve_normal` + `apply_transpose` on the operator
-    /// path, via the materialized dense product on the reference path.
+    /// answers, via `solve_normal` + `apply_transpose`.
     ///
     /// # Errors
     /// Shape mismatches surface as [`MechError::Linalg`].
     pub fn reconstruct(&self, y_hat: &[f64]) -> Result<Vec<f64>, MechError> {
-        match &self.backend {
-            ReconBackend::Operator(op) => Ok(self.workload.matvec(&op.pinv_apply(y_hat)?)?),
-            ReconBackend::Dense { recon, .. } => Ok(recon.matvec(y_hat)?),
-        }
+        Ok(self.workload.matvec(&self.operator.pinv_apply(y_hat)?)?)
     }
 
     /// Number of strategy rows `m` (the noise dimension).
     pub fn strategy_rows(&self) -> usize {
-        match &self.backend {
-            ReconBackend::Operator(op) => op.rows(),
-            ReconBackend::Dense { strategy, .. } => strategy.rows(),
-        }
+        self.operator.rows()
     }
 }
 
@@ -261,17 +138,13 @@ impl SmArtifacts {
 /// `O(n³)` pseudoinverse of the old pipeline is replaced by structured
 /// normal-equation solves (`O(n)` per right-hand side for `H_b`), so no
 /// dense `A⁺` or `W A⁺` is ever materialized. When constructed
-/// [`with_cache`](StrategyMechanism::with_cache), the operator-backed
-/// artifacts (operator + Monte-Carlo translator) are memoized per
-/// workload-signature. The dense pipeline survives behind
-/// [`new_dense_reference`](StrategyMechanism::new_dense_reference) for
-/// tests and benchmarks.
+/// [`with_cache`](StrategyMechanism::with_cache), the artifacts (operator
+/// + Monte-Carlo translator) are memoized per workload-signature.
 #[derive(Debug, Clone)]
 pub struct StrategyMechanism {
     strategy: Strategy,
     mc: McConfig,
-    cache: Option<Arc<SmCache>>,
-    dense_reference: bool,
+    cache: Option<TranslatorCache>,
 }
 
 impl StrategyMechanism {
@@ -286,33 +159,16 @@ impl StrategyMechanism {
             strategy,
             mc,
             cache: None,
-            dense_reference: false,
         }
     }
 
     /// Like [`StrategyMechanism::new`], but artifacts (operator + MC
     /// translator) are looked up in / inserted into `cache`.
-    pub fn with_cache(strategy: Strategy, mc: McConfig, cache: Arc<SmCache>) -> Self {
+    pub fn with_cache(strategy: Strategy, mc: McConfig, cache: TranslatorCache) -> Self {
         Self {
             strategy,
             mc,
             cache: Some(cache),
-            dense_reference: false,
-        }
-    }
-
-    /// The dense reference pipeline (`O(n³)` QR pseudoinverse +
-    /// materialized `W A⁺` + batched dense Monte-Carlo) — byte-for-byte
-    /// the pre-operator behavior. For tests and benchmarks only; it is
-    /// deliberately uncached so reference runs can never pollute an
-    /// operator-backed cache (the two paths differ in low-order
-    /// floating-point bits).
-    pub fn new_dense_reference(strategy: Strategy, mc: McConfig) -> Self {
-        Self {
-            strategy,
-            mc,
-            cache: None,
-            dense_reference: true,
         }
     }
 
@@ -323,29 +179,16 @@ impl StrategyMechanism {
 
     /// Builds (or fetches) the derived artifacts for a query.
     fn artifacts(&self, q: &PreparedQuery) -> Result<Arc<SmArtifacts>, MechError> {
+        let w = q.compiled().csr();
         match &self.cache {
-            None => Ok(Arc::new(self.build_artifacts(q)?)),
-            // Cached construction is always the operator path
-            // (`new_dense_reference` never carries a cache).
-            Some(cache) => SmArtifacts::get_or_build_cached_with_path(
+            None => Ok(Arc::new(SmArtifacts::build(w, self.strategy, self.mc)?)),
+            Some(cache) => SmArtifacts::get_or_build_cached(
                 cache,
-                q.compiled().csr(),
+                w,
                 q.compiled().signature(),
                 self.strategy,
                 self.mc,
-                OperatorPath::HierBlocked,
             ),
-        }
-    }
-
-    /// Builds the artifacts for a query: operator-backed by default, the
-    /// dense reference pipeline when so constructed.
-    fn build_artifacts(&self, q: &PreparedQuery) -> Result<SmArtifacts, MechError> {
-        let w = q.compiled().csr();
-        if self.dense_reference {
-            SmArtifacts::build_dense_reference(w, self.strategy, self.mc)
-        } else {
-            SmArtifacts::build(w, self.strategy, self.mc)
         }
     }
 
@@ -389,9 +232,8 @@ impl Mechanism for StrategyMechanism {
         let art = self.artifacts(q)?;
         let eps = art.translator.translate(acc.alpha(), beta);
 
-        // ŷ = A x + Lap(‖A‖₁/ε)^m ; ω = (W A⁺) ŷ — on the operator path
-        // the reconstruction is solve_normal ∘ apply_transpose, never a
-        // stored dense W A⁺.
+        // ŷ = A x + Lap(‖A‖₁/ε)^m ; ω = (W A⁺) ŷ — the reconstruction is
+        // solve_normal ∘ apply_transpose, never a stored dense W A⁺.
         let x = q.compiled().histogram(data);
         let mut y = art.strategy_answer(&x)?;
         let b = art.strat_sensitivity / eps;
@@ -573,7 +415,7 @@ mod tests {
         let q = PreparedQuery::prepare(&schema(), &prefix_query(16)).unwrap();
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
         let plain = StrategyMechanism::new(Strategy::H2, small_mc());
-        let cache = crate::cache::SmCache::new();
+        let cache = TranslatorCache::new();
         let cached = StrategyMechanism::with_cache(Strategy::H2, small_mc(), cache.clone());
         let e_plain = plain.translate(&q, &acc).unwrap();
         let e_cached_miss = cached.translate(&q, &acc).unwrap();
@@ -586,7 +428,7 @@ mod tests {
 
     #[test]
     fn cache_distinguishes_workloads_and_strategies() {
-        let cache = crate::cache::SmCache::new();
+        let cache = TranslatorCache::new();
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
         let q16 = PreparedQuery::prepare(&schema(), &prefix_query(16)).unwrap();
         let q8 = PreparedQuery::prepare(&schema(), &prefix_query(8)).unwrap();
@@ -612,17 +454,16 @@ mod tests {
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
         let q8 = PreparedQuery::prepare(&schema(), &prefix_query(8)).unwrap();
         let q16 = PreparedQuery::prepare(&schema(), &prefix_query(16)).unwrap();
-        let cache = crate::cache::SmCache::new();
+        let cache = TranslatorCache::new();
         let sm = StrategyMechanism::with_cache(Strategy::H2, small_mc(), cache.clone());
 
         // Build q8's artifacts, then plant them under q16's key.
-        let poisoned_key = crate::cache::SmCacheKey {
+        let poisoned_key = SmCacheKey {
             workload_signature: q16.compiled().signature(),
             strategy: Strategy::H2,
             samples: small_mc().samples,
             seed: small_mc().seed,
             tolerance_bits: small_mc().tolerance.to_bits(),
-            path: OperatorPath::HierBlocked,
         };
         cache
             .get_or_build(poisoned_key, || {
@@ -643,7 +484,7 @@ mod tests {
         let q = PreparedQuery::prepare(&schema(), &prefix_query(8)).unwrap();
         let acc = AccuracySpec::new(80.0, 0.1).unwrap();
         let d = data();
-        let cache = crate::cache::SmCache::new();
+        let cache = TranslatorCache::new();
         let sm = StrategyMechanism::with_cache(Strategy::H2, small_mc(), cache.clone());
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..5 {
@@ -657,29 +498,28 @@ mod tests {
 
     #[test]
     fn dense_reference_and_operator_paths_agree() {
-        // The operator path replaces the dense pinv; its translations and
-        // answers must match the reference up to floating-point summation
-        // order (the two simulate the same noise streams).
+        // The operator pipeline replaces the dense pinv; its translations
+        // and answers must match the dense oracle up to floating-point
+        // summation order (the two simulate the same noise streams).
         let q = PreparedQuery::prepare(&schema(), &prefix_query(16)).unwrap();
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
-        let op_path = StrategyMechanism::new(Strategy::H2, small_mc());
-        let dense_path = StrategyMechanism::new_dense_reference(Strategy::H2, small_mc());
-        let e_op = op_path.translate(&q, &acc).unwrap().upper;
-        let e_dense = dense_path.translate(&q, &acc).unwrap().upper;
+        let sm = StrategyMechanism::new(Strategy::H2, small_mc());
+        let art = sm.artifacts(&q).unwrap();
+        let (recon, oracle) = crate::mc::dense_oracle(q.compiled().csr(), Strategy::H2, small_mc());
+        let e_op = sm.translate(&q, &acc).unwrap().upper;
+        let e_dense = oracle.translate(acc.alpha(), acc.beta());
         assert!(
             (e_op - e_dense).abs() <= 3.0 * small_mc().tolerance * e_dense,
             "operator ε {e_op} vs dense ε {e_dense}"
         );
 
         // Reconstruction on a fixed noisy strategy answer agrees tightly.
-        let art_op = op_path.artifacts(&q).unwrap();
-        let art_dense = dense_path.artifacts(&q).unwrap();
-        assert_eq!(art_op.strategy_rows(), art_dense.strategy_rows());
-        let y: Vec<f64> = (0..art_op.strategy_rows())
+        assert_eq!(art.strategy_rows(), recon.cols());
+        let y: Vec<f64> = (0..art.strategy_rows())
             .map(|i| (i as f64) * 0.7 - 3.0)
             .collect();
-        let w_op = art_op.reconstruct(&y).unwrap();
-        let w_dense = art_dense.reconstruct(&y).unwrap();
+        let w_op = art.reconstruct(&y).unwrap();
+        let w_dense = recon.matvec(&y).unwrap();
         for (a, b) in w_op.iter().zip(&w_dense) {
             assert!((a - b).abs() <= 1e-8 * b.abs().max(1.0), "{a} vs {b}");
         }

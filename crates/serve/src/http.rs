@@ -1,30 +1,19 @@
-//! A minimal HTTP/1.1 server over `std::net` — no async runtime, per the
-//! repo's offline std-only policy.
+//! The HTTP/1.1 wire layer over `std::net` — no async runtime, per the
+//! repo's offline std-only policy: request parsing and response
+//! serialization. The server that drives them is the shard layer's
+//! nonblocking accept/dispatch loop ([`crate::shard::serve_sharded`]).
 //!
-//! One acceptor thread hands accepted connections to a fixed pool of
-//! worker threads through a **bounded** `mpsc` channel (connections past
-//! the backlog are shed at accept time); each worker parses one request
-//! per connection (`Connection: close` semantics), routes it through the
-//! handler, and writes the JSON response. Request bodies, header lines,
-//! and header counts are capped; every socket carries read/write
-//! timeouts *and* each request has a wall-clock deadline checked between
-//! reads, so a slow-dripping client cannot hold a worker past
-//! `REQUEST_DEADLINE + IO_TIMEOUT` no matter how it paces its bytes.
-//! Malformed requests get proper 4xx responses.
-//!
-//! Graceful shutdown: [`ServerHandle::stop`] (or a handler response with
-//! the `shutdown` flag, which is how `POST /v1/admin/shutdown` works)
-//! flips a shared flag and nudges the acceptor awake with a loopback
-//! connection (wildcard binds are nudged via the loopback address of the
-//! same family); the acceptor drops the channel sender, the workers
-//! drain in-flight requests and exit, and [`ServerHandle::join`] returns.
+//! There is one request parser, [`parse_buffered`]: incremental over a
+//! connection-owned buffer, re-invoked as bytes arrive and across
+//! keep-alive requests. Request bodies, header lines, and header counts
+//! are capped, and the caller enforces a wall-clock deadline per request
+//! ([`REQUEST_DEADLINE`]), so a slow-dripping client cannot hold a
+//! connection slot indefinitely. Malformed requests map to proper 4xx /
+//! 501 statuses.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::Duration;
 
 /// Largest accepted request body.
 pub(crate) const MAX_BODY: usize = 1 << 20;
@@ -32,19 +21,11 @@ pub(crate) const MAX_BODY: usize = 1 << 20;
 pub(crate) const MAX_LINE: usize = 8 << 10;
 /// Most header lines accepted per request.
 pub(crate) const MAX_HEADERS: usize = 100;
-/// Per-socket read/write timeout (bounds each individual read).
+/// Per-socket write timeout (bounds each response write).
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(10);
-/// Wall-clock budget for reading one whole request; checked between
-/// reads, so a byte-dripping client is cut off at
-/// `REQUEST_DEADLINE + IO_TIMEOUT` worst case.
+/// Wall-clock budget for reading one whole request; the event loop checks
+/// it on every scan, so a byte-dripping client is cut off once it lapses.
 pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(20);
-/// Accepted connections queued ahead of the workers; beyond this the
-/// acceptor sheds new connections instead of buffering file descriptors
-/// without bound.
-const QUEUE_CAP: usize = 1024;
-/// Back-off before retrying a failing `accept()` (e.g. EMFILE under a
-/// connection flood) — without it the acceptor would busy-spin.
-const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
 
 /// A parsed request: method, path, headers, and raw body.
 #[derive(Debug, Clone)]
@@ -141,134 +122,6 @@ pub(crate) fn status_text(code: u16) -> &'static str {
     }
 }
 
-/// Reads one request from the stream. `Ok(Err(status))` reports a
-/// malformed or over-deadline request the caller should answer with that
-/// status code.
-fn read_request(
-    stream: &mut TcpStream,
-    deadline: Instant,
-) -> std::io::Result<Result<Request, u16>> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-
-    // Request line.
-    if let Err(status) = read_line_capped(&mut reader, &mut line, deadline)? {
-        return Ok(Err(status));
-    }
-    let mut parts = line.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m.to_ascii_uppercase(), t.to_string(), v),
-        _ => return Ok(Err(400)),
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Ok(Err(501));
-    }
-    let path = target.split('?').next().unwrap_or("").to_string();
-
-    // Headers: Content-Length frames the body; the rest (notably
-    // Authorization) is kept for the router.
-    let mut content_length = 0usize;
-    let mut headers = Vec::new();
-    for header_count in 0.. {
-        if header_count > MAX_HEADERS {
-            return Ok(Err(400));
-        }
-        if let Err(status) = read_line_capped(&mut reader, &mut line, deadline)? {
-            return Ok(Err(status));
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            let name = name.trim();
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                match value.parse::<usize>() {
-                    Ok(n) if n <= MAX_BODY => content_length = n,
-                    Ok(_) => return Ok(Err(413)),
-                    Err(_) => return Ok(Err(400)),
-                }
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                // Chunked bodies are not part of this API's contract.
-                return Ok(Err(501));
-            }
-            headers.push((name.to_ascii_lowercase(), value.to_string()));
-        } else {
-            return Ok(Err(400));
-        }
-    }
-
-    // Body, in chunks with the deadline checked between reads — a client
-    // dripping one byte per (almost-)timeout cannot stretch this past
-    // the deadline.
-    let mut body = Vec::with_capacity(content_length.min(64 << 10));
-    let mut chunk = [0u8; 8 << 10];
-    while body.len() < content_length {
-        if Instant::now() >= deadline {
-            return Ok(Err(408));
-        }
-        let want = (content_length - body.len()).min(chunk.len());
-        let n = reader.read(&mut chunk[..want])?;
-        if n == 0 {
-            return Ok(Err(400)); // EOF before the declared length
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    Ok(Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    }))
-}
-
-/// Reads one CRLF- (or LF-) terminated line, bounded by [`MAX_LINE`] and
-/// `deadline`. `Ok(Err(status))` on EOF/overlong lines (400) or deadline
-/// exhaustion (408).
-fn read_line_capped(
-    reader: &mut BufReader<&mut TcpStream>,
-    line: &mut String,
-    deadline: Instant,
-) -> std::io::Result<Result<(), u16>> {
-    line.clear();
-    loop {
-        if Instant::now() >= deadline {
-            return Ok(Err(408));
-        }
-        let (consumed, done) = {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                return Ok(Err(400)); // EOF mid-line
-            }
-            match buf.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    if line.len() + i + 1 > MAX_LINE {
-                        return Ok(Err(400));
-                    }
-                    line.push_str(&String::from_utf8_lossy(&buf[..=i]));
-                    (i + 1, true)
-                }
-                None => {
-                    if line.len() + buf.len() > MAX_LINE {
-                        return Ok(Err(400));
-                    }
-                    line.push_str(&String::from_utf8_lossy(buf));
-                    (buf.len(), false)
-                }
-            }
-        };
-        reader.consume(consumed);
-        if done {
-            return Ok(Ok(()));
-        }
-    }
-}
-
-fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    write_response_conn(stream, resp, false)
-}
-
 /// Appends one serialized response to `out`; `keep_alive` picks the
 /// `Connection:` header the sharded server's connection-migration loop
 /// relies on. Split from the write so shard workers can accumulate the
@@ -314,11 +167,9 @@ pub(crate) enum BufParse {
     Complete(Request, usize),
 }
 
-/// Incremental request parsing over a connection-owned buffer — the
-/// nonblocking sharded accept loop's counterpart to [`read_request`]
-/// (same limits, same status mapping), re-invoked as bytes arrive and
-/// across keep-alive requests (leftover pipelined bytes stay in the
-/// buffer).
+/// Incremental request parsing over a connection-owned buffer,
+/// re-invoked as bytes arrive and across keep-alive requests (leftover
+/// pipelined bytes stay in the buffer).
 pub(crate) fn parse_buffered(buf: &[u8]) -> BufParse {
     // Head = everything through the first blank line.
     let Some(head_len) = find_blank_line(buf) else {
@@ -352,7 +203,8 @@ pub(crate) fn parse_buffered(buf: &[u8]) -> BufParse {
     }
     let path = target.split('?').next().unwrap_or("").to_string();
 
-    // Headers, same caps and semantics as the blocking reader.
+    // Headers: Content-Length frames the body; the rest (notably
+    // Authorization) is kept for the router.
     let mut content_length = 0usize;
     let mut headers = Vec::new();
     for (count, line) in lines.enumerate() {
@@ -411,232 +263,110 @@ fn find_blank_line(buf: &[u8]) -> Option<usize> {
     None
 }
 
-/// Control handle for a running server.
-#[derive(Debug)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests graceful shutdown: stop accepting, drain in-flight
-    /// requests, let workers exit. Idempotent.
-    pub fn stop(&self) {
-        if !self.stop.swap(true, Ordering::SeqCst) {
-            nudge(self.addr);
-        }
-    }
-
-    /// Blocks until the server has fully shut down (after [`ServerHandle::stop`]
-    /// or a handler-initiated shutdown).
-    pub fn join(mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Wakes a blocking `accept()` with one throwaway loopback connection.
-/// Wildcard binds (`0.0.0.0` / `::`) are not connectable on every
-/// platform, so the nudge targets the loopback address of the same
-/// family instead.
-fn nudge(mut addr: SocketAddr) {
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr {
-            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        });
-    }
-    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
-}
-
-/// Starts the server: binds `addr`, spawns `threads` workers plus one
-/// acceptor, and returns immediately with the control handle. `handler`
-/// maps each request to a response; a panicking handler answers 500 and
-/// the worker survives.
-///
-/// # Errors
-/// Propagates bind failures.
-pub fn serve<A, F>(addr: A, threads: usize, handler: F) -> std::io::Result<ServerHandle>
-where
-    A: ToSocketAddrs,
-    F: Fn(&Request) -> Response + Send + Sync + 'static,
-{
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let handler = Arc::new(handler);
-    let (tx, rx) = mpsc::sync_channel::<TcpStream>(QUEUE_CAP);
-    let rx = Arc::new(Mutex::new(rx));
-
-    let threads = threads.max(1);
-    let mut workers = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let rx = rx.clone();
-        let handler = handler.clone();
-        let stop = stop.clone();
-        workers.push(std::thread::spawn(move || loop {
-            // Holding the receiver lock only while popping keeps the other
-            // workers runnable during request handling.
-            let next = { rx.lock().expect("no poisoning").recv() };
-            let Ok(mut stream) = next else {
-                return; // channel closed: shutdown
-            };
-            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-            let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-            let deadline = Instant::now() + REQUEST_DEADLINE;
-            let resp = match read_request(&mut stream, deadline) {
-                Ok(Ok(req)) => {
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&req))) {
-                        Ok(resp) => resp,
-                        Err(_) => Response::json(500, "{\"error\":\"internal error\"}".into()),
-                    }
-                }
-                Ok(Err(status)) => {
-                    Response::json(status, format!("{{\"error\":\"{}\"}}", status_text(status)))
-                }
-                Err(_) => Response::json(408, "{\"error\":\"read failed\"}".into()),
-            };
-            let _ = write_response(&mut stream, &resp);
-            if resp.shutdown && !stop.swap(true, Ordering::SeqCst) {
-                nudge(local);
-            }
-        }));
-    }
-
-    let acceptor = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                match conn {
-                    // A full queue sheds the connection (dropping it
-                    // closes the socket) instead of buffering file
-                    // descriptors without bound during a flood.
-                    Ok(stream) => match tx.try_send(stream) {
-                        Ok(()) | Err(TrySendError::Full(_)) => {}
-                        Err(TrySendError::Disconnected(_)) => break,
-                    },
-                    Err(_) => {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        // accept() can fail persistently (EMFILE under
-                        // flood); back off instead of busy-spinning.
-                        std::thread::sleep(ACCEPT_ERROR_BACKOFF);
-                    }
-                }
-            }
-            // Dropping `tx` here closes the channel; workers drain and exit.
-        })
-    };
-
-    Ok(ServerHandle {
-        addr: local,
-        stop,
-        acceptor: Some(acceptor),
-        workers,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{serve_sharded, ServeConfig, ShardServerHandle, ShardSet};
+    use crate::state::ServerState;
+    use apex_core::EngineConfig;
+    use apex_data::{Attribute, Dataset, Domain, Schema};
+    use std::io::Read;
+    use std::sync::Arc;
 
-    /// One scripted request against an echo handler.
-    fn roundtrip(raw: &str) -> String {
-        let handle = serve("127.0.0.1:0", 2, |req: &Request| {
-            Response::json(
-                200,
-                format!(
-                    "{{\"method\":\"{}\",\"path\":\"{}\",\"len\":{}}}",
-                    req.method,
-                    req.path,
-                    req.body.len()
-                ),
-            )
-        })
+    fn complete(raw: &str) -> Request {
+        match parse_buffered(raw.as_bytes()) {
+            BufParse::Complete(req, consumed) => {
+                assert_eq!(consumed, raw.len());
+                req
+            }
+            other => panic!("expected a complete request, got {other:?}"),
+        }
+    }
+
+    fn bad_status(raw: &str) -> u16 {
+        match parse_buffered(raw.as_bytes()) {
+            BufParse::Bad(status) => status,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    /// A one-shard in-memory server over an empty one-attribute dataset,
+    /// with `clock` as its time source.
+    fn one_shard_server(addr: &str, clock: Arc<dyn crate::Clock>) -> ShardServerHandle {
+        let schema = Schema::new(vec![Attribute::new(
+            "v",
+            Domain::IntRange { min: 0, max: 7 },
+        )])
         .unwrap();
+        let set = ShardSet::build(1, |_| {
+            ServerState::builder(4)
+                .dataset(
+                    "demo",
+                    Dataset::empty(schema.clone()),
+                    EngineConfig::default(),
+                )
+                .clock(clock.clone())
+        });
+        serve_sharded(addr, Arc::new(set), ServeConfig::default()).unwrap()
+    }
+
+    /// One scripted `Connection: close` exchange over a real socket.
+    fn roundtrip(handle: &ShardServerHandle, raw: &str) -> String {
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         s.write_all(raw.as_bytes()).unwrap();
         let mut out = String::new();
         s.read_to_string(&mut out).unwrap();
-        handle.stop();
-        handle.join();
         out
     }
 
     #[test]
     fn parses_and_answers_a_post() {
-        let out = roundtrip("POST /x?q=1 HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello");
-        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
-        assert!(
-            out.ends_with("{\"method\":\"POST\",\"path\":\"/x\",\"len\":5}"),
-            "{out}"
-        );
+        let req = complete("POST /x?q=1 HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello");
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/x"));
+        assert_eq!(req.body_str(), Some("hello"));
+        // A body still in flight is not a request yet; pipelined bytes
+        // past the declared length stay in the buffer.
+        let partial = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhel";
+        assert!(matches!(parse_buffered(partial), BufParse::NeedMore));
+        let two = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
+        match parse_buffered(two) {
+            BufParse::Complete(req, consumed) => {
+                assert_eq!(req.path, "/a");
+                assert_eq!(&two[consumed..], b"GET /b HTTP/1.1\r\n\r\n");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn headers_reach_the_handler_case_insensitively() {
-        let handle = serve("127.0.0.1:0", 1, |req: &Request| {
-            Response::json(
-                200,
-                format!(
-                    "{{\"auth\":\"{}\"}}",
-                    req.header("Authorization").unwrap_or("-")
-                ),
-            )
-        })
-        .unwrap();
-        let mut s = TcpStream::connect(handle.addr()).unwrap();
-        s.write_all(b"GET / HTTP/1.1\r\nAUTHORIZATION:  Bearer tok \r\n\r\n")
-            .unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        assert!(out.ends_with("{\"auth\":\"Bearer tok\"}"), "{out}");
-        handle.stop();
-        handle.join();
+        let req = complete("GET / HTTP/1.1\r\nAUTHORIZATION:  Bearer tok \r\n\r\n");
+        assert_eq!(req.header("Authorization"), Some("Bearer tok"));
+        assert_eq!(req.header("authorization"), Some("Bearer tok"));
     }
 
     #[test]
     fn malformed_requests_get_4xx() {
-        let out = roundtrip("NONSENSE\r\n\r\n");
+        assert_eq!(bad_status("NONSENSE\r\n\r\n"), 400);
+        assert_eq!(bad_status("GET / HTTP/2\r\n\r\n"), 501);
+        assert_eq!(
+            bad_status("POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n"),
+            413
+        );
+        assert_eq!(
+            bad_status("POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n"),
+            400
+        );
+        assert_eq!(
+            bad_status("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
+            501
+        );
+        // And the server answers the refusal on the wire, then closes.
+        let handle = one_shard_server("127.0.0.1:0", Arc::new(crate::SystemClock::new()));
+        let out = roundtrip(&handle, "NONSENSE\r\n\r\n");
         assert!(out.starts_with("HTTP/1.1 400 "), "{out}");
-        let out = roundtrip("GET / HTTP/2\r\n\r\n");
+        let out = roundtrip(&handle, "GET / HTTP/2\r\n\r\n");
         assert!(out.starts_with("HTTP/1.1 501 "), "{out}");
-        let out = roundtrip("POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n");
-        assert!(out.starts_with("HTTP/1.1 413 "), "{out}");
-    }
-
-    #[test]
-    fn handler_panic_becomes_500() {
-        let handle = serve("127.0.0.1:0", 1, |_req: &Request| -> Response {
-            panic!("boom")
-        })
-        .unwrap();
-        let mut s = TcpStream::connect(handle.addr()).unwrap();
-        s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        assert!(out.starts_with("HTTP/1.1 500 "), "{out}");
-        // The worker survived the panic and still serves.
-        let mut s = TcpStream::connect(handle.addr()).unwrap();
-        s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        assert!(out.starts_with("HTTP/1.1 500 "), "{out}");
         handle.stop();
         handle.join();
     }
@@ -648,29 +378,54 @@ mod tests {
             raw.push_str(&format!("X-Pad-{i}: 1\r\n"));
         }
         raw.push_str("\r\n");
-        let out = roundtrip(&raw);
-        assert!(out.starts_with("HTTP/1.1 400 "), "{out}");
+        assert_eq!(bad_status(&raw), 400);
+    }
+
+    /// A clock that panics: the one injectable seam a request handler
+    /// calls into, so a handler panic needs no production hook.
+    #[derive(Debug)]
+    struct BrokenClock;
+
+    impl crate::Clock for BrokenClock {
+        fn now_millis(&self) -> u64 {
+            panic!("boom")
+        }
+    }
+
+    #[test]
+    fn handler_panic_becomes_500() {
+        let handle = one_shard_server("127.0.0.1:0", Arc::new(BrokenClock));
+        let body = "{\"dataset\":\"demo\",\"budget\":0.5}";
+        let open = format!(
+            "POST /v1/sessions HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let out = roundtrip(&handle, &open);
+        assert!(out.starts_with("HTTP/1.1 500 "), "{out}");
+        // The worker survived the panic and still serves.
+        let out = roundtrip(&handle, &open);
+        assert!(out.starts_with("HTTP/1.1 500 "), "{out}");
+        let out = roundtrip(
+            &handle,
+            "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        );
+        assert!(out.starts_with("HTTP/1.1 200 "), "{out}");
+        handle.stop();
+        handle.join();
     }
 
     #[test]
     fn wildcard_bind_still_shuts_down() {
-        // The shutdown nudge must reach a 0.0.0.0 listener (it targets
-        // loopback of the same family, since wildcard addresses are not
-        // connectable everywhere).
-        let handle = serve("0.0.0.0:0", 1, |_req: &Request| {
-            Response::json(200, "{}".into())
-        })
-        .unwrap();
+        // The event loop polls its stop flag, so a 0.0.0.0 listener needs
+        // no connectable address to be woken for shutdown.
+        let handle = one_shard_server("0.0.0.0:0", Arc::new(crate::SystemClock::new()));
         handle.stop();
         handle.join();
     }
 
     #[test]
     fn stop_is_graceful_and_idempotent() {
-        let handle = serve("127.0.0.1:0", 2, |_req: &Request| {
-            Response::json(200, "{}".into())
-        })
-        .unwrap();
+        let handle = one_shard_server("127.0.0.1:0", Arc::new(crate::SystemClock::new()));
         handle.stop();
         handle.stop();
         handle.join();

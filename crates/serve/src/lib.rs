@@ -5,15 +5,15 @@
 //! open **sessions** against registered datasets, each session holding a
 //! slice of that dataset's privacy budget, and submit exploration
 //! queries in the paper's concrete syntax. The service is std-only — a
-//! hand-rolled HTTP server over `std::net` with a fixed thread pool
-//! ([`http`]), a zero-dependency JSON module ([`json`]), and no async
+//! hand-rolled HTTP server over `std::net` ([`http`] parses, [`shard`]
+//! serves), a zero-dependency JSON module ([`json`]), and no async
 //! runtime — consistent with the repo's offline vendored-shim policy.
 //!
 //! Layering:
 //!
 //! * [`json`] — JSON values, parsing, rendering;
-//! * [`http`] — the socket layer: request parsing, thread pool, graceful
-//!   shutdown;
+//! * [`http`] — the wire layer: the one incremental request parser and
+//!   response serialization;
 //! * [`wire`] — bodies ↔ engine types ([`apex_query::ExplorationQuery`],
 //!   [`apex_core::EngineResponse`], …);
 //! * [`wal`] — the write-ahead log: length-prefixed, checksummed records
@@ -27,15 +27,16 @@
 //!   one shared translator cache with per-tenant stat scopes), live
 //!   sessions (budget slices with idle TTLs), WAL-over-snapshot
 //!   recovery, and the TTL reaper;
-//! * [`router`] — endpoint dispatch and status-code mapping (a *denied*
-//!   query is 409, an *expired* session is 410, the admin plane checks a
-//!   bearer token);
+//! * [`router`] — per-shard endpoint dispatch and status-code mapping (a
+//!   *denied* query is 409, an *expired* session is 410, the admin plane
+//!   checks a bearer token);
 //! * [`shard`] — the shard layer: N shard workers each owning its own
 //!   engines, ledger gate, WAL sequence, and `state-dir/shard-K/`
 //!   directory; tenants routed by consistent hashing; a nonblocking
 //!   accept/dispatch loop with bounded per-shard queues (full ⇒ 503 +
-//!   `Retry-After`); parallel per-shard recovery at boot; aggregated
-//!   `/v1/stats`;
+//!   `Retry-After`) and graceful shutdown; parallel per-shard recovery at
+//!   boot; the cross-shard endpoints (`/healthz`, aggregated `/v1/stats`,
+//!   admin list / shutdown);
 //! * [`selftest`] — the end-to-end gate CI runs (`--self-test`): a
 //!   scripted concurrent workload over real sockets asserting budget
 //!   conservation, protocol discipline, cross-session cache sharing, and
@@ -74,7 +75,7 @@ pub mod wal;
 pub mod wire;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use http::{serve, Request, Response, ServerHandle};
+pub use http::{Request, Response};
 pub use json::Json;
 pub use selftest::{run as run_self_test, SelfTestConfig, SelfTestReport};
 pub use shard::{serve_sharded, ServeConfig, ShardRing, ShardServerHandle, ShardSet};

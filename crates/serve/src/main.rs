@@ -26,9 +26,6 @@
 //!            [--state-dir DIR]
 //! ```
 //!
-//! `--threads N` is still accepted as a deprecated alias for
-//! `--workers-per-shard N`.
-//!
 //! **Changing `--shards` against an existing `--state-dir`** moves
 //! ~1/(N+1) of tenants to different shards (that is the consistent-hash
 //! guarantee), but their *spent budget* stays in the old shard's ledger
@@ -53,8 +50,6 @@ struct Args {
     addr: String,
     shards: usize,
     workers_per_shard: Option<usize>,
-    /// Deprecated alias for `workers_per_shard`.
-    threads: Option<usize>,
     cache_cap: usize,
     budget: f64,
     rows: usize,
@@ -71,10 +66,10 @@ struct Args {
 }
 
 impl Args {
-    /// Worker threads per shard: the explicit flag, then the deprecated
-    /// `--threads` alias, then a parallelism-derived default.
+    /// Worker threads per shard: the explicit flag, else a
+    /// parallelism-derived default.
     fn workers(&self) -> usize {
-        self.workers_per_shard.or(self.threads).unwrap_or_else(|| {
+        self.workers_per_shard.unwrap_or_else(|| {
             let cores = std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4);
@@ -89,8 +84,7 @@ fn usage() -> ! {
          [--cache-cap N] [--budget B] [--rows N] [--state-dir DIR] [--data-dir DIR] \
          [--pool-frames N] [--snapshot-every N] \
          [--ttl-secs N] [--admin-token TOKEN] [--force-truncate-wal] \
-         [--self-test [--sessions N] [--submits N]]\n\
-         note: --threads N is a deprecated alias for --workers-per-shard N"
+         [--self-test [--sessions N] [--submits N]]"
     );
     std::process::exit(2)
 }
@@ -100,7 +94,6 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:8787".to_string(),
         shards: 1,
         workers_per_shard: None,
-        threads: None,
         cache_cap: 128,
         budget: 1.0,
         rows: 10_000,
@@ -131,10 +124,6 @@ fn parse_args() -> Args {
                     &take("--workers-per-shard"),
                     "--workers-per-shard",
                 ))
-            }
-            "--threads" => {
-                eprintln!("note: --threads is deprecated; use --workers-per-shard");
-                args.threads = Some(parse_num(&take("--threads"), "--threads"));
             }
             "--cache-cap" => args.cache_cap = parse_num(&take("--cache-cap"), "--cache-cap"),
             "--rows" => args.rows = parse_num(&take("--rows"), "--rows"),
@@ -264,7 +253,7 @@ fn main() {
                     println!("  {name}: spent {spent:.4} of B = {budget}");
                 }
                 for (name, ms) in &report.prepare_ms {
-                    println!("  {name}: translator prepare_ms {ms:.1} (cold, auto-selected path)");
+                    println!("  {name}: translator prepare_ms {ms:.1} (cold)");
                 }
                 println!(
                     "  store: {} ingested, {} opened from disk, pool hits {}, \

@@ -1,17 +1,19 @@
-//! Endpoint dispatch: path + method → handler.
+//! Per-shard endpoint dispatch: path + method → handler, against one
+//! shard's [`ServerState`].
 //!
 //! | Endpoint                              | Meaning                                  |
 //! |---------------------------------------|------------------------------------------|
-//! | `GET  /healthz`                       | liveness                                 |
 //! | `POST /v1/sessions`                   | open a session (dataset + budget slice)  |
 //! | `POST /v1/sessions/{id}/query`        | submit a query (200 answered, 409 denied)|
 //! | `GET  /v1/sessions/{id}/budget`       | session + engine budget state            |
 //! | `POST /v1/sessions/{id}/close`        | close a session, reclaim its remainder   |
-//! | `GET  /v1/stats`                      | cache counters (global + per dataset)    |
 //! | `POST /v1/datasets/{name}/rows`       | admin: insert/delete rows (live dataset) |
-//! | `GET  /v1/admin/sessions`             | admin: list live sessions                |
 //! | `POST /v1/admin/sessions/{id}/expire` | admin: force-expire a session            |
-//! | `POST /v1/admin/shutdown`             | admin: begin graceful shutdown           |
+//!
+//! The cross-shard endpoints — `GET /healthz`, `GET /v1/stats`,
+//! `GET /v1/admin/sessions`, `POST /v1/admin/shutdown` — never reach this
+//! router: the shard layer answers them on its event thread over every
+//! shard's state (`shard::target_for` decides which is which).
 //!
 //! Status mapping: malformed bodies and engine-rejected queries (unknown
 //! attributes, empty workloads) are 400; unknown datasets/sessions 404;
@@ -45,7 +47,6 @@ use crate::wire;
 pub fn route(state: &Arc<ServerState>, req: &Request) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match segments.as_slice() {
-        ["healthz"] => method(req, "GET", || healthz(state)),
         ["v1", "sessions"] => method(req, "POST", || create_session(state, req)),
         ["v1", "sessions", id, "query"] => {
             with_session_id(id, |id| method(req, "POST", || submit(state, id, req)))
@@ -56,7 +57,6 @@ pub fn route(state: &Arc<ServerState>, req: &Request) -> Response {
         ["v1", "sessions", id, "close"] => {
             with_session_id(id, |id| method(req, "POST", || close_session(state, id)))
         }
-        ["v1", "stats"] => method(req, "GET", || stats(state)),
         ["v1", "datasets", name, "rows"] => match admin_auth(state, req) {
             Ok(()) => method(req, "POST", || mutate(state, name, req)),
             Err(resp) => resp,
@@ -72,8 +72,6 @@ pub fn route(state: &Arc<ServerState>, req: &Request) -> Response {
 /// Admin sub-router (auth already checked).
 fn admin(state: &Arc<ServerState>, req: &Request, segments: &[&str]) -> Response {
     match segments {
-        ["shutdown"] => method(req, "POST", shutdown),
-        ["sessions"] => method(req, "GET", || admin_sessions(state)),
         ["sessions", id, "expire"] => {
             with_session_id(id, |id| method(req, "POST", || admin_expire(state, id)))
         }
@@ -131,15 +129,6 @@ fn parse_body(req: &Request) -> Result<Json, Response> {
         .body_str()
         .ok_or_else(|| Response::json(400, wire::error_json("body must be UTF-8 JSON")))?;
     crate::json::parse(text).map_err(|e| Response::json(400, wire::error_json(&e.to_string())))
-}
-
-fn healthz(state: &ServerState) -> Response {
-    let body = Json::obj(vec![
-        ("status", Json::from("ok")),
-        ("datasets", Json::from(state.tenants().len())),
-        ("sessions", Json::from(state.session_count())),
-    ]);
-    Response::json(200, body.render())
 }
 
 fn create_session(state: &ServerState, req: &Request) -> Response {
@@ -282,72 +271,6 @@ fn budget(state: &ServerState, id: u64) -> Response {
     Response::json(200, body.render())
 }
 
-fn stats(state: &ServerState) -> Response {
-    let mut datasets = Vec::new();
-    for (name, tenant) in state.tenants() {
-        let ledger = tenant.engine.export_ledger();
-        datasets.push((
-            name.clone(),
-            Json::obj(vec![
-                ("cache", wire::cache_stats_json(tenant.cache.local_stats())),
-                (
-                    "budget",
-                    Json::obj(vec![
-                        ("budget", Json::Num(ledger.budget)),
-                        ("spent", Json::Num(ledger.spent)),
-                        ("remaining", Json::Num(tenant.engine.remaining())),
-                        ("reclaimed", Json::Num(tenant.reclaimed())),
-                    ]),
-                ),
-                (
-                    "transcript",
-                    Json::obj(vec![
-                        ("answered", Json::from(ledger.answered)),
-                        ("denied", Json::from(ledger.denied)),
-                    ]),
-                ),
-                ("sessions", Json::from(state.session_count_for(name))),
-                ("epoch", Json::from(tenant.engine.epoch())),
-                (
-                    "mutations_applied",
-                    Json::from(tenant.engine.mutations_applied()),
-                ),
-            ]),
-        ));
-    }
-    let body = Json::obj(vec![
-        ("sessions", Json::from(state.session_count())),
-        ("expired", Json::from(state.expired_count())),
-        (
-            "cache",
-            Json::obj(vec![
-                ("capacity", Json::from(state.cache().capacity())),
-                ("entries", Json::from(state.cache().len())),
-                ("global", wire::cache_stats_json(state.cache().stats())),
-            ]),
-        ),
-        ("datasets", Json::Obj(datasets)),
-    ]);
-    Response::json(200, body.render())
-}
-
-fn admin_sessions(state: &ServerState) -> Response {
-    let sessions = state
-        .list_sessions()
-        .into_iter()
-        .map(wire::session_info_json)
-        .collect();
-    let body = Json::obj(vec![
-        ("sessions", Json::Arr(sessions)),
-        ("expired", Json::from(state.expired_count())),
-        (
-            "ttl_millis",
-            state.ttl_millis().map(Json::from).unwrap_or(Json::Null),
-        ),
-    ]);
-    Response::json(200, body.render())
-}
-
 fn admin_expire(state: &ServerState, id: u64) -> Response {
     close_session(state, id)
 }
@@ -372,19 +295,12 @@ fn close_session(state: &ServerState, id: u64) -> Response {
     }
 }
 
-fn shutdown() -> Response {
-    let mut resp = Response::json(
-        202,
-        Json::obj(vec![("status", Json::from("shutting down"))]).render(),
-    );
-    resp.shutdown = true;
-    resp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::shard::ShardSet;
+    use crate::state::ServerStateBuilder;
     use apex_core::EngineConfig;
     use apex_data::{Attribute, Dataset, Domain, Schema, Value};
     use std::time::Duration;
@@ -404,12 +320,20 @@ mod tests {
         d
     }
 
-    fn state() -> Arc<ServerState> {
-        Arc::new(
-            ServerState::builder(16)
-                .dataset("demo", demo_dataset(), EngineConfig::default())
-                .build(),
-        )
+    /// A one-shard set over `builder`: the tests drive the server's own
+    /// dispatch decision (`shard::dispatch`), so the cross-shard
+    /// endpoints are reachable exactly as they are over a socket.
+    fn set_of(builder: ServerStateBuilder) -> ShardSet {
+        let builder = std::cell::RefCell::new(Some(builder));
+        ShardSet::build(1, |_| builder.borrow_mut().take().expect("one shard"))
+    }
+
+    fn state() -> ShardSet {
+        set_of(ServerState::builder(16).dataset("demo", demo_dataset(), EngineConfig::default()))
+    }
+
+    fn route(set: &ShardSet, req: &Request) -> Response {
+        crate::shard::dispatch(set, req)
     }
 
     fn req(method: &str, path: &str, body: &str) -> Request {
@@ -423,7 +347,7 @@ mod tests {
         r
     }
 
-    fn open_session(s: &Arc<ServerState>, body: &str) -> u64 {
+    fn open_session(s: &ShardSet, body: &str) -> u64 {
         let r = route(s, &req("POST", "/v1/sessions", body));
         assert_eq!(r.status, 201, "{}", r.body);
         crate::json::parse(&r.body)
@@ -539,16 +463,15 @@ mod tests {
     #[test]
     fn expired_sessions_answer_410_not_404() {
         let clock = ManualClock::new();
-        let s = Arc::new(
+        let s = set_of(
             ServerState::builder(16)
                 .dataset("demo", demo_dataset(), EngineConfig::default())
                 .clock(Arc::new(clock.clone()))
-                .session_ttl(Duration::from_millis(10))
-                .build(),
+                .session_ttl(Duration::from_millis(10)),
         );
         let id = open_session(&s, r#"{"dataset":"demo","budget":0.5}"#);
         clock.advance(11);
-        s.reap_expired().unwrap();
+        s.state(0).reap_expired().unwrap();
 
         let q =
             r#"{"query":"BIN demo ON COUNT(*) WHERE { v IN [0, 8) } ERROR 8 CONFIDENCE 0.95;"}"#;
@@ -575,11 +498,10 @@ mod tests {
 
     #[test]
     fn admin_plane_requires_the_bearer_token() {
-        let s = Arc::new(
+        let s = set_of(
             ServerState::builder(16)
                 .dataset("demo", demo_dataset(), EngineConfig::default())
-                .admin_token("s3cret")
-                .build(),
+                .admin_token("s3cret"),
         );
         let id = open_session(&s, r#"{"dataset":"demo","budget":0.5}"#);
 
@@ -750,19 +672,45 @@ mod tests {
         );
         assert_eq!(r.status, 413, "{}", r.body);
         assert_eq!(
-            s.tenant("demo").unwrap().engine.epoch(),
+            s.state(0).tenant("demo").unwrap().engine.epoch(),
             0,
             "nothing applied"
         );
     }
 
     #[test]
+    fn oversized_cells_and_rows_are_413_not_a_panic() {
+        // Both fit the 1 MiB body cap but not the WAL record's u16
+        // length fields; sizing the record used to run them through the
+        // encoder, whose casts assert (a worker panic, so a 500).
+        let s = state();
+        let big_cell = format!(r#"[["{}"]]"#, "x".repeat(70_000));
+        let wide_row = format!("[[{}]]", vec!["null"; 70_000].join(","));
+        for (op, rows) in [
+            ("insert", &big_cell),
+            ("delete", &big_cell),
+            ("insert", &wide_row),
+        ] {
+            let r = route(
+                &s,
+                &req(
+                    "POST",
+                    "/v1/datasets/demo/rows",
+                    &format!(r#"{{"op":"{op}","rows":{rows}}}"#),
+                ),
+            );
+            assert_eq!(r.status, 413, "{op}: {}", r.body);
+        }
+        let engine = &s.state(0).tenant("demo").unwrap().engine;
+        assert_eq!((engine.epoch(), engine.mutations_applied()), (0, 0));
+    }
+
+    #[test]
     fn mutation_endpoint_honors_the_admin_token() {
-        let s = Arc::new(
+        let s = set_of(
             ServerState::builder(16)
                 .dataset("demo", demo_dataset(), EngineConfig::default())
-                .admin_token("s3cret")
-                .build(),
+                .admin_token("s3cret"),
         );
         let body = r#"{"op":"insert","rows":[[1]]}"#;
         assert_eq!(

@@ -63,12 +63,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apex_core::{EngineConfig, Mode, PreparedTranslator};
+use apex_core::{EngineConfig, Mode};
 use apex_data::store::{Manifest, PageLog};
 use apex_data::synth::{adult_dataset, nytaxi_dataset};
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
 use apex_mech::mc::McConfig;
-use apex_mech::PreparedQuery;
+use apex_mech::{PreparedQuery, SmArtifacts};
 use apex_query::{ExplorationQuery, Strategy};
 
 use crate::client;
@@ -139,8 +139,8 @@ pub struct SelfTestReport {
     /// Per-dataset `(name, spent, budget)` at the end.
     pub budgets: Vec<(String, f64, f64)>,
     /// Per-tenant `(name, millis)` cold translator-prepare timings for a
-    /// representative workload, through the same auto-selected operator
-    /// path production takes. Observability only — printed, never
+    /// representative workload, through `SmArtifacts::build` — the
+    /// prepare a cache miss runs. Observability only — printed, never
     /// asserted on (machine speed is not an invariant).
     pub prepare_ms: Vec<(String, f64)>,
     /// Whether the run started from a non-empty recovered ledger (the
@@ -848,11 +848,11 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     Ok(report)
 }
 
-/// Times one cold `PreparedTranslator::prepare` per tenant on a workload
-/// representative of what the scripted clients submit (the wide tenant
-/// uses the compaction scenario's prefix shape). Pure observability: the
-/// printed numbers make prepare-path regressions visible in CI logs
-/// without turning machine speed into an assertion.
+/// Times one cold `SmArtifacts::build` — the prepare a cache miss runs —
+/// per tenant on a workload representative of what the scripted clients
+/// submit (the wide tenant uses the compaction scenario's prefix shape).
+/// Pure observability: the printed numbers make prepare-path regressions
+/// visible in CI logs without turning machine speed into an assertion.
 fn prepare_timings(cfg: &SelfTestConfig) -> Vec<(String, f64)> {
     let wide_prefixes = cfg
         .slow_query_prefixes
@@ -889,8 +889,7 @@ fn prepare_timings(cfg: &SelfTestConfig) -> Vec<(String, f64)> {
             continue; // a broken probe workload is not a service invariant
         };
         let t0 = Instant::now();
-        let prepared =
-            PreparedTranslator::prepare(q.compiled(), Strategy::H2, McConfig::default(), None);
+        let prepared = SmArtifacts::build(q.compiled().csr(), Strategy::H2, McConfig::default());
         if prepared.is_ok() {
             timings.push((name.to_string(), t0.elapsed().as_secs_f64() * 1e3));
         }

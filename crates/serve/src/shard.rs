@@ -281,9 +281,8 @@ impl ShardSet {
     }
 }
 
-/// The aggregated `/v1/stats` body: totals across shards (same shape as
-/// the unsharded endpoint, so existing clients keep working) plus a
-/// `shards` breakdown.
+/// The `/v1/stats` body: totals across shards plus a `shards`
+/// breakdown.
 pub fn stats_json(set: &ShardSet) -> Json {
     let mut dataset_entries = Vec::new();
     for (name, _) in set.state(0).tenants() {
@@ -1061,6 +1060,19 @@ fn route_global(set: &ShardSet, req: &Request) -> Response {
     }
 }
 
+/// The dispatch decision of the event loop and a shard worker for one
+/// parsed request, without the sockets and queues — what the router
+/// tests drive, so they cover `target_for` and the cross-shard endpoints
+/// exactly as the server wires them.
+#[cfg(test)]
+pub(crate) fn dispatch(set: &ShardSet, req: &Request) -> Response {
+    match target_for(set, req) {
+        Target::Reply(resp) => resp,
+        Target::Global => route_global(set, req),
+        Target::Shard(k) => router::route(set.state(k), req),
+    }
+}
+
 /// Outcome of draining a connection's readable bytes.
 enum Fill {
     /// Appended at least one byte.
@@ -1564,6 +1576,60 @@ mod tests {
         let (status, _) = client::request(addr, "POST", "/v1/admin/shutdown", Some("{}")).unwrap();
         assert_eq!(status, 202);
         handle.join();
+    }
+
+    #[test]
+    fn oversized_cell_over_the_socket_is_413_with_nothing_applied_or_logged() {
+        // Durable, so "nothing logged" is checkable: the WAL must be
+        // byte-identical after the refused mutations.
+        let root = crate::testutil::temp_dir("oversized-cell");
+        let (set, _) = ShardSet::recover(
+            &root,
+            1,
+            |_| ServerState::builder(4).dataset("demo", tiny_dataset(8), EngineConfig::default()),
+            |dir| PersistOptions {
+                sync: false,
+                ..PersistOptions::new(dir)
+            },
+        )
+        .unwrap();
+        let handle = serve_sharded("127.0.0.1:0", Arc::new(set), ServeConfig::default()).unwrap();
+        let addr = handle.addr();
+        let mutate = |body: &str| {
+            client::request(addr, "POST", "/v1/datasets/demo/rows", Some(body)).unwrap()
+        };
+        // One applied batch first, so the log has something to lose.
+        let (status, resp) = mutate(r#"{"op":"insert","rows":[[3]]}"#);
+        assert_eq!(status, 200, "{resp:?}");
+        let wal_bytes = || {
+            let dir = snapshot::shard_dir(&root, 0);
+            let gens = snapshot::list_wal_gens(&dir).unwrap();
+            std::fs::read(snapshot::wal_path(&dir, *gens.last().unwrap())).unwrap()
+        };
+        let before = wal_bytes();
+
+        let big_cell = format!(r#"{{"op":"insert","rows":[["{}"]]}}"#, "x".repeat(70_000));
+        let (status, resp) = mutate(&big_cell);
+        assert_eq!(status, 413, "{resp:?}");
+        let wide_row = format!(
+            r#"{{"op":"insert","rows":[[{}]]}}"#,
+            vec!["1"; 70_000].join(",")
+        );
+        let (status, resp) = mutate(&wide_row);
+        assert_eq!(status, 413, "{resp:?}");
+
+        let (_, stats) = client::request(addr, "GET", "/v1/stats", None).unwrap();
+        let demo = stats.get("datasets").and_then(|d| d.get("demo")).unwrap();
+        assert_eq!(demo.get("epoch").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            demo.get("mutations_applied").and_then(Json::as_u64),
+            Some(1)
+        );
+        assert_eq!(wal_bytes(), before, "a refused batch must log nothing");
+
+        handle.stop();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

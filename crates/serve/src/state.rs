@@ -9,7 +9,7 @@
 //! ([`TranslatorCache::scoped`]), so `/v1/stats` can attribute hits and
 //! misses per dataset while the storage — and the warm-up — is global.
 //! Sharing is sound because cached artifacts are data-independent (see
-//! `apex_core::cache`).
+//! `apex_mech::cache`).
 //!
 //! Sessions are budget slices ([`apex_core::EngineSession`]): a session
 //! may spend at most its allowance, and all sessions of a tenant jointly
@@ -980,14 +980,10 @@ impl ServerState {
         };
         // Size the WAL record before touching anything: a batch whose
         // record cannot be framed must be refused pre-apply, not after
-        // the engine already committed it.
-        let mut record = WalRecord::Mutate {
-            dataset: dataset.to_string(),
-            insert,
-            epoch_after: 0,
-            rows: rows.to_vec(),
-        };
-        let bytes = record.encode().len().saturating_sub(8);
+        // the engine already committed it. Measured, not encoded — the
+        // rows are client-sized and the encoder asserts on cells and
+        // arities its length fields cannot carry.
+        let bytes = WalRecord::mutate_payload_len(dataset, rows);
         if bytes > wal::MAX_PAYLOAD {
             return Err(SubmitError::BatchTooLarge {
                 bytes,
@@ -1009,11 +1005,14 @@ impl ServerState {
         }
         .map_err(SubmitError::Engine)?;
         apex_core::sched_point!("state.mutate.applied");
-        if let WalRecord::Mutate { epoch_after, .. } = &mut record {
-            *epoch_after = delta.epoch;
-        }
         let resident = tenant.engine.with_engine(|e| e.dataset_epoch().is_none());
-        self.log(record).map_err(SubmitError::Wal)?;
+        self.log(WalRecord::Mutate {
+            dataset: dataset.to_string(),
+            insert,
+            epoch_after: delta.epoch,
+            rows: rows.to_vec(),
+        })
+        .map_err(SubmitError::Wal)?;
         if resident && self.persist.is_some() {
             lockx::lock(&self.mutation_journal).push(MutationImage {
                 dataset: dataset.to_string(),
@@ -1206,10 +1205,11 @@ impl ServerState {
         Ok(reaped)
     }
 
-    /// Appends one WAL record (no-op without persistence). Denials get
-    /// the relaxed (ordered, not fsynced) append: they charge nothing,
-    /// so a deny-heavy workload — the steady state of an exhausted
-    /// tenant — must not pay a durability fsync per 409.
+    /// Appends one WAL record (no-op without persistence). Denials need
+    /// *ordering* but not *durability*: they charge nothing, so losing
+    /// the tail of them in a crash changes no recovered state, and a
+    /// deny-heavy workload — the steady state of an exhausted tenant —
+    /// must not pay a durability fsync per 409.
     fn log(&self, record: WalRecord) -> Result<(), std::io::Error> {
         let Some(p) = &self.persist else {
             return Ok(());
@@ -1230,13 +1230,13 @@ impl ServerState {
         // commit plus a scheduler wakeup, back to back.
         let (seq, sync_me) = {
             let mut inner = lockx::lock(&p.inner);
-            let sync_me = match record {
-                WalRecord::Deny { .. } => {
-                    inner.writer.append_relaxed(&record)?;
-                    None
-                }
-                _ => inner.writer.append_deferred(&record)?,
-            };
+            // A denial's sync handle is dropped: the record is ordered
+            // in the file but never fsynced and never enters the sync
+            // gate; the next durable append's fsync carries it to disk.
+            let sync_me = inner
+                .writer
+                .append_deferred(&record)?
+                .filter(|_| !matches!(record, WalRecord::Deny { .. }));
             inner.records_since_snapshot += 1;
             if sync_me.is_some() {
                 inner.append_seq += 1;
@@ -1245,7 +1245,7 @@ impl ServerState {
         };
         apex_core::sched_point!("state.log.appended");
         let Some(file) = sync_me else {
-            return Ok(()); // relaxed record, or a writer that never syncs
+            return Ok(()); // a denial, or a writer that never syncs
         };
         // Group commit (see `SyncGate`). Loop invariant: on every pass,
         // either this record is already durable (return), or a group is

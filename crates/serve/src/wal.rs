@@ -202,6 +202,26 @@ impl WalRecord {
         }
     }
 
+    /// Payload size of the [`WalRecord::Mutate`] these fields would
+    /// encode to, computed without encoding: client-sized input (a 70 kB
+    /// string cell, a 70 000-cell row) must be *measured* against
+    /// [`MAX_PAYLOAD`] before it reaches the encoder, whose `u16` length
+    /// casts assert. Pinned equal to the encoder by a unit test.
+    pub(crate) fn mutate_payload_len(dataset: &str, rows: &[Vec<apex_data::Value>]) -> usize {
+        let value_len = |v: &apex_data::Value| match v {
+            apex_data::Value::Int(_) | apex_data::Value::Float(_) => 1 + 8,
+            apex_data::Value::Str(s) => 1 + 2 + s.len(),
+            apex_data::Value::Bool(_) => 1 + 1,
+            apex_data::Value::Null => 1,
+        };
+        let rows_len: usize = rows
+            .iter()
+            .map(|row| 2 + row.iter().map(value_len).sum::<usize>())
+            .sum();
+        // tag + insert flag + epoch + dataset string + row count + rows.
+        1 + 1 + 8 + (2 + dataset.len()) + 4 + rows_len
+    }
+
     /// Serializes the full framed record (`len ‖ crc ‖ payload`).
     pub fn encode(&self) -> Vec<u8> {
         let payload = self.encode_payload();
@@ -540,16 +560,6 @@ impl WalWriter {
         self.append_with(record, true)
     }
 
-    /// [`WalWriter::append`] for records that need *ordering* but not
-    /// *durability* (denials: they charge nothing, so losing the tail
-    /// of them in a crash changes no recovered state). The write still
-    /// lands in file order, and the next durable append's fsync carries
-    /// it to disk — there is no reordering hole, only a shorter
-    /// clean/torn tail if the crash comes first.
-    pub fn append_relaxed(&mut self, record: &WalRecord) -> std::io::Result<()> {
-        self.append_with(record, false)
-    }
-
     fn append_with(&mut self, record: &WalRecord, durable: bool) -> std::io::Result<()> {
         if self.poisoned {
             return Err(std::io::Error::other(
@@ -685,6 +695,35 @@ mod tests {
             bytes.extend_from_slice(&r.encode());
         }
         bytes
+    }
+
+    #[test]
+    fn mutate_payload_len_matches_the_encoder() {
+        // Every value kind, plus an empty row and an empty name.
+        let mut records = sample_records();
+        records.push(WalRecord::Mutate {
+            dataset: String::new(),
+            insert: true,
+            epoch_after: 0,
+            rows: vec![vec![], vec![apex_data::Value::Str(String::new())]],
+        });
+        let mut checked = 0;
+        for r in &records {
+            if let WalRecord::Mutate { dataset, rows, .. } = r {
+                assert_eq!(
+                    WalRecord::mutate_payload_len(dataset, rows),
+                    r.encode_payload().len(),
+                    "{r:?}"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 3);
+        // What the encoder cannot frame is measured, not asserted on.
+        let cell = vec![vec![apex_data::Value::Str("x".repeat(70_000))]];
+        assert!(WalRecord::mutate_payload_len("d", &cell) > MAX_PAYLOAD);
+        let wide = vec![vec![apex_data::Value::Null; 70_000]];
+        assert!(WalRecord::mutate_payload_len("d", &wide) > MAX_PAYLOAD);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use apex_core::{EngineConfig, Mode};
 use apex_data::synth::{adult_dataset, nytaxi_dataset};
-use apex_serve::{client, router, Json, ServerState};
+use apex_serve::{client, serve_sharded, Json, ServeConfig, ServerState, ShardSet};
 
 fn main() {
     // One shared translator cache (cap 64) behind two tenant datasets,
@@ -20,17 +20,13 @@ fn main() {
         mode: Mode::Optimistic,
         seed,
     };
-    let state = Arc::new(
+    let set = ShardSet::build(1, |_| {
         ServerState::builder(64)
             .dataset("adult", adult_dataset(5_000, 7), config(1))
             .dataset("taxi", nytaxi_dataset(5_000, 9), config(2))
-            .build(),
-    );
-    let handler_state = state.clone();
-    let handle = apex_serve::serve("127.0.0.1:0", 4, move |req| {
-        router::route(&handler_state, req)
-    })
-    .expect("bind ephemeral port");
+    });
+    let handle = serve_sharded("127.0.0.1:0", Arc::new(set), ServeConfig::default())
+        .expect("bind ephemeral port");
     let addr = handle.addr();
     println!("serving on http://{addr}\n");
 

@@ -1,6 +1,6 @@
 //! Property-based tests on the core invariants: sparse/dense agreement,
 //! operator/CSR agreement, hierarchical-solve vs dense-pinv agreement,
-//! batched-MC determinism, pseudoinverse identities, workload sensitivity,
+//! blocked-MC determinism, pseudoinverse identities, workload sensitivity,
 //! partition correctness, translation monotonicity, and Laplace tails.
 //!
 //! The offline build has no `proptest`, so cases are generated by a small
@@ -9,8 +9,8 @@
 //! (the failing case index pins down the input exactly).
 
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
-use apex_linalg::{l1_operator_norm, matmul_batched_with_threads, pinv, CsrMatrix, Matrix};
-use apex_mech::mc::{unit_errors_batched, unit_errors_serial};
+use apex_linalg::{l1_operator_norm, pinv, CsrMatrix, Matrix};
+use apex_mech::mc::{unit_errors_operator_blocked, unit_errors_operator_single_rhs, SAMPLE_BLOCK};
 use apex_mech::{Laplace, LaplaceMechanism, Mechanism, PreparedQuery};
 use apex_query::{AccuracySpec, ExplorationQuery, Strategy as HierStrategy};
 use rand::rngs::StdRng;
@@ -132,49 +132,34 @@ fn csr_signature_is_stable() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched / parallel Monte-Carlo determinism (tentpole invariant)
+// Blocked / parallel Monte-Carlo determinism (tentpole invariant)
 // ---------------------------------------------------------------------------
 
-/// The batched (blocked + thread-parallel) MC sampler produces
-/// byte-identical `unit_errors` to the serial per-sample reference, for
-/// shapes straddling the block size.
+/// The blocked (panelled + thread-parallel) MC simulation produces
+/// byte-identical `unit_errors` to the serial single-RHS oracle, for
+/// sample counts straddling the panel width and any thread count —
+/// parallelism must never change a privacy decision.
 #[test]
 fn batched_mc_unit_errors_are_byte_identical_to_serial() {
     let mut rng = StdRng::seed_from_u64(0xDE7);
     for case in 0..12 {
+        let b = [2usize, 3, 5][case % 3];
+        let n = rng.gen_range(1usize..40);
         let rows = rng.gen_range(1usize..20);
-        let cols = rng.gen_range(1usize..40);
         let samples = [0, 1, 63, 300, 513, 1100][case % 6];
-        let recon = random_matrix(&mut rng, rows, cols, false);
+        let w = CsrMatrix::from_dense(&random_matrix(&mut rng, rows, n, true));
+        let op = HierStrategy::Hierarchical { branching: b }
+            .operator(n)
+            .unwrap();
         let seed = rng.gen::<u64>();
-        let serial = unit_errors_serial(&recon, samples, seed);
-        let batched = unit_errors_batched(&recon, samples, seed);
-        assert_eq!(serial.len(), batched.len());
-        for (i, (s, b)) in serial.iter().zip(&batched).enumerate() {
+        let serial = unit_errors_operator_single_rhs(&w, op.as_ref(), samples, seed);
+        for (threads, block) in [(1usize, SAMPLE_BLOCK), (3, 64), (16, 1)] {
+            let blocked =
+                unit_errors_operator_blocked(&w, op.as_ref(), samples, seed, threads, block);
             assert_eq!(
-                s.to_bits(),
-                b.to_bits(),
-                "case {case}: sample {i} differs ({rows}x{cols}, N={samples})"
+                serial, blocked,
+                "case {case}: b={b} n={n} N={samples} threads={threads} block={block}"
             );
-        }
-    }
-}
-
-/// The blocked dense product is independent of the thread count, bit for
-/// bit — parallelism must never change a privacy decision.
-#[test]
-fn batched_matmul_is_thread_count_invariant() {
-    let mut rng = StdRng::seed_from_u64(0x714);
-    for case in 0..16 {
-        let m = rng.gen_range(1usize..30);
-        let k = rng.gen_range(1usize..30);
-        let n = rng.gen_range(1usize..300);
-        let a = random_matrix(&mut rng, m, k, false);
-        let b = random_matrix(&mut rng, k, n, false);
-        let one = matmul_batched_with_threads(&a, &b, 1).unwrap();
-        for threads in [2usize, 5, 16] {
-            let t = matmul_batched_with_threads(&a, &b, threads).unwrap();
-            assert_eq!(one, t, "case {case}: threads {threads}");
         }
     }
 }

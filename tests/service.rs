@@ -284,30 +284,50 @@ fn service_dataset() -> Dataset {
     dataset(16, 8)
 }
 
+fn demo_builder(budget: f64) -> apex_serve::ServerStateBuilder {
+    ServerState::builder(16).dataset(
+        "demo",
+        service_dataset(),
+        EngineConfig {
+            budget,
+            mode: Mode::Pessimistic,
+            seed: 77,
+        },
+    )
+}
+
 fn try_durable_state(
     dir: &PathBuf,
     budget: f64,
     truncate_corrupt: bool,
 ) -> Result<(ServerState, apex_serve::RecoveryReport), apex_serve::RecoverError> {
-    ServerState::builder(16)
-        .dataset(
-            "demo",
-            service_dataset(),
-            EngineConfig {
-                budget,
-                mode: Mode::Pessimistic,
-                seed: 77,
-            },
-        )
-        .build_recovered(PersistOptions {
-            sync: false, // tests trade per-record fsync for speed
-            truncate_corrupt,
-            ..PersistOptions::new(dir)
-        })
+    demo_builder(budget).build_recovered(PersistOptions {
+        sync: false, // tests trade per-record fsync for speed
+        truncate_corrupt,
+        ..PersistOptions::new(dir)
+    })
 }
 
 fn durable_state(dir: &PathBuf, budget: f64) -> (ServerState, apex_serve::RecoveryReport) {
     try_durable_state(dir, budget, false).expect("recovery must succeed")
+}
+
+/// [`durable_state`] as the one-shard set the server runs over: the
+/// state lives in `root/shard-0/`.
+fn durable_set(
+    root: &std::path::Path,
+    budget: f64,
+) -> (apex_serve::ShardSet, Vec<apex_serve::RecoveryReport>) {
+    apex_serve::ShardSet::recover(
+        root,
+        1,
+        |_| demo_builder(budget),
+        |d| PersistOptions {
+            sync: false,
+            ..PersistOptions::new(d)
+        },
+    )
+    .expect("recovery must succeed")
 }
 
 /// The acceptance-criterion test: a concurrent workload over real
@@ -321,12 +341,15 @@ fn crash_recovery_preserves_every_acked_debit() {
     const B: f64 = 0.5;
     let dir = temp_dir("crash");
     let acked: Vec<f64> = {
-        let (state, _) = durable_state(&dir, B);
-        let state = Arc::new(state);
-        let handler = state.clone();
-        let handle = apex_serve::serve("127.0.0.1:0", 4, move |req| {
-            apex_serve::router::route(&handler, req)
-        })
+        let (set, _) = durable_set(&dir, B);
+        let handle = apex_serve::serve_sharded(
+            "127.0.0.1:0",
+            Arc::new(set),
+            apex_serve::ServeConfig {
+                workers_per_shard: 4,
+                ..apex_serve::ServeConfig::default()
+            },
+        )
         .unwrap();
         let addr = handle.addr();
 
@@ -377,14 +400,15 @@ fn crash_recovery_preserves_every_acked_debit() {
         handle.stop();
         handle.join();
         sums
-        // …and `state` is dropped here without any shutdown hook.
+        // …and the shard set is dropped here without any shutdown hook.
     };
     let acked_sum: f64 = acked.iter().sum();
     assert!(acked_sum > 0.0, "the workload must answer something");
 
     // Simulate the torn tail a mid-append crash leaves behind.
-    let gens = apex_serve::snapshot::list_wal_gens(&dir).unwrap();
-    let wal = apex_serve::snapshot::wal_path(&dir, *gens.last().unwrap());
+    let shard_dir = apex_serve::snapshot::shard_dir(&dir, 0);
+    let gens = apex_serve::snapshot::list_wal_gens(&shard_dir).unwrap();
+    let wal = apex_serve::snapshot::wal_path(&shard_dir, *gens.last().unwrap());
     let mut bytes = std::fs::read(&wal).unwrap();
     bytes.extend_from_slice(&[0x02, 0x00, 0x00]); // half a frame header
     std::fs::write(&wal, &bytes).unwrap();
@@ -392,7 +416,8 @@ fn crash_recovery_preserves_every_acked_debit() {
     // Restart from disk: the torn tail is truncated, every acked debit
     // replays, and the ledger matches the acked sum exactly (never
     // less — losing an acked charge would silently refill B).
-    let (recovered, report) = durable_state(&dir, B);
+    let (recovered, reports) = durable_set(&dir, B);
+    let (recovered, report) = (recovered.state(0), &reports[0]);
     assert!(report.truncated.is_some(), "the torn tail must be detected");
     let spent = recovered.tenant("demo").unwrap().engine.spent();
     assert!(
