@@ -110,7 +110,7 @@ pub fn row_size(row: &[Value]) -> usize {
 }
 
 /// Decodes one row from the front of `b`, returning the remainder.
-pub(super) fn take_row(b: &[u8]) -> Result<(Vec<Value>, &[u8]), StoreError> {
+fn take_row(b: &[u8]) -> Result<(Vec<Value>, &[u8]), StoreError> {
     let (head, mut rest) = take(b, 2, "row arity")?;
     let n = u16::from_le_bytes(head.try_into().expect("2 bytes")) as usize;
     let mut row = Vec::with_capacity(n);
@@ -120,6 +120,41 @@ pub(super) fn take_row(b: &[u8]) -> Result<(Vec<Value>, &[u8]), StoreError> {
         rest = r;
     }
     Ok((row, rest))
+}
+
+/// Appends a row batch to `out`: `count:u32` then the rows. The one batch
+/// framing of the mutation log, the WAL's mutation record and the
+/// snapshot's mutation journal.
+pub fn push_rows(out: &mut Vec<u8>, rows: &[Vec<Value>]) {
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for row in rows {
+        push_row(out, row);
+    }
+}
+
+/// Size [`push_rows`] would append, without appending — client-sized
+/// batches are measured against a frame cap before they are encoded.
+pub fn rows_size(rows: &[Vec<Value>]) -> usize {
+    4 + rows.iter().map(|row| row_size(row)).sum::<usize>()
+}
+
+/// Decodes a [`push_rows`] batch from the front of `b`, returning the
+/// remainder.
+pub fn take_rows(b: &[u8]) -> Result<(Vec<Vec<Value>>, &[u8]), StoreError> {
+    let (head, mut rest) = take(b, 4, "row batch count")?;
+    let n = u32::from_le_bytes(head.try_into().expect("4 bytes")) as usize;
+    // A declared count that cannot fit in the payload (a row is at least
+    // its two arity bytes) is a damaged field — refuse before allocating.
+    if n > rest.len() / 2 {
+        return Err(err(format!("row batch count {n} cannot fit the payload")));
+    }
+    let mut rows = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (row, r) = take_row(rest)?;
+        rows.push(row);
+        rest = r;
+    }
+    Ok((rows, rest))
 }
 
 /// Decodes a page payload (`row_count:u16` + rows), invoking `f` per row.

@@ -4,17 +4,18 @@
 //!
 //! ```text
 //! <dir>/pages.dat      page_no-indexed array of PAGE_SIZE pages
-//! <dir>/manifest.bin   commit point (written via manifest.tmp + rename)
+//! <dir>/manifest.bin   commit point ([`framed::write_atomic`] file)
 //! ```
 //!
 //! The manifest is what makes writes atomic without a WAL of its own:
 //! pages are written and fsynced first, then the manifest — carrying the
-//! page count they extend the file to — is written to a temp file, fsynced
-//! and renamed over the old one. A crash at any point leaves either the
+//! page count they extend the file to — atomically replaces the old one
+//! (temp file, fsync, rename). A crash at any point leaves either the
 //! old manifest (new pages exist but are outside coverage — never served)
 //! or the new one (pages are complete and fsynced). A torn final page can
 //! therefore only ever sit *beyond* manifest coverage.
 
+use super::framed::{self, Format};
 use super::page::{self, PAGE_SIZE};
 use super::StoreError;
 use std::fs::{File, OpenOptions};
@@ -23,13 +24,22 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Bump when the page or manifest layout changes incompatibly.
-pub const FORMAT_VERSION: u32 = 1;
+/// Bump (with the manifest magic's last byte) when the page or manifest
+/// layout changes incompatibly. Version 2 moved the manifest onto the
+/// framed atomic-replace file.
+pub const FORMAT_VERSION: u32 = 2;
 
-const MANIFEST_MAGIC: &[u8; 8] = b"APEXDST1";
+/// The manifest is read whole, so the cap only has to fit the frame's
+/// `u32` length (a page table is 4 bytes per page).
+const MANIFEST_FORMAT: Format = Format {
+    magic: b"APEXDST2",
+    max_payload: 1 << 30,
+};
 const PAGES_FILE: &str = "pages.dat";
 const MANIFEST_FILE: &str = "manifest.bin";
-const MANIFEST_TMP: &str = "manifest.tmp";
+/// Manifest payload bytes before the opaque part:
+/// `format_version:u32 epoch:u64 page_count:u32 record_count:u64`.
+const MANIFEST_FIXED: usize = 24;
 
 /// Sentinel meaning "no committed manifest is being tracked" — the state
 /// during an initial ingest, before the first commit.
@@ -55,9 +65,6 @@ const UNTRACKED: u64 = u64::MAX;
 /// * [`FileManager::write_page`] refuses to overwrite a committed page:
 ///   mutations may only write fresh pages beyond coverage, which become
 ///   readable exactly when `bump_epoch` extends coverage over them.
-///
-/// Append-only logs ([`super::PageLog`]) rewrite their tail page in place
-/// and deliberately stay untracked.
 pub struct FileManager {
     file: Mutex<File>,
     dir: PathBuf,
@@ -125,8 +132,8 @@ impl FileManager {
         }
     }
 
-    /// The single mutation commit point: atomically writes `manifest`
-    /// (temp + fsync + rename + dir fsync) and advances the tracked
+    /// The single mutation commit point: atomically replaces the manifest
+    /// ([`Manifest::write`]) and advances the tracked
     /// committed state to its epoch and coverage. Fresh pages written
     /// beyond the previous coverage become servable exactly here — never
     /// before — so a reader can never pair an old manifest with a new
@@ -243,92 +250,48 @@ impl Manifest {
         dir.join(MANIFEST_FILE).is_file()
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40 + self.payload.len());
-        out.extend_from_slice(MANIFEST_MAGIC);
+    /// Writes the manifest atomically ([`framed::write_atomic`]). This is
+    /// the commit point for everything `page_count` covers.
+    pub fn write(&self, dir: &Path) -> Result<(), StoreError> {
+        let mut out = Vec::with_capacity(MANIFEST_FIXED + self.payload.len());
         out.extend_from_slice(&self.format_version.to_le_bytes());
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&self.page_count.to_le_bytes());
         out.extend_from_slice(&self.record_count.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.payload);
-        let crc = page::crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
-    }
-
-    /// Writes the manifest atomically: temp file + fsync + rename + dir
-    /// fsync. This is the commit point for everything `page_count` covers.
-    pub fn write(&self, dir: &Path) -> Result<(), StoreError> {
-        let tmp = dir.join(MANIFEST_TMP);
-        let bytes = self.encode();
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-        // Persist the rename itself.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        framed::write_atomic(&dir.join(MANIFEST_FILE), &MANIFEST_FORMAT, &out)?;
         Ok(())
     }
 
     /// Loads and verifies the manifest in `dir`.
     ///
-    /// The whole file is covered: a bad magic, a checksum mismatch, a
-    /// truncated byte or a trailing byte all fail. Version skew is
-    /// reported distinctly so operators can tell corruption from an old
-    /// binary reading a new directory.
+    /// The whole file is covered: a wrong magic (e.g. a previous format's
+    /// `APEXDST1`), a checksum mismatch, a truncated byte or a trailing
+    /// byte all fail. Version skew is reported distinctly so operators can
+    /// tell corruption from one build reading another's directory.
     pub fn load(dir: &Path) -> Result<Self, StoreError> {
-        let mut bytes = Vec::new();
-        File::open(dir.join(MANIFEST_FILE))
+        let corrupt = |m: String| StoreError::CorruptManifest(m);
+        let body = framed::read_atomic(&dir.join(MANIFEST_FILE), &MANIFEST_FORMAT)
             .map_err(|e| match e.kind() {
-                std::io::ErrorKind::NotFound => {
-                    StoreError::CorruptManifest("manifest missing".into())
-                }
+                std::io::ErrorKind::InvalidData => corrupt(e.to_string()),
                 _ => StoreError::Io(e),
             })?
-            .read_to_end(&mut bytes)?;
-        Self::decode(&bytes)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        let corrupt = |m: &str| StoreError::CorruptManifest(m.to_string());
-        if bytes.len() < 4 {
-            return Err(corrupt("too short"));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if page::crc32(body) != stored {
-            return Err(corrupt("checksum mismatch"));
-        }
-        if body.len() < 32 {
-            return Err(corrupt("header truncated"));
-        }
-        if &body[0..8] != MANIFEST_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let format_version = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
+            .ok_or_else(|| corrupt("manifest missing".into()))?;
+        let Some((fixed, payload)) = body.split_at_checked(MANIFEST_FIXED) else {
+            return Err(corrupt("header truncated".into()));
+        };
+        let format_version = u32::from_le_bytes(fixed[0..4].try_into().expect("4 bytes"));
         if format_version != FORMAT_VERSION {
-            return Err(StoreError::CorruptManifest(format!(
+            return Err(corrupt(format!(
                 "format version {format_version} (this build reads {FORMAT_VERSION})"
             )));
         }
-        let epoch = u64::from_le_bytes(body[12..20].try_into().expect("8 bytes"));
-        let page_count = u32::from_le_bytes(body[20..24].try_into().expect("4 bytes"));
-        let record_count = u64::from_le_bytes(body[24..32].try_into().expect("8 bytes"));
-        let payload_len = u32::from_le_bytes(body[32..36].try_into().expect("4 bytes")) as usize;
-        if body.len() != 36 + payload_len {
-            return Err(corrupt("payload length mismatch"));
-        }
         Ok(Self {
             format_version,
-            epoch,
-            page_count,
-            record_count,
-            payload: body[36..].to_vec(),
+            epoch: u64::from_le_bytes(fixed[4..12].try_into().expect("8 bytes")),
+            page_count: u32::from_le_bytes(fixed[12..16].try_into().expect("4 bytes")),
+            record_count: u64::from_le_bytes(fixed[16..24].try_into().expect("8 bytes")),
+            payload: payload.to_vec(),
         })
     }
 }
@@ -393,34 +356,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The committed manifest's file image, and the path it lives at.
+    fn written_manifest(tag: &str) -> (PathBuf, PathBuf, Vec<u8>) {
+        let dir = tmp_dir(tag);
+        demo_manifest().write(&dir).unwrap();
+        let path = dir.join(MANIFEST_FILE);
+        let bytes = std::fs::read(&path).unwrap();
+        (dir, path, bytes)
+    }
+
     #[test]
     fn every_manifest_bit_flip_is_detected() {
-        let bytes = demo_manifest().encode();
+        let (dir, path, bytes) = written_manifest("mflip");
         for byte in 0..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
                 flipped[byte] ^= 1 << bit;
+                std::fs::write(&path, &flipped).unwrap();
                 assert!(
-                    Manifest::decode(&flipped).is_err(),
+                    matches!(Manifest::load(&dir), Err(StoreError::CorruptManifest(_))),
                     "manifest flip at byte {byte} bit {bit} went undetected"
                 );
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn every_manifest_truncation_is_detected() {
-        let bytes = demo_manifest().encode();
+        let (dir, path, bytes) = written_manifest("mtrunc");
         for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
             assert!(
-                Manifest::decode(&bytes[..cut]).is_err(),
+                Manifest::load(&dir).is_err(),
                 "truncation to {cut} bytes went undetected"
             );
         }
         // Trailing garbage is also rejected.
         let mut extended = bytes.clone();
         extended.push(0);
-        assert!(Manifest::decode(&extended).is_err());
+        std::fs::write(&path, &extended).unwrap();
+        assert!(Manifest::load(&dir).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -492,9 +469,12 @@ mod tests {
 
     #[test]
     fn future_format_version_is_rejected_distinctly() {
+        let dir = tmp_dir("future");
         let mut m = demo_manifest();
         m.format_version = FORMAT_VERSION + 1;
-        let err = Manifest::decode(&m.encode()).unwrap_err();
+        m.write(&dir).unwrap();
+        let err = Manifest::load(&dir).unwrap_err();
         assert!(err.to_string().contains("format version"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

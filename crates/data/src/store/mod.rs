@@ -6,11 +6,15 @@
 //! storage layer underneath [`crate::Dataset`]:
 //!
 //! * [`page`] — the fixed-size page format. Every page carries a CRC32
-//!   (same const-fn table the service WAL uses) over *all* bytes after the
-//!   checksum field, so any single-bit flip anywhere in the page — header,
-//!   payload or padding — is detected at read time.
-//! * [`FileManager`] — raw page I/O over a `pages.dat` file plus an
-//!   atomic-rename manifest (`manifest.bin`) carrying a format version,
+//!   over *all* bytes after the checksum field, so any single-bit flip
+//!   anywhere in the page — header, payload or padding — is detected at
+//!   read time.
+//! * [`framed`] — the one durable-file primitive for everything that is
+//!   not a page: the CRC-framed append-only log (frame, tail classes,
+//!   writer failure discipline) and the checksummed atomic-replace file.
+//!   The service WAL and snapshot in `apex-serve` are built on it too.
+//! * [`FileManager`] — raw page I/O over a `pages.dat` file plus the
+//!   atomic-replace manifest (`manifest.bin`) carrying a format version,
 //!   dataset epoch, page/row counts and the encoded schema. The manifest
 //!   is the commit point: pages beyond its coverage (e.g. a torn final
 //!   append) are never served.
@@ -21,10 +25,10 @@
 //! * [`PagedRows`] — a dataset's row file: `ingest` packs validated rows
 //!   into pages through the pool and commits a manifest; `open` verifies
 //!   the manifest and serves rows lazily page-by-page.
-//! * [`PageLog`] — an append-only record log over the same page format,
-//!   used by the service to persist per-tenant query transcripts for
-//!   audit replay.
-//! * [`MutationLog`] — a CRC-framed intent log for live row mutations.
+//! * [`TranscriptLog`] — a framed log the service persists per-tenant
+//!   query transcripts in, for audit replay; appends wait in memory for
+//!   the next flush.
+//! * [`MutationLog`] — a framed intent log for live row mutations.
 //!   Append + fsync is the ack; [`PagedRows`] folds acked records into
 //!   fresh (copy-on-write) pages and commits them by bumping the manifest
 //!   epoch, so replay-after-crash yields exactly the acked mutations.
@@ -37,17 +41,18 @@
 pub mod buffer_pool;
 pub mod codec;
 pub mod file_manager;
+pub mod framed;
 pub mod mutation_log;
 pub mod page;
-pub mod page_log;
 pub mod paged;
+pub mod transcript_log;
 
 pub use buffer_pool::{BufferPool, PoolStats};
 pub use file_manager::{FileManager, Manifest, FORMAT_VERSION};
 pub use mutation_log::{MutationLog, MutationOp, MutationRecord, MUTATION_LOG_FILE};
 pub use page::{crc32, PAGE_CAPACITY, PAGE_HEADER, PAGE_SIZE};
-pub use page_log::PageLog;
 pub use paged::{widen_schema, MutationOutcome, PagedRows};
+pub use transcript_log::TranscriptLog;
 
 /// Errors surfaced by the storage layer.
 ///
@@ -74,6 +79,16 @@ pub enum StoreError {
         /// Bytes actually present.
         actual_bytes: u64,
     },
+    /// The mutation log's valid prefix and the manifest's applied-count
+    /// disagree. Fewer records than `applied` means acked history is
+    /// missing — and a log restarted below `applied` would have its next
+    /// acked records skipped as already applied.
+    LogOutOfStep {
+        /// Records the manifest folded into the pages.
+        applied: u64,
+        /// Records the log's valid prefix holds.
+        logged: u64,
+    },
     /// Every buffer-pool frame is pinned; nothing can be evicted.
     AllPinned,
     /// Row/record/schema (de)serialization failure.
@@ -95,6 +110,11 @@ impl std::fmt::Display for StoreError {
                 f,
                 "page file truncated: manifest promises {expected_pages} pages, \
                  file holds {actual_bytes} bytes"
+            ),
+            StoreError::LogOutOfStep { applied, logged } => write!(
+                f,
+                "mutation log out of step with the manifest: the manifest applied \
+                 {applied} records, the log's valid prefix holds {logged}"
             ),
             StoreError::AllPinned => write!(f, "buffer pool exhausted: all frames pinned"),
             StoreError::Codec(m) => write!(f, "codec error: {m}"),

@@ -24,9 +24,9 @@ pub const PAGE_CAPACITY: usize = PAGE_SIZE - PAGE_HEADER;
 
 /// IEEE CRC-32 (the zlib/PNG polynomial), table-driven, std-only.
 ///
-/// This is the checksum the service WAL has always used; it lives here so
-/// the dataset store and the WAL share one const-fn table (`apex-serve`
-/// re-exports it).
+/// Called from two places only (CI checks it): this page format, and
+/// [`super::framed`] for every other durable file — the service WAL and
+/// snapshot included.
 pub fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
     let mut crc = !0u32;
@@ -126,6 +126,10 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     fn sealed_page(page_no: u32, payload_bytes: &[u8]) -> Vec<u8> {

@@ -216,7 +216,7 @@ impl PagedRows {
     ) -> Result<Self, StoreError> {
         let fm = FileManager::create(dir)?;
         // A stale mutation log must not replay over the fresh generation.
-        match std::fs::remove_file(dir.join(super::mutation_log::MUTATION_LOG_FILE)) {
+        match std::fs::remove_file(dir.join(super::MUTATION_LOG_FILE)) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
@@ -294,7 +294,8 @@ impl PagedRows {
     /// then replays any acked-but-unapplied mutation-log records, leaving
     /// the store exactly at the last acked state. Bytes beyond coverage
     /// (a torn final append) are ignored, never served; a file *shorter*
-    /// than coverage is an error.
+    /// than coverage, or a mutation log whose valid prefix is shorter
+    /// than the manifest's applied-count, is an error.
     pub fn open(dir: &Path, pool_frames: usize) -> Result<Self, StoreError> {
         let manifest = Manifest::load(dir)?;
         let (schema, applied, table) = decode_meta_payload(&manifest.payload)?;
@@ -339,11 +340,14 @@ impl PagedRows {
     fn replay_unapplied(&self) -> Result<(), StoreError> {
         let applied = self.meta.read().expect("paged meta").applied;
         let mut pending = Vec::new();
-        MutationLog::replay(&self.dir, |r| {
+        let logged = MutationLog::replay(&self.dir, |r| {
             if r.seq >= applied {
                 pending.push(r);
             }
         })?;
+        if logged < applied {
+            return Err(StoreError::LogOutOfStep { applied, logged });
+        }
         if pending.is_empty() {
             return Ok(());
         }
@@ -450,11 +454,12 @@ impl PagedRows {
                 guard.as_mut().expect("just opened")
             }
         };
-        debug_assert_eq!(
-            log.next_seq(),
-            self.meta.read().expect("paged meta").applied,
-            "mutation log and manifest out of step"
-        );
+        // A record appended at the wrong position would be skipped (or
+        // re-applied) by the next open's replay.
+        let (applied, logged) = (self.mutations_applied(), log.next_seq());
+        if logged != applied {
+            return Err(StoreError::LogOutOfStep { applied, logged });
+        }
         let record = log.append(op, rows.to_vec())?; // ← the ack point
         self.apply_record(&record)
     }

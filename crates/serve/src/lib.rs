@@ -16,9 +16,9 @@
 //!   response serialization;
 //! * [`wire`] — bodies ↔ engine types ([`apex_query::ExplorationQuery`],
 //!   [`apex_core::EngineResponse`], …);
-//! * [`wal`] — the write-ahead log: length-prefixed, checksummed records
-//!   for every budget-mutating event, appended + fsynced before the
-//!   client is acked;
+//! * [`wal`] — the write-ahead log: one record per budget-mutating
+//!   event in a framed log (`apex_data::store::framed`), appended +
+//!   fsynced before the client is acked;
 //! * [`snapshot`] — periodic compaction of the ledger + session table,
 //!   and the state-directory layout recovery reads;
 //! * [`clock`] — injectable time, so session-TTL behavior is

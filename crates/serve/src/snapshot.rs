@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! state-dir/
-//!   snapshot.bin    one framed, checksummed snapshot (atomic rename)
+//!   snapshot.bin    one checksummed snapshot (`framed::write_atomic`)
 //!   wal-<GEN>.log   generation-numbered WALs; the snapshot records the
 //!                   generation it covers *through*, recovery replays
 //!                   only generations beyond it
@@ -28,14 +28,22 @@
 //! to. (The previous snapshot was deleted only after this one committed,
 //! so a torn rename cannot even arise on POSIX rename semantics.)
 
-use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::wal::{crc32, push_rows, push_str, take_f64, take_rows, take_str, take_u32, take_u64};
+use apex_data::store::codec;
+use apex_data::store::framed::{self, Format};
 
-/// Snapshot file magic (format version pinned in the last byte).
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"APEXSNP1";
+use crate::wal::{push_str, take_f64, take_str, take_u32, take_u64};
+
+/// Snapshot file magic (format version pinned in the last byte). The
+/// file is read whole, so the cap only has to fit the frame's `u32`
+/// length.
+pub const SNAPSHOT_FORMAT: Format = Format {
+    magic: b"APEXSNP2",
+    max_payload: 1 << 30,
+};
 
 /// The snapshot file name within a state directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -98,14 +106,12 @@ pub struct Snapshot {
     /// id below it that is not live once existed and is gone.)
     pub sessions: Vec<SessionImage>,
     /// Resident tenants' applied-mutation journal, in apply order.
-    /// Encoded as an optional trailing section, so snapshots written
-    /// before live mutations existed still decode (as an empty journal).
     pub mutations: Vec<MutationImage>,
 }
 
 impl Snapshot {
-    /// Serializes the snapshot payload (magic and frame excluded).
-    fn encode_payload(&self) -> Vec<u8> {
+    /// Serializes the snapshot (the file's one frame payload).
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         out.extend_from_slice(&self.covered_gen.to_le_bytes());
         out.extend_from_slice(&self.next_session.to_le_bytes());
@@ -130,26 +136,23 @@ impl Snapshot {
             out.extend_from_slice(&s.allowance.to_le_bytes());
             out.extend_from_slice(&s.spent.to_le_bytes());
         }
-        // Optional trailing section: omitted entirely when empty, so
-        // the encoding of a journal-free snapshot is unchanged from the
-        // pre-mutation format.
-        if !self.mutations.is_empty() {
-            out.extend_from_slice(
-                &u32::try_from(self.mutations.len())
-                    .expect("bounded journal")
-                    .to_le_bytes(),
-            );
-            for m in &self.mutations {
-                push_str(&mut out, &m.dataset);
-                out.push(u8::from(m.insert));
-                out.extend_from_slice(&m.epoch_after.to_le_bytes());
-                push_rows(&mut out, &m.rows);
-            }
+        out.extend_from_slice(
+            &u32::try_from(self.mutations.len())
+                .expect("bounded journal")
+                .to_le_bytes(),
+        );
+        for m in &self.mutations {
+            push_str(&mut out, &m.dataset);
+            out.push(u8::from(m.insert));
+            out.extend_from_slice(&m.epoch_after.to_le_bytes());
+            codec::push_rows(&mut out, &m.rows);
         }
         out
     }
 
-    fn decode_payload(payload: &[u8]) -> Option<Snapshot> {
+    /// Decodes a snapshot payload; `None` on any structural damage or
+    /// trailing bytes — snapshot damage is never partially recoverable.
+    pub fn decode(payload: &[u8]) -> Option<Snapshot> {
         let (covered_gen, rest) = take_u64(payload)?;
         let (next_session, rest) = take_u64(rest)?;
         let (n_tenants, mut rest) = take_u32(rest)?;
@@ -180,28 +183,25 @@ impl Snapshot {
             });
             rest = r;
         }
-        let mut mutations = Vec::new();
-        if !rest.is_empty() {
-            let (n, mut rest2) = take_u32(rest)?;
-            for _ in 0..n {
-                let (dataset, r) = take_str(rest2)?;
-                let (&flag, r) = r.split_first()?;
-                let insert = match flag {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
-                let (epoch_after, r) = take_u64(r)?;
-                let (rows, r) = take_rows(r)?;
-                mutations.push(MutationImage {
-                    dataset,
-                    insert,
-                    epoch_after,
-                    rows,
-                });
-                rest2 = r;
-            }
-            rest = rest2;
+        let (n_mutations, mut rest) = take_u32(rest)?;
+        let mut mutations = Vec::with_capacity(n_mutations.min(1024) as usize);
+        for _ in 0..n_mutations {
+            let (dataset, r) = take_str(rest)?;
+            let (&flag, r) = r.split_first()?;
+            let insert = match flag {
+                0 => false,
+                1 => true,
+                _ => return None,
+            };
+            let (epoch_after, r) = take_u64(r)?;
+            let (rows, r) = codec::take_rows(r).ok()?;
+            mutations.push(MutationImage {
+                dataset,
+                insert,
+                epoch_after,
+                rows,
+            });
+            rest = r;
         }
         rest.is_empty().then_some(Snapshot {
             covered_gen,
@@ -211,74 +211,32 @@ impl Snapshot {
             mutations,
         })
     }
-
-    /// Serializes the whole file image: magic + framed payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 8 + payload.len());
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("small snapshot")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    /// Decodes a file image; `None` on any damage (magic, frame,
-    /// checksum, structure, trailing bytes) — snapshot damage is never
-    /// partially recoverable.
-    pub fn decode(bytes: &[u8]) -> Option<Snapshot> {
-        let rest = bytes.strip_prefix(SNAPSHOT_MAGIC.as_slice())?;
-        let (len, rest) = take_u32(rest)?;
-        let (crc, rest) = take_u32(rest)?;
-        if rest.len() != len as usize || crc32(rest) != crc {
-            return None;
-        }
-        Snapshot::decode_payload(rest)
-    }
 }
 
-/// Writes the snapshot atomically: temp file, fsync, rename over
-/// [`SNAPSHOT_FILE`], best-effort directory sync. The rename is the
-/// commit point.
+/// Writes the snapshot atomically ([`framed::write_atomic`]): the rename
+/// over [`SNAPSHOT_FILE`] is the commit point.
 ///
 /// # Errors
 /// Propagates I/O failures.
 pub fn write_snapshot(dir: &Path, snapshot: &Snapshot) -> io::Result<()> {
-    let tmp = dir.join("snapshot.tmp");
-    let image = snapshot.encode();
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&image)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
-    // Make the rename itself durable where the platform allows it.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    framed::write_atomic(
+        &dir.join(SNAPSHOT_FILE),
+        &SNAPSHOT_FORMAT,
+        &snapshot.encode(),
+    )
 }
 
 /// Reads the snapshot; `Ok(None)` when none exists yet.
 ///
 /// # Errors
-/// I/O failures, or `InvalidData` when the file exists but is damaged
-/// (always fatal — see the module docs).
+/// I/O failures, or `InvalidData` when the file exists but is damaged or
+/// of another format version (always fatal — see the module docs).
 pub fn read_snapshot(dir: &Path) -> io::Result<Option<Snapshot>> {
     let path = dir.join(SNAPSHOT_FILE);
-    let mut bytes = Vec::new();
-    match File::open(&path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    Snapshot::decode(&bytes).map(Some).ok_or_else(|| {
+    let Some(payload) = framed::read_atomic(&path, &SNAPSHOT_FORMAT)? else {
+        return Ok(None);
+    };
+    Snapshot::decode(&payload).map(Some).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("corrupt snapshot at {}", path.display()),
@@ -382,25 +340,34 @@ mod tests {
 
     #[test]
     fn any_single_bit_flip_is_fatal() {
-        let image = sample().encode();
-        for byte in 0..image.len() {
-            for bit in 0..8 {
-                let mut damaged = image.clone();
-                damaged[byte] ^= 1 << bit;
-                assert_eq!(
-                    Snapshot::decode(&damaged),
-                    None,
-                    "flip at {byte}:{bit} must be detected"
-                );
-            }
+        let dir = crate::testutil::temp_dir("snapshot-flip");
+        fs::create_dir_all(&dir).unwrap();
+        write_snapshot(&dir, &sample()).unwrap();
+        let path = dir.join(SNAPSHOT_FILE);
+        let image = fs::read(&path).unwrap();
+        let refused = |bytes: &[u8], what: String| {
+            fs::write(&path, bytes).unwrap();
+            let err = read_snapshot(&dir).expect_err(&what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        };
+        for bit in 0..image.len() * 8 {
+            let mut damaged = image.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            refused(&damaged, format!("flip at bit {bit}"));
         }
-        // Truncations and trailing garbage are fatal too.
+        // Truncations (but for the empty file, which reads as "no
+        // snapshot yet" only if the file is absent) and trailing garbage
+        // are fatal too.
         for cut in 0..image.len() {
-            assert_eq!(Snapshot::decode(&image[..cut]), None, "cut at {cut}");
+            refused(&image[..cut], format!("cut at {cut}"));
         }
         let mut padded = image.clone();
         padded.push(0);
-        assert_eq!(Snapshot::decode(&padded), None);
+        refused(&padded, "trailing byte".into());
+        // So is a well-framed payload that is not a snapshot.
+        framed::write_atomic(&path, &SNAPSHOT_FORMAT, &sample().encode()[..20]).unwrap();
+        assert!(read_snapshot(&dir).is_err());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

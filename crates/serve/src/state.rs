@@ -67,7 +67,7 @@ use apex_core::{
     ApexEngine, CommitError, EngineConfig, EngineError, EngineResponse, EngineSession,
     SharedEngine, TranslatorCache,
 };
-use apex_data::store::PageLog;
+use apex_data::store::TranscriptLog;
 use apex_data::{Dataset, PoolStats, StoreError};
 use apex_query::{AccuracySpec, ExplorationQuery};
 
@@ -139,7 +139,7 @@ pub struct Tenant {
     /// Durable per-tenant query transcript for audit replay (see
     /// docs/STORAGE.md). Best-effort: the WAL is the source of truth
     /// for *charges*; this log records what was asked and answered.
-    transcript: Option<Mutex<PageLog>>,
+    transcript: Option<Mutex<TranscriptLog>>,
     /// Transcript appends dropped on storage errors (telemetry).
     transcript_dropped: AtomicU64,
 }
@@ -150,12 +150,29 @@ impl Tenant {
         *lockx::lock(&self.reclaimed)
     }
 
-    /// Records one submission outcome in the audit transcript (no-op
-    /// when the tenant has no transcript log).
-    fn record_transcript(&self, session: u64, response: &EngineResponse) {
+    /// Runs `op` on the audit transcript (no-op when the tenant has no
+    /// transcript log), `adding` records. Best-effort: a failing
+    /// transcript store must not take down query serving, so an error
+    /// only counts every record it cost as dropped.
+    fn with_transcript(
+        &self,
+        adding: u64,
+        op: impl FnOnce(&mut TranscriptLog) -> Result<(), StoreError>,
+    ) {
         let Some(log) = &self.transcript else {
             return;
         };
+        let mut log = lockx::lock(log);
+        let expected = log.record_count() + adding;
+        if op(&mut log).is_err() {
+            self.transcript_dropped
+                .fetch_add(expected - log.record_count(), Ordering::Relaxed);
+        }
+    }
+
+    /// Records one submission outcome in the audit transcript: staged in
+    /// memory, no syscall on the query path.
+    fn record_transcript(&self, session: u64, response: &EngineResponse) {
         let line = match response {
             EngineResponse::Answered(a) => format!(
                 "session={session} mechanism={} epsilon={:.9} epsilon_upper={:.9}",
@@ -163,9 +180,7 @@ impl Tenant {
             ),
             EngineResponse::Denied => format!("session={session} denied"),
         };
-        if lockx::lock(log).append(line.as_bytes()).is_err() {
-            self.transcript_dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        self.with_transcript(1, |log| log.append(line.as_bytes()));
     }
 
     /// Committed + pending transcript records (0 without a log).
@@ -981,14 +996,14 @@ impl ServerState {
         // Size the WAL record before touching anything: a batch whose
         // record cannot be framed must be refused pre-apply, not after
         // the engine already committed it. Measured, not encoded — the
-        // rows are client-sized and the encoder asserts on cells and
-        // arities its length fields cannot carry.
-        let bytes = WalRecord::mutate_payload_len(dataset, rows);
-        if bytes > wal::MAX_PAYLOAD {
-            return Err(SubmitError::BatchTooLarge {
-                bytes,
-                limit: wal::MAX_PAYLOAD,
-            });
+        // rows are client-sized, and a row wider than the codec's 16-bit
+        // arity field is over the cap long before it could be encoded.
+        let (bytes, limit) = (
+            WalRecord::mutate_payload_len(dataset, rows),
+            wal::WAL_FORMAT.max_payload,
+        );
+        if bytes > limit {
+            return Err(SubmitError::BatchTooLarge { bytes, limit });
         }
         // Shared side of the ledger gate: like a charge, the mutation's
         // WAL record must land in the generation whose snapshot covers
@@ -1417,17 +1432,12 @@ impl ServerState {
         }
     }
 
-    /// Commits every tenant's audit transcript to disk (tail page +
-    /// fsync + manifest). Best-effort: a failing transcript store must
-    /// not take down query serving, so errors only bump the tenant's
-    /// dropped counter. Called on every compaction and at shutdown.
+    /// Commits every tenant's audit transcript to disk (one write of the
+    /// staged records + fsync). Best-effort, like every transcript
+    /// operation. Called on every compaction and at shutdown.
     pub fn flush_transcripts(&self) {
         for (_, tenant) in &self.tenants {
-            if let Some(log) = &tenant.transcript {
-                if lockx::lock(log).flush().is_err() {
-                    tenant.transcript_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            tenant.with_transcript(0, TranscriptLog::flush);
         }
     }
 
@@ -1506,10 +1516,11 @@ impl ServerStateBuilder {
     /// Call after the last [`ServerStateBuilder::dataset`].
     ///
     /// # Errors
-    /// Corrupt transcript manifests or I/O failures opening the logs.
+    /// Corrupt (or other-format) transcript logs, or I/O failures opening
+    /// them.
     pub fn transcripts_under(mut self, root: &std::path::Path) -> Result<Self, StoreError> {
         for (name, tenant) in &mut self.tenants {
-            let log = PageLog::open_or_create(&root.join(name.as_str()), 1)?;
+            let log = TranscriptLog::open(&root.join(name.as_str()))?;
             tenant.transcript = Some(Mutex::new(log));
         }
         Ok(self)
@@ -2441,7 +2452,7 @@ mod tests {
         };
         let gen = *snapshot::list_wal_gens(&dir).unwrap().last().unwrap();
         // The stray: a magic-only next generation.
-        std::fs::write(snapshot::wal_path(&dir, gen + 1), wal::WAL_MAGIC).unwrap();
+        std::fs::write(snapshot::wal_path(&dir, gen + 1), wal::WAL_FORMAT.magic).unwrap();
         // The crash artifact: half a frame on the active generation.
         let path = snapshot::wal_path(&dir, gen);
         let mut bytes = std::fs::read(&path).unwrap();

@@ -10,44 +10,37 @@
 //! a crash between append and ack recovers spend the client never saw —
 //! recovered-spent ≥ acked-sum always holds.
 //!
-//! ## On-disk format (std-only, no serde)
+//! ## On-disk format
 //!
-//! ```text
-//! file   := magic record*           magic  := b"APEXWAL1"
-//! record := len:u32 crc:u32 payload  (little-endian, crc32(payload))
-//! payload:= tag:u8 fields…           (fixed-width LE fields)
-//! ```
-//!
+//! A [framed log](apex_data::store::framed) with magic `APEXWAL2`, one
+//! frame per record, `payload := tag:u8 fields…` (fixed-width LE fields).
 //! Tags: 1 = session open, 2 = budget debit (an answered query),
 //! 3 = deny (audit only — charges nothing), 4 = session close
 //! (TTL expiry or admin, carrying the released unspent slice),
-//! 5 = row mutation (an applied insert/delete batch with the rows and
-//! the dataset epoch it produced — replayable against in-memory
-//! tenants, idempotent against durable ones).
+//! 5 = row mutation (an applied insert/delete batch — rows in the store's
+//! row codec — and the dataset epoch it produced).
 //!
-//! ## Tail discipline
+//! ## Tail policy
 //!
-//! [`read_wal`] stops at the **last valid record** and classifies what
-//! follows: [`WalTail::Clean`] (EOF exactly after a record),
-//! [`WalTail::Torn`] (a partial record — the expected artifact of a
-//! crash mid-append; recovery truncates it and proceeds), or
-//! [`WalTail::Corrupt`] (a *complete* record whose checksum or framing
-//! is wrong — bit rot, not a torn write; recovery refuses to start
-//! unless explicitly told to truncate). No partial record is ever
-//! replayed in any mode.
+//! [`WalTail::Torn`] is the expected artifact of a crash mid-append:
+//! recovery truncates it and proceeds. [`WalTail::Corrupt`] is bit rot:
+//! recovery refuses to start unless explicitly told to truncate. A file
+//! with any other magic (an older format) is an error, never a tail. No
+//! partial record is ever replayed in any mode.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
 
-/// File magic: identifies a WAL and pins its format version.
-pub const WAL_MAGIC: &[u8; 8] = b"APEXWAL1";
+use apex_data::store::codec;
+use apex_data::store::framed::{self, Format, FramedWriter};
 
-/// Upper bound on a record payload; a declared length beyond this is
-/// corruption (no legitimate record comes close — it bounds allocation
-/// when a length prefix is damaged).
-pub(crate) const MAX_PAYLOAD: usize = 64 << 10;
+/// The WAL's magic (format version in the last byte) and payload cap: a
+/// mutation batch whose record would exceed it is refused pre-apply.
+pub const WAL_FORMAT: Format = Format {
+    magic: b"APEXWAL2",
+    max_payload: 64 << 10,
+};
 
 /// One logged event.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,96 +136,80 @@ impl WalRecord {
                 out.push(u8::from(*insert));
                 out.extend_from_slice(&epoch_after.to_le_bytes());
                 push_str(&mut out, dataset);
-                push_rows(&mut out, rows);
+                codec::push_rows(&mut out, rows);
             }
         }
         out
     }
 
     /// Parses a payload. `None` on any structural mismatch (unknown tag,
-    /// wrong field width, non-UTF-8 dataset name) — the caller treats
-    /// that as corruption.
+    /// wrong field width, non-UTF-8 dataset name, trailing bytes) — the
+    /// caller treats that as corruption.
     fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         let (&tag, rest) = payload.split_first()?;
-        match tag {
+        let (record, rest) = match tag {
             1 => {
                 let (session, rest) = take_u64(rest)?;
                 let (allowance, rest) = take_f64(rest)?;
                 let (dataset, rest) = take_str(rest)?;
-                rest.is_empty().then_some(WalRecord::Open {
+                let open = WalRecord::Open {
                     session,
                     dataset,
                     allowance,
-                })
+                };
+                (open, rest)
             }
             2 => {
                 let (session, rest) = take_u64(rest)?;
                 let (epsilon, rest) = take_f64(rest)?;
-                rest.is_empty()
-                    .then_some(WalRecord::Debit { session, epsilon })
+                (WalRecord::Debit { session, epsilon }, rest)
             }
             3 => {
                 let (session, rest) = take_u64(rest)?;
-                rest.is_empty().then_some(WalRecord::Deny { session })
+                (WalRecord::Deny { session }, rest)
             }
             4 => {
                 let (session, rest) = take_u64(rest)?;
                 let (released, rest) = take_f64(rest)?;
-                rest.is_empty()
-                    .then_some(WalRecord::Close { session, released })
+                (WalRecord::Close { session, released }, rest)
             }
             5 => {
                 let (&flag, rest) = rest.split_first()?;
-                let insert = match flag {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
                 let (epoch_after, rest) = take_u64(rest)?;
                 let (dataset, rest) = take_str(rest)?;
-                let (rows, rest) = take_rows(rest)?;
-                rest.is_empty().then_some(WalRecord::Mutate {
+                let (rows, rest) = codec::take_rows(rest).ok()?;
+                let mutate = WalRecord::Mutate {
                     dataset,
-                    insert,
+                    insert: match flag {
+                        0 => false,
+                        1 => true,
+                        _ => return None,
+                    },
                     epoch_after,
                     rows,
-                })
+                };
+                (mutate, rest)
             }
-            _ => None,
-        }
+            _ => return None,
+        };
+        rest.is_empty().then_some(record)
     }
 
     /// Payload size of the [`WalRecord::Mutate`] these fields would
-    /// encode to, computed without encoding: client-sized input (a 70 kB
-    /// string cell, a 70 000-cell row) must be *measured* against
-    /// [`MAX_PAYLOAD`] before it reaches the encoder, whose `u16` length
-    /// casts assert. Pinned equal to the encoder by a unit test.
+    /// encode to, computed without encoding: client-sized input is
+    /// *measured* against [`WAL_FORMAT`]'s cap before it is applied or
+    /// reaches the encoder. Pinned equal to the encoder by a unit test.
     pub(crate) fn mutate_payload_len(dataset: &str, rows: &[Vec<apex_data::Value>]) -> usize {
-        let value_len = |v: &apex_data::Value| match v {
-            apex_data::Value::Int(_) | apex_data::Value::Float(_) => 1 + 8,
-            apex_data::Value::Str(s) => 1 + 2 + s.len(),
-            apex_data::Value::Bool(_) => 1 + 1,
-            apex_data::Value::Null => 1,
-        };
-        let rows_len: usize = rows
-            .iter()
-            .map(|row| 2 + row.iter().map(value_len).sum::<usize>())
-            .sum();
-        // tag + insert flag + epoch + dataset string + row count + rows.
-        1 + 1 + 8 + (2 + dataset.len()) + 4 + rows_len
+        // tag + insert flag + epoch + dataset string + row batch.
+        1 + 1 + 8 + (2 + dataset.len()) + codec::rows_size(rows)
     }
 
-    /// Serializes the full framed record (`len ‖ crc ‖ payload`).
+    /// The record as one frame (with `seq` 0): what an append writes,
+    /// byte for byte but for `seq` and the checksum over it. For callers
+    /// that measure a record's on-disk size.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(8 + payload.len());
-        out.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("small payload")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        framed::push_frame(&mut out, 0, &self.encode_payload());
         out
     }
 }
@@ -245,11 +222,6 @@ pub(crate) fn take_u64(b: &[u8]) -> Option<(u64, &[u8])> {
 pub(crate) fn take_f64(b: &[u8]) -> Option<(f64, &[u8])> {
     let (head, rest) = b.split_at_checked(8)?;
     Some((f64::from_le_bytes(head.try_into().ok()?), rest))
-}
-
-pub(crate) fn take_u16(b: &[u8]) -> Option<(u16, &[u8])> {
-    let (head, rest) = b.split_at_checked(2)?;
-    Some((u16::from_le_bytes(head.try_into().ok()?), rest))
 }
 
 pub(crate) fn take_u32(b: &[u8]) -> Option<(u32, &[u8])> {
@@ -269,211 +241,30 @@ pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
 
 /// The decode half of [`push_str`].
 pub(crate) fn take_str(b: &[u8]) -> Option<(String, &[u8])> {
-    let (len, rest) = take_u16(b)?;
-    let (head, rest) = rest.split_at_checked(len as usize)?;
+    let (len, rest) = b.split_first_chunk::<2>()?;
+    let (head, rest) = rest.split_at_checked(u16::from_le_bytes(*len) as usize)?;
     Some((std::str::from_utf8(head).ok()?.to_string(), rest))
 }
 
-/// Row-batch framing for mutation records (and the snapshot's mutation
-/// journal): `count:u32`, then per row `arity:u16` + tagged values.
-pub(crate) fn push_rows(out: &mut Vec<u8>, rows: &[Vec<apex_data::Value>]) {
-    let n = u32::try_from(rows.len()).expect("bounded batch");
-    out.extend_from_slice(&n.to_le_bytes());
-    for row in rows {
-        let arity = u16::try_from(row.len()).expect("narrow rows");
-        out.extend_from_slice(&arity.to_le_bytes());
-        for v in row {
-            push_value(out, v);
-        }
-    }
-}
-
-/// The decode half of [`push_rows`]; `None` on structural mismatch.
-pub(crate) fn take_rows(b: &[u8]) -> Option<(Vec<Vec<apex_data::Value>>, &[u8])> {
-    let (n, mut rest) = take_u32(b)?;
-    // A declared count that cannot fit in the payload is a damaged
-    // field — refuse before allocating on it.
-    if n as usize > rest.len() / 2 {
-        return None;
-    }
-    let mut rows = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let (arity, mut r) = take_u16(rest)?;
-        if arity as usize > r.len() {
-            return None;
-        }
-        let mut row = Vec::with_capacity(arity as usize);
-        for _ in 0..arity {
-            let (v, r2) = take_value(r)?;
-            row.push(v);
-            r = r2;
-        }
-        rows.push(row);
-        rest = r;
-    }
-    Some((rows, rest))
-}
-
-/// Tagged cell-value framing for mutation records: `tag:u8` then the
-/// value (Int/Float = 8 LE bytes, Bool = 1 byte, Str = [`push_str`]
-/// framing, Null = nothing).
-fn push_value(out: &mut Vec<u8>, v: &apex_data::Value) {
-    match v {
-        apex_data::Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        apex_data::Value::Float(f) => {
-            out.push(2);
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-        apex_data::Value::Str(s) => {
-            out.push(3);
-            push_str(out, s);
-        }
-        apex_data::Value::Bool(b) => {
-            out.push(4);
-            out.push(u8::from(*b));
-        }
-        apex_data::Value::Null => out.push(5),
-    }
-}
-
-/// The decode half of [`push_value`]; `None` on any structural mismatch.
-fn take_value(b: &[u8]) -> Option<(apex_data::Value, &[u8])> {
-    let (&tag, rest) = b.split_first()?;
-    match tag {
-        1 => {
-            let (head, rest) = rest.split_at_checked(8)?;
-            Some((
-                apex_data::Value::Int(i64::from_le_bytes(head.try_into().ok()?)),
-                rest,
-            ))
-        }
-        2 => {
-            let (f, rest) = take_f64(rest)?;
-            Some((apex_data::Value::Float(f), rest))
-        }
-        3 => {
-            let (s, rest) = take_str(rest)?;
-            Some((apex_data::Value::Str(s), rest))
-        }
-        4 => {
-            let (&flag, rest) = rest.split_first()?;
-            match flag {
-                0 => Some((apex_data::Value::Bool(false), rest)),
-                1 => Some((apex_data::Value::Bool(true), rest)),
-                _ => None,
-            }
-        }
-        5 => Some((apex_data::Value::Null, rest)),
-        _ => None,
-    }
-}
-
-/// IEEE CRC-32 (the zlib/PNG polynomial), table-driven, std-only.
-///
-/// The const-fn table now lives with the dataset store
-/// (`apex_data::store::page`) so WAL records and data pages share one
-/// implementation; re-exported here for the existing callers.
-pub use apex_data::store::page::crc32;
-
 /// What follows the last valid record in a WAL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalTail {
-    /// The file ends exactly after the last valid record.
-    Clean,
-    /// A partial record at EOF — the normal artifact of a crash
-    /// mid-append. Safe to truncate at `valid_len` and proceed.
-    Torn {
-        /// Byte offset of the end of the last valid record.
-        valid_len: u64,
-    },
-    /// A structurally complete record that fails its checksum (or
-    /// framing that cannot be a torn write): bit rot. Recovery stops at
-    /// `valid_len` but should not proceed without explicit operator
-    /// consent.
-    Corrupt {
-        /// Byte offset of the end of the last valid record.
-        valid_len: u64,
-    },
-}
+pub use apex_data::store::framed::Tail as WalTail;
 
-impl WalTail {
-    /// The byte offset the valid prefix ends at (`None` when clean).
-    pub fn valid_len(&self) -> Option<u64> {
-        match self {
-            WalTail::Clean => None,
-            WalTail::Torn { valid_len } | WalTail::Corrupt { valid_len } => Some(*valid_len),
-        }
-    }
-}
-
-/// Decodes a WAL image: every record of the longest valid prefix, plus
-/// the tail classification. **Never** returns a partially decoded
-/// record — decoding stops at the last record whose frame, checksum,
-/// and payload structure all verify.
-pub fn decode_wal(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
-    let mut records = Vec::new();
-    // An empty file is a fresh WAL; a short or wrong magic is damage.
-    if bytes.is_empty() {
-        return (records, WalTail::Clean);
-    }
-    if bytes.len() < WAL_MAGIC.len() {
-        return (records, WalTail::Torn { valid_len: 0 });
-    }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return (records, WalTail::Corrupt { valid_len: 0 });
-    }
-
-    let mut pos = WAL_MAGIC.len();
-    loop {
-        let valid_len = pos as u64;
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            return (records, WalTail::Clean);
-        }
-        if rest.len() < 8 {
-            // Not even a full frame header: torn mid-append.
-            return (records, WalTail::Torn { valid_len });
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if len > MAX_PAYLOAD {
-            // No legitimate writer produces this; a damaged length
-            // prefix is indistinguishable from garbage: corruption.
-            return (records, WalTail::Corrupt { valid_len });
-        }
-        if rest.len() < 8 + len {
-            // Declared payload extends past EOF: torn mid-append.
-            return (records, WalTail::Torn { valid_len });
-        }
-        let payload = &rest[8..8 + len];
-        if crc32(payload) != crc {
-            return (records, WalTail::Corrupt { valid_len });
-        }
-        let Some(record) = WalRecord::decode_payload(payload) else {
-            return (records, WalTail::Corrupt { valid_len });
-        };
-        records.push(record);
-        pos += 8 + len;
-    }
-}
-
-/// Reads and decodes a WAL file; a missing file is an empty, clean WAL.
+/// Reads and decodes a WAL file: every record of the longest valid
+/// prefix, plus the tail classification. **Never** returns a partially
+/// decoded record — a frame whose payload fails [`WalRecord`]'s structure
+/// check ends the prefix as corrupt. A missing file is an empty WAL.
 ///
 /// # Errors
-/// Propagates I/O failures (not corruption — that is in the [`WalTail`]).
+/// I/O failures; `InvalidData` naming the file when it is not a WAL of
+/// this format version (damage is in the [`WalTail`]).
 pub fn read_wal(path: &Path) -> std::io::Result<(Vec<WalRecord>, WalTail)> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    Ok(decode_wal(&bytes))
+    let mut records = Vec::new();
+    let (_, tail) = framed::read(path, &WAL_FORMAT, |_, payload| {
+        WalRecord::decode_payload(payload)
+            .map(|r| records.push(r))
+            .is_some()
+    })?;
+    Ok((records, tail))
 }
 
 /// Truncates a damaged WAL at the end of its valid prefix, in place.
@@ -481,45 +272,18 @@ pub fn read_wal(path: &Path) -> std::io::Result<(Vec<WalRecord>, WalTail)> {
 /// # Errors
 /// Propagates I/O failures.
 pub fn truncate_wal(path: &Path, valid_len: u64) -> std::io::Result<()> {
-    let mut f = OpenOptions::new().write(true).open(path)?;
-    // Below the magic there is nothing worth keeping: reset to a fresh
-    // header so the file stays a well-formed (empty) WAL.
-    if valid_len < WAL_MAGIC.len() as u64 {
-        f.set_len(0)?;
-        f.write_all(WAL_MAGIC)?;
-    } else {
-        f.set_len(valid_len)?;
-    }
-    f.sync_all()
+    framed::truncate(path, valid_len)
 }
 
-/// An append handle: open (creating the magic if new), append records,
-/// each append synced to disk before it returns.
-///
-/// A *failed* append may leave a partial frame on disk; the writer
-/// truncates back to the end of the last good record before returning
-/// the error, because a mid-file torn region would make every later
-/// (acked!) record unreachable — [`decode_wal`] stops at the first bad
-/// frame. If even the truncation fails, the writer poisons itself: all
-/// further appends error out, so nothing past the damage can be acked.
+/// An append handle: each append synced to disk before it returns. The
+/// failure discipline (roll back a partial frame, poison when that
+/// fails) is the [`FramedWriter`]'s.
 #[derive(Debug)]
 pub struct WalWriter {
-    /// Shared so [`WalWriter::append_deferred`] can hand the caller a
-    /// handle to `sync_data` *outside* whatever lock serializes appends.
-    file: Arc<File>,
-    /// Records appended through this writer (not counting pre-existing
-    /// ones) — the compaction trigger counts these.
-    appended: u64,
+    log: FramedWriter,
     /// Whether appends fsync before returning. Always true in
     /// production; tests may trade durability for speed.
     sync: bool,
-    /// File length after the last successful append — the rollback
-    /// point when an append fails partway.
-    good_len: u64,
-    /// Set when a failed append could not be rolled back; the file may
-    /// hold a mid-file partial frame, so no further record may go after
-    /// it.
-    poisoned: bool,
 }
 
 impl WalWriter {
@@ -527,23 +291,14 @@ impl WalWriter {
     /// new or empty.
     ///
     /// # Errors
-    /// Propagates I/O failures.
+    /// Propagates I/O failures; refuses a file that is not a WAL of this
+    /// version or whose tail is damaged.
     pub fn open(path: &Path, sync: bool) -> std::io::Result<Self> {
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if file.metadata()?.len() == 0 {
-            file.write_all(WAL_MAGIC)?;
-            if sync {
-                file.sync_all()?;
-            }
+        let log = FramedWriter::open(path, &WAL_FORMAT)?;
+        if sync && log.frames() == 0 {
+            log.file().sync_all()?;
         }
-        let good_len = file.metadata()?.len();
-        Ok(Self {
-            file: Arc::new(file),
-            appended: 0,
-            sync,
-            good_len,
-            poisoned: false,
-        })
+        Ok(Self { log, sync })
     }
 
     /// Appends one record; when the writer syncs (production), the
@@ -551,86 +306,53 @@ impl WalWriter {
     /// guarantee callers ack against.
     ///
     /// # Errors
-    /// Propagates I/O failures; the caller must fail the request rather
-    /// than ack an unlogged budget mutation. After an error the file is
-    /// rolled back to the last good record (or the writer is poisoned),
-    /// so a later successful append can never be stranded behind a
-    /// partial frame.
+    /// I/O failures: the caller must fail the request rather than ack an
+    /// unlogged budget mutation. The file is rolled back to the last good
+    /// record (or the writer poisoned), so a later append is never
+    /// stranded behind a partial frame.
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
-        self.append_with(record, true)
+        self.append_with(record, true).map(drop)
     }
 
-    fn append_with(&mut self, record: &WalRecord, durable: bool) -> std::io::Result<()> {
-        if self.poisoned {
-            return Err(std::io::Error::other(
-                "WAL writer poisoned by an earlier unrecoverable append failure",
-            ));
-        }
+    /// The yield points live here, not in the primitive: `apex-data`
+    /// cannot see `apex-core`.
+    fn append_with(&mut self, record: &WalRecord, durable: bool) -> std::io::Result<Arc<File>> {
         apex_core::sched_point!("wal.append.enter");
-        let frame = record.encode();
-        let result = (&*self.file).write_all(&frame).and_then(|()| {
-            if self.sync && durable {
-                self.file.sync_data()
-            } else {
-                Ok(())
-            }
-        });
-        match result {
-            Ok(()) => {
-                self.good_len += frame.len() as u64;
-                self.appended += 1;
-                apex_core::sched_point!("wal.append.ok");
-                Ok(())
-            }
-            Err(e) => {
-                // Cut any partial frame off; in append mode the next
-                // write lands at the (restored) EOF.
-                if self.file.set_len(self.good_len).is_err() {
-                    self.poisoned = true;
-                }
-                Err(e)
-            }
-        }
+        let payload = record.encode_payload();
+        let file = if self.sync && durable {
+            self.log.append(&payload)?;
+            Arc::clone(self.log.file())
+        } else {
+            self.log.append_deferred(&payload)?
+        };
+        apex_core::sched_point!("wal.append.ok");
+        Ok(file)
     }
 
     /// Appends one record *without* syncing, returning (when this writer
     /// syncs at all) the file handle the caller must `sync_data` before
-    /// acking. The point is lock scope: appends are serialized by
-    /// whatever mutex guards this writer, but the fsync — the 100µs+
-    /// part — can run after that mutex is released. A sibling thread
-    /// then appends the next record *while* this one's fsync is in
-    /// flight, and its own fsync finds the inode already clean (or
-    /// rides the same journal commit): group commit, supplied by the
-    /// kernel rather than bookkeeping. Concurrent `sync_data` calls on
-    /// one file are safe; each returns only once every byte written
-    /// before the call — in particular, this record — is durable.
+    /// acking. The point is lock scope: the fsync — the 100µs+ part —
+    /// runs after the mutex guarding this writer is released, so a
+    /// sibling appends the next record meanwhile and its own fsync rides
+    /// the same journal commit: group commit, supplied by the kernel.
     ///
-    /// The deferred fsync has no rollback: by the time it fails, later
-    /// records may sit after this one, so truncation would destroy
-    /// them. The caller must [`WalWriter::poison`] the writer and fail
-    /// the request instead. The un-synced record may still reach disk
-    /// with a later journal commit — that only *over*-counts recovered
+    /// A deferred fsync that fails cannot be rolled back (see
+    /// [`FramedWriter::append_deferred`]): the caller must
+    /// [`WalWriter::poison`] the writer and fail the request. The record
+    /// may still reach disk later — that only *over*-counts recovered
     /// spend relative to acks, the safe direction for a budget ledger.
     ///
     /// # Errors
-    /// Propagates write failures; the file is rolled back (or the
-    /// writer poisoned) exactly as for [`WalWriter::append`] — the
-    /// write itself still happens under the append lock.
+    /// Write failures, rolled back as for [`WalWriter::append`].
     pub fn append_deferred(&mut self, record: &WalRecord) -> std::io::Result<Option<Arc<File>>> {
-        self.append_with(record, false)?;
-        Ok(self.sync.then(|| Arc::clone(&self.file)))
+        let file = self.append_with(record, false)?;
+        Ok(self.sync.then_some(file))
     }
 
-    /// Poisons the writer: every later append fails. For a deferred
-    /// sync failure, where the usual truncate-the-partial-frame
-    /// rollback is impossible (see [`WalWriter::append_deferred`]).
+    /// Poisons the writer: every later append fails (see
+    /// [`WalWriter::append_deferred`]).
     pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-
-    /// Records appended through this writer.
-    pub fn appended(&self) -> u64 {
-        self.appended
+        self.log.poison();
     }
 }
 
@@ -689,10 +411,20 @@ mod tests {
         ]
     }
 
+    /// Writes `bytes` as a WAL file in a fresh temp dir and reads it back.
+    fn read_image(tag: &str, bytes: &[u8]) -> std::io::Result<(Vec<WalRecord>, WalTail)> {
+        let dir = crate::testutil::temp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal.log"), bytes).unwrap();
+        let read = read_wal(&dir.join("wal.log"));
+        std::fs::remove_dir_all(&dir).unwrap();
+        read
+    }
+
     fn encode_log(records: &[WalRecord]) -> Vec<u8> {
-        let mut bytes = WAL_MAGIC.to_vec();
-        for r in records {
-            bytes.extend_from_slice(&r.encode());
+        let mut bytes = WAL_FORMAT.magic.to_vec();
+        for (seq, r) in records.iter().enumerate() {
+            framed::push_frame(&mut bytes, seq as u64, &r.encode_payload());
         }
         bytes
     }
@@ -721,156 +453,54 @@ mod tests {
         assert_eq!(checked, 3);
         // What the encoder cannot frame is measured, not asserted on.
         let cell = vec![vec![apex_data::Value::Str("x".repeat(70_000))]];
-        assert!(WalRecord::mutate_payload_len("d", &cell) > MAX_PAYLOAD);
+        assert!(WalRecord::mutate_payload_len("d", &cell) > WAL_FORMAT.max_payload);
         let wide = vec![vec![apex_data::Value::Null; 70_000]];
-        assert!(WalRecord::mutate_payload_len("d", &wide) > MAX_PAYLOAD);
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 test vectors.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
+        assert!(WalRecord::mutate_payload_len("d", &wide) > WAL_FORMAT.max_payload);
     }
 
     #[test]
     fn every_record_type_round_trips() {
-        for r in sample_records() {
-            let framed = r.encode();
-            let mut bytes = WAL_MAGIC.to_vec();
-            bytes.extend_from_slice(&framed);
-            let (decoded, tail) = decode_wal(&bytes);
-            assert_eq!(tail, WalTail::Clean);
-            assert_eq!(decoded, vec![r]);
-        }
-        // And as one log, in order.
-        let (decoded, tail) = decode_wal(&encode_log(&sample_records()));
+        // All five tags, as one log, in order; `encode` is that log's
+        // first frame.
+        let records = sample_records();
+        let image = encode_log(&records);
+        let (decoded, tail) = read_image("wal-rt", &image).unwrap();
         assert_eq!(tail, WalTail::Clean);
-        assert_eq!(decoded, sample_records());
+        assert_eq!(decoded, records);
+        let frame = records[0].encode();
+        assert_eq!(image[WAL_FORMAT.magic.len()..][..frame.len()], frame);
     }
 
-    /// Property: EVERY possible truncation of the log decodes to an
-    /// exact record-boundary prefix — never a partial record — and
-    /// anything short of the full file is flagged as a damaged tail.
-    #[test]
-    fn any_truncation_yields_a_clean_prefix_and_is_detected() {
-        let records = sample_records();
-        let full = encode_log(&records);
-        // Record end offsets, for computing the expected prefix.
-        let mut ends = vec![WAL_MAGIC.len()];
-        for r in &records {
-            ends.push(ends.last().unwrap() + r.encode().len());
-        }
-        for cut in 0..full.len() {
-            let (decoded, tail) = decode_wal(&full[..cut]);
-            let expect_n = ends.iter().filter(|&&e| e <= cut).count().saturating_sub(1);
-            assert_eq!(
-                decoded,
-                records[..expect_n],
-                "truncation at {cut} must replay exactly the valid prefix"
-            );
-            if cut == 0 {
-                assert_eq!(tail, WalTail::Clean, "empty file is a fresh WAL");
-            } else if ends.contains(&cut) {
-                // Cut exactly on a record boundary: indistinguishable
-                // from a clean shutdown.
-                assert_eq!(tail, WalTail::Clean, "cut at {cut}");
-            } else {
-                // Any mid-record cut is a torn write: flagged, with the
-                // valid prefix ending at the last record boundary (or 0
-                // when even the magic is incomplete).
-                let expect_len = if cut < WAL_MAGIC.len() {
-                    0
-                } else {
-                    ends[expect_n]
-                };
-                assert_eq!(
-                    tail,
-                    WalTail::Torn {
-                        valid_len: expect_len as u64
-                    },
-                    "cut at {cut}"
-                );
-            }
-        }
-    }
-
-    /// Property: EVERY single-bit corruption of the final record is
-    /// detected — decoding stops at the last untouched record, and the
-    /// flipped record is never replayed (in full or in part).
-    #[test]
-    fn any_single_bit_flip_in_the_tail_is_detected() {
-        let records = sample_records();
-        let full = encode_log(&records);
-        let last_len = records.last().unwrap().encode().len();
-        let tail_start = full.len() - last_len;
-        for byte in tail_start..full.len() {
-            for bit in 0..8 {
-                let mut damaged = full.clone();
-                damaged[byte] ^= 1 << bit;
-                let (decoded, tail) = decode_wal(&damaged);
-                assert!(
-                    decoded.len() < records.len(),
-                    "flip at {byte}:{bit} replayed the damaged record"
-                );
-                assert_eq!(
-                    decoded,
-                    records[..decoded.len()],
-                    "flip at {byte}:{bit} must replay an untouched prefix"
-                );
-                assert_ne!(
-                    tail,
-                    WalTail::Clean,
-                    "flip at {byte}:{bit} must be detected"
-                );
-                // The well-formed prefix before the damaged record
-                // always survives intact.
-                assert_eq!(
-                    decoded,
-                    records[..records.len() - 1],
-                    "flip at {byte}:{bit}"
-                );
-            }
-        }
-    }
-
-    /// A checksum-valid prefix followed by garbage that frames as a
-    /// complete record is corruption (refuse by default), while a
-    /// declared length running past EOF is a torn write (truncatable).
+    /// What the WAL adds to the primitive's classification (its sweeps
+    /// live in `apex_data::store::framed`): a checksum-valid frame whose
+    /// payload is not a [`WalRecord`] ends the prefix as corrupt, and a
+    /// file of another format version is an error, never a tail.
     #[test]
     fn corrupt_versus_torn_classification() {
         let records = sample_records();
-        let mut bytes = encode_log(&records[..2]);
-        let valid = bytes.len() as u64;
+        let prefix = encode_log(&records[..2]);
+        let valid_len = prefix.len() as u64;
 
-        // Complete frame, wrong checksum → Corrupt.
-        let mut bad = records[2].encode();
-        bad[4] ^= 0xFF; // damage the crc field
-        let mut corrupted = bytes.clone();
-        corrupted.extend_from_slice(&bad);
-        let (decoded, tail) = decode_wal(&corrupted);
+        for payload in [&[9u8, 0, 0][..], &[3u8, 1][..], &[]] {
+            let mut bytes = prefix.clone();
+            framed::push_frame(&mut bytes, 2, payload);
+            let (decoded, tail) = read_image("wal-class", &bytes).unwrap();
+            assert_eq!(decoded, records[..2]);
+            assert_eq!(tail, WalTail::Corrupt { valid_len }, "{payload:?}");
+        }
+
+        // Half a record → torn at the same boundary.
+        let mut bytes = prefix.clone();
+        bytes.extend_from_slice(&records[2].encode()[..10]);
+        let (decoded, tail) = read_image("wal-class", &bytes).unwrap();
         assert_eq!(decoded, records[..2]);
-        assert_eq!(tail, WalTail::Corrupt { valid_len: valid });
+        assert_eq!(tail, WalTail::Torn { valid_len });
 
-        // Half a record → Torn at the same boundary.
-        let frame = records[2].encode();
-        bytes.extend_from_slice(&frame[..frame.len() / 2]);
-        let (decoded, tail) = decode_wal(&bytes);
-        assert_eq!(decoded, records[..2]);
-        assert_eq!(tail, WalTail::Torn { valid_len: valid });
-
-        // An absurd length prefix → Corrupt (bounded allocation).
-        let mut huge = encode_log(&records[..1]);
-        let valid = huge.len() as u64;
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        huge.extend_from_slice(&[0u8; 12]);
-        let (decoded, tail) = decode_wal(&huge);
-        assert_eq!(decoded, records[..1]);
-        assert_eq!(tail, WalTail::Corrupt { valid_len: valid });
+        let mut old = encode_log(&records);
+        old[..8].copy_from_slice(b"APEXWAL1");
+        let err = read_image("wal-class", &old).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("APEXWAL1"), "{err}");
     }
 
     #[test]
@@ -885,7 +515,6 @@ mod tests {
             for r in &records {
                 w.append(r).unwrap();
             }
-            assert_eq!(w.appended(), records.len() as u64);
         }
         // Re-opening appends after the existing content.
         {

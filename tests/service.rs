@@ -497,6 +497,57 @@ fn corrupt_wal_tail_refuses_then_truncates_with_consent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// State files of the previous on-disk formats are refused by name —
+/// with or without corrupt-tail truncation consent — and left
+/// byte-identical: an old WAL is not a torn tail to cut.
+#[test]
+fn previous_format_state_files_are_refused_and_left_untouched() {
+    let dir = temp_dir("oldfmt");
+    std::fs::create_dir_all(&dir).unwrap();
+    let crc = apex_data::store::crc32;
+    let refused = |path: &std::path::Path, image: &[u8], names: &str| {
+        std::fs::write(path, image).unwrap();
+        for consent in [false, true] {
+            let err = try_durable_state(&dir, 0.5, consent)
+                .err()
+                .unwrap_or_else(|| panic!("{names} must be refused (consent {consent})"));
+            assert!(err.to_string().contains(names), "{err}");
+            assert_eq!(std::fs::read(path).unwrap(), image, "{names} was modified");
+        }
+        std::fs::remove_file(path).unwrap();
+    };
+
+    // APEXWAL1: the magic, then `len crc payload` records (here one
+    // deny: tag 3 + session id).
+    let payload = [&[3u8][..], &1u64.to_le_bytes()].concat();
+    let mut old_wal = b"APEXWAL1".to_vec();
+    old_wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    old_wal.extend_from_slice(&crc(&payload).to_le_bytes());
+    old_wal.extend_from_slice(&payload);
+    refused(
+        &apex_serve::snapshot::wal_path(&dir, 1),
+        &old_wal,
+        "APEXWAL1",
+    );
+
+    // APEXSNP1: the magic, `len crc`, then the payload (an empty
+    // snapshot: covered_gen, next_session, no tenants, no sessions).
+    let payload = [0u8; 8 + 8 + 4 + 4];
+    let mut old_snapshot = b"APEXSNP1".to_vec();
+    old_snapshot.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    old_snapshot.extend_from_slice(&crc(&payload).to_le_bytes());
+    old_snapshot.extend_from_slice(&payload);
+    refused(
+        &dir.join(apex_serve::snapshot::SNAPSHOT_FILE),
+        &old_snapshot,
+        "APEXSNP1",
+    );
+
+    // With the old files gone the same directory starts.
+    durable_state(&dir, 0.5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// TTL semantics with the injectable clock: an expired session's queries
 /// get 410 at the router, its unspent slice is reclaimed exactly once,
 /// and the tombstone distinguishes 410 from 404.

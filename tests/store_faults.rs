@@ -16,16 +16,25 @@
 //! - **every** single-bit flip and **every** byte-truncation of the
 //!   mutation log stops replay at the last valid record — never a wrong
 //!   or reordered record — and the full store open path re-applies
-//!   exactly that valid acked prefix.
+//!   exactly that valid acked prefix, refusing a log cut below what the
+//!   manifest already applied;
+//! - files of a previous on-disk format are refused by name and left
+//!   byte-identical.
+//!
+//! The logs' framing has its own generic sweeps next to the one
+//! implementation (`apex_data::store::framed`); the sweeps here drive the
+//! same damage through each log's *policy* — replay, open, store open.
 //!
 //! The exhaustive page sweep runs in memory against `page::verify` (the
 //! same routine every disk read goes through); a strided sweep then
 //! flips bits in the actual file and asserts the full `open`+scan path
 //! reports them, so the two layers can't drift apart.
 
+use apex_data::store::framed::{self, FRAME_HEADER, MAGIC_LEN};
+use apex_data::store::mutation_log::MUTATION_LOG_FORMAT;
 use apex_data::store::{
-    page, Manifest, MutationLog, MutationOp, MutationRecord, PageLog, PagedRows, MUTATION_LOG_FILE,
-    PAGE_CAPACITY, PAGE_SIZE,
+    page, Manifest, MutationLog, MutationOp, MutationRecord, PagedRows, TranscriptLog,
+    MUTATION_LOG_FILE, PAGE_CAPACITY, PAGE_SIZE,
 };
 use apex_data::{Attribute, Domain, Schema, StoreError, Value};
 use std::path::{Path, PathBuf};
@@ -254,15 +263,18 @@ fn reopen_after_kill_round_trips_the_committed_state() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Byte ranges of the consecutive records in a pristine mutation log.
+/// Byte ranges of the consecutive records in a pristine mutation log
+/// (the magic belongs to none of them).
 fn record_spans(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut spans = Vec::new();
-    let mut off = 0usize;
-    while let Some((_, used)) = MutationRecord::decode(&bytes[off..]) {
-        spans.push(off..off + used);
-        off += used;
-    }
-    assert_eq!(off, bytes.len(), "the pristine log must parse completely");
+    let mut off = MAGIC_LEN;
+    let (_, tail) = framed::scan(&MUTATION_LOG_FORMAT, bytes, |_, payload| {
+        spans.push(off..off + FRAME_HEADER + payload.len());
+        off += FRAME_HEADER + payload.len();
+        true
+    })
+    .unwrap();
+    assert_eq!(tail, framed::Tail::Clean, "the pristine log must parse");
     spans
 }
 
@@ -306,12 +318,19 @@ fn every_single_bit_flip_of_the_mutation_log_stops_replay_at_the_last_valid_reco
         let mut bytes = pristine.clone();
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
-        let hit = spans
-            .iter()
-            .position(|s| s.contains(&(bit / 8)))
-            .expect("every byte belongs to a record");
         let mut replayed = Vec::new();
-        let n = MutationLog::replay(&dir, |r| replayed.push(r)).unwrap();
+        let outcome = MutationLog::replay(&dir, |r| replayed.push(r));
+        let Some(hit) = spans.iter().position(|s| s.contains(&(bit / 8))) else {
+            // A flip in the magic: not a mutation log at all — refused,
+            // nothing replayed.
+            assert!(
+                outcome.is_err(),
+                "magic bit flip at offset {bit} went undetected"
+            );
+            assert!(replayed.is_empty());
+            continue;
+        };
+        let n = outcome.unwrap();
         assert_eq!(
             n as usize, hit,
             "log bit flip at offset {bit} (record {hit}) replayed {n} records"
@@ -344,8 +363,9 @@ fn every_byte_truncation_of_the_mutation_log_replays_only_whole_records() {
         assert_eq!(replayed, clean[..whole]);
 
         // `open` heals the tear: the file is cut back to the last whole
-        // record and the next append continues at that sequence number.
-        let boundary = spans[..whole].last().map(|s| s.end).unwrap_or(0);
+        // record (or to its bare magic) and the next append continues at
+        // that sequence number.
+        let boundary = spans[..whole].last().map_or(MAGIC_LEN, |s| s.end);
         let log = MutationLog::open(&dir).unwrap();
         assert_eq!(log.next_seq() as usize, whole);
         drop(log);
@@ -404,10 +424,12 @@ fn a_corrupt_acked_mutation_stops_store_replay_at_the_last_valid_record() {
         let mut bytes = pristine_log.clone();
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&log_path, &bytes).unwrap();
-        let hit = spans
-            .iter()
-            .position(|s| s.contains(&(bit / 8)))
-            .expect("every byte belongs to a record");
+        let Some(hit) = spans.iter().position(|s| s.contains(&(bit / 8))) else {
+            // A flip in the magic: not a mutation log — the open fails
+            // rather than guess what the file was.
+            assert!(PagedRows::open(&dir, 4).is_err(), "flip at offset {bit}");
+            continue;
+        };
         let store = PagedRows::open(&dir, 4).unwrap();
         assert_eq!(
             store.mutations_applied() as usize,
@@ -437,7 +459,7 @@ fn a_corrupt_acked_mutation_stops_store_replay_at_the_last_valid_record() {
 #[test]
 fn transcript_log_kill_and_corruption_semantics() {
     let dir = tmp_dir("log");
-    let mut log = PageLog::open_or_create(&dir, 1).unwrap();
+    let mut log = TranscriptLog::open(&dir).unwrap();
     for i in 0..10 {
         log.append(format!("flushed-{i}").as_bytes()).unwrap();
     }
@@ -448,30 +470,142 @@ fn transcript_log_kill_and_corruption_semantics() {
     drop(log); // kill: the unflushed tail records must vanish, cleanly
 
     let mut replayed = Vec::new();
-    let n = PageLog::replay(&dir, |rec| replayed.push(rec.to_vec())).unwrap();
+    let n = TranscriptLog::replay(&dir, |rec| replayed.push(rec.to_vec())).unwrap();
     assert_eq!(n, 10, "exactly the flushed records survive the kill");
     assert_eq!(replayed[9], b"flushed-9");
 
-    // Corruption in the log is detected the same way as in row stores.
-    let path = dir.join("pages.dat");
+    // Corruption in the log is detected the same way as in row stores:
+    // every flip fails the replay, which never yields a changed record.
+    let path = dir.join("transcript.log");
     let pristine = std::fs::read(&path).unwrap();
-    for bit in (0..pristine.len() * 8).step_by(509) {
+    for bit in 0..pristine.len() * 8 {
         let mut bytes = pristine.clone();
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
+        let mut seen = Vec::new();
         assert!(
-            PageLog::replay(&dir, |_| {}).is_err(),
+            TranscriptLog::replay(&dir, |rec| seen.push(rec.to_vec())).is_err(),
             "log bit flip at offset {bit} went undetected"
         );
+        assert_eq!(seen, replayed[..seen.len()], "flip at offset {bit}");
     }
-    std::fs::write(&path, &pristine).unwrap();
+
+    // A crash mid-flush leaves a torn tail: `open` cuts it, the flushed
+    // records before it are untouched.
+    let mut torn = pristine.clone();
+    torn.extend_from_slice(&pristine[MAGIC_LEN..MAGIC_LEN + 11]);
+    std::fs::write(&path, &torn).unwrap();
 
     // Reopen-and-append continues where the flush left off.
-    let mut log = PageLog::open_or_create(&dir, 1).unwrap();
+    let mut log = TranscriptLog::open(&dir).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), pristine);
     assert_eq!(log.record_count(), 10);
     log.append(b"after-restart").unwrap();
     log.flush().unwrap();
     drop(log);
-    assert_eq!(PageLog::replay(&dir, |_| {}).unwrap(), 11);
+    assert_eq!(TranscriptLog::replay(&dir, |_| {}).unwrap(), 11);
+    assert!(std::fs::read(&path).unwrap().starts_with(&pristine));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_mutation_log_cut_below_the_manifest_is_refused_not_restarted() {
+    // Records the manifest already applied vanish from the log (bit rot
+    // in record 0 cuts everything after it too). Restarting the log at
+    // seq 0 would let the next acked-but-unapplied record be skipped as
+    // "already applied" — the store must refuse instead, naming both
+    // counts.
+    let dir = tmp_dir("mlog-behind");
+    let store = ingest(&dir, &demo_rows(10));
+    for i in 0..2 {
+        store
+            .insert_rows(&[vec![Value::Int(100 + i), Value::Str(format!("batch-{i}"))]])
+            .unwrap();
+    }
+    assert_eq!(store.mutations_applied(), 2);
+    drop(store);
+    let log_path = dir.join(MUTATION_LOG_FILE);
+    let pristine = std::fs::read(&log_path).unwrap();
+    let mut damaged = pristine.clone();
+    damaged[MAGIC_LEN + FRAME_HEADER] ^= 1;
+    let out_of_step = |r: Result<(), StoreError>| match r {
+        Err(StoreError::LogOutOfStep { applied, logged }) => {
+            assert_eq!((applied, logged), (2, 0));
+            let msg = StoreError::LogOutOfStep { applied, logged }.to_string();
+            assert!(msg.contains('2') && msg.contains('0'), "{msg}");
+        }
+        other => panic!("expected LogOutOfStep, got {other:?}"),
+    };
+
+    // A handle opened before the damage notices at its first mutation
+    // (which is when it opens the log)…
+    let store = PagedRows::open(&dir, 4).unwrap();
+    std::fs::write(&log_path, &damaged).unwrap();
+    let extra = vec![vec![Value::Int(7), Value::Str("late".to_string())]];
+    out_of_step(store.insert_rows(&extra).map(drop));
+    assert_eq!(store.row_count(), 12, "nothing was applied");
+    drop(store);
+    // …and a fresh open refuses too — of the log as that handle's open
+    // cut it, and of the damaged one.
+    out_of_step(PagedRows::open(&dir, 4).map(drop));
+    std::fs::write(&log_path, &damaged).unwrap();
+    out_of_step(PagedRows::open(&dir, 4).map(drop));
+
+    // With the log intact the same directory opens and mutates.
+    std::fs::write(&log_path, &pristine).unwrap();
+    let store = PagedRows::open(&dir, 4).unwrap();
+    store.insert_rows(&extra).unwrap();
+    assert_eq!((store.row_count(), store.mutations_applied()), (13, 3));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn previous_format_store_files_are_refused_by_name_and_left_untouched() {
+    let dir = tmp_dir("oldfmt");
+    let store = ingest(&dir, &demo_rows(10));
+    store
+        .insert_rows(&[vec![Value::Int(1), Value::Str("x".to_string())]])
+        .unwrap();
+    drop(store);
+
+    // A magic-less `mutations.log`: the previous format's frames were
+    // these frames, with nothing in front of them.
+    let log_path = dir.join(MUTATION_LOG_FILE);
+    let current = std::fs::read(&log_path).unwrap();
+    let old_log = current[MAGIC_LEN..].to_vec();
+    std::fs::write(&log_path, &old_log).unwrap();
+    for err in [
+        MutationLog::replay(&dir, |_| {}).unwrap_err(),
+        MutationLog::open(&dir).map(drop).unwrap_err(),
+        PagedRows::open(&dir, 4).map(drop).unwrap_err(),
+    ] {
+        assert!(err.to_string().contains("APEXMUT1"), "{err}");
+    }
+    assert_eq!(std::fs::read(&log_path).unwrap(), old_log);
+    std::fs::write(&log_path, &current).unwrap();
+
+    // A version-1 `manifest.bin`: `APEXDST1`, fields, trailing CRC.
+    let manifest_path = dir.join("manifest.bin");
+    let mut old_manifest = b"APEXDST1".to_vec();
+    old_manifest.extend_from_slice(&1u32.to_le_bytes()); // format_version
+    old_manifest.extend_from_slice(&1u64.to_le_bytes()); // epoch
+    old_manifest.extend_from_slice(&0u32.to_le_bytes()); // page_count
+    old_manifest.extend_from_slice(&0u64.to_le_bytes()); // record_count
+    old_manifest.extend_from_slice(&0u32.to_le_bytes()); // payload_len
+    let crc = page::crc32(&old_manifest);
+    old_manifest.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(&manifest_path, &old_manifest).unwrap();
+    for err in [
+        Manifest::load(&dir).map(drop).unwrap_err(),
+        PagedRows::open(&dir, 4).map(drop).unwrap_err(),
+    ] {
+        assert!(matches!(err, StoreError::CorruptManifest(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("APEXDST1") && msg.contains("APEXDST2"),
+            "{msg}"
+        );
+    }
+    assert_eq!(std::fs::read(&manifest_path).unwrap(), old_manifest);
     std::fs::remove_dir_all(&dir).unwrap();
 }
