@@ -2,12 +2,17 @@
 //! 3's Monte-Carlo accuracy-to-privacy translation) and the sparse
 //! strategy algebra feeding it. Every row times code a request can reach.
 //!
-//! Three questions, each a benchmark group:
+//! Four questions, each a benchmark group:
 //!
 //! * `translator_prepare_multi` — end-to-end translator preparation
 //!   (strategy operator + blocked Monte-Carlo simulation) through
 //!   `SmArtifacts::build`, what a translator-cache miss pays, per domain
 //!   size up to 16384 (`blocked/{n}`).
+//! * `noise_fill` — the sampler floor under every prepare: the `N` =
+//!   10 000 unit-Laplace noise vectors of `m` strategy rows one miss
+//!   draws, panel by panel as the pipeline draws them (`noise_fill/{m}`;
+//!   m = 61 and 125 are the `H₂` strategies behind a 16- and a 32-range
+//!   workload, 1 023 a 512-cell domain).
 //! * `mc_translate_domain` — what a translator-cache hit pays: the
 //!   translate-only binary search over the prepared samples
 //!   (`cached/{n}`).
@@ -29,7 +34,7 @@
 //! smoke pass can never clobber the committed full-run medians.
 
 use apex_linalg::{CsrBuilder, CsrMatrix};
-use apex_mech::mc::McConfig;
+use apex_mech::mc::{fill_noise_panel, McConfig, SAMPLE_BLOCK};
 use apex_mech::SmArtifacts;
 use apex_query::Strategy;
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -101,6 +106,29 @@ fn bench_translator_prepare_multi(c: &mut Criterion) {
     g.finish();
 }
 
+/// The noise one prepare draws, and nothing else: `N` columns of `m`
+/// unit-Laplace values through one reused panel, as
+/// `unit_errors_operator_blocked` fills them on one thread.
+fn bench_noise_fill(c: &mut Criterion) {
+    let mut g = c.benchmark_group("noise_fill");
+    g.sample_size(if quick() { 3 } else { 5 });
+    let McConfig { samples, seed, .. } = McConfig::default();
+    let rows: &[usize] = if quick() { &[61] } else { &[61, 125, 1023] };
+    for &m in rows {
+        let mut panel = vec![0.0_f64; m * SAMPLE_BLOCK];
+        g.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
+            b.iter(|| {
+                for start in (0..samples).step_by(SAMPLE_BLOCK) {
+                    let bs = SAMPLE_BLOCK.min(samples - start);
+                    fill_noise_panel(&mut panel[..m * bs], m, seed, start as u64);
+                }
+                black_box(panel[0])
+            })
+        });
+    }
+    g.finish();
+}
+
 /// What a translator-cache hit pays: translation only, no rebuild.
 fn bench_domain_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("mc_translate_domain");
@@ -147,6 +175,7 @@ fn bench_sparse(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_translator_prepare_multi,
+    bench_noise_fill,
     bench_domain_scaling,
     bench_sparse
 );

@@ -495,6 +495,7 @@ mod tests {
             &doc(&[
                 ("translator_prepare_multi", "blocked/64"),
                 ("translator_prepare_multi", "blocked/256"),
+                ("noise_fill", "61"),
                 ("mc_translate_domain", "cached/64"),
                 ("mc_translate_domain", "cached/256"),
                 ("strategy_sparse_vs_dense", "build_csr/64"),

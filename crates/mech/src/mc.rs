@@ -28,6 +28,10 @@
 //! be a pure function of its inputs), so each sample index draws from its
 //! **own seeded RNG stream** derived from `(cfg.seed, index)`. Panel width
 //! and thread count therefore cannot reorder sampling or change a result.
+//! Noise value `k` of sample `index` is [`unit_laplace`] of that stream's
+//! `k`-th word — a function of `(seed, index, k)` and IEEE arithmetic
+//! alone (no libm), whether [`fill_noise_panel`] draws it on a vector
+//! lane or an oracle draws it through [`Laplace::sample`].
 //!
 //! Two oracles are kept for the tests to check the pipeline against, and
 //! nothing serves them: [`unit_errors_operator_single_rhs`] (one solve per
@@ -38,9 +42,10 @@
 //! floating-point summation order differs).
 
 use apex_linalg::{frobenius_norm, CsrMatrix, Matrix, OpScratch, StrategyOperator};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::rngs::{StdRng, StdRngLanes};
+use rand::{RngCore, SeedableRng};
 
+use crate::laplace::unit_laplace;
 use crate::Laplace;
 
 /// Samples per noise panel: large enough to amortize the kernel setup,
@@ -141,13 +146,62 @@ pub struct McTranslator {
     cfg: McConfig,
 }
 
-/// The per-sample RNG stream: SplitMix64-style mixing of `(seed, index)`
-/// so every sample owns an independent, reorder-proof stream.
-fn sample_stream(seed: u64, index: u64) -> StdRng {
+/// The seed of sample `index`'s RNG stream: SplitMix64-style mixing of
+/// `(seed, index)` so every sample owns an independent, reorder-proof
+/// stream.
+fn stream_seed(seed: u64, index: u64) -> u64 {
     let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
+    z ^ (z >> 31)
+}
+
+/// The per-sample RNG stream.
+fn sample_stream(seed: u64, index: u64) -> StdRng {
+    StdRng::seed_from_u64(stream_seed(seed, index))
+}
+
+/// Fills a column-major noise panel of `m`-long columns: column `j`
+/// becomes the first `m` unit-Laplace draws of stream `(seed, first + j)`
+/// — exactly what `Laplace::new(1.0).sample` yields on
+/// `sample_stream(seed, first + j)`, so how columns are grouped is
+/// invisible in the values.
+///
+/// Columns are taken [`StdRngLanes::LANES`] at a time: their streams step
+/// in lockstep and [`unit_laplace`] runs across the lanes (the sampler is
+/// the largest single stage of a translator-cache miss). A ragged tail of
+/// fewer columns falls to the scalar generator.
+///
+/// # Panics
+/// Panics if `m == 0` or `panel.len()` is not a multiple of `m`.
+pub fn fill_noise_panel(panel: &mut [f64], m: usize, seed: u64, first: u64) {
+    const LANES: usize = StdRngLanes::LANES;
+    assert_eq!(panel.len() % m, 0, "panel must hold whole columns");
+    let mut index = first;
+    let mut groups = panel.chunks_exact_mut(LANES * m);
+    for group in &mut groups {
+        let mut rng = StdRngLanes::seed_from_u64(std::array::from_fn(|l| {
+            stream_seed(seed, index + l as u64)
+        }));
+        for k in 0..m {
+            let bits = rng.next_u64();
+            // Draw first, scatter after: the bounds checks of the strided
+            // stores would otherwise sit between the lanes.
+            let mut noise = [0.0_f64; LANES];
+            for (v, &b) in noise.iter_mut().zip(&bits) {
+                *v = unit_laplace(b);
+            }
+            for (l, &v) in noise.iter().enumerate() {
+                group[l * m + k] = v;
+            }
+        }
+        index += LANES as u64;
+    }
+    for col in groups.into_remainder().chunks_exact_mut(m) {
+        let mut rng = sample_stream(seed, index);
+        col.fill_with(|| unit_laplace(rng.next_u64()));
+        index += 1;
+    }
 }
 
 impl McTranslator {
@@ -209,8 +263,10 @@ impl McTranslator {
     ) -> Self {
         // total_cmp: NaN-safe (a NaN in the samples must not panic the
         // analyzer; it sorts to the top and behaves as an always-failing
-        // sample, which is the conservative direction).
-        unit_errors.sort_by(f64::total_cmp);
+        // sample, which is the conservative direction). Keys equal under
+        // total_cmp are equal bit patterns, so the unstable sort yields
+        // the same vector as the stable one, without its merge buffer.
+        unit_errors.sort_unstable_by(f64::total_cmp);
         Self {
             strat_sensitivity,
             recon_frobenius,
@@ -359,7 +415,6 @@ pub fn unit_errors_operator_blocked(
                 // Buffers are fully overwritten per panel — results stay
                 // bit-identical to the single-RHS reference for any thread
                 // count and panel width.
-                let unit = Laplace::new(1.0);
                 let mut eta_panel: Vec<f64> = Vec::new();
                 let mut recon_panel: Vec<f64> = Vec::new();
                 let mut w_panel: Vec<f64> = Vec::new();
@@ -368,12 +423,7 @@ pub fn unit_errors_operator_blocked(
                 while start < slice.len() {
                     let bs = block.min(slice.len() - start);
                     eta_panel.resize(m * bs, 0.0);
-                    for (j, col) in eta_panel.chunks_exact_mut(m).enumerate() {
-                        let mut rng = sample_stream(seed, (first + start + j) as u64);
-                        for v in col {
-                            *v = unit.sample(&mut rng);
-                        }
-                    }
+                    fill_noise_panel(&mut eta_panel, m, seed, (first + start) as u64);
                     op.pinv_apply_multi(&eta_panel, bs, &mut recon_panel, &mut scratch)
                         .expect("noise length matches operator rows");
                     workload
@@ -739,6 +789,64 @@ mod tests {
         let mut single = unit_errors_operator_single_rhs(&w, op.as_ref(), cfg.samples, cfg.seed);
         single.sort_by(f64::total_cmp);
         assert_eq!(blocked.unit_errors(), single);
+    }
+
+    #[test]
+    fn panel_fill_is_bit_identical_to_the_scalar_sampler() {
+        // Whole lane groups, ragged tails on either side of a group, the
+        // default panel and one short of it; columns of one value, fewer
+        // than a group's worth, and the two cold-workload strategy sizes.
+        let unit = Laplace::new(1.0);
+        for first in [0u64, 1_000_003] {
+            for m in [1usize, 7, 61, 125] {
+                for bs in [1usize, 7, 8, 9, SAMPLE_BLOCK - 1, SAMPLE_BLOCK] {
+                    let mut panel = vec![f64::NAN; m * bs];
+                    fill_noise_panel(&mut panel, m, 0xF111, first);
+                    for (j, col) in panel.chunks_exact(m).enumerate() {
+                        let mut rng = sample_stream(0xF111, first + j as u64);
+                        for (k, v) in col.iter().enumerate() {
+                            let want = unit.sample(&mut rng);
+                            assert_eq!(
+                                v.to_bits(),
+                                want.to_bits(),
+                                "first={first} m={m} bs={bs} col {j} row {k}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn noise_stream_golden_vector() {
+        // The stream is a function of (seed, index, k) and IEEE arithmetic
+        // alone — no libm — so these bits hold on every host. A change
+        // here moves every seeded ε and answer: do it on purpose or not
+        // at all.
+        const GOLDEN: [u64; 16] = [
+            0xbfdb_2c71_a20a_249e,
+            0x3fb7_4fca_d590_4a31,
+            0x4003_9bb0_3d70_ba8a,
+            0x3fcd_95c5_5963_6bc3,
+            0x3fe4_3215_5b43_8c3b,
+            0xbfba_3a8d_3f27_5ad2,
+            0xbfd2_eb57_6535_705e,
+            0xbfef_c741_df9d_f0ae,
+            0x3fe5_56fa_855f_745d,
+            0xbfd0_5116_da1b_0946,
+            0xbff9_e0d8_7d22_b796,
+            0xc007_ab82_6ed1_7e76,
+            0x3fe8_1e9d_19e6_f8a4,
+            0xbfd0_19b2_c5eb_0063,
+            0x3fc7_80b4_0737_9ccd,
+            0x3feb_93c1_4258_19d8,
+        ];
+        let mut rng = sample_stream(McConfig::default().seed, 0);
+        let got: Vec<u64> = (0..16)
+            .map(|_| unit_laplace(rng.next_u64()).to_bits())
+            .collect();
+        assert_eq!(got, GOLDEN, "{got:#018x?}");
     }
 
     #[test]
