@@ -321,6 +321,11 @@ struct SoakResult {
     sessions_per_sec: f64,
     p99_submit_ns: u64,
     median_submit_ns: u64,
+    /// Durable WAL records per `fdatasync`, over all shards — what the
+    /// per-shard group commit achieved (`/v1/stats` `shards[k].wal`).
+    records_per_sync: f64,
+    /// Share of gathers the backstop timer ended.
+    gather_timeout_share: f64,
 }
 
 /// Per-tenant accounting the clients observed on the wire.
@@ -595,6 +600,28 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
         "every soak session was closed"
     );
 
+    let wal_sum = |field: &str| -> f64 {
+        stats
+            .get("shards")
+            .and_then(apex_serve::Json::as_arr)
+            .expect("shards")
+            .iter()
+            .map(|s| {
+                s.get("wal")
+                    .and_then(|w| w.get(field))
+                    .and_then(apex_serve::Json::as_f64)
+                    .expect("durable shards report wal counters")
+            })
+            .sum()
+    };
+    assert_eq!(
+        wal_sum("covered"),
+        wal_sum("durable_records"),
+        "every acked record must sit under a completed sync"
+    );
+    let records_per_sync = wal_sum("durable_records") / wal_sum("syncs").max(1.0);
+    let gather_timeout_share = wal_sum("gather_timeouts") / wal_sum("gathers").max(1.0);
+
     handle.stop();
     handle.join();
 
@@ -630,6 +657,8 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
         sessions_per_sec: sessions_measured as f64 / wall.as_secs_f64(),
         p99_submit_ns: pick(0.99),
         median_submit_ns: pick(0.50),
+        records_per_sync,
+        gather_timeout_share,
     }
 }
 
@@ -686,7 +715,8 @@ fn write_json(results: &[SoakResult], quick: bool) {
         rows.push(format!(
             "{{\"group\": \"{}\", \"id\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \
              \"min_ns\": {:.1}, \"samples\": 1, \"iters_per_sample\": {}, \
-             \"sessions_per_sec\": {:.1}, \"p99_submit_ns\": {}, \"median_submit_ns\": {}}}",
+             \"sessions_per_sec\": {:.1}, \"p99_submit_ns\": {}, \"median_submit_ns\": {}, \
+             \"records_per_sync\": {:.2}, \"gather_timeout_share\": {:.3}}}",
             esc("serve_soak"),
             esc(&format!("shards/{}", r.shards)),
             ns_per_session,
@@ -696,6 +726,8 @@ fn write_json(results: &[SoakResult], quick: bool) {
             r.sessions_per_sec,
             r.p99_submit_ns,
             r.median_submit_ns,
+            r.records_per_sync,
+            r.gather_timeout_share,
         ));
     }
     let speedup = speedup_8_vs_1(results);
@@ -732,13 +764,16 @@ fn main() {
         let r = soak_one(shards, sessions, &names);
         println!(
             "serve_soak shards/{}: {} sessions in {:.2}s — {:.0} sessions/s, \
-             p50 submit {:.2} ms, p99 submit {:.2} ms",
+             p50 submit {:.2} ms, p99 submit {:.2} ms, {:.2} records/sync \
+             ({:.1} % of gathers timed out)",
             r.shards,
             r.sessions,
             r.wall.as_secs_f64(),
             r.sessions_per_sec,
             r.median_submit_ns as f64 / 1e6,
             r.p99_submit_ns as f64 / 1e6,
+            r.records_per_sync,
+            r.gather_timeout_share * 100.0,
         );
         results.push(r);
     }

@@ -268,6 +268,13 @@ fn main() {
                     "  mutations: {} row batches acked, epochs re-verified after restart",
                     report.mutations_acked
                 );
+                for (k, (records, syncs)) in report.wal_syncs.iter().enumerate() {
+                    println!(
+                        "  shard {k} group commit: {records} durable records in {syncs} syncs \
+                         ({:.2} records/sync)",
+                        *records as f64 / (*syncs).max(1) as f64
+                    );
+                }
                 println!(
                     "  restart recovery: {} wal records replayed, ledgers re-verified",
                     report.recovery_replayed

@@ -44,6 +44,12 @@
 //!    insert, and `/v1/stats` must report `views.folds` > 0 and
 //!    `views.hits` > 0 for it — the second answer read the folded view,
 //!    not the rows. (Paged tenants keep no views and scan.)
+//! 8. **group commit** — once the scripted clients are done, each
+//!    shard's `wal` block in `/v1/stats` must read `covered ==
+//!    durable_records` (no acked record left unsynced), `syncs ≤
+//!    durable_records`, no worker still present, and `durable_records`
+//!    equal to the durable operations its clients were acked (one per
+//!    session opened, one per answer; denials are not durable records).
 //!
 //! Sessions *oversubscribe* on purpose: each holds a slice of `B` large
 //! enough that the slices jointly exceed `B`, so both the per-session and
@@ -173,6 +179,9 @@ pub struct SelfTestReport {
     /// one paged tenant, one resident tenant; each verified live and
     /// re-verified after the restart).
     pub mutations_acked: u64,
+    /// Per shard, `(durable_records, syncs)` once the scripted clients
+    /// were done: their ratio is the records-per-sync group commit got.
+    pub wal_syncs: Vec<(u64, u64)>,
 }
 
 /// Per-dataset budget for the scripted workload.
@@ -507,10 +516,13 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
         ..SelfTestReport::default()
     };
     let mut spent_by_client: std::collections::HashMap<String, f64> = Default::default();
+    // Durable operations acked per shard: each client's open + answers.
+    let mut durable_acked = vec![0u64; cfg.shards];
     for r in observed {
         let (answered, denied, epsilon_sum, dataset) = r?;
         report.answered += answered;
         report.denied += denied;
+        durable_acked[set.ring().shard_for(&dataset)] += 1 + answered;
         *spent_by_client.entry(dataset).or_default() += epsilon_sum;
     }
     // A run on a fresh ledger must exercise both admission outcomes; a
@@ -535,6 +547,32 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             "stats reported {shard_count} shards, configured {}",
             cfg.shards
         ));
+    }
+    // Leg 8: every client has its last ack, so the shards are quiescent.
+    for (k, acked) in durable_acked.iter().enumerate() {
+        let wal = stats
+            .get("shards")
+            .and_then(Json::as_arr)
+            .and_then(|s| s.get(k))
+            .and_then(|s| s.get("wal"))
+            .ok_or_else(|| format!("stats missing shards[{k}].wal"))?;
+        let field = |name: &str| {
+            wal.get(name)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("stats missing shards[{k}].wal.{name}"))
+        };
+        let (durable, covered, syncs) = (
+            field("durable_records")?,
+            field("covered")?,
+            field("syncs")?,
+        );
+        if covered != durable || syncs > durable || durable != *acked || field("present")? != 0 {
+            return Err(format!(
+                "GROUP COMMIT DIVERGENCE on shard {k}: clients were acked {acked} durable \
+                 operations, wal reports {wal:?}"
+            ));
+        }
+        report.wal_syncs.push((durable, syncs));
     }
     let global = stats
         .get("cache")

@@ -400,13 +400,18 @@ pub fn stats_json(set: &ShardSet) -> Json {
                     )
                 })
                 .collect();
-            Json::obj(vec![
+            let mut entry = vec![
                 ("shard", Json::from(k)),
                 ("sessions", Json::from(st.session_count())),
                 ("expired", Json::from(st.expired_count())),
                 ("session_id_base", Json::from(st.session_id_base())),
                 ("datasets", Json::Obj(datasets)),
-            ])
+            ];
+            // Memory-only shards have no WAL and report no block.
+            if let Some(wal) = st.wal_stats() {
+                entry.push(("wal", wire::wal_stats_json(wal)));
+            }
+            Json::obj(entry)
         })
         .collect();
 
@@ -442,7 +447,9 @@ pub fn stats_json(set: &ShardSet) -> Json {
 pub struct ServeConfig {
     /// Worker threads per shard draining that shard's queue. Shard
     /// throughput under durable WALs is fsync-bound, so a couple of
-    /// workers per shard suffice to keep appends overlapping.
+    /// workers per shard suffice to keep appends overlapping. The count
+    /// is not what group commit waits for: a commit waits only for the
+    /// workers that hold a request at that moment.
     pub workers_per_shard: usize,
     /// Bound of each shard's work queue; a full queue answers `503`.
     pub queue_cap: usize,
@@ -691,9 +698,6 @@ pub fn serve_sharded<A: ToSocketAddrs>(
     );
     let mut workers = Vec::new();
     for k in 0..set.shards() {
-        // Each shard's WAL group-commit gate gathers one writer per
-        // worker before paying its single fsync.
-        set.state(k).set_sync_peers(workers_per_shard);
         for _ in 0..workers_per_shard {
             let set = set.clone();
             let queues = queues.clone();
@@ -844,6 +848,11 @@ fn shard_worker(
         let Some(mut work) = queue.recv() else {
             return; // queue closed: shutdown
         };
+        // Holding a request makes this worker a writer its shard's
+        // group-commit leader waits for. Scoped to this iteration, so
+        // every way out of the inner loop — and a panic through it —
+        // gives the presence back.
+        let mut present = Some(state.writer_present());
         let mut served = 0;
         loop {
             let Work { mut conn, req } = work;
@@ -868,6 +877,7 @@ fn shard_worker(
             http::append_response(&mut conn.wbuf, &resp, keep);
             if !keep {
                 // Best-effort final flush: the connection drops either way.
+                drop(present.take());
                 let _ = conn.stream.write_all(&conn.wbuf);
                 break;
             }
@@ -885,17 +895,18 @@ fn shard_worker(
                     continue;
                 }
             }
-            // About to block, park, or drop: the client must see its
-            // responses first.
+            // About to block, park, or drop: no request in hand, so no
+            // commit left for a leader to wait on — and the client must
+            // see its responses first.
+            drop(present.take());
             if conn.stream.write_all(&conn.wbuf).is_err() {
                 break; // drop the connection
             }
             conn.wbuf.clear();
-            // Sticky first, queue second: keeping each worker pinned to
-            // its connection is what keeps every worker of a shard an
-            // *active WAL writer* — one worker alternating between two
-            // connections would leave its sibling idle and every group
-            // commit gathering a party that never arrives. A connection
+            // Sticky first, queue second: the follow-up request is served
+            // here without a dispatcher round trip, and a shard's
+            // connections stay spread over its workers, whose commits
+            // can then share a sync. A connection
             // streaming requests forever cannot starve the queue: the
             // sticky window only serves requests already buffered or
             // arriving within `sticky_wait`, and STICKY_MAX backstops
@@ -903,6 +914,7 @@ fn shard_worker(
             if !cfg.sticky_wait.is_zero() && served < STICKY_MAX && !stop.load(Ordering::SeqCst) {
                 match sticky_next(&mut conn, set, k, cfg.sticky_wait) {
                     Sticky::Serve(next_req) => {
+                        present = Some(state.writer_present());
                         work = Work {
                             conn,
                             req: next_req,
@@ -1289,6 +1301,7 @@ mod tests {
     use apex_core::TranslatorCache;
     use apex_core::{EngineConfig, Mode};
     use apex_data::{Attribute, Dataset, Domain, Schema, Value};
+    use std::path::PathBuf;
 
     fn tiny_dataset(domain: i64) -> Dataset {
         let schema = Schema::new(vec![Attribute::new(
@@ -1627,6 +1640,101 @@ mod tests {
         );
         assert_eq!(wal_bytes(), before, "a refused batch must log nothing");
 
+        handle.stop();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// One durable shard with two workers, and a clock that panics on
+    /// demand — inside `create_session`, after its record is logged.
+    fn durable_pair_of_workers(tag: &str) -> (Arc<ShardSet>, Arc<FaultyClock>, PathBuf) {
+        let root = crate::testutil::temp_dir(tag);
+        let clock = Arc::new(FaultyClock(AtomicBool::new(false)));
+        let (set, _) = ShardSet::recover(
+            &root,
+            1,
+            |_| {
+                ServerState::builder(4)
+                    .dataset("demo", tiny_dataset(8), EngineConfig::default())
+                    .clock(clock.clone())
+            },
+            |dir| PersistOptions::new(dir),
+        )
+        .unwrap();
+        (Arc::new(set), clock, root)
+    }
+
+    #[derive(Debug)]
+    struct FaultyClock(AtomicBool);
+
+    impl crate::clock::Clock for FaultyClock {
+        fn now_millis(&self) -> u64 {
+            if self.0.load(Ordering::SeqCst) {
+                std::panic::panic_any(apex_core::sched::SimulatedCrash);
+            }
+            0
+        }
+    }
+
+    #[test]
+    fn one_busy_worker_of_two_never_gathers() {
+        let (set, _, root) = durable_pair_of_workers("solo-worker");
+        let cfg = ServeConfig {
+            workers_per_shard: 2,
+            ..ServeConfig::default()
+        };
+        let handle = serve_sharded("127.0.0.1:0", set.clone(), cfg).unwrap();
+        // One closed-loop client: whichever worker takes a request, its
+        // sibling holds none, so no commit has anyone to wait for.
+        for _ in 0..6 {
+            let body = r#"{"dataset":"demo","budget":0.01}"#;
+            let (status, resp) =
+                client::request(handle.addr(), "POST", "/v1/sessions", Some(body)).unwrap();
+            assert_eq!(status, 201, "{resp:?}");
+        }
+        let (_, stats) = client::request(handle.addr(), "GET", "/v1/stats", None).unwrap();
+        let wal = stats
+            .get("shards")
+            .and_then(Json::as_arr)
+            .and_then(|s| s[0].get("wal"))
+            .unwrap();
+        let field = |name: &str| wal.get(name).and_then(Json::as_u64).unwrap();
+        assert_eq!(
+            ["durable_records", "covered", "syncs"].map(field),
+            [6, 6, 6],
+            "{wal:?}"
+        );
+        assert_eq!(
+            ["gathers", "gather_timeouts", "present"].map(field),
+            [0, 0, 0],
+            "{wal:?}"
+        );
+        handle.stop();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_panicking_request_releases_its_presence() {
+        apex_core::sched::silence_simulated_crashes();
+        let (set, clock, root) = durable_pair_of_workers("panic-presence");
+        let handle = serve_sharded("127.0.0.1:0", set.clone(), ServeConfig::default()).unwrap();
+        let open = || {
+            let body = r#"{"dataset":"demo","budget":0.01}"#;
+            client::request(handle.addr(), "POST", "/v1/sessions", Some(body)).unwrap()
+        };
+        clock.0.store(true, Ordering::SeqCst);
+        let (status, resp) = open();
+        assert_eq!(status, 500, "{resp:?}");
+        clock.0.store(false, Ordering::SeqCst);
+        // The response is written after the presence is given back, so
+        // having read it is enough: nothing is left for the next
+        // commit's leader to wait out the backstop on.
+        assert_eq!(set.state(0).wal_stats().unwrap().present, 0);
+        let (status, resp) = open();
+        assert_eq!(status, 201, "{resp:?}");
+        let wal = set.state(0).wal_stats().unwrap();
+        assert_eq!((wal.gathers, wal.gather_timeouts, wal.present), (0, 0, 0));
         handle.stop();
         handle.join();
         let _ = std::fs::remove_dir_all(&root);

@@ -526,18 +526,28 @@ struct PersistInner {
 /// The group-commit gate: records are made durable in *groups*, each
 /// group paying one `sync_data` call that covers every member's
 /// already-appended record. The first uncovered thread becomes the
-/// group's leader and *gathers*: it waits until `sync_peers` writers
-/// have joined (the expected concurrency, set by the serving layer) or
-/// a short timeout lapses, then reads the append high-water mark and
-/// syncs once. Joiners just wait for `synced` to pass their seq — the
-/// same durability latency they would have spent inside their own
-/// `sync_data`, minus the syscall. On a host where fsync cost is
-/// dominated by journal-commit CPU rather than device wait, collapsing
-/// k concurrent fsyncs into one is what lets independent shard WALs
-/// actually scale: every skipped call returns its CPU slice to the
-/// other shards. Without gathering, two lockstep writers always miss
-/// each other (each append lands just after the other's sync began)
-/// and every record still pays a full fsync.
+/// group's leader and *gathers*: it waits while some writer that could
+/// still join has not — `members < present − evaluating`, re-checked
+/// whenever a writer joins **or leaves** (a 404, a denial, an evaluate
+/// error, a parked connection) — then reads the append high-water mark
+/// and syncs once. Joiners just wait for `synced` to
+/// pass their seq — the same durability latency they would have spent
+/// inside their own `sync_data`, minus the syscall. On a host where
+/// fsync cost is dominated by journal-commit CPU rather than device
+/// wait, collapsing k concurrent fsyncs into one is what lets
+/// independent shard WALs actually scale: every skipped call returns
+/// its CPU slice to the other shards. Without gathering, two lockstep
+/// writers always miss each other (each append lands just after the
+/// other's sync began) and every record still pays a full fsync.
+///
+/// Who "could still join" is observed, not configured: a shard worker
+/// is a **present writer** from the moment it holds a request until it
+/// is about to block for input ([`ServerState::writer_present`]),
+/// except while it is inside the lock-free evaluate phase — which can
+/// run for milliseconds and whose commit the leader must not sit out.
+/// A caller with no worker around it (the schedule exerciser, a bench,
+/// a test) is never present, so it leads groups of one and syncs at
+/// once.
 #[derive(Debug, Default)]
 struct SyncGate {
     progress: Mutex<SyncProgress>,
@@ -552,6 +562,38 @@ struct SyncProgress {
     phase: SyncPhase,
     /// Writers that have joined the gathering group (leader included).
     members: u64,
+    /// Shard workers currently holding a request.
+    present: u64,
+    /// Callers inside the evaluate phase. Counted apart from `present`
+    /// (not subtracted from it) because a direct caller evaluates
+    /// without ever having been present.
+    evaluating: u64,
+    /// Completed `sync_data` calls.
+    syncs: u64,
+    /// Groups whose leader waited for a peer at least once.
+    gathers: u64,
+    /// Gathers the backstop timer ended, not a peer joining or leaving.
+    gather_timeouts: u64,
+    /// Gate tests assert counters, never wall clock: they lift the
+    /// backstop so a descheduled test thread cannot turn a gather into
+    /// a timeout.
+    #[cfg(test)]
+    backstop_override: Option<Duration>,
+}
+
+impl SyncProgress {
+    /// Writers a gathering leader may still expect to join.
+    fn joinable(&self) -> u64 {
+        self.present.saturating_sub(self.evaluating)
+    }
+
+    fn backstop(&self) -> Duration {
+        #[cfg(test)]
+        if let Some(d) = self.backstop_override {
+            return d;
+        }
+        SYNC_GATHER_TIMEOUT
+    }
 }
 
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -565,10 +607,76 @@ enum SyncPhase {
     Syncing,
 }
 
-/// How long a group-commit leader waits for peers before syncing
-/// anyway — the bound on added durability latency when a shard has
-/// only one active writer (an otherwise idle shard, or the tail of a
-/// burst).
+impl SyncGate {
+    /// Wakes a gathering leader that has nobody left to wait for.
+    fn wake_if_gathered(&self, prog: &SyncProgress) {
+        if prog.phase == SyncPhase::Gathering && prog.members >= prog.joinable() {
+            self.wakeup.notify_all();
+        }
+    }
+}
+
+/// One unit of `SyncProgress::present` or `::evaluating`, returned on
+/// drop — every exit, unwinding included, so a count cannot leak (a
+/// leaked `present` would tax every later commit on the shard the full
+/// backstop, forever, with nothing failing).
+#[derive(Debug)]
+pub(crate) struct GateCount<'a> {
+    gate: Option<&'a SyncGate>,
+    count: fn(&mut SyncProgress) -> &mut u64,
+}
+
+impl<'a> GateCount<'a> {
+    /// Taking a count never ends a gather: an arriving writer is one
+    /// more to wait for, and a leader already waiting for a peer waits
+    /// its evaluate out too — on the path that pairs commits (a
+    /// translator-cache hit) it lasts microseconds and ends in that
+    /// peer's join. Only a leader that *finds* the peer evaluating
+    /// does not wait for it.
+    fn take(gate: Option<&'a SyncGate>, count: fn(&mut SyncProgress) -> &mut u64) -> Self {
+        if let Some(gate) = gate {
+            *count(&mut lockx::lock(&gate.progress)) += 1;
+        }
+        Self { gate, count }
+    }
+}
+
+impl Drop for GateCount<'_> {
+    fn drop(&mut self) {
+        if let Some(gate) = self.gate {
+            let mut prog = lockx::lock(&gate.progress);
+            *(self.count)(&mut prog) -= 1;
+            gate.wake_if_gathered(&prog);
+        }
+    }
+}
+
+/// A shard WAL's group-commit counters, served per shard in
+/// `/v1/stats` (docs/SERVICE.md, "Group commit").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalStats {
+    /// Records appended that an ack waits on (denials are ordered but
+    /// never synced, and are not counted). Monotonic across rotations.
+    pub durable_records: u64,
+    /// Highest of those a completed sync covered; equals
+    /// `durable_records` whenever no commit is in flight.
+    pub covered: u64,
+    /// Completed `sync_data` calls: `durable_records / syncs` is the
+    /// records-per-sync the gate achieved.
+    pub syncs: u64,
+    /// Groups whose leader waited for a peer.
+    pub gathers: u64,
+    /// Gathers ended by the backstop timer.
+    pub gather_timeouts: u64,
+    /// Workers holding a request right now; zero on an idle shard.
+    pub present: u64,
+}
+
+/// The backstop on a gather: how long a leader waits for a present
+/// peer that neither joins nor leaves — in practice one blocked behind
+/// the leader's own engine lock (same tenant), which cannot append
+/// until the leader's commit returns, or one that went from parsing
+/// into a translator-cache miss while the leader waited.
 const SYNC_GATHER_TIMEOUT: Duration = Duration::from_micros(200);
 
 /// Exclusive ownership of a state directory: a `lock` file created with
@@ -707,10 +815,6 @@ struct Persist {
     _lock: DirLock,
     inner: Mutex<PersistInner>,
     sync_gate: SyncGate,
-    /// Expected number of concurrent writers (the serving layer's
-    /// workers per shard): a group-commit leader stops gathering once
-    /// this many writers have joined. 1 = sync immediately.
-    sync_peers: AtomicU64,
     /// Fault injection for tests and the schedule exerciser: the next N
     /// appends fail with an I/O error, exercising the
     /// durable-or-nothing commit contract.
@@ -901,8 +1005,13 @@ impl ServerState {
             }));
         };
         apex_core::sched_point!("state.submit.pinned");
-        // EVALUATE: data-independent speculation, no gate held.
-        let pending = match session.evaluate(query, accuracy) {
+        // EVALUATE: data-independent speculation, no gate held — and
+        // for its duration this caller is not a writer a group-commit
+        // leader should wait for.
+        let evaluating = GateCount::take(self.sync_gate(), |p| &mut p.evaluating);
+        let evaluated = session.evaluate(query, accuracy);
+        drop(evaluating);
+        let pending = match evaluated {
             Ok(p) => p,
             Err(EngineError::SessionClosed) => return Ok(SubmitPhase::Done(SubmitOutcome::Gone)),
             Err(e) => return Err(SubmitError::Engine(e)),
@@ -1271,7 +1380,6 @@ impl ServerState {
         // records (and the exclusive ledger gate keeps a rotation from
         // racing an in-flight append-and-sync).
         let gate = &p.sync_gate;
-        let peers = p.sync_peers.load(Ordering::Relaxed).max(1);
         let mut prog = lockx::lock(&gate.progress);
         let mut joined = false;
         loop {
@@ -1288,10 +1396,7 @@ impl ServerState {
                     if !joined {
                         joined = true;
                         prog.members += 1;
-                        if prog.members >= peers {
-                            // Group full: wake the leader to sync now.
-                            gate.wakeup.notify_all();
-                        }
+                        gate.wake_if_gathered(&prog);
                     }
                     prog = lockx::wait(&gate.wakeup, prog);
                 }
@@ -1300,17 +1405,21 @@ impl ServerState {
                 }
             }
         }
-        // This thread leads the group: wait for the expected peers to
-        // append and join (bounded by the gather timeout), then sync
-        // once for everyone.
-        let gather_start = std::time::Instant::now();
-        while prog.members < peers {
-            let left = SYNC_GATHER_TIMEOUT.saturating_sub(gather_start.elapsed());
-            if left.is_zero() {
-                break;
+        // This thread leads the group: wait while a present writer has
+        // yet to append and join — each join and each writer leaving
+        // re-checks — then sync once for everyone. The timer only ends
+        // a gather whose peer does neither.
+        if prog.members < prog.joinable() {
+            prog.gathers += 1;
+            let deadline = std::time::Instant::now() + prog.backstop();
+            while prog.members < prog.joinable() {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                if left.is_zero() {
+                    prog.gather_timeouts += 1;
+                    break;
+                }
+                prog = lockx::wait_timeout(&gate.wakeup, prog, left).0;
             }
-            let (p2, _) = lockx::wait_timeout(&gate.wakeup, prog, left);
-            prog = p2;
         }
         prog.phase = SyncPhase::Syncing;
         drop(prog);
@@ -1325,6 +1434,7 @@ impl ServerState {
         match result {
             Ok(()) => {
                 prog.synced = prog.synced.max(target);
+                prog.syncs += 1;
                 drop(prog);
                 gate.wakeup.notify_all();
                 Ok(())
@@ -1346,15 +1456,31 @@ impl ServerState {
         }
     }
 
-    /// Tells the WAL group-commit gate how many concurrent writers to
-    /// expect (the serving layer's workers per shard): a group leader
-    /// stops gathering once this many writers joined. 1 (the default)
-    /// syncs immediately — the right call for single-threaded callers.
-    /// No-op without persistence.
-    pub fn set_sync_peers(&self, peers: usize) {
-        if let Some(p) = &self.persist {
-            p.sync_peers.store(peers.max(1) as u64, Ordering::Relaxed);
-        }
+    /// Marks the calling shard worker a **present writer** — one the
+    /// group-commit leader waits for — until the guard drops. Taken when
+    /// the worker picks a request up, dropped before it blocks for
+    /// input. Inert without persistence.
+    pub(crate) fn writer_present(&self) -> GateCount<'_> {
+        GateCount::take(self.sync_gate(), |p| &mut p.present)
+    }
+
+    fn sync_gate(&self) -> Option<&SyncGate> {
+        self.persist.as_ref().map(|p| &p.sync_gate)
+    }
+
+    /// This state's group-commit counters; `None` without persistence.
+    pub fn wal_stats(&self) -> Option<WalStats> {
+        let p = self.persist.as_ref()?;
+        let durable_records = lockx::lock(&p.inner).append_seq;
+        let prog = lockx::lock(&p.sync_gate.progress);
+        Some(WalStats {
+            durable_records,
+            covered: prog.synced,
+            syncs: prog.syncs,
+            gathers: prog.gathers,
+            gather_timeouts: prog.gather_timeouts,
+            present: prog.present,
+        })
     }
 
     /// Compacts when the WAL has grown past the configured threshold.
@@ -1849,7 +1975,6 @@ impl ServerStateBuilder {
                     append_seq: 0,
                 }),
                 sync_gate: SyncGate::default(),
-                sync_peers: AtomicU64::new(1),
                 #[cfg(any(test, feature = "sched"))]
                 fail_appends: AtomicU64::new(0),
             }),
@@ -2568,6 +2693,281 @@ mod tests {
             Err(RecoverError::UnknownTenant(name)) => assert_eq!(name, "ghost"),
             other => panic!("unknown tenant must refuse, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- The group-commit gate. These assert the gate's counters,
+    // never wall clock: the backstop is lifted, so a gather that only
+    // the timer could end hangs the test instead of passing it. ----
+
+    /// A durable two-tenant state ("a" and "b" commit under different
+    /// engine locks, as two workers' requests usually do).
+    fn gate_state(tag: &str) -> (ServerState, PathBuf) {
+        let dir = temp_dir(tag);
+        let (state, _) = ServerState::builder(8)
+            .dataset("a", tiny_dataset(), EngineConfig::default())
+            .dataset("b", tiny_dataset(), EngineConfig::default())
+            .build_recovered(PersistOptions::new(&dir))
+            .unwrap();
+        let gate = state.sync_gate().unwrap();
+        lockx::lock(&gate.progress).backstop_override = Some(Duration::from_secs(60));
+        (state, dir)
+    }
+
+    fn wal(state: &ServerState) -> WalStats {
+        state.wal_stats().unwrap()
+    }
+
+    /// Opens a session from a second present worker and returns once
+    /// that worker leads a group and is gathering.
+    fn gathering_worker<'s>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        state: &'s ServerState,
+    ) -> std::thread::ScopedJoinHandle<'s, ()> {
+        let before = wal(state).gathers;
+        let handle = scope.spawn(move || {
+            let _present = state.writer_present();
+            state.create_session("b", 0.01).unwrap().unwrap();
+        });
+        while wal(state).gathers == before {
+            std::thread::yield_now();
+        }
+        handle
+    }
+
+    #[test]
+    fn sync_gate_solo_writer_never_gathers() {
+        let (state, dir) = gate_state("gate-solo");
+        // Two workers on the shard; the second holds no request.
+        let _present = state.writer_present();
+        drop(state.writer_present());
+        for _ in 0..3 {
+            state.create_session("b", 0.01).unwrap().unwrap();
+        }
+        let id = state.create_session("a", 0.5).unwrap().unwrap();
+        let acc = AccuracySpec::new(25.0, 0.05).unwrap();
+        state.submit(id, &histogram(), &acc).unwrap();
+        assert_eq!(
+            wal(&state),
+            WalStats {
+                durable_records: 5,
+                covered: 5,
+                syncs: 5,
+                present: 1,
+                ..WalStats::default()
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_gate_pairs_two_present_writers_under_one_sync() {
+        let (state, dir) = gate_state("gate-pair");
+        // Worker A holds a request but has not reached `log` yet.
+        let a = state.writer_present();
+        std::thread::scope(|scope| {
+            let b = gathering_worker(scope, &state);
+            assert_eq!(wal(&state).syncs, 0, "B must wait for A");
+            state.create_session("a", 0.01).unwrap().unwrap();
+            b.join().unwrap();
+        });
+        drop(a);
+        assert_eq!(
+            wal(&state),
+            WalStats {
+                durable_records: 2,
+                covered: 2,
+                syncs: 1,
+                gathers: 1,
+                ..WalStats::default()
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_gate_leaver_releases_a_gathering_leader() {
+        let (state, dir) = gate_state("gate-leaver");
+        let a = state.writer_present();
+        std::thread::scope(|scope| {
+            let b = gathering_worker(scope, &state);
+            // A's request returns early — a 404 that never reaches
+            // `log` — and B keeps waiting while A still holds it…
+            let acc = AccuracySpec::new(25.0, 0.05).unwrap();
+            assert!(matches!(
+                state.submit(999, &histogram(), &acc).unwrap(),
+                SubmitOutcome::NoSuchSession
+            ));
+            assert_eq!(wal(&state).syncs, 0);
+            // …until A goes back to wait for input.
+            drop(a);
+            b.join().unwrap();
+        });
+        assert_eq!(
+            wal(&state),
+            WalStats {
+                durable_records: 1,
+                covered: 1,
+                syncs: 1,
+                gathers: 1,
+                ..WalStats::default()
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Blocks its thread at one yield point until told to go on, or
+    /// panics there.
+    struct AtPoint {
+        point: &'static str,
+        reached: std::sync::mpsc::Sender<()>,
+        resume: Option<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl apex_core::sched::SchedHook for AtPoint {
+        fn reach(&self, point: &'static str) {
+            if point == self.point {
+                self.reached.send(()).unwrap();
+                match &self.resume {
+                    Some(resume) => resume.recv().unwrap(),
+                    None => std::panic::panic_any(apex_core::sched::SimulatedCrash),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sync_gate_does_not_wait_for_a_writer_inside_evaluate() {
+        let (state, dir) = gate_state("gate-evaluating");
+        let id = state.create_session("a", 0.5).unwrap().unwrap();
+        let (reached_tx, reached) = std::sync::mpsc::channel();
+        let (resume, resume_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let state = &state;
+            let a = scope.spawn(move || {
+                let _present = state.writer_present();
+                let _hook = apex_core::sched::hook_scope(std::rc::Rc::new(AtPoint {
+                    point: "session.evaluate.enter",
+                    reached: reached_tx,
+                    resume: Some(resume_rx),
+                }));
+                let acc = AccuracySpec::new(25.0, 0.05).unwrap();
+                state.submit(id, &histogram(), &acc).unwrap();
+            });
+            // A is suspended inside evaluate: present, but B's commit
+            // syncs at once.
+            reached.recv().unwrap();
+            let present = state.writer_present();
+            assert_eq!(wal(state).present, 2);
+            state.create_session("b", 0.01).unwrap().unwrap();
+            assert_eq!((wal(state).syncs, wal(state).gathers), (2, 0));
+            drop(present);
+            resume.send(()).unwrap();
+            a.join().unwrap();
+        });
+        assert_eq!(
+            wal(&state),
+            WalStats {
+                durable_records: 3,
+                covered: 3,
+                syncs: 3,
+                ..WalStats::default()
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_gate_leader_waits_a_peers_evaluate_out_and_pairs() {
+        let (state, dir) = gate_state("gate-evaluate-pair");
+        let id = state.create_session("a", 0.5).unwrap().unwrap();
+        let (reached_tx, reached) = std::sync::mpsc::channel();
+        let (resume, resume_rx) = std::sync::mpsc::channel();
+        let (go, go_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let state = &state;
+            // Worker A holds a request it has yet to evaluate.
+            let a = scope.spawn(move || {
+                let _present = state.writer_present();
+                reached_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                let _hook = apex_core::sched::hook_scope(std::rc::Rc::new(AtPoint {
+                    point: "session.evaluate.enter",
+                    reached: reached_tx,
+                    resume: Some(resume_rx),
+                }));
+                let acc = AccuracySpec::new(25.0, 0.05).unwrap();
+                state.submit(id, &histogram(), &acc).unwrap();
+            });
+            reached.recv().unwrap();
+            let b = gathering_worker(scope, state);
+            // A moving into evaluate does not end B's gather…
+            go.send(()).unwrap();
+            reached.recv().unwrap();
+            assert_eq!(wal(state).syncs, 1, "B must still be waiting for A");
+            // …A's commit joining it does.
+            resume.send(()).unwrap();
+            a.join().unwrap();
+            b.join().unwrap();
+        });
+        assert_eq!(
+            wal(&state),
+            WalStats {
+                durable_records: 3,
+                covered: 3,
+                syncs: 2,
+                gathers: 1,
+                ..WalStats::default()
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_gate_counts_survive_a_panic_inside_evaluate() {
+        let (state, dir) = gate_state("gate-panic");
+        let id = state.create_session("a", 0.5).unwrap().unwrap();
+        let (reached, _rx) = std::sync::mpsc::channel();
+        // What a shard worker does around `router::route`.
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _present = state.writer_present();
+            let _hook = apex_core::sched::hook_scope(std::rc::Rc::new(AtPoint {
+                point: "session.evaluate.enter",
+                reached,
+                resume: None,
+            }));
+            let acc = AccuracySpec::new(25.0, 0.05).unwrap();
+            let _ = state.submit(id, &histogram(), &acc);
+        }));
+        assert!(crashed.is_err());
+        let prog = lockx::lock(&state.sync_gate().unwrap().progress);
+        assert_eq!((prog.present, prog.evaluating), (0, 0));
+        drop(prog);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_gate_direct_caller_never_gathers() {
+        // No worker around the calls — the exerciser, the benchmark
+        // ladder, `tests/service.rs`: nobody is ever present, and the
+        // caller's own evaluate must not wrap the count below zero.
+        let (state, dir) = gate_state("gate-direct");
+        let id = state.create_session("a", 0.5).unwrap().unwrap();
+        let acc = AccuracySpec::new(25.0, 0.05).unwrap();
+        state.submit(id, &histogram(), &acc).unwrap();
+        state.expire_session(id).unwrap();
+        assert_eq!(
+            wal(&state),
+            WalStats {
+                durable_records: 3,
+                covered: 3,
+                syncs: 3,
+                ..WalStats::default()
+            }
+        );
+        let prog = lockx::lock(&state.sync_gate().unwrap().progress);
+        assert_eq!(prog.evaluating, 0);
+        drop(prog);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -282,6 +282,19 @@ pub fn view_stats_json(stats: apex_data::ViewStats) -> Json {
     ])
 }
 
+/// Renders one shard's group-commit counters (`/v1/stats`
+/// `shards[k].wal`): `durable_records / syncs` is records per sync.
+pub fn wal_stats_json(stats: crate::state::WalStats) -> Json {
+    Json::obj(vec![
+        ("durable_records", Json::from(stats.durable_records)),
+        ("covered", Json::from(stats.covered)),
+        ("syncs", Json::from(stats.syncs)),
+        ("gathers", Json::from(stats.gathers)),
+        ("gather_timeouts", Json::from(stats.gather_timeouts)),
+        ("present", Json::from(stats.present)),
+    ])
+}
+
 /// A uniform error body.
 pub fn error_json(msg: &str) -> String {
     Json::obj(vec![("error", Json::from(msg))]).render()
