@@ -9,15 +9,10 @@
 //! session against one journal) scales with the shard count — the full
 //! run asserts **≥3× sessions/sec at 8 shards vs 1**.
 //!
-//! Every run also re-verifies the paper's budget invariants end to end,
-//! because a soak that corrupts the ledger is worse than a slow one:
-//!
-//! * per tenant, `spent ≤ B` on every shard;
-//! * per tenant, the engine's spent equals the Σε the wire acked;
-//! * per tenant, `granted == spent + reclaimed` once every session is
-//!   closed;
-//! * after a cold re-recovery of every shard's WAL-over-snapshot, the
-//!   recovered spent still equals the acked Σε.
+//! Every run also checks every tenant against what the wire acked it
+//! (`apex_serve::invariants`), live and after a cold re-recovery of
+//! every shard's WAL-over-snapshot, because a soak that corrupts the
+//! ledger is worse than a slow one.
 //!
 //! The criterion shim's calibrated `Bencher::iter` loop is wrong for a
 //! soak (one "iteration" is a multi-second server lifecycle), so this
@@ -31,8 +26,6 @@
 //! promise scaling) and never overwrites the committed
 //! `BENCH_serve_soak.json` unless `APEX_BENCH_JSON` points elsewhere.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,7 +34,9 @@ use std::time::{Duration, Instant};
 use apex_bench::json_escape as esc;
 use apex_core::{EngineConfig, Mode, TranslatorCache};
 use apex_data::{Attribute, Dataset, Domain, Schema, Value};
-use apex_serve::{client, serve_sharded, PersistOptions, ServeConfig, ServerState, ShardSet};
+use apex_serve::client::{self, Conn};
+use apex_serve::invariants::{self, Acked, Observed, Slack, When};
+use apex_serve::{serve_sharded, Json, PersistOptions, ServeConfig, ServerState, ShardSet};
 
 /// Shard counts the soak sweeps.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -83,6 +78,12 @@ const TENANT_BUDGET: f64 = 1.0e9;
 /// Budget slice each session requests.
 const SLICE: f64 = 1.0;
 
+/// WAL records between checkpoints — more than the 1024-record default,
+/// so it checkpoints less often: a soak is all writes, and each
+/// compaction stalls its shard for a snapshot fsync. Same interval at
+/// every shard count, so ratios stay apples-to-apples.
+const SNAPSHOT_EVERY: u64 = 8192;
+
 /// The submitted query (the paper's concrete syntax). Two-bucket WCQ
 /// over the tiny domain: translation comes from the shared cache after
 /// the first prepare, so steady-state cost is the engine + the WAL.
@@ -90,15 +91,6 @@ const QUERY: &str = r#"{"query":"BIN t ON COUNT(*) WHERE W = { v IN [0, 4), v IN
 
 fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
-}
-
-/// Env override for ad-hoc tuning runs (`APEX_SOAK_<NAME>`); the
-/// committed numbers always come from the defaults.
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn tiny_dataset() -> Dataset {
@@ -128,144 +120,6 @@ fn scratch_dir(shards: usize) -> PathBuf {
     dir
 }
 
-/// One keep-alive HTTP/1.1 connection with a carry buffer, so
-/// back-to-back responses arriving in one segment are split correctly.
-struct Conn {
-    addr: std::net::SocketAddr,
-    stream: TcpStream,
-    carry: Vec<u8>,
-}
-
-impl Conn {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("soak client connect");
-        let _ = stream.set_nodelay(true);
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("set client read timeout");
-        Self {
-            addr,
-            stream,
-            carry: Vec::new(),
-        }
-    }
-
-    /// Sends `POST path` with `body`, retrying 503 backpressure sheds
-    /// (the documented client contract: wait `Retry-After`, resend) and
-    /// transparently reconnecting if the server closed the connection.
-    /// Returns the final non-503 (status, body).
-    fn post(&mut self, path: &str, body: &str) -> (u16, String) {
-        let raw = format!(
-            "POST {path} HTTP/1.1\r\nHost: soak\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        loop {
-            let wrote = self.stream.write_all(raw.as_bytes());
-            let resp = match wrote {
-                Ok(()) => self.read_response(),
-                Err(_) => None,
-            };
-            let Some((status, resp_body)) = resp else {
-                // Closed or errored mid-exchange: reconnect and resend.
-                // Mutating requests are safe to resend here because a
-                // failed exchange in this closed-loop client means the
-                // prior request was shed before reaching a worker.
-                self.carry.clear();
-                self.stream = TcpStream::connect(self.addr).expect("soak client reconnect");
-                self.stream
-                    .set_read_timeout(Some(Duration::from_secs(30)))
-                    .expect("set client read timeout");
-                continue;
-            };
-            if status == 503 {
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-            return (status, resp_body);
-        }
-    }
-
-    /// Sends every request in ONE pipelined segment, then reads the
-    /// responses in order (HTTP/1.1 pipelining — the shard layer
-    /// answers in arrival order per connection). 503 backpressure sheds
-    /// keep the connection open, so shed slots are re-pipelined after
-    /// `Retry-After`-ish backoff until every slot has a real answer.
-    /// Unlike `post`, a dead connection here is fatal: resending a
-    /// half-acked pipelined batch could double-apply opens.
-    /// The send half of a pipelined batch: the `pending` slots of
-    /// `reqs`, written as ONE segment.
-    fn send_batch(&mut self, reqs: &[String], pending: &[usize]) {
-        let wire: String = pending.iter().map(|&j| reqs[j].as_str()).collect();
-        self.stream
-            .write_all(wire.as_bytes())
-            .expect("soak pipelined write");
-    }
-
-    /// The receive half: reads the `pending` responses in order, and
-    /// re-pipelines 503 backpressure sheds after `Retry-After`-ish
-    /// backoff until every slot has a real answer. A dead connection
-    /// here is fatal: resending a half-acked pipelined batch could
-    /// double-apply opens.
-    fn recv_batch(&mut self, reqs: &[String], mut pending: Vec<usize>) -> Vec<(u16, String)> {
-        let mut out: Vec<Option<(u16, String)>> = vec![None; reqs.len()];
-        loop {
-            let mut shed = Vec::new();
-            for &j in &pending {
-                let (status, body) = self.read_response().expect("soak pipelined read");
-                if status == 503 {
-                    shed.push(j);
-                } else {
-                    out[j] = Some((status, body));
-                }
-            }
-            if shed.is_empty() {
-                return out
-                    .into_iter()
-                    .map(|o| o.expect("every slot answered"))
-                    .collect();
-            }
-            pending = shed;
-            std::thread::sleep(Duration::from_millis(2));
-            self.send_batch(reqs, &pending);
-        }
-    }
-
-    /// Reads one head + Content-Length body; `None` on EOF/IO error.
-    fn read_response(&mut self) -> Option<(u16, String)> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(head_end) = self
-                .carry
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-                .map(|p| p + 4)
-            {
-                let head = String::from_utf8_lossy(&self.carry[..head_end]).into_owned();
-                let status: u16 = head
-                    .split_whitespace()
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())?;
-                let len: usize = head
-                    .lines()
-                    .find_map(|l| l.strip_prefix("Content-Length: "))
-                    .and_then(|v| v.trim().parse().ok())
-                    .unwrap_or(0);
-                if self.carry.len() >= head_end + len {
-                    let body =
-                        String::from_utf8_lossy(&self.carry[head_end..head_end + len]).into_owned();
-                    self.carry.drain(..head_end + len);
-                    return Some((status, body));
-                }
-            }
-            let n = self.stream.read(&mut chunk).ok()?;
-            if n == 0 {
-                return None;
-            }
-            self.carry.extend_from_slice(&chunk[..n]);
-        }
-    }
-}
-
 /// Runs one phase over a PAIR of connections to the same shard: both
 /// pipelined segments are written before either is read. While this
 /// thread reads `a`'s responses, the shard's second worker is already
@@ -275,42 +129,43 @@ impl Conn {
 /// One client thread, two server streams: loader threads stay scarce on
 /// the shared core while every shard still has enough concurrency to
 /// keep its WAL continuously committing.
-type BatchResponses = Vec<(u16, String)>;
-
-fn post_batch_pair(
+fn exchange_pair(
     a: &mut Conn,
     b: &mut Conn,
     reqs_a: &[String],
     reqs_b: &[String],
-) -> (BatchResponses, BatchResponses) {
-    let pending_a: Vec<usize> = (0..reqs_a.len()).collect();
-    let pending_b: Vec<usize> = (0..reqs_b.len()).collect();
-    a.send_batch(reqs_a, &pending_a);
-    b.send_batch(reqs_b, &pending_b);
-    (
-        a.recv_batch(reqs_a, pending_a),
-        b.recv_batch(reqs_b, pending_b),
-    )
+) -> [Vec<(u16, Json)>; 2] {
+    a.send(reqs_a).expect("soak pipelined write");
+    b.send(reqs_b).expect("soak pipelined write");
+    [a.recv_all(reqs_a), b.recv_all(reqs_b)].map(|r| r.expect("soak pipelined read"))
 }
 
-/// One raw pipelineable POST request.
-fn raw_post(path: &str, body: &str) -> String {
-    format!(
-        "POST {path} HTTP/1.1\r\nHost: soak\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
+/// One request and its reply, `503` sheds re-sent.
+fn post(conn: &mut Conn, path: &str, body: &str) -> (u16, Json) {
+    let req = [client::encode("POST", path, body)];
+    conn.send(&req).expect("soak write");
+    conn.recv_all(&req).expect("soak read").remove(0)
 }
 
-/// Pulls `"field":<number>` out of a response body without a JSON
-/// parse — the hot client loop stays cheap on the shared core.
-fn extract_num(body: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = body.find(&needle)? + needle.len();
-    let rest = &body[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Records one reply into its tenant's wire model and returns the body.
+/// `B` is never crossed, so anything but the `want`ed status fails.
+fn ack(acked: &mut Acked, want: u16, (status, body): (u16, Json)) -> Json {
+    assert_eq!(status, want, "{body:?}");
+    acked
+        .record(status, &body)
+        .unwrap_or_else(|e| panic!("{e}"));
+    body
+}
+
+fn session_id(created: &Json) -> u64 {
+    created
+        .get("session")
+        .and_then(Json::as_u64)
+        .expect("session id")
+}
+
+fn open_body(name: &str) -> String {
+    format!("{{\"dataset\":\"{name}\",\"budget\":{SLICE}}}")
 }
 
 /// What one shard-count soak measured.
@@ -326,15 +181,6 @@ struct SoakResult {
     records_per_sync: f64,
     /// Share of gathers the backstop timer ended.
     gather_timeout_share: f64,
-}
-
-/// Per-tenant accounting the clients observed on the wire.
-#[derive(Default, Clone, Copy)]
-struct Acked {
-    /// Sessions opened (each granted one `SLICE`).
-    opened: usize,
-    /// Σε across acked answers.
-    epsilon: f64,
 }
 
 fn build_shard_set(
@@ -362,15 +208,9 @@ fn build_shard_set(
             }
             b
         },
-        |d| {
-            let mut o = PersistOptions::new(d);
-            o.sync = std::env::var("APEX_SOAK_NOSYNC").is_err();
-            // Checkpoint less often than the 1024-record default: a
-            // soak is all writes, and each compaction stalls its shard
-            // for a snapshot fsync. Same interval at every shard
-            // count, so ratios stay apples-to-apples.
-            o.snapshot_every = env_usize("APEX_SOAK_SNAPSHOT_EVERY", 8192) as u64;
-            o
+        |d| PersistOptions {
+            snapshot_every: SNAPSHOT_EVERY,
+            ..PersistOptions::new(d)
         },
     )
     .expect("soak recovery");
@@ -390,44 +230,29 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
     let dir = scratch_dir(shards);
     settle_fs();
     let (set, _) = build_shard_set(&dir, shards, names);
-    let handle = serve_sharded(
-        "127.0.0.1:0",
-        set.clone(),
-        ServeConfig {
-            workers_per_shard: env_usize("APEX_SOAK_WORKERS", 2),
-            sticky_wait: std::time::Duration::from_micros(
-                env_usize("APEX_SOAK_STICKY_US", 1000) as u64
-            ),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("soak server bind");
+    let base: Vec<Observed> = names
+        .iter()
+        .map(|n| Observed::read(set.states(), set.ring().shard_for(n), n))
+        .collect();
+    let handle = serve_sharded("127.0.0.1:0", set.clone(), ServeConfig::default())
+        .expect("soak server bind");
     let addr = handle.addr();
 
     // Warm the shared translator cache so the first measured session
-    // isn't paying the one-time strategy prepare.
+    // isn't paying the one-time strategy prepare. Its acks are tenant 0's
+    // like any other session's.
+    let acked: Vec<Mutex<Acked>> = names.iter().map(|_| Mutex::default()).collect();
     {
-        let mut warm = Conn::connect(addr);
-        let (status, body) = warm.post(
-            "/v1/sessions",
-            &format!("{{\"dataset\":\"{}\",\"budget\":{SLICE}}}", names[0]),
-        );
-        assert_eq!(status, 201, "warmup open: {body}");
-        let id = extract_num(&body, "session").expect("warmup session id") as u64;
-        let (status, body) = warm.post(&format!("/v1/sessions/{id}/query"), QUERY);
-        assert_eq!(status, 200, "warmup query: {body}");
-        let (status, body) = warm.post(&format!("/v1/sessions/{id}/close"), "{}");
-        assert_eq!(status, 200, "warmup close: {body}");
+        let mut warm = Conn::connect(addr).expect("soak client connect");
+        let model = &mut acked[0].lock().expect("no poisoning");
+        let mut call = |want, path: &str, body: &str| ack(model, want, post(&mut warm, path, body));
+        let id = session_id(&call(201, "/v1/sessions", &open_body(&names[0])));
+        call(200, &format!("/v1/sessions/{id}/query"), QUERY);
+        call(200, &format!("/v1/sessions/{id}/close"), "{}");
     }
-    let warm_acked = Acked {
-        opened: 1,
-        epsilon: set.spent(&names[0]),
-    };
 
     let next = AtomicUsize::new(0);
-    let acked: Vec<Mutex<Acked>> = names.iter().map(|_| Mutex::new(Acked::default())).collect();
-    let clients = env_usize("APEX_SOAK_CLIENTS", shards + EXTRA_CLIENTS);
-    let batch = env_usize("APEX_SOAK_BATCH", BATCH).max(1);
+    let clients = shards + EXTRA_CLIENTS;
     // Tenants grouped by owning shard: each load connection pins one
     // shard and cycles its tenants, so every shard's WAL has demand at
     // every instant. Without the pinning, loaders picking tenants
@@ -462,13 +287,13 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
             let acked = &acked;
             let by_shard = &by_shard;
             handles.push(scope.spawn(move || {
-                let mut conn = Conn::connect(addr);
+                let mut conn = Conn::connect(addr).expect("soak client connect");
                 let mut lat = Vec::new();
                 let mut local: Vec<Acked> = vec![Acked::default(); names.len()];
                 let probe = c == 0;
                 // Loaders drive a twin connection to the same shard so
                 // each claim runs as two concurrently-served batches.
-                let mut twin = (!probe).then(|| Conn::connect(addr));
+                let mut twin = (!probe).then(|| Conn::connect(addr).expect("soak client connect"));
                 // Loaders round-robin their pinned shard's tenants; the
                 // probe round-robins every tenant.
                 let mine: &[usize] = if probe {
@@ -478,7 +303,7 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
                 };
                 let mut round = 0usize;
                 loop {
-                    let claim = if probe { 1 } else { 2 * batch };
+                    let claim = if probe { 1 } else { 2 * BATCH };
                     let i = next.fetch_add(claim, Ordering::Relaxed);
                     if i >= sessions {
                         break;
@@ -486,92 +311,68 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
                     let n = claim.min(sessions - i);
                     if probe {
                         let t = i % names.len();
-                        let name = &names[t];
-                        let (status, body) = conn.post(
-                            "/v1/sessions",
-                            &format!("{{\"dataset\":\"{name}\",\"budget\":{SLICE}}}"),
-                        );
-                        assert_eq!(status, 201, "open {name}: {body}");
-                        let id = extract_num(&body, "session").expect("session id") as u64;
-                        local[t].opened += 1;
-
+                        let mut call = |path: &str, body: &str| post(&mut conn, path, body);
+                        let id = session_id(&ack(
+                            &mut local[t],
+                            201,
+                            call("/v1/sessions", &open_body(&names[t])),
+                        ));
                         let t0 = Instant::now();
-                        let (status, body) = conn.post(&format!("/v1/sessions/{id}/query"), QUERY);
+                        let answer = call(&format!("/v1/sessions/{id}/query"), QUERY);
                         lat.push(t0.elapsed().as_nanos() as u64);
-                        assert_eq!(status, 200, "query {name}: {body}");
-                        local[t].epsilon += extract_num(&body, "epsilon").expect("acked epsilon");
-
-                        let (status, body) = conn.post(&format!("/v1/sessions/{id}/close"), "{}");
-                        assert_eq!(status, 200, "close {name}: {body}");
+                        ack(&mut local[t], 200, answer);
+                        ack(
+                            &mut local[t],
+                            200,
+                            call(&format!("/v1/sessions/{id}/close"), "{}"),
+                        );
                         continue;
                     }
-                    // Load generator: 2×batch same-shard sessions per
+                    // Load generator: 2×BATCH same-shard sessions per
                     // claim, split across the twin connections, each
                     // phase pipelined in one segment so the owning
                     // shard's WAL sees back-to-back appends on two
                     // concurrent streams.
                     let twin = twin.as_mut().expect("loader has a twin conn");
-                    let na = n.div_ceil(2);
-                    let nb = n - na;
-                    let ta = mine[(2 * round) % mine.len()];
-                    let tb = mine[(2 * round + 1) % mine.len()];
-                    round += 1;
-                    let open_req = |t: usize| {
-                        raw_post(
-                            "/v1/sessions",
-                            &format!("{{\"dataset\":\"{}\",\"budget\":{SLICE}}}", names[t]),
-                        )
-                    };
-                    let (oa, ob) = post_batch_pair(
-                        &mut conn,
-                        twin,
-                        &vec![open_req(ta); na],
-                        &vec![open_req(tb); nb],
+                    let (ta, tb) = (
+                        mine[(2 * round) % mine.len()],
+                        mine[(2 * round + 1) % mine.len()],
                     );
-                    let parse_ids = |resps: Vec<(u16, String)>, t: usize| -> Vec<u64> {
-                        resps
+                    round += 1;
+                    let (na, nb) = (n.div_ceil(2), n / 2);
+                    let open =
+                        |t: usize| client::encode("POST", "/v1/sessions", &open_body(&names[t]));
+                    let [oa, ob] =
+                        exchange_pair(&mut conn, twin, &vec![open(ta); na], &vec![open(tb); nb]);
+                    let mut ids = |replies: Vec<(u16, Json)>, t: usize| -> Vec<u64> {
+                        replies
                             .into_iter()
-                            .map(|(status, body)| {
-                                assert_eq!(status, 201, "open {}: {body}", names[t]);
-                                extract_num(&body, "session").expect("session id") as u64
-                            })
+                            .map(|r| session_id(&ack(&mut local[t], 201, r)))
                             .collect()
                     };
-                    let ids_a = parse_ids(oa, ta);
-                    let ids_b = parse_ids(ob, tb);
-                    local[ta].opened += na;
-                    local[tb].opened += nb;
-
-                    let query_reqs = |ids: &[u64]| -> Vec<String> {
-                        ids.iter()
-                            .map(|id| raw_post(&format!("/v1/sessions/{id}/query"), QUERY))
-                            .collect()
-                    };
-                    let (qa, qb) =
-                        post_batch_pair(&mut conn, twin, &query_reqs(&ids_a), &query_reqs(&ids_b));
-                    for (resps, t) in [(qa, ta), (qb, tb)] {
-                        for (status, body) in resps {
-                            assert_eq!(status, 200, "query {}: {body}", names[t]);
-                            local[t].epsilon +=
-                                extract_num(&body, "epsilon").expect("acked epsilon");
+                    let (ids_a, ids_b) = (ids(oa, ta), ids(ob, tb));
+                    for (what, body) in [("query", QUERY), ("close", "{}")] {
+                        let reqs = |ids: &[u64]| -> Vec<String> {
+                            ids.iter()
+                                .map(|id| {
+                                    client::encode(
+                                        "POST",
+                                        &format!("/v1/sessions/{id}/{what}"),
+                                        body,
+                                    )
+                                })
+                                .collect()
+                        };
+                        let [ra, rb] = exchange_pair(&mut conn, twin, &reqs(&ids_a), &reqs(&ids_b));
+                        for (replies, t) in [(ra, ta), (rb, tb)] {
+                            for r in replies {
+                                ack(&mut local[t], 200, r);
+                            }
                         }
-                    }
-
-                    let close_reqs = |ids: &[u64]| -> Vec<String> {
-                        ids.iter()
-                            .map(|id| raw_post(&format!("/v1/sessions/{id}/close"), "{}"))
-                            .collect()
-                    };
-                    let (ca, cb) =
-                        post_batch_pair(&mut conn, twin, &close_reqs(&ids_a), &close_reqs(&ids_b));
-                    for (status, body) in ca.into_iter().chain(cb) {
-                        assert_eq!(status, 200, "close: {body}");
                     }
                 }
                 for (t, a) in local.iter().enumerate() {
-                    let mut g = acked[t].lock().expect("no poisoning");
-                    g.opened += a.opened;
-                    g.epsilon += a.epsilon;
+                    acked[t].lock().expect("no poisoning").merge(a);
                 }
                 lat
             }));
@@ -588,13 +389,13 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
     assert_eq!(status, 200);
     let stats_shards = stats
         .get("shard_count")
-        .and_then(apex_serve::Json::as_f64)
+        .and_then(Json::as_f64)
         .expect("shard_count") as usize;
     assert_eq!(stats_shards, shards, "stats must report the shard count");
     assert_eq!(
         stats
             .get("sessions")
-            .and_then(apex_serve::Json::as_f64)
+            .and_then(Json::as_f64)
             .expect("live sessions") as usize,
         0,
         "every soak session was closed"
@@ -603,13 +404,13 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
     let wal_sum = |field: &str| -> f64 {
         stats
             .get("shards")
-            .and_then(apex_serve::Json::as_arr)
+            .and_then(Json::as_arr)
             .expect("shards")
             .iter()
             .map(|s| {
                 s.get("wal")
                     .and_then(|w| w.get(field))
-                    .and_then(apex_serve::Json::as_f64)
+                    .and_then(Json::as_f64)
                     .expect("durable shards report wal counters")
             })
             .sum()
@@ -625,71 +426,41 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
     handle.stop();
     handle.join();
 
-    // The wire-level ledger: what the clients were told, per tenant.
-    let mut wire: Vec<Acked> = acked
-        .iter()
-        .map(|m| *m.lock().expect("no poisoning"))
+    // Every tenant against what the wire acked it, live and after a cold
+    // re-recovery in which every shard replays its own WAL-over-snapshot.
+    let wire: Vec<Acked> = acked
+        .into_iter()
+        .map(|m| m.into_inner().expect("no poisoning"))
         .collect();
-    wire[0].opened += warm_acked.opened;
-    wire[0].epsilon += warm_acked.epsilon;
-
-    verify_invariants(&set, names, &wire, "live");
-
-    // Cold re-recovery: every shard replays its own WAL-over-snapshot;
-    // the recovered ledgers must still match what the wire acked.
+    let check = |set: &ShardSet, when| {
+        for (t, name) in names.iter().enumerate() {
+            let after = Observed::read(set.states(), set.ring().shard_for(name), name);
+            invariants::check(when, &base[t], &after, &wire[t], Slack::default())
+                .unwrap_or_else(|e| panic!("{when:?}: tenant {name}: {e}"));
+        }
+    };
+    check(&set, When::Live);
     drop(set);
     let (recovered, reports) = build_shard_set(&dir, shards, names);
     assert!(
         reports.iter().any(|r| r.replayed > 0),
         "a durable soak must leave WAL records to replay"
     );
-    verify_invariants(&recovered, names, &wire, "recovered");
+    check(&recovered, When::Recovered);
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
 
     latencies.sort_unstable();
     let pick = |q: f64| latencies[((latencies.len() - 1) as f64 * q) as usize];
-    let sessions_measured = sessions;
     SoakResult {
         shards,
-        sessions: sessions_measured,
+        sessions,
         wall,
-        sessions_per_sec: sessions_measured as f64 / wall.as_secs_f64(),
+        sessions_per_sec: sessions as f64 / wall.as_secs_f64(),
         p99_submit_ns: pick(0.99),
         median_submit_ns: pick(0.50),
         records_per_sync,
         gather_timeout_share,
-    }
-}
-
-/// The paper's budget invariants, checked per tenant against the
-/// wire-observed ledger. `when` labels the failure (live vs recovered).
-fn verify_invariants(set: &ShardSet, names: &[String], wire: &[Acked], when: &str) {
-    for (t, name) in names.iter().enumerate() {
-        let spent = set.spent(name);
-        let tol = 1e-9 * wire[t].epsilon.max(1.0);
-        assert!(
-            spent <= TENANT_BUDGET + tol,
-            "{when}: tenant {name} overspent: {spent} > B={TENANT_BUDGET}"
-        );
-        assert!(
-            (spent - wire[t].epsilon).abs() <= tol,
-            "{when}: tenant {name} spent {spent} != acked sum {}",
-            wire[t].epsilon
-        );
-        // Every session was closed, so the grants must have been either
-        // charged or reclaimed — nothing leaks.
-        let granted = wire[t].opened as f64 * SLICE;
-        let reclaimed: f64 = set
-            .states()
-            .iter()
-            .filter_map(|s| s.tenant(name))
-            .map(apex_serve::state::Tenant::reclaimed)
-            .sum();
-        assert!(
-            (granted - (spent + reclaimed)).abs() <= 1e-9 * granted.max(1.0),
-            "{when}: tenant {name} granted {granted} != spent {spent} + reclaimed {reclaimed}"
-        );
     }
 }
 
@@ -756,11 +527,7 @@ fn main() {
     let sessions = if quick { QUICK_SESSIONS } else { FULL_SESSIONS };
     let names = tenant_names();
     let mut results = Vec::new();
-    let counts: Vec<usize> = std::env::var("APEX_SOAK_SHARDS")
-        .map(|v| v.split(',').filter_map(|x| x.parse().ok()).collect())
-        .unwrap_or_else(|_| SHARD_COUNTS.to_vec());
-    let sessions = env_usize("APEX_SOAK_SESSIONS", sessions);
-    for shards in counts {
+    for shards in SHARD_COUNTS {
         let r = soak_one(shards, sessions, &names);
         println!(
             "serve_soak shards/{}: {} sessions in {:.2}s — {:.0} sessions/s, \

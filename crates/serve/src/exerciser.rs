@@ -3,29 +3,15 @@
 //! [`apex_core::sched`] supplies the mechanics — yield points, traces,
 //! schedule enumeration, crash injection. This module supplies the
 //! *world*: a real [`ServerState`] over a real WAL directory, a set of
-//! scripted logical threads ([`Op`] sequences), and the invariant
-//! checker that every schedule must satisfy:
-//!
-//! * **Budget** — engine `spent ≤ B` at every step and after recovery.
-//! * **Acked accounting** — between steps, live `spent` equals the sum
-//!   of ε across *acked* answers, exactly. A WAL append that failed or
-//!   a commit that denied charges nothing.
-//! * **Grant conservation** — `Σ granted allowances = Σ live
-//!   allowances + spend of closed sessions + reclaimed`, at every step
-//!   and after recovery. Closing, reaping, compaction and crashes move
-//!   budget between those buckets but never create or destroy it.
-//! * **Per-answer bound** — every acked answer has `ε ≤ εᵘ`.
-//! * **Maintained histograms** — at every step and after recovery, every
-//!   histogram the live dataset has cached for itself equals a rescan of
-//!   its rows, bit for bit: a mutation folds into the views (or a
-//!   copy-on-write clone of them, when an evaluate is in flight) and
-//!   never leaves one behind. Views are volatile, so a crash simply
-//!   loses them — recovery needs no protocol for them.
-//! * **Crash recovery** — after a kill at *any* yield point, recovered
-//!   `spent` is at least the acked sum (no acked charge forgotten) and
-//!   at most acked + the one in-flight commit's `εᵘ` (a durable-but-
-//!   unacked record may legitimately be replayed; it can never exceed
-//!   the worst case the evaluate phase fixed).
+//! scripted logical threads ([`Op`] sequences), and the wire model
+//! ([`Acked`]) every response is recorded into. After every step, and
+//! after recovery from a kill at *any* yield point, the world is checked
+//! by [`invariants::check`] — the one contract every harness shares. A
+//! kill may leave the one commit or mutation it interrupted durable but
+//! unacked, so recovery gets that [`Slack`]: an in-flight commit's εᵘ
+//! (never more — the evaluate phase fixed the worst case), one mutation.
+//! Views are volatile, so a crash simply loses them — recovery needs no
+//! protocol for them.
 //!
 //! Schedules are executed one step at a time on one real thread, so a
 //! failure prints a fully replayable report: scenario name, schedule,
@@ -41,22 +27,23 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use apex_core::sched::{self, RngCore as _, SeedableRng, SimulatedCrash, StdRng, TraceHook};
-use apex_core::{ApexEngine, EngineConfig, EngineResponse, Mode, TranslatorCache};
+use apex_core::{ApexEngine, EngineConfig, Mode, TranslatorCache};
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
 use apex_query::{AccuracySpec, ExplorationQuery};
 
 use crate::clock::ManualClock;
+use crate::http::Request;
+use crate::invariants::{self, Acked, Observed, Slack, When};
 use crate::state::{
     PersistOptions, ServerState, ServerStateBuilder, SubmitError, SubmitInFlight, SubmitOutcome,
     SubmitPhase,
 };
+use crate::{json, router, wire};
 
 /// The one tenant every world serves.
 const TENANT: &str = "t";
 /// Session idle TTL in the world's manual clock.
 const TTL_MS: u64 = 100;
-/// Float slack for ledger comparisons (sums of ≤ a handful of ε).
-const EPS: f64 = 1e-9;
 /// Fixed seed for the random-schedule gate; failures print the case.
 pub const GATE_SEED: u64 = 0xA9E5_5EED;
 
@@ -295,30 +282,26 @@ fn persist_opts(dir: &Path) -> PersistOptions {
     }
 }
 
-/// A live world under test: one durable tenant, one session, and the
-/// model state ([`World::acked`], [`World::granted`]) the invariants
-/// compare the real ledger against.
+/// A live world under test: one durable tenant, one session, and what
+/// its "client" was acked since the tenant was observed as `base`.
 struct World {
     dir: PathBuf,
     clock: ManualClock,
-    state: Option<ServerState>,
+    state: Option<Arc<ServerState>>,
     session: u64,
     budget: f64,
-    /// Σ allowances ever granted (one session in these scenarios).
-    granted: f64,
-    /// Σ ε across answers acked to the "client" (model ground truth).
-    acked: f64,
+    base: Observed,
+    acked: Acked,
     /// εᵘ of the commit currently in flight — the only slack recovery
     /// may legitimately show over `acked` after a mid-commit crash.
     inflight_upper: f64,
-    /// Mutations acked to the "client" (WAL record durable).
-    mut_acked: u64,
     /// Mutations applied live whose append was refused (an armed WAL
-    /// fault): visible until the process dies, gone after recovery.
+    /// fault, a `500` on the wire): visible until the process dies, gone
+    /// after recovery.
     mut_unlogged: u64,
     /// True while a mutate op is between its apply and its ack — the
-    /// only window where recovery may show one mutation over
-    /// `mut_acked` (durable-but-unacked record) or silently lose one
+    /// only window where recovery may show one mutation over the acked
+    /// ones (durable-but-unacked record) or silently lose one
     /// (applied-but-unlogged).
     mut_inflight: bool,
     /// Pending evaluate-phase results by submission slot.
@@ -354,10 +337,9 @@ impl World {
             // Ten units of budget, so the budget check `spent ≤ B` can
             // only fail through a genuine double charge…
             budget: upper * 10.0,
-            granted: 0.0,
-            acked: 0.0,
+            base: Observed::default(),
+            acked: Acked::default(),
             inflight_upper: 0.0,
-            mut_acked: 0,
             mut_unlogged: 0,
             mut_inflight: false,
             pendings: (0..scenario.slots()).map(|_| None).collect(),
@@ -373,24 +355,39 @@ impl World {
                 .engine
                 .set_bug_charge_before_log(true);
         }
+        let state = Arc::new(state);
+        world.base = Observed::read(std::slice::from_ref(&state), 0, TENANT);
+        world.state = Some(state);
         // …while the allowance admits exactly one worst-case answer:
         // the second concurrent commit must re-check and deny, which is
         // exactly the path the slice-bound races live on.
-        let allowance = upper * 1.5;
-        let id = state
-            .create_session(TENANT, allowance)
-            .map_err(|e| format!("create_session failed: {e}"))?
-            .expect("tenant exists");
-        world.granted += allowance;
-        world.session = id;
-        world.state = Some(state);
+        let body = format!("{{\"dataset\":\"{TENANT}\",\"budget\":{}}}", upper * 1.5);
+        let created = world.route("/v1/sessions", &body)?;
+        world.session = created
+            .as_ref()
+            .and_then(|c| c.get("session"))
+            .and_then(json::Json::as_u64)
+            .ok_or("open acked without a session id")?;
         Ok(world)
+    }
+
+    /// One request through the router, its response recorded as acked —
+    /// unless it is the `500` of a refused append (`None`).
+    fn route(&mut self, path: &str, body: &str) -> Result<Option<json::Json>, String> {
+        let state = self.state.as_ref().expect("world is live");
+        let resp = router::route(state, &Request::new("POST", path, body));
+        if resp.status == 500 {
+            return Ok(None);
+        }
+        let body = json::parse(&resp.body).map_err(|e| format!("non-JSON response: {e}"))?;
+        self.acked.record(resp.status, &body)?;
+        Ok(Some(body))
     }
 
     /// Applies one op. `Err` is an invariant-class failure; panics
     /// (crash injection) unwind through to the driver.
     fn apply(&mut self, op: Op) -> Result<(), String> {
-        let state = self.state.as_ref().expect("world is live");
+        let state = self.state.clone().expect("world is live");
         match op {
             Op::Evaluate(q) => {
                 if self.pendings[q].is_some() {
@@ -410,17 +407,12 @@ impl World {
                 };
                 self.inflight_upper = flight.epsilon_upper().unwrap_or(0.0);
                 match state.submit_commit(flight) {
-                    Ok(SubmitOutcome::Response(EngineResponse::Answered(a))) => {
-                        // Negated form would hide a NaN ε — check both ways.
-                        if a.epsilon.is_nan() || a.epsilon > a.epsilon_upper * (1.0 + EPS) {
-                            return Err(format!(
-                                "acked ε {} exceeds εᵘ {}",
-                                a.epsilon, a.epsilon_upper
-                            ));
-                        }
-                        self.acked += a.epsilon;
+                    // The status and body the router would have sent.
+                    Ok(SubmitOutcome::Response(r)) => {
+                        let status = if r.is_denied() { 409 } else { 200 };
+                        self.acked.record(status, &wire::engine_response_json(&r))?;
                     }
-                    // Denied / gone: nothing charged, nothing acked.
+                    // Gone: nothing charged, nothing acked.
                     Ok(_) => {}
                     // Refused append: the contract says neither acked
                     // nor applied; `check_live` verifies the "applied"
@@ -435,23 +427,18 @@ impl World {
             }
             Op::Mutate => {
                 self.mut_inflight = true;
-                match state.mutate_rows(TENANT, true, &[vec![Value::Int(3)]]) {
-                    Ok(crate::state::MutateOutcome::Applied(d)) => {
-                        if d.inserted.len() != 1 {
-                            return Err(format!(
-                                "mutation applied {} rows, not 1",
-                                d.inserted.len()
-                            ));
-                        }
-                        self.mut_acked += 1;
-                    }
-                    Ok(crate::state::MutateOutcome::NoSuchDataset) => {
-                        return Err("the world's tenant vanished".to_string());
-                    }
+                let path = format!("/v1/datasets/{TENANT}/rows");
+                let insert = "{\"op\":\"insert\",\"rows\":[[3]]}";
+                match self.route(&path, insert)? {
                     // Armed fault refused the append: applied to the
                     // live engine (no ack), lost on recovery.
-                    Err(SubmitError::Wal(_)) => self.mut_unlogged += 1,
-                    Err(e) => return Err(format!("mutation failed: {e}")),
+                    None => self.mut_unlogged += 1,
+                    Some(ack) => {
+                        let inserted = ack.get("inserted").and_then(json::Json::as_u64);
+                        if inserted != Some(1) {
+                            return Err(format!("mutation applied {inserted:?} rows, not 1"));
+                        }
+                    }
                 }
                 self.mut_inflight = false;
             }
@@ -478,83 +465,33 @@ impl World {
     /// Invariants that must hold between any two steps of a schedule.
     fn check_live(&self) -> Result<(), String> {
         let state = self.state.as_ref().expect("world is live");
-        let spent = state.tenant(TENANT).unwrap().engine.spent();
-        if spent > self.budget + EPS {
-            return Err(format!("spent {spent} exceeds budget {}", self.budget));
+        let after = Observed::read(std::slice::from_ref(state), 0, TENANT);
+        // A refused mutation append is applied live, unacked: the live
+        // engine must show exactly the acked ones plus those, and its
+        // epoch may be past the last acked one.
+        let mut applied = self.acked.clone();
+        if self.mut_unlogged > 0 {
+            applied.mutations += self.mut_unlogged;
+            applied.rows += self.mut_unlogged as i64;
+            applied.epoch = applied.epoch.max(self.base.epoch + applied.mutations);
         }
-        if (spent - self.acked).abs() > EPS {
-            return Err(format!(
-                "live spent {spent} != acked Σε {} — a charge was applied without an ack \
-                 (or acked without being applied)",
-                self.acked
-            ));
-        }
-        self.check_mutations(state, self.mut_acked + self.mut_unlogged, 0)?;
-        self.check_granted(state, spent)
-    }
-
-    /// The live dataset must hold exactly the mutations the model says
-    /// were applied: `expected ± slack` mutation records, each having
-    /// inserted one row over the 8-row base, with `epoch` in lockstep.
-    fn check_mutations(
-        &self,
-        state: &ServerState,
-        expected: u64,
-        slack: u64,
-    ) -> Result<(), String> {
-        let engine = &state.tenant(TENANT).unwrap().engine;
-        let applied = engine.mutations_applied();
-        if applied < expected || applied > expected + slack {
-            return Err(format!(
-                "dataset carries {applied} mutations, model says {expected} (+{slack} slack)"
-            ));
-        }
-        let epoch = engine.epoch();
-        if epoch != applied {
-            return Err(format!(
-                "epoch {epoch} diverged from mutations applied {applied}"
-            ));
-        }
-        let rows = engine.with_engine(|e| e.dataset_scan_rows());
-        if rows != 8 + applied {
-            return Err(format!(
-                "dataset scans {rows} rows, expected 8 base + {applied} inserted"
-            ));
-        }
-        engine
-            .with_engine(|e| e.audit_dataset_views())
-            .map_err(|e| format!("a maintained histogram diverged from its rescan: {e}"))?;
-        Ok(())
-    }
-
-    /// Grant conservation: granted = live allowances + spend attributed
-    /// to closed sessions + reclaimed remainders.
-    fn check_granted(&self, state: &ServerState, spent: f64) -> Result<(), String> {
-        let live = state.list_sessions();
-        let live_allowance: f64 = live.iter().map(|s| s.allowance).sum();
-        let live_spent: f64 = live.iter().map(|s| s.spent).sum();
-        let closed_spent = spent - live_spent;
-        let reclaimed = state.tenant(TENANT).unwrap().reclaimed();
-        let accounted = live_allowance + closed_spent + reclaimed;
-        if (accounted - self.granted).abs() > EPS {
-            return Err(format!(
-                "grant conservation broken: granted {} but live allowance {live_allowance} \
-                 + closed spend {closed_spent} + reclaimed {reclaimed} = {accounted}",
-                self.granted
-            ));
-        }
-        Ok(())
+        invariants::check(When::Live, &self.base, &after, &applied, Slack::default())
     }
 
     /// Drops the live state (releasing the directory lock — a real kill
-    /// releases it too), recovers from disk, and checks the recovered
-    /// ledger against the acked model.
+    /// releases it too), recovers from disk, checks the recovered state
+    /// against the acked model, and makes it the new baseline.
     fn check_recovered(&mut self, crashed: bool) -> Result<(), String> {
-        // A durable-but-unacked record from the one in-flight commit is
-        // the only legitimate recovered-over-acked slack, and only a
-        // crash can produce it (a completed run acked or discarded
-        // every submission).
-        let slack = if crashed { self.inflight_upper } else { 0.0 };
+        // A durable-but-unacked record of the one commit or mutation in
+        // flight is the only legitimate recovered-over-acked slack, and
+        // only a crash can produce it (a completed run acked or
+        // discarded every operation; refused appends must be gone).
+        let slack = Slack {
+            epsilon: self.inflight_upper,
+            mutations: u64::from(self.mut_inflight),
+            rows_per_mutation: 1,
+        };
+        let slack = if crashed { slack } else { Slack::default() };
         for p in &mut self.pendings {
             *p = None;
         }
@@ -563,36 +500,11 @@ impl World {
             .builder()
             .build_recovered(persist_opts(&self.dir))
             .map_err(|e| format!("recovery failed: {e:?}"))?;
-        let spent = state.tenant(TENANT).unwrap().engine.spent();
-        if spent > self.budget + EPS {
-            return Err(format!(
-                "recovered spent {spent} exceeds budget {}",
-                self.budget
-            ));
-        }
-        if spent + EPS < self.acked {
-            return Err(format!(
-                "recovered spent {spent} below acked Σε {} — an acked charge was forgotten",
-                self.acked
-            ));
-        }
-        if spent > self.acked + slack + EPS {
-            return Err(format!(
-                "recovered spent {spent} exceeds acked Σε {} + in-flight εᵘ {slack} — \
-                 phantom charges were recovered",
-                self.acked
-            ));
-        }
-        // Mutation bounds: every acked mutation must be replayed
-        // (durable before its ack); unlogged ones must be gone; a crash
-        // mid-mutate may leave at most the one in-flight batch either
-        // way (durable-but-unacked, or applied-but-unlogged).
-        let mutation_slack = u64::from(crashed && self.mut_inflight);
-        self.check_mutations(&state, self.mut_acked, mutation_slack)?;
-        self.mut_unlogged = 0;
-        self.mut_inflight = false;
-        self.mut_acked = state.tenant(TENANT).unwrap().engine.mutations_applied();
-        let out = self.check_granted(&state, spent);
+        let state = Arc::new(state);
+        let after = Observed::read(std::slice::from_ref(&state), 0, TENANT);
+        let out = invariants::check(When::Recovered, &self.base, &after, &self.acked, slack);
+        (self.base, self.acked) = (after, Acked::default());
+        (self.inflight_upper, self.mut_unlogged, self.mut_inflight) = (0.0, 0, false);
         self.state = Some(state);
         out
     }
@@ -690,8 +602,9 @@ fn run_in(
     // yield points (it compacts), and an armed crash counter must not
     // fire inside the code whose crash-consistency we are checking.
     drop(guard);
+    let acked = world.acked.epsilon;
     world.check_recovered(crashed)?;
-    Ok(world.acked)
+    Ok(acked)
 }
 
 fn run_checked(
@@ -1037,7 +950,7 @@ mod tests {
         // Keep serving on the SAME state, through the poisoned mutex.
         world.apply(Op::Evaluate(0)).unwrap();
         world.apply(Op::Commit(0)).unwrap();
-        assert!(world.acked > 0.0, "the shard must keep answering");
+        assert!(world.acked.epsilon > 0.0, "the shard must keep answering");
         world.check_live().unwrap_or_else(|m| panic!("{m}"));
         world
             .check_recovered(false)

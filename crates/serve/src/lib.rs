@@ -37,14 +37,18 @@
 //!   `Retry-After`) and graceful shutdown; parallel per-shard recovery at
 //!   boot; the cross-shard endpoints (`/healthz`, aggregated `/v1/stats`,
 //!   admin list / shutdown);
+//! * [`invariants`] — the whole correctness contract, checked in one
+//!   place: a per-tenant wire model of what clients were acked, an
+//!   in-process observation of the shards, and the invariants between
+//!   them (`spent ≤ B`, spent == acked Σε, grant conservation, denials ==
+//!   409s, applied == epoch, view == rescan) — every harness calls it;
 //! * [`selftest`] — the end-to-end gate CI runs (`--self-test`): a
-//!   scripted concurrent workload over real sockets asserting budget
-//!   conservation, protocol discipline, cross-session cache sharing, and
-//!   (new) restart recovery — the run is persisted, restarted
-//!   in-process, and the recovered ledger re-verified against what the
-//!   wire acked;
-//! * [`client`] — the small blocking client the self-test and examples
-//!   drive the server with.
+//!   scripted concurrent workload over real sockets, checked against
+//!   [`invariants`] live and after an in-process restart, plus protocol
+//!   discipline, cross-session cache sharing and group commit;
+//! * [`client`] — the one client the self-test, the tests, the soak and
+//!   the examples drive the server with (keep-alive, pipelining, `503`
+//!   retry).
 //!
 //! Budget semantics under concurrency are documented in
 //! `docs/SERVICE.md`; the one-line summary: submissions are two-phase —
@@ -65,6 +69,7 @@ pub mod clock;
 #[cfg(any(test, feature = "sched"))]
 pub mod exerciser;
 pub mod http;
+pub mod invariants;
 pub mod json;
 pub mod router;
 pub mod selftest;

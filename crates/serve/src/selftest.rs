@@ -4,12 +4,13 @@
 //!
 //! The posture follows HISTEX (PAPERS.md): drive concurrent histories
 //! against a live server and check the isolation-level contract on the
-//! observed outcomes. Here the contract is APEx's admit-then-charge
-//! semantics under concurrency:
+//! observed outcomes. The contract is [`crate::invariants`]: every
+//! response is recorded into a per-tenant wire model, and the tenants are
+//! checked against it live, after each mutation, and after the restart.
+//! On top of it, this gate asserts:
 //!
-//! 1. **budget conservation** — per dataset, the engine's spent loss
-//!    never exceeds `B`, no session exceeds its slice, and the engine's
-//!    ledger equals the sum of the ε values clients saw on the wire;
+//! 1. **budget conservation** — checked mid-flight on every budget read
+//!    and against the engines' ledgers, grants and denial counts;
 //! 2. **protocol discipline** — every response is 2xx or 409 (denial);
 //!    anything else fails the test;
 //! 3. **shared warm-up** — sessions submit structurally identical
@@ -17,12 +18,11 @@
 //!    hits (> 0) in `/v1/stats`;
 //! 4. **durability** — the whole run is write-ahead logged to a state
 //!    directory; after shutdown the state is **restarted in-process**
-//!    and the recovered ledger must equal, per dataset, what the clients
+//!    and every tenant must check, recovered, against what its clients
 //!    were acked on the wire. When the caller supplies a state dir that
 //!    already has history (CI runs the gate twice against one
 //!    directory), the run starts from the *recovered* baseline and the
-//!    equality check covers baseline + new traffic — any divergence
-//!    between what was persisted and what was acked fails the gate.
+//!    check covers what moved since.
 //! 5. **paged persistence** — the adult/taxi tenants live in the durable
 //!    paged store under a data dir (caller-supplied, or `<state dir>/data`
 //!    so the twice-against-one-dir smoke reopens it). The first pass
@@ -32,12 +32,11 @@
 //!    ride the same store and must replay from disk, record for record,
 //!    after shutdown.
 //! 6. **live mutations** — rows are inserted over the wire into a paged
-//!    tenant and a resident tenant mid-run; the ack's epoch must match
-//!    the owning engine and the stats aggregation, a query admitted
-//!    afterwards answers at the new epoch, and the restart leg must
-//!    reproduce the epoch, the mutation count, and the row count from
-//!    disk (store replay for the paged tenant, WAL/snapshot-journal
-//!    replay for the resident one).
+//!    tenant and a resident tenant mid-run; the ack's epoch and rows must
+//!    match the owning engine right away and the stats aggregation, a
+//!    query admitted afterwards answers at the new epoch, and the restart
+//!    must reproduce them from disk (store replay for the paged tenant,
+//!    WAL/snapshot-journal replay for the resident one).
 //! 7. **maintained histograms** — the resident tenant is asked one shape
 //!    before its mutation and again after it: the histogram it maintains
 //!    for that shape (docs/PERFORMANCE.md) must equal a rescan after the
@@ -78,6 +77,7 @@ use apex_mech::{PreparedQuery, SmArtifacts};
 use apex_query::{ExplorationQuery, Strategy};
 
 use crate::client;
+use crate::invariants::{self, Acked, Observed, Slack, When};
 use crate::json::Json;
 use crate::shard::{serve_sharded, ServeConfig, ShardSet};
 use crate::state::{PersistOptions, RecoverError, ServerState, ServerStateBuilder};
@@ -184,6 +184,9 @@ pub struct SelfTestReport {
     pub wal_syncs: Vec<(u64, u64)>,
 }
 
+/// The tenants every shard serves.
+const TENANTS: [&str; 3] = ["adult", "taxi", "wide"];
+
 /// Per-dataset budget for the scripted workload.
 const BUDGET: f64 = 0.6;
 
@@ -262,36 +265,29 @@ fn slow_wide_query(prefixes: usize) -> String {
     )
 }
 
-/// Opens a session on the resident `wide` tenant and asks it one cheap
+/// Opens a session on the resident `wide` tenant, asks it one cheap
 /// fixed shape, which must be answered (`wide`'s budget is ample at every
-/// point of the run). `when` labels the failure.
-fn ask_wide(addr: std::net::SocketAddr, when: &str) -> Result<(), String> {
-    let (status, created) = client::request(
-        addr,
-        "POST",
-        "/v1/sessions",
-        Some("{\"dataset\":\"wide\",\"budget\":1.0}"),
-    )?;
-    if status != 201 {
-        return Err(format!("{when} session creation returned {status}"));
-    }
+/// point of the run), and closes the session. `when` labels the failure.
+fn ask_wide(addr: std::net::SocketAddr, when: &str, wide: &mut Acked) -> Result<(), String> {
+    let mut conn = client::Conn::connect(addr).map_err(|e| format!("{when} connect: {e}"))?;
+    let (status, created) =
+        conn.call("POST", "/v1/sessions", r#"{"dataset":"wide","budget":1.0}"#)?;
+    wide.record(status, &created)?;
     let id = created
         .get("session")
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("{when} session id missing"))?;
     let q = "BIN wide ON COUNT(*) WHERE W = { v IN [0, 16) } ERROR 200 CONFIDENCE 0.99;";
-    let (status, resp) = client::request(
-        addr,
-        "POST",
-        &format!("/v1/sessions/{id}/query"),
-        Some(&format!("{{\"query\":{}}}", Json::from(q).render())),
-    )?;
+    let body = format!("{{\"query\":{}}}", Json::from(q).render());
+    let (status, resp) = conn.call("POST", &format!("/v1/sessions/{id}/query"), &body)?;
     if status != 200 {
         return Err(format!(
             "{when} query returned {status} (must answer at the current epoch): {resp:?}"
         ));
     }
-    Ok(())
+    wide.record(status, &resp)?;
+    let (status, closed) = conn.call("POST", &format!("/v1/sessions/{id}/close"), "{}")?;
+    wide.record(status, &closed)
 }
 
 /// One wire-encodable row at each attribute's domain floor — valid for
@@ -472,17 +468,32 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             }
         }
     }
-    // Per-tenant baselines are summed across shards: a tenant's charges
-    // live in its owner shard's ledger, and if the shard count changed
-    // since the dir was written, in a previous owner's — the sum covers
-    // both.
-    let baseline: Vec<(String, f64)> = set
-        .state(0)
-        .tenants()
+    // Each tenant as recovered, summed across shards (its charges live in
+    // its owner shard's ledger and — if the shard count changed since the
+    // dir was written — in a previous owner's), and what its clients are
+    // acked from here on: the invariants hold between the two.
+    let base: Vec<Observed> = TENANTS
         .iter()
-        .map(|(name, _)| (name.clone(), set.spent(name)))
+        .map(|t| Observed::read(set.states(), set.ring().shard_for(t), t))
         .collect();
-    let recovered_baseline = baseline.iter().any(|(_, s)| *s > 0.0);
+    let recovered_baseline = base.iter().any(|o| o.spent > 0.0);
+    let mut acked = vec![Acked::default(); TENANTS.len()];
+    let ix = |name: &str| {
+        TENANTS
+            .iter()
+            .position(|t| *t == name)
+            .expect("served tenant")
+    };
+    let check = |set: &ShardSet, when, acked: &[Acked]| -> Result<Vec<Observed>, String> {
+        let mut seen = Vec::new();
+        for (t, name) in TENANTS.iter().enumerate() {
+            let after = Observed::read(set.states(), set.ring().shard_for(name), name);
+            invariants::check(when, &base[t], &after, &acked[t], Slack::default())
+                .map_err(|e| format!("{name}: {e}"))?;
+            seen.push(after);
+        }
+        Ok(seen)
+    };
 
     let handle = serve_sharded(
         "127.0.0.1:0",
@@ -498,7 +509,7 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     // Oversubscribed slices: sessions÷2 per dataset, each slice is half
     // the budget, so 3+ sessions per dataset jointly exceed B.
     let slice = BUDGET / 2.0;
-    let mut observed: Vec<Result<(u64, u64, f64, String), String>> = Vec::new();
+    let mut observed: Vec<Result<(&str, Acked), String>> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for i in 0..cfg.sessions {
@@ -515,15 +526,14 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
         datasets_opened,
         ..SelfTestReport::default()
     };
-    let mut spent_by_client: std::collections::HashMap<String, f64> = Default::default();
     // Durable operations acked per shard: each client's open + answers.
     let mut durable_acked = vec![0u64; cfg.shards];
     for r in observed {
-        let (answered, denied, epsilon_sum, dataset) = r?;
-        report.answered += answered;
-        report.denied += denied;
-        durable_acked[set.ring().shard_for(&dataset)] += 1 + answered;
-        *spent_by_client.entry(dataset).or_default() += epsilon_sum;
+        let (dataset, client) = r?;
+        report.answered += client.answered;
+        report.denied += client.denied;
+        durable_acked[set.ring().shard_for(dataset)] += client.opened + client.answered;
+        acked[ix(dataset)].merge(&client);
     }
     // A run on a fresh ledger must exercise both admission outcomes; a
     // recovered run starts near-exhausted, so only denials are certain.
@@ -535,6 +545,7 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             "no query was ever denied — oversubscription failed to stress admission".into(),
         );
     }
+    check(&set, When::Live, &acked)?;
 
     // Server-side verification through the public API.
     let (status, stats) = client::request(addr, "GET", "/v1/stats", None)?;
@@ -589,35 +600,6 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             .get("datasets")
             .and_then(|d| d.get(name))
             .ok_or_else(|| format!("stats missing dataset {name}"))?;
-        let spent = d
-            .get("budget")
-            .and_then(|b| b.get("spent"))
-            .and_then(Json::as_f64)
-            .ok_or("stats missing budget.spent")?;
-        let budget = d
-            .get("budget")
-            .and_then(|b| b.get("budget"))
-            .and_then(Json::as_f64)
-            .ok_or("stats missing budget.budget")?;
-        if spent > budget + 1e-9 {
-            return Err(format!(
-                "BUDGET OVERSHOOT on {name}: spent {spent} > budget {budget}"
-            ));
-        }
-        // The engine's ledger must equal the recovered baseline plus
-        // what clients saw on the wire this run.
-        let base = baseline
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-            .unwrap_or(0.0);
-        let client_sum = spent_by_client.get(name).copied().unwrap_or(0.0);
-        if (base + client_sum - spent).abs() > 1e-6 {
-            return Err(format!(
-                "ledger mismatch on {name}: recovered baseline {base} + client-observed \
-                 {client_sum} ≠ engine ledger {spent}"
-            ));
-        }
         // Per-dataset scopes must account for every global counter.
         let scope_hits = d
             .get("cache")
@@ -644,7 +626,6 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             .get("pool_hits")
             .and_then(Json::as_u64)
             .ok_or("stats missing store.pool_hits")?;
-        report.budgets.push((name.to_string(), spent, budget));
     }
     if report.store_pool_hits == 0 {
         return Err(
@@ -655,64 +636,34 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     // The live-mutation leg (ISSUE 10): insert rows over the wire into
     // one paged tenant (durable through its store's mutation log) and
     // the resident `wide` tenant (durable through the WAL record + the
-    // snapshot's mutation journal). The ack's epoch must match the
-    // owning engine, the scan must see the rows immediately, and the
-    // restart leg below must reproduce all three numbers from disk.
-    // (`wide` is asked one shape first, so its insert has a maintained
-    // histogram to fold into — leg 7.)
-    ask_wide(addr, "pre-mutation")?;
-    let mut mutation_expect: Vec<(String, u64, u64, u64)> = Vec::new();
+    // snapshot's mutation journal). The acks must match the owning
+    // engines right away, and the restart below must reproduce them
+    // from disk. (`wide` is asked one shape first, so its insert has a
+    // maintained histogram to fold into — leg 7.)
+    ask_wide(addr, "pre-mutation", &mut acked[ix("wide")])?;
     for name in ["adult", "wide"] {
-        let engine = &set
+        let row = set
             .owner(name)
             .tenant(name)
             .ok_or_else(|| format!("tenant {name} missing from its owner shard"))?
-            .engine;
-        let before_rows = engine.with_engine(|e| e.dataset_scan_rows());
-        let row = engine.with_engine(|e| floor_row_json(e.schema()));
+            .engine
+            .with_engine(|e| floor_row_json(e.schema()));
         let body = Json::obj(vec![
             ("op", Json::from("insert")),
             ("rows", Json::Arr(vec![row.clone(), row])),
         ])
         .render();
-        let (status, resp) = client::request(
-            addr,
-            "POST",
-            &format!("/v1/datasets/{name}/rows"),
-            Some(&body),
-        )?;
-        if status != 200 {
-            return Err(format!("mutation on {name} returned {status}: {resp:?}"));
-        }
+        let path = format!("/v1/datasets/{name}/rows");
+        let (status, resp) = client::request(addr, "POST", &path, Some(&body))?;
+        acked[ix(name)].record(status, &resp)?;
+        // The ack must own up to both rows sent, so the rows invariant
+        // (base + acked) pins the scan to exactly two more.
         if resp.get("inserted").and_then(Json::as_u64) != Some(2) {
-            return Err(format!("mutation ack on {name} lost rows: {resp:?}"));
+            return Err(format!("{name}: mutation ack lost rows: {resp:?}"));
         }
-        let acked_epoch = resp
-            .get("epoch")
-            .and_then(Json::as_u64)
-            .ok_or("mutation ack missing epoch")?;
-        let acked_applied = resp
-            .get("mutations_applied")
-            .and_then(Json::as_u64)
-            .ok_or("mutation ack missing mutations_applied")?;
-        let after_rows = engine.with_engine(|e| e.dataset_scan_rows());
-        if after_rows != before_rows + 2 {
-            return Err(format!(
-                "{name}: scan sees {after_rows} rows after inserting 2 over {before_rows}"
-            ));
-        }
-        if engine.epoch() != acked_epoch {
-            return Err(format!(
-                "{name}: acked epoch {acked_epoch} diverged from the engine's {}",
-                engine.epoch()
-            ));
-        }
-        engine
-            .with_engine(|e| e.audit_dataset_views())
-            .map_err(|e| format!("{name}: maintained histogram diverged after insert: {e}"))?;
         report.mutations_acked += 1;
-        mutation_expect.push((name.to_string(), acked_epoch, acked_applied, after_rows));
     }
+    check(&set, When::Live, &acked)?;
     // The public stats must surface the new epoch across the shard
     // aggregation, and a query admitted now answers against it (wide's
     // budget is still ample at this point in the run).
@@ -720,13 +671,12 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     if status != 200 {
         return Err(format!("post-mutation GET /v1/stats returned {status}"));
     }
-    for (name, epoch, applied, _) in &mutation_expect {
-        let d = stats
-            .get("datasets")
-            .and_then(|d| d.get(name))
-            .ok_or_else(|| format!("post-mutation stats missing dataset {name}"))?;
-        if d.get("epoch").and_then(Json::as_u64) != Some(*epoch)
-            || d.get("mutations_applied").and_then(Json::as_u64) != Some(*applied)
+    for name in ["adult", "wide"] {
+        let (t, d) = (ix(name), stats.get("datasets").and_then(|d| d.get(name)));
+        let d = d.ok_or_else(|| format!("post-mutation stats missing dataset {name}"))?;
+        let (epoch, applied) = (acked[t].epoch, base[t].applied + acked[t].mutations);
+        if d.get("epoch").and_then(Json::as_u64) != Some(epoch)
+            || d.get("mutations_applied").and_then(Json::as_u64) != Some(applied)
         {
             return Err(format!(
                 "stats report epoch {:?} / applied {:?} for {name}, acked {epoch} / {applied}",
@@ -735,7 +685,7 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             ));
         }
     }
-    ask_wide(addr, "post-mutation")?;
+    ask_wide(addr, "post-mutation", &mut acked[ix("wide")])?;
     // Leg 7: that answer read the view the first one left and the insert
     // folded (audited against a rescan above).
     let (_, stats) = client::request(addr, "GET", "/v1/stats", None)?;
@@ -762,28 +712,27 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
 
     // The compaction-pause scenario: force WAL rotations against a slow
     // in-flight query — rotation must not wait on the evaluate phase.
-    let probe = compaction_pause_scenario(set.owner("wide"), addr, cfg.slow_query_prefixes)?;
+    let wide = &mut acked[ix("wide")];
+    let probe = compaction_pause_scenario(set.owner("wide"), addr, cfg.slow_query_prefixes, wide)?;
     report.compaction_pause_millis = probe.pause_millis;
     report.slow_query_millis = probe.query_millis;
     report.rotations_in_flight = probe.rotations_in_flight;
-    // The scenario spent on the wide tenant after the stats snapshot
-    // above; record its ledger now so the restart leg verifies it too.
-    report
-        .budgets
-        .push(("wide".to_string(), set.spent("wide"), WIDE_BUDGET));
     // The forced rotations may have folded every record this run
     // appended into the snapshot; open one more (budget-neutral)
     // session so the restart leg always has WAL to replay — keeping the
     // `recovery_replayed > 0` check meaningful on every machine speed.
-    let (status, _) = client::request(
+    let (status, created) = client::request(
         addr,
         "POST",
         "/v1/sessions",
         Some("{\"dataset\":\"wide\",\"budget\":0.001}"),
     )?;
-    if status != 201 {
-        return Err(format!("post-scenario session creation returned {status}"));
-    }
+    wide.record(status, &created)?;
+    report.budgets = TENANTS
+        .iter()
+        .zip(check(&set, When::Live, &acked)?)
+        .map(|(name, o)| (name.to_string(), o.spent, o.budget))
+        .collect();
 
     // Graceful shutdown through the API; join must then return.
     let (status, _) = client::request(addr, "POST", "/v1/admin/shutdown", Some("{}"))?;
@@ -816,7 +765,7 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     let mut replayed_transcripts = 0u64;
     let troot = data_root.join("transcripts");
     for shard in 0..cfg.shards {
-        for name in ["adult", "taxi", "wide"] {
+        for name in TENANTS {
             let d = troot.join(format!("shard-{shard}")).join(name);
             // (A tenant this shard never served has no log: zero records.)
             replayed_transcripts += TranscriptLog::replay(&d, |_| {})
@@ -832,55 +781,10 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     }
 
     // The durability leg: restart from disk (replaying every shard's
-    // WAL) and re-verify that the recovered ledger equals what the wire
-    // saw — per tenant, summed across the shards that charged it.
+    // WAL) and check every tenant, recovered, against what the wire saw.
     let (restarted, replayed) = recover(cfg, dir, &data_root)?;
     report.recovery_replayed = replayed;
-    for (name, spent, _) in &report.budgets {
-        if restarted.state(0).tenant(name).is_none() {
-            return Err(format!("restart lost dataset {name}"));
-        }
-        let recovered = restarted.spent(name);
-        if (recovered - spent).abs() > 1e-9 {
-            return Err(format!(
-                "RECOVERY DIVERGENCE on {name}: ledger was {spent} before shutdown, \
-                 {recovered} after restart"
-            ));
-        }
-    }
-    let live = cfg.sessions;
-    if restarted.session_count() < live {
-        return Err(format!(
-            "restart lost sessions: {} live before shutdown, {} after",
-            live,
-            restarted.session_count()
-        ));
-    }
-    // The mutation leg's restart half: the replayed epoch, mutation
-    // count, and row count must equal what was acked before shutdown —
-    // for the paged tenant via its store, for the resident one via the
-    // WAL/journal replay.
-    for (name, epoch, applied, rows) in &mutation_expect {
-        let engine = &restarted
-            .owner(name)
-            .tenant(name)
-            .ok_or_else(|| format!("restart lost mutated tenant {name}"))?
-            .engine;
-        if engine.epoch() != *epoch || engine.mutations_applied() != *applied {
-            return Err(format!(
-                "MUTATION DIVERGENCE on {name}: epoch {} / applied {} after restart, \
-                 acked {epoch} / {applied} before shutdown",
-                engine.epoch(),
-                engine.mutations_applied()
-            ));
-        }
-        let scan = engine.with_engine(|e| e.dataset_scan_rows());
-        if scan != *rows {
-            return Err(format!(
-                "MUTATION DIVERGENCE on {name}: {scan} rows after restart, {rows} before"
-            ));
-        }
-    }
+    check(&restarted, When::Recovered, &acked)?;
     Ok(report)
 }
 
@@ -949,12 +853,11 @@ fn compaction_pause_scenario(
     state: &Arc<ServerState>,
     addr: std::net::SocketAddr,
     prefixes: usize,
+    wide: &mut Acked,
 ) -> Result<PauseProbe, String> {
     let body = format!("{{\"dataset\":\"wide\",\"budget\":{WIDE_BUDGET}}}");
     let (status, created) = client::request(addr, "POST", "/v1/sessions", Some(&body))?;
-    if status != 201 {
-        return Err(format!("wide session creation returned {status}"));
-    }
+    wide.record(status, &created)?;
     let id = created
         .get("session")
         .and_then(Json::as_u64)
@@ -962,7 +865,7 @@ fn compaction_pause_scenario(
 
     let done = AtomicBool::new(false);
     let t0 = Instant::now();
-    let (query_status, query_millis, pauses) = std::thread::scope(|scope| {
+    let (query_millis, pauses) = std::thread::scope(|scope| {
         let done = &done;
         let slow = scope.spawn(move || {
             let body = format!(
@@ -997,14 +900,10 @@ fn compaction_pause_scenario(
         let (resp, elapsed) = slow
             .join()
             .map_err(|_| "slow-query client panicked".to_string())?;
-        let (status, _) = resp?;
-        Ok((status, elapsed, pauses))
+        let (status, body) = resp?;
+        wide.record(status, &body)?;
+        Ok((elapsed, pauses))
     })?;
-    if query_status != 200 && query_status != 409 {
-        return Err(format!(
-            "PROTOCOL VIOLATION: slow query returned {query_status}"
-        ));
-    }
     let rotations_in_flight = pauses.iter().filter(|(_, in_flight)| *in_flight).count() as u32;
     let pause_millis = pauses
         .iter()
@@ -1027,88 +926,37 @@ fn compaction_pause_scenario(
     })
 }
 
-/// One analyst: open a session, submit `submits` queries, watch budgets.
-/// Returns `(answered, denied, Σε, dataset)`.
+/// One analyst: open a session, submit `submits` queries, read the
+/// budget after each (neither the slice nor `B` may be overdrawn
+/// mid-flight, whatever the other sessions are doing). Returns the
+/// dataset and what this client was acked.
 fn client_script(
     addr: std::net::SocketAddr,
     index: usize,
     slice: f64,
     submits: usize,
-) -> Result<(u64, u64, f64, String), String> {
+) -> Result<(&'static str, Acked), String> {
     let dataset = if index % 2 == 0 { "adult" } else { "taxi" };
+    let mut acked = Acked::default();
+    let mut conn = client::Conn::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let body = format!("{{\"dataset\":\"{dataset}\",\"budget\":{slice}}}");
-    let (status, created) = client::request(addr, "POST", "/v1/sessions", Some(&body))?;
-    if status != 201 {
-        return Err(format!("session creation returned {status}: {created:?}"));
-    }
+    let (status, created) = conn.call("POST", "/v1/sessions", &body)?;
+    acked.record(status, &created)?;
     let id = created
         .get("session")
         .and_then(Json::as_u64)
         .ok_or("session id missing")?;
-
-    let (mut answered, mut denied, mut epsilon_sum) = (0u64, 0u64, 0.0f64);
     for submit in 0..submits {
         let body = format!(
             "{{\"query\":{}}}",
             Json::from(query_for(dataset, submit)).render()
         );
-        let (status, resp) = client::request(
-            addr,
-            "POST",
-            &format!("/v1/sessions/{id}/query"),
-            Some(&body),
-        )?;
-        match status {
-            200 => {
-                answered += 1;
-                epsilon_sum += resp
-                    .get("epsilon")
-                    .and_then(Json::as_f64)
-                    .ok_or("answered response missing epsilon")?;
-            }
-            409 => denied += 1,
-            other => {
-                return Err(format!(
-                    "PROTOCOL VIOLATION: submit returned {other}: {resp:?}"
-                ))
-            }
-        }
-
-        // Interleave budget reads: the slice must never be overdrawn
-        // mid-flight, whatever the other sessions are doing.
-        let (status, budget) =
-            client::request(addr, "GET", &format!("/v1/sessions/{id}/budget"), None)?;
-        if status != 200 {
-            return Err(format!("budget read returned {status}"));
-        }
-        let spent = budget
-            .get("spent")
-            .and_then(Json::as_f64)
-            .ok_or("budget response missing spent")?;
-        let allowance = budget
-            .get("allowance")
-            .and_then(Json::as_f64)
-            .ok_or("budget response missing allowance")?;
-        if spent > allowance + 1e-9 {
-            return Err(format!(
-                "SLICE OVERSHOOT: session {id} spent {spent} > allowance {allowance}"
-            ));
-        }
-        let engine = budget
-            .get("engine")
-            .ok_or("budget response missing engine")?;
-        let engine_spent = engine.get("spent").and_then(Json::as_f64).unwrap_or(0.0);
-        let engine_budget = engine
-            .get("budget")
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::INFINITY);
-        if engine_spent > engine_budget + 1e-9 {
-            return Err(format!(
-                "BUDGET OVERSHOOT mid-flight on {dataset}: {engine_spent} > {engine_budget}"
-            ));
-        }
+        let (status, resp) = conn.call("POST", &format!("/v1/sessions/{id}/query"), &body)?;
+        acked.record(status, &resp)?;
+        let (status, budget) = conn.call("GET", &format!("/v1/sessions/{id}/budget"), "")?;
+        acked.record(status, &budget)?;
     }
-    Ok((answered, denied, epsilon_sum, dataset.to_string()))
+    Ok((dataset, acked))
 }
 
 #[cfg(test)]

@@ -1742,7 +1742,6 @@ mod tests {
 
     #[test]
     fn keep_alive_connection_migrates_across_shards() {
-        use std::io::Write;
         let tenants = split_tenants(2, 2);
         let set = demo_set(2, &tenants);
         // split_tenants interleaves per shard, so these two differ.
@@ -1754,97 +1753,54 @@ mod tests {
             .as_str();
         let handle = serve_sharded("127.0.0.1:0", set.clone(), ServeConfig::default()).unwrap();
 
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
+        let mut conn = client::Conn::connect(handle.addr()).unwrap();
         let mut sessions = Vec::new();
-        let mut carry = Vec::new();
         // Several requests over ONE connection, alternating shards.
         for name in [a, b, a, b] {
             let body = format!("{{\"dataset\":\"{name}\",\"budget\":1.0}}");
-            let raw = format!(
-                "POST /v1/sessions HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            stream.write_all(raw.as_bytes()).unwrap();
-            let resp = read_one_response(&mut stream, &mut carry);
-            assert!(resp.starts_with("HTTP/1.1 201"), "{resp}");
-            assert!(resp.contains("keep-alive"), "{resp}");
-            let at = resp.find("\"session\":").unwrap();
-            let digits: String = resp[at + 10..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            sessions.push(digits.parse::<u64>().unwrap());
+            conn.send(&[client::encode("POST", "/v1/sessions", &body)])
+                .unwrap();
+            let reply = conn.recv().unwrap();
+            assert_eq!(reply.status, 201, "{reply:?}");
+            assert!(reply.head.contains("keep-alive"), "{reply:?}");
+            let id = reply.json().unwrap().get("session").and_then(Json::as_u64);
+            sessions.push(id.unwrap());
         }
         let shards_hit: std::collections::HashSet<usize> =
             sessions.iter().map(|&id| session_shard(id)).collect();
         assert_eq!(shards_hit.len(), 2, "one connection must reach both shards");
 
         // Pipelining: two requests written back-to-back still get two
-        // well-formed responses in order.
-        let r1 = format!(
-            "GET /v1/sessions/{}/budget HTTP/1.1\r\nHost: x\r\n\r\n",
-            sessions[0]
-        );
-        let r2 = format!(
-            "GET /v1/sessions/{}/budget HTTP/1.1\r\nHost: x\r\n\r\n",
-            sessions[1]
-        );
-        stream.write_all(r1.as_bytes()).unwrap();
-        stream.write_all(r2.as_bytes()).unwrap();
-        for _ in 0..2 {
-            let resp = read_one_response(&mut stream, &mut carry);
-            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        // well-formed responses, in order.
+        for id in &sessions[..2] {
+            let path = format!("/v1/sessions/{id}/budget");
+            conn.send(&[client::encode("GET", &path, "")]).unwrap();
+        }
+        for id in &sessions[..2] {
+            let reply = conn.recv().unwrap();
+            assert_eq!(reply.status, 200, "{reply:?}");
+            let answered = reply.json().unwrap().get("session").and_then(Json::as_u64);
+            assert_eq!(answered, Some(*id));
         }
 
         // `Connection: close` is honored.
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        conn.send(&["GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".into()])
             .unwrap();
-        let resp = read_one_response(&mut stream, &mut carry);
-        assert!(resp.contains("Connection: close"), "{resp}");
-        let mut rest = Vec::new();
-        stream.read_to_end(&mut rest).unwrap();
-        assert!(rest.is_empty(), "server must close after Connection: close");
+        let reply = conn.recv().unwrap();
+        assert!(reply.head.contains("Connection: close"), "{reply:?}");
+        let closed = conn.recv().unwrap_err();
+        assert_eq!(
+            closed.kind(),
+            ErrorKind::UnexpectedEof,
+            "server must close after Connection: close: {closed}"
+        );
 
         handle.stop();
         handle.join();
     }
 
-    /// Reads exactly one HTTP response (head + Content-Length body).
-    /// `carry` holds bytes read past the response boundary (pipelined
-    /// responses can arrive in one segment) for the next call.
-    fn read_one_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> String {
-        let mut chunk = [0u8; 1024];
-        loop {
-            let head_end = carry
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-                .map(|p| p + 4);
-            if let Some(head_end) = head_end {
-                let head = String::from_utf8_lossy(&carry[..head_end]).into_owned();
-                let len: usize = head
-                    .lines()
-                    .find_map(|l| l.strip_prefix("Content-Length: "))
-                    .and_then(|v| v.trim().parse().ok())
-                    .unwrap_or(0);
-                if carry.len() >= head_end + len {
-                    let resp = String::from_utf8_lossy(&carry[..head_end + len]).into_owned();
-                    carry.drain(..head_end + len);
-                    return resp;
-                }
-            }
-            let n = stream.read(&mut chunk).expect("response read");
-            assert!(n > 0, "connection closed mid-response");
-            carry.extend_from_slice(&chunk[..n]);
-        }
-    }
-
     #[test]
     fn full_shard_queue_answers_503_with_retry_after() {
-        use std::io::Write;
         // One shard, ONE worker, a rendezvous (capacity-0) queue: while
         // the worker is busy, any dispatch must shed with 503.
         let cache = TranslatorCache::with_capacity(16);
@@ -1921,29 +1877,21 @@ mod tests {
                 }
             });
             // …so concurrent requests to the same shard shed with 503 +
-            // Retry-After (raw socket: the header must be on the wire).
+            // Retry-After (a raw reply: the header must be on the wire).
             let deadline = Instant::now() + Duration::from_secs(10);
             let mut got = false;
             while !got && Instant::now() < deadline {
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                s.write_all(
-                    format!(
-                        "GET /v1/sessions/{id}/budget HTTP/1.1\r\nHost: x\r\n\
-                         Connection: close\r\n\r\n"
-                    )
-                    .as_bytes(),
-                )
-                .unwrap();
-                let mut out = String::new();
-                let _ = s.read_to_string(&mut out);
-                if out.starts_with("HTTP/1.1 503") {
-                    assert!(out.contains("Retry-After: 1"), "{out}");
+                let mut probe = client::Conn::connect(addr).unwrap();
+                let path = format!("/v1/sessions/{id}/budget");
+                probe.send(&[client::encode("GET", &path, "")]).unwrap();
+                let reply = probe.recv().unwrap();
+                if reply.status == 503 {
+                    assert!(reply.head.contains("Retry-After: 1"), "{reply:?}");
                     got = true;
                 } else {
                     // The probe slipped in between two occupying queries;
                     // 200 is the only other legal outcome.
-                    assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+                    assert_eq!(reply.status, 200, "{reply:?}");
                 }
             }
             stop.store(true, Ordering::SeqCst);

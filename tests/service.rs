@@ -16,8 +16,11 @@ use apex_core::{
 };
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
 use apex_query::{AccuracySpec, ExplorationQuery};
+use apex_serve::client::Conn;
+use apex_serve::invariants::{self, tol, Acked, Observed, Slack, When};
+use apex_serve::shard::session_shard;
 use apex_serve::state::{start_reaper, PersistOptions, SubmitOutcome};
-use apex_serve::{Json, ManualClock, ServerState};
+use apex_serve::{json, Json, ManualClock, Request, ServerState, ShardSet};
 
 fn dataset(n_values: i64, rows_per_value: usize) -> Dataset {
     let schema = Schema::new(vec![Attribute::new(
@@ -312,134 +315,182 @@ fn durable_state(dir: &PathBuf, budget: f64) -> (ServerState, apex_serve::Recove
     try_durable_state(dir, budget, false).expect("recovery must succeed")
 }
 
-/// [`durable_state`] as the one-shard set the server runs over: the
-/// state lives in `root/shard-0/`.
-fn durable_set(
-    root: &std::path::Path,
+/// Per-session allowance in the crash-recovery runs.
+const CRASH_SLICE: f64 = 0.25;
+
+/// The crash-recovery driver both crash tests share: one client thread
+/// per script over real sockets against a durable `shards`-shard server.
+/// Each script step opens a session on that tenant, submits `queries`
+/// queries, and closes it — except the script's last, left open. The
+/// server is then hard-dropped (no graceful shutdown, no final
+/// compaction), `tamper` may damage the state dir as a crash would, and
+/// the restart must check, tenant by tenant, against what the clients
+/// were acked — with every session live at the crash resumed mid-slice at
+/// exactly the spend its client saw.
+fn crash_and_recover(
+    shards: usize,
+    tenants: &[String],
     budget: f64,
-) -> (apex_serve::ShardSet, Vec<apex_serve::RecoveryReport>) {
-    apex_serve::ShardSet::recover(
-        root,
-        1,
-        |_| demo_builder(budget),
-        |d| PersistOptions {
+    scripts: &[Vec<usize>],
+    queries: usize,
+    tamper: impl FnOnce(&std::path::Path),
+) -> Vec<apex_serve::RecoveryReport> {
+    let dir = temp_dir(&format!("crash-{shards}"));
+    let build = || {
+        let builder = |k: usize| {
+            tenants.iter().fold(ServerState::builder(16), |b, name| {
+                let seed = 77 ^ k as u64;
+                b.dataset(
+                    name,
+                    service_dataset(),
+                    EngineConfig {
+                        budget,
+                        mode: Mode::Pessimistic,
+                        seed,
+                    },
+                )
+            })
+        };
+        // Tests trade per-record fsync for speed.
+        let opts = |d: &std::path::Path| PersistOptions {
             sync: false,
             ..PersistOptions::new(d)
-        },
-    )
-    .expect("recovery must succeed")
+        };
+        ShardSet::recover(&dir, shards, builder, opts).expect("recovery must succeed")
+    };
+    let (set, _) = build();
+    let set = Arc::new(set);
+    let base: Vec<Observed> = tenants
+        .iter()
+        .map(|t| Observed::read(set.states(), set.ring().shard_for(t), t))
+        .collect();
+    let cfg = apex_serve::ServeConfig {
+        workers_per_shard: 4,
+        ..Default::default()
+    };
+    let handle = apex_serve::serve_sharded("127.0.0.1:0", set.clone(), cfg).unwrap();
+    let addr = handle.addr();
+
+    // Per client: what each tenant acked it, and the session left open
+    // with the ε acked on it.
+    let clients: Vec<(Vec<Acked>, (u64, f64))> = std::thread::scope(|scope| {
+        let clients: Vec<_> = scripts
+            .iter()
+            .map(|script| {
+                let set = &set;
+                scope.spawn(move || {
+                    let mut conn = Conn::connect(addr).unwrap();
+                    // Only what was ACKED counts: the bodies the client read.
+                    let mut call = |model: &mut Acked, path: &str, body: &str| {
+                        let (status, resp) = conn.call("POST", path, body).unwrap();
+                        model.record(status, &resp).unwrap();
+                        resp
+                    };
+                    let mut acked = vec![Acked::default(); tenants.len()];
+                    let mut open = (0, 0.0);
+                    for (step, &t) in script.iter().enumerate() {
+                        let (name, model) = (&tenants[t], &mut acked[t]);
+                        let body = format!("{{\"dataset\":\"{name}\",\"budget\":{CRASH_SLICE}}}");
+                        let created = call(model, "/v1/sessions", &body);
+                        let id = created.get("session").and_then(Json::as_u64).unwrap();
+                        let routed = set.ring().shard_for(name);
+                        assert_eq!(session_shard(id), routed, "routing must respect the ring");
+                        let (path, before) = (format!("/v1/sessions/{id}"), model.epsilon);
+                        let q = format!(
+                            "{{\"query\":\"BIN {name} ON COUNT(*) WHERE W = \
+                             {{ v IN [0, 8), v IN [8, 16) }} ERROR 40 CONFIDENCE 0.95;\"}}"
+                        );
+                        for _ in 0..queries {
+                            call(model, &format!("{path}/query"), &q);
+                        }
+                        if step + 1 < script.len() {
+                            call(model, &format!("{path}/close"), "{}");
+                        } else {
+                            open = (id, model.epsilon - before);
+                        }
+                    }
+                    (acked, open)
+                })
+            })
+            .collect();
+        clients.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut acked = vec![Acked::default(); tenants.len()];
+    for (per_tenant, _) in &clients {
+        acked
+            .iter_mut()
+            .zip(per_tenant)
+            .for_each(|(all, one)| all.merge(one));
+    }
+    assert!(
+        acked.iter().any(|a| a.epsilon > 0.0),
+        "the workload must answer something"
+    );
+    let check = |set: &ShardSet, when| {
+        for (t, name) in tenants.iter().enumerate() {
+            let after = Observed::read(set.states(), set.ring().shard_for(name), name);
+            invariants::check(when, &base[t], &after, &acked[t], Slack::default())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    };
+    check(&set, When::Live);
+
+    // Hard drop: stop accepting and tear the server down with NO graceful
+    // flush or compaction; the shard set goes without any shutdown hook.
+    handle.stop();
+    handle.join();
+    drop(set);
+    tamper(&dir);
+
+    // Restart from disk: every shard replays its own WAL, and no acked
+    // debit is lost (losing one would silently refill B).
+    let (recovered, reports) = build();
+    assert_eq!(reports.len(), shards);
+    assert!(
+        reports.iter().all(|r| r.replayed > 0),
+        "every shard saw traffic, so every shard must replay records: {reports:?}"
+    );
+    check(&recovered, When::Recovered);
+    assert_eq!(
+        recovered.session_count(),
+        scripts.len(),
+        "one live session per client"
+    );
+    for &(_, (id, eps)) in &clients {
+        let spent = recovered
+            .state(session_shard(id))
+            .with_session(id, |s| s.session.spent())
+            .expect("the open session must survive the crash");
+        assert!(
+            (spent - eps).abs() <= tol(eps),
+            "live session {id}: recovered {spent} != acked {eps}"
+        );
+    }
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+    reports
 }
 
-/// The acceptance-criterion test: a concurrent workload over real
-/// sockets, the server hard-dropped mid-flight (no graceful admin
-/// shutdown, no final compaction, a torn half-record left on the WAL
-/// tail exactly as a crash mid-append would), restarted from disk — and
-/// the recovered spent budget equals the Σε of the responses clients
-/// were **acked**, never less.
+/// The acceptance-criterion test: six concurrent analysts with
+/// oversubscribed slices on one tenant of a one-shard server, hard-dropped
+/// mid-flight with a torn half-record left on the WAL tail exactly as a
+/// crash mid-append would, restarted from disk — and the recovered spent
+/// budget equals the Σε of the responses clients were **acked**, never
+/// less.
 #[test]
 fn crash_recovery_preserves_every_acked_debit() {
-    const B: f64 = 0.5;
-    let dir = temp_dir("crash");
-    let acked: Vec<f64> = {
-        let (set, _) = durable_set(&dir, B);
-        let handle = apex_serve::serve_sharded(
-            "127.0.0.1:0",
-            Arc::new(set),
-            apex_serve::ServeConfig {
-                workers_per_shard: 4,
-                ..apex_serve::ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = handle.addr();
-
-        // Six concurrent analysts, oversubscribed slices, real sockets.
-        let sums = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..6)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let body = format!("{{\"dataset\":\"demo\",\"budget\":{}}}", B / 2.0);
-                        let (status, created) =
-                            apex_serve::client::request(addr, "POST", "/v1/sessions", Some(&body))
-                                .unwrap();
-                        assert_eq!(status, 201);
-                        let id = created.get("session").and_then(Json::as_u64).unwrap();
-                        let mut acked_sum = 0.0;
-                        for _ in 0..6 {
-                            let q = "{\"query\":\"BIN demo ON COUNT(*) WHERE W = \
-                                     { v IN [0, 8), v IN [8, 16) } ERROR 40 CONFIDENCE 0.95;\"}";
-                            let (status, resp) = apex_serve::client::request(
-                                addr,
-                                "POST",
-                                &format!("/v1/sessions/{id}/query"),
-                                Some(q),
-                            )
-                            .unwrap();
-                            match status {
-                                // Only what was ACKED counts: the ε in a
-                                // 200 response the client actually read.
-                                200 => {
-                                    acked_sum += resp.get("epsilon").and_then(Json::as_f64).unwrap()
-                                }
-                                409 => {}
-                                other => panic!("protocol violation: {other}"),
-                            }
-                        }
-                        acked_sum
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect::<Vec<f64>>()
-        });
-
-        // Hard drop: stop accepting and tear the server down with NO
-        // graceful flush or compaction…
-        handle.stop();
-        handle.join();
-        sums
-        // …and the shard set is dropped here without any shutdown hook.
-    };
-    let acked_sum: f64 = acked.iter().sum();
-    assert!(acked_sum > 0.0, "the workload must answer something");
-
-    // Simulate the torn tail a mid-append crash leaves behind.
-    let shard_dir = apex_serve::snapshot::shard_dir(&dir, 0);
-    let gens = apex_serve::snapshot::list_wal_gens(&shard_dir).unwrap();
-    let wal = apex_serve::snapshot::wal_path(&shard_dir, *gens.last().unwrap());
-    let mut bytes = std::fs::read(&wal).unwrap();
-    bytes.extend_from_slice(&[0x02, 0x00, 0x00]); // half a frame header
-    std::fs::write(&wal, &bytes).unwrap();
-
-    // Restart from disk: the torn tail is truncated, every acked debit
-    // replays, and the ledger matches the acked sum exactly (never
-    // less — losing an acked charge would silently refill B).
-    let (recovered, reports) = durable_set(&dir, B);
-    let (recovered, report) = (recovered.state(0), &reports[0]);
-    assert!(report.truncated.is_some(), "the torn tail must be detected");
-    let spent = recovered.tenant("demo").unwrap().engine.spent();
+    let reports = crash_and_recover(1, &["demo".into()], 0.5, &vec![vec![0]; 6], 6, |dir| {
+        let shard_dir = apex_serve::snapshot::shard_dir(dir, 0);
+        let gens = apex_serve::snapshot::list_wal_gens(&shard_dir).unwrap();
+        let wal = apex_serve::snapshot::wal_path(&shard_dir, *gens.last().unwrap());
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes.extend_from_slice(&[0x02, 0x00, 0x00]); // half a frame header
+        std::fs::write(&wal, &bytes).unwrap();
+    });
     assert!(
-        spent >= acked_sum - 1e-9,
-        "recovered ledger {spent} lost acked budget {acked_sum}"
+        reports[0].truncated.is_some(),
+        "the torn tail must be detected"
     );
-    assert!(
-        (spent - acked_sum).abs() < 1e-9,
-        "recovered ledger {spent} must equal the acked sum {acked_sum}"
-    );
-    assert!(spent <= B + 1e-9, "recovery must never refill past B");
-    // The restored sessions resume mid-slice: their joint spend balances
-    // the engine ledger.
-    let joint: f64 = (1..=6)
-        .filter_map(|id| recovered.with_session(id, |s| s.session.spent()))
-        .sum();
-    assert!(
-        (joint - spent).abs() < 1e-9,
-        "restored slices {joint} must balance the ledger {spent}"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A checksum-corrupt tail (bit rot, not a torn write) refuses recovery
@@ -628,71 +679,82 @@ fn hammer_with_reaper_never_overshoots_budget() {
             .session_ttl(Duration::from_millis(3))
             .build(),
     );
+    let base = Observed::read(std::slice::from_ref(&state), 0, "demo");
     let reaper = start_reaper(state.clone(), Duration::from_millis(1));
 
+    let open = format!("{{\"dataset\":\"demo\",\"budget\":{}}}", B * 3.0 / 8.0);
     let acc = AccuracySpec::new(60.0, 0.05).unwrap();
-    std::thread::scope(|scope| {
-        for t in 0..8 {
-            let state = state.clone();
-            let clock = clock.clone();
-            scope.spawn(move || {
-                let q = histogram(16, 8);
-                let mut id = None;
-                for i in 0..12 {
-                    // Every worker cranks the clock, so TTLs keep firing
-                    // mid-hammer (8 workers × 12 ticks ≫ the 3 ms TTL);
-                    // worker-side reaps make expiry deterministic even
-                    // if the real-time reaper thread lags.
-                    clock.advance(1);
-                    let _ = state.reap_expired();
-                    let sid = match id {
-                        Some(sid) => sid,
-                        None => {
-                            let sid = state
-                                .create_session("demo", B * 3.0 / 8.0)
-                                .unwrap()
-                                .expect("dataset exists");
-                            id = Some(sid);
-                            sid
+    let acked = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..8)
+            .map(|t| {
+                let (state, clock, open) = (state.clone(), clock.clone(), &open);
+                scope.spawn(move || {
+                    let q = histogram(16, 8);
+                    let mut acked = Acked::default();
+                    let mut id = None;
+                    for i in 0..12 {
+                        // Every worker cranks the clock, so TTLs keep firing
+                        // mid-hammer (8 workers × 12 ticks ≫ the 3 ms TTL);
+                        // worker-side reaps make expiry deterministic even
+                        // if the real-time reaper thread lags.
+                        clock.advance(1);
+                        let _ = state.reap_expired();
+                        let sid = match id {
+                            Some(sid) => sid,
+                            None => {
+                                // Through the router: the model records the
+                                // very 201 a client would read.
+                                let resp = apex_serve::router::route(
+                                    &state,
+                                    &Request::new("POST", "/v1/sessions", open),
+                                );
+                                let created = json::parse(&resp.body).unwrap();
+                                acked.record(resp.status, &created).unwrap();
+                                let sid = created.get("session").and_then(Json::as_u64).unwrap();
+                                *id.insert(sid)
+                            }
+                        };
+                        match state.submit(sid, &q, &acc).unwrap() {
+                            SubmitOutcome::Response(r) => {
+                                let status = if r.is_denied() { 409 } else { 200 };
+                                acked
+                                    .record(status, &apex_serve::wire::engine_response_json(&r))
+                                    .unwrap();
+                            }
+                            // Expired under us: open a fresh session and
+                            // keep hammering.
+                            SubmitOutcome::Gone => id = None,
+                            SubmitOutcome::NoSuchSession => {
+                                panic!("thread {t} iteration {i}: issued id vanished")
+                            }
                         }
-                    };
-                    match state.submit(sid, &q, &acc).unwrap() {
-                        SubmitOutcome::Response(_) => {}
-                        // Expired under us: open a fresh session and
-                        // keep hammering.
-                        SubmitOutcome::Gone => id = None,
-                        SubmitOutcome::NoSuchSession => {
-                            panic!("thread {t} iteration {i}: issued id vanished")
-                        }
+                        // Mid-flight: never over B, whatever the reaper does.
+                        let spent = state.tenant("demo").unwrap().engine.spent();
+                        assert!(spent <= B + 1e-9, "OVERSHOOT mid-flight: {spent}");
                     }
-                    // Mid-flight: never over B, whatever the reaper does.
-                    let spent = state.tenant("demo").unwrap().engine.spent();
-                    assert!(spent <= B + 1e-9, "OVERSHOOT mid-flight: {spent}");
-                }
-            });
-        }
+                    acked
+                })
+            })
+            .collect();
+        workers.into_iter().fold(Acked::default(), |mut all, w| {
+            all.merge(&w.join().unwrap());
+            all
+        })
     });
     // Quiesce: everything still live goes idle past the TTL.
     clock.advance(10);
     state.reap_expired().unwrap();
     reaper.stop();
 
-    let tenant = state.tenant("demo").unwrap();
-    let spent = tenant.engine.spent();
-    assert!(spent <= B + 1e-9, "spent {spent} > B {B}");
-    assert!(spent > 0.0, "the hammer must answer something");
+    // Exactly-once release accounting is grant conservation with every
+    // session closed: a double release would push reclaimed past it.
+    let after = Observed::read(std::slice::from_ref(&state), 0, "demo");
+    invariants::check(When::Live, &base, &after, &acked, Slack::default())
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert!(acked.epsilon > 0.0, "the hammer must answer something");
     assert!(state.expired_count() > 0, "sessions must have expired");
     assert_eq!(state.session_count(), 0, "everything idles out in the end");
-    // Exactly-once release accounting: granted allowance splits exactly
-    // into spent + reclaimed (every closed slice returned its remainder
-    // once — a double release would push reclaimed past this identity).
-    let granted = state.expired_count() as f64 * (B * 3.0 / 8.0);
-    assert!(
-        (tenant.reclaimed() + spent - granted).abs() < 1e-9,
-        "granted {granted} must equal spent {spent} + reclaimed {} exactly",
-        tenant.reclaimed()
-    );
-    tenant.engine.with_engine(|e| {
+    state.tenant("demo").unwrap().engine.with_engine(|e| {
         assert!(
             e.transcript().is_valid(B),
             "transcript validity under churn"
@@ -702,23 +764,16 @@ fn hammer_with_reaper_never_overshoots_budget() {
 
 /// Sharded crash recovery: traffic on every shard of a 4-shard server,
 /// hard-dropped with sessions still open (no graceful shutdown, no
-/// compaction), restarted from the per-shard WALs — and every shard's
-/// recovered ledger must independently equal what that shard's tenants
-/// were acked on the wire, with the aggregate grant accounting
-/// balancing to the last slice.
+/// compaction), restarted from the per-shard WALs — and every tenant's
+/// recovered ledger must independently equal what it was acked on the
+/// wire, with grant accounting balancing to the last slice.
 #[test]
 fn sharded_crash_recovery_preserves_every_shards_acked_debits() {
-    use apex_serve::shard::session_shard;
-    use apex_serve::{serve_sharded, ServeConfig, ShardRing, ShardSet};
-
     const SHARDS: usize = 4;
-    const B: f64 = 4.0; // per-tenant budget
-    const SLICE: f64 = 0.25; // per-session allowance
-
     // Enough tenants that consistent hashing gives every shard at least
     // one; the ring is the same construction the server uses, so the
     // ownership map here matches routing exactly.
-    let ring = ShardRing::new(SHARDS);
+    let ring = apex_serve::ShardRing::new(SHARDS);
     let names: Vec<String> = (0..4 * SHARDS).map(|i| format!("crash_{i}")).collect();
     let mut owned: Vec<Vec<usize>> = vec![Vec::new(); SHARDS];
     for (t, name) in names.iter().enumerate() {
@@ -728,214 +783,11 @@ fn sharded_crash_recovery_preserves_every_shards_acked_debits() {
         owned.iter().all(|o| !o.is_empty()),
         "every shard needs traffic for a per-shard recovery check"
     );
-
-    let dir = temp_dir("shard-crash");
-    let build = |root: &PathBuf| {
-        ShardSet::recover(
-            root,
-            SHARDS,
-            |k| {
-                let mut b = ServerState::builder(16);
-                for name in &names {
-                    b = b.dataset(
-                        name,
-                        service_dataset(),
-                        EngineConfig {
-                            budget: B,
-                            mode: Mode::Pessimistic,
-                            seed: 77 ^ (k as u64),
-                        },
-                    );
-                }
-                b
-            },
-            |d| PersistOptions {
-                sync: false, // tests trade per-record fsync for speed
-                ..PersistOptions::new(d)
-            },
-        )
-        .expect("shard recovery must succeed")
-    };
-
-    // Per tenant: (sessions opened, Σε acked); per thread: the session
-    // left open at the crash and the ε acked on it.
-    let mut acked: Vec<(usize, f64)> = vec![(0, 0.0); names.len()];
-    let mut left_open: Vec<(u64, usize, f64)> = Vec::new();
-    {
-        let (set, _) = build(&dir);
-        let set = Arc::new(set);
-        let handle = serve_sharded(
-            "127.0.0.1:0",
-            set.clone(),
-            ServeConfig {
-                workers_per_shard: 2,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("bind sharded server");
-        let addr = handle.addr();
-
-        let per_thread = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..SHARDS)
-                .map(|k| {
-                    let owned = &owned;
-                    let names = &names;
-                    scope.spawn(move || {
-                        let mut acked: Vec<(usize, f64)> = vec![(0, 0.0); names.len()];
-                        let mut open = None;
-                        for round in 0..3 {
-                            let t = owned[k][round % owned[k].len()];
-                            let name = &names[t];
-                            let body = format!("{{\"dataset\":\"{name}\",\"budget\":{SLICE}}}");
-                            let (status, created) = apex_serve::client::request(
-                                addr,
-                                "POST",
-                                "/v1/sessions",
-                                Some(&body),
-                            )
-                            .unwrap();
-                            assert_eq!(status, 201, "open on shard {k}: {created:?}");
-                            let id = created.get("session").and_then(Json::as_u64).unwrap();
-                            assert_eq!(session_shard(id), k, "routing must respect the ring");
-                            acked[t].0 += 1;
-                            let mut session_eps = 0.0;
-                            for _ in 0..2 {
-                                let q = format!(
-                                    "{{\"query\":\"BIN {name} ON COUNT(*) WHERE W = \
-                                     {{ v IN [0, 8), v IN [8, 16) }} \
-                                     ERROR 40 CONFIDENCE 0.95;\"}}"
-                                );
-                                let (status, resp) = apex_serve::client::request(
-                                    addr,
-                                    "POST",
-                                    &format!("/v1/sessions/{id}/query"),
-                                    Some(&q),
-                                )
-                                .unwrap();
-                                match status {
-                                    // Only what was ACKED counts.
-                                    200 => {
-                                        let eps =
-                                            resp.get("epsilon").and_then(Json::as_f64).unwrap();
-                                        acked[t].1 += eps;
-                                        session_eps += eps;
-                                    }
-                                    409 => {}
-                                    other => panic!("protocol violation: {other}"),
-                                }
-                            }
-                            if round + 1 < 3 {
-                                let (status, _) = apex_serve::client::request(
-                                    addr,
-                                    "POST",
-                                    &format!("/v1/sessions/{id}/close"),
-                                    Some("{}"),
-                                )
-                                .unwrap();
-                                assert_eq!(status, 200, "close on shard {k}");
-                            } else {
-                                // The crash happens with this one live.
-                                open = Some((id, t, session_eps));
-                            }
-                        }
-                        (acked, open.expect("one session stays open"))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect::<Vec<_>>()
-        });
-        for (per_tenant, open) in per_thread {
-            for (t, (opened, eps)) in per_tenant.into_iter().enumerate() {
-                acked[t].0 += opened;
-                acked[t].1 += eps;
-            }
-            left_open.push(open);
-        }
-
-        // Hard drop: no graceful shutdown, no final compaction — the
-        // per-shard WAL tails are exactly what a crash leaves.
-        handle.stop();
-        handle.join();
-    }
-    let total_acked: f64 = acked.iter().map(|a| a.1).sum();
-    assert!(total_acked > 0.0, "the workload must answer something");
-
-    // Restart from disk: every shard replays its own WAL independently.
-    let (recovered, reports) = build(&dir);
-    assert_eq!(reports.len(), SHARDS);
-    assert!(
-        reports.iter().all(|r| r.replayed > 0),
-        "every shard saw traffic, so every shard must replay records: {reports:?}"
-    );
-
-    // Per shard: the recovered spend of the tenants it owns equals the
-    // Σε those tenants were acked — shard by shard, not just in sum.
-    for (k, owned_tenants) in owned.iter().enumerate() {
-        let shard_spent: f64 = owned_tenants
-            .iter()
-            .map(|&t| recovered.spent(&names[t]))
-            .sum();
-        let shard_acked: f64 = owned_tenants.iter().map(|&t| acked[t].1).sum();
-        assert!(
-            (shard_spent - shard_acked).abs() <= 1e-9 * shard_acked.max(1.0),
-            "shard {k}: recovered spent {shard_spent} != acked {shard_acked}"
-        );
-    }
-    for (t, name) in names.iter().enumerate() {
-        let spent = recovered.spent(name);
-        assert!(
-            spent <= B + 1e-9,
-            "tenant {name} recovered past its budget: {spent}"
-        );
-        assert!(
-            (spent - acked[t].1).abs() <= 1e-9 * acked[t].1.max(1.0),
-            "tenant {name}: recovered {spent} != acked {}",
-            acked[t].1
-        );
-    }
-
-    // The sessions that were live at the crash are live again, resumed
-    // mid-slice with exactly the spend their client saw acked.
-    assert_eq!(
-        recovered.session_count(),
-        SHARDS,
-        "one live session per shard"
-    );
-    let mut live_slack = vec![0.0; names.len()];
-    for &(id, t, session_eps) in &left_open {
-        let spent = recovered
-            .state(session_shard(id))
-            .with_session(id, |s| s.session.spent())
-            .expect("the open session must survive the crash");
-        assert!(
-            (spent - session_eps).abs() <= 1e-9 * session_eps.max(1.0),
-            "live session {id}: recovered {spent} != acked {session_eps}"
-        );
-        live_slack[t] += SLICE - spent;
-    }
-
-    // Aggregate grant accounting balances: every opened slice is
-    // spent, reclaimed by a close, or still held by a live session.
-    for (t, name) in names.iter().enumerate() {
-        let granted = acked[t].0 as f64 * SLICE;
-        let spent = recovered.spent(name);
-        let reclaimed: f64 = recovered
-            .states()
-            .iter()
-            .filter_map(|s| s.tenant(name))
-            .map(apex_serve::state::Tenant::reclaimed)
-            .sum();
-        assert!(
-            (granted - (spent + reclaimed + live_slack[t])).abs() <= 1e-9 * granted.max(1.0),
-            "tenant {name}: granted {granted} != spent {spent} + reclaimed {reclaimed} \
-             + live {}",
-            live_slack[t]
-        );
-    }
-
-    drop(recovered);
-    let _ = std::fs::remove_dir_all(&dir);
+    // One client per shard: three sessions on its tenants, two queries
+    // each, the first two closed, the last left open at the crash.
+    let scripts: Vec<Vec<usize>> = owned
+        .iter()
+        .map(|o| (0..3).map(|round| o[round % o.len()]).collect())
+        .collect();
+    crash_and_recover(SHARDS, &names, 4.0, &scripts, 2, |_| {});
 }
