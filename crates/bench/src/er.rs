@@ -8,52 +8,49 @@ use rand::SeedableRng;
 
 use crate::runner::{parallel_map, ExperimentRecord};
 
-/// One (budget, alpha) configuration to sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ErConfig {
-    /// Privacy budget B.
-    pub budget: f64,
-    /// Absolute accuracy α (the figures express it as a fraction of |D|).
-    pub alpha: f64,
-}
-
-/// Runs `runs` sampled cleaners for each strategy × configuration and
-/// returns experiment records (one per run). The expensive
-/// materialization is done once per cleaner and shared across all
-/// configurations and strategies.
+/// Runs `runs` sampled cleaners for every strategy at every `(B, α/|D|)`
+/// point of `configs` and returns experiment records (one per run,
+/// labelled `er`). The expensive materialization is done once per
+/// cleaner and shared across all configurations and strategies. `seed`
+/// fixes the citation pairs, the sampled cleaners and every strategy's
+/// noise.
 pub fn run_er_sweep(
-    experiment: &str,
+    seed: u64,
     n_pairs: usize,
-    strategies: &[StrategyKind],
-    configs: &[ErConfig],
+    configs: &[(f64, f64)],
     runs: usize,
     threads: usize,
 ) -> Vec<ExperimentRecord> {
+    use StrategyKind::{Bs1, Bs2, Ms1, Ms2};
     let pairs = citations_dataset(&CitationsConfig {
         n_pairs,
+        seed,
         ..Default::default()
     });
     let model = CleanerModel::default();
 
     let outputs = parallel_map((0..runs).collect::<Vec<usize>>(), threads, |run| {
-        let mut rng = StdRng::seed_from_u64(0xE12_0000 + run as u64);
+        let mut rng = StdRng::seed_from_u64(seed ^ (0xE12_0000 + run as u64));
         let cleaner = model.sample(&mut rng);
         let m = materialize_for_cleaner(&pairs, &cleaner).expect("materialization succeeds");
         let mut recs = Vec::new();
-        for &kind in strategies {
-            for (ci, cfg) in configs.iter().enumerate() {
-                let seed = 0x5EED_0000 + (run as u64) * 100 + ci as u64;
-                let out = run_strategy_on(kind, &m, &cleaner, cfg.budget, cfg.alpha, 5e-4, seed)
+        for kind in [Bs1, Bs2, Ms1, Ms2] {
+            for (ci, &(budget, alpha)) in configs.iter().enumerate() {
+                let run_seed = seed ^ (0x5EED_0000 + (run as u64) * 100 + ci as u64);
+                let abs_alpha = alpha * n_pairs as f64;
+                let out = run_strategy_on(kind, &m, &cleaner, budget, abs_alpha, 5e-4, run_seed)
                     .expect("strategy runs");
                 let (value, measure) = if kind.is_blocking() {
                     (out.quality.recall, "recall")
                 } else {
                     (out.quality.f1, "f1")
                 };
-                let mut r = ExperimentRecord::new(experiment, kind.name());
-                r.alpha = cfg.alpha / n_pairs as f64;
+                let mut r = ExperimentRecord::new("er", kind.name());
+                r.seed = seed;
+                r.rows = n_pairs;
+                r.alpha = alpha;
                 r.beta = 5e-4;
-                r.budget = cfg.budget;
+                r.budget = budget;
                 r.epsilon = out.spent;
                 r.value = value;
                 r.measure = measure.into();
@@ -64,54 +61,4 @@ pub fn run_er_sweep(
         recs
     });
     outputs.into_iter().flatten().collect()
-}
-
-/// Prints per-(strategy, config) quartiles of `value` from the records.
-pub fn print_summary(records: &[ExperimentRecord], group_by_budget: bool) {
-    println!(
-        "{:<5} {:>8} {:>10} {:>8} {:>8} {:>8}  (n runs)",
-        "strat",
-        if group_by_budget { "B" } else { "a/|D|" },
-        "measure",
-        "q25",
-        "median",
-        "q75"
-    );
-    let mut groups: Vec<(String, f64)> = records
-        .iter()
-        .map(|r| {
-            (
-                r.subject.clone(),
-                if group_by_budget { r.budget } else { r.alpha },
-            )
-        })
-        .collect();
-    groups.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    groups.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-    for (subject, key) in groups {
-        let mut vals: Vec<f64> = records
-            .iter()
-            .filter(|r| {
-                r.subject == subject && (if group_by_budget { r.budget } else { r.alpha } == key)
-            })
-            .map(|r| r.value)
-            .collect();
-        vals.sort_by(|a, b| a.total_cmp(b));
-        let q = |p: f64| vals[((vals.len() - 1) as f64 * p) as usize];
-        let measure = records
-            .iter()
-            .find(|r| r.subject == subject)
-            .map(|r| r.measure.clone())
-            .unwrap_or_default();
-        println!(
-            "{:<5} {:>8.3} {:>10} {:>8.3} {:>8.3} {:>8.3}  ({})",
-            subject,
-            key,
-            measure,
-            q(0.25),
-            q(0.5),
-            q(0.75),
-            vals.len()
-        );
-    }
 }

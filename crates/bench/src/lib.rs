@@ -1,37 +1,36 @@
-//! Benchmark harness regenerating every table and figure of the APEx
-//! paper's evaluation (Sections 7 and 8).
+//! Benchmark harness regenerating the APEx paper's evaluation
+//! (Sections 7 and 8) and checking its claims.
 //!
 //! * [`queries`] — the 12 benchmark queries of Table 1, re-created on the
 //!   synthetic Adult / NYTaxi datasets;
 //! * [`metrics`] — the paper's empirical error and F1 measures;
-//! * [`runner`] — shared experiment plumbing: per-mechanism runs,
-//!   parallel sweeps, JSON/text reporting.
+//! * [`er`] — the entity-resolution sweep behind Figures 5–7;
+//! * [`runner`] — shared experiment plumbing: records, parallel sweeps,
+//!   JSON lines.
 //!
-//! One binary per experiment (see DESIGN.md §3 for the full index):
+//! One binary, `repro`, runs every figure and checks the claims below;
+//! its module doc has the sizes, seeds, verdicts and the synthetic-data
+//! rationale. `repro --quick` is the CI gate and rewrites `REPRO.json`;
+//! `repro [figure…]` runs a subset at the paper's sizes.
 //!
-//! ```text
-//! cargo run --release -p apex-bench --bin fig2     # Fig 2: ε vs error, 12 queries
-//! cargo run --release -p apex-bench --bin fig3     # Fig 3: F1 vs ε (QI4, QT1)
-//! cargo run --release -p apex-bench --bin table2   # Table 2: all mechanisms × 12 queries
-//! cargo run --release -p apex-bench --bin fig4 a   # Fig 4a: vary workload size L
-//! cargo run --release -p apex-bench --bin fig4 b   # Fig 4b: vary TCQ k
-//! cargo run --release -p apex-bench --bin fig4 c   # Fig 4c: vary ICQ threshold c
-//! cargo run --release -p apex-bench --bin fig5     # Fig 5: ER quality vs budget B
-//! cargo run --release -p apex-bench --bin fig6     # Fig 6: ER quality vs α at B = 1
-//! cargo run --release -p apex-bench --bin fig7     # Fig 7: ER blocking at |D| = 1000
-//! ```
-//!
-//! Every binary accepts `--quick` for a fast smoke pass and writes JSON
-//! lines under `experiments/` next to its textual report.
+//! | figure | sweep | claims (deviations in italics) |
+//! |---|---|---|
+//! | `fig2` | ε and error of APEx's pick, 12 queries × 7 α | `error_within_alpha` (rate ≤ β), `epsilon_within_upper`, `upper_falls_with_alpha`, `taxi_invariant` (εᵘ·\|D\| of QW1 = QW3) |
+//! | `fig3` | F1 of APEx's pick on QI4 and QT1 | `f1_falls_with_alpha` |
+//! | `table2` | every mechanism × 12 queries × 2 α | `no_universal_winner`, `winner_is_pick` (`choose_mechanism`), `mpm_within_upper` |
+//! | `fig4a` | LM/SM εᵘ vs workload size L | `lm_linear_in_l` (QW2 ≥ 5×), `sm_logarithmic_in_l` (QW2 ≤ 2×) |
+//! | `fig4b` | LM/LTM εᵘ vs k on QT3, QT4 | `lm_flat_in_k`, `ltm_linear_in_k` (ε(50)/ε(10) = 5) |
+//! | `fig4c` | LM/SM/MPM ε vs ICQ threshold c on QI2 | `lm_sm_flat_in_c`, *`mpm_below_lm`* |
+//! | `fig5` | ER quality vs budget B | `blocking_saturates_in_budget`, `matching_saturates_in_budget`, *`icq_strategies_need_less_budget`* |
+//! | `fig6` | ER quality vs α at B = 1 | *`blocking_peaks_mid_alpha`*, *`matching_peaks_mid_alpha`* |
+//! | `fig7` | BS1/BS2 at two \|D\| | `smaller_data_needs_more_budget` |
 
 pub mod er;
 pub mod metrics;
 pub mod queries;
 pub mod runner;
 
-pub use er::{print_summary, run_er_sweep, ErConfig};
+pub use er::run_er_sweep;
 pub use metrics::{empirical_error, f1_of_answer, true_selection};
 pub use queries::{benchmark_queries, BenchQuery, DatasetId, Datasets};
-pub use runner::{
-    json_escape, parallel_map, parse_common_flags, write_records, BenchError, ExperimentRecord,
-};
+pub use runner::{json_escape, parallel_map, write_records, BenchError, ExperimentRecord};

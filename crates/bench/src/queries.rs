@@ -48,7 +48,7 @@ pub struct Datasets {
 impl Datasets {
     /// Generates both datasets. `taxi_rows` trades fidelity for runtime
     /// (the paper's 9.7M rows only shift the absolute ε scale; see
-    /// EXPERIMENTS.md).
+    /// `repro`'s module doc, `crates/bench/src/bin/repro.rs`).
     pub fn generate(taxi_rows: usize, seed: u64) -> Self {
         Self {
             adult: adult_dataset(ADULT_SIZE, seed),

@@ -1,9 +1,8 @@
 //! Shared experiment plumbing: records, JSON output, parallel sweeps.
 //!
 //! The build environment has no registry access, so records are serialized
-//! with a small hand-rolled JSON emitter (the schema is flat — strings and
-//! numbers only) and the parallel sweep uses `std::thread::scope` instead of
-//! an external thread pool.
+//! with the service's JSON renderer (`apex_serve::json`) and the parallel
+//! sweep uses `std::thread::scope` instead of an external thread pool.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -11,6 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use apex_query::WorkloadError;
+use apex_serve::json::Json;
 
 /// Errors surfaced by the benchmark harness. Benchmark binaries return
 /// these from `main` instead of panicking, so a misconfigured query (or a
@@ -61,11 +61,15 @@ impl From<std::io::Error> for BenchError {
 pub struct ExperimentRecord {
     /// Experiment id ("fig2", "table2", …).
     pub experiment: String,
+    /// The sweep's seed: datasets and every noise draw derive from it.
+    pub seed: u64,
     /// Query or strategy name ("QW1", "BS2", …).
     pub subject: String,
     /// Mechanism name when applicable.
     pub mechanism: String,
-    /// Relative accuracy `α/|D|` (or absolute α for ER experiments).
+    /// `|D|`: rows of the queried dataset, or record pairs for ER.
+    pub rows: usize,
+    /// Relative accuracy `α/|D|`.
     pub alpha: f64,
     /// Failure probability β.
     pub beta: f64,
@@ -88,8 +92,10 @@ impl ExperimentRecord {
     pub fn new(experiment: &str, subject: &str) -> Self {
         Self {
             experiment: experiment.to_string(),
+            seed: 0,
             subject: subject.to_string(),
             mechanism: String::new(),
+            rows: 0,
             alpha: f64::NAN,
             beta: f64::NAN,
             budget: f64::NAN,
@@ -103,31 +109,22 @@ impl ExperimentRecord {
 
     /// The record as one JSON object (field order fixed, for diffability).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        json_str(&mut s, "experiment", &self.experiment);
-        s.push(',');
-        json_str(&mut s, "subject", &self.subject);
-        s.push(',');
-        json_str(&mut s, "mechanism", &self.mechanism);
-        s.push(',');
-        json_num(&mut s, "alpha", self.alpha);
-        s.push(',');
-        json_num(&mut s, "beta", self.beta);
-        s.push(',');
-        json_num(&mut s, "budget", self.budget);
-        s.push(',');
-        json_num(&mut s, "epsilon_upper", self.epsilon_upper);
-        s.push(',');
-        json_num(&mut s, "epsilon", self.epsilon);
-        s.push(',');
-        json_num(&mut s, "value", self.value);
-        s.push(',');
-        json_str(&mut s, "measure", &self.measure);
-        s.push(',');
-        s.push_str(&format!("\"run\":{}", self.run));
-        s.push('}');
-        s
+        Json::obj(vec![
+            ("experiment", self.experiment.as_str().into()),
+            ("seed", self.seed.into()),
+            ("subject", self.subject.as_str().into()),
+            ("mechanism", self.mechanism.as_str().into()),
+            ("rows", self.rows.into()),
+            ("alpha", self.alpha.into()),
+            ("beta", self.beta.into()),
+            ("budget", self.budget.into()),
+            ("epsilon_upper", self.epsilon_upper.into()),
+            ("epsilon", self.epsilon.into()),
+            ("value", self.value.into()),
+            ("measure", self.measure.as_str().into()),
+            ("run", self.run.into()),
+        ])
+        .render()
     }
 }
 
@@ -148,27 +145,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Appends `"key":"escaped value"`.
-fn json_str(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    out.push_str(&json_escape(value));
-    out.push('"');
-}
-
-/// Appends `"key":number` (JSON has no NaN/Inf — they serialize as `null`).
-fn json_num(out: &mut String, key: &str, value: f64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    if value.is_finite() {
-        out.push_str(&format!("{value}"));
-    } else {
-        out.push_str("null");
-    }
 }
 
 /// Writes records as JSON lines under `experiments/<name>.jsonl`
@@ -233,19 +209,6 @@ where
         .collect()
 }
 
-/// Parses a `--quick` flag and an optional `--runs N` / `--taxi N` pair
-/// from argv; returns (quick, runs override, taxi-rows override).
-pub fn parse_common_flags(args: &[String]) -> (bool, Option<usize>, Option<usize>) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let grab = |flag: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    };
-    (quick, grab("--runs"), grab("--taxi"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,21 +246,5 @@ mod tests {
         let s = r.to_json();
         assert!(s.contains("quote\\\"back\\\\slash\\nnl"));
         assert!(s.contains("tab\\there"));
-    }
-
-    #[test]
-    fn flags_parse() {
-        let args: Vec<String> = ["x", "--quick", "--runs", "5", "--taxi", "1000"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (q, r, t) = parse_common_flags(&args);
-        assert!(q);
-        assert_eq!(r, Some(5));
-        assert_eq!(t, Some(1000));
-        let (q, r, t) = parse_common_flags(&["x".to_string()]);
-        assert!(!q);
-        assert_eq!(r, None);
-        assert_eq!(t, None);
     }
 }

@@ -14,8 +14,8 @@
 //! * [`views`] — the histograms a [`Dataset`] maintains per partition, so
 //!   an answered query does not rescan `D` (docs/PERFORMANCE.md),
 //! * [`synth`] — seeded synthetic generators standing in for the paper's
-//!   Adult, NYTaxi and citations datasets (see DESIGN.md §3 for the
-//!   substitution rationale),
+//!   Adult, NYTaxi and citations datasets (the substitution rationale is
+//!   in `crates/bench/src/bin/repro.rs`'s module doc),
 //! * [`store`] — the durable paged storage layer (file manager, buffer
 //!   pool, page codec) that lets a [`Dataset`] live on disk, be opened
 //!   without re-synthesis, and grow past memory (docs/STORAGE.md).

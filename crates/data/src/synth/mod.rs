@@ -10,11 +10,13 @@
 //! clustered duplicates for citations).
 //!
 //! The substitution preserves the behaviours the experiments measure
-//! (DESIGN.md §3): mechanism privacy costs depend only on the workload
-//! matrix and the accuracy bound — both data-independent — except for
-//! ICQ-MPM, whose cost depends on the *gap between bin counts and the
-//! iceberg threshold*; the generators control those gaps through skew
-//! parameters, so the paper's qualitative findings are reproducible.
+//! (`apex-bench`'s `repro` checks them; see its module doc,
+//! `crates/bench/src/bin/repro.rs`): mechanism privacy costs depend only
+//! on the workload matrix and the accuracy bound — both data-independent
+//! — except for ICQ-MPM, whose cost depends on the *gap between bin
+//! counts and the iceberg threshold*; the generators control those gaps
+//! through skew parameters, so the paper's qualitative findings are
+//! reproducible.
 //!
 //! All generators are deterministic given a seed.
 

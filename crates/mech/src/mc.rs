@@ -8,13 +8,13 @@
 //! with a normal-approximation confidence band to test whether a candidate
 //! `ε` meets the failure bound `β`.
 //!
-//! One structural optimization (documented in DESIGN.md): because the
-//! noise distribution at privacy `ε` is the distribution at `ε = 1`
-//! scaled by `1/ε`, we sample the reconstruction errors **once** at unit
-//! scale and reuse them for every candidate `ε` in the binary search. The
-//! estimator at each candidate is identical to the paper's; sharing the
-//! sample only removes simulation noise *between* candidates (making the
-//! search strictly better behaved).
+//! One structural optimization (docs/PERFORMANCE.md, "Translator prepare:
+//! one pipeline"): because the noise distribution at privacy `ε` is the
+//! distribution at `ε = 1` scaled by `1/ε`, we sample the reconstruction
+//! errors **once** at unit scale and reuse them for every candidate `ε`
+//! in the binary search. The estimator at each candidate is identical to
+//! the paper's; sharing the sample only removes simulation noise
+//! *between* candidates (making the search strictly better behaved).
 //!
 //! # The simulation pipeline
 //!

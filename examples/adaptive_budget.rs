@@ -2,7 +2,7 @@
 //! 8/10) on a sequence of iceberg queries.
 //!
 //! ```text
-//! cargo run --release -p apex-bench --example adaptive_budget
+//! cargo run --release --example adaptive_budget
 //! ```
 //!
 //! The multi-poking mechanism's privacy loss depends on the data: far

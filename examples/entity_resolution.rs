@@ -2,7 +2,7 @@
 //! matching formulas for entity resolution.
 //!
 //! ```text
-//! cargo run --release -p apex-bench --example entity_resolution
+//! cargo run --release --example entity_resolution
 //! ```
 //!
 //! A "cleaner" (a simulated human analyst, sampled from the paper's

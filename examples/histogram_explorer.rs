@@ -1,7 +1,7 @@
 //! Adaptive drill-down: the exploration pattern the paper motivates.
 //!
 //! ```text
-//! cargo run --release -p apex-bench --example histogram_explorer
+//! cargo run --release --example histogram_explorer
 //! ```
 //!
 //! The analyst starts with a coarse histogram (cheap, loose accuracy),

@@ -1,7 +1,7 @@
 //! Quickstart: ask accuracy-bounded questions about a sensitive table.
 //!
 //! ```text
-//! cargo run --release -p apex-bench --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 //!
 //! The analyst writes queries in the paper's declarative syntax with an
