@@ -78,6 +78,8 @@ pub mod snapshot;
 pub mod state;
 pub mod wal;
 pub mod wire;
+#[cfg(test)]
+mod yield_traces;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use http::{Request, Response};
