@@ -136,9 +136,11 @@ impl Observed {
             (o.spent, o.budget) = (o.spent + ledger.spent, ledger.budget);
             o.denied += ledger.denied as u64;
             o.reclaimed += t.reclaimed();
-            for s in state.list_sessions().iter().filter(|s| s.dataset == tenant) {
-                o.live_allowance += s.allowance;
-                o.live_spent += s.spent;
+            for s in state.list_sessions().iter().map(|s| &s.session) {
+                if s.dataset == tenant {
+                    o.live_allowance += s.allowance;
+                    o.live_spent += s.spent;
+                }
             }
         }
         if let Some(t) = states[owner].tenant(tenant) {

@@ -16,17 +16,22 @@
 //!   response serialization;
 //! * [`wire`] — bodies ↔ engine types ([`apex_query::ExplorationQuery`],
 //!   [`apex_core::EngineResponse`], …);
-//! * [`wal`] — the write-ahead log: one record per budget-mutating
-//!   event in a framed log (`apex_data::store::framed`), appended +
-//!   fsynced before the client is acked;
+//! * [`wal`] — the write-ahead log and the one durability core: one
+//!   record per budget-mutating event in a framed log
+//!   (`apex_data::store::framed`), the one mutation codec, and the
+//!   shared writer whose group commit makes a record durable before the
+//!   client is acked (the only code here that syncs the log);
 //! * [`snapshot`] — periodic compaction of the ledger + session table,
-//!   and the state-directory layout recovery reads;
+//!   the state-directory layout recovery reads, and the fold
+//!   (`Snapshot::apply`) that replays a WAL record into an image;
 //! * [`clock`] — injectable time, so session-TTL behavior is
 //!   deterministic under test;
-//! * [`state`] — tenants (one [`apex_core::SharedEngine`] per dataset,
-//!   one shared translator cache with per-tenant stat scopes), live
-//!   sessions (budget slices with idle TTLs), WAL-over-snapshot
-//!   recovery, and the TTL reaper;
+//! * [`state`] — four modules over that core: `ledger` (admission,
+//!   charge, WAL ordering, compaction), `sessions` (budget slices with
+//!   idle TTLs, pinning, the reaper), `registry` (tenants — one
+//!   [`apex_core::SharedEngine`] per dataset, one shared translator
+//!   cache with per-tenant stat scopes — and row mutations) and
+//!   `recovery` (the directory lock and WAL-over-snapshot replay);
 //! * [`router`] — per-shard endpoint dispatch and status-code mapping (a
 //!   *denied* query is 409, an *expired* session is 410, the admin plane
 //!   checks a bearer token);
@@ -71,6 +76,7 @@ pub mod exerciser;
 pub mod http;
 pub mod invariants;
 pub mod json;
+pub(crate) mod lockx;
 pub mod router;
 pub mod selftest;
 pub mod shard;

@@ -41,11 +41,10 @@ use apex_mech::CacheStats;
 
 use crate::http::{self, BufParse, Request, Response};
 use crate::json::Json;
+use crate::lockx;
 use crate::router;
 use crate::snapshot;
-use crate::state::{
-    lockx, PersistOptions, RecoverError, RecoveryReport, ServerState, ServerStateBuilder,
-};
+use crate::state::{PersistOptions, RecoverError, RecoveryReport, ServerState, ServerStateBuilder};
 use crate::wire;
 
 /// Bits the shard index occupies above the per-shard sequence number.
@@ -1040,7 +1039,7 @@ fn route_global(set: &ShardSet, req: &Request) -> Response {
                         .iter()
                         .flat_map(|s| s.list_sessions())
                         .collect();
-                    sessions.sort_by_key(|s| s.id);
+                    sessions.sort_by_key(|s| s.session.id);
                     let body = Json::obj(vec![
                         (
                             "sessions",

@@ -15,33 +15,33 @@
 //!                   only generations beyond it
 //! ```
 //!
-//! The rotation protocol is crash-safe at every step: the snapshot is
-//! written to a temp file, fsynced, then renamed over `snapshot.bin`
-//! (the commit point); a new WAL generation is only opened after the
-//! rename, and stale generations are deleted last. A crash anywhere
-//! leaves either the old snapshot + old WALs, or the new snapshot with
-//! the old WALs correctly ignored (their generation is covered) — never
-//! a double-count, never a loss.
+//! The rotation protocol is crash-safe at every step: the next WAL
+//! generation is opened first, then the snapshot is written to a temp
+//! file, fsynced, and renamed over `snapshot.bin` (the commit point),
+//! and stale generations are deleted last. A crash anywhere leaves
+//! either the old snapshot + old WALs (plus, at most, an empty next
+//! generation), or the new snapshot with the old WALs correctly ignored
+//! (their generation is covered) — never a double-count, never a loss.
 //!
 //! Snapshot corruption is **always** fatal for recovery: unlike a WAL
 //! tail, a snapshot is compacted history with nothing to truncate back
 //! to. (The previous snapshot was deleted only after this one committed,
 //! so a torn rename cannot even arise on POSIX rename semantics.)
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use apex_data::store::codec;
 use apex_data::store::framed::{self, Format};
 
-use crate::wal::{push_str, take_f64, take_str, take_u32, take_u64};
+use crate::wal::{push_list, push_str, Fields, Mutation, WalRecord};
 
-/// Snapshot file magic (format version pinned in the last byte). The
-/// file is read whole, so the cap only has to fit the frame's `u32`
-/// length.
+/// Snapshot file magic (format version pinned in the last byte; 3 lays
+/// a journaled mutation out as the WAL's mutate record does). The file
+/// is read whole, so the cap only has to fit the frame's `u32` length.
 pub const SNAPSHOT_FORMAT: Format = Format {
-    magic: b"APEXSNP2",
+    magic: b"APEXSNP3",
     max_payload: 1 << 30,
 };
 
@@ -72,25 +72,6 @@ pub struct SessionImage {
     pub spent: f64,
 }
 
-/// One applied row mutation retained for replay. Only **resident**
-/// (in-memory) tenants need journaling here: a paged tenant's store is
-/// its own durable mutation log, and its WAL records are skipped on
-/// replay once the store epoch covers them. For resident tenants the
-/// journal is the sole durable copy, so compaction must carry every
-/// record forward — the journal grows with the tenant's mutation
-/// history (mutations are admin-plane operations, not the query path).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MutationImage {
-    /// The mutated tenant dataset.
-    pub dataset: String,
-    /// `true` for an insert batch, `false` for a delete batch.
-    pub insert: bool,
-    /// Dataset epoch after this mutation applied.
-    pub epoch_after: u64,
-    /// The requested row batch (never empty).
-    pub rows: Vec<Vec<apex_data::Value>>,
-}
-
 /// Everything a snapshot captures.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
@@ -105,8 +86,14 @@ pub struct Snapshot {
     /// allocated sequentially, so `next_session` is the watermark — any
     /// id below it that is not live once existed and is gone.)
     pub sessions: Vec<SessionImage>,
-    /// Resident tenants' applied-mutation journal, in apply order.
-    pub mutations: Vec<MutationImage>,
+    /// Resident tenants' applied-mutation journal, in apply order. Only
+    /// **resident** (in-memory) tenants need it: a paged tenant's store
+    /// is its own durable mutation log, and its WAL records are skipped
+    /// on replay once the store epoch covers them. For a resident tenant
+    /// the journal is the sole durable copy, so compaction carries every
+    /// record forward — it grows with the tenant's mutation history
+    /// (mutations are admin-plane operations, not the query path).
+    pub mutations: Vec<Mutation>,
 }
 
 impl Snapshot {
@@ -115,101 +102,134 @@ impl Snapshot {
         let mut out = Vec::with_capacity(64);
         out.extend_from_slice(&self.covered_gen.to_le_bytes());
         out.extend_from_slice(&self.next_session.to_le_bytes());
-        out.extend_from_slice(
-            &u32::try_from(self.tenants.len())
-                .expect("few tenants")
-                .to_le_bytes(),
-        );
-        for t in &self.tenants {
-            push_str(&mut out, &t.name);
+        push_list(&mut out, &self.tenants, |out, t| {
+            push_str(out, &t.name);
             out.extend_from_slice(&t.spent.to_le_bytes());
             out.extend_from_slice(&t.reclaimed.to_le_bytes());
-        }
-        out.extend_from_slice(
-            &u32::try_from(self.sessions.len())
-                .expect("bounded sessions")
-                .to_le_bytes(),
-        );
-        for s in &self.sessions {
+        });
+        push_list(&mut out, &self.sessions, |out, s| {
             out.extend_from_slice(&s.id.to_le_bytes());
-            push_str(&mut out, &s.dataset);
+            push_str(out, &s.dataset);
             out.extend_from_slice(&s.allowance.to_le_bytes());
             out.extend_from_slice(&s.spent.to_le_bytes());
-        }
-        out.extend_from_slice(
-            &u32::try_from(self.mutations.len())
-                .expect("bounded journal")
-                .to_le_bytes(),
-        );
-        for m in &self.mutations {
-            push_str(&mut out, &m.dataset);
-            out.push(u8::from(m.insert));
-            out.extend_from_slice(&m.epoch_after.to_le_bytes());
-            codec::push_rows(&mut out, &m.rows);
-        }
+        });
+        push_list(&mut out, &self.mutations, |out, m| {
+            Mutation::push(out, &m.dataset, m.insert, m.epoch_after, &m.rows);
+        });
         out
     }
 
     /// Decodes a snapshot payload; `None` on any structural damage or
     /// trailing bytes — snapshot damage is never partially recoverable.
     pub fn decode(payload: &[u8]) -> Option<Snapshot> {
-        let (covered_gen, rest) = take_u64(payload)?;
-        let (next_session, rest) = take_u64(rest)?;
-        let (n_tenants, mut rest) = take_u32(rest)?;
-        let mut tenants = Vec::with_capacity(n_tenants.min(1024) as usize);
-        for _ in 0..n_tenants {
-            let (name, r) = take_str(rest)?;
-            let (spent, r) = take_f64(r)?;
-            let (reclaimed, r) = take_f64(r)?;
-            tenants.push(TenantLedger {
-                name,
-                spent,
-                reclaimed,
-            });
-            rest = r;
-        }
-        let (n_sessions, mut rest) = take_u32(rest)?;
-        let mut sessions = Vec::with_capacity(n_sessions.min(1024) as usize);
-        for _ in 0..n_sessions {
-            let (id, r) = take_u64(rest)?;
-            let (dataset, r) = take_str(r)?;
-            let (allowance, r) = take_f64(r)?;
-            let (spent, r) = take_f64(r)?;
-            sessions.push(SessionImage {
-                id,
+        // Fields in encoding order.
+        let mut f = Fields(payload);
+        let snapshot = Snapshot {
+            covered_gen: f.u64()?,
+            next_session: f.u64()?,
+            tenants: f.list(|f| {
+                Some(TenantLedger {
+                    name: f.str()?,
+                    spent: f.f64()?,
+                    reclaimed: f.f64()?,
+                })
+            })?,
+            sessions: f.list(|f| {
+                Some(SessionImage {
+                    id: f.u64()?,
+                    dataset: f.str()?,
+                    allowance: f.f64()?,
+                    spent: f.f64()?,
+                })
+            })?,
+            mutations: f.list(Mutation::take)?,
+        };
+        f.end(snapshot)
+    }
+
+    /// Folds one WAL record into the image — recovery is this fold over
+    /// every record past `covered_gen`, in file order. `closed` carries
+    /// the dataset of each session the fold has closed: a debit may be
+    /// ordered after its session's close (two racing appenders inside
+    /// one generation) and must still charge that session's tenant. An
+    /// open enters its tenant in the ledgers, so checking
+    /// [`Snapshot::tenants`] after the fold covers every name the WAL
+    /// used.
+    ///
+    /// # Errors
+    /// The id of a session the record names that was never opened.
+    pub fn apply(
+        &mut self,
+        record: WalRecord,
+        closed: &mut HashMap<u64, String>,
+    ) -> Result<(), u64> {
+        match record {
+            WalRecord::Open {
+                session,
                 dataset,
                 allowance,
-                spent,
-            });
-            rest = r;
-        }
-        let (n_mutations, mut rest) = take_u32(rest)?;
-        let mut mutations = Vec::with_capacity(n_mutations.min(1024) as usize);
-        for _ in 0..n_mutations {
-            let (dataset, r) = take_str(rest)?;
-            let (&flag, r) = r.split_first()?;
-            let insert = match flag {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            let (epoch_after, r) = take_u64(r)?;
-            let (rows, r) = codec::take_rows(r).ok()?;
-            mutations.push(MutationImage {
+            } => {
+                self.ledger(&dataset);
+                self.next_session = self.next_session.max(session + 1);
+                self.sessions.push(SessionImage {
+                    id: session,
+                    dataset,
+                    allowance,
+                    spent: 0.0,
+                });
+            }
+            WalRecord::Debit { session, epsilon } => {
+                let dataset = self.dataset_of(session, closed)?;
+                if let Some(s) = self.sessions.iter_mut().find(|s| s.id == session) {
+                    s.spent += epsilon;
+                }
+                self.ledger(&dataset).spent += epsilon;
+            }
+            WalRecord::Deny { session } => {
+                self.dataset_of(session, closed)?;
+            }
+            WalRecord::Close { session, released } => {
+                let dataset = self.dataset_of(session, closed)?;
+                self.sessions.retain(|s| s.id != session);
+                self.ledger(&dataset).reclaimed += released;
+                closed.insert(session, dataset);
+            }
+            WalRecord::Mutate {
                 dataset,
                 insert,
                 epoch_after,
                 rows,
-            });
-            rest = r;
+            } => self.mutations.push(Mutation {
+                dataset,
+                insert,
+                epoch_after,
+                rows,
+            }),
         }
-        rest.is_empty().then_some(Snapshot {
-            covered_gen,
-            next_session,
-            tenants,
-            sessions,
-            mutations,
-        })
+        Ok(())
+    }
+
+    /// The dataset of a session that is live in the image or that the
+    /// fold closed; `Err(session)` for one never opened.
+    fn dataset_of(&self, session: u64, closed: &HashMap<u64, String>) -> Result<String, u64> {
+        let live = self.sessions.iter().find(|s| s.id == session);
+        live.map(|s| &s.dataset)
+            .or_else(|| closed.get(&session))
+            .cloned()
+            .ok_or(session)
+    }
+
+    /// `name`'s ledger, entered at zero on first use.
+    fn ledger(&mut self, name: &str) -> &mut TenantLedger {
+        if !self.tenants.iter().any(|t| t.name == name) {
+            self.tenants.push(TenantLedger {
+                name: name.to_string(),
+                spent: 0.0,
+                reclaimed: 0.0,
+            });
+        }
+        let ledger = self.tenants.iter_mut().find(|t| t.name == name);
+        ledger.expect("entered above")
     }
 }
 
@@ -317,7 +337,7 @@ mod tests {
                 allowance: 0.25,
                 spent: 0.0625,
             }],
-            mutations: vec![MutationImage {
+            mutations: vec![Mutation {
                 dataset: "adult".into(),
                 insert: true,
                 epoch_after: 2,
@@ -333,7 +353,16 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let s = sample();
-        assert_eq!(Snapshot::decode(&s.encode()), Some(s));
+        assert_eq!(Snapshot::decode(&s.encode()), Some(s.clone()));
+        // The journal entry (the payload's last field) and a WAL record
+        // of the same mutation carry identical mutation bytes.
+        let m = &s.mutations[0];
+        let mut bytes = Vec::new();
+        Mutation::push(&mut bytes, &m.dataset, m.insert, m.epoch_after, &m.rows);
+        assert!(s.encode().ends_with(&bytes));
+        assert!(WalRecord::from(s.mutations[0].clone())
+            .encode()
+            .ends_with(&bytes));
         let empty = Snapshot::default();
         assert_eq!(Snapshot::decode(&empty.encode()), Some(empty));
     }

@@ -20,6 +20,16 @@
 //! 5 = row mutation (an applied insert/delete batch — rows in the store's
 //! row codec — and the dataset epoch it produced).
 //!
+//! ## Group commit
+//!
+//! A state's handlers share one [`SharedWal`]: the current generation's
+//! [`WalWriter`] behind a mutex, and the group-commit gate in front of
+//! its syncs. [`SharedWal::append`] returns once the record is durable
+//! — one `sync_data` covering every record a group appended — or, for a
+//! denial, once it is merely ordered (docs/SERVICE.md, "Group commit").
+//! This module is the only place under `crates/serve/src` that syncs the
+//! log; CI checks it.
+//!
 //! ## Tail policy
 //!
 //! [`WalTail::Torn`] is the expected artifact of a crash mid-append:
@@ -30,10 +40,14 @@
 
 use std::fs::File;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use apex_data::store::codec;
 use apex_data::store::framed::{self, Format, FramedWriter};
+use apex_data::Value;
+
+use crate::lockx;
 
 /// The WAL's magic (format version in the last byte) and payload cap: a
 /// mutation batch whose record would exceed it is refused pre-apply.
@@ -93,8 +107,75 @@ pub enum WalRecord {
         /// Dataset epoch after this mutation applied.
         epoch_after: u64,
         /// The requested row batch (never empty).
-        rows: Vec<Vec<apex_data::Value>>,
+        rows: Vec<Vec<Value>>,
     },
+}
+
+/// One applied row mutation: the fields of a [`WalRecord::Mutate`], and
+/// what a resident tenant's journal holds — live, and in the snapshot
+/// compaction folds it into. Both files lay it out with [`Mutation::push`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mutation {
+    /// The mutated tenant dataset.
+    pub dataset: String,
+    /// `true` for an insert batch, `false` for a delete batch.
+    pub insert: bool,
+    /// Dataset epoch after this mutation applied.
+    pub epoch_after: u64,
+    /// The requested row batch (never empty).
+    pub rows: Vec<Vec<Value>>,
+}
+
+impl Mutation {
+    /// The one mutation codec: `insert:u8 epoch_after:u64 dataset rows`
+    /// (rows in the store's row codec).
+    pub(crate) fn push(
+        out: &mut Vec<u8>,
+        dataset: &str,
+        insert: bool,
+        epoch_after: u64,
+        rows: &[Vec<Value>],
+    ) {
+        out.push(u8::from(insert));
+        out.extend_from_slice(&epoch_after.to_le_bytes());
+        push_str(out, dataset);
+        codec::push_rows(out, rows);
+    }
+
+    /// The decode half of [`Mutation::push`].
+    pub(crate) fn take(f: &mut Fields) -> Option<Mutation> {
+        let insert = match f.u8()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        let epoch_after = f.u64()?;
+        let dataset = f.str()?;
+        let (rows, rest) = codec::take_rows(f.0).ok()?;
+        f.0 = rest;
+        Some(Mutation {
+            dataset,
+            insert,
+            epoch_after,
+            rows,
+        })
+    }
+
+    /// Size of [`Mutation::push`]'s output, computed without encoding.
+    fn encoded_len(dataset: &str, rows: &[Vec<Value>]) -> usize {
+        1 + 8 + (2 + dataset.len()) + codec::rows_size(rows)
+    }
+}
+
+impl From<Mutation> for WalRecord {
+    fn from(m: Mutation) -> Self {
+        WalRecord::Mutate {
+            dataset: m.dataset,
+            insert: m.insert,
+            epoch_after: m.epoch_after,
+            rows: m.rows,
+        }
+    }
 }
 
 impl WalRecord {
@@ -133,10 +214,7 @@ impl WalRecord {
                 rows,
             } => {
                 out.push(5);
-                out.push(u8::from(*insert));
-                out.extend_from_slice(&epoch_after.to_le_bytes());
-                push_str(&mut out, dataset);
-                codec::push_rows(&mut out, rows);
+                Mutation::push(&mut out, dataset, *insert, *epoch_after, rows);
             }
         }
         out
@@ -146,62 +224,35 @@ impl WalRecord {
     /// wrong field width, non-UTF-8 dataset name, trailing bytes) — the
     /// caller treats that as corruption.
     fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-        let (&tag, rest) = payload.split_first()?;
-        let (record, rest) = match tag {
-            1 => {
-                let (session, rest) = take_u64(rest)?;
-                let (allowance, rest) = take_f64(rest)?;
-                let (dataset, rest) = take_str(rest)?;
-                let open = WalRecord::Open {
-                    session,
-                    dataset,
-                    allowance,
-                };
-                (open, rest)
-            }
-            2 => {
-                let (session, rest) = take_u64(rest)?;
-                let (epsilon, rest) = take_f64(rest)?;
-                (WalRecord::Debit { session, epsilon }, rest)
-            }
-            3 => {
-                let (session, rest) = take_u64(rest)?;
-                (WalRecord::Deny { session }, rest)
-            }
-            4 => {
-                let (session, rest) = take_u64(rest)?;
-                let (released, rest) = take_f64(rest)?;
-                (WalRecord::Close { session, released }, rest)
-            }
-            5 => {
-                let (&flag, rest) = rest.split_first()?;
-                let (epoch_after, rest) = take_u64(rest)?;
-                let (dataset, rest) = take_str(rest)?;
-                let (rows, rest) = codec::take_rows(rest).ok()?;
-                let mutate = WalRecord::Mutate {
-                    dataset,
-                    insert: match flag {
-                        0 => false,
-                        1 => true,
-                        _ => return None,
-                    },
-                    epoch_after,
-                    rows,
-                };
-                (mutate, rest)
-            }
+        // Fields in encoding order.
+        let mut f = Fields(payload);
+        let record = match f.u8()? {
+            1 => WalRecord::Open {
+                session: f.u64()?,
+                allowance: f.f64()?,
+                dataset: f.str()?,
+            },
+            2 => WalRecord::Debit {
+                session: f.u64()?,
+                epsilon: f.f64()?,
+            },
+            3 => WalRecord::Deny { session: f.u64()? },
+            4 => WalRecord::Close {
+                session: f.u64()?,
+                released: f.f64()?,
+            },
+            5 => Mutation::take(&mut f)?.into(),
             _ => return None,
         };
-        rest.is_empty().then_some(record)
+        f.end(record)
     }
 
     /// Payload size of the [`WalRecord::Mutate`] these fields would
     /// encode to, computed without encoding: client-sized input is
     /// *measured* against [`WAL_FORMAT`]'s cap before it is applied or
     /// reaches the encoder. Pinned equal to the encoder by a unit test.
-    pub(crate) fn mutate_payload_len(dataset: &str, rows: &[Vec<apex_data::Value>]) -> usize {
-        // tag + insert flag + epoch + dataset string + row batch.
-        1 + 1 + 8 + (2 + dataset.len()) + codec::rows_size(rows)
+    pub(crate) fn mutate_payload_len(dataset: &str, rows: &[Vec<Value>]) -> usize {
+        1 + Mutation::encoded_len(dataset, rows)
     }
 
     /// The record as one frame (with `seq` 0): what an append writes,
@@ -214,21 +265,6 @@ impl WalRecord {
     }
 }
 
-pub(crate) fn take_u64(b: &[u8]) -> Option<(u64, &[u8])> {
-    let (head, rest) = b.split_at_checked(8)?;
-    Some((u64::from_le_bytes(head.try_into().ok()?), rest))
-}
-
-pub(crate) fn take_f64(b: &[u8]) -> Option<(f64, &[u8])> {
-    let (head, rest) = b.split_at_checked(8)?;
-    Some((f64::from_le_bytes(head.try_into().ok()?), rest))
-}
-
-pub(crate) fn take_u32(b: &[u8]) -> Option<(u32, &[u8])> {
-    let (head, rest) = b.split_at_checked(4)?;
-    Some((u32::from_le_bytes(head.try_into().ok()?), rest))
-}
-
 /// Length-prefixed UTF-8 string framing (u16 LE length + bytes) —
 /// shared by the WAL and snapshot codecs so the two formats cannot
 /// drift apart.
@@ -239,11 +275,61 @@ pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(bytes);
 }
 
-/// The decode half of [`push_str`].
-pub(crate) fn take_str(b: &[u8]) -> Option<(String, &[u8])> {
-    let (len, rest) = b.split_first_chunk::<2>()?;
-    let (head, rest) = rest.split_at_checked(u16::from_le_bytes(*len) as usize)?;
-    Some((std::str::from_utf8(head).ok()?.to_string(), rest))
+/// A `u32` count, then each item — the encode half of [`Fields::list`].
+pub(crate) fn push_list<T>(out: &mut Vec<u8>, items: &[T], push: impl Fn(&mut Vec<u8>, &T)) {
+    let len = u32::try_from(items.len()).expect("bounded lists");
+    out.extend_from_slice(&len.to_le_bytes());
+    for item in items {
+        push(out, item);
+    }
+}
+
+/// The decode side of the WAL and snapshot codecs: a cursor whose
+/// readers take little-endian fields in order and return `None` once
+/// the bytes run out or do not parse, so a decoder is a chain of `?`.
+pub(crate) struct Fields<'a>(pub(crate) &'a [u8]);
+
+impl Fields<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.take::<1>().map(|[b]| b)
+    }
+
+    pub(crate) fn u64(&mut self) -> Option<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    pub(crate) fn f64(&mut self) -> Option<f64> {
+        self.take().map(f64::from_le_bytes)
+    }
+
+    /// The decode half of [`push_str`].
+    pub(crate) fn str(&mut self) -> Option<String> {
+        let len = u16::from_le_bytes(self.take()?) as usize;
+        let (head, rest) = self.0.split_at_checked(len)?;
+        self.0 = rest;
+        Some(std::str::from_utf8(head).ok()?.to_string())
+    }
+
+    /// The decode half of [`push_list`].
+    pub(crate) fn list<T>(&mut self, item: impl Fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let len = u32::from_le_bytes(self.take()?);
+        let mut items = Vec::with_capacity(len.min(1024) as usize);
+        for _ in 0..len {
+            items.push(item(self)?);
+        }
+        Some(items)
+    }
+
+    /// `value`, if every byte was read: trailing bytes are damage.
+    pub(crate) fn end<T>(self, value: T) -> Option<T> {
+        self.0.is_empty().then_some(value)
+    }
 }
 
 /// What follows the last valid record in a WAL.
@@ -355,6 +441,390 @@ impl WalWriter {
         self.log.poison();
     }
 }
+
+/// The WAL a state's handlers share: the current generation's writer and
+/// the group-commit gate in front of its syncs.
+#[derive(Debug)]
+pub(crate) struct SharedWal {
+    active: Mutex<Active>,
+    gate: SyncGate,
+}
+
+#[derive(Debug)]
+struct Active {
+    writer: WalWriter,
+    gen: u64,
+    records_since_rotation: u64,
+    /// Monotonic count of durable appends (across rotations) — the
+    /// sequence the group-commit gate tracks durability against.
+    append_seq: u64,
+}
+
+impl SharedWal {
+    /// Shares `writer`, which appends to generation `gen`.
+    pub(crate) fn new(writer: WalWriter, gen: u64) -> Self {
+        Self {
+            active: Mutex::new(Active {
+                writer,
+                gen,
+                records_since_rotation: 0,
+                append_seq: 0,
+            }),
+            gate: SyncGate::default(),
+        }
+    }
+
+    /// Appends `record` and returns once it is durable — or, for a
+    /// denial, once it is ordered. Denials need *ordering* but not
+    /// *durability*: they charge nothing, so losing the tail of them in a
+    /// crash changes no recovered state, and a deny-heavy workload — the
+    /// steady state of an exhausted tenant — must not pay a durability
+    /// fsync per 409.
+    ///
+    /// # Errors
+    /// The append or the covering sync failing. A failed sync poisons the
+    /// writer: every later append fails too.
+    pub(crate) fn append(&self, record: &WalRecord) -> std::io::Result<()> {
+        // Append under the writer lock, fsync after releasing it (see
+        // `SyncGate`): a sibling handler can append the next record
+        // while this one's sync is in flight, and a completed sync
+        // covers every record appended before it started. With the
+        // fsync inside the lock, every record costs a full journal
+        // commit plus a scheduler wakeup, back to back.
+        let (seq, sync_me) = {
+            let mut active = lockx::lock(&self.active);
+            // A denial's sync handle is dropped: the record is ordered
+            // in the file but never fsynced and never enters the sync
+            // gate; the next durable append's fsync carries it to disk.
+            let sync_me = active
+                .writer
+                .append_deferred(record)?
+                .filter(|_| !matches!(record, WalRecord::Deny { .. }));
+            active.records_since_rotation += 1;
+            if sync_me.is_some() {
+                active.append_seq += 1;
+            }
+            (active.append_seq, sync_me)
+        };
+        // A `state.` name: it closes `ServerState::log`'s append, and the
+        // exerciser's pinned schedules and `yield_traces` refer to it.
+        apex_core::sched_point!("state.log.appended");
+        match sync_me {
+            Some(file) => self.sync_through(seq, &file),
+            None => Ok(()), // a denial, or a writer that never syncs
+        }
+    }
+
+    /// Group commit (see `SyncGate`): returns once a `sync_data` that
+    /// began after append `seq` completed. Loop invariant: on every
+    /// pass, either the record is already durable (return), or a group
+    /// is gathering (join it), or a sync is in flight (wait for its
+    /// result), or this thread leads a new group. A leader that
+    /// straddled a WAL rotation syncs the old generation's file —
+    /// harmless, the snapshot that rotated it already covers those
+    /// records (and the state's exclusive ledger gate keeps a rotation
+    /// from racing an in-flight append-and-sync).
+    fn sync_through(&self, seq: u64, file: &File) -> std::io::Result<()> {
+        let gate = &self.gate;
+        let mut prog = lockx::lock(&gate.progress);
+        let mut joined = false;
+        loop {
+            if prog.synced >= seq {
+                return Ok(());
+            }
+            match prog.phase {
+                SyncPhase::Idle => {
+                    prog.phase = SyncPhase::Gathering;
+                    prog.members = 1;
+                    break;
+                }
+                SyncPhase::Gathering => {
+                    if !joined {
+                        joined = true;
+                        prog.members += 1;
+                        gate.wake_if_gathered(&prog);
+                    }
+                    prog = lockx::wait(&gate.wakeup, prog);
+                }
+                SyncPhase::Syncing => {
+                    prog = lockx::wait(&gate.wakeup, prog);
+                }
+            }
+        }
+        // This thread leads the group: wait while a present writer has
+        // yet to append and join — each join and each writer leaving
+        // re-checks — then sync once for everyone. The timer only ends
+        // a gather whose peer does neither.
+        if prog.members < prog.joinable() {
+            prog.gathers += 1;
+            let deadline = std::time::Instant::now() + prog.backstop();
+            while prog.members < prog.joinable() {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                if left.is_zero() {
+                    prog.gather_timeouts += 1;
+                    break;
+                }
+                prog = lockx::wait_timeout(&gate.wakeup, prog, left).0;
+            }
+        }
+        prog.phase = SyncPhase::Syncing;
+        drop(prog);
+        // Everything appended up to here — read under the writer lock —
+        // is on file before `sync_data` begins, so it is durable when
+        // the call returns.
+        let target = lockx::lock(&self.active).append_seq;
+        let result = file.sync_data();
+        let mut prog = lockx::lock(&gate.progress);
+        prog.phase = SyncPhase::Idle;
+        prog.members = 0;
+        match result {
+            Ok(()) => {
+                prog.synced = prog.synced.max(target);
+                prog.syncs += 1;
+                drop(prog);
+                gate.wakeup.notify_all();
+                Ok(())
+            }
+            Err(e) => {
+                // No rollback is possible out here (later appends may
+                // already sit behind this record), so fail closed: the
+                // writer refuses everything from now on, and this
+                // request errors instead of acking. If the record still
+                // reaches disk via a later commit, recovery over-counts
+                // spend relative to acks — the safe direction. Waiters
+                // are woken un-advanced; each retries the sync itself
+                // and reports its own failure.
+                drop(prog);
+                gate.wakeup.notify_all();
+                lockx::lock(&self.active).writer.poison();
+                Err(e)
+            }
+        }
+    }
+
+    /// Whether `every` records or more were appended since the last
+    /// rotation.
+    pub(crate) fn due(&self, every: u64) -> bool {
+        lockx::lock(&self.active).records_since_rotation >= every
+    }
+
+    /// Rotates to the next generation, under the writer lock: `next`
+    /// receives the current generation and returns the writer for the
+    /// one after it (compaction commits its snapshot in between). On
+    /// error the current writer stays. Returns the new generation.
+    ///
+    /// # Errors
+    /// Whatever `next` returns.
+    pub(crate) fn rotate(
+        &self,
+        next: impl FnOnce(u64) -> std::io::Result<WalWriter>,
+    ) -> std::io::Result<u64> {
+        let mut active = lockx::lock(&self.active);
+        active.writer = next(active.gen)?;
+        active.gen += 1;
+        active.records_since_rotation = 0;
+        Ok(active.gen)
+    }
+
+    /// The group-commit counters.
+    pub(crate) fn stats(&self) -> WalStats {
+        // `synced` first: it never exceeds `append_seq`, which only
+        // grows, so this order can never show `covered` above
+        // `durable_records`.
+        let prog = *lockx::lock(&self.gate.progress);
+        WalStats {
+            covered: prog.synced,
+            durable_records: lockx::lock(&self.active).append_seq,
+            syncs: prog.syncs,
+            gathers: prog.gathers,
+            gather_timeouts: prog.gather_timeouts,
+            present: prog.present,
+        }
+    }
+
+    /// Gate tests assert counters, never wall clock: they lift the
+    /// backstop so a descheduled test thread cannot turn a gather into a
+    /// timeout.
+    #[cfg(test)]
+    pub(crate) fn lift_backstop(&self) {
+        lockx::lock(&self.gate.progress).backstop_override = Some(Duration::from_secs(60));
+    }
+
+    /// `(present, evaluating)` right now.
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        let prog = lockx::lock(&self.gate.progress);
+        (prog.present, prog.evaluating)
+    }
+}
+
+/// The group-commit gate: records are made durable in *groups*, each
+/// group paying one `sync_data` call that covers every member's
+/// already-appended record. The first uncovered thread becomes the
+/// group's leader and *gathers*: it waits while some writer that could
+/// still join has not — `members < present − evaluating`, re-checked
+/// whenever a writer joins **or leaves** (a 404, a denial, an evaluate
+/// error, a parked connection) — then reads the append high-water mark
+/// and syncs once. Joiners just wait for `synced` to
+/// pass their seq — the same durability latency they would have spent
+/// inside their own `sync_data`, minus the syscall. On a host where
+/// fsync cost is dominated by journal-commit CPU rather than device
+/// wait, collapsing k concurrent fsyncs into one is what lets
+/// independent shard WALs actually scale: every skipped call returns
+/// its CPU slice to the other shards. Without gathering, two lockstep
+/// writers always miss each other (each append lands just after the
+/// other's sync began) and every record still pays a full fsync.
+///
+/// Who "could still join" is observed, not configured: a shard worker
+/// is a **present writer** from the moment it holds a request until it
+/// is about to block for input ([`GateCount::present`]), except while
+/// it is inside the lock-free evaluate phase — which can run for
+/// milliseconds and whose commit the leader must not sit out. A caller
+/// with no worker around it (the schedule exerciser, a bench, a test)
+/// is never present, so it leads groups of one and syncs at once.
+#[derive(Debug, Default)]
+struct SyncGate {
+    progress: Mutex<SyncProgress>,
+    wakeup: Condvar,
+}
+
+#[derive(Debug, Default, Clone, Copy)]
+struct SyncProgress {
+    /// Highest `append_seq` known durable.
+    synced: u64,
+    /// Current group-commit phase.
+    phase: SyncPhase,
+    /// Writers that have joined the gathering group (leader included).
+    members: u64,
+    /// Shard workers currently holding a request.
+    present: u64,
+    /// Callers inside the evaluate phase. Counted apart from `present`
+    /// (not subtracted from it) because a direct caller evaluates
+    /// without ever having been present.
+    evaluating: u64,
+    /// Completed `sync_data` calls.
+    syncs: u64,
+    /// Groups whose leader waited for a peer at least once.
+    gathers: u64,
+    /// Gathers the backstop timer ended, not a peer joining or leaving.
+    gather_timeouts: u64,
+    /// See [`SharedWal::lift_backstop`].
+    #[cfg(test)]
+    backstop_override: Option<Duration>,
+}
+
+impl SyncProgress {
+    /// Writers a gathering leader may still expect to join.
+    fn joinable(&self) -> u64 {
+        self.present.saturating_sub(self.evaluating)
+    }
+
+    fn backstop(&self) -> Duration {
+        #[cfg(test)]
+        if let Some(d) = self.backstop_override {
+            return d;
+        }
+        SYNC_GATHER_TIMEOUT
+    }
+}
+
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum SyncPhase {
+    /// No group in flight; the next uncovered writer leads one.
+    #[default]
+    Idle,
+    /// A leader is waiting for peers before issuing the group's sync.
+    Gathering,
+    /// The group's `sync_data` is in flight.
+    Syncing,
+}
+
+impl SyncGate {
+    /// Wakes a gathering leader that has nobody left to wait for.
+    fn wake_if_gathered(&self, prog: &SyncProgress) {
+        if prog.phase == SyncPhase::Gathering && prog.members >= prog.joinable() {
+            self.wakeup.notify_all();
+        }
+    }
+}
+
+/// One unit of `SyncProgress::present` or `::evaluating`, returned on
+/// drop — every exit, unwinding included, so a count cannot leak (a
+/// leaked `present` would tax every later commit on the shard the full
+/// backstop, forever, with nothing failing). Inert without a WAL.
+#[derive(Debug)]
+pub(crate) struct GateCount<'a> {
+    gate: Option<&'a SyncGate>,
+    count: fn(&mut SyncProgress) -> &mut u64,
+}
+
+impl<'a> GateCount<'a> {
+    /// Marks the calling shard worker a **present writer** — one the
+    /// group-commit leader waits for — until the guard drops. Taken when
+    /// the worker picks a request up, dropped before it blocks for
+    /// input.
+    pub(crate) fn present(wal: Option<&'a SharedWal>) -> Self {
+        Self::take(wal, |p| &mut p.present)
+    }
+
+    /// Marks the caller as inside the evaluate phase: for its duration
+    /// it is not a writer a group-commit leader should wait for.
+    pub(crate) fn evaluating(wal: Option<&'a SharedWal>) -> Self {
+        Self::take(wal, |p| &mut p.evaluating)
+    }
+
+    /// Taking a count never ends a gather: an arriving writer is one
+    /// more to wait for, and a leader already waiting for a peer waits
+    /// its evaluate out too — on the path that pairs commits (a
+    /// translator-cache hit) it lasts microseconds and ends in that
+    /// peer's join. Only a leader that *finds* the peer evaluating
+    /// does not wait for it.
+    fn take(wal: Option<&'a SharedWal>, count: fn(&mut SyncProgress) -> &mut u64) -> Self {
+        let gate = wal.map(|w| &w.gate);
+        if let Some(gate) = gate {
+            *count(&mut lockx::lock(&gate.progress)) += 1;
+        }
+        Self { gate, count }
+    }
+}
+
+impl Drop for GateCount<'_> {
+    fn drop(&mut self) {
+        if let Some(gate) = self.gate {
+            let mut prog = lockx::lock(&gate.progress);
+            *(self.count)(&mut prog) -= 1;
+            gate.wake_if_gathered(&prog);
+        }
+    }
+}
+
+/// A shard WAL's group-commit counters, served per shard in
+/// `/v1/stats` (docs/SERVICE.md, "Group commit").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalStats {
+    /// Records appended that an ack waits on (denials are ordered but
+    /// never synced, and are not counted). Monotonic across rotations.
+    pub durable_records: u64,
+    /// Highest of those a completed sync covered; equals
+    /// `durable_records` whenever no commit is in flight.
+    pub covered: u64,
+    /// Completed `sync_data` calls: `durable_records / syncs` is the
+    /// records-per-sync the gate achieved.
+    pub syncs: u64,
+    /// Groups whose leader waited for a peer.
+    pub gathers: u64,
+    /// Gathers ended by the backstop timer.
+    pub gather_timeouts: u64,
+    /// Workers holding a request right now; zero on an idle shard.
+    pub present: u64,
+}
+
+/// The backstop on a gather: how long a leader waits for a present
+/// peer that neither joins nor leaves — in practice one blocked behind
+/// the leader's own engine lock (same tenant), which cannot append
+/// until the leader's commit returns, or one that went from parsing
+/// into a translator-cache miss while the leader waited.
+const SYNC_GATHER_TIMEOUT: Duration = Duration::from_micros(200);
 
 #[cfg(test)]
 mod tests {
@@ -549,6 +1019,69 @@ mod tests {
         assert!(decoded.is_empty());
         assert_eq!(tail, WalTail::Clean);
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stats_never_show_a_sync_covering_more_than_was_appended() {
+        let dir = crate::testutil::temp_dir("wal-stats");
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = SharedWal::new(WalWriter::open(&dir.join("wal.log"), true).unwrap(), 0);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (writers, appends) = (3, 40);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut samples = 0;
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    let stats = wal.stats();
+                    assert!(stats.covered <= stats.durable_records, "{stats:?}");
+                    samples += 1;
+                    std::thread::yield_now();
+                }
+                samples
+            });
+            let hammers: Vec<_> = (0..writers)
+                .map(|session| {
+                    let wal = &wal;
+                    s.spawn(move || {
+                        for _ in 0..appends {
+                            let debit = WalRecord::Debit {
+                                session,
+                                epsilon: 0.5,
+                            };
+                            wal.append(&debit).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for h in hammers {
+                h.join().unwrap();
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            assert!(reader.join().unwrap() > 0);
+        });
+        let stats = wal.stats();
+        assert_eq!(stats.durable_records, writers * appends);
+        assert_eq!(stats.covered, stats.durable_records);
+
+        // The interleaving the hammer rarely hits, pinned: an append and
+        // its sync complete while a reader waits between its two reads.
+        let prog = lockx::lock(&wal.gate.progress);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| wal.stats());
+            std::thread::sleep(Duration::from_millis(50));
+            let mut active = lockx::lock(&wal.active);
+            active
+                .writer
+                .append(&WalRecord::Deny { session: 0 })
+                .unwrap();
+            active.append_seq += 1;
+            let mut prog = prog;
+            prog.synced = active.append_seq;
+            drop((active, prog));
+            let stats = reader.join().unwrap();
+            assert!(stats.covered <= stats.durable_records, "{stats:?}");
+        });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

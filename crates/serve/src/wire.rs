@@ -251,10 +251,10 @@ pub fn budget_json(
 /// Renders one admin-plane session row (`GET /v1/admin/sessions`).
 pub fn session_info_json(info: crate::state::SessionInfo) -> Json {
     Json::obj(vec![
-        ("session", Json::from(info.id)),
-        ("dataset", Json::from(info.dataset)),
-        ("allowance", Json::Num(info.allowance)),
-        ("spent", Json::Num(info.spent)),
+        ("session", Json::from(info.session.id)),
+        ("dataset", Json::from(info.session.dataset)),
+        ("allowance", Json::Num(info.session.allowance)),
+        ("spent", Json::Num(info.session.spent)),
         ("idle_millis", Json::from(info.idle_millis)),
     ])
 }

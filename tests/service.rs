@@ -594,6 +594,17 @@ fn previous_format_state_files_are_refused_and_left_untouched() {
         "APEXSNP1",
     );
 
+    // APEXSNP2: the framed snapshot before the journal took the WAL's
+    // mutation layout (here an empty one: covered_gen, next_session, no
+    // tenants, no sessions, no mutations).
+    let mut snapshot_v2 = b"APEXSNP2".to_vec();
+    apex_data::store::framed::push_frame(&mut snapshot_v2, 0, &[0u8; 8 + 8 + 4 + 4 + 4]);
+    refused(
+        &dir.join(apex_serve::snapshot::SNAPSHOT_FILE),
+        &snapshot_v2,
+        "APEXSNP2",
+    );
+
     // With the old files gone the same directory starts.
     durable_state(&dir, 0.5);
     let _ = std::fs::remove_dir_all(&dir);
