@@ -20,11 +20,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use apex_data::Dataset;
-use apex_mech::{PreparedQuery, TranslatorCache};
+use apex_mech::TranslatorCache;
 use apex_query::{AccuracySpec, ExplorationQuery, QueryAnswer};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
+use crate::memo::{CompileMemo, CompileStats};
 use crate::transcript::{QueryRecord, Transcript, TranscriptEntry};
 use crate::translator::choose_mechanism_cached;
 use crate::EngineError;
@@ -168,10 +169,10 @@ pub enum CommitError<E> {
 /// A self-contained snapshot of everything the data-independent
 /// *evaluate* phase needs, extracted from an engine in `O(1)` (see
 /// [`ApexEngine::evaluation_context`]). It owns an `Arc` of the dataset,
-/// a forked noise-RNG stream, and a handle to the shared translator
-/// cache, so the (possibly slow) translation and mechanism run proceed
-/// with **no engine lock held** — the seam `SharedEngine` and
-/// `EngineSession` build their lock-free evaluate on.
+/// a forked noise-RNG stream, and handles to the engine's compile memo
+/// and the shared translator cache, so the (possibly slow) translation
+/// and mechanism run proceed with **no engine lock held** — the seam
+/// `SharedEngine` and `EngineSession` build their lock-free evaluate on.
 #[derive(Debug)]
 pub struct EvalContext {
     engine_id: u64,
@@ -179,6 +180,7 @@ pub struct EvalContext {
     /// Dataset epoch at extraction — stamped into the [`PendingCharge`]
     /// so commit can refuse answers computed over a superseded row set.
     epoch: u64,
+    memo: CompileMemo,
     cache: TranslatorCache,
     mode: Mode,
     remaining: f64,
@@ -193,7 +195,8 @@ impl EvalContext {
         self.remaining
     }
 
-    /// Runs the evaluate phase: prepare the query, translate every
+    /// Runs the evaluate phase: prepare the query (through the compile
+    /// memo, so a workload seen before is not recompiled), translate every
     /// applicable mechanism, keep those whose worst case fits under
     /// `min(remaining-at-extraction, cap)`, choose by mode, and run the
     /// winner. **No budget is charged** — the caller must [`commit`]
@@ -213,7 +216,7 @@ impl EvalContext {
         cap: f64,
     ) -> Result<PendingCharge, EngineError> {
         crate::sched_point!("engine.evaluate.enter");
-        let prepared = PreparedQuery::prepare(self.data.schema(), query)?;
+        let prepared = self.memo.prepare(self.data.schema_arc(), query)?;
         let record = QueryRecord {
             kind: prepared.kind().name(),
             workload_size: prepared.n_queries(),
@@ -322,6 +325,8 @@ pub struct ApexEngine {
     /// `O(n³)` QR and the MC resampling. Reuse is exact — caching cannot
     /// change any decision.
     cache: TranslatorCache,
+    /// This engine's compiled workloads (see [`crate::memo`]).
+    memo: CompileMemo,
     /// Test-only canary: deliberately charge the ledger *before* the
     /// durability hook runs — the exact ordering bug the schedule
     /// exerciser exists to catch. Proves the harness can see the bug
@@ -372,6 +377,7 @@ impl ApexEngine {
             transcript: Transcript::new(),
             rng: StdRng::seed_from_u64(config.seed),
             cache,
+            memo: CompileMemo::default(),
             #[cfg(any(test, feature = "sched"))]
             bug_charge_before_log: false,
         }
@@ -388,6 +394,12 @@ impl ApexEngine {
     /// observe warm-up behavior across a session).
     pub fn translator_cache(&self) -> &TranslatorCache {
         &self.cache
+    }
+
+    /// Counters and sizes of the engine's compile memo. Telemetry only:
+    /// they follow the query history and the public schema.
+    pub fn compile_stats(&self) -> CompileStats {
+        self.memo.stats()
     }
 
     /// The owner-specified total budget `B`.
@@ -592,17 +604,18 @@ impl ApexEngine {
     }
 
     /// Extracts the [`EvalContext`] a lock-free evaluate phase runs
-    /// against: an `Arc` of the dataset, the translator-cache handle,
-    /// the mode, the remaining budget, and a **forked** noise-RNG stream
-    /// (seeded from the engine RNG, so concurrent evaluates draw
-    /// independent noise and the engine stream stays race-free). `O(1)`
-    /// — callers holding a lock on the engine should extract and release
-    /// before evaluating.
+    /// against: an `Arc` of the dataset, the compile-memo and
+    /// translator-cache handles, the mode, the remaining budget, and a
+    /// **forked** noise-RNG stream (seeded from the engine RNG, so
+    /// concurrent evaluates draw independent noise and the engine stream
+    /// stays race-free). `O(1)` — callers holding a lock on the engine
+    /// should extract and release before evaluating.
     pub fn evaluation_context(&mut self) -> EvalContext {
         EvalContext {
             engine_id: self.id,
             epoch: self.data.epoch(),
             data: self.data.clone(),
+            memo: self.memo.clone(),
             cache: self.cache.clone(),
             mode: self.mode,
             remaining: self.remaining(),
@@ -777,6 +790,8 @@ impl ApexEngine {
 mod tests {
     use super::*;
     use apex_data::{Attribute, Domain, Predicate, Schema, Value};
+    use apex_mech::PreparedQuery;
+    use apex_query::CompiledWorkload;
 
     fn schema() -> Schema {
         Schema::new(vec![Attribute::new(
@@ -1174,6 +1189,74 @@ mod tests {
         assert_eq!(e.translator_cache().stats().misses, misses);
         e.submit(&outer, &acc).unwrap();
         assert_eq!(e.translator_cache().stats().misses, misses + 1);
+    }
+
+    /// A prefix workload with an open end: widening `v` changes its cells.
+    fn open_ended() -> ExplorationQuery {
+        let open_end = Predicate::cmp("v", apex_data::CmpOp::Ge, 64_i64);
+        ExplorationQuery::wcq(
+            (1..=16)
+                .map(|i| Predicate::range("v", 0.0, (4 * i) as f64))
+                .chain([open_end])
+                .collect(),
+        )
+    }
+
+    /// The memo's entry for `q` against the engine's current schema
+    /// (a hit when an evaluate just compiled it), next to a fresh compile.
+    fn memoised_and_fresh(e: &ApexEngine, q: &ExplorationQuery) -> [Arc<CompiledWorkload>; 2] {
+        let memoised = e.memo.prepare(e.data.schema_arc(), q).unwrap();
+        let fresh = CompiledWorkload::compile(e.schema(), &q.workload).unwrap();
+        [memoised.compiled().clone(), Arc::new(fresh)]
+    }
+
+    fn assert_same_compile([a, b]: &[Arc<CompiledWorkload>; 2]) {
+        assert_eq!(a.csr(), b.csr());
+        assert_eq!(a.signature(), b.signature());
+        assert_eq!(a.sensitivity().to_bits(), b.sensitivity().to_bits());
+        assert!(a.partition().same_mapping(b.partition()));
+        assert_eq!(a.schema(), b.schema());
+    }
+
+    #[test]
+    fn a_widening_insert_makes_the_next_evaluate_recompile() {
+        let acc = AccuracySpec::new(30.0, 0.01).unwrap();
+        let mut e = engine(100.0);
+        e.evaluate(&open_ended(), &acc, f64::INFINITY).unwrap();
+        e.evaluate(&open_ended(), &acc, f64::INFINITY).unwrap();
+        assert_eq!((e.compile_stats().hits, e.compile_stats().misses), (1, 1));
+        let before = memoised_and_fresh(&e, &open_ended());
+
+        // A row mutation inside the domain keeps the schema: still a hit.
+        e.insert_rows(&[vec![Value::Int(3)]]).unwrap();
+        e.evaluate(&open_ended(), &acc, f64::INFINITY).unwrap();
+        assert_eq!(e.compile_stats().misses, 1);
+
+        e.insert_rows(&[vec![Value::Int(500)]]).unwrap();
+        e.evaluate(&open_ended(), &acc, f64::INFINITY).unwrap();
+        assert_eq!(e.compile_stats().misses, 2, "the widened schema misses");
+        let after = memoised_and_fresh(&e, &open_ended());
+        assert_same_compile(&after);
+        assert_ne!(before[0].signature(), after[0].signature());
+    }
+
+    #[test]
+    fn a_compile_that_raced_a_widening_is_never_hit_after_it() {
+        let acc = AccuracySpec::new(30.0, 0.01).unwrap();
+        let mut e = engine(100.0);
+        let stale = e.evaluation_context();
+        e.insert_rows(&[vec![Value::Int(500)]]).unwrap();
+        e.evaluate(&open_ended(), &acc, f64::INFINITY).unwrap();
+        // The pre-widening context evaluates last: it compiles against the
+        // old schema and its insert replaces the widened entry.
+        stale.evaluate(&open_ended(), &acc, f64::INFINITY).unwrap();
+        assert_eq!(e.compile_stats().misses, 2);
+        for _ in 0..3 {
+            e.evaluate(&open_ended(), &acc, f64::INFINITY).unwrap();
+        }
+        let stats = e.compile_stats();
+        assert_eq!((stats.misses, stats.hits), (3, 2), "one miss, then hits");
+        assert_same_compile(&memoised_and_fresh(&e, &open_ended()));
     }
 
     #[test]

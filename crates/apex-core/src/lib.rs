@@ -45,6 +45,7 @@
 
 pub mod engine;
 pub mod error;
+pub mod memo;
 #[cfg(any(test, feature = "sched"))]
 pub mod sched;
 pub mod shared;
@@ -75,6 +76,7 @@ pub use engine::{
     Mode, PendingCharge,
 };
 pub use error::EngineError;
+pub use memo::{CompileMemo, CompileStats};
 pub use shared::{EngineSession, SharedEngine};
 pub use transcript::{QueryRecord, Transcript, TranscriptEntry};
 pub use translator::{

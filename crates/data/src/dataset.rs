@@ -91,7 +91,9 @@ enum Rows {
 /// stream, so they cannot tell the difference.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    schema: Schema,
+    /// Shared by clones; a widening insert installs a new `Arc`, so
+    /// pointer identity tells one schema version from the next.
+    schema: Arc<Schema>,
     rows: Rows,
     /// Generation counter for resident datasets (paged datasets read the
     /// live epoch from their store). Bumped by every committed mutation;
@@ -108,7 +110,7 @@ pub struct Dataset {
 impl Dataset {
     fn from_rows(schema: Schema, rows: Rows) -> Self {
         Self {
-            schema,
+            schema: Arc::new(schema),
             rows,
             mem_epoch: 0,
             mem_applied: 0,
@@ -258,13 +260,13 @@ impl Dataset {
             deleted: Vec::new(),
             epoch,
         };
-        if schema == self.schema {
+        if schema == *self.schema {
             self.views.fold(&delta);
         } else {
             // A widened domain moves segment boundaries: partitions
             // compiled from now on map rows differently, so the old views
             // could never be asked for again.
-            self.schema = schema;
+            self.schema = Arc::new(schema);
             self.views.clear();
         }
         Ok(delta)
@@ -323,6 +325,12 @@ impl Dataset {
 
     /// The schema of the dataset.
     pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The schema's shared handle: equal pointers mean the same schema
+    /// version (no widening insert in between).
+    pub fn schema_arc(&self) -> &Arc<Schema> {
         &self.schema
     }
 
@@ -474,7 +482,7 @@ impl Dataset {
                 rows.push(row.to_vec());
             }
         });
-        Self::from_rows(self.schema.clone(), Rows::Mem(rows))
+        Self::from_rows((*self.schema).clone(), Rows::Mem(rows))
     }
 }
 

@@ -13,6 +13,8 @@
 //!   `T(W), T_W(D)` of Section 5 (workload matrix + histogram vector),
 //! * [`views`] — the histograms a [`Dataset`] maintains per partition, so
 //!   an answered query does not rescan `D` (docs/PERFORMANCE.md),
+//! * [`BoundedLru`] — the one entry- and byte-capped LRU map under the
+//!   views, the translator cache and the engine's compile memo,
 //! * [`synth`] — seeded synthetic generators standing in for the paper's
 //!   Adult, NYTaxi and citations datasets (the substitution rationale is
 //!   in `crates/bench/src/bin/repro.rs`'s module doc),
@@ -21,6 +23,7 @@
 //!   without re-synthesis, and grow past memory (docs/STORAGE.md).
 
 pub mod dataset;
+mod lru;
 pub mod partition;
 pub mod predicate;
 pub mod schema;
@@ -30,6 +33,7 @@ pub mod value;
 pub mod views;
 
 pub use dataset::{Dataset, MutationError, RowDelta};
+pub use lru::{BoundedLru, CacheStats};
 pub use partition::{DomainPartition, PartitionError};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{Attribute, Domain, Schema, SchemaError};

@@ -14,7 +14,9 @@
 //! workload are consulted), which is essential: the matrix `W` and its
 //! sensitivity `‖W‖₁` must not leak anything about `D`.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::predicate::CmpOp;
 use crate::{Dataset, Domain, Predicate, Schema, SchemaError, Value};
@@ -24,10 +26,13 @@ use crate::{Dataset, Domain, Predicate, Schema, SchemaError, Value};
 pub enum PartitionError {
     /// A predicate references an attribute missing from the schema.
     Schema(SchemaError),
-    /// The elementary cell grid would exceed [`DomainPartition::MAX_CELLS`].
+    /// The elementary cell grid would exceed [`DomainPartition::MAX_CELLS`],
+    /// or cells × predicates [`DomainPartition::MAX_CELL_EVALS`].
     TooManyCells {
         /// Number of elementary cells the workload would induce.
         cells: usize,
+        /// Number of predicates evaluated on each of them.
+        predicates: usize,
     },
     /// The workload is empty.
     EmptyWorkload,
@@ -43,12 +48,11 @@ impl std::fmt::Display for PartitionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PartitionError::Schema(e) => write!(f, "schema error: {e}"),
-            PartitionError::TooManyCells { cells } => {
-                write!(
-                    f,
-                    "workload induces {cells} elementary cells (over the limit)"
-                )
-            }
+            PartitionError::TooManyCells { cells, predicates } => write!(
+                f,
+                "workload of {predicates} predicates induces {cells} elementary cells \
+                 (over the limit)"
+            ),
             PartitionError::EmptyWorkload => write!(f, "workload has no predicates"),
         }
     }
@@ -200,12 +204,21 @@ pub struct DomainPartition {
     segments: Vec<AttrSegments>,
     /// elementary cell id (mixed radix over segments) → merged cell id.
     elementary_to_cell: Vec<usize>,
+    /// Hash of the row→cell mapping (see [`Self::mapping_hash`]).
+    mapping_hash: u64,
 }
 
 impl DomainPartition {
     /// Upper bound on the elementary cell grid, guarding against predicate
     /// sets whose cross-product blows up.
     pub const MAX_CELLS: usize = 4_000_000;
+
+    /// Upper bound on elementary cells × predicates — the predicate
+    /// evaluations a build costs (≈ 40 ns each), checked before anything
+    /// is allocated. The largest workloads in the repository's tests,
+    /// figures and benchmark are Table 1's QT2 and QT4 (2 601 × 100 =
+    /// 260 100); this allows 32× that, about 0.3 s of build.
+    pub const MAX_CELL_EVALS: usize = 1 << 23;
 
     /// Builds the minimal partition of `dom(R)` for `workload`.
     ///
@@ -214,7 +227,8 @@ impl DomainPartition {
     /// * [`PartitionError::Schema`] if a predicate references an unknown
     ///   attribute.
     /// * [`PartitionError::TooManyCells`] if the elementary grid exceeds
-    ///   [`Self::MAX_CELLS`].
+    ///   [`Self::MAX_CELLS`], or grid × predicates exceeds
+    ///   [`Self::MAX_CELL_EVALS`].
     pub fn build(schema: &Schema, workload: &[Predicate]) -> Result<Self, PartitionError> {
         if workload.is_empty() {
             return Err(PartitionError::EmptyWorkload);
@@ -238,12 +252,15 @@ impl DomainPartition {
         }
 
         // 3. Size check on the elementary grid.
-        let mut grid: usize = 1;
-        for s in &segments {
-            grid = grid.saturating_mul(s.len());
-            if grid > Self::MAX_CELLS {
-                return Err(PartitionError::TooManyCells { cells: grid });
-            }
+        let (grid, predicates) = (
+            segments.iter().fold(1, |g, s| s.len().saturating_mul(g)),
+            workload.len(),
+        );
+        if grid > Self::MAX_CELLS || grid.saturating_mul(predicates) > Self::MAX_CELL_EVALS {
+            return Err(PartitionError::TooManyCells {
+                cells: grid,
+                predicates,
+            });
         }
 
         // 4. Evaluate every predicate on every elementary cell's
@@ -297,7 +314,18 @@ impl DomainPartition {
             attrs,
             segments,
             elementary_to_cell,
-        })
+            mapping_hash: 0,
+        }
+        .with_mapping_hash())
+    }
+
+    fn with_mapping_hash(mut self) -> Self {
+        let mut h = DefaultHasher::new();
+        (self.n_cells, &self.attrs, &self.elementary_to_cell).hash(&mut h);
+        // Floats print round-trip exact, so equal text is equal boundaries.
+        format!("{:?}", self.segments).hash(&mut h);
+        self.mapping_hash = h.finish();
+        self
     }
 
     /// The first attribute, an integer, cut at every value of `0..cells`, each
@@ -316,7 +344,9 @@ impl DomainPartition {
                 is_int: true,
             }],
             elementary_to_cell: (0..=cells).collect(),
+            mapping_hash: 0,
         }
+        .with_mapping_hash()
     }
 
     /// Number of merged cells `|dom_W(R)|`.
@@ -412,6 +442,13 @@ impl DomainPartition {
             && self.attrs == other.attrs
             && self.segments == other.segments
             && self.elementary_to_cell == other.elementary_to_cell
+    }
+
+    /// A 64-bit hash of the row→cell mapping, computed once at build:
+    /// partitions with [`Self::same_mapping`] and bit-equal boundaries
+    /// hash alike. Finds a maintained view; `same_mapping` confirms it.
+    pub fn mapping_hash(&self) -> u64 {
+        self.mapping_hash
     }
 
     /// Approximate heap footprint of the partition's own tables, for the

@@ -12,8 +12,9 @@
 //! folded view is bit-identical to a rescan.
 //!
 //! A view is keyed by the partition's row→cell *mapping* (attributes,
-//! segment boundaries, elementary→merged table), compared in full — not
-//! by the compiled workload's CSR signature, which is equal for prefix
+//! segment boundaries, elementary→merged table): found by the hash of it
+//! that [`DomainPartition::build`] computes once, then compared in full —
+//! not by the compiled workload's CSR signature, which is equal for prefix
 //! workloads that cut the domain at different points.
 //!
 //! **Resident datasets only.** A paged dataset keeps no views and scans
@@ -40,7 +41,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::{DomainPartition, RowDelta};
+use crate::{BoundedLru, DomainPartition, RowDelta};
 
 /// Most views one dataset keeps.
 pub const MAX_VIEWS: usize = 64;
@@ -67,31 +68,26 @@ pub struct ViewStats {
     pub cleared: u64,
 }
 
-#[derive(Debug, Clone)]
-struct View {
-    partition: Arc<DomainPartition>,
-    x: Vec<f64>,
-    bytes: usize,
-    /// Logical access time, for least-recently-used eviction.
-    last_used: u64,
-}
+type View = (Arc<DomainPartition>, Vec<f64>);
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Inner {
-    views: Vec<View>,
-    tick: u64,
+    views: BoundedLru<u64, View>,
     stats: ViewStats,
 }
 
-impl Inner {
-    fn bytes(&self) -> usize {
-        self.views.iter().map(|v| v.bytes).sum()
+/// The per-dataset view cache (see the module docs).
+#[derive(Debug)]
+pub(crate) struct ViewCache(Mutex<Inner>);
+
+impl Default for ViewCache {
+    fn default() -> Self {
+        Self(Mutex::new(Inner {
+            views: BoundedLru::new(MAX_VIEWS, MAX_VIEW_BYTES),
+            stats: ViewStats::default(),
+        }))
     }
 }
-
-/// The per-dataset view cache (see the module docs).
-#[derive(Debug, Default)]
-pub(crate) struct ViewCache(Mutex<Inner>);
 
 impl Clone for ViewCache {
     fn clone(&self) -> Self {
@@ -112,70 +108,26 @@ impl ViewCache {
 
     /// The cached `x` of `partition`, if any.
     pub(crate) fn lookup(&self, partition: &DomainPartition) -> Option<Vec<f64>> {
+        let hash = partition.mapping_hash();
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner
-            .views
-            .iter_mut()
-            .find(|v| v.partition.same_mapping(partition))
-        {
-            Some(view) => {
-                view.last_used = tick;
-                let x = view.x.clone();
-                inner.stats.hits += 1;
-                Some(x)
-            }
-            None => {
-                inner.stats.misses += 1;
-                None
-            }
-        }
+        let view = inner.views.get(&hash, |(p, _)| p.same_mapping(partition));
+        view.map(|(_, x)| x.clone())
     }
 
-    /// Caches `x` as the view of `partition`. Dropped silently when a
-    /// racing miss already inserted the view, or when the view alone is
-    /// over the byte cap.
+    /// Caches `x` as the view of `partition` (a racing miss's identical
+    /// view is replaced). Dropped silently when the view alone is over
+    /// the byte cap.
     pub(crate) fn insert(&self, partition: &Arc<DomainPartition>, x: &[f64]) {
         let bytes = std::mem::size_of_val(x) + partition.heap_bytes();
-        if bytes > MAX_VIEW_BYTES {
-            return;
-        }
-        let mut inner = self.lock();
-        if inner
-            .views
-            .iter()
-            .any(|v| v.partition.same_mapping(partition))
-        {
-            return;
-        }
-        inner.tick += 1;
-        let last_used = inner.tick;
-        inner.views.push(View {
-            partition: partition.clone(),
-            x: x.to_vec(),
-            bytes,
-            last_used,
-        });
-        while inner.views.len() > MAX_VIEWS || inner.bytes() > MAX_VIEW_BYTES {
-            let lru = inner
-                .views
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, v)| v.last_used)
-                .map(|(i, _)| i)
-                .expect("over a cap implies a view");
-            inner.views.swap_remove(lru);
-        }
+        let (key, view) = (partition.mapping_hash(), (partition.clone(), x.to_vec()));
+        self.lock().views.insert(key, view, bytes);
     }
 
     /// Folds one committed mutation batch into every view.
     pub(crate) fn fold(&mut self, delta: &RowDelta) {
         let inner = self.inner_mut();
-        for view in &mut inner.views {
-            let x = &mut view.x;
-            view.partition
-                .fold_rows(&delta.inserted, &delta.deleted, |cell, dv| x[cell] += dv);
+        for (partition, x) in inner.views.values_mut() {
+            partition.fold_rows(&delta.inserted, &delta.deleted, |cell, dv| x[cell] += dv);
         }
         inner.stats.folds += inner.views.len() as u64;
     }
@@ -189,21 +141,20 @@ impl ViewCache {
 
     pub(crate) fn stats(&self) -> ViewStats {
         let inner = self.lock();
+        let lru = inner.views.stats();
         ViewStats {
             entries: inner.views.len(),
-            bytes: inner.bytes(),
+            bytes: inner.views.bytes(),
+            hits: lru.hits,
+            misses: lru.misses,
             ..inner.stats
         }
     }
 
     /// Every cached `(partition, x)`, for the audit that compares views
     /// with a rescan.
-    pub(crate) fn snapshot(&self) -> Vec<(Arc<DomainPartition>, Vec<f64>)> {
-        self.lock()
-            .views
-            .iter()
-            .map(|v| (v.partition.clone(), v.x.clone()))
-            .collect()
+    pub(crate) fn snapshot(&self) -> Vec<View> {
+        self.lock().views.values_mut().map(|v| v.clone()).collect()
     }
 }
 

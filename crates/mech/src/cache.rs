@@ -34,9 +34,10 @@
 //! The type lives here because the artifact types do; `apex-core`
 //! re-exports it and threads it through mechanism selection.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use apex_data::BoundedLru;
+pub use apex_data::CacheStats;
 use apex_query::Strategy;
 
 use crate::sm::SmArtifacts;
@@ -62,60 +63,9 @@ pub struct SmCacheKey {
     pub tolerance_bits: u64,
 }
 
-/// Running hit/miss/eviction counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to build.
-    pub misses: u64,
-    /// Entries evicted to keep the cache within its capacity.
-    pub evictions: u64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    value: Arc<SmArtifacts>,
-    /// Logical access time (monotone tick), for LRU eviction.
-    last_used: u64,
-}
-
-/// The storage every scope of one cache shares: the entry map plus the
-/// *global* counters aggregated over all scopes.
-#[derive(Debug, Default)]
-struct Store {
-    map: HashMap<SmCacheKey, Entry>,
-    stats: CacheStats,
-    tick: u64,
-}
-
-impl Store {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Evicts least-recently-used entries until at most `capacity` remain;
-    /// returns how many were evicted (counted by the caller into both the
-    /// global and the acting scope's counters).
-    fn enforce_capacity(&mut self, capacity: usize) -> u64 {
-        let mut evicted = 0;
-        while self.map.len() > capacity {
-            let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.map.remove(&victim);
-            evicted += 1;
-        }
-        self.stats.evictions += evicted;
-        evicted
-    }
-}
+/// The storage every scope of one cache shares; its counters are the
+/// *global* ones, aggregated over all scopes.
+type Store = BoundedLru<SmCacheKey, Arc<SmArtifacts>>;
 
 /// A cloneable handle to a thread-safe, LRU-bounded memo table for
 /// [`SmArtifacts`].
@@ -161,9 +111,11 @@ impl TranslatorCache {
     /// zero-capacity cache would silently disable memoization, which is
     /// never what a caller configuring a cache wants).
     pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         Self {
-            store: Arc::default(),
-            capacity: capacity.max(1),
+            // Artifacts are small (`O(n log n)`): the entry cap bounds them.
+            store: Arc::new(Mutex::new(Store::new(capacity, usize::MAX))),
+            capacity,
             local: Arc::default(),
         }
     }
@@ -206,45 +158,22 @@ impl TranslatorCache {
         key: SmCacheKey,
         build: impl FnOnce() -> Result<SmArtifacts, MechError>,
     ) -> Result<Arc<SmArtifacts>, MechError> {
-        if let Some(hit) = {
-            let mut store = self.store.lock().expect("no poisoning");
-            let tick = store.touch();
-            let hit = store.map.get_mut(&key).map(|e| {
-                e.last_used = tick;
-                e.value.clone()
-            });
-            if hit.is_some() {
-                store.stats.hits += 1;
-            }
-            hit
-        } {
+        let hit = self.store().get(&key, |_| true).cloned();
+        if let Some(hit) = hit {
             self.local.lock().expect("no poisoning").hits += 1;
             return Ok(hit);
         }
+        self.local.lock().expect("no poisoning").misses += 1;
         let built = Arc::new(build()?);
-        let evicted = {
-            let mut store = self.store.lock().expect("no poisoning");
-            store.stats.misses += 1;
-            let tick = store.touch();
-            store.map.insert(
-                key,
-                Entry {
-                    value: built.clone(),
-                    last_used: tick,
-                },
-            );
-            store.enforce_capacity(self.capacity)
-        };
-        let mut local = self.local.lock().expect("no poisoning");
-        local.misses += 1;
-        local.evictions += evicted;
+        let evicted = self.store().insert(key, built.clone(), 0);
+        self.local.lock().expect("no poisoning").evictions += evicted;
         Ok(built)
     }
 
     /// Current hit/miss/eviction counters, aggregated over every scope of
     /// this cache's storage.
     pub fn stats(&self) -> CacheStats {
-        self.store.lock().expect("no poisoning").stats
+        self.store().stats()
     }
 
     /// The counters attributable to lookups made through *this* handle
@@ -256,7 +185,7 @@ impl TranslatorCache {
 
     /// Number of distinct `(workload, strategy, MC config)` entries.
     pub fn len(&self) -> usize {
-        self.store.lock().expect("no poisoning").map.len()
+        self.store().len()
     }
 
     /// Whether the cache is empty.
@@ -267,7 +196,11 @@ impl TranslatorCache {
     /// Drops every cached entry (e.g. to bound memory in a long-running
     /// service); counters are kept — clearing is not an eviction.
     pub fn clear(&self) {
-        self.store.lock().expect("no poisoning").map.clear();
+        self.store().clear();
+    }
+
+    fn store(&self) -> std::sync::MutexGuard<'_, Store> {
+        self.store.lock().expect("no poisoning")
     }
 }
 

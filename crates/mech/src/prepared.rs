@@ -1,5 +1,7 @@
 //! Queries compiled into the matrix form mechanisms operate on.
 
+use std::sync::Arc;
+
 use apex_data::Schema;
 use apex_query::{CompiledWorkload, ExplorationQuery, QueryKind, WorkloadError};
 
@@ -7,10 +9,11 @@ use apex_query::{CompiledWorkload, ExplorationQuery, QueryKind, WorkloadError};
 /// its sensitivity, and the query kind.
 ///
 /// Preparation is data independent; mechanisms receive the sensitive
-/// dataset only inside `run`.
+/// dataset only inside `run`. The compiled workload is shared, so WCQ,
+/// ICQ and TCQ over one predicate list can use one compile.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
-    compiled: CompiledWorkload,
+    compiled: Arc<CompiledWorkload>,
     kind: QueryKind,
 }
 
@@ -22,14 +25,16 @@ impl PreparedQuery {
     /// empty workloads, domain blow-up).
     pub fn prepare(schema: &Schema, query: &ExplorationQuery) -> Result<Self, WorkloadError> {
         let compiled = CompiledWorkload::compile(schema, &query.workload)?;
-        Ok(Self {
-            compiled,
-            kind: query.kind,
-        })
+        Ok(Self::new(Arc::new(compiled), query.kind))
+    }
+
+    /// A query of `kind` over an already compiled workload.
+    pub fn new(compiled: Arc<CompiledWorkload>, kind: QueryKind) -> Self {
+        Self { compiled, kind }
     }
 
     /// The compiled workload (matrix + partition + sensitivity).
-    pub fn compiled(&self) -> &CompiledWorkload {
+    pub fn compiled(&self) -> &Arc<CompiledWorkload> {
         &self.compiled
     }
 

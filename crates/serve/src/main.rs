@@ -257,11 +257,12 @@ fn main() {
                 }
                 println!(
                     "  store: {} ingested, {} opened from disk, pool hits {}, \
-                     view hits {}, transcript records {}",
+                     view hits {}, compile hits {}, transcript records {}",
                     report.datasets_synthesized,
                     report.datasets_opened,
                     report.store_pool_hits,
                     report.view_hits,
+                    report.compile_hits,
                     report.transcript_records
                 );
                 println!(

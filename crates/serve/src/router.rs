@@ -733,6 +733,44 @@ mod tests {
     }
 
     #[test]
+    fn a_workload_too_costly_to_compile_is_400_at_once_and_charges_nothing() {
+        // 2 000 predicates over two float attributes, each cut at 1 000
+        // points: a 1 002 001-cell grid (under the cell cap) whose build
+        // would evaluate 2·10⁹ predicates — over a minute of one worker.
+        let float = |name: &str| {
+            let domain = Domain::FloatRange {
+                min: 0.0,
+                max: 1000.0,
+            };
+            Attribute::new(name, domain)
+        };
+        let schema = Schema::new(vec![float("x"), float("y")]).unwrap();
+        let data = Dataset::new(schema, vec![vec![Value::Float(1.0), Value::Float(2.0)]]).unwrap();
+        let s = set_of(ServerState::builder(16).dataset("grid", data, EngineConfig::default()));
+        let id = open_session(&s, r#"{"dataset":"grid","budget":1}"#);
+        let preds: Vec<String> = (0..2000)
+            .map(|i| {
+                let (x, y) = (i % 1000, i / 2);
+                format!("x IN [{x}, {}) AND y IN [{y}, {})", x + 1, y + 1)
+            })
+            .collect();
+        let q = format!(
+            r#"{{"query":"BIN grid ON COUNT(*) WHERE W = {{ {} }} ERROR 10 CONFIDENCE 0.95;"}}"#,
+            preds.join(", ")
+        );
+        let t0 = std::time::Instant::now();
+        let r = route(&s, &req("POST", &format!("/v1/sessions/{id}/query"), &q));
+        let took = t0.elapsed();
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("elementary cells"), "{}", r.body);
+        assert!(took < Duration::from_millis(50), "refused after {took:?}");
+        let r = route(&s, &req("GET", &format!("/v1/sessions/{id}/budget"), ""));
+        let parsed = crate::json::parse(&r.body).unwrap();
+        assert_eq!(parsed.get("spent").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(s.state(0).tenant("grid").unwrap().engine.spent(), 0.0);
+    }
+
+    #[test]
     fn shutdown_endpoint_flags_the_response() {
         let s = state();
         let r = route(&s, &req("POST", "/v1/admin/shutdown", ""));

@@ -173,6 +173,9 @@ pub struct SelfTestReport {
     /// Maintained-histogram hits on the resident tenant (must be > 0:
     /// the shape repeated after the mutation does not rescan).
     pub view_hits: u64,
+    /// Compile-memo hits on the resident tenant (must be > 0: the shape
+    /// repeated after the mutation compiles once).
+    pub compile_hits: u64,
     /// Transcript records across all tenants and shards at shutdown.
     pub transcript_records: u64,
     /// Row-mutation batches acked over the wire (the live-update leg:
@@ -689,22 +692,23 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     // Leg 7: that answer read the view the first one left and the insert
     // folded (audited against a rescan above).
     let (_, stats) = client::request(addr, "GET", "/v1/stats", None)?;
-    let wide_views = |field: &str| {
+    let wide = |object: &str, field: &str| {
         stats
             .get("datasets")
             .and_then(|d| d.get("wide"))
-            .and_then(|d| d.get("views"))
+            .and_then(|d| d.get(object))
             .and_then(|v| v.get(field))
             .and_then(Json::as_u64)
-            .ok_or_else(|| format!("stats missing datasets.wide.views.{field}"))
+            .ok_or_else(|| format!("stats missing datasets.wide.{object}.{field}"))
     };
-    let folds = wide_views("folds")?;
-    report.view_hits = wide_views("hits")?;
-    if report.view_hits == 0 || folds == 0 {
+    let folds = wide("views", "folds")?;
+    report.view_hits = wide("views", "hits")?;
+    report.compile_hits = wide("compile", "hits")?;
+    if report.view_hits == 0 || folds == 0 || report.compile_hits == 0 {
         return Err(format!(
-            "maintained histogram not used: wide reports {} hits and {folds} folds — \
-             the repeated shape rescanned",
-            report.view_hits
+            "maintained histogram or compile memo not used: wide reports {} view hits, \
+             {folds} folds and {} compile hits — the repeated shape rescanned or recompiled",
+            report.view_hits, report.compile_hits
         ));
     }
 
@@ -990,6 +994,7 @@ mod tests {
             report.view_hits > 0,
             "repeated shapes read maintained views"
         );
+        assert!(report.compile_hits > 0, "repeated shapes compile once");
         assert!(
             report.transcript_records >= report.answered + report.denied,
             "every response must reach a transcript log"

@@ -304,6 +304,7 @@ pub fn stats_json(set: &ShardSet) -> Json {
         // dataset; only the owning shard's is ever asked, so the sum is
         // its counters.
         let mut views = apex_data::ViewStats::default();
+        let mut compile = apex_core::CompileStats::default();
         for st in set.states() {
             let Some(t) = st.tenant(name) else { continue };
             let v = t.view_stats();
@@ -313,6 +314,11 @@ pub fn stats_json(set: &ShardSet) -> Json {
             views.misses += v.misses;
             views.folds += v.folds;
             views.cleared += v.cleared;
+            let c = t.engine.with_engine(|e| e.compile_stats());
+            compile.entries += c.entries;
+            compile.bytes += c.bytes;
+            compile.hits += c.hits;
+            compile.misses += c.misses;
             let ledger = t.engine.export_ledger();
             budget = ledger.budget;
             spent += ledger.spent;
@@ -341,6 +347,7 @@ pub fn stats_json(set: &ShardSet) -> Json {
             Json::obj(vec![
                 ("cache", wire::cache_stats_json(cache)),
                 ("views", wire::view_stats_json(views)),
+                ("compile", wire::compile_stats_json(compile)),
                 (
                     "store",
                     Json::obj(vec![

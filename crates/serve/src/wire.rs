@@ -282,6 +282,17 @@ pub fn view_stats_json(stats: apex_data::ViewStats) -> Json {
     ])
 }
 
+/// Renders one dataset's compile-memo counters (`/v1/stats` `compile`).
+/// Hits and misses follow the query text and the public schema only.
+pub fn compile_stats_json(stats: apex_core::CompileStats) -> Json {
+    Json::obj(vec![
+        ("entries", Json::from(stats.entries)),
+        ("bytes", Json::from(stats.bytes)),
+        ("hits", Json::from(stats.hits)),
+        ("misses", Json::from(stats.misses)),
+    ])
+}
+
 /// Renders one shard's group-commit counters (`/v1/stats`
 /// `shards[k].wal`): `durable_records / syncs` is records per sync.
 pub fn wal_stats_json(stats: crate::state::WalStats) -> Json {

@@ -8,11 +8,14 @@
 //! drawn from a fixed-seed `StdRng`, which keeps failures reproducible
 //! (the failing case index pins down the input exactly).
 
+use std::sync::Arc;
+
+use apex_core::CompileMemo;
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
 use apex_linalg::{l1_operator_norm, pinv, CsrMatrix, Matrix};
 use apex_mech::mc::{unit_errors_operator_blocked, unit_errors_operator_single_rhs, SAMPLE_BLOCK};
 use apex_mech::{Laplace, LaplaceMechanism, Mechanism, PreparedQuery};
-use apex_query::{AccuracySpec, ExplorationQuery, Strategy as HierStrategy};
+use apex_query::{AccuracySpec, CompiledWorkload, ExplorationQuery, Strategy as HierStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -283,6 +286,29 @@ fn partition_answers_match_direct_counts() {
         for (i, pred) in wl.iter().enumerate() {
             assert_eq!(ans[i], d.count(pred).unwrap() as f64);
         }
+    }
+}
+
+/// A compile-memo hit is what a fresh compile gives: the same CSR,
+/// signature, sensitivity and row→cell mapping.
+#[test]
+fn compile_memo_hits_equal_a_fresh_compile() {
+    let mut rng = StdRng::seed_from_u64(8);
+    let (memo, s) = (CompileMemo::default(), Arc::new(schema(63)));
+    for _ in 0..CASES {
+        let q = ExplorationQuery::wcq(interval_workload(&mut rng));
+        memo.prepare(&s, &q).unwrap();
+        let hits = memo.stats().hits;
+        let hit = memo.prepare(&s, &q).unwrap();
+        assert_eq!(memo.stats().hits, hits + 1);
+        let (c, fresh) = (
+            hit.compiled(),
+            CompiledWorkload::compile(&s, &q.workload).unwrap(),
+        );
+        assert_eq!(c.csr(), fresh.csr());
+        assert_eq!(c.signature(), fresh.signature());
+        assert_eq!(c.sensitivity().to_bits(), fresh.sensitivity().to_bits());
+        assert!(c.partition().same_mapping(fresh.partition()));
     }
 }
 
