@@ -514,6 +514,19 @@ impl ApexEngine {
         Ok(delta)
     }
 
+    /// Gives a resident dataset its durable mutation log in `dir`,
+    /// replaying the mutations already logged there; a paged dataset logs
+    /// in its store and is left as it is. See
+    /// [`apex_data::Dataset::attach_mutation_log`]. Call once, before
+    /// serving.
+    ///
+    /// # Errors
+    /// [`EngineError::Mutation`] when the log cannot be read or a logged
+    /// mutation fails to re-apply.
+    pub fn attach_mutation_log(&mut self, dir: &std::path::Path) -> Result<(), EngineError> {
+        Ok(Arc::make_mut(&mut self.data).attach_mutation_log(dir)?)
+    }
+
     /// Streams every dataset row once (through the buffer pool when the
     /// dataset is paged) and returns the count. A fail-stop integrity
     /// probe — corruption panics rather than under-counting — used by

@@ -104,6 +104,15 @@ impl SharedEngine {
         self.inner.lock().delete_rows(rows)
     }
 
+    /// Gives the dataset its durable mutation log — see
+    /// [`ApexEngine::attach_mutation_log`].
+    ///
+    /// # Errors
+    /// Same contract as [`ApexEngine::attach_mutation_log`].
+    pub fn attach_mutation_log(&self, dir: &std::path::Path) -> Result<(), EngineError> {
+        self.inner.lock().attach_mutation_log(dir)
+    }
+
     /// The dataset's live-mutation epoch — see [`ApexEngine::epoch`].
     pub fn epoch(&self) -> u64 {
         self.inner.lock().epoch()

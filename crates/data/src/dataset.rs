@@ -1,10 +1,10 @@
 //! Multiset table instances.
 
-use crate::store::{widen_schema, PagedRows, PoolStats, StoreError};
+use crate::store::{widen_schema, DatasetLog, MutationOp, PagedRows, PoolStats, StoreError};
 use crate::views::{ViewCache, ViewStats};
 use crate::{DomainPartition, Predicate, Schema, SchemaError, Value};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The observable effect of one committed mutation batch: the rows that
 /// actually entered/left the dataset, and the epoch stamped by the
@@ -21,13 +21,16 @@ pub struct RowDelta {
     pub epoch: u64,
 }
 
-/// Why a mutation was refused. Refusal happens *before* anything is
-/// logged or applied — a failed mutation leaves the dataset untouched.
+/// Why a mutation was refused. Validation happens *before* anything is
+/// logged and the log append before anything is applied — a failed
+/// mutation leaves the dataset as it was.
 #[derive(Debug)]
 pub enum MutationError {
-    /// A row failed schema validation (wrong arity, unknown category…).
+    /// A row failed validation (wrong arity, unknown category, too large
+    /// for a page…): the caller's fault.
     Schema(SchemaError),
-    /// The durable store rejected or failed the mutation.
+    /// The mutation log or the page store failed: a storage fault, not
+    /// the caller's.
     Store(StoreError),
     /// Empty batches are refused: they would burn an epoch for nothing.
     EmptyBatch,
@@ -61,7 +64,10 @@ impl From<SchemaError> for MutationError {
 
 impl From<StoreError> for MutationError {
     fn from(e: StoreError) -> Self {
-        MutationError::Store(e)
+        match e {
+            StoreError::Rejected(e) => MutationError::Schema(e),
+            e => MutationError::Store(e),
+        }
     }
 }
 
@@ -101,6 +107,11 @@ pub struct Dataset {
     mem_epoch: u64,
     /// Mutations applied to a resident dataset (paged: from the store).
     mem_applied: u64,
+    /// A resident dataset's mutation log, once attached
+    /// ([`Self::attach_mutation_log`]): every mutation is appended to it
+    /// before it applies. Clones share it. (A paged dataset's log is its
+    /// store's.)
+    log: Option<Arc<Mutex<DatasetLog>>>,
     /// Maintained histograms of recently asked partitions (see
     /// [`crate::views`]): read by [`Self::histogram`], folded by every
     /// mutation, cloned with the value. Always empty when paged.
@@ -114,6 +125,7 @@ impl Dataset {
             rows,
             mem_epoch: 0,
             mem_applied: 0,
+            log: None,
             views: ViewCache::default(),
         }
     }
@@ -225,13 +237,43 @@ impl Dataset {
         }
     }
 
+    /// Gives a resident dataset its own durable mutation log in `dir`.
+    /// The records already there (the mutations acked before a restart)
+    /// are replayed over this dataset in order, through the same mutation
+    /// path; from then on every mutation is appended and fsynced before
+    /// it applies. The file is created by the first mutation, so a
+    /// dataset that is never mutated leaves nothing on disk. Attach once,
+    /// to the dataset as built. A paged dataset already logs in its store
+    /// directory and is left as it is.
+    ///
+    /// # Errors
+    /// The log cannot be read, holds a corrupt record (only a torn tail
+    /// is skipped: a resident dataset has no count of its own to tell a
+    /// dropped acked record from a missing one), or a record fails to
+    /// re-apply (the dataset is not the base the log was written over).
+    pub fn attach_mutation_log(&mut self, dir: &Path) -> Result<(), MutationError> {
+        if self.is_paged() {
+            return Ok(());
+        }
+        let mut records = Vec::new();
+        DatasetLog::replay(dir, |r| records.push(r))?;
+        for r in records {
+            match r.op {
+                MutationOp::Insert => self.insert_rows(&r.rows)?,
+                MutationOp::Delete => self.delete_rows(&r.rows)?,
+            };
+        }
+        self.log = Some(Arc::new(Mutex::new(DatasetLog::new(dir))));
+        Ok(())
+    }
+
     /// Inserts a batch of rows as one committed mutation, returning the
     /// [`RowDelta`] for incremental artifact maintenance. Numeric domains
     /// widen automatically to admit out-of-range values (deterministically
     /// — replay re-derives the same widened schema); any other mismatch is
-    /// refused before anything is logged. Paged datasets make the batch
-    /// durable (log ack + copy-on-write pages + manifest epoch bump)
-    /// before returning.
+    /// refused before anything is logged. The batch is durable before it
+    /// applies when the dataset has a mutation log (paged datasets always
+    /// do: log ack + copy-on-write pages + manifest epoch bump).
     pub fn insert_rows(&mut self, rows: &[Vec<Value>]) -> Result<RowDelta, MutationError> {
         if rows.is_empty() {
             return Err(MutationError::EmptyBatch);
@@ -241,6 +283,10 @@ impl Dataset {
                 let widened = widen_schema(&self.schema, rows);
                 for row in rows {
                     widened.validate_row(row)?;
+                }
+                if let Some(log) = &self.log {
+                    let mut log = log.lock().expect("mutation log lock");
+                    log.append(self.mem_applied, MutationOp::Insert, rows)?; // ← the ack point
                 }
                 existing.extend(rows.iter().cloned());
                 self.mem_epoch += 1;
@@ -284,13 +330,13 @@ impl Dataset {
         let (deleted, epoch) = match &mut self.rows {
             Rows::Mem(existing) => {
                 let arity = self.schema.arity();
-                for row in rows {
-                    if row.len() != arity {
-                        return Err(MutationError::Schema(SchemaError::RowMismatch(format!(
-                            "expected {arity} values, got {}",
-                            row.len()
-                        ))));
-                    }
+                if let Some(row) = rows.iter().find(|row| row.len() != arity) {
+                    let msg = format!("expected {arity} values, got {}", row.len());
+                    return Err(MutationError::Schema(SchemaError::RowMismatch(msg)));
+                }
+                if let Some(log) = &self.log {
+                    let mut log = log.lock().expect("mutation log lock");
+                    log.append(self.mem_applied, MutationOp::Delete, rows)?; // ← the ack point
                 }
                 let mut want: Vec<&Vec<Value>> = rows.iter().collect();
                 let mut deleted = Vec::new();
@@ -435,17 +481,18 @@ impl Dataset {
     /// dataset under construction has no consumers to invalidate (its
     /// maintained histograms, if any were built, are dropped). Once a
     /// dataset is live, use [`Self::insert_rows`] / [`Self::delete_rows`],
-    /// which commit real epochs; `push` on a paged dataset is refused.
+    /// which commit real epochs; `push` on a dataset with a mutation log
+    /// (every paged one) is refused, as the log would never see the row.
     pub fn push(&mut self, row: Vec<Value>) -> Result<(), SchemaError> {
         self.schema.validate_row(&row)?;
         match &mut self.rows {
-            Rows::Mem(rows) => {
+            Rows::Mem(rows) if self.log.is_none() => {
                 rows.push(row);
                 self.views.clear();
                 Ok(())
             }
-            Rows::Paged { .. } => Err(SchemaError::RowMismatch(
-                "dataset is paged; use insert_rows for live mutation".into(),
+            _ => Err(SchemaError::RowMismatch(
+                "dataset logs its mutations; use insert_rows for live mutation".into(),
             )),
         }
     }
@@ -660,6 +707,94 @@ mod tests {
         assert!(matches!(d.insert_rows(&[]), Err(MutationError::EmptyBatch)));
         assert!(matches!(d.delete_rows(&[]), Err(MutationError::EmptyBatch)));
         assert_eq!(d.epoch(), 0);
+    }
+
+    #[test]
+    fn resident_mutations_replay_from_their_own_log() {
+        let dir = tmp_dir("resident-log");
+        let mut d = demo();
+        d.attach_mutation_log(&dir).unwrap();
+        assert!(!dir.exists(), "attaching creates nothing");
+        let ins = vec![vec![Value::Int(500), Value::from("F")]]; // widens age
+        d.insert_rows(&ins).unwrap();
+        d.delete_rows(&[
+            vec![Value::Int(60), Value::from("F")],
+            vec![Value::Int(1), Value::from("M")],
+        ])
+        .unwrap();
+        assert!(d.push(vec![Value::Int(5), Value::from("M")]).is_err());
+        // The rebuilt base plus its log is the mutated dataset, exactly.
+        let mut again = demo();
+        again.attach_mutation_log(&dir).unwrap();
+        assert_eq!(again.rows(), d.rows());
+        assert_eq!(again.schema(), d.schema());
+        assert_eq!((again.epoch(), again.mutations_applied()), (2, 2));
+        // Appends continue at the replayed position.
+        again.insert_rows(&ins).unwrap();
+        let mut third = demo();
+        third.attach_mutation_log(&dir).unwrap();
+        assert_eq!((third.epoch(), third.len()), (3, 5));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_record_refuses_the_attach_and_is_left_on_disk() {
+        let dir = tmp_dir("resident-rot");
+        let mut d = demo();
+        d.attach_mutation_log(&dir).unwrap();
+        let row = vec![vec![Value::Int(7), Value::from("F")]];
+        for _ in 0..3 {
+            d.insert_rows(&row).unwrap();
+        }
+        let path = dir.join(crate::store::MUTATION_LOG_FILE);
+        let mut rotted = std::fs::read(&path).unwrap();
+        let middle = rotted.len() - (rotted.len() - 8) / 3 * 2; // three equal frames
+        rotted[middle + 20] ^= 1;
+        std::fs::write(&path, &rotted).unwrap();
+        let mut again = demo();
+        let err = again.attach_mutation_log(&dir).unwrap_err();
+        assert!(err.to_string().contains("record 1"), "{err}");
+        assert_eq!((again.epoch(), again.len()), (0, 4));
+        assert_eq!(std::fs::read(&path).unwrap(), rotted);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_log_append_applies_nothing() {
+        // `/dev/null` reads as an empty log and refuses the fsync: the
+        // append fails after its write, so nothing may apply.
+        let dir = tmp_dir("resident-null");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(crate::store::MUTATION_LOG_FILE);
+        std::os::unix::fs::symlink("/dev/null", path).unwrap();
+        let mut d = demo();
+        d.attach_mutation_log(&dir).unwrap();
+        let row = vec![vec![Value::Int(25), Value::from("M")]];
+        assert!(matches!(d.insert_rows(&row), Err(MutationError::Store(_))));
+        assert!(matches!(d.delete_rows(&row), Err(MutationError::Store(_))));
+        assert_eq!((d.epoch(), d.mutations_applied()), (0, 0));
+        assert_eq!(d.rows(), demo().rows());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_another_dataset_moved_on_is_refused() {
+        let dir = tmp_dir("resident-step");
+        let (mut a, mut b) = (demo(), demo());
+        a.attach_mutation_log(&dir).unwrap();
+        b.attach_mutation_log(&dir).unwrap();
+        let row = vec![vec![Value::Int(7), Value::from("F")]];
+        a.insert_rows(&row).unwrap();
+        // `b` has applied nothing, the log holds one record: appending
+        // there would replay over a history `b` never had.
+        match b.insert_rows(&row) {
+            Err(MutationError::Store(StoreError::LogOutOfStep { applied, logged })) => {
+                assert_eq!((applied, logged), (0, 1));
+            }
+            other => panic!("expected LogOutOfStep, got {other:?}"),
+        }
+        assert_eq!((b.epoch(), b.len()), (0, 4));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

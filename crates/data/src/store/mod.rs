@@ -28,10 +28,13 @@
 //! * [`TranscriptLog`] — a framed log the service persists per-tenant
 //!   query transcripts in, for audit replay; appends wait in memory for
 //!   the next flush.
-//! * [`MutationLog`] — a framed intent log for live row mutations.
-//!   Append + fsync is the ack; [`PagedRows`] folds acked records into
-//!   fresh (copy-on-write) pages and commits them by bumping the manifest
-//!   epoch, so replay-after-crash yields exactly the acked mutations.
+//! * [`MutationLog`] — a framed intent log for live row mutations, a
+//!   mutation's one durable record. Append + fsync is the ack; both
+//!   backings drive it through one `DatasetLog`. [`PagedRows`] folds
+//!   acked records into fresh (copy-on-write) pages and commits them by
+//!   bumping the manifest epoch, so replay-after-crash yields exactly the
+//!   acked mutations; a resident [`crate::Dataset`] replays its log over
+//!   its base when the log is attached.
 //!
 //! Lock order inside the pool is strictly `meta -> frame`; see
 //! `buffer_pool.rs` for the discipline. The miss path (disk read) is
@@ -49,10 +52,13 @@ pub mod transcript_log;
 
 pub use buffer_pool::{BufferPool, PoolStats};
 pub use file_manager::{FileManager, Manifest, FORMAT_VERSION};
+pub(crate) use mutation_log::DatasetLog;
 pub use mutation_log::{MutationLog, MutationOp, MutationRecord, MUTATION_LOG_FILE};
 pub use page::{crc32, PAGE_CAPACITY, PAGE_HEADER, PAGE_SIZE};
 pub use paged::{widen_schema, MutationOutcome, PagedRows};
 pub use transcript_log::TranscriptLog;
+
+use crate::SchemaError;
 
 /// Errors surfaced by the storage layer.
 ///
@@ -93,6 +99,9 @@ pub enum StoreError {
     AllPinned,
     /// Row/record/schema (de)serialization failure.
     Codec(String),
+    /// A mutation's rows do not fit the schema or a page: the caller's
+    /// input, refused before anything is logged.
+    Rejected(SchemaError),
 }
 
 impl std::fmt::Display for StoreError {
@@ -118,6 +127,7 @@ impl std::fmt::Display for StoreError {
             ),
             StoreError::AllPinned => write!(f, "buffer pool exhausted: all frames pinned"),
             StoreError::Codec(m) => write!(f, "codec error: {m}"),
+            StoreError::Rejected(e) => write!(f, "mutation rejected: {e}"),
         }
     }
 }
@@ -126,6 +136,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
+            StoreError::Rejected(e) => Some(e),
             _ => None,
         }
     }

@@ -11,22 +11,31 @@
 //! manifest's applied-count is compared against.
 //!
 //! [`MutationLog::append`] writes the framed record and fsyncs before
-//! returning — a returned record IS the acknowledgement. The page-store
-//! apply path then rewrites touched pages copy-on-write and commits via
+//! returning — a returned record IS the acknowledgement. It is a row
+//! mutation's one durable record, for both backings of a
+//! [`crate::Dataset`], which drive it through one `DatasetLog`: validate,
+//! append (the ack), then apply. The page-store apply path rewrites
+//! touched pages copy-on-write and commits via
 //! [`super::FileManager::bump_epoch`]; after a crash,
 //! [`super::PagedRows::open`] re-applies the records the manifest has not
-//! seen.
+//! seen. A resident dataset applies in memory, and replays the whole log
+//! over its base when the log is attached.
 //!
-//! Tail policy: replay stops at the first invalid frame, torn or corrupt
-//! alike, and [`MutationLog::open`] cuts the file there so the damage
-//! vanishes instead of stranding a later append. (A log cut *below* the
-//! manifest's applied-count is refused by [`super::PagedRows`].)
+//! Tail policy: [`MutationLog::replay`] stops at the first invalid frame,
+//! torn or corrupt alike, and [`MutationLog::open`] cuts the file there
+//! so the damage vanishes instead of stranding a later append. A dataset
+//! checks its own count first: a log cut *below* the manifest's
+//! applied-count is refused by [`super::PagedRows`], and a dataset's
+//! first append refuses a log that does not hold exactly the records it
+//! applied, before anything is cut. A resident dataset has no count to
+//! check against, so its replay refuses a corrupt record outright and
+//! stops only at a torn tail, the one artifact of a crash mid-append.
 
 use super::codec;
 use super::framed::{self, Format, FramedWriter};
 use super::StoreError;
 use crate::Value;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File name of the mutation log inside a store directory.
 pub const MUTATION_LOG_FILE: &str = "mutations.log";
@@ -98,9 +107,19 @@ impl MutationLog {
     /// I/O failures; a file that is not a mutation log of this version
     /// (left untouched).
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
+        Self::open_at(dir, None)
+    }
+
+    /// [`Self::open`], first refusing with [`StoreError::LogOutOfStep`],
+    /// and cutting nothing, when `applied` is given and the valid prefix
+    /// holds a different number of records.
+    fn open_at(dir: &Path, applied: Option<u64>) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(MUTATION_LOG_FILE);
-        let (_, tail) = Self::read(&path, |_| {})?;
+        let (logged, tail) = Self::read(&path, |_| {})?;
+        if let Some(applied) = applied.filter(|&applied| applied != logged) {
+            return Err(StoreError::LogOutOfStep { applied, logged });
+        }
         if let Some(valid_len) = tail.valid_len() {
             framed::truncate(&path, valid_len)?;
         }
@@ -146,6 +165,68 @@ impl MutationLog {
                 .map(&mut f)
                 .is_some()
         })
+    }
+}
+
+/// A dataset's mutation log as both backings drive it: opened by its
+/// first append, so a dataset that is never mutated creates no file, and
+/// appended to only at the position its owner has applied up to.
+#[derive(Debug)]
+pub(crate) struct DatasetLog {
+    dir: PathBuf,
+    log: Option<MutationLog>,
+}
+
+impl DatasetLog {
+    /// The log in `dir`; nothing is opened or created yet.
+    pub(crate) fn new(dir: &Path) -> Self {
+        Self {
+            dir: dir.to_path_buf(),
+            log: None,
+        }
+    }
+
+    /// Replays every record of the log in `dir` through `f`, for a
+    /// dataset that keeps no count to check the log against (a resident
+    /// one). A torn tail, a crash mid-append that was never acked, ends
+    /// the replay. A corrupt record was acked, and skipping it would skip
+    /// every record after it too, so it is refused and the file left as
+    /// it is.
+    pub(crate) fn replay(dir: &Path, f: impl FnMut(MutationRecord)) -> Result<(), StoreError> {
+        let path = dir.join(MUTATION_LOG_FILE);
+        match MutationLog::read(&path, f)? {
+            (valid, framed::Tail::Corrupt { valid_len }) => Err(StoreError::Codec(format!(
+                "{}: record {valid} (at byte {valid_len}) is corrupt",
+                path.display()
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// Appends one mutation as record number `applied` and fsyncs: when
+    /// this returns `Ok` the mutation is acked, and the caller applies it.
+    /// The first call opens the file, cutting an invalid tail once the
+    /// valid prefix is known to hold exactly `applied` records.
+    ///
+    /// # Errors
+    /// I/O failures (nothing appended); [`StoreError::LogOutOfStep`] when
+    /// the log does not hold exactly `applied` records — a record
+    /// appended there would be skipped, or re-applied, by the next replay.
+    pub(crate) fn append(
+        &mut self,
+        applied: u64,
+        op: MutationOp,
+        rows: &[Vec<Value>],
+    ) -> Result<MutationRecord, StoreError> {
+        let log = match &mut self.log {
+            Some(log) => log,
+            empty => empty.insert(MutationLog::open_at(&self.dir, Some(applied))?),
+        };
+        let logged = log.next_seq();
+        if logged != applied {
+            return Err(StoreError::LogOutOfStep { applied, logged });
+        }
+        log.append(op, rows.to_vec())
     }
 }
 

@@ -33,10 +33,10 @@
 use super::buffer_pool::{BufferPool, PoolStats};
 use super::codec;
 use super::file_manager::{FileManager, Manifest, FORMAT_VERSION};
-use super::mutation_log::{MutationLog, MutationOp, MutationRecord};
+use super::mutation_log::{DatasetLog, MutationLog, MutationOp, MutationRecord};
 use super::page::{self, PAGE_CAPACITY, PAGE_HEADER, PAGE_SIZE};
 use super::StoreError;
-use crate::{Domain, Schema, Value};
+use crate::{Domain, Schema, SchemaError, Value};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -78,8 +78,8 @@ pub struct PagedRows {
     pool: Arc<BufferPool>,
     dir: PathBuf,
     meta: RwLock<Meta>,
-    /// Serializes mutators; holds the mutation log once one has run.
-    mutators: Mutex<Option<MutationLog>>,
+    /// Serializes mutators over the store's mutation log.
+    mutators: Mutex<DatasetLog>,
 }
 
 impl std::fmt::Debug for PagedRows {
@@ -285,7 +285,7 @@ impl PagedRows {
                 epoch,
                 applied: 0,
             }),
-            mutators: Mutex::new(None),
+            mutators: Mutex::new(DatasetLog::new(dir)),
         })
     }
 
@@ -327,7 +327,7 @@ impl PagedRows {
                 epoch: manifest.epoch,
                 applied,
             }),
-            mutators: Mutex::new(None),
+            mutators: Mutex::new(DatasetLog::new(dir)),
         };
         store.replay_unapplied()?;
         Ok(store)
@@ -336,7 +336,8 @@ impl PagedRows {
     /// Re-applies acked mutation records the manifest has not folded in
     /// (crash between log ack and manifest commit). One commit covers all
     /// replayed records; the resulting epoch/applied counts are exactly
-    /// what a crash-free run would have produced.
+    /// what a crash-free run would have produced. (A torn tail past the
+    /// acked prefix is cut by the next append's open.)
     fn replay_unapplied(&self) -> Result<(), StoreError> {
         let applied = self.meta.read().expect("paged meta").applied;
         let mut pending = Vec::new();
@@ -348,17 +349,8 @@ impl PagedRows {
         if logged < applied {
             return Err(StoreError::LogOutOfStep { applied, logged });
         }
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let mut guard = self.mutators.lock().expect("mutation log lock");
         for record in pending {
             self.apply_record(&record)?;
-        }
-        // The log file may carry a torn tail past the acked prefix; open
-        // it now (truncating the tear) so later appends land cleanly.
-        if guard.is_none() {
-            *guard = Some(MutationLog::open(&self.dir)?);
         }
         Ok(())
     }
@@ -408,14 +400,11 @@ impl PagedRows {
             widen_schema(&meta.schema, rows)
         };
         for row in rows {
-            widened
-                .validate_row(row)
-                .map_err(|e| StoreError::Codec(format!("row rejected: {e}")))?;
+            widened.validate_row(row).map_err(StoreError::Rejected)?;
             let sz = codec::row_size(row);
             if sz > PAGE_CAPACITY - 2 {
-                return Err(StoreError::Codec(format!(
-                    "row of {sz} bytes exceeds page capacity"
-                )));
+                let msg = format!("row of {sz} bytes exceeds page capacity");
+                return Err(StoreError::Rejected(SchemaError::RowMismatch(msg)));
             }
         }
         self.mutate(MutationOp::Insert, rows)
@@ -433,34 +422,17 @@ impl PagedRows {
             let meta = self.meta.read().expect("paged meta");
             meta.schema.arity()
         };
-        for row in rows {
-            if row.len() != arity {
-                return Err(StoreError::Codec(format!(
-                    "delete row has {} values, schema has {arity}",
-                    row.len()
-                )));
-            }
+        if let Some(row) = rows.iter().find(|row| row.len() != arity) {
+            let msg = format!("expected {arity} values, got {}", row.len());
+            return Err(StoreError::Rejected(SchemaError::RowMismatch(msg)));
         }
         self.mutate(MutationOp::Delete, rows)
     }
 
     /// Shared mutation path: ack through the log, then apply + commit.
     fn mutate(&self, op: MutationOp, rows: &[Vec<Value>]) -> Result<MutationOutcome, StoreError> {
-        let mut guard = self.mutators.lock().expect("mutation log lock");
-        let log = match guard.as_mut() {
-            Some(log) => log,
-            None => {
-                *guard = Some(MutationLog::open(&self.dir)?);
-                guard.as_mut().expect("just opened")
-            }
-        };
-        // A record appended at the wrong position would be skipped (or
-        // re-applied) by the next open's replay.
-        let (applied, logged) = (self.mutations_applied(), log.next_seq());
-        if logged != applied {
-            return Err(StoreError::LogOutOfStep { applied, logged });
-        }
-        let record = log.append(op, rows.to_vec())?; // ← the ack point
+        let mut log = self.mutators.lock().expect("mutation log lock");
+        let record = log.append(self.mutations_applied(), op, rows)?; // ← the ack point
         self.apply_record(&record)
     }
 

@@ -170,10 +170,10 @@ pub fn mutate_racing_queriers() -> Scenario {
     }
 }
 
-/// A mutation racing an armed WAL fault and compaction: the fault may
-/// refuse the mutation's own append (applied live, never durable) or a
-/// commit's; compaction must carry the mutation journal through the
-/// snapshot either way.
+/// A mutation racing an armed WAL fault and compaction. Neither can
+/// touch it: its one durable record is the dataset's own mutation log,
+/// so the fault can only refuse a commit's append, and compaction folds
+/// nothing of the mutation — yet recovery must rebuild it exactly.
 pub fn mutate_fault_compact() -> Scenario {
     Scenario {
         name: "mutate-fault-compact",
@@ -295,14 +295,9 @@ struct World {
     /// εᵘ of the commit currently in flight — the only slack recovery
     /// may legitimately show over `acked` after a mid-commit crash.
     inflight_upper: f64,
-    /// Mutations applied live whose append was refused (an armed WAL
-    /// fault, a `500` on the wire): visible until the process dies, gone
-    /// after recovery.
-    mut_unlogged: u64,
-    /// True while a mutate op is between its apply and its ack — the
-    /// only window where recovery may show one mutation over the acked
-    /// ones (durable-but-unacked record) or silently lose one
-    /// (applied-but-unlogged).
+    /// True while a mutate op is between its call and its ack — the only
+    /// window where recovery may show one mutation over the acked ones
+    /// (logged and applied, but never acked).
     mut_inflight: bool,
     /// Pending evaluate-phase results by submission slot.
     pendings: Vec<Option<SubmitInFlight>>,
@@ -340,7 +335,6 @@ impl World {
             base: Observed::default(),
             acked: Acked::default(),
             inflight_upper: 0.0,
-            mut_unlogged: 0,
             mut_inflight: false,
             pendings: (0..scenario.slots()).map(|_| None).collect(),
         };
@@ -429,16 +423,14 @@ impl World {
                 self.mut_inflight = true;
                 let path = format!("/v1/datasets/{TENANT}/rows");
                 let insert = "{\"op\":\"insert\",\"rows\":[[3]]}";
-                match self.route(&path, insert)? {
-                    // Armed fault refused the append: applied to the
-                    // live engine (no ack), lost on recovery.
-                    None => self.mut_unlogged += 1,
-                    Some(ack) => {
-                        let inserted = ack.get("inserted").and_then(json::Json::as_u64);
-                        if inserted != Some(1) {
-                            return Err(format!("mutation applied {inserted:?} rows, not 1"));
-                        }
-                    }
+                // No fault the world injects reaches a mutation's log, so
+                // a 500 here is a failure in itself.
+                let ack = self
+                    .route(&path, insert)?
+                    .ok_or("mutation refused with 500")?;
+                let inserted = ack.get("inserted").and_then(json::Json::as_u64);
+                if inserted != Some(1) {
+                    return Err(format!("mutation applied {inserted:?} rows, not 1"));
                 }
                 self.mut_inflight = false;
             }
@@ -466,16 +458,13 @@ impl World {
     fn check_live(&self) -> Result<(), String> {
         let state = self.state.as_ref().expect("world is live");
         let after = Observed::read(std::slice::from_ref(state), 0, TENANT);
-        // A refused mutation append is applied live, unacked: the live
-        // engine must show exactly the acked ones plus those, and its
-        // epoch may be past the last acked one.
-        let mut applied = self.acked.clone();
-        if self.mut_unlogged > 0 {
-            applied.mutations += self.mut_unlogged;
-            applied.rows += self.mut_unlogged as i64;
-            applied.epoch = applied.epoch.max(self.base.epoch + applied.mutations);
-        }
-        invariants::check(When::Live, &self.base, &after, &applied, Slack::default())
+        invariants::check(
+            When::Live,
+            &self.base,
+            &after,
+            &self.acked,
+            Slack::default(),
+        )
     }
 
     /// Drops the live state (releasing the directory lock — a real kill
@@ -504,7 +493,7 @@ impl World {
         let after = Observed::read(std::slice::from_ref(&state), 0, TENANT);
         let out = invariants::check(When::Recovered, &self.base, &after, &self.acked, slack);
         (self.base, self.acked) = (after, Acked::default());
-        (self.inflight_upper, self.mut_unlogged, self.mut_inflight) = (0.0, 0, false);
+        (self.inflight_upper, self.mut_inflight) = (0.0, false);
         self.state = Some(state);
         out
     }

@@ -18,9 +18,10 @@
 //!   [`apex_core::EngineResponse`], …);
 //! * [`wal`] — the write-ahead log and the one durability core: one
 //!   record per budget-mutating event in a framed log
-//!   (`apex_data::store::framed`), the one mutation codec, and the
-//!   shared writer whose group commit makes a record durable before the
-//!   client is acked (the only code here that syncs the log);
+//!   (`apex_data::store::framed`), and the shared writer whose group
+//!   commit makes a record durable before the client is acked (the only
+//!   code here that syncs the log). Row mutations are not budget events:
+//!   their one durable record is the dataset's own mutation log;
 //! * [`snapshot`] — periodic compaction of the ledger + session table,
 //!   the state-directory layout recovery reads, and the fold
 //!   (`Snapshot::apply`) that replays a WAL record into an image;
@@ -31,7 +32,8 @@
 //!   idle TTLs, pinning, the reaper), `registry` (tenants — one
 //!   [`apex_core::SharedEngine`] per dataset, one shared translator
 //!   cache with per-tenant stat scopes — and row mutations) and
-//!   `recovery` (the directory lock and WAL-over-snapshot replay);
+//!   `recovery` (the directory lock, WAL-over-snapshot replay, and each
+//!   resident tenant's mutation log under `rows/<tenant>/`);
 //! * [`router`] — per-shard endpoint dispatch and status-code mapping (a
 //!   *denied* query is 409, an *expired* session is 410, the admin plane
 //!   checks a bearer token);

@@ -20,10 +20,11 @@
 //! an **expired** session is 410 (it once lived — distinct from 404); a
 //! **denied** query is 409 — denial is part of the privacy protocol, not
 //! a server fault, so it gets its own signal distinct from 4xx client
-//! errors and 2xx answers. A mutation batch too large to frame as one
-//! WAL record is 413 (refused before anything is applied). A failed
-//! write-ahead append is 500: the charge is never acked without its log
-//! record.
+//! errors and 2xx answers. A mutation batch over the batch bound is 413
+//! (refused before anything is logged or applied). A failed write-ahead
+//! append is 500: the charge is never acked without its log record. So
+//! is a failed mutation-log append (a storage fault, not the client's):
+//! the mutation is neither acked nor applied.
 //!
 //! Row mutations live under `/v1/datasets/...` rather than `/v1/admin/...`
 //! so shard routing can key them by dataset name, but they carry the same
@@ -36,7 +37,8 @@
 
 use std::sync::Arc;
 
-use apex_core::EngineResponse;
+use apex_core::{EngineError, EngineResponse};
+use apex_data::MutationError;
 
 use crate::http::{Request, Response};
 use crate::json::Json;
@@ -162,8 +164,8 @@ fn gone() -> Response {
     Response::json(410, wire::error_json("session expired"))
 }
 
-/// The one 500 a durable deployment can produce: the write-ahead append
-/// failed, so the mutation was not acked (see `state::SubmitError`).
+/// The write-ahead append failed, so the budget event was not acked (see
+/// `state::SubmitError`).
 fn wal_failed(e: &std::io::Error) -> Response {
     Response::json(
         500,
@@ -198,7 +200,7 @@ fn submit(state: &ServerState, id: u64, req: &Request) -> Response {
         // A mechanism overshooting its declared worst case is an engine
         // fault, not a client error — the charge was refused (nothing
         // spent), and the client should see a server-side failure.
-        Err(SubmitError::Engine(e @ apex_core::EngineError::LossAboveWorstCase { .. })) => {
+        Err(SubmitError::Engine(e @ EngineError::LossAboveWorstCase { .. })) => {
             Response::json(500, wire::error_json(&e.to_string()))
         }
         Err(SubmitError::Engine(e)) => Response::json(400, wire::error_json(&e.to_string())),
@@ -212,11 +214,11 @@ fn submit(state: &ServerState, id: u64, req: &Request) -> Response {
 }
 
 /// `POST /v1/datasets/{name}/rows`: apply a row mutation batch. The
-/// response is the ack — with persistence enabled, the WAL record is
-/// durable before this returns. Epoch-keyed caches and pending charges
-/// make racing queries safe: an evaluate that straddles the mutation is
-/// refused at commit with a stale-epoch error (mapped to 400 here via
-/// the query path) and nothing is charged.
+/// response is the ack — with persistence enabled, the dataset's
+/// mutation-log record is durable before the batch applies. Pending
+/// charges make racing queries safe: an evaluate that straddles the
+/// mutation is refused at commit with a stale-epoch error (mapped to 400
+/// via the query path) and nothing is charged.
 fn mutate(state: &ServerState, name: &str, req: &Request) -> Response {
     let body = match parse_body(req) {
         Ok(b) => b,
@@ -243,6 +245,10 @@ fn mutate(state: &ServerState, name: &str, req: &Request) -> Response {
         ),
         Err(e @ SubmitError::BatchTooLarge { .. }) => {
             Response::json(413, wire::error_json(&e.to_string()))
+        }
+        // The mutation log or the page store failed: nothing applied.
+        Err(SubmitError::Engine(e @ EngineError::Mutation(MutationError::Store(_)))) => {
+            Response::json(500, wire::error_json(&e.to_string()))
         }
         // Arity/type mismatches, empty-batch refusals: client errors.
         Err(SubmitError::Engine(e)) => Response::json(400, wire::error_json(&e.to_string())),
@@ -679,10 +685,76 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_mutation_log_append_is_500_and_applies_nothing() {
+        // A durable resident tenant whose mutation log is `/dev/null`:
+        // the lazy open reads it as an empty log, the append's write
+        // lands, and its fsync fails (EINVAL) — a storage fault.
+        // (`/dev/full` cannot stand in: the open reads the file first,
+        // and `/dev/full` reads as endless zeros.)
+        let root = crate::testutil::temp_dir("mutation-log-fault");
+        let (s, _) = ShardSet::recover(
+            &root,
+            1,
+            |_| ServerState::builder(16).dataset("demo", demo_dataset(), EngineConfig::default()),
+            |dir| crate::state::PersistOptions {
+                sync: false,
+                ..crate::state::PersistOptions::new(dir)
+            },
+        )
+        .unwrap();
+        let rows = crate::snapshot::shard_dir(&root, 0).join("rows/demo");
+        std::fs::create_dir_all(&rows).unwrap();
+        std::os::unix::fs::symlink("/dev/null", rows.join("mutations.log")).unwrap();
+        // One answered query, so the tenant maintains a view to fold.
+        let id = open_session(&s, r#"{"dataset":"demo","budget":5}"#);
+        let q = r#"{"query":"BIN demo ON COUNT(*) WHERE W = { v IN [0, 4), v IN [4, 8) } ERROR 8 CONFIDENCE 0.95;"}"#;
+        let r = route(&s, &req("POST", &format!("/v1/sessions/{id}/query"), q));
+        assert_eq!(r.status, 200, "{}", r.body);
+        let engine = &s.state(0).tenant("demo").unwrap().engine;
+        let seen = || {
+            engine.with_engine(|e| {
+                let views = e.dataset_view_stats();
+                let rows = e.dataset_scan_rows();
+                (
+                    e.epoch(),
+                    e.mutations_applied(),
+                    rows,
+                    views.entries,
+                    views.folds,
+                )
+            })
+        };
+        let before = seen();
+        assert_eq!(before.3, 1, "one view to fold");
+
+        for body in [
+            r#"{"op":"insert","rows":[[3],[3]]}"#,
+            r#"{"op":"delete","rows":[[3]]}"#,
+        ] {
+            let r = route(&s, &req("POST", "/v1/datasets/demo/rows", body));
+            assert_eq!(r.status, 500, "{}", r.body);
+            assert!(r.body.contains("mutation failed in store"), "{}", r.body);
+        }
+        assert_eq!(seen(), before, "a refused append must apply nothing");
+        // A client error is still a client error.
+        let r = route(
+            &s,
+            &req(
+                "POST",
+                "/v1/datasets/demo/rows",
+                r#"{"op":"delete","rows":[[1,2]]}"#,
+            ),
+        );
+        assert_eq!(r.status, 400, "{}", r.body);
+        drop(s);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn oversized_cells_and_rows_are_413_not_a_panic() {
-        // Both fit the 1 MiB body cap but not the WAL record's u16
-        // length fields; sizing the record used to run them through the
-        // encoder, whose casts assert (a worker panic, so a 500).
+        // Both fit the 1 MiB body cap but not the 64 KiB row-batch
+        // bound, which is measured with `codec::rows_size` rather than
+        // by encoding (the codec's length casts would assert).
         let s = state();
         let big_cell = format!(r#"[["{}"]]"#, "x".repeat(70_000));
         let wide_row = format!("[[{}]]", vec!["null"; 70_000].join(","));

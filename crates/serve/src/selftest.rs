@@ -35,8 +35,9 @@
 //!    tenant and a resident tenant mid-run; the ack's epoch and rows must
 //!    match the owning engine right away and the stats aggregation, a
 //!    query admitted afterwards answers at the new epoch, and the restart
-//!    must reproduce them from disk (store replay for the paged tenant,
-//!    WAL/snapshot-journal replay for the resident one).
+//!    must reproduce them from disk (each dataset replays its own
+//!    mutation log: the store's for the paged tenant, the one recovery
+//!    attaches under `rows/wide/` for the resident one).
 //! 7. **maintained histograms** — the resident tenant is asked one shape
 //!    before its mutation and again after it: the histogram it maintains
 //!    for that shape (docs/PERFORMANCE.md) must equal a rescan after the
@@ -636,10 +637,9 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
         );
     }
 
-    // The live-mutation leg (ISSUE 10): insert rows over the wire into
-    // one paged tenant (durable through its store's mutation log) and
-    // the resident `wide` tenant (durable through the WAL record + the
-    // snapshot's mutation journal). The acks must match the owning
+    // The live-mutation leg: insert rows over the wire into
+    // one paged tenant and the resident `wide` tenant, each durable
+    // through its dataset's own mutation log. The acks must match the owning
     // engines right away, and the restart below must reproduce them
     // from disk. (`wide` is asked one shape first, so its insert has a
     // maintained histogram to fold into — leg 7.)

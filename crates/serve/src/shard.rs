@@ -459,17 +459,6 @@ pub struct ServeConfig {
     pub workers_per_shard: usize,
     /// Bound of each shard's work queue; a full queue answers `503`.
     pub queue_cap: usize,
-    /// Idle keep-alive connections past this are dropped.
-    pub idle_timeout: Duration,
-    /// Seconds advertised in the backpressure `Retry-After` header.
-    pub retry_after_secs: u64,
-    /// How long a worker lingers on a keep-alive connection after
-    /// responding, waiting for the client's next request. A session's
-    /// requests (open → query → close) all route to the same shard, so
-    /// the follow-up usually lands here within the window and is served
-    /// directly — skipping the dispatcher round trip that otherwise
-    /// dominates per-request latency. Zero disables stickiness.
-    pub sticky_wait: Duration,
 }
 
 impl Default for ServeConfig {
@@ -477,12 +466,23 @@ impl Default for ServeConfig {
         Self {
             workers_per_shard: 2,
             queue_cap: 256,
-            idle_timeout: Duration::from_secs(30),
-            retry_after_secs: 1,
-            sticky_wait: Duration::from_millis(1),
         }
     }
 }
+
+/// Idle keep-alive connections past this are dropped.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Seconds advertised in the backpressure `Retry-After` header.
+const RETRY_AFTER_SECS: u64 = 1;
+
+/// How long a worker lingers on a keep-alive connection after
+/// responding, waiting for the client's next request. A session's
+/// requests (open → query → close) all route to the same shard, so the
+/// follow-up usually lands here within the window and is served directly
+/// — skipping the dispatcher round trip that otherwise dominates
+/// per-request latency.
+const STICKY_WAIT: Duration = Duration::from_millis(1);
 
 /// A connection parked in the event loop (or in flight to a worker).
 #[derive(Debug)]
@@ -709,9 +709,8 @@ pub fn serve_sharded<A: ToSocketAddrs>(
             let queues = queues.clone();
             let ret = ret_tx.clone();
             let stop = stop.clone();
-            let cfg = cfg.clone();
             workers.push(std::thread::spawn(move || {
-                shard_worker(&set, k, &queues[k], &ret, &stop, &cfg);
+                shard_worker(&set, k, &queues[k], &ret, &stop);
             }));
         }
     }
@@ -721,7 +720,7 @@ pub fn serve_sharded<A: ToSocketAddrs>(
         let stop = stop.clone();
         let queues = queues.clone();
         std::thread::spawn(move || {
-            event_loop(&listener, &set, &queues, &ret_rx, &stop, &cfg);
+            event_loop(&listener, &set, &queues, &ret_rx, &stop);
             // The dispatcher is gone: close every queue so workers
             // drain what's left and exit (this replaces the implicit
             // close that dropping the channel senders used to give).
@@ -826,7 +825,7 @@ fn sticky_next(conn: &mut ConnState, set: &ShardSet, k: usize, wait: Duration) -
 /// own state, write the response, and migrate the connection back to
 /// the event loop when it stays open.
 ///
-/// After each response the worker lingers for `cfg.sticky_wait` on the
+/// After each response the worker lingers for [`STICKY_WAIT`] on the
 /// connection: a session's open → query → close all hash to the same
 /// shard, so the follow-up request usually arrives within the window
 /// and is served right here, without a dispatcher round trip. Requests
@@ -838,7 +837,6 @@ fn shard_worker(
     queue: &WorkQueue<Work>,
     ret: &mpsc::Sender<ConnState>,
     stop: &Arc<AtomicBool>,
-    cfg: &ServeConfig,
 ) {
     let state = set.state(k);
     // Parks a connection back in the event loop, nonblocking again. A
@@ -915,10 +913,10 @@ fn shard_worker(
             // can then share a sync. A connection
             // streaming requests forever cannot starve the queue: the
             // sticky window only serves requests already buffered or
-            // arriving within `sticky_wait`, and STICKY_MAX backstops
+            // arriving within `STICKY_WAIT`, and STICKY_MAX backstops
             // pathological streams.
-            if !cfg.sticky_wait.is_zero() && served < STICKY_MAX && !stop.load(Ordering::SeqCst) {
-                match sticky_next(&mut conn, set, k, cfg.sticky_wait) {
+            if served < STICKY_MAX && !stop.load(Ordering::SeqCst) {
+                match sticky_next(&mut conn, set, k, STICKY_WAIT) {
                     Sticky::Serve(next_req) => {
                         present = Some(state.writer_present());
                         work = Work {
@@ -1135,13 +1133,11 @@ fn respond_inline(conn: &mut ConnState, resp: &Response, keep_alive: bool) -> bo
 
 /// Services one connection for one scan pass. Returns the connection to
 /// keep parking, or `None` when it was closed or handed to a shard.
-#[allow(clippy::too_many_arguments)] // the event loop's full working set
 fn service_conn(
     mut conn: ConnState,
     now: Instant,
     set: &ShardSet,
     queues: &[WorkQueue<Work>],
-    cfg: &ServeConfig,
     stop: &AtomicBool,
     scratch: &mut [u8],
     progress: &mut bool,
@@ -1157,7 +1153,7 @@ fn service_conn(
     loop {
         if conn.buf.is_empty() {
             conn.read_start = None;
-            if now.duration_since(conn.last_activity) > cfg.idle_timeout {
+            if now.duration_since(conn.last_activity) > IDLE_TIMEOUT {
                 return None;
             }
             return Some(conn);
@@ -1211,7 +1207,7 @@ fn service_conn(
                             // `Retry-After` without reconnecting.
                             let Work { conn: back, .. } = work;
                             conn = back;
-                            let resp = Response::unavailable(cfg.retry_after_secs);
+                            let resp = Response::unavailable(RETRY_AFTER_SECS);
                             if !respond_inline(&mut conn, &resp, keep) {
                                 return None;
                             }
@@ -1235,7 +1231,6 @@ fn event_loop(
     queues: &[WorkQueue<Work>],
     ret_rx: &Receiver<ConnState>,
     stop: &Arc<AtomicBool>,
-    cfg: &ServeConfig,
 ) {
     let mut conns: Vec<ConnState> = Vec::new();
     let mut scratch = vec![0u8; 16 << 10];
@@ -1276,16 +1271,8 @@ fn event_loop(
         let now = Instant::now();
         let mut kept = Vec::with_capacity(conns.len());
         for conn in conns.drain(..) {
-            if let Some(c) = service_conn(
-                conn,
-                now,
-                set,
-                queues,
-                cfg,
-                stop,
-                &mut scratch,
-                &mut progress,
-            ) {
+            if let Some(c) = service_conn(conn, now, set, queues, stop, &mut scratch, &mut progress)
+            {
                 kept.push(c);
             }
         }
@@ -1599,8 +1586,8 @@ mod tests {
 
     #[test]
     fn oversized_cell_over_the_socket_is_413_with_nothing_applied_or_logged() {
-        // Durable, so "nothing logged" is checkable: the WAL must be
-        // byte-identical after the refused mutations.
+        // Durable, so "nothing logged" is checkable: the tenant's
+        // mutation log must be byte-identical after the refused batches.
         let root = crate::testutil::temp_dir("oversized-cell");
         let (set, _) = ShardSet::recover(
             &root,
@@ -1620,12 +1607,9 @@ mod tests {
         // One applied batch first, so the log has something to lose.
         let (status, resp) = mutate(r#"{"op":"insert","rows":[[3]]}"#);
         assert_eq!(status, 200, "{resp:?}");
-        let wal_bytes = || {
-            let dir = snapshot::shard_dir(&root, 0);
-            let gens = snapshot::list_wal_gens(&dir).unwrap();
-            std::fs::read(snapshot::wal_path(&dir, *gens.last().unwrap())).unwrap()
-        };
-        let before = wal_bytes();
+        let log = snapshot::shard_dir(&root, 0).join("rows/demo/mutations.log");
+        let log_bytes = || std::fs::read(&log).unwrap();
+        let before = log_bytes();
 
         let big_cell = format!(r#"{{"op":"insert","rows":[["{}"]]}}"#, "x".repeat(70_000));
         let (status, resp) = mutate(&big_cell);
@@ -1644,7 +1628,7 @@ mod tests {
             demo.get("mutations_applied").and_then(Json::as_u64),
             Some(1)
         );
-        assert_eq!(wal_bytes(), before, "a refused batch must log nothing");
+        assert_eq!(log_bytes(), before, "a refused batch must log nothing");
 
         handle.stop();
         handle.join();
@@ -1835,7 +1819,6 @@ mod tests {
         let cfg = ServeConfig {
             workers_per_shard: 1,
             queue_cap: 0,
-            ..ServeConfig::default()
         };
         let handle = serve_sharded("127.0.0.1:0", set, cfg).unwrap();
         let addr = handle.addr();

@@ -35,13 +35,16 @@ use std::path::{Path, PathBuf};
 
 use apex_data::store::framed::{self, Format};
 
-use crate::wal::{push_list, push_str, Fields, Mutation, WalRecord};
+use crate::wal::{push_list, push_str, Fields, WalRecord};
 
-/// Snapshot file magic (format version pinned in the last byte; 3 lays
-/// a journaled mutation out as the WAL's mutate record does). The file
-/// is read whole, so the cap only has to fit the frame's `u32` length.
+/// Snapshot file magic (format version pinned in the last byte; 4 drops
+/// the mutation journal — a row mutation's one durable record is its
+/// dataset's mutation log — so a version-3 file, which may hold acked
+/// mutations, is refused by name rather than read without them). The
+/// file is read whole, so the cap only has to fit the frame's `u32`
+/// length.
 pub const SNAPSHOT_FORMAT: Format = Format {
-    magic: b"APEXSNP3",
+    magic: b"APEXSNP4",
     max_payload: 1 << 30,
 };
 
@@ -86,14 +89,16 @@ pub struct Snapshot {
     /// allocated sequentially, so `next_session` is the watermark — any
     /// id below it that is not live once existed and is gone.)
     pub sessions: Vec<SessionImage>,
-    /// Resident tenants' applied-mutation journal, in apply order. Only
-    /// **resident** (in-memory) tenants need it: a paged tenant's store
-    /// is its own durable mutation log, and its WAL records are skipped
-    /// on replay once the store epoch covers them. For a resident tenant
-    /// the journal is the sole durable copy, so compaction carries every
-    /// record forward — it grows with the tenant's mutation history
-    /// (mutations are admin-plane operations, not the query path).
-    pub mutations: Vec<Mutation>,
+}
+
+/// Why [`Snapshot::apply`] cannot fold a WAL record into the image.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FoldError {
+    /// The record names a session that was never opened.
+    UnknownSession(u64),
+    /// A frozen row-mutation record (tag 5) for this dataset: no current
+    /// writer produces one, and it must be neither re-applied nor dropped.
+    Mutation(String),
 }
 
 impl Snapshot {
@@ -112,9 +117,6 @@ impl Snapshot {
             push_str(out, &s.dataset);
             out.extend_from_slice(&s.allowance.to_le_bytes());
             out.extend_from_slice(&s.spent.to_le_bytes());
-        });
-        push_list(&mut out, &self.mutations, |out, m| {
-            Mutation::push(out, &m.dataset, m.insert, m.epoch_after, &m.rows);
         });
         out
     }
@@ -142,7 +144,6 @@ impl Snapshot {
                     spent: f.f64()?,
                 })
             })?,
-            mutations: f.list(Mutation::take)?,
         };
         f.end(snapshot)
     }
@@ -157,12 +158,12 @@ impl Snapshot {
     /// used.
     ///
     /// # Errors
-    /// The id of a session the record names that was never opened.
+    /// See [`FoldError`].
     pub fn apply(
         &mut self,
         record: WalRecord,
         closed: &mut HashMap<u64, String>,
-    ) -> Result<(), u64> {
+    ) -> Result<(), FoldError> {
         match record {
             WalRecord::Open {
                 session,
@@ -194,29 +195,19 @@ impl Snapshot {
                 self.ledger(&dataset).reclaimed += released;
                 closed.insert(session, dataset);
             }
-            WalRecord::Mutate {
-                dataset,
-                insert,
-                epoch_after,
-                rows,
-            } => self.mutations.push(Mutation {
-                dataset,
-                insert,
-                epoch_after,
-                rows,
-            }),
+            WalRecord::Mutate { dataset, .. } => return Err(FoldError::Mutation(dataset)),
         }
         Ok(())
     }
 
     /// The dataset of a session that is live in the image or that the
-    /// fold closed; `Err(session)` for one never opened.
-    fn dataset_of(&self, session: u64, closed: &HashMap<u64, String>) -> Result<String, u64> {
-        let live = self.sessions.iter().find(|s| s.id == session);
+    /// fold closed.
+    fn dataset_of(&self, id: u64, closed: &HashMap<u64, String>) -> Result<String, FoldError> {
+        let live = self.sessions.iter().find(|s| s.id == id);
         live.map(|s| &s.dataset)
-            .or_else(|| closed.get(&session))
+            .or_else(|| closed.get(&id))
             .cloned()
-            .ok_or(session)
+            .ok_or(FoldError::UnknownSession(id))
     }
 
     /// `name`'s ledger, entered at zero on first use.
@@ -337,16 +328,6 @@ mod tests {
                 allowance: 0.25,
                 spent: 0.0625,
             }],
-            mutations: vec![Mutation {
-                dataset: "adult".into(),
-                insert: true,
-                epoch_after: 2,
-                rows: vec![vec![
-                    apex_data::Value::Int(5),
-                    apex_data::Value::Str("x".into()),
-                    apex_data::Value::Null,
-                ]],
-            }],
         }
     }
 
@@ -354,15 +335,6 @@ mod tests {
     fn snapshot_round_trips() {
         let s = sample();
         assert_eq!(Snapshot::decode(&s.encode()), Some(s.clone()));
-        // The journal entry (the payload's last field) and a WAL record
-        // of the same mutation carry identical mutation bytes.
-        let m = &s.mutations[0];
-        let mut bytes = Vec::new();
-        Mutation::push(&mut bytes, &m.dataset, m.insert, m.epoch_after, &m.rows);
-        assert!(s.encode().ends_with(&bytes));
-        assert!(WalRecord::from(s.mutations[0].clone())
-            .encode()
-            .ends_with(&bytes));
         let empty = Snapshot::default();
         assert_eq!(Snapshot::decode(&empty.encode()), Some(empty));
     }

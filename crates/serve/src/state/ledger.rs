@@ -69,12 +69,12 @@ pub enum SubmitError {
     /// agreeing that nothing happened (in-memory `spent` can never run
     /// ahead of what recovery reconstructs): `500`.
     Wal(std::io::Error),
-    /// A mutation batch too large to frame as one WAL record — refused
-    /// before anything was applied: `413`.
+    /// A mutation batch whose rows encode to more than 64 KiB — refused
+    /// before anything was logged or applied: `413`.
     BatchTooLarge {
-        /// Encoded record-payload size of the refused batch.
+        /// Encoded size of the refused batch's rows.
         bytes: usize,
-        /// The WAL's per-record payload bound.
+        /// The per-batch bound.
         limit: usize,
     },
 }
@@ -86,7 +86,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::Wal(e) => write!(f, "write-ahead log append failed: {e}"),
             SubmitError::BatchTooLarge { bytes, limit } => write!(
                 f,
-                "mutation batch encodes to {bytes} bytes, above the {limit}-byte WAL record bound"
+                "mutation batch encodes to {bytes} bytes, above the {limit}-byte batch bound"
             ),
         }
     }
@@ -310,10 +310,6 @@ impl ServerState {
                 })
                 .collect(),
             sessions: sessions.iter().map(|(&id, e)| e.image(id)).collect(),
-            // Coherent with the engines: compaction holds the ledger
-            // gate exclusively, and every journal push happens under
-            // its shared side.
-            mutations: lockx::lock(&self.mutation_journal).clone(),
         }
     }
 }

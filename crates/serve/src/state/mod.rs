@@ -78,12 +78,12 @@ mod tests;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use apex_core::TranslatorCache;
 
 use crate::clock::Clock;
-use crate::wal::{Mutation, SharedWal};
+use crate::wal::SharedWal;
 
 pub use crate::wal::WalStats;
 pub use ledger::{SubmitError, SubmitOutcome};
@@ -138,15 +138,6 @@ pub struct ServerState {
     /// exclusive during compaction — a snapshot can never observe a
     /// charge whose WAL record would land in the next generation.
     ledger_gate: RwLock<()>,
-    /// Applied-mutation journal for **resident** tenants: the durable
-    /// copy compaction folds into every snapshot (a paged tenant's
-    /// store logs its own mutations). Apply order == epoch order,
-    /// enforced by `mutate_serial`.
-    mutation_journal: Mutex<Vec<Mutation>>,
-    /// Serializes concurrent mutations so WAL order equals epoch order
-    /// — recovery replays records in file order and trusts
-    /// `epoch_after` to be monotonic per tenant.
-    mutate_serial: Mutex<()>,
 }
 
 impl ServerState {

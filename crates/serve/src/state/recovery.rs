@@ -1,13 +1,14 @@
 //! Durable state: the state-directory lock, and recovery — the WAL
 //! generations past the snapshot folded over it
-//! ([`Snapshot::apply`]), then re-imposed on fresh engines.
+//! ([`Snapshot::apply`](snapshot::Snapshot::apply)), then re-imposed on
+//! fresh engines whose datasets have replayed their own mutation logs.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 #[cfg(any(test, feature = "sched"))]
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 use std::time::Duration;
 
 use apex_core::EngineError;
@@ -20,8 +21,9 @@ use crate::wal::{self, SharedWal, WalTail, WalWriter};
 /// Durability configuration for [`ServerStateBuilder::build_recovered`].
 #[derive(Debug, Clone)]
 pub struct PersistOptions {
-    /// State directory (created if missing): `snapshot.bin` +
-    /// `wal-<GEN>.log`.
+    /// State directory (created if missing): `snapshot.bin`,
+    /// `wal-<GEN>.log`, and each resident tenant's mutation log under
+    /// `rows/<tenant>/`.
     pub dir: PathBuf,
     /// Compact (snapshot + WAL rotation) after this many appended
     /// records.
@@ -91,8 +93,13 @@ pub enum RecoverError {
         /// [`SharedEngine::import_ledger`](apex_core::SharedEngine::import_ledger).
         source: EngineError,
     },
-    /// A journaled row mutation failed to re-apply on recovery — the
-    /// rebuilt dataset would diverge from the data every acked answer
+    /// A WAL holds a row-mutation record (the frozen tag 5), which only
+    /// a format that logged mutations in the WAL wrote: re-applying it
+    /// could double a mutation the dataset's own log holds, dropping it
+    /// could lose one. Names the record's dataset.
+    WalMutation(String),
+    /// A tenant's logged row mutations failed to re-apply on recovery —
+    /// the rebuilt dataset would diverge from the data every acked answer
     /// was computed against.
     MutationReplay {
         /// The offending tenant.
@@ -140,11 +147,11 @@ impl std::fmt::Display for RecoverError {
             RecoverError::LedgerOverflow { tenant, source } => {
                 write!(f, "recovered ledger for \"{tenant}\" is invalid: {source}")
             }
+            RecoverError::WalMutation(name) => {
+                write!(f, "WAL holds a tag-5 mutation record for \"{name}\"")
+            }
             RecoverError::MutationReplay { tenant, source } => {
-                write!(
-                    f,
-                    "journaled mutation for \"{tenant}\" failed to re-apply: {source}"
-                )
+                write!(f, "mutation log of \"{tenant}\" failed to replay: {source}")
             }
         }
     }
@@ -293,8 +300,10 @@ impl Drop for DirLock {
 
 impl ServerStateBuilder {
     /// Finishes a **durable** registry: recovers WAL-over-snapshot from
-    /// `opts.dir` (creating it when empty), re-imposes spent budget on
-    /// every engine, re-opens live sessions mid-slice, then compacts so
+    /// `opts.dir` (creating it when empty), gives every tenant its
+    /// dataset's mutation log (replaying a resident tenant's), re-imposes
+    /// spent budget on every engine, re-opens live sessions mid-slice,
+    /// then compacts so
     /// the directory starts the new run from a fresh snapshot + empty
     /// WAL generation.
     ///
@@ -332,47 +341,32 @@ impl ServerStateBuilder {
         report.replayed = records.len();
         let mut closed = HashMap::new();
         for record in records {
-            snap.apply(record, &mut closed)
-                .map_err(RecoverError::UnknownSession)?;
+            snap.apply(record, &mut closed).map_err(|e| match e {
+                snapshot::FoldError::UnknownSession(id) => RecoverError::UnknownSession(id),
+                snapshot::FoldError::Mutation(name) => RecoverError::WalMutation(name),
+            })?;
         }
 
         // 3. Everything the image names must be registered.
         let mut state = self.build();
-        let named = (snap.tenants.iter().map(|t| &t.name))
-            .chain(snap.sessions.iter().map(|s| &s.dataset))
-            .chain(snap.mutations.iter().map(|m| &m.dataset));
+        let named =
+            (snap.tenants.iter().map(|t| &t.name)).chain(snap.sessions.iter().map(|s| &s.dataset));
         if let Some(name) = named.into_iter().find(|n| state.tenant(n).is_none()) {
             return Err(RecoverError::UnknownTenant(name.clone()));
         }
 
-        // 4. Replay row mutations, oldest first (snapshot journal, then
-        // WAL records — disjoint by construction: the journal covers
-        // exactly the folded generations). The epoch gate makes replay
-        // idempotent: a paged store that already committed a record (it
-        // is the durable copy; the apply ran before the WAL append)
-        // reports an epoch at or past `epoch_after` and the record is
-        // skipped, while a resident tenant starts from its
-        // builder-supplied base at epoch 0, so every record applies —
-        // in order, through the same deterministic mutation path the
-        // live call took, reproducing the exact pre-crash rows and
-        // epoch.
-        let mut journal = Vec::new();
-        for m in snap.mutations {
-            let tenant = state.tenant(&m.dataset).expect("checked above");
-            if m.epoch_after > tenant.engine.epoch() {
-                let result = if m.insert {
-                    tenant.engine.insert_rows(&m.rows)
-                } else {
-                    tenant.engine.delete_rows(&m.rows)
-                };
-                result.map_err(|source| RecoverError::MutationReplay {
-                    tenant: m.dataset.clone(),
-                    source,
-                })?;
-            }
-            if tenant.is_resident() {
-                journal.push(m);
-            }
+        // 4. Give every tenant its dataset's own mutation log: a resident
+        // tenant replays the mutations acked before the restart over its
+        // builder-supplied base (a paged one replayed its store's log when
+        // it was opened). A never-mutated tenant's log does not exist, and
+        // reading it creates nothing.
+        for (name, tenant) in &state.tenants {
+            let dir = opts.dir.join("rows").join(name);
+            let replayed = tenant.engine.attach_mutation_log(&dir);
+            replayed.map_err(|source| RecoverError::MutationReplay {
+                tenant: name.clone(),
+                source,
+            })?;
         }
 
         // 5. Re-impose the ledgers on the fresh engines.
@@ -407,7 +401,6 @@ impl ServerStateBuilder {
         let new_gen = all_gens.last().map_or(covered_gen, |&g| g.max(covered_gen)) + 1;
         let writer = WalWriter::open(&snapshot::wal_path(&opts.dir, new_gen), opts.sync)?;
         state.next_session = AtomicU64::new(snap.next_session.max(state.session_id_base + 1));
-        state.mutation_journal = Mutex::new(journal);
         state.persist = Some(Persist {
             dir: opts.dir,
             snapshot_every: opts.snapshot_every.max(1),

@@ -1,5 +1,5 @@
 //! Tenants: registration (the builder), their engines, audit
-//! transcripts, and serialized row mutations.
+//! transcripts, and row mutations.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,13 +7,12 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use apex_core::{ApexEngine, EngineConfig, EngineResponse, SharedEngine, TranslatorCache};
-use apex_data::store::TranscriptLog;
+use apex_data::store::{codec, TranscriptLog};
 use apex_data::{Dataset, PoolStats, StoreError};
 
 use super::{ServerState, SubmitError};
 use crate::clock::{Clock, SystemClock};
 use crate::lockx;
-use crate::wal::{self, Mutation, WalRecord};
 
 /// One tenant dataset: its engine plus its scope of the shared cache.
 #[derive(Debug)]
@@ -100,19 +99,18 @@ impl Tenant {
     pub fn dataset_epoch(&self) -> Option<u64> {
         self.engine.with_engine(|e| e.dataset_epoch())
     }
-
-    /// Whether the dataset lives in memory only (no paged store logs
-    /// its mutations).
-    pub(super) fn is_resident(&self) -> bool {
-        self.engine.with_engine(|e| e.dataset_epoch().is_none())
-    }
 }
+
+/// Largest row batch, in the row codec's bytes, one mutation may carry:
+/// a bigger one is refused (`413`) before anything is logged or applied.
+const MAX_MUTATION_BYTES: usize = 64 << 10;
 
 /// What a row mutation through [`ServerState::mutate_rows`] produced.
 #[derive(Debug)]
 pub enum MutateOutcome {
-    /// The batch applied (and, with persistence, was durably logged);
-    /// the delta carries the new dataset epoch for the response.
+    /// The batch is durable in the dataset's mutation log (with
+    /// persistence) and applied; the delta carries the new dataset epoch
+    /// for the response.
     Applied(apex_data::RowDelta),
     /// No tenant of that name: `404`.
     NoSuchDataset,
@@ -120,29 +118,21 @@ pub enum MutateOutcome {
 
 impl ServerState {
     /// Applies a row mutation (insert or delete batch) to `dataset`'s
-    /// engine, WAL-logging it **before the ack**. The engine bumps the
-    /// dataset epoch, incrementally extends its compiled artifacts, and
-    /// from that instant refuses to commit any in-flight query that
-    /// evaluated against the old epoch
+    /// engine. The dataset makes the batch durable in its own mutation
+    /// log **before it applies** (paged: the store's log; resident: the
+    /// log recovery attached under `rows/<tenant>/`) — the mutation's one
+    /// durable record, so this method takes no ledger gate and writes no
+    /// WAL record. The engine bumps the dataset epoch, incrementally
+    /// extends its compiled artifacts, and from that instant refuses to
+    /// commit any in-flight query that evaluated against the old epoch
     /// ([`EngineError::StaleEpoch`](apex_core::EngineError::StaleEpoch)) —
     /// readers racing this call either charge against the pre-mutation
     /// data (their commit beat the apply) or are told to re-evaluate.
     ///
-    /// Durability: a paged tenant's store commits the batch durably
-    /// itself (mutation log + copy-on-write pages) before this method
-    /// WAL-logs it, so the crash window between apply and append loses
-    /// nothing — recovery skips the missing record by epoch. A resident
-    /// tenant's only durable copy is the WAL record plus the snapshot
-    /// journal it compacts into; the window loses an apply nobody was
-    /// acked. A *failed* append on a resident tenant leaves the live
-    /// dataset ahead of what a restart rebuilds — the 500 tells the
-    /// caller the mutation is not durable.
-    ///
     /// # Errors
-    /// [`SubmitError::Engine`] for schema violations or empty batches
-    /// (nothing applied), [`SubmitError::BatchTooLarge`] for a batch
-    /// whose WAL record cannot be framed (nothing applied),
-    /// [`SubmitError::Wal`] when the append failed after the apply.
+    /// [`SubmitError::BatchTooLarge`] for a batch over 64 KiB of encoded
+    /// rows; [`SubmitError::Engine`] for schema violations, empty batches
+    /// and storage faults. Either way nothing was logged or applied.
     pub fn mutate_rows(
         &self,
         dataset: &str,
@@ -152,50 +142,19 @@ impl ServerState {
         let Some(tenant) = self.tenant(dataset) else {
             return Ok(MutateOutcome::NoSuchDataset);
         };
-        // Size the WAL record before touching anything: a batch whose
-        // record cannot be framed must be refused pre-apply, not after
-        // the engine already committed it. Measured, not encoded — the
-        // rows are client-sized, and a row wider than the codec's 16-bit
-        // arity field is over the cap long before it could be encoded.
-        let (bytes, limit) = (
-            WalRecord::mutate_payload_len(dataset, rows),
-            wal::WAL_FORMAT.max_payload,
-        );
+        // Measured, not encoded: the rows are client-sized, and a row
+        // wider than the codec's 16-bit arity field is over the cap long
+        // before it could be encoded.
+        let (bytes, limit) = (codec::rows_size(rows), MAX_MUTATION_BYTES);
         if bytes > limit {
             return Err(SubmitError::BatchTooLarge { bytes, limit });
         }
-        // Shared side of the ledger gate: like a charge, the mutation's
-        // WAL record must land in the generation whose snapshot covers
-        // its effect — compaction (exclusive side) can never snapshot
-        // the new epoch while pushing the record into the next
-        // generation.
-        let _gate = lockx::read(&self.ledger_gate);
-        let _serial = lockx::lock(&self.mutate_serial);
-        apex_core::sched_point!("state.mutate.enter");
         let delta = if insert {
             tenant.engine.insert_rows(rows)
         } else {
             tenant.engine.delete_rows(rows)
-        }
-        .map_err(SubmitError::Engine)?;
-        apex_core::sched_point!("state.mutate.applied");
-        let mutation = Mutation {
-            dataset: dataset.to_string(),
-            insert,
-            epoch_after: delta.epoch,
-            rows: rows.to_vec(),
         };
-        let journaled = tenant.is_resident() && self.persist.is_some();
-        self.log(mutation.clone().into())
-            .map_err(SubmitError::Wal)?;
-        if journaled {
-            lockx::lock(&self.mutation_journal).push(mutation);
-        }
-        apex_core::sched_point!("state.mutate.logged");
-        drop(_serial);
-        drop(_gate);
-        self.maybe_compact();
-        Ok(MutateOutcome::Applied(delta))
+        Ok(MutateOutcome::Applied(delta.map_err(SubmitError::Engine)?))
     }
 
     /// Commits every tenant's audit transcript to disk (one write of the
@@ -316,8 +275,6 @@ impl ServerStateBuilder {
             admin_token: self.admin_token,
             persist: None,
             ledger_gate: RwLock::new(()),
-            mutation_journal: Mutex::new(Vec::new()),
-            mutate_serial: Mutex::new(()),
         }
     }
 }

@@ -330,7 +330,7 @@ fn mutations_on_resident_tenants_recover_across_restart_and_compaction() {
     let dir = temp_dir("mutrec");
     let acc = AccuracySpec::new(25.0, 0.05).unwrap();
     let compacting = || PersistOptions {
-        snapshot_every: 2, // force the journal through a snapshot
+        snapshot_every: 2, // compactions must not lose the mutations
         ..opts(&dir)
     };
 
@@ -358,7 +358,7 @@ fn mutations_on_resident_tenants_recover_across_restart_and_compaction() {
             }
             other => panic!("expected Applied, got {other:?}"),
         }
-        // Interleave queries so compaction runs with the journal live.
+        // Interleave queries so compaction runs after the mutations.
         let id = state.create_session("a", 0.9).unwrap().unwrap();
         for _ in 0..6 {
             state.submit(id, &histogram(), &acc).unwrap();
@@ -389,37 +389,128 @@ fn mutations_on_resident_tenants_recover_across_restart_and_compaction() {
 }
 
 #[test]
-fn failed_mutation_append_surfaces_and_the_writer_heals() {
-    let dir = temp_dir("mutfault");
+fn a_resident_tenants_mutations_never_reach_the_snapshot() {
+    let dir = temp_dir("mutsnap");
     let (state, _) = mk().build_recovered(opts(&dir)).unwrap();
-
-    // Apply-then-log: the injected append failure surfaces as a WAL
-    // error (the client sees 500, no ack), with the live engine one
-    // epoch ahead of disk until restart — the documented window.
-    state.inject_wal_faults(1);
-    match state.mutate_rows("a", true, &[vec![Value::Int(1)]]) {
-        Err(SubmitError::Wal(_)) => {}
-        other => panic!("injected fault must surface as a WAL error, got {other:?}"),
+    let snapshot_len = || {
+        std::fs::metadata(dir.join(snapshot::SNAPSHOT_FILE))
+            .unwrap()
+            .len()
+    };
+    let before = snapshot_len();
+    for i in 0..50 {
+        let insert = i % 2 == 0;
+        let outcome = state
+            .mutate_rows("a", insert, &[vec![Value::Int(3)]])
+            .unwrap();
+        assert!(matches!(outcome, MutateOutcome::Applied(_)));
     }
-    assert_eq!(state.tenant("a").unwrap().engine.epoch(), 1);
-
-    // The writer healed: the next mutation is acked and durable.
-    match state
-        .mutate_rows("a", true, &[vec![Value::Int(2)]])
-        .unwrap()
-    {
-        MutateOutcome::Applied(d) => assert_eq!(d.epoch, 2),
-        other => panic!("expected Applied, got {other:?}"),
-    }
+    state.compact().unwrap();
+    assert_eq!(
+        snapshot_len(),
+        before,
+        "compaction re-encoded mutation history"
+    );
     drop(state);
-
-    // Recovery replays only acked mutations; the un-acked epoch-1
-    // batch is gone, and the acked epoch-2 batch (journaled with its
-    // pre-crash epoch) re-applies through the epoch gate.
+    // The dataset's own log alone carries them across the restart.
     let (state, _) = mk().build_recovered(opts(&dir)).unwrap();
     let t = state.tenant("a").unwrap();
-    assert_eq!(t.engine.mutations_applied(), 1, "only the acked batch");
-    assert_eq!(t.engine.with_engine(|e| e.dataset_scan_rows()), 9);
+    assert_eq!((t.engine.epoch(), t.engine.mutations_applied()), (50, 50));
+    assert_eq!(t.engine.with_engine(|e| e.dataset_scan_rows()), 8);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn accepted_mutations_leave_the_wal_byte_identical_on_both_backings() {
+    let dir = temp_dir("mutwal");
+    let paged = tiny_dataset()
+        .ingest_paged(&dir.join("data"), 1, 4)
+        .unwrap();
+    let (state, _) = mk()
+        .dataset("p", paged, EngineConfig::default())
+        .build_recovered(opts(&dir.join("state")))
+        .unwrap();
+    let wal = || {
+        let gens = snapshot::list_wal_gens(&dir.join("state")).unwrap();
+        std::fs::read(snapshot::wal_path(
+            &dir.join("state"),
+            *gens.last().unwrap(),
+        ))
+        .unwrap()
+    };
+    let before = wal();
+    for tenant in ["a", "p"] {
+        state
+            .mutate_rows(tenant, true, &[vec![Value::Int(3)]])
+            .unwrap();
+        state
+            .mutate_rows(tenant, false, &[vec![Value::Int(4)]])
+            .unwrap();
+        let e = &state.tenant(tenant).unwrap().engine;
+        assert_eq!(e.mutations_applied(), 2, "{tenant}");
+    }
+    assert_eq!(wal(), before, "a mutation wrote to the WAL");
+    assert_eq!(state.wal_stats().unwrap().durable_records, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovering_a_never_mutated_resident_tenant_creates_no_rows_file() {
+    let dir = temp_dir("mutnone");
+    for _ in 0..2 {
+        let (state, _) = mk().build_recovered(opts(&dir)).unwrap();
+        let id = state.create_session("a", 0.5).unwrap().unwrap();
+        state.expire_session(id).unwrap();
+    }
+    assert!(!dir.join("rows").exists(), "recovery created a rows/ entry");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_refuses_a_corrupt_resident_mutation_and_leaves_its_log_alone() {
+    use apex_data::store::framed::{FRAME_HEADER, MAGIC_LEN};
+    let dir = temp_dir("mutrot");
+    let (state, _) = mk().build_recovered(opts(&dir)).unwrap();
+    for v in 1..=3 {
+        state
+            .mutate_rows("a", true, &[vec![Value::Int(v)]])
+            .unwrap();
+    }
+    drop(state);
+    let log = dir.join("rows/a").join(apex_data::store::MUTATION_LOG_FILE);
+    let pristine = std::fs::read(&log).unwrap();
+    let first_len = u32::from_le_bytes(pristine[MAGIC_LEN + 4..MAGIC_LEN + 8].try_into().unwrap());
+    let middle = MAGIC_LEN + FRAME_HEADER + first_len as usize;
+    let mut rotted = pristine.clone();
+    rotted[middle + FRAME_HEADER] ^= 1; // the second record's op byte
+    std::fs::write(&log, &rotted).unwrap();
+    for _ in 0..2 {
+        match mk().build_recovered(opts(&dir)) {
+            Err(RecoverError::MutationReplay { tenant, .. }) => assert_eq!(tenant, "a"),
+            other => panic!("expected MutationReplay, got {:?}", other.map(drop)),
+        }
+        assert_eq!(
+            std::fs::read(&log).unwrap(),
+            rotted,
+            "recovery touched the log"
+        );
+    }
+    // A torn tail, the artifact of a crash mid-append, still recovers:
+    // to the whole records, and the next mutation lands after them.
+    let mut torn = pristine.clone();
+    torn.extend_from_slice(&pristine[MAGIC_LEN..middle - 1]);
+    std::fs::write(&log, &torn).unwrap();
+    let (state, _) = mk().build_recovered(opts(&dir)).unwrap();
+    let t = state.tenant("a").unwrap();
+    assert_eq!((t.engine.epoch(), t.engine.mutations_applied()), (3, 3));
+    state
+        .mutate_rows("a", false, &[vec![Value::Int(1)]])
+        .unwrap();
+    drop(state);
+    let (state, _) = mk().build_recovered(opts(&dir)).unwrap();
+    let t = state.tenant("a").unwrap();
+    assert_eq!(t.engine.mutations_applied(), 4);
+    assert_eq!(t.engine.with_engine(|e| e.dataset_scan_rows()), 8 + 3 - 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -628,7 +719,6 @@ fn recovery_refuses_overspent_and_unknown_state() {
             reclaimed: 0.0,
         }],
         sessions: vec![],
-        mutations: vec![],
     };
     snapshot::write_snapshot(&dir, &snap).unwrap();
     let mk = || ServerState::builder(8).dataset("a", tiny_dataset(), EngineConfig::default());

@@ -16,9 +16,10 @@
 //! frame per record, `payload := tag:u8 fields…` (fixed-width LE fields).
 //! Tags: 1 = session open, 2 = budget debit (an answered query),
 //! 3 = deny (audit only — charges nothing), 4 = session close
-//! (TTL expiry or admin, carrying the released unspent slice),
-//! 5 = row mutation (an applied insert/delete batch — rows in the store's
-//! row codec — and the dataset epoch it produced).
+//! (TTL expiry or admin, carrying the released unspent slice).
+//! Tag 5 (row mutation) is **frozen**: the service no longer writes it —
+//! a row mutation's one durable record is its dataset's own mutation log
+//! (`apex_data::store::MutationLog`) — and recovery refuses one.
 //!
 //! ## Group commit
 //!
@@ -49,8 +50,7 @@ use apex_data::Value;
 
 use crate::lockx;
 
-/// The WAL's magic (format version in the last byte) and payload cap: a
-/// mutation batch whose record would exceed it is refused pre-apply.
+/// The WAL's magic (format version in the last byte) and payload cap.
 pub const WAL_FORMAT: Format = Format {
     magic: b"APEXWAL2",
     max_payload: 64 << 10,
@@ -90,15 +90,11 @@ pub enum WalRecord {
         /// Unspent allowance released back to the grant pool.
         released: f64,
     },
-    /// A row mutation was applied to `dataset`'s engine. Logged (and
-    /// synced) before the mutation is acked, carrying the **requested**
-    /// batch — replay runs it through the same mutation path, which is
-    /// deterministic (first-match-in-storage-order deletes), so the
-    /// recovered delta and epoch are bit-identical to the original.
-    /// Recovery re-applies it to in-memory tenants; durable (paged)
-    /// tenants committed it themselves, so the replay is made
-    /// idempotent by `epoch_after`: a record whose epoch the store has
-    /// already reached is skipped.
+    /// A row mutation — **frozen**: the record of a format in which the
+    /// WAL carried mutations. Nothing writes it any more (a mutation's one
+    /// durable record is its dataset's mutation log) and
+    /// [`Snapshot::apply`](crate::snapshot::Snapshot::apply) refuses one.
+    /// It keeps its codec for callers that measure a record's size.
     Mutate {
         /// The mutated tenant dataset.
         dataset: String,
@@ -109,73 +105,6 @@ pub enum WalRecord {
         /// The requested row batch (never empty).
         rows: Vec<Vec<Value>>,
     },
-}
-
-/// One applied row mutation: the fields of a [`WalRecord::Mutate`], and
-/// what a resident tenant's journal holds — live, and in the snapshot
-/// compaction folds it into. Both files lay it out with [`Mutation::push`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Mutation {
-    /// The mutated tenant dataset.
-    pub dataset: String,
-    /// `true` for an insert batch, `false` for a delete batch.
-    pub insert: bool,
-    /// Dataset epoch after this mutation applied.
-    pub epoch_after: u64,
-    /// The requested row batch (never empty).
-    pub rows: Vec<Vec<Value>>,
-}
-
-impl Mutation {
-    /// The one mutation codec: `insert:u8 epoch_after:u64 dataset rows`
-    /// (rows in the store's row codec).
-    pub(crate) fn push(
-        out: &mut Vec<u8>,
-        dataset: &str,
-        insert: bool,
-        epoch_after: u64,
-        rows: &[Vec<Value>],
-    ) {
-        out.push(u8::from(insert));
-        out.extend_from_slice(&epoch_after.to_le_bytes());
-        push_str(out, dataset);
-        codec::push_rows(out, rows);
-    }
-
-    /// The decode half of [`Mutation::push`].
-    pub(crate) fn take(f: &mut Fields) -> Option<Mutation> {
-        let insert = match f.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let epoch_after = f.u64()?;
-        let dataset = f.str()?;
-        let (rows, rest) = codec::take_rows(f.0).ok()?;
-        f.0 = rest;
-        Some(Mutation {
-            dataset,
-            insert,
-            epoch_after,
-            rows,
-        })
-    }
-
-    /// Size of [`Mutation::push`]'s output, computed without encoding.
-    fn encoded_len(dataset: &str, rows: &[Vec<Value>]) -> usize {
-        1 + 8 + (2 + dataset.len()) + codec::rows_size(rows)
-    }
-}
-
-impl From<Mutation> for WalRecord {
-    fn from(m: Mutation) -> Self {
-        WalRecord::Mutate {
-            dataset: m.dataset,
-            insert: m.insert,
-            epoch_after: m.epoch_after,
-            rows: m.rows,
-        }
-    }
 }
 
 impl WalRecord {
@@ -214,7 +143,10 @@ impl WalRecord {
                 rows,
             } => {
                 out.push(5);
-                Mutation::push(&mut out, dataset, *insert, *epoch_after, rows);
+                out.push(u8::from(*insert));
+                out.extend_from_slice(&epoch_after.to_le_bytes());
+                push_str(&mut out, dataset);
+                codec::push_rows(&mut out, rows);
             }
         }
         out
@@ -241,18 +173,19 @@ impl WalRecord {
                 session: f.u64()?,
                 released: f.f64()?,
             },
-            5 => Mutation::take(&mut f)?.into(),
+            5 => WalRecord::Mutate {
+                insert: match f.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                },
+                epoch_after: f.u64()?,
+                dataset: f.str()?,
+                rows: f.rows()?,
+            },
             _ => return None,
         };
         f.end(record)
-    }
-
-    /// Payload size of the [`WalRecord::Mutate`] these fields would
-    /// encode to, computed without encoding: client-sized input is
-    /// *measured* against [`WAL_FORMAT`]'s cap before it is applied or
-    /// reaches the encoder. Pinned equal to the encoder by a unit test.
-    pub(crate) fn mutate_payload_len(dataset: &str, rows: &[Vec<Value>]) -> usize {
-        1 + Mutation::encoded_len(dataset, rows)
     }
 
     /// The record as one frame (with `seq` 0): what an append writes,
@@ -314,6 +247,13 @@ impl Fields<'_> {
         let (head, rest) = self.0.split_at_checked(len)?;
         self.0 = rest;
         Some(std::str::from_utf8(head).ok()?.to_string())
+    }
+
+    /// A row batch in the store's row codec.
+    fn rows(&mut self) -> Option<Vec<Vec<Value>>> {
+        let (rows, rest) = codec::take_rows(self.0).ok()?;
+        self.0 = rest;
+        Some(rows)
     }
 
     /// The decode half of [`push_list`].
@@ -900,38 +840,10 @@ mod tests {
     }
 
     #[test]
-    fn mutate_payload_len_matches_the_encoder() {
-        // Every value kind, plus an empty row and an empty name.
-        let mut records = sample_records();
-        records.push(WalRecord::Mutate {
-            dataset: String::new(),
-            insert: true,
-            epoch_after: 0,
-            rows: vec![vec![], vec![apex_data::Value::Str(String::new())]],
-        });
-        let mut checked = 0;
-        for r in &records {
-            if let WalRecord::Mutate { dataset, rows, .. } = r {
-                assert_eq!(
-                    WalRecord::mutate_payload_len(dataset, rows),
-                    r.encode_payload().len(),
-                    "{r:?}"
-                );
-                checked += 1;
-            }
-        }
-        assert_eq!(checked, 3);
-        // What the encoder cannot frame is measured, not asserted on.
-        let cell = vec![vec![apex_data::Value::Str("x".repeat(70_000))]];
-        assert!(WalRecord::mutate_payload_len("d", &cell) > WAL_FORMAT.max_payload);
-        let wide = vec![vec![apex_data::Value::Null; 70_000]];
-        assert!(WalRecord::mutate_payload_len("d", &wide) > WAL_FORMAT.max_payload);
-    }
-
-    #[test]
     fn every_record_type_round_trips() {
-        // All five tags, as one log, in order; `encode` is that log's
-        // first frame.
+        // All five tags, as one log, in order (the frozen tag 5 too: an
+        // old file's record must decode so recovery can refuse it by
+        // name); `encode` is that log's first frame.
         let records = sample_records();
         let image = encode_log(&records);
         let (decoded, tail) = read_image("wal-rt", &image).unwrap();
@@ -939,6 +851,35 @@ mod tests {
         assert_eq!(decoded, records);
         let frame = records[0].encode();
         assert_eq!(image[WAL_FORMAT.magic.len()..][..frame.len()], frame);
+    }
+
+    /// A tag-5 record in a WAL (only a file this format never wrote can
+    /// hold one) refuses recovery by name: re-applying it could double a
+    /// mutation the dataset's own log already holds, and dropping it could
+    /// lose one.
+    #[test]
+    fn recovery_refuses_a_frozen_mutation_record() {
+        let dir = crate::testutil::temp_dir("wal-tag5");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut w = WalWriter::open(&crate::snapshot::wal_path(&dir, 1), false).unwrap();
+        for r in &sample_records()[6..] {
+            w.append(r).unwrap();
+        }
+        drop(w);
+        let schema = apex_data::Schema::new(vec![apex_data::Attribute::new(
+            "v",
+            apex_data::Domain::IntRange { min: 0, max: 7 },
+        )])
+        .unwrap();
+        let data = apex_data::Dataset::empty(schema);
+        let recovered = crate::state::ServerState::builder(4)
+            .dataset("adult", data, apex_core::EngineConfig::default())
+            .build_recovered(crate::state::PersistOptions::new(&dir));
+        match recovered {
+            Err(crate::state::RecoverError::WalMutation(name)) => assert_eq!(name, "adult"),
+            other => panic!("a tag-5 record must refuse recovery, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// What the WAL adds to the primitive's classification (its sweeps

@@ -605,6 +605,17 @@ fn previous_format_state_files_are_refused_and_left_untouched() {
         "APEXSNP2",
     );
 
+    // APEXSNP3: the snapshot whose journal carried resident tenants'
+    // mutations (an empty one, laid out as version 2's). Read as version
+    // 4 it would silently drop them.
+    let mut snapshot_v3 = b"APEXSNP3".to_vec();
+    apex_data::store::framed::push_frame(&mut snapshot_v3, 0, &[0u8; 8 + 8 + 4 + 4 + 4]);
+    refused(
+        &dir.join(apex_serve::snapshot::SNAPSHOT_FILE),
+        &snapshot_v3,
+        "APEXSNP3",
+    );
+
     // With the old files gone the same directory starts.
     durable_state(&dir, 0.5);
     let _ = std::fs::remove_dir_all(&dir);

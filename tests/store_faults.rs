@@ -538,17 +538,19 @@ fn a_mutation_log_cut_below_the_manifest_is_refused_not_restarted() {
     };
 
     // A handle opened before the damage notices at its first mutation
-    // (which is when it opens the log)…
+    // (which is when it opens the log), before cutting anything…
     let store = PagedRows::open(&dir, 4).unwrap();
     std::fs::write(&log_path, &damaged).unwrap();
     let extra = vec![vec![Value::Int(7), Value::Str("late".to_string())]];
     out_of_step(store.insert_rows(&extra).map(drop));
     assert_eq!(store.row_count(), 12, "nothing was applied");
+    assert_eq!(
+        std::fs::read(&log_path).unwrap(),
+        damaged,
+        "the log was cut"
+    );
     drop(store);
-    // …and a fresh open refuses too — of the log as that handle's open
-    // cut it, and of the damaged one.
-    out_of_step(PagedRows::open(&dir, 4).map(drop));
-    std::fs::write(&log_path, &damaged).unwrap();
+    // …and a fresh open refuses too.
     out_of_step(PagedRows::open(&dir, 4).map(drop));
 
     // With the log intact the same directory opens and mutates.
