@@ -158,6 +158,32 @@ mod tests {
     }
 
     #[test]
+    fn tiny_beta_histogram_is_translated_by_every_mechanism() {
+        // The analyzer costs SM for every WCQ, so SM's translator must
+        // survive a β whose band quantile rounds to 1 (β = 1e-15), and the
+        // pick is still the cheapest finite candidate.
+        let q = prepare(&ExplorationQuery::wcq(
+            (0..8)
+                .map(|i| Predicate::range("v", (8 * i) as f64, (8 * (i + 1)) as f64))
+                .collect(),
+        ));
+        let acc = AccuracySpec::new(20.0, 1e-15).unwrap();
+        let uppers: Vec<f64> = mechanisms_for_cached(q.kind(), None)
+            .iter()
+            .map(|m| m.translate(&q, &acc).unwrap().upper)
+            .collect();
+        assert_eq!(uppers.len(), 2, "LM and SM both cost a WCQ");
+        assert!(uppers.iter().all(|e| e.is_finite()), "{uppers:?}");
+        let c = choose_mechanism(&q, &acc, f64::INFINITY, Mode::Pessimistic)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            c.translation.upper,
+            uppers.iter().copied().fold(f64::INFINITY, f64::min)
+        );
+    }
+
+    #[test]
     fn prefix_wcq_prefers_sm() {
         // Sensitivity-L prefix workload: SM(H2) wins (Table 2, QW2).
         let q = prepare(&ExplorationQuery::wcq(

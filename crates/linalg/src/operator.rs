@@ -15,14 +15,12 @@
 //! structure-exploiting solves: the hierarchical family solves its normal
 //! equations in `O(n)` per right-hand side
 //! (see [`crate::hier_solve::HierarchicalOperator`]), and the identity is
-//! free. The dense path survives as [`DenseOperator`], the
-//! reference/fallback implementation for property tests and benchmarks:
-//! it materializes `A⁺` once via [`crate::pinv`] and implements the same
-//! trait, so agreement between the two is a one-line property test.
+//! free. The tests check both against the dense QR pseudoinverse of the
+//! dev-only `apex-oracle` crate.
 
 use std::sync::Arc;
 
-use crate::{pinv, LinalgError, Matrix, Result};
+use crate::{LinalgError, Result};
 
 /// The action of a full-column-rank strategy matrix `A ∈ ℝ^{m × n}`,
 /// `m ≥ n`, without committing to a representation.
@@ -111,8 +109,7 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
     /// [`StrategyOperator::pinv_apply`] writing into a caller-owned
     /// buffer — the per-sample hot call of the Monte-Carlo prepare. The
     /// default delegates to `pinv_apply` (preserving each implementation's
-    /// exact numerics, e.g. the dense operator's direct `A⁺` matvec);
-    /// structured operators override it to chain the `_into` primitives
+    /// exact numerics); structured operators override it to chain the `_into` primitives
     /// through `scratch` with zero allocations in steady state.
     ///
     /// # Errors
@@ -376,88 +373,6 @@ impl StrategyOperator for IdentityOperator {
     }
 }
 
-/// The dense reference operator: materializes `A` and its QR-based
-/// pseudoinverse `A⁺` up front.
-///
-/// This is the `O(n³)`-prepare path the structured operators replace. It
-/// stays because (a) property tests pin the structured solves against it,
-/// (b) benchmarks need the baseline, and (c) it accepts *any* full-rank
-/// matrix, so ad-hoc strategies without structure still work.
-#[derive(Debug, Clone)]
-pub struct DenseOperator {
-    a: Matrix,
-    /// `A⁺` (`n × m`), from QR.
-    a_pinv: Matrix,
-    /// `A⁺ᵀ` (`m × n`), kept so `solve_normal` is two row-major matvecs.
-    a_pinv_t: Matrix,
-    l1_norm: f64,
-}
-
-impl DenseOperator {
-    /// Builds the operator from a full-column-rank dense `A`, paying one
-    /// `O(m n²)` QR pseudoinverse.
-    ///
-    /// # Errors
-    /// * [`LinalgError::Empty`] for an empty matrix.
-    /// * [`LinalgError::RankDeficient`] when `A` lacks full rank.
-    pub fn new(a: Matrix) -> Result<Self> {
-        let a_pinv = pinv(&a)?;
-        let a_pinv_t = a_pinv.transpose();
-        let l1_norm = crate::l1_operator_norm(&a);
-        Ok(Self {
-            a,
-            a_pinv,
-            a_pinv_t,
-            l1_norm,
-        })
-    }
-
-    /// The materialized pseudoinverse `A⁺` (`n × m`).
-    pub fn pinv_matrix(&self) -> &Matrix {
-        &self.a_pinv
-    }
-}
-
-impl StrategyOperator for DenseOperator {
-    fn shape(&self) -> (usize, usize) {
-        self.a.shape()
-    }
-
-    fn apply(&self, x: &[f64]) -> Result<Vec<f64>> {
-        self.a.matvec(x)
-    }
-
-    fn apply_transpose(&self, y: &[f64]) -> Result<Vec<f64>> {
-        check_len(y.len(), self.a.rows(), "dense apply_transpose")?;
-        // Aᵀy without materializing Aᵀ: accumulate rows of A scaled by yᵢ.
-        let mut out = vec![0.0; self.a.cols()];
-        for (i, &w) in y.iter().enumerate() {
-            if w == 0.0 {
-                continue;
-            }
-            for (o, &v) in out.iter_mut().zip(self.a.row(i)) {
-                *o += w * v;
-            }
-        }
-        Ok(out)
-    }
-
-    fn solve_normal(&self, b: &[f64]) -> Result<Vec<f64>> {
-        // (AᵀA)⁻¹ = A⁺ A⁺ᵀ for full column rank.
-        self.a_pinv.matvec(&self.a_pinv_t.matvec(b)?)
-    }
-
-    fn l1_operator_norm(&self) -> f64 {
-        self.l1_norm
-    }
-
-    fn pinv_apply(&self, y: &[f64]) -> Result<Vec<f64>> {
-        // One matvec against the materialized A⁺ — more accurate than the
-        // default solve_normal ∘ apply_transpose composition.
-        self.a_pinv.matvec(y)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,80 +393,43 @@ mod tests {
     }
 
     #[test]
-    fn dense_operator_matches_pinv() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![1.0, 1.0],
-            vec![1.0, -1.0],
-        ]);
-        let op = DenseOperator::new(a.clone()).unwrap();
-        assert_eq!(op.shape(), (4, 2));
-
-        let y = [1.0, 2.0, -1.0, 0.5];
-        let expect = pinv(&a).unwrap().matvec(&y).unwrap();
-        let got = op.pinv_apply(&y).unwrap();
-        let composed = op.solve_normal(&op.apply_transpose(&y).unwrap()).unwrap();
-        for i in 0..2 {
-            assert!((got[i] - expect[i]).abs() < 1e-12);
-            assert!((composed[i] - expect[i]).abs() < 1e-10);
-        }
-
-        // apply / apply_transpose against the dense forms.
-        let x = [3.0, -1.0];
-        assert_eq!(op.apply(&x).unwrap(), a.matvec(&x).unwrap());
-        let att = a.transpose().matvec(&y).unwrap();
-        let aot = op.apply_transpose(&y).unwrap();
-        for i in 0..2 {
-            assert!((att[i] - aot[i]).abs() < 1e-12);
-        }
-        assert_eq!(op.l1_operator_norm(), crate::l1_operator_norm(&a));
-    }
-
-    #[test]
-    fn dense_operator_rejects_rank_deficient() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]);
-        assert!(DenseOperator::new(a).is_err());
-    }
-
-    #[test]
     fn default_into_paths_match_allocating_paths() {
-        // Identity and dense operators keep the default `_into` impls,
-        // which must preserve each operator's exact numerics (notably the
-        // dense operator's direct `A⁺` matvec inside `pinv_apply`).
-        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
-        let dense = DenseOperator::new(a).unwrap();
+        // The identity keeps the default `_into` impls, which must
+        // reproduce the allocating paths exactly, whatever `out` held.
         let ident = IdentityOperator::new(3);
         let mut scratch = OpScratch::new();
-        let mut out = Vec::new();
+        let mut out = vec![f64::NAN; 5];
 
         let y3 = [1.0, -2.0, 0.5];
-        dense.pinv_apply_into(&y3, &mut out, &mut scratch).unwrap();
-        assert_eq!(out, dense.pinv_apply(&y3).unwrap());
-        dense.apply_transpose_into(&y3, &mut out).unwrap();
-        assert_eq!(out, dense.apply_transpose(&y3).unwrap());
-        let b2 = [0.25, -4.0];
-        dense
-            .solve_normal_into(&b2, &mut out, &mut scratch)
-            .unwrap();
-        assert_eq!(out, dense.solve_normal(&b2).unwrap());
-
         ident.pinv_apply_into(&y3, &mut out, &mut scratch).unwrap();
-        assert_eq!(out, y3.to_vec());
+        assert_eq!(out, ident.pinv_apply(&y3).unwrap());
+        ident.apply_transpose_into(&y3, &mut out).unwrap();
+        assert_eq!(out, ident.apply_transpose(&y3).unwrap());
+        ident
+            .solve_normal_into(&y3, &mut out, &mut scratch)
+            .unwrap();
+        assert_eq!(out, ident.solve_normal(&y3).unwrap());
+
+        let b2 = [0.25, -4.0];
         assert!(ident.pinv_apply_into(&b2, &mut out, &mut scratch).is_err());
     }
 
     #[test]
     fn solve_normal_solves_the_normal_equations() {
-        let a = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
-        let op = DenseOperator::new(a.clone()).unwrap();
-        let b = [1.0, 4.0];
-        let x = op.solve_normal(&b).unwrap();
-        // Check AᵀA x = b.
-        let ata = a.transpose().matmul(&a).unwrap();
-        let back = ata.matvec(&x).unwrap();
-        for i in 0..2 {
-            assert!((back[i] - b[i]).abs() < 1e-10, "{back:?}");
+        // The trait contract, on every operator this crate ships: AᵀA x = b
+        // for x = solve_normal(b), with AᵀA applied as two matvecs.
+        let ops: [SharedOperator; 3] = [
+            Arc::new(IdentityOperator::new(5)),
+            Arc::new(crate::HierarchicalOperator::new(5, 2).unwrap()),
+            Arc::new(crate::HierarchicalOperator::new(11, 3).unwrap()),
+        ];
+        for op in &ops {
+            let b: Vec<f64> = (0..op.cols()).map(|i| 1.0 - 0.75 * i as f64).collect();
+            let x = op.solve_normal(&b).unwrap();
+            let back = op.apply_transpose(&op.apply(&x).unwrap()).unwrap();
+            for (got, want) in back.iter().zip(&b) {
+                assert!((got - want).abs() < 1e-10, "{op:?}: {back:?} vs {b:?}");
+            }
         }
     }
 }

@@ -7,24 +7,13 @@
 //! Storing them densely makes every product scale with *cells* instead of
 //! *nonzeros*.
 //!
-//! # When each representation wins
-//!
-//! * **[`CsrMatrix`]** — 0/1 incidence structures (workloads, strategies):
-//!   `matvec` and `matmul` cost `O(nnz)` / `O(nnz · k)` instead of
-//!   `O(rows · cols)` / `O(rows · cols · k)`. At a 1024-cell domain the H₂
-//!   strategy is ~99.5% sparse, so sparse products are ~200× less work.
-//! * **[`Matrix`]** (dense) — anything built from a pseudoinverse: `A⁺` and
-//!   the reconstruction `W A⁺` are numerically dense (nearly every entry is
-//!   nonzero), so CSR would only add indirection. Only the test oracles
-//!   materialize them; the served pipeline applies `A⁺` matrix-free (see
-//!   [`crate::StrategyOperator`]).
-//!
-//! Conversions are **numerically lossless**: `Matrix → CsrMatrix → Matrix`
-//! reproduces every nonzero value bit-for-bit; exact zeros are dropped and
-//! restored as `+0.0` (so a stored `-0.0` normalizes — the one value the
-//! round trip does not preserve at the bit level).
+//! [`CsrMatrix`] `matvec` costs `O(nnz)` instead of `O(rows · cols)`: at a
+//! 1024-cell domain the H₂ strategy is ~99.5% sparse, so sparse products
+//! are ~200× less work. What a pseudoinverse produces (`A⁺`, `W A⁺`) is
+//! numerically dense, so the served pipeline never forms it and applies
+//! `A⁺` matrix-free instead (see [`crate::StrategyOperator`]).
 
-use crate::{LinalgError, Matrix, Result};
+use crate::{LinalgError, Result};
 
 /// A compressed-sparse-row `f64` matrix.
 ///
@@ -77,22 +66,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Converts a dense matrix, dropping exact zeros.
-    pub fn from_dense(m: &Matrix) -> Self {
-        let (rows, cols) = m.shape();
-        let mut b = CsrBuilder::new(cols);
-        for i in 0..rows {
-            b.push_row(
-                m.row(i)
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0.0)
-                    .map(|(j, &v)| (j, v)),
-            );
-        }
-        b.finish()
-    }
-
     /// Builds a 0/1 incidence matrix from per-row sorted support lists
     /// (`support[i]` = ascending column ids where row `i` is 1).
     ///
@@ -105,18 +78,6 @@ impl CsrMatrix {
             b.push_row(row.iter().map(|&c| (c, 1.0)));
         }
         b.finish()
-    }
-
-    /// Materializes the dense equivalent.
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                m[(i, j)] = v;
-            }
-        }
-        m
     }
 
     /// Number of rows.
@@ -390,34 +351,6 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// Sparse × dense product `self * rhs`, returning a dense matrix in
-    /// `O(nnz(self) · rhs.cols())`.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "csr matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let n = rhs.cols();
-        let mut out = Matrix::zeros(self.rows, n);
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            let orow = out.row_mut(i);
-            for (&k, &a) in cols.iter().zip(vals) {
-                let rrow = rhs.row(k);
-                for (o, &r) in orow.iter_mut().zip(rrow) {
-                    *o += a * r;
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// The transpose, `O(nnz + rows + cols)` by counting sort.
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.cols + 1];
@@ -578,25 +511,19 @@ impl CsrBuilder {
 mod tests {
     use super::*;
 
-    fn example_dense() -> Matrix {
-        Matrix::from_rows(&[
-            vec![1.0, 0.0, 2.0, 0.0],
-            vec![0.0, 0.0, 0.0, 0.0],
-            vec![0.0, -3.0, 0.0, 0.5],
-        ])
-    }
-
-    #[test]
-    fn round_trip_is_lossless() {
-        let d = example_dense();
-        let s = CsrMatrix::from_dense(&d);
-        assert_eq!(s.nnz(), 4);
-        assert_eq!(s.to_dense(), d);
+    /// `[[1, 0, 2, 0], [0, 0, 0, 0], [0, −3, 0, ½]]`, every value times
+    /// `scale`.
+    fn example(scale: f64) -> CsrMatrix {
+        let mut b = CsrBuilder::new(4);
+        b.push_row([(0, scale), (2, 2.0 * scale)]);
+        b.push_row([]);
+        b.push_row([(1, -3.0 * scale), (3, 0.5 * scale)]);
+        b.finish()
     }
 
     #[test]
     fn get_and_row_access() {
-        let s = CsrMatrix::from_dense(&example_dense());
+        let s = example(1.0);
         assert_eq!(s.get(0, 0), 1.0);
         assert_eq!(s.get(0, 1), 0.0);
         assert_eq!(s.get(2, 3), 0.5);
@@ -608,18 +535,8 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_dense() {
-        let d = example_dense();
-        let s = CsrMatrix::from_dense(&d);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(s.matvec(&x).unwrap(), d.matvec(&x).unwrap());
-        assert!(s.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
     fn matvec_into_matches_matvec_and_reuses_buffers() {
-        let d = example_dense();
-        let s = CsrMatrix::from_dense(&d);
+        let s = example(1.0);
         let x = [1.0, 2.0, 3.0, 4.0];
         // A dirty, wrongly-sized buffer must be resized and overwritten.
         let mut out = vec![f64::NAN; 7];
@@ -637,7 +554,7 @@ mod tests {
         // Panels exercising no tiles (k < 8), exactly one tile, and
         // tiles + ragged tail, over an interval workload and the sparse
         // example (which has an all-zero row).
-        let mut mats = vec![CsrMatrix::from_dense(&example_dense())];
+        let mut mats = vec![example(1.0)];
         let mut b = CsrBuilder::new(33);
         for i in 0..20 {
             b.push_interval_row(i, (i * 3 + 5).min(33));
@@ -668,39 +585,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_dense() {
-        let d = example_dense();
-        let s = CsrMatrix::from_dense(&d);
-        let rhs = Matrix::from_rows(&[
-            vec![1.0, 2.0],
-            vec![0.5, -1.0],
-            vec![3.0, 0.0],
-            vec![0.0, 1.0],
-        ]);
-        assert_eq!(s.matmul(&rhs).unwrap(), d.matmul(&rhs).unwrap());
-        assert!(s.matmul(&Matrix::zeros(3, 2)).is_err());
-    }
-
-    #[test]
-    fn transpose_matches_dense() {
-        let d = example_dense();
-        let s = CsrMatrix::from_dense(&d);
-        assert_eq!(s.transpose().to_dense(), d.transpose());
-        assert_eq!(s.transpose().transpose(), s);
-    }
-
-    #[test]
-    fn l1_and_frobenius_match_dense() {
-        let d = example_dense();
-        let s = CsrMatrix::from_dense(&d);
-        assert_eq!(s.l1_operator_norm(), crate::l1_operator_norm(&d));
-        assert!((s.frobenius_norm() - crate::frobenius_norm(&d)).abs() < 1e-15);
-    }
-
-    #[test]
     fn identity_and_zeros() {
         let i = CsrMatrix::identity(4);
-        assert_eq!(i.to_dense(), Matrix::identity(4));
+        assert_eq!(
+            i,
+            CsrMatrix::from_row_support(4, &[vec![0], vec![1], vec![2], vec![3]])
+        );
         assert_eq!(i.l1_operator_norm(), 1.0);
         let z = CsrMatrix::zeros(2, 3);
         assert_eq!(z.nnz(), 0);
@@ -724,14 +614,11 @@ mod tests {
     #[test]
     fn from_row_support() {
         let m = CsrMatrix::from_row_support(4, &[vec![0, 2], vec![], vec![3]]);
-        assert_eq!(
-            m.to_dense(),
-            Matrix::from_rows(&[
-                vec![1.0, 0.0, 1.0, 0.0],
-                vec![0.0, 0.0, 0.0, 0.0],
-                vec![0.0, 0.0, 0.0, 1.0],
-            ])
-        );
+        let mut b = CsrBuilder::new(4);
+        b.push_row([(0, 1.0), (2, 1.0)]);
+        b.push_row([]);
+        b.push_row([(3, 1.0)]);
+        assert_eq!(m, b.finish());
     }
 
     #[test]
@@ -743,12 +630,10 @@ mod tests {
 
     #[test]
     fn density_and_signature() {
-        let d = example_dense();
-        let s = CsrMatrix::from_dense(&d);
+        let s = example(1.0);
         assert!((s.density() - 4.0 / 12.0).abs() < 1e-15);
-        let s2 = CsrMatrix::from_dense(&d);
-        assert_eq!(s.signature(), s2.signature());
-        let other = CsrMatrix::from_dense(&d.scale(2.0));
+        assert_eq!(s.signature(), example(1.0).signature());
+        let other = example(2.0);
         assert_ne!(s.signature(), other.signature());
         // Same values, different shape must differ.
         assert_ne!(

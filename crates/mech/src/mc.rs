@@ -33,15 +33,15 @@
 //! alone (no libm), whether [`fill_noise_panel`] draws it on a vector
 //! lane or an oracle draws it through [`Laplace::sample`].
 //!
-//! Two oracles are kept for the tests to check the pipeline against, and
-//! nothing serves them: [`unit_errors_operator_single_rhs`] (one solve per
-//! sample — the blocked kernel must match it **bit for bit**) and the
-//! dense serial simulation over a materialized `W A⁺`
-//! ([`unit_errors_serial`] / [`McTranslator::new_serial`] — same noise
-//! streams, so the pipeline must match it to ≈1e-9 relative; only the
-//! floating-point summation order differs).
+//! The tests check the pipeline against two oracles, and nothing serves
+//! either: [`unit_errors_operator_single_rhs`] (one solve per sample — the
+//! blocked kernel must match it **bit for bit**; exported because the
+//! workspace property tests use it too) and, inside this module's tests,
+//! a dense serial simulation over a materialized `W A⁺` from the dev-only
+//! `apex-oracle` crate (same noise streams, so the pipeline must match it
+//! to ≈1e-9 relative; only the floating-point summation order differs).
 
-use apex_linalg::{frobenius_norm, CsrMatrix, Matrix, OpScratch, StrategyOperator};
+use apex_linalg::{CsrMatrix, OpScratch, StrategyOperator};
 use rand::rngs::{StdRng, StdRngLanes};
 use rand::{RngCore, SeedableRng};
 
@@ -58,7 +58,14 @@ pub const SAMPLE_BLOCK: usize = 512;
 fn z_score(p: f64) -> f64 {
     // Inverse normal CDF via the Acklam rational approximation; accurate
     // to ~1e-9 over (0, 1), far beyond what the band needs.
-    inverse_normal_cdf(1.0 - p / 2.0)
+    let upper = 1.0 - p / 2.0;
+    if upper < 1.0 {
+        inverse_normal_cdf(upper)
+    } else {
+        // p/2 below half an ulp of 1 (β ≤ 1e-14): read the same quantile
+        // off the lower tail, where p/2 is still representable.
+        -inverse_normal_cdf((p / 2.0).max(f64::MIN_POSITIVE))
+    }
 }
 
 /// Peter Acklam's rational approximation of the standard normal quantile.
@@ -215,10 +222,10 @@ impl McTranslator {
     /// `‖W A⁺‖_F² = tr(W (AᵀA)⁻¹ Wᵀ) = Σ_i wᵢᵀ (AᵀA)⁻¹ wᵢ` — one
     /// `solve_normal` per workload row.
     ///
-    /// Noise is drawn from the same per-sample streams as the dense
-    /// oracle, so the simulated errors differ from
-    /// [`McTranslator::new_serial`] only by floating-point summation
-    /// order (≈1e-9 relative — property-tested), not by distribution.
+    /// Noise is drawn from the same per-sample streams as the tests' dense
+    /// oracle, so the simulated errors differ from a dense simulation over
+    /// a materialized `W A⁺` only by floating-point summation order
+    /// (≈1e-9 relative — tested), not by distribution.
     ///
     /// # Panics
     /// Panics if `workload.cols() != op.cols()` (caller bug: the workload
@@ -244,15 +251,6 @@ impl McTranslator {
         );
         let recon_frobenius = recon_frobenius_via_operator(workload, op);
         Self::from_parts(strat_sensitivity, recon_frobenius, cfg, unit_errors)
-    }
-
-    /// The dense oracle: one noise vector and one dense `matvec` against
-    /// a materialized `recon = W A⁺` per sample. Obviously right, not
-    /// fast — the tests check [`McTranslator::with_operator`] against it;
-    /// nothing serves it.
-    pub fn new_serial(recon: &Matrix, strat_sensitivity: f64, cfg: McConfig) -> Self {
-        let unit_errors = unit_errors_serial(recon, cfg.samples, cfg.seed);
-        Self::from_parts(strat_sensitivity, frobenius_norm(recon), cfg, unit_errors)
     }
 
     fn from_parts(
@@ -314,7 +312,13 @@ impl McTranslator {
     /// achieves `(α, β)` accuracy, found by binary search below the
     /// Chebyshev bound `ε ≤ ‖A‖₁·‖W A⁺‖_F / (α·√(β/2))` (Theorem A.1).
     pub fn translate(&self, alpha: f64, beta: f64) -> f64 {
-        let hi = self.strat_sensitivity * self.recon_frobenius / (alpha * (beta / 2.0).sqrt());
+        // √(β/2), taken as √β·√½ where β/2 underflows (β = 5e-324).
+        let root_half_beta = if beta / 2.0 > 0.0 {
+            (beta / 2.0).sqrt()
+        } else {
+            beta.sqrt() * std::f64::consts::FRAC_1_SQRT_2
+        };
+        let hi = self.strat_sensitivity * self.recon_frobenius / (alpha * root_half_beta);
         if self.unit_errors.is_empty() {
             // No simulation evidence: return the closed-form bound.
             return hi;
@@ -333,25 +337,6 @@ impl McTranslator {
         }
         hi
     }
-}
-
-/// The dense oracle's simulation: per sample, draw `l` unit-Laplace
-/// variables from the sample's own stream and reduce `‖recon · η‖∞` with a
-/// dense `matvec`. `O(N · L · l)` with a strictly serial inner reduction.
-pub fn unit_errors_serial(recon: &Matrix, samples: usize, seed: u64) -> Vec<f64> {
-    let unit = Laplace::new(1.0);
-    let l = recon.cols();
-    (0..samples)
-        .map(|i| {
-            let mut rng = sample_stream(seed, i as u64);
-            let eta = unit.sample_vec(l, &mut rng);
-            recon
-                .matvec(&eta)
-                .expect("noise length matches recon columns")
-                .iter()
-                .fold(0.0_f64, |m, v| m.max(v.abs()))
-        })
-        .collect()
 }
 
 /// The matrix-free simulation: noise vectors (`m` = strategy rows, the
@@ -528,27 +513,57 @@ pub fn recon_frobenius_via_operator(workload: &CsrMatrix, op: &dyn StrategyOpera
     total.max(0.0).sqrt()
 }
 
-/// The dense oracle for `workload` answered through `strategy`: the
-/// materialized `W A⁺` (QR pseudoinverse of the dense `A`) and the serial
-/// translator over it.
-#[cfg(test)]
-pub(crate) fn dense_oracle(
-    workload: &CsrMatrix,
-    strategy: apex_query::Strategy,
-    cfg: McConfig,
-) -> (Matrix, McTranslator) {
-    let a = strategy.build_csr(workload.cols()).unwrap();
-    let a_pinv = apex_linalg::pinv(&a.to_dense()).unwrap();
-    let recon = workload.matmul(&a_pinv).unwrap();
-    let translator = McTranslator::new_serial(&recon, a.l1_operator_norm(), cfg);
-    (recon, translator)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use apex_linalg::{CsrBuilder, HierarchicalOperator, IdentityOperator};
+    use apex_oracle::{frobenius_norm, pinv, Matrix};
     use apex_query::Strategy;
+
+    impl McTranslator {
+        /// The dense oracle: one noise vector and one dense `matvec`
+        /// against a materialized `recon = W A⁺` per sample. Obviously
+        /// right, not fast.
+        pub(crate) fn new_serial(recon: &Matrix, strat_sensitivity: f64, cfg: McConfig) -> Self {
+            let unit_errors = unit_errors_serial(recon, cfg.samples, cfg.seed);
+            Self::from_parts(strat_sensitivity, frobenius_norm(recon), cfg, unit_errors)
+        }
+
+        /// The dense oracle for `workload` answered through `strategy`:
+        /// the materialized `W A⁺` (QR pseudoinverse of the dense `A`) and
+        /// the serial translator over it.
+        pub(crate) fn dense_oracle(
+            workload: &CsrMatrix,
+            strategy: Strategy,
+            cfg: McConfig,
+        ) -> (Matrix, Self) {
+            let a = strategy.build_csr(workload.cols()).unwrap();
+            let a_pinv = pinv(&Matrix::from_csr(&a)).unwrap();
+            let recon = Matrix::from_csr(workload).matmul(&a_pinv).unwrap();
+            let translator = Self::new_serial(&recon, a.l1_operator_norm(), cfg);
+            (recon, translator)
+        }
+    }
+
+    /// The dense oracle's simulation: per sample, draw `l` unit-Laplace
+    /// variables from the sample's own stream and reduce `‖recon · η‖∞`
+    /// with a dense `matvec`. `O(N · L · l)` with a strictly serial inner
+    /// reduction.
+    fn unit_errors_serial(recon: &Matrix, samples: usize, seed: u64) -> Vec<f64> {
+        let unit = Laplace::new(1.0);
+        let l = recon.cols();
+        (0..samples)
+            .map(|i| {
+                let mut rng = sample_stream(seed, i as u64);
+                let eta = unit.sample_vec(l, &mut rng);
+                recon
+                    .matvec(&eta)
+                    .expect("noise length matches recon columns")
+                    .iter()
+                    .fold(0.0_f64, |m, v| m.max(v.abs()))
+            })
+            .collect()
+    }
 
     fn mc(samples: usize) -> McConfig {
         McConfig {
@@ -598,6 +613,31 @@ mod tests {
             eps >= exact * 0.95 && eps <= exact * 1.35,
             "eps {eps} vs exact {exact}"
         );
+    }
+
+    #[test]
+    fn tiny_betas_translate_to_a_finite_epsilon() {
+        // At β ≤ 1e-14 the band's `1 − p/2` (p = β/100) rounds to 1, and
+        // at β = 5e-324 so does `β/2` under the Chebyshev bound's root to
+        // 0. Neither may panic the analyzer (nor trip translate's
+        // debug_assert) or hand it an infinite ε.
+        let n = 16;
+        let op = Strategy::H2.operator(n).unwrap();
+        let translators = [
+            identity_translator(4, 2_000),
+            McTranslator::with_operator(
+                &prefix_workload_csr(n),
+                op.as_ref(),
+                op.l1_operator_norm(),
+                mc(2_000),
+            ),
+        ];
+        for beta in [1e-14, 1e-16, 1e-300, f64::MIN_POSITIVE, 5e-324] {
+            for t in &translators {
+                let eps = t.translate(10.0, beta);
+                assert!(eps.is_finite() && eps > 0.0, "β = {beta:e}: ε = {eps}");
+            }
+        }
     }
 
     #[test]
@@ -662,7 +702,7 @@ mod tests {
             let op = strategy.operator(n).unwrap();
             let cfg = mc(1_500);
             let t_op = McTranslator::with_operator(&w, op.as_ref(), op.l1_operator_norm(), cfg);
-            let (_, t_dense) = dense_oracle(&w, strategy, cfg);
+            let (_, t_dense) = McTranslator::dense_oracle(&w, strategy, cfg);
 
             // Same noise, same distribution; only FP summation order
             // differs, so the per-sample errors match tightly...
@@ -689,7 +729,7 @@ mod tests {
         for n in [4usize, 9, 20] {
             let w = prefix_workload_csr(n);
             let op = Strategy::H2.operator(n).unwrap();
-            let (recon, _) = dense_oracle(&w, Strategy::H2, mc(0));
+            let (recon, _) = McTranslator::dense_oracle(&w, Strategy::H2, mc(0));
             let f_op = recon_frobenius_via_operator(&w, op.as_ref());
             let f_dense = frobenius_norm(&recon);
             assert!(

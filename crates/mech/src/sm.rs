@@ -505,7 +505,8 @@ mod tests {
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
         let sm = StrategyMechanism::new(Strategy::H2, small_mc());
         let art = sm.artifacts(&q).unwrap();
-        let (recon, oracle) = crate::mc::dense_oracle(q.compiled().csr(), Strategy::H2, small_mc());
+        let (recon, oracle) =
+            McTranslator::dense_oracle(q.compiled().csr(), Strategy::H2, small_mc());
         let e_op = sm.translate(&q, &acc).unwrap().upper;
         let e_dense = oracle.translate(acc.alpha(), acc.beta());
         assert!(

@@ -1,12 +1,12 @@
 //! Dense row-major matrix type.
 
-use crate::{LinalgError, Result};
+use apex_linalg::{LinalgError, Result};
 
 /// A dense, row-major `f64` matrix.
 ///
 /// This is deliberately a small, predictable type: storage is one contiguous
-/// `Vec<f64>`, `(i, j)` indexing is `i * cols + j`, and all arithmetic
-/// returns fresh matrices (workloads in APEx are small, so clarity beats
+/// `Vec<f64>`, `(i, j)` indexing is `i * cols + j`, and every product
+/// returns a fresh matrix (the oracle's inputs are small, so clarity beats
 /// in-place cleverness everywhere except the inner loops of QR).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -92,11 +92,6 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    /// Whether the matrix has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Borrow of the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -114,20 +109,6 @@ impl Matrix {
             self.rows
         );
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// A single row as a mutable slice.
-    ///
-    /// # Panics
-    /// Panics if `i >= rows`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(
-            i < self.rows,
-            "row index {i} out of bounds ({} rows)",
-            self.rows
-        );
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// A single column, copied out.
@@ -198,59 +179,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Element-wise sum `self + rhs`.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "add",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Element-wise difference `self - rhs`.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "sub",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Scalar multiple `self * s`.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|a| a * s).collect(),
-        }
-    }
-
     /// Largest absolute element, or 0 for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
@@ -282,17 +210,6 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         debug_assert!(i < self.rows && j < self.cols);
         &mut self.data[i * self.cols + j]
-    }
-}
-
-impl std::fmt::Display for Matrix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for i in 0..self.rows {
-            let row = self.row(i);
-            let cells: Vec<String> = row.iter().map(|v| format!("{v:9.4}")).collect();
-            writeln!(f, "[ {} ]", cells.join(" "))?;
-        }
-        Ok(())
     }
 }
 
@@ -363,16 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale_roundtrip() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0], vec![0.5, 4.0]]);
-        let b = a.scale(2.0);
-        let sum = a.add(&a).unwrap();
-        assert_eq!(sum, b);
-        let diff = b.sub(&a).unwrap();
-        assert_eq!(diff, a);
-    }
-
-    #[test]
     fn col_extraction() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         assert_eq!(m.col(1), vec![2.0, 4.0, 6.0]);
@@ -382,7 +289,11 @@ mod tests {
     fn max_abs_and_approx_eq() {
         let a = Matrix::from_rows(&[vec![1.0, -3.5], vec![2.0, 0.0]]);
         assert_eq!(a.max_abs(), 3.5);
-        let b = a.scale(1.0 + 1e-12);
+        let b = Matrix::from_vec(
+            2,
+            2,
+            a.as_slice().iter().map(|v| v * (1.0 + 1e-12)).collect(),
+        );
         assert!(a.approx_eq(&b, 1e-9));
         assert!(!a.approx_eq(&b, 1e-15));
     }
@@ -390,7 +301,7 @@ mod tests {
     #[test]
     fn empty_matrix_is_empty() {
         let m = Matrix::zeros(0, 0);
-        assert!(m.is_empty());
+        assert!(m.as_slice().is_empty());
         assert_eq!(m.max_abs(), 0.0);
     }
 }

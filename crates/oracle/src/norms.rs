@@ -1,4 +1,4 @@
-//! Norms used by the accuracy-to-privacy translation.
+//! The dense norms that the CSR and operator norms are checked against.
 //!
 //! The central quantity is the **L1 operator norm** `‖W‖₁` — the maximum
 //! absolute column sum. For a 0/1 workload matrix over disjoint domain
@@ -31,16 +31,9 @@ pub fn frobenius_norm(m: &Matrix) -> f64 {
     m.as_slice().iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
-/// The `ℓ∞` norm of a vector: `max |x_i|`. This is the error functional the
-/// paper's `(α, β)`-WCQ accuracy bounds (Definition 3.1).
-pub fn linf_norm(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix;
 
     #[test]
     fn l1_norm_of_identity_is_one() {
@@ -75,11 +68,5 @@ mod tests {
     fn frobenius_matches_hand_computation() {
         let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
         assert!((frobenius_norm(&m) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linf_norm_basics() {
-        assert_eq!(linf_norm(&[]), 0.0);
-        assert_eq!(linf_norm(&[1.0, -5.0, 3.0]), 5.0);
     }
 }

@@ -1,11 +1,11 @@
 //! Householder QR decomposition.
 //!
 //! The strategy matrices APEx uses (identity, hierarchical `H2`/`Hb`,
-//! prefix) all have full column rank, so QR is sufficient for every
-//! pseudoinverse and least-squares problem in the system, and is far more
-//! numerically stable than forming normal equations `AᵀA`.
+//! prefix) all have full column rank, so QR is sufficient for the
+//! reference pseudoinverse, and is far more numerically stable than
+//! forming normal equations `AᵀA`.
 
-use crate::{LinalgError, Matrix, Result};
+use crate::Matrix;
 
 /// The result of a thin Householder QR decomposition of an `m × n` matrix
 /// (`m ≥ n`): `A = Q R` with `Q` an `m × n` matrix with orthonormal columns
@@ -24,23 +24,13 @@ const RANK_TOL: f64 = 1e-12;
 
 /// Computes the thin QR decomposition of `a` via Householder reflections.
 ///
-/// # Errors
-/// * [`LinalgError::Empty`] if `a` has no elements.
-/// * [`LinalgError::ShapeMismatch`] if `a` has more columns than rows (the
-///   thin factorization requires `m ≥ n`; transpose first for wide inputs).
-/// * [`LinalgError::RankDeficient`] if a pivot collapses, i.e. the columns
-///   of `a` are (numerically) linearly dependent.
-pub fn qr_decompose(a: &Matrix) -> Result<QrDecomposition> {
+/// Returns `None` if `a` is empty, has more columns than rows (the thin
+/// factorization requires `m ≥ n`; transpose first for wide inputs), or
+/// has a collapsing pivot, i.e. (numerically) linearly dependent columns.
+pub fn qr_decompose(a: &Matrix) -> Option<QrDecomposition> {
     let (m, n) = a.shape();
-    if m == 0 || n == 0 {
-        return Err(LinalgError::Empty);
-    }
-    if m < n {
-        return Err(LinalgError::ShapeMismatch {
-            op: "qr (requires m >= n)",
-            lhs: (m, n),
-            rhs: (m, n),
-        });
+    if m == 0 || n == 0 || m < n {
+        return None;
     }
 
     // Work on a full copy of A; accumulate the reflections into an m×m
@@ -61,10 +51,7 @@ pub fn qr_decompose(a: &Matrix) -> Result<QrDecomposition> {
         }
         let norm = norm2.sqrt();
         if norm <= tol {
-            return Err(LinalgError::RankDeficient {
-                pivot: k,
-                magnitude: norm,
-            });
+            return None;
         }
         let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
         let mut v: Vec<f64> = (k..m).map(|i| r[(i, k)]).collect();
@@ -96,14 +83,8 @@ pub fn qr_decompose(a: &Matrix) -> Result<QrDecomposition> {
     }
 
     // Check the pivots once more (paranoia: tiny alphas can slip through).
-    for k in 0..n {
-        let p = r[(k, k)].abs();
-        if p <= tol {
-            return Err(LinalgError::RankDeficient {
-                pivot: k,
-                magnitude: p,
-            });
-        }
+    if (0..n).any(|k| r[(k, k)].abs() <= tol) {
+        return None;
     }
 
     // Form thin Q = H_0 H_1 ... H_{n-1} * [I_n; 0] by applying the
@@ -138,7 +119,7 @@ pub fn qr_decompose(a: &Matrix) -> Result<QrDecomposition> {
         }
     }
 
-    Ok(QrDecomposition { q, r: rn })
+    Some(QrDecomposition { q, r: rn })
 }
 
 #[cfg(test)]
@@ -149,7 +130,7 @@ mod tests {
         let qtq = q.transpose().matmul(q).unwrap();
         assert!(
             qtq.approx_eq(&Matrix::identity(q.cols()), tol),
-            "QᵀQ != I:\n{qtq}"
+            "QᵀQ != I: {qtq:?}"
         );
     }
 
@@ -163,7 +144,7 @@ mod tests {
         let QrDecomposition { q, r } = qr_decompose(&a).unwrap();
         assert_orthonormal_cols(&q, 1e-10);
         let back = q.matmul(&r).unwrap();
-        assert!(back.approx_eq(&a, 1e-10), "QR != A:\n{back}");
+        assert!(back.approx_eq(&a, 1e-10), "QR != A: {back:?}");
     }
 
     #[test]
@@ -204,27 +185,17 @@ mod tests {
             vec![0.0, 1.0, 1.0],
             vec![1.0, 1.0, 2.0],
         ]);
-        assert!(matches!(
-            qr_decompose(&a),
-            Err(LinalgError::RankDeficient { .. })
-        ));
+        assert!(qr_decompose(&a).is_none());
     }
 
     #[test]
     fn qr_rejects_wide_matrix() {
-        let a = Matrix::zeros(2, 3);
-        assert!(matches!(
-            qr_decompose(&a),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
+        assert!(qr_decompose(&Matrix::zeros(2, 3)).is_none());
     }
 
     #[test]
     fn qr_rejects_empty() {
-        assert!(matches!(
-            qr_decompose(&Matrix::zeros(0, 0)),
-            Err(LinalgError::Empty)
-        ));
+        assert!(qr_decompose(&Matrix::zeros(0, 0)).is_none());
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl AccuracySpec {
         1.0 - self.beta
     }
 
-    /// A copy with `α` scaled by `factor` (used by sweeps over `α/|D|`).
+    /// A copy with `α` replaced and `β` kept (used by sweeps over `α/|D|`).
     pub fn with_alpha(&self, alpha: f64) -> Result<Self, AccuracyError> {
         Self::new(alpha, self.beta)
     }

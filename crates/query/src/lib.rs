@@ -17,8 +17,8 @@
 //! * [`AccuracySpec`] — the `(α, β)` accuracy requirement,
 //! * [`CompiledWorkload`] — the matrix form `W ← T(W), x ← T_W(D)` used by
 //!   every mechanism, including the workload sensitivity `‖W‖₁`,
-//! * [`Strategy`] — strategy matrices for the matrix mechanism (identity,
-//!   hierarchical `H_b`, and the workload itself),
+//! * [`Strategy`] — strategies for the matrix mechanism (identity and
+//!   hierarchical `H_b`), as CSR matrices and as matrix-free operators,
 //! * [`parser`] — a parser for the concrete syntax above.
 
 pub mod accuracy;

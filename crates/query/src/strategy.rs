@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use apex_linalg::{
-    CsrBuilder, CsrMatrix, HierarchicalOperator, IdentityOperator, Matrix, SharedOperator,
-};
+use apex_linalg::{CsrBuilder, CsrMatrix, HierarchicalOperator, IdentityOperator, SharedOperator};
 
 /// Errors raised while building a strategy matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,20 +52,6 @@ impl Strategy {
     /// The paper's default `H2` strategy.
     pub const H2: Strategy = Strategy::Hierarchical { branching: 2 };
 
-    /// Builds the strategy matrix over `n_cells` domain cells, densely.
-    ///
-    /// Thin wrapper over [`Strategy::build_csr`] — the hierarchical family
-    /// is constructed sparsely and only materialized on request. Prefer the
-    /// CSR form in mechanism code; the dense form exists for numerical
-    /// routines (QR/pseudoinverse) and tests.
-    ///
-    /// # Errors
-    /// * [`StrategyError::EmptyDomain`] when `n_cells == 0`.
-    /// * [`StrategyError::BadBranching`] when `branching < 2`.
-    pub fn build(&self, n_cells: usize) -> Result<Matrix, StrategyError> {
-        Ok(self.build_csr(n_cells)?.to_dense())
-    }
-
     /// Builds the strategy matrix over `n_cells` domain cells in CSR form,
     /// without ever materializing the dense tree: every row of `H_b` is a
     /// contiguous run of ones over the node's interval, so the sparse
@@ -76,6 +60,8 @@ impl Strategy {
     ///
     /// The returned matrix always has full column rank (it contains every
     /// singleton row), which the pseudoinverse in the mechanism requires.
+    /// Mechanism code uses the matrix-free [`Strategy::operator`] instead;
+    /// this form is the row-order reference the operator is tested against.
     ///
     /// # Errors
     /// * [`StrategyError::EmptyDomain`] when `n_cells == 0`.
@@ -210,11 +196,16 @@ fn hierarchical(n: usize, b: usize) -> CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apex_linalg::{l1_operator_norm, pinv};
+    use apex_oracle::{l1_operator_norm, pinv, Matrix};
+
+    /// The strategy over `n` cells as a dense oracle matrix.
+    fn dense(strat: Strategy, n: usize) -> Matrix {
+        Matrix::from_csr(&strat.build_csr(n).unwrap())
+    }
 
     #[test]
     fn identity_strategy() {
-        let a = Strategy::Identity.build(5).unwrap();
+        let a = dense(Strategy::Identity, 5);
         assert_eq!(a, Matrix::identity(5));
         assert_eq!(l1_operator_norm(&a), 1.0);
     }
@@ -222,15 +213,15 @@ mod tests {
     #[test]
     fn h2_sensitivity_is_logarithmic() {
         // For n a power of two, each cell appears in log2(n) + 1 nodes.
-        let a = Strategy::H2.build(8).unwrap();
+        let a = dense(Strategy::H2, 8);
         assert_eq!(l1_operator_norm(&a), 4.0); // log2(8) + 1
-        let a = Strategy::H2.build(16).unwrap();
+        let a = dense(Strategy::H2, 16);
         assert_eq!(l1_operator_norm(&a), 5.0);
     }
 
     #[test]
     fn h2_contains_all_singletons() {
-        let a = Strategy::H2.build(6).unwrap();
+        let a = dense(Strategy::H2, 6);
         for c in 0..6 {
             let found =
                 (0..a.rows()).any(|r| (0..6).all(|j| a[(r, j)] == if j == c { 1.0 } else { 0.0 }));
@@ -241,7 +232,7 @@ mod tests {
     #[test]
     fn h2_has_full_column_rank() {
         for n in [1usize, 2, 3, 5, 8, 13] {
-            let a = Strategy::H2.build(n).unwrap();
+            let a = dense(Strategy::H2, n);
             // pinv only succeeds on full-rank input.
             let ap = pinv(&a).unwrap();
             let papa = ap.matmul(&a).unwrap();
@@ -251,14 +242,14 @@ mod tests {
 
     #[test]
     fn higher_branching_reduces_sensitivity_for_wide_domains() {
-        let h2 = Strategy::H2.build(64).unwrap();
-        let h8 = Strategy::Hierarchical { branching: 8 }.build(64).unwrap();
+        let h2 = dense(Strategy::H2, 64);
+        let h8 = dense(Strategy::Hierarchical { branching: 8 }, 64);
         assert!(l1_operator_norm(&h8) < l1_operator_norm(&h2));
     }
 
     #[test]
     fn single_cell_domain() {
-        let a = Strategy::H2.build(1).unwrap();
+        let a = dense(Strategy::H2, 1);
         assert_eq!(a.shape(), (1, 1));
         assert_eq!(a[(0, 0)], 1.0);
     }
@@ -272,12 +263,9 @@ mod tests {
                 Strategy::Hierarchical { branching: 4 },
             ] {
                 let sparse = strat.build_csr(n).unwrap();
-                let dense = strat.build(n).unwrap();
-                assert_eq!(sparse.to_dense(), dense, "{} over {n}", strat.name());
-                assert_eq!(
-                    sparse.l1_operator_norm(),
-                    apex_linalg::l1_operator_norm(&dense)
-                );
+                let dense = Matrix::from_csr(&sparse);
+                assert_eq!(dense.to_csr(), sparse, "{} over {n}", strat.name());
+                assert_eq!(sparse.l1_operator_norm(), l1_operator_norm(&dense));
             }
         }
     }
@@ -323,8 +311,7 @@ mod tests {
     fn operator_pinv_apply_matches_dense_pinv() {
         for n in [3usize, 8, 13] {
             let op = Strategy::H2.operator(n).unwrap();
-            let dense = Strategy::H2.build(n).unwrap();
-            let ap = pinv(&dense).unwrap();
+            let ap = pinv(&dense(Strategy::H2, n)).unwrap();
             let y: Vec<f64> = (0..op.rows()).map(|i| (i as f64).cos()).collect();
             let via_op = op.pinv_apply(&y).unwrap();
             let via_dense = ap.matvec(&y).unwrap();
@@ -396,11 +383,11 @@ mod tests {
     #[test]
     fn errors() {
         assert!(matches!(
-            Strategy::Identity.build(0),
+            Strategy::Identity.build_csr(0),
             Err(StrategyError::EmptyDomain)
         ));
         assert!(matches!(
-            Strategy::Hierarchical { branching: 1 }.build(4),
+            Strategy::Hierarchical { branching: 1 }.build_csr(4),
             Err(StrategyError::BadBranching(1))
         ));
     }

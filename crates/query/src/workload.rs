@@ -4,13 +4,12 @@
 //! 1 exactly on the partition cells its predicate covers, so a histogram
 //! workload has one nonzero per row and even heavily overlapping workloads
 //! stay far below 50% density. All products (`true_answer`, sensitivity)
-//! run over nonzeros; the dense form is materialized lazily and only for
-//! callers that genuinely need it (QR-based numerics).
+//! run over nonzeros.
 
 use std::sync::{Arc, OnceLock};
 
 use apex_data::{Dataset, DomainPartition, PartitionError, Predicate, RowDelta, Schema};
-use apex_linalg::{CsrBuilder, CsrMatrix, Matrix};
+use apex_linalg::{CsrBuilder, CsrMatrix};
 
 /// Errors raised when compiling a workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,14 +105,12 @@ pub struct CompiledWorkload {
     schema: Schema,
     /// The `L × n_cells` 0/1 incidence structure, sparse.
     csr: CsrMatrix,
-    /// Dense materialization, built on first request only.
-    dense: OnceLock<Matrix>,
     /// Transposed incidence (cell → query rows touching it), built on the
     /// first incremental answer update only.
     cell_to_queries: OnceLock<Vec<Vec<u32>>>,
     sensitivity: f64,
     /// Structural signature of the compiled incidence (cache key for
-    /// derived artifacts such as pseudoinverses and MC translators).
+    /// derived artifacts: the strategy operator and MC translator).
     signature: u64,
 }
 
@@ -136,24 +133,16 @@ impl CompiledWorkload {
             partition,
             schema: schema.clone(),
             csr,
-            dense: OnceLock::new(),
             cell_to_queries: OnceLock::new(),
             sensitivity,
             signature,
         })
     }
 
-    /// The workload incidence `W` in sparse (CSR) form — the primary
-    /// representation.
+    /// The workload matrix `W` (`L × n_cells`) in sparse (CSR) form — its
+    /// only representation.
     pub fn csr(&self) -> &CsrMatrix {
         &self.csr
-    }
-
-    /// The workload matrix `W` (`L × n_cells`), materialized densely on
-    /// first call and cached. Prefer [`CompiledWorkload::csr`] in
-    /// mechanism code; this exists for QR-based numerics and tests.
-    pub fn matrix(&self) -> &Matrix {
-        self.dense.get_or_init(|| self.csr.to_dense())
     }
 
     /// The domain partition backing the matrix.
@@ -371,7 +360,9 @@ mod tests {
     fn sparse_and_dense_forms_agree() {
         let w = histogram_workload(10, 10);
         let c = CompiledWorkload::compile(&schema(), &w).unwrap();
-        assert_eq!(c.csr().to_dense(), *c.matrix());
+        let dense = apex_oracle::Matrix::from_csr(c.csr());
+        assert_eq!(dense.to_csr(), *c.csr());
+        assert_eq!(apex_oracle::l1_operator_norm(&dense), c.sensitivity());
         // A 10-bin histogram over an 11-cell partition: 1 nonzero per row.
         assert_eq!(c.csr().nnz(), 10);
     }

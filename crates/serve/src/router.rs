@@ -409,6 +409,21 @@ mod tests {
     }
 
     #[test]
+    fn a_tiny_beta_is_answered_not_a_500() {
+        // β = 1e-15, as a field and as a CONFIDENCE clause: valid specs
+        // whose SM cost once panicked the translator.
+        let s = state();
+        let id = open_session(&s, r#"{"dataset":"demo","budget":0.8}"#);
+        for q in [
+            r#"{"query":"BIN demo ON COUNT(*) WHERE W = { v IN [0, 4), v IN [4, 8) } ERROR 100 CONFIDENCE 0.95;","beta":1e-15}"#,
+            r#"{"query":"BIN demo ON COUNT(*) WHERE W = { v IN [0, 4), v IN [4, 8) } ERROR 100 CONFIDENCE 0.999999999999999;"}"#,
+        ] {
+            let r = route(&s, &req("POST", &format!("/v1/sessions/{id}/query"), q));
+            assert_eq!(r.status, 200, "{}", r.body);
+        }
+    }
+
+    #[test]
     fn denial_maps_to_409() {
         let s = state();
         let id = open_session(&s, r#"{"dataset":"demo","budget":0.000001}"#);

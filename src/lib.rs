@@ -9,7 +9,7 @@
 //! * [`data`] — schema, datasets, predicates, domain partitioning
 //! * [`query`] — exploration queries, accuracy specs, compiled workloads
 //! * [`mech`] — the differentially private mechanism suite
-//! * [`linalg`] — dense + sparse (CSR) linear algebra
+//! * [`linalg`] — sparse (CSR) matrices and matrix-free strategy operators
 //! * [`cleaning`] — the entity-resolution case study
 
 pub use apex_cleaning as cleaning;
