@@ -250,9 +250,11 @@ impl ShardSet {
         self.states.iter().map(|s| s.session_count()).sum()
     }
 
-    /// `tenant`'s spent budget summed across shards (only the owner
-    /// charges in a given deployment era, but the sum is correct
-    /// regardless).
+    /// `tenant`'s spent budget summed across shards. Only the owner
+    /// charges in a given deployment era, because session creation
+    /// routes by the same decoded `"dataset"` its router opens the
+    /// session for; a reshard can leave charges on a former owner, and
+    /// the sum counts those too.
     pub fn spent(&self, tenant: &str) -> f64 {
         self.states
             .iter()
@@ -680,7 +682,8 @@ impl ShardServerHandle {
 }
 
 /// Starts the sharded server: binds `addr`, spawns the event thread and
-/// `workers_per_shard` workers per shard, and returns the handle.
+/// `workers_per_shard` workers per shard, and returns the handle once
+/// every worker is parked on its queue, ready for a request.
 ///
 /// # Errors
 /// Propagates bind failures.
@@ -716,6 +719,14 @@ pub fn serve_sharded<A: ToSocketAddrs>(
     }
     drop(ret_tx); // workers hold the only senders now
 
+    // Accept nothing until every worker is parked on its queue: a
+    // rendezvous queue (`queue_cap` 0) sheds what finds no parked worker,
+    // so a request that beat a worker's start would get a 503 from an
+    // idle server.
+    for q in queues.iter() {
+        q.wait_drained(WORKER_START);
+    }
+
     let event = {
         let stop = stop.clone();
         let queues = queues.clone();
@@ -745,6 +756,10 @@ fn wants_keep_alive(req: &Request) -> bool {
     !req.header("connection")
         .is_some_and(|v| v.eq_ignore_ascii_case("close"))
 }
+
+/// Longest `serve_sharded` waits for its workers to park before it
+/// starts accepting.
+const WORKER_START: Duration = Duration::from_secs(10);
 
 /// Cap on consecutive sticky serves per queue grab. Fairness against a
 /// chatty connection comes from the queue-priority check (queued work
@@ -945,29 +960,19 @@ enum Target {
     Reply(Response),
 }
 
-/// Pulls `"dataset":"…"` out of a create-session body without a full
-/// JSON parse — routing only; the owning shard's router re-parses and
-/// validates properly.
-fn extract_dataset(body: &str) -> Option<String> {
-    let at = body.find("\"dataset\"")?;
-    let rest = &body[at + "\"dataset\"".len()..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
 fn target_for(set: &ShardSet, req: &Request) -> Target {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match segments.as_slice() {
         ["v1", "sessions"] => {
-            // Tenant-routed; a body the router would reject goes to
-            // shard 0 for the proper 400/404/405.
+            // Tenant-routed by the router's own decoder, so the shard
+            // that opens the session owns the dataset it is opened for;
+            // a body the router would reject goes to shard 0 for the
+            // proper 400/404/405.
             let shard = req
                 .body_str()
-                .and_then(extract_dataset)
-                .map(|d| set.ring().shard_for(&d))
+                .and_then(|text| crate::json::parse(text).ok())
+                .and_then(|body| wire::parse_create_session(&body).ok())
+                .map(|create| set.ring().shard_for(&create.dataset))
                 .unwrap_or(0);
             Target::Shard(shard)
         }
@@ -1772,6 +1777,29 @@ mod tests {
             let answered = reply.json().unwrap().get("session").and_then(Json::as_u64);
             assert_eq!(answered, Some(*id));
         }
+        // One write carrying a request for each shard and a cross-shard
+        // one: three responses, in order.
+        let burst: Vec<String> = sessions[..2]
+            .iter()
+            .map(|id| client::encode("GET", &format!("/v1/sessions/{id}/budget"), ""))
+            .chain([client::encode("GET", "/healthz", "")])
+            .collect();
+        conn.send(&burst).unwrap();
+        for id in &sessions[..2] {
+            let reply = conn.recv().unwrap();
+            assert_eq!(reply.status, 200, "{reply:?}");
+            let answered = reply.json().unwrap().get("session").and_then(Json::as_u64);
+            assert_eq!(answered, Some(*id));
+        }
+        let reply = conn.recv().unwrap();
+        assert_eq!(reply.status, 200, "{reply:?}");
+        let status = reply
+            .json()
+            .unwrap()
+            .get("status")
+            .and_then(Json::as_str)
+            .map(String::from);
+        assert_eq!(status.as_deref(), Some("ok"), "{reply:?}");
 
         // `Connection: close` is honored.
         conn.send(&["GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".into()])
@@ -1787,6 +1815,106 @@ mod tests {
 
         handle.stop();
         handle.join();
+    }
+
+    /// Serves one request on a keep-alive connection, stops the server
+    /// through `stop` while that connection sits idle, and checks that
+    /// `join` returns within 2 s and the client then reads EOF.
+    fn idle_connection_does_not_hold_up_shutdown(stop: impl FnOnce(&ShardServerHandle)) {
+        let tenants = split_tenants(1, 1);
+        let handle =
+            serve_sharded("127.0.0.1:0", demo_set(1, &tenants), ServeConfig::default()).unwrap();
+        let mut idle = client::Conn::connect(handle.addr()).unwrap();
+        idle.send(&[client::encode("GET", "/healthz", "")]).unwrap();
+        assert_eq!(idle.recv().unwrap().status, 200);
+
+        stop(&handle);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.join();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "join must not wait for an idle keep-alive connection"
+        );
+        let eof = idle.recv().unwrap_err();
+        assert_eq!(eof.kind(), ErrorKind::UnexpectedEof, "{eof}");
+    }
+
+    #[test]
+    fn stop_ends_idle_keep_alive_connections() {
+        idle_connection_does_not_hold_up_shutdown(|handle| handle.stop());
+    }
+
+    #[test]
+    fn admin_shutdown_ends_idle_keep_alive_connections() {
+        idle_connection_does_not_hold_up_shutdown(|handle| {
+            let (status, _) =
+                client::request(handle.addr(), "POST", "/v1/admin/shutdown", Some("{}")).unwrap();
+            assert_eq!(status, 202);
+        });
+    }
+
+    #[test]
+    fn session_create_routes_by_the_dataset_the_router_opens() {
+        let tenants = split_tenants(2, 1);
+        let set = demo_set(2, &tenants);
+        let (decoy, target) = (&tenants[0], &tenants[1]);
+        let owner = set.ring().shard_for(target);
+        assert_ne!(set.ring().shard_for(decoy), owner);
+        let escaped = target.replacen('t', "\\u0074", 1);
+        let bodies = [
+            // `Json::get` is last-wins, so the router opens `target`.
+            format!(r#"{{"dataset":"{decoy}","dataset":"{target}","budget":10}}"#),
+            // The router decodes the escape before it looks the name up.
+            format!(r#"{{"dataset":"{escaped}","budget":10}}"#),
+            format!(r#"{{"dataset":"{target}","budget":10}}"#),
+        ];
+        let query = r#"{"query":"BIN t ON COUNT(*) WHERE W = { v IN [0, 4), v IN [4, 8) } ERROR 4 CONFIDENCE 0.95;"}"#;
+        for body in &bodies {
+            let resp = dispatch(&set, &Request::new("POST", "/v1/sessions", body));
+            assert_eq!(resp.status, 201, "{body}: {}", resp.body);
+            let created = crate::json::parse(&resp.body).unwrap();
+            let id = created.get("session").and_then(Json::as_u64).unwrap();
+            assert_eq!(session_shard(id), owner, "{body}");
+            // Drain the session: answer until denied.
+            let path = format!("/v1/sessions/{id}/query");
+            for _ in 0..1000 {
+                let resp = dispatch(&set, &Request::new("POST", &path, query));
+                if resp.status != 200 {
+                    assert_eq!(resp.status, 409, "{}", resp.body);
+                    break;
+                }
+            }
+        }
+        let spent = set.spent(target);
+        assert!(
+            spent <= 10.0,
+            "{target} spent {spent} > B = 10 across shards"
+        );
+    }
+
+    #[test]
+    fn a_fresh_rendezvous_server_admits_its_first_request() {
+        // With one worker and `queue_cap` 0 a request is shed unless the
+        // worker is parked on the queue; `serve_sharded` returns only
+        // once it is. A request racing the worker's start loses only
+        // now and then, so many startups make the race show.
+        let tenants = split_tenants(1, 1);
+        let body = format!("{{\"dataset\":\"{}\",\"budget\":1.0}}", tenants[0]);
+        let cfg = ServeConfig {
+            workers_per_shard: 1,
+            queue_cap: 0,
+        };
+        for _ in 0..300 {
+            let handle = serve_sharded("127.0.0.1:0", demo_set(1, &tenants), cfg.clone()).unwrap();
+            let (status, reply) =
+                client::request(handle.addr(), "POST", "/v1/sessions", Some(&body)).unwrap();
+            assert_eq!(status, 201, "{reply:?}");
+            handle.stop();
+            handle.join();
+        }
     }
 
     #[test]
