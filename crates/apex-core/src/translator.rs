@@ -236,7 +236,7 @@ mod tests {
     fn prepared_translator_reconstructs_exact_answers_without_noise() {
         // With zero noise, ω = W A⁺ A x = W x exactly (up to solver
         // tolerance): the reconstruction identity of Section 5.2, computed
-        // via solve_normal + apply_transpose.
+        // via the strategy operator's pinv_apply.
         let q = prepare(&ExplorationQuery::wcq(
             (1..=16)
                 .map(|i| Predicate::range("v", 0.0, (4 * i) as f64))

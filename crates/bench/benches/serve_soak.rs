@@ -251,7 +251,9 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
         call(200, &format!("/v1/sessions/{id}/close"), "{}");
     }
 
-    let next = AtomicUsize::new(0);
+    // Session 0 is reserved for the probe, so it times at least one submit
+    // even when the loaders claim every other session before it starts.
+    let next = AtomicUsize::new(1);
     let clients = shards + EXTRA_CLIENTS;
     // Tenants grouped by owning shard: each load connection pins one
     // shard and cycles its tenants, so every shard's WAL has demand at
@@ -302,9 +304,14 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
                     &by_shard[(c - 1) % shards]
                 };
                 let mut round = 0usize;
+                let mut reserved = probe;
                 loop {
                     let claim = if probe { 1 } else { 2 * BATCH };
-                    let i = next.fetch_add(claim, Ordering::Relaxed);
+                    let i = if std::mem::take(&mut reserved) {
+                        0
+                    } else {
+                        next.fetch_add(claim, Ordering::Relaxed)
+                    };
                     if i >= sessions {
                         break;
                     }

@@ -9,12 +9,11 @@
 //! * a compressed-sparse-row [`CsrMatrix`] for the 0/1 incidence structures
 //!   (workloads, hierarchical strategies), whose products scale with
 //!   *nonzeros*, not *cells* — see the [`sparse`] module docs,
-//! * the [`StrategyOperator`] abstraction — matrix-free `apply` /
-//!   `apply_transpose` / `solve_normal` actions of a strategy matrix, which
-//!   compose into `A⁺ŷ` without ever forming `A⁺` — with the
-//!   `O(n)`-per-solve [`HierarchicalOperator`] (recursive Sherman–Morrison
-//!   over the `H_b` interval tree, see [`hier_solve`]) and the trivial
-//!   [`IdentityOperator`],
+//! * the [`StrategyOperator`] abstraction — the matrix-free actions `A x`,
+//!   `A⁺ y` and `(AᵀA)⁻¹ b` of a strategy matrix, without ever forming
+//!   `A⁺` — with the `O(n)`-per-solve [`HierarchicalOperator`] (recursive
+//!   Sherman–Morrison over the `H_b` interval tree, see [`hier_solve`])
+//!   and the trivial [`IdentityOperator`],
 //! * the L1 operator norm (`‖·‖₁`, maximum column absolute sum — the
 //!   *sensitivity* of a workload) and the Frobenius norm, on CSR.
 //!
@@ -23,6 +22,7 @@
 //! dev-only `apex-oracle` crate (`crates/oracle`).
 
 pub mod hier_solve;
+mod lanes;
 pub mod operator;
 pub mod par;
 pub mod sparse;

@@ -5,9 +5,11 @@
 //! the *action* of `A` on a vector:
 //!
 //! * `ŷ = A x + η` — one [`StrategyOperator::apply`];
-//! * `A⁺ ŷ = (AᵀA)⁻¹ Aᵀ ŷ` — one [`StrategyOperator::apply_transpose`]
-//!   followed by one [`StrategyOperator::solve_normal`] (for full column
-//!   rank, which every APEx strategy has);
+//! * `A⁺ ŷ = (AᵀA)⁻¹ Aᵀ ŷ` — one [`StrategyOperator::pinv_apply`] (for
+//!   full column rank, which every APEx strategy has), or
+//!   [`StrategyOperator::pinv_apply_multi`] over a panel of `ŷ`s;
+//! * `(AᵀA)⁻¹ b` over a panel — [`StrategyOperator::solve_normal_multi`],
+//!   the trace identity behind `‖W A⁺‖_F`;
 //! * the sensitivity `‖A‖₁` — a scalar the operator knows structurally.
 //!
 //! Expressing strategies as operators replaces the `O(n³)` dense QR
@@ -25,11 +27,11 @@ use crate::{LinalgError, Result};
 /// The action of a full-column-rank strategy matrix `A ∈ ℝ^{m × n}`,
 /// `m ≥ n`, without committing to a representation.
 ///
-/// Implementations must be consistent: `apply_transpose` must be the exact
-/// adjoint of `apply`, and `solve_normal` must solve `(AᵀA) x = b` for the
-/// same `A`. The provided [`StrategyOperator::pinv_apply`] then computes
-/// `A⁺ y` for any `y`, which is all the matrix mechanism needs to
-/// reconstruct workload answers as `W (A⁺ ŷ)`.
+/// The panel methods take `k` right-hand sides stored column-major
+/// (`xs[j * len..(j + 1) * len]` is column `j`) and resize `out` to `k`
+/// columns of `cols` each. A column's result does not depend on `k`, on
+/// its position in the panel or on what `scratch` holds: a panel is
+/// exactly its columns, each computed alone.
 pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
     /// `(rows, cols)` of the underlying `A` — rows are strategy queries,
     /// cols are domain cells.
@@ -40,18 +42,6 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `x.len() != cols`.
     fn apply(&self, x: &[f64]) -> Result<Vec<f64>>;
-
-    /// `Aᵀ y`.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `y.len() != rows`.
-    fn apply_transpose(&self, y: &[f64]) -> Result<Vec<f64>>;
-
-    /// Solves the normal equations `(AᵀA) x = b`.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `b.len() != cols`.
-    fn solve_normal(&self, b: &[f64]) -> Result<Vec<f64>>;
 
     /// The L1 operator norm `‖A‖₁` (maximum column absolute sum) — the
     /// strategy's sensitivity.
@@ -67,137 +57,9 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
         self.shape().1
     }
 
-    /// `A⁺ y = (AᵀA)⁻¹ Aᵀ y` — the pseudoinverse action for full column
-    /// rank, composed from the two primitives.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `y.len() != rows`.
-    fn pinv_apply(&self, y: &[f64]) -> Result<Vec<f64>> {
-        self.solve_normal(&self.apply_transpose(y)?)
-    }
-
-    /// [`StrategyOperator::apply_transpose`] writing into a caller-owned
-    /// buffer. The default delegates to the allocating method (so every
-    /// implementation is automatically correct); structured operators
-    /// override it to reuse `out`. `out` is resized and fully overwritten.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `y.len() != rows`.
-    fn apply_transpose_into(&self, y: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        *out = self.apply_transpose(y)?;
-        Ok(())
-    }
-
-    /// [`StrategyOperator::solve_normal`] writing into a caller-owned
-    /// buffer, with `scratch` available for the solver's intermediates.
-    /// The default delegates to the allocating method; structured
-    /// operators override it to make the solve allocation-free. Results
-    /// are bit-identical to `solve_normal` regardless of scratch contents.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `b.len() != cols`.
-    fn solve_normal_into(
-        &self,
-        b: &[f64],
-        out: &mut Vec<f64>,
-        _scratch: &mut OpScratch,
-    ) -> Result<()> {
-        *out = self.solve_normal(b)?;
-        Ok(())
-    }
-
-    /// [`StrategyOperator::pinv_apply`] writing into a caller-owned
-    /// buffer — the per-sample hot call of the Monte-Carlo prepare. The
-    /// default delegates to `pinv_apply` (preserving each implementation's
-    /// exact numerics); structured operators override it to chain the `_into` primitives
-    /// through `scratch` with zero allocations in steady state.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `y.len() != rows`.
-    fn pinv_apply_into(
-        &self,
-        y: &[f64],
-        out: &mut Vec<f64>,
-        _scratch: &mut OpScratch,
-    ) -> Result<()> {
-        *out = self.pinv_apply(y)?;
-        Ok(())
-    }
-
-    /// Multi-RHS [`StrategyOperator::apply_transpose`]: `ys` holds `k`
-    /// right-hand-side columns of length `rows` each, stored column-major
-    /// (`ys[j*rows..(j+1)*rows]` is column `j`); `out` is resized to
-    /// `k * cols` and column `j` of it receives `Aᵀ ysⱼ`.
-    ///
-    /// The default processes the panel one column at a time through
-    /// [`StrategyOperator::apply_transpose_into`], so every column of the
-    /// result is **bit-identical** to the single-RHS path by construction —
-    /// that makes the default the correctness reference every blocked
-    /// override is property-tested against. Structured operators override
-    /// it to amortize their structural walk across the panel.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `ys.len() != k * rows`.
-    fn apply_transpose_multi(
-        &self,
-        ys: &[f64],
-        k: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut OpScratch,
-    ) -> Result<()> {
-        let (m, n) = self.shape();
-        check_panel(ys.len(), m, k, "apply_transpose_multi")?;
-        out.resize(k * n, 0.0);
-        let mut col = scratch.take_col();
-        let mut result = Ok(());
-        for j in 0..k {
-            if let Err(e) = self.apply_transpose_into(&ys[j * m..(j + 1) * m], &mut col) {
-                result = Err(e);
-                break;
-            }
-            out[j * n..(j + 1) * n].copy_from_slice(&col);
-        }
-        scratch.put_col(col);
-        result
-    }
-
-    /// Multi-RHS [`StrategyOperator::solve_normal`]: `bs` holds `k`
-    /// column-major right-hand sides of length `cols`; column `j` of `out`
-    /// receives `(AᵀA)⁻¹ bsⱼ`. Same per-column bit-identity contract (and
-    /// default implementation shape) as
-    /// [`StrategyOperator::apply_transpose_multi`].
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `bs.len() != k * cols`.
-    fn solve_normal_multi(
-        &self,
-        bs: &[f64],
-        k: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut OpScratch,
-    ) -> Result<()> {
-        let n = self.cols();
-        check_panel(bs.len(), n, k, "solve_normal_multi")?;
-        out.resize(k * n, 0.0);
-        let mut col = scratch.take_col();
-        let mut result = Ok(());
-        for j in 0..k {
-            if let Err(e) = self.solve_normal_into(&bs[j * n..(j + 1) * n], &mut col, scratch) {
-                result = Err(e);
-                break;
-            }
-            out[j * n..(j + 1) * n].copy_from_slice(&col);
-        }
-        scratch.put_col(col);
-        result
-    }
-
-    /// Multi-RHS [`StrategyOperator::pinv_apply`]: `ys` holds `k`
-    /// column-major noise columns of length `rows`; column `j` of `out`
-    /// receives `A⁺ ysⱼ`. This is the panel entry point of the blocked
-    /// Monte-Carlo prepare. Same per-column bit-identity contract (and
-    /// default implementation shape) as
-    /// [`StrategyOperator::apply_transpose_multi`].
+    /// `A⁺ y = (AᵀA)⁻¹ Aᵀ y` for each of the `k` columns of `ys` (each
+    /// `rows` long) — the panel entry point of the blocked Monte-Carlo
+    /// prepare.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `ys.len() != k * rows`.
@@ -207,32 +69,30 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
         k: usize,
         out: &mut Vec<f64>,
         scratch: &mut OpScratch,
-    ) -> Result<()> {
-        let (m, n) = self.shape();
-        check_panel(ys.len(), m, k, "pinv_apply_multi")?;
-        out.resize(k * n, 0.0);
-        let mut col = scratch.take_col();
-        let mut result = Ok(());
-        for j in 0..k {
-            if let Err(e) = self.pinv_apply_into(&ys[j * m..(j + 1) * m], &mut col, scratch) {
-                result = Err(e);
-                break;
-            }
-            out[j * n..(j + 1) * n].copy_from_slice(&col);
-        }
-        scratch.put_col(col);
-        result
-    }
+    ) -> Result<()>;
 
-    /// Grows the operator to `n_new` domain cells after a domain
-    /// extension, reusing this operator's precompute where the structure
-    /// allows. Returns `None` when the operator has no incremental path
-    /// (the caller falls back to a fresh build); implementations that
-    /// return `Some` guarantee the result is **bit-identical** to a fresh
-    /// build over `n_new` cells (property-tested for the hierarchical
-    /// family).
-    fn extend_to(&self, _n_new: usize) -> Option<SharedOperator> {
-        None
+    /// `(AᵀA)⁻¹ b` for each of the `k` columns of `bs` (each `cols` long).
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] when `bs.len() != k * cols`.
+    fn solve_normal_multi(
+        &self,
+        bs: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+        scratch: &mut OpScratch,
+    ) -> Result<()>;
+
+    /// `A⁺ y` for one vector: a one-column
+    /// [`StrategyOperator::pinv_apply_multi`] — the strategy mechanism's
+    /// per-answer reconstruction.
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] when `y.len() != rows`.
+    fn pinv_apply(&self, y: &[f64]) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
+        self.pinv_apply_multi(y, 1, &mut out, &mut OpScratch::new())?;
+        Ok(out)
     }
 }
 
@@ -240,38 +100,26 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
 /// state want (operators are immutable once built).
 pub type SharedOperator = Arc<dyn StrategyOperator>;
 
-/// Reusable scratch space for the `_into` entry points of
-/// [`StrategyOperator`].
+/// Reusable scratch space for the panel methods of [`StrategyOperator`].
 ///
-/// The operator-path Monte-Carlo prepare performs one `pinv_apply` per
-/// sample; with fresh allocations that is five vectors per sample (the
-/// `Aᵀy` intermediate plus the four sweep buffers of the hierarchical
-/// solve). Holding one `OpScratch` per worker thread and calling
-/// [`StrategyOperator::pinv_apply_into`] makes the steady-state loop
-/// allocation-free: buffers grow to the operator's dimensions once and are
-/// fully overwritten on every call, so results are bit-identical to the
-/// allocating paths.
-///
-/// The buffers carry no values between calls — a dirty scratch is as good
-/// as a fresh one (property-tested).
+/// Holding one `OpScratch` per worker thread makes the Monte-Carlo
+/// prepare's steady-state loop allocation-free: buffers grow to the
+/// operator's dimensions once and are fully overwritten on every call.
+/// They carry no values between calls — a dirty scratch is as good as a
+/// fresh one (property-tested).
 #[derive(Debug, Clone, Default)]
 pub struct OpScratch {
-    /// Node-sized sweep buffer (hierarchical solve: subtree sums `sx`).
+    /// Node-sized sweep buffer (hierarchical solve: subtree sums, then
+    /// the top-down corrections).
     pub(crate) sweep_a: Vec<f64>,
     /// Node-sized sweep buffer (Sherman–Morrison coefficients).
     pub(crate) sweep_b: Vec<f64>,
-    /// Node-sized sweep buffer (top-down accumulated corrections).
-    pub(crate) sweep_c: Vec<f64>,
-    /// Domain-sized intermediate (`Aᵀ y` inside `pinv_apply_into`).
-    transpose: Vec<f64>,
-    /// Single-column staging buffer for the per-column multi-RHS defaults
-    /// and blocked-kernel ragged tails.
-    col: Vec<f64>,
-    /// Lane-interleaved packed input panel of the blocked kernels.
+    /// Lane-interleaved packed input panel.
     pub(crate) panel_a: Vec<f64>,
-    /// Lane-interleaved intermediate panel (`Aᵀ` of a noise panel).
+    /// Lane-interleaved intermediate panel (`Aᵀ` of a noise panel, or the
+    /// packed right-hand sides of a solve).
     pub(crate) panel_b: Vec<f64>,
-    /// Lane-interleaved output panel of the blocked kernels.
+    /// Lane-interleaved output panel.
     pub(crate) panel_c: Vec<f64>,
 }
 
@@ -280,40 +128,6 @@ impl OpScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Takes the `Aᵀy` buffer out of the scratch so an implementation can
-    /// use it while still passing `&mut self` to `solve_normal_into`
-    /// (returned via [`OpScratch::put_transpose`]).
-    pub fn take_transpose(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.transpose)
-    }
-
-    /// Returns the buffer taken by [`OpScratch::take_transpose`].
-    pub fn put_transpose(&mut self, buf: Vec<f64>) {
-        self.transpose = buf;
-    }
-
-    /// Takes the single-column staging buffer (same ownership dance as
-    /// [`OpScratch::take_transpose`], for the multi-RHS per-column paths).
-    pub fn take_col(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.col)
-    }
-
-    /// Returns the buffer taken by [`OpScratch::take_col`].
-    pub fn put_col(&mut self, buf: Vec<f64>) {
-        self.col = buf;
-    }
-}
-
-fn check_len(len: usize, expect: usize, op: &'static str) -> Result<()> {
-    if len != expect {
-        return Err(LinalgError::ShapeMismatch {
-            op,
-            lhs: (expect, 1),
-            rhs: (len, 1),
-        });
-    }
-    Ok(())
 }
 
 /// Validates a column-major panel: `len` must be exactly `k` columns of
@@ -340,6 +154,14 @@ impl IdentityOperator {
     pub fn new(n: usize) -> Self {
         Self { n }
     }
+
+    /// `out ← xs` after checking the panel shape: `A⁺ = (AᵀA)⁻¹ = I`.
+    fn copy_panel(&self, xs: &[f64], k: usize, out: &mut Vec<f64>, op: &'static str) -> Result<()> {
+        check_panel(xs.len(), self.n, k, op)?;
+        out.clear();
+        out.extend_from_slice(xs);
+        Ok(())
+    }
 }
 
 impl StrategyOperator for IdentityOperator {
@@ -348,34 +170,51 @@ impl StrategyOperator for IdentityOperator {
     }
 
     fn apply(&self, x: &[f64]) -> Result<Vec<f64>> {
-        check_len(x.len(), self.n, "identity apply")?;
+        check_panel(x.len(), self.n, 1, "identity apply")?;
         Ok(x.to_vec())
-    }
-
-    fn apply_transpose(&self, y: &[f64]) -> Result<Vec<f64>> {
-        check_len(y.len(), self.n, "identity apply_transpose")?;
-        Ok(y.to_vec())
-    }
-
-    fn solve_normal(&self, b: &[f64]) -> Result<Vec<f64>> {
-        check_len(b.len(), self.n, "identity solve_normal")?;
-        Ok(b.to_vec())
     }
 
     fn l1_operator_norm(&self) -> f64 {
         1.0
     }
 
-    fn extend_to(&self, n_new: usize) -> Option<SharedOperator> {
-        // The identity has no precompute; "extension" is just a bigger
-        // identity, trivially bit-identical to a fresh build.
-        (n_new >= self.n).then(|| Arc::new(IdentityOperator::new(n_new)) as SharedOperator)
+    fn pinv_apply_multi(
+        &self,
+        ys: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+        _scratch: &mut OpScratch,
+    ) -> Result<()> {
+        self.copy_panel(ys, k, out, "identity pinv_apply_multi")
+    }
+
+    fn solve_normal_multi(
+        &self,
+        bs: &[f64],
+        k: usize,
+        out: &mut Vec<f64>,
+        _scratch: &mut OpScratch,
+    ) -> Result<()> {
+        self.copy_panel(bs, k, out, "identity solve_normal_multi")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Aᵀ y` built from `apply` alone: `(Aᵀ y)_j = ⟨A e_j, y⟩`.
+    fn adjoint_by_columns(op: &dyn StrategyOperator, y: &[f64]) -> Vec<f64> {
+        let n = op.cols();
+        (0..n)
+            .map(|j| {
+                let mut e = vec![0.0; n];
+                e[j] = 1.0;
+                let col = op.apply(&e).unwrap();
+                col.iter().zip(y).map(|(a, b)| a * b).sum()
+            })
+            .collect()
+    }
 
     #[test]
     fn identity_operator_is_a_no_op() {
@@ -386,49 +225,55 @@ mod tests {
         assert_eq!(op.l1_operator_norm(), 1.0);
         let x = [1.0, -2.0, 0.5];
         assert_eq!(op.apply(&x).unwrap(), x.to_vec());
-        assert_eq!(op.apply_transpose(&x).unwrap(), x.to_vec());
-        assert_eq!(op.solve_normal(&x).unwrap(), x.to_vec());
         assert_eq!(op.pinv_apply(&x).unwrap(), x.to_vec());
-        assert!(op.apply(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn default_into_paths_match_allocating_paths() {
-        // The identity keeps the default `_into` impls, which must
-        // reproduce the allocating paths exactly, whatever `out` held.
-        let ident = IdentityOperator::new(3);
+        // Both panel methods copy, whatever `out` held before.
+        let panel = [1.0, -2.0, 0.5, 4.0, 0.0, -0.25];
         let mut scratch = OpScratch::new();
         let mut out = vec![f64::NAN; 5];
-
-        let y3 = [1.0, -2.0, 0.5];
-        ident.pinv_apply_into(&y3, &mut out, &mut scratch).unwrap();
-        assert_eq!(out, ident.pinv_apply(&y3).unwrap());
-        ident.apply_transpose_into(&y3, &mut out).unwrap();
-        assert_eq!(out, ident.apply_transpose(&y3).unwrap());
-        ident
-            .solve_normal_into(&y3, &mut out, &mut scratch)
+        op.pinv_apply_multi(&panel, 2, &mut out, &mut scratch)
             .unwrap();
-        assert_eq!(out, ident.solve_normal(&y3).unwrap());
-
-        let b2 = [0.25, -4.0];
-        assert!(ident.pinv_apply_into(&b2, &mut out, &mut scratch).is_err());
+        assert_eq!(out, panel.to_vec());
+        out.fill(f64::NAN);
+        op.solve_normal_multi(&panel, 2, &mut out, &mut scratch)
+            .unwrap();
+        assert_eq!(out, panel.to_vec());
+        assert!(op.apply(&[1.0]).is_err());
+        assert!(op.pinv_apply(&[1.0]).is_err());
+        assert!(op
+            .solve_normal_multi(&panel[..5], 2, &mut out, &mut scratch)
+            .is_err());
     }
 
     #[test]
     fn solve_normal_solves_the_normal_equations() {
         // The trait contract, on every operator this crate ships: AᵀA x = b
-        // for x = solve_normal(b), with AᵀA applied as two matvecs.
+        // for x = solve_normal_multi(b), with A applied by `apply` and Aᵀ
+        // built from it column by column.
         let ops: [SharedOperator; 3] = [
             Arc::new(IdentityOperator::new(5)),
             Arc::new(crate::HierarchicalOperator::new(5, 2).unwrap()),
             Arc::new(crate::HierarchicalOperator::new(11, 3).unwrap()),
         ];
+        let mut scratch = OpScratch::new();
+        let mut x = Vec::new();
         for op in &ops {
             let b: Vec<f64> = (0..op.cols()).map(|i| 1.0 - 0.75 * i as f64).collect();
-            let x = op.solve_normal(&b).unwrap();
-            let back = op.apply_transpose(&op.apply(&x).unwrap()).unwrap();
+            op.solve_normal_multi(&b, 1, &mut x, &mut scratch).unwrap();
+            let back = adjoint_by_columns(op.as_ref(), &op.apply(&x).unwrap());
             for (got, want) in back.iter().zip(&b) {
                 assert!((got - want).abs() < 1e-10, "{op:?}: {back:?} vs {b:?}");
+            }
+            // A⁺ y = (AᵀA)⁻¹ Aᵀ y, composed from the same two pieces.
+            let y: Vec<f64> = (0..op.rows()).map(|i| (i as f64).sin()).collect();
+            op.solve_normal_multi(
+                &adjoint_by_columns(op.as_ref(), &y),
+                1,
+                &mut x,
+                &mut scratch,
+            )
+            .unwrap();
+            for (got, want) in op.pinv_apply(&y).unwrap().iter().zip(&x) {
+                assert!((got - want).abs() < 1e-10, "{op:?}");
             }
         }
     }

@@ -13,6 +13,7 @@
 //! numerically dense, so the served pipeline never forms it and applies
 //! `A⁺` matrix-free instead (see [`crate::StrategyOperator`]).
 
+use crate::lanes::{pack_lanes, unpack_lanes, LANES};
 use crate::{LinalgError, Result};
 
 /// A compressed-sparse-row `f64` matrix.
@@ -146,7 +147,8 @@ impl CsrMatrix {
         }
     }
 
-    /// Sparse matrix–vector product `self * x`, `O(nnz)`.
+    /// Sparse matrix–vector product `self * x`, `O(nnz)`: every output
+    /// element is the row dot product, `k` ascending.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `x.len() != cols`.
@@ -158,63 +160,12 @@ impl CsrMatrix {
                 rhs: (x.len(), 1),
             });
         }
-        let mut out = vec![0.0; self.rows];
-        self.matvec_fill(x, &mut out);
-        Ok(out)
-    }
-
-    /// [`CsrMatrix::matvec`] writing into a caller-owned buffer — the
-    /// allocation-free entry point for hot loops that perform one product
-    /// per Monte-Carlo sample. `out` is resized to `rows` and fully
-    /// overwritten; the arithmetic (and hence the result, bit for bit) is
-    /// identical to [`CsrMatrix::matvec`].
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `x.len() != cols`.
-    pub fn matvec_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        if x.len() != self.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "csr matvec",
-                lhs: self.shape(),
-                rhs: (x.len(), 1),
-            });
-        }
-        out.resize(self.rows, 0.0);
-        self.matvec_fill(x, out);
-        Ok(())
-    }
-
-    /// Shared kernel of [`CsrMatrix::matvec`] / [`CsrMatrix::matvec_into`]:
-    /// every output element is overwritten with the row dot product, `k`
-    /// ascending.
-    fn matvec_fill(&self, x: &[f64], out: &mut [f64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            let (cols, vals) = self.row(i);
-            *o = cols.iter().zip(vals).map(|(&j, &v)| v * x[j]).sum();
-        }
-    }
-
-    /// Multi-RHS matvec: `xs` holds `k` column-major input columns of
-    /// length `cols` each (`xs[c * cols..(c + 1) * cols]` is column `c`);
-    /// `out` is resized to `k * rows` and column `c` of it receives
-    /// `self * xsᶜ`.
-    ///
-    /// Full tiles of eight columns are processed lane-interleaved, so one
-    /// walk over the sparsity pattern serves the whole tile with
-    /// independent per-lane accumulators (autovectorizable, and free of
-    /// the loop-carried FP add chain of the single-column dot product).
-    /// Rows shaped like prefix/CDF queries (contiguous unit weights from
-    /// column 0) are all answered by one shared prefix-sum sweep per tile
-    /// instead of independent dot products. Per lane, each row still
-    /// accumulates its nonzeros in the same ascending-k order starting
-    /// from 0.0 as [`CsrMatrix::matvec`], so every column is
-    /// **bit-identical** to the single-RHS product; the ragged tail
-    /// (< 8 columns) goes through the single-RHS kernel directly.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] when `xs.len() != k * cols`.
-    pub fn matvec_panel(&self, xs: &[f64], k: usize, out: &mut Vec<f64>) -> Result<()> {
-        self.matvec_panel_with_plan(&self.panel_plan(), xs, k, out)
+        Ok((0..self.rows)
+            .map(|i| {
+                let (cols, vals) = self.row(i);
+                cols.iter().zip(vals).map(|(&j, &v)| v * x[j]).sum()
+            })
+            .collect())
     }
 
     /// Classifies this matrix's rows for [`CsrMatrix::matvec_panel_with_plan`].
@@ -223,8 +174,8 @@ impl CsrMatrix {
     /// weights — the shape of every range/CDF workload row over the
     /// leading cells — so its dot product is a prefix sum of `x`. The
     /// classification walks every stored nonzero (`O(nnz)`), so callers
-    /// issuing many panel products against the same matrix should build
-    /// the plan once and reuse it.
+    /// issuing many panel products against the same matrix build the plan
+    /// once and reuse it.
     pub fn panel_plan(&self) -> PanelPlan {
         let mut prefix: Vec<(usize, usize)> = Vec::new(); // (hi, row)
         let mut general: Vec<usize> = Vec::new();
@@ -247,17 +198,25 @@ impl CsrMatrix {
         }
     }
 
-    /// [`CsrMatrix::matvec_panel`] with a precomputed [`PanelPlan`],
-    /// skipping the per-call `O(nnz)` row classification. The plan must
-    /// come from [`CsrMatrix::panel_plan`] on this same matrix.
+    /// Multi-RHS matvec: `xs` holds `k` column-major input columns of
+    /// length `cols` each (`xs[c * cols..(c + 1) * cols]` is column `c`);
+    /// `out` is resized to `k * rows` and column `c` of it receives
+    /// `self * xsᶜ`. The plan must come from [`CsrMatrix::panel_plan`] on
+    /// this same matrix.
+    ///
+    /// Full tiles of eight columns are processed lane-interleaved, so one
+    /// walk over the sparsity pattern serves the whole tile with
+    /// independent per-lane accumulators; the ragged tail runs the same
+    /// kernel one column at a time (see the `lanes` module). Per lane, each
+    /// row accumulates its nonzeros in ascending-k order starting from
+    /// 0.0, so a column's result does not depend on the panel around it.
     ///
     /// One shared running accumulator per lane serves all prefix rows at
     /// once: after `hi` additions it holds exactly the ascending-k fold
-    /// of [`CsrMatrix::matvec`] (IEEE `1.0 * x == x`, additions in the
-    /// same order from the same 0.0), so emitting it at each row's
-    /// boundary is bit-identical while doing `O(max hi)` work per tile
-    /// instead of `O(Σ hi)`. Other rows keep the generic per-row lane
-    /// kernel.
+    /// (IEEE `1.0 * x == x`, additions in the same order from the same
+    /// 0.0), so emitting it at each row's boundary equals the row's dot
+    /// product while doing `O(max hi)` work per tile instead of
+    /// `O(Σ hi)`. Other rows keep the generic per-row kernel.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `xs.len() != k * cols`.
@@ -268,7 +227,6 @@ impl CsrMatrix {
         k: usize,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        const LANES: usize = 8;
         if xs.len() != self.cols.saturating_mul(k) {
             return Err(LinalgError::ShapeMismatch {
                 op: "csr matvec_panel",
@@ -276,79 +234,75 @@ impl CsrMatrix {
                 rhs: (xs.len(), 1),
             });
         }
-        out.resize(k * self.rows, 0.0);
-        let tiles = k / LANES;
-        if tiles > 0 {
-            let PanelPlan {
-                prefix,
-                general,
-                sweep_hi,
-            } = plan;
-            let sweep_hi = *sweep_hi;
-
-            // Lane-interleaved staging buffers, reused across the tiles of
-            // this call.
-            let mut xt = vec![0.0f64; self.cols * LANES];
-            let mut yt = vec![0.0f64; self.rows * LANES];
-            for t in 0..tiles {
-                // Chunked lane transpose: the 64 KiB interleaved slab a
-                // chunk touches stays cached across the per-lane passes
-                // (a full-tile pass per lane would re-stream the whole
-                // buffer LANES times on large domains).
-                const XPOSE_CHUNK: usize = 1024;
-                let x_tile = &xs[t * LANES * self.cols..(t + 1) * LANES * self.cols];
-                let mut i0 = 0;
-                while i0 < self.cols {
-                    let i1 = (i0 + XPOSE_CHUNK).min(self.cols);
-                    for (l, col) in x_tile.chunks_exact(self.cols).enumerate() {
-                        for i in i0..i1 {
-                            xt[i * LANES + l] = col[i];
-                        }
-                    }
-                    i0 = i1;
-                }
-                let mut acc = [0.0f64; LANES];
-                let mut next = 0usize;
-                while next < prefix.len() && prefix[next].0 == 0 {
-                    let r = prefix[next].1;
-                    yt[r * LANES..(r + 1) * LANES].copy_from_slice(&acc);
-                    next += 1;
-                }
-                for j in 0..sweep_hi {
-                    let x_lanes = &xt[j * LANES..(j + 1) * LANES];
-                    for (a, &xv) in acc.iter_mut().zip(x_lanes) {
-                        *a += xv;
-                    }
-                    while next < prefix.len() && prefix[next].0 == j + 1 {
-                        let r = prefix[next].1;
-                        yt[r * LANES..(r + 1) * LANES].copy_from_slice(&acc);
-                        next += 1;
-                    }
-                }
-                for &i in general {
-                    let (cols, vals) = self.row(i);
-                    let mut acc = [0.0f64; LANES];
-                    for (&j, &v) in cols.iter().zip(vals) {
-                        let x_lanes = &xt[j * LANES..(j + 1) * LANES];
-                        for (a, &xv) in acc.iter_mut().zip(x_lanes) {
-                            *a += v * xv;
-                        }
-                    }
-                    yt[i * LANES..(i + 1) * LANES].copy_from_slice(&acc);
-                }
-                let out_tile = &mut out[t * LANES * self.rows..(t + 1) * LANES * self.rows];
-                for (l, col) in out_tile.chunks_exact_mut(self.rows).enumerate() {
-                    for (i, o) in col.iter_mut().enumerate() {
-                        *o = yt[i * LANES + l];
-                    }
-                }
-            }
+        let (n, m) = (self.cols, self.rows);
+        out.resize(k * m, 0.0);
+        if n == 0 || m == 0 {
+            out.fill(0.0);
+            return Ok(());
         }
-        for c in tiles * LANES..k {
-            let x = &xs[c * self.cols..(c + 1) * self.cols];
-            self.matvec_fill(x, &mut out[c * self.rows..(c + 1) * self.rows]);
+        // Lane-interleaved staging buffers, reused across the tiles of
+        // this call.
+        let (mut xt, mut yt) = (Vec::new(), Vec::new());
+        let full = k / LANES * LANES;
+        let (x_tiles, x_tail) = xs.split_at(full * n);
+        let (out_tiles, out_tail) = out.split_at_mut(full * m);
+        let tiles = x_tiles.chunks_exact(LANES * n);
+        for (x, o) in tiles.zip(out_tiles.chunks_exact_mut(LANES * m)) {
+            self.panel_tile::<LANES>(plan, x, o, &mut xt, &mut yt);
+        }
+        for (x, o) in x_tail.chunks_exact(n).zip(out_tail.chunks_exact_mut(m)) {
+            self.panel_tile::<1>(plan, x, o, &mut xt, &mut yt);
         }
         Ok(())
+    }
+
+    /// One tile of `W` columns of [`CsrMatrix::matvec_panel_with_plan`]:
+    /// pack, the shared prefix sweep, the general rows, unpack into `out`.
+    fn panel_tile<const W: usize>(
+        &self,
+        plan: &PanelPlan,
+        x: &[f64],
+        out: &mut [f64],
+        xt: &mut Vec<f64>,
+        yt: &mut Vec<f64>,
+    ) {
+        let PanelPlan {
+            prefix,
+            general,
+            sweep_hi,
+        } = plan;
+        let xt = pack_lanes::<W>(x, self.cols, xt);
+        // Every row is a prefix row or a general row, so the kernel writes
+        // every entry of `yt`.
+        unpack_lanes::<W>(out, self.rows, yt, |yt| {
+            let mut acc = [0.0f64; W];
+            let mut next = 0usize;
+            while next < prefix.len() && prefix[next].0 == 0 {
+                let r = prefix[next].1;
+                yt[r * W..(r + 1) * W].copy_from_slice(&acc);
+                next += 1;
+            }
+            for j in 0..*sweep_hi {
+                for (a, &xv) in acc.iter_mut().zip(&xt[j * W..(j + 1) * W]) {
+                    *a += xv;
+                }
+                while next < prefix.len() && prefix[next].0 == j + 1 {
+                    let r = prefix[next].1;
+                    yt[r * W..(r + 1) * W].copy_from_slice(&acc);
+                    next += 1;
+                }
+            }
+            for &i in general {
+                let (cols, vals) = self.row(i);
+                let mut acc = [0.0f64; W];
+                for (&j, &v) in cols.iter().zip(vals) {
+                    for (a, &xv) in acc.iter_mut().zip(&xt[j * W..(j + 1) * W]) {
+                        *a += v * xv;
+                    }
+                }
+                yt[i * W..(i + 1) * W].copy_from_slice(&acc);
+            }
+        });
     }
 
     /// The transpose, `O(nnz + rows + cols)` by counting sort.
@@ -535,25 +489,11 @@ mod tests {
     }
 
     #[test]
-    fn matvec_into_matches_matvec_and_reuses_buffers() {
-        let s = example(1.0);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        // A dirty, wrongly-sized buffer must be resized and overwritten.
-        let mut out = vec![f64::NAN; 7];
-        s.matvec_into(&x, &mut out).unwrap();
-        assert_eq!(out, s.matvec(&x).unwrap());
-        // Reuse without reallocation (same length on the second call).
-        let ptr = out.as_ptr();
-        s.matvec_into(&x, &mut out).unwrap();
-        assert_eq!(ptr, out.as_ptr());
-        assert!(s.matvec_into(&[1.0], &mut out).is_err());
-    }
-
-    #[test]
     fn matvec_panel_is_bit_identical_to_per_column_matvec() {
         // Panels exercising no tiles (k < 8), exactly one tile, and
-        // tiles + ragged tail, over an interval workload and the sparse
-        // example (which has an all-zero row).
+        // tiles + ragged tail, over an interval workload (prefix and
+        // general rows) and the sparse example (which has an all-zero
+        // row).
         let mut mats = vec![example(1.0)];
         let mut b = CsrBuilder::new(33);
         for i in 0..20 {
@@ -562,11 +502,12 @@ mod tests {
         mats.push(b.finish());
         let mut out = vec![f64::NAN; 3];
         for s in &mats {
+            let plan = s.panel_plan();
             for k in [1usize, 7, 8, 9, 16, 17] {
                 let xs: Vec<f64> = (0..k * s.cols())
                     .map(|i| ((i * 31 % 19) as f64) / 3.0 - 3.0)
                     .collect();
-                s.matvec_panel(&xs, k, &mut out).unwrap();
+                s.matvec_panel_with_plan(&plan, &xs, k, &mut out).unwrap();
                 assert_eq!(out.len(), k * s.rows());
                 for c in 0..k {
                     let want = s.matvec(&xs[c * s.cols()..(c + 1) * s.cols()]).unwrap();
@@ -579,8 +520,15 @@ mod tests {
             }
             // Shape check: one element short of k columns.
             assert!(s
-                .matvec_panel(&vec![0.0; 2 * s.cols() - 1], 2, &mut out)
+                .matvec_panel_with_plan(&plan, &vec![0.0; 2 * s.cols() - 1], 2, &mut out)
                 .is_err());
+        }
+        // Empty shapes: a full tile plus a tail of all-zero rows, and of
+        // no rows at all.
+        for z in [CsrMatrix::zeros(3, 0), CsrMatrix::zeros(0, 4)] {
+            z.matvec_panel_with_plan(&z.panel_plan(), &vec![1.0; 9 * z.cols()], 9, &mut out)
+                .unwrap();
+            assert_eq!(out, vec![0.0; 9 * z.rows()]);
         }
     }
 

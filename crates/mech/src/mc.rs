@@ -31,22 +31,21 @@
 //! Noise value `k` of sample `index` is [`unit_laplace`] of that stream's
 //! `k`-th word — a function of `(seed, index, k)` and IEEE arithmetic
 //! alone (no libm), whether [`fill_noise_panel`] draws it on a vector
-//! lane or an oracle draws it through [`Laplace::sample`].
+//! lane or an oracle draws it through [`crate::Laplace::sample`].
 //!
-//! The tests check the pipeline against two oracles, and nothing serves
-//! either: [`unit_errors_operator_single_rhs`] (one solve per sample — the
-//! blocked kernel must match it **bit for bit**; exported because the
-//! workspace property tests use it too) and, inside this module's tests,
-//! a dense serial simulation over a materialized `W A⁺` from the dev-only
-//! `apex-oracle` crate (same noise streams, so the pipeline must match it
-//! to ≈1e-9 relative; only the floating-point summation order differs).
+//! The tests pin the pipeline two ways. Run at one thread with one-sample
+//! panels, [`unit_errors_operator_blocked`] sends every sample through the
+//! kernels' one-column instance; every other thread count and panel width
+//! must match that **bit for bit**. And inside this module's tests, a
+//! dense serial simulation over a materialized `W A⁺` from the dev-only
+//! `apex-oracle` crate (same noise streams) must match it to ≈1e-9
+//! relative; only the floating-point summation order differs.
 
 use apex_linalg::{CsrMatrix, OpScratch, StrategyOperator};
 use rand::rngs::{StdRng, StdRngLanes};
 use rand::{RngCore, SeedableRng};
 
 use crate::laplace::unit_laplace;
-use crate::Laplace;
 
 /// Samples per noise panel: large enough to amortize the kernel setup,
 /// small enough that a panel (`m × 512` doubles) stays in cache for
@@ -214,13 +213,13 @@ pub fn fill_noise_panel(panel: &mut [f64], m: usize, seed: u64, first: u64) {
 impl McTranslator {
     /// Prepares the translator by simulating `cfg.samples` unit-scale
     /// reconstruction errors `‖W A⁺ η‖∞` through a [`StrategyOperator`] —
-    /// `A⁺η` is one `apply_transpose` + one `solve_normal`, never a dense
-    /// `W A⁺`.
+    /// `A⁺η` comes from [`StrategyOperator::pinv_apply_multi`], never a
+    /// dense `W A⁺`.
     ///
     /// The Chebyshev bound's `‖W A⁺‖_F` is computed without
     /// materialization either, via the trace identity
-    /// `‖W A⁺‖_F² = tr(W (AᵀA)⁻¹ Wᵀ) = Σ_i wᵢᵀ (AᵀA)⁻¹ wᵢ` — one
-    /// `solve_normal` per workload row.
+    /// `‖W A⁺‖_F² = tr(W (AᵀA)⁻¹ Wᵀ) = Σ_i wᵢᵀ (AᵀA)⁻¹ wᵢ` — one normal
+    /// solve per workload row.
     ///
     /// Noise is drawn from the same per-sample streams as the tests' dense
     /// oracle, so the simulated errors differ from a dense simulation over
@@ -343,19 +342,19 @@ impl McTranslator {
 /// same per-sample streams as the oracles) are drawn into column-major
 /// panels and pushed through `A⁺` via
 /// [`StrategyOperator::pinv_apply_multi`] and the sparse workload via
-/// [`CsrMatrix::matvec_panel`] — one interval-tree / sparsity-pattern walk
-/// amortized over a whole panel instead of one `pinv_apply_into` per
-/// sample. Per sample still `O(nnz(W) + solve cost)`, but the inner loops
-/// are independent fixed-width lanes instead of loop-carried reductions.
+/// [`CsrMatrix::matvec_panel_with_plan`] — one interval-tree /
+/// sparsity-pattern walk amortized over a whole panel. Per sample still
+/// `O(nnz(W) + solve cost)`, but the inner loops are independent
+/// fixed-width lanes instead of loop-carried reductions.
 ///
-/// Every batched kernel is bit-identical per column to its single-RHS
-/// counterpart and every sample owns its RNG stream and output slot, so
-/// the thread count and the panel width `block` (both clamped to ≥ 1)
-/// never change a result — pinned by property tests (parallelism must
-/// never change a privacy decision). The effective panel width is
-/// additionally capped so the per-thread noise panel stays within a fixed
-/// memory budget (see `capped_panel_width`); that cap is equally
-/// invisible in the results.
+/// A panel column's result does not depend on the panel around it, and
+/// every sample owns its RNG stream and output slot, so the thread count
+/// and the panel width `block` (both clamped to ≥ 1) never change a
+/// result — pinned by property tests against `threads = 1, block = 1`
+/// (parallelism must never change a privacy decision). The effective
+/// panel width is additionally capped so the per-thread noise panel stays
+/// within a fixed memory budget (see `capped_panel_width`); that cap is
+/// equally invisible in the results.
 ///
 /// Samples are split across scoped threads in **balanced** contiguous
 /// chunks (`base + 1` samples for the first `samples % threads` threads,
@@ -398,8 +397,7 @@ pub fn unit_errors_operator_blocked(
                 // sweep buffers are allocated once and reused for every
                 // panel, so the steady-state loop is allocation-free.
                 // Buffers are fully overwritten per panel — results stay
-                // bit-identical to the single-RHS reference for any thread
-                // count and panel width.
+                // bit-identical for any thread count and panel width.
                 let mut eta_panel: Vec<f64> = Vec::new();
                 let mut recon_panel: Vec<f64> = Vec::new();
                 let mut w_panel: Vec<f64> = Vec::new();
@@ -427,38 +425,6 @@ pub fn unit_errors_operator_blocked(
     errors
 }
 
-/// The single-RHS oracle: one noise vector, one `pinv_apply_into`, and
-/// one sparse `matvec_into` per sample, single-threaded. Kept and exported
-/// because the blocked pipeline's correctness claim is "bit-identical to
-/// this" — the tests compare the two directly; nothing serves it.
-pub fn unit_errors_operator_single_rhs(
-    workload: &CsrMatrix,
-    op: &dyn StrategyOperator,
-    samples: usize,
-    seed: u64,
-) -> Vec<f64> {
-    let unit = Laplace::new(1.0);
-    let m = op.rows();
-    let mut errors = vec![0.0_f64; samples];
-    let mut eta = vec![0.0_f64; m];
-    let mut recon_eta: Vec<f64> = Vec::new();
-    let mut w_eta: Vec<f64> = Vec::new();
-    let mut scratch = OpScratch::new();
-    for (i, e) in errors.iter_mut().enumerate() {
-        let mut rng = sample_stream(seed, i as u64);
-        for v in eta.iter_mut() {
-            *v = unit.sample(&mut rng);
-        }
-        op.pinv_apply_into(&eta, &mut recon_eta, &mut scratch)
-            .expect("noise length matches operator rows");
-        workload
-            .matvec_into(&recon_eta, &mut w_eta)
-            .expect("workload and operator share the domain");
-        *e = w_eta.iter().fold(0.0_f64, |mx, v| mx.max(v.abs()));
-    }
-    errors
-}
-
 /// Caps a requested panel width so the per-panel working buffers stay
 /// within a fixed ~8 MiB budget. [`SAMPLE_BLOCK`]-wide panels at very
 /// large strategies (78 MiB of noise at n = 16384) thrash the cache and
@@ -477,9 +443,8 @@ fn capped_panel_width(requested: usize, col_len: usize) -> usize {
 /// `‖W A⁺‖_F² = tr(W (AᵀA)⁻¹ Wᵀ) = Σ_i wᵢᵀ (AᵀA)⁻¹ wᵢ` — normal solves
 /// over the workload rows (`O(L · n)` total for the hierarchical family),
 /// pushed through [`StrategyOperator::solve_normal_multi`] in panels of
-/// densified rows. Each panel column's solve — and the sparse dot against
-/// it — is bit-identical to the row-at-a-time loop this replaces, so the
-/// returned norm is unchanged by the blocking (or by panel width).
+/// densified rows. A panel column's solve does not depend on the panel
+/// around it, so the returned norm is unchanged by the panel width.
 pub fn recon_frobenius_via_operator(workload: &CsrMatrix, op: &dyn StrategyOperator) -> f64 {
     let n = workload.cols();
     let l = workload.rows();
@@ -516,6 +481,7 @@ pub fn recon_frobenius_via_operator(workload: &CsrMatrix, op: &dyn StrategyOpera
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Laplace;
     use apex_linalg::{CsrBuilder, HierarchicalOperator, IdentityOperator};
     use apex_oracle::{frobenius_norm, pinv, Matrix};
     use apex_query::Strategy;
@@ -581,6 +547,17 @@ mod tests {
             1.0,
             mc(samples),
         )
+    }
+
+    /// The one-column reference: one thread, one sample per panel, so
+    /// every sample runs the kernels' `W = 1` instance alone.
+    fn unit_errors_one_by_one(
+        workload: &CsrMatrix,
+        op: &dyn StrategyOperator,
+        samples: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        unit_errors_operator_blocked(workload, op, samples, seed, 1, 1)
     }
 
     fn prefix_workload_csr(n: usize) -> CsrMatrix {
@@ -785,15 +762,15 @@ mod tests {
 
     #[test]
     fn blocked_is_bit_identical_to_single_rhs_across_panel_widths() {
-        // The blocked panel pipeline must reproduce the single-RHS loop
-        // bit for bit for every panel width — including 1, widths around
+        // The blocked panel pipeline must reproduce the one-sample-per-
+        // panel run bit for bit for every panel width — including 1, widths around
         // the default block, and widths straddling the sample count — over
         // non-power domains and branchings 2/3/5.
         for (n, b) in [(13usize, 2usize), (33, 3), (50, 5)] {
             let w = prefix_workload_csr(n);
             let op = HierarchicalOperator::new(n, b).unwrap();
             let samples = 70;
-            let reference = unit_errors_operator_single_rhs(&w, &op, samples, 0xB10C);
+            let reference = unit_errors_one_by_one(&w, &op, samples, 0xB10C);
             for block in [1usize, 7, 8, 9, 64, 69, 70, 71, 1024] {
                 let blocked = unit_errors_operator_blocked(&w, &op, samples, 0xB10C, 1, block);
                 assert_eq!(reference, blocked, "n={n} b={b} block={block}");
@@ -810,7 +787,7 @@ mod tests {
         let w = prefix_workload_csr(n);
         let op = HierarchicalOperator::new(n, 2).unwrap();
         let samples = SAMPLE_BLOCK + 37;
-        let reference = unit_errors_operator_single_rhs(&w, &op, samples, 0x51AB);
+        let reference = unit_errors_one_by_one(&w, &op, samples, 0x51AB);
         for block in [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1] {
             let blocked = unit_errors_operator_blocked(&w, &op, samples, 0x51AB, 1, block);
             assert_eq!(reference, blocked, "block={block}");
@@ -820,13 +797,13 @@ mod tests {
     #[test]
     fn single_rhs_translator_agrees_exactly_with_blocked_translator() {
         // The served constructor (host thread count, default panel width)
-        // against the single-RHS oracle's samples, sorted as it sorts.
+        // against the one-sample-per-panel samples, sorted as it sorts.
         let n = 27;
         let w = prefix_workload_csr(n);
         let op = Strategy::H2.operator(n).unwrap();
         let cfg = mc(SAMPLE_BLOCK + 100);
         let blocked = McTranslator::with_operator(&w, op.as_ref(), op.l1_operator_norm(), cfg);
-        let mut single = unit_errors_operator_single_rhs(&w, op.as_ref(), cfg.samples, cfg.seed);
+        let mut single = unit_errors_one_by_one(&w, op.as_ref(), cfg.samples, cfg.seed);
         single.sort_by(f64::total_cmp);
         assert_eq!(blocked.unit_errors(), single);
     }
@@ -925,8 +902,8 @@ mod tests {
         // prefix yields a prefix.
         let w = prefix_workload_csr(9);
         let op = Strategy::H2.operator(9).unwrap();
-        let all = unit_errors_operator_single_rhs(&w, op.as_ref(), 50, 99);
-        let prefix = unit_errors_operator_single_rhs(&w, op.as_ref(), 20, 99);
+        let all = unit_errors_one_by_one(&w, op.as_ref(), 50, 99);
+        let prefix = unit_errors_one_by_one(&w, op.as_ref(), 20, 99);
         assert_eq!(&all[..20], &prefix[..]);
     }
 }

@@ -33,8 +33,8 @@ pub struct SmArtifacts {
     /// The Monte-Carlo translator prepared for `W A⁺`.
     pub translator: McTranslator,
     /// The matrix-free strategy: `ŷ = op.apply(x)` and
-    /// `ω = W · op.pinv_apply(ŷ)` (one `apply_transpose` + one
-    /// `solve_normal`). No `O(n³)` pseudoinverse, no dense `W A⁺`.
+    /// `ω = W · op.pinv_apply(ŷ)` (the transpose, then one `O(n)` normal
+    /// solve). No `O(n³)` pseudoinverse, no dense `W A⁺`.
     pub operator: SharedOperator,
 }
 
@@ -106,7 +106,7 @@ impl SmArtifacts {
     }
 
     /// Reconstructs workload answers `ω = (W A⁺) ŷ` from noisy strategy
-    /// answers, via `solve_normal` + `apply_transpose`.
+    /// answers, via the operator's `pinv_apply`.
     ///
     /// # Errors
     /// Shape mismatches surface as [`MechError::Linalg`].
@@ -233,7 +233,7 @@ impl Mechanism for StrategyMechanism {
         let eps = art.translator.translate(acc.alpha(), beta);
 
         // ŷ = A x + Lap(‖A‖₁/ε)^m ; ω = (W A⁺) ŷ — the reconstruction is
-        // solve_normal ∘ apply_transpose, never a stored dense W A⁺.
+        // the operator's pinv_apply, never a stored dense W A⁺.
         let x = q.compiled().histogram(data);
         let mut y = art.strategy_answer(&x)?;
         let b = art.strat_sensitivity / eps;

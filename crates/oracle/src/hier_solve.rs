@@ -2,7 +2,7 @@
 //! written out from its interval tree, and its QR pseudoinverse.
 
 mod tests {
-    use apex_linalg::{HierarchicalOperator, StrategyOperator};
+    use apex_linalg::{HierarchicalOperator, OpScratch, StrategyOperator};
 
     use crate::{l1_operator_norm, pinv, Matrix};
 
@@ -68,10 +68,14 @@ mod tests {
             let a = dense(n, b);
             let x: Vec<f64> = (0..n).map(|i| 0.5 * i as f64 - 1.0).collect();
             assert_eq!(op.apply(&x).unwrap(), a.matvec(&x).unwrap());
+            // The transpose inside A⁺: A⁺y equals the normal solve of the
+            // dense Aᵀy.
             let y: Vec<f64> = (0..op.rows()).map(|i| (i % 5) as f64 - 2.0).collect();
+            let mut via_dense = Vec::new();
             let at = a.transpose().matvec(&y).unwrap();
-            let got = op.apply_transpose(&y).unwrap();
-            assert!(vec_close(&got, &at, 1e-12));
+            op.solve_normal_multi(&at, 1, &mut via_dense, &mut OpScratch::new())
+                .unwrap();
+            assert!(vec_close(&op.pinv_apply(&y).unwrap(), &via_dense, 1e-12));
         }
     }
 

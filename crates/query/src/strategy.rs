@@ -82,15 +82,16 @@ impl Strategy {
     }
 
     /// Hands out the strategy as a matrix-free [`SharedOperator`] — the
-    /// primary representation for mechanism code since the operator
-    /// refactor. `apply` answers the strategy, `apply_transpose` +
-    /// `solve_normal` compose into the pseudoinverse action `A⁺ŷ`, so the
-    /// `O(n³)` dense pseudoinverse is never materialized: the hierarchical
-    /// family solves its normal equations in `O(n)` per right-hand side.
+    /// representation mechanism code uses. `apply` answers the strategy and
+    /// `pinv_apply` is the pseudoinverse action `A⁺ŷ = (AᵀA)⁻¹ Aᵀ ŷ`, so
+    /// the `O(n³)` dense pseudoinverse is never materialized: the
+    /// hierarchical family solves its normal equations in `O(n)` per
+    /// right-hand side.
     ///
     /// The operator's rows are in the exact order of
-    /// [`Strategy::build_csr`], and `apply`/`apply_transpose` match the
-    /// CSR matvecs bit for bit (property-tested).
+    /// [`Strategy::build_csr`]; `apply` matches the CSR matvec and the
+    /// transpose inside `pinv_apply` matches the transposed-CSR matvec,
+    /// both bit for bit (property-tested).
     ///
     /// # Errors
     /// * [`StrategyError::EmptyDomain`] when `n_cells == 0`.
@@ -110,37 +111,6 @@ impl Strategy {
                         .expect("non-empty domain checked above"),
                 ))
             }
-        }
-    }
-
-    /// Grows an existing operator of this strategy to `n_new` cells after
-    /// a domain extension, reusing the operator's precompute when it
-    /// supports incremental growth ([`apex_linalg::StrategyOperator::extend_to`])
-    /// and falling back to a fresh [`Strategy::operator`] build otherwise.
-    ///
-    /// Either path yields an operator **bit-identical** to
-    /// `self.operator(n_new)` — incremental maintenance must be
-    /// indistinguishable from a rebuild (property-tested).
-    ///
-    /// # Errors
-    /// * [`StrategyError::EmptyDomain`] when `n_new == 0`.
-    /// * [`StrategyError::BadBranching`] when `branching < 2`.
-    pub fn extend_to(
-        &self,
-        op: &SharedOperator,
-        n_new: usize,
-    ) -> Result<SharedOperator, StrategyError> {
-        if n_new == 0 {
-            return Err(StrategyError::EmptyDomain);
-        }
-        if let Strategy::Hierarchical { branching } = self {
-            if *branching < 2 {
-                return Err(StrategyError::BadBranching(*branching));
-            }
-        }
-        match op.extend_to(n_new) {
-            Some(grown) => Ok(grown),
-            None => self.operator(n_new),
         }
     }
 
@@ -196,6 +166,7 @@ fn hierarchical(n: usize, b: usize) -> CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apex_linalg::OpScratch;
     use apex_oracle::{l1_operator_norm, pinv, Matrix};
 
     /// The strategy over `n` cells as a dense oracle matrix.
@@ -298,11 +269,19 @@ mod tests {
                 let x: Vec<f64> = (0..n).map(|i| (i as f64) * 0.37 - 1.0).collect();
                 assert_eq!(op.apply(&x).unwrap(), csr.matvec(&x).unwrap());
 
+                // A⁺y = (AᵀA)⁻¹ (Aᵀy): the operator's own transpose must
+                // feed the solve exactly what the transposed CSR would.
                 let y: Vec<f64> = (0..csr.rows()).map(|i| ((i % 9) as f64) - 4.0).collect();
-                assert_eq!(
-                    op.apply_transpose(&y).unwrap(),
-                    csr.transpose().matvec(&y).unwrap()
-                );
+                let mut via_csr = Vec::new();
+                op.solve_normal_multi(
+                    &csr.transpose().matvec(&y).unwrap(),
+                    1,
+                    &mut via_csr,
+                    &mut OpScratch::new(),
+                )
+                .unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&op.pinv_apply(&y).unwrap()), bits(&via_csr));
             }
         }
     }
@@ -319,53 +298,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-10, "n = {n}");
             }
         }
-    }
-
-    #[test]
-    fn extend_to_matches_fresh_operator_bit_for_bit() {
-        for strat in [
-            Strategy::Identity,
-            Strategy::H2,
-            Strategy::Hierarchical { branching: 3 },
-        ] {
-            for &(n_old, n_new) in &[(1usize, 4usize), (6, 6), (6, 19), (32, 33)] {
-                let op = strat.operator(n_old).unwrap();
-                let grown = strat.extend_to(&op, n_new).unwrap();
-                let fresh = strat.operator(n_new).unwrap();
-                assert_eq!(
-                    grown.shape(),
-                    fresh.shape(),
-                    "{} {n_old}->{n_new}",
-                    strat.name()
-                );
-                assert_eq!(
-                    grown.l1_operator_norm().to_bits(),
-                    fresh.l1_operator_norm().to_bits()
-                );
-                let x: Vec<f64> = (0..n_new).map(|i| (i as f64) * 0.41 - 2.0).collect();
-                let (ya, yb) = (grown.apply(&x).unwrap(), fresh.apply(&x).unwrap());
-                for (a, b) in ya.iter().zip(&yb) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-                let rhs: Vec<f64> = (0..n_new).map(|i| (i as f64).cos()).collect();
-                let (sa, sb) = (
-                    grown.solve_normal(&rhs).unwrap(),
-                    fresh.solve_normal(&rhs).unwrap(),
-                );
-                for (a, b) in sa.iter().zip(&sb) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn extend_to_rejects_empty_target() {
-        let op = Strategy::H2.operator(4).unwrap();
-        assert!(matches!(
-            Strategy::H2.extend_to(&op, 0),
-            Err(StrategyError::EmptyDomain)
-        ));
     }
 
     #[test]

@@ -29,10 +29,12 @@
 //! **Changing `--shards` against an existing `--state-dir`** moves
 //! ~1/(N+1) of tenants to different shards (that is the consistent-hash
 //! guarantee), but their *spent budget* stays in the old shard's ledger
-//! files; every shard still loads every tenant's ledger, so nothing is
-//! forgotten — aggregate accounting stays exact — but a moved tenant's
-//! new owner starts charging a fresh ledger. Keep the shard count
-//! stable for a given state dir unless you migrate ledgers explicitly.
+//! files. A moved tenant's new owner would charge a fresh ledger and let
+//! it spend B again, so startup refuses (`RecoverError::MovedSpend`,
+//! naming the tenant, the shard and the ε spent there) whenever a tenant
+//! has spent anything on a shard the new ring does not route it to. Keep
+//! the shard count stable for a given state dir; tenants that have spent
+//! nothing may move freely.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

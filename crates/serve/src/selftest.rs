@@ -473,9 +473,9 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
         }
     }
     // Each tenant as recovered, summed across shards (its charges live in
-    // its owner shard's ledger and — if the shard count changed since the
-    // dir was written — in a previous owner's), and what its clients are
-    // acked from here on: the invariants hold between the two.
+    // its owner shard's ledger alone: recovery refuses a dir whose spend
+    // sits on a shard this ring does not route to), and what its clients
+    // are acked from here on: the invariants hold between the two.
     let base: Vec<Observed> = TENANTS
         .iter()
         .map(|t| Observed::read(set.states(), set.ring().shard_for(t), t))

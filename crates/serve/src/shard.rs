@@ -184,8 +184,14 @@ impl ShardSet {
     /// WAL-over-snapshot; a slow or large shard never serializes the
     /// others. The first shard to refuse recovery fails the whole boot.
     ///
+    /// Every shard loads every tenant's ledger, but only the tenant's
+    /// owner charges it. So a tenant with spend on a shard the ring does
+    /// not route it to — the dir was written under another shard count —
+    /// refuses the boot: its new owner would start from a fresh ledger.
+    ///
     /// # Errors
-    /// The first [`RecoverError`] any shard reported.
+    /// The first [`RecoverError`] any shard reported, else
+    /// [`RecoverError::MovedSpend`] for the first stranded spend.
     pub fn recover(
         root: &Path,
         shards: usize,
@@ -216,6 +222,19 @@ impl ShardSet {
             let (state, report) = slot.expect("every shard thread ran")?;
             states.push(Arc::new(state));
             reports.push(report);
+        }
+        for (shard, state) in states.iter().enumerate() {
+            for (tenant, t) in state.tenants() {
+                let (owner, spent) = (ring.shard_for(tenant), t.engine.spent());
+                if owner != shard && spent > 0.0 {
+                    return Err(RecoverError::MovedSpend {
+                        tenant: tenant.clone(),
+                        shard,
+                        owner,
+                        spent,
+                    });
+                }
+            }
         }
         Ok((Self { ring, states }, reports))
     }
@@ -251,10 +270,10 @@ impl ShardSet {
     }
 
     /// `tenant`'s spent budget summed across shards. Only the owner
-    /// charges in a given deployment era, because session creation
-    /// routes by the same decoded `"dataset"` its router opens the
-    /// session for; a reshard can leave charges on a former owner, and
-    /// the sum counts those too.
+    /// charges, because session creation routes by the same decoded
+    /// `"dataset"` its router opens the session for, and
+    /// [`ShardSet::recover`] refuses a dir whose spend sits on a shard the
+    /// ring no longer routes to — so the sum is the owner's ledger.
     pub fn spent(&self, tenant: &str) -> f64 {
         self.states
             .iter()
@@ -2092,6 +2111,65 @@ mod tests {
                 "{name}: recovered {after} != acked {before}"
             );
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn recovery_refuses_spend_stranded_by_a_reshard() {
+        // A tenant the 2-shard ring moves off shard 0, charged while one
+        // shard owned everything.
+        let root = crate::testutil::temp_dir("reshard");
+        let moved = split_tenants(2, 1).pop().unwrap();
+        assert_eq!(ShardRing::new(2).shard_for(&moved), 1);
+        let budget = 10.0;
+        let mk = |_: usize| {
+            ServerState::builder(4).dataset(
+                &moved,
+                tiny_dataset(8),
+                EngineConfig {
+                    budget,
+                    mode: Mode::Optimistic,
+                    seed: 0x5EED,
+                },
+            )
+        };
+        let opts = |dir: &Path| PersistOptions {
+            sync: false,
+            ..PersistOptions::new(dir)
+        };
+        let spent = {
+            let (set, _) = ShardSet::recover(&root, 1, mk, opts).unwrap();
+            let acc = apex_query::AccuracySpec::new(25.0, 0.05).unwrap();
+            let query =
+                apex_query::ExplorationQuery::wcq(vec![apex_data::Predicate::range("v", 0.0, 4.0)]);
+            let id = set.state(0).create_session(&moved, 2.0).unwrap().unwrap();
+            set.state(0).submit(id, &query, &acc).unwrap();
+            set.spent(&moved)
+        };
+        assert!(spent > 0.0);
+
+        // Two shards: the new owner would start from a fresh ledger and
+        // let the tenant spend B again, so the boot is refused.
+        match ShardSet::recover(&root, 2, mk, opts) {
+            Err(RecoverError::MovedSpend {
+                tenant,
+                shard,
+                owner,
+                spent: stranded,
+            }) => {
+                assert_eq!((tenant.as_str(), shard, owner), (moved.as_str(), 0, 1));
+                assert_eq!(stranded.to_bits(), spent.to_bits());
+            }
+            Ok((set, _)) => panic!(
+                "recovered; the new owner reports remaining {} of B = {budget}",
+                set.owner(&moved).tenant(&moved).unwrap().engine.remaining()
+            ),
+            Err(e) => panic!("wrong refusal: {e}"),
+        }
+        // The refusal touched nothing: the original shard count recovers
+        // the same spend.
+        let (set, _) = ShardSet::recover(&root, 1, mk, opts).unwrap();
+        assert_eq!(set.spent(&moved).to_bits(), spent.to_bits());
         let _ = std::fs::remove_dir_all(&root);
     }
 }

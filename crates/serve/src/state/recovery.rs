@@ -98,6 +98,21 @@ pub enum RecoverError {
     /// could double a mutation the dataset's own log holds, dropping it
     /// could lose one. Names the record's dataset.
     WalMutation(String),
+    /// A tenant has spent budget on a shard the current ring no longer
+    /// routes it to: the state dir was written under another shard
+    /// count. Its new owner would charge a fresh ledger, and the tenant
+    /// could spend `B` again — stop, and restart with the shard count the
+    /// dir was written with.
+    MovedSpend {
+        /// The moved tenant.
+        tenant: String,
+        /// The shard whose ledger holds the spend.
+        shard: usize,
+        /// The shard the current ring routes the tenant to.
+        owner: usize,
+        /// The ε the stranded ledger has charged.
+        spent: f64,
+    },
     /// A tenant's logged row mutations failed to re-apply on recovery —
     /// the rebuilt dataset would diverge from the data every acked answer
     /// was computed against.
@@ -150,6 +165,17 @@ impl std::fmt::Display for RecoverError {
             RecoverError::WalMutation(name) => {
                 write!(f, "WAL holds a tag-5 mutation record for \"{name}\"")
             }
+            RecoverError::MovedSpend {
+                tenant,
+                shard,
+                owner,
+                spent,
+            } => write!(
+                f,
+                "tenant \"{tenant}\" has spent {spent} on shard {shard}, but this shard count \
+                 routes it to shard {owner}, which would charge a fresh ledger and let it spend \
+                 B again — restart with the shard count the state dir was written with"
+            ),
             RecoverError::MutationReplay { tenant, source } => {
                 write!(f, "mutation log of \"{tenant}\" failed to replay: {source}")
             }

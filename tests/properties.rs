@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use apex_core::CompileMemo;
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
-use apex_mech::mc::{unit_errors_operator_blocked, unit_errors_operator_single_rhs, SAMPLE_BLOCK};
+use apex_linalg::OpScratch;
+use apex_mech::mc::{unit_errors_operator_blocked, SAMPLE_BLOCK};
 use apex_mech::{Laplace, LaplaceMechanism, Mechanism, PreparedQuery};
 use apex_oracle::{l1_operator_norm, pinv, Matrix};
 use apex_query::{AccuracySpec, CompiledWorkload, ExplorationQuery, Strategy as HierStrategy};
@@ -132,8 +133,8 @@ fn csr_signature_is_stable() {
 // ---------------------------------------------------------------------------
 
 /// The blocked (panelled + thread-parallel) MC simulation produces
-/// byte-identical `unit_errors` to the serial single-RHS oracle, for
-/// sample counts straddling the panel width and any thread count —
+/// byte-identical `unit_errors` to a serial run of one sample per panel,
+/// for sample counts straddling the panel width and any thread count —
 /// parallelism must never change a privacy decision.
 #[test]
 fn batched_mc_unit_errors_are_byte_identical_to_serial() {
@@ -148,7 +149,7 @@ fn batched_mc_unit_errors_are_byte_identical_to_serial() {
             .operator(n)
             .unwrap();
         let seed = rng.gen::<u64>();
-        let serial = unit_errors_operator_single_rhs(&w, op.as_ref(), samples, seed);
+        let serial = unit_errors_operator_blocked(&w, op.as_ref(), samples, seed, 1, 1);
         for (threads, block) in [(1usize, SAMPLE_BLOCK), (3, 64), (16, 1)] {
             let blocked =
                 unit_errors_operator_blocked(&w, op.as_ref(), samples, seed, threads, block);
@@ -189,7 +190,7 @@ fn hierarchical_solve_matches_dense_pinv_reconstruction() {
             .map(|_| rng.gen::<f64>() * 6.0 - 3.0)
             .collect();
 
-        // Operator path: W · solve_normal(Aᵀ y); dense path: (W A⁺) y.
+        // Operator path: W · (AᵀA)⁻¹ Aᵀ y; dense path: (W A⁺) y.
         let via_op = w_csr.matvec(&op.pinv_apply(&y).unwrap()).unwrap();
         let recon = w.matmul(&ap).unwrap();
         let via_dense = recon.matvec(&y).unwrap();
@@ -203,9 +204,10 @@ fn hierarchical_solve_matches_dense_pinv_reconstruction() {
     }
 }
 
-/// Operator `apply` / `apply_transpose` equal the CSR matvecs — bit for
-/// bit, since both fix the same summation order — for the hierarchical
-/// and identity strategies.
+/// Operator `apply` and the transpose inside `pinv_apply` equal the CSR
+/// matvecs — bit for bit, since both fix the same summation order — for
+/// the hierarchical and identity strategies: `A⁺ y` is exactly the normal
+/// solve of the transposed-CSR product.
 #[test]
 fn operator_apply_matches_csr_matvec() {
     let mut rng = StdRng::seed_from_u64(0x0F6);
@@ -232,16 +234,25 @@ fn operator_apply_matches_csr_matvec() {
         let y: Vec<f64> = (0..csr.rows())
             .map(|_| rng.gen::<f64>() * 4.0 - 2.0)
             .collect();
+        let mut via_csr = Vec::new();
+        op.solve_normal_multi(
+            &csr.transpose().matvec(&y).unwrap(),
+            1,
+            &mut via_csr,
+            &mut OpScratch::new(),
+        )
+        .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            op.apply_transpose(&y).unwrap(),
-            csr.transpose().matvec(&y).unwrap(),
-            "case {case}: apply_transpose"
+            bits(&op.pinv_apply(&y).unwrap()),
+            bits(&via_csr),
+            "case {case}: transpose"
         );
     }
 }
 
-/// `solve_normal` really inverts the normal matrix: for random `x₀`,
-/// solving `(AᵀA) x = AᵀA x₀` recovers `x₀`.
+/// The normal solve really inverts the normal matrix: for random `x₀`,
+/// `A⁺ (A x₀) = (AᵀA)⁻¹ AᵀA x₀` recovers `x₀`.
 #[test]
 fn solve_normal_inverts_the_normal_matrix() {
     let mut rng = StdRng::seed_from_u64(0x0F7);
@@ -252,8 +263,7 @@ fn solve_normal_inverts_the_normal_matrix() {
             .operator(n)
             .unwrap();
         let x0: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-        let rhs = op.apply_transpose(&op.apply(&x0).unwrap()).unwrap();
-        let back = op.solve_normal(&rhs).unwrap();
+        let back = op.pinv_apply(&op.apply(&x0).unwrap()).unwrap();
         let scale = x0.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
         for (a, e) in back.iter().zip(&x0) {
             assert!((a - e).abs() <= 1e-9 * scale, "case {case} (b={b}, n={n})");
