@@ -27,7 +27,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::memo::{CompileMemo, CompileStats};
 use crate::transcript::{QueryRecord, Transcript, TranscriptEntry};
-use crate::translator::choose_mechanism_cached;
+use crate::translator::choose_mechanism;
 use crate::EngineError;
 
 /// How APEx picks among mechanisms whose privacy loss is data dependent
@@ -228,12 +228,12 @@ impl EvalContext {
         // whose worst case fits, choose by mode. The decision depends
         // only on the query, the accuracy, and the remaining budget —
         // never the data (Case 3 of the Theorem 6.2 proof).
-        let choice = choose_mechanism_cached(
+        let choice = choose_mechanism(
             &prepared,
             accuracy,
             self.remaining.min(cap),
             self.mode,
-            Some(self.cache.clone()),
+            &self.cache,
         )?;
 
         let Some(choice) = choice else {
@@ -576,7 +576,10 @@ impl ApexEngine {
     }
 
     /// Submits one query with its accuracy requirement — one iteration of
-    /// Algorithm 1's loop.
+    /// Algorithm 1's loop. Implemented as [`ApexEngine::evaluate`]
+    /// followed by [`ApexEngine::commit`], so every submission — including
+    /// this single-threaded convenience path — exercises the two-phase
+    /// protocol.
     ///
     /// # Errors
     /// Returns an error for malformed queries (unknown attributes, empty
@@ -587,33 +590,8 @@ impl ApexEngine {
         query: &ExplorationQuery,
         accuracy: &AccuracySpec,
     ) -> Result<EngineResponse, EngineError> {
-        self.submit_capped(query, accuracy, f64::INFINITY)
-    }
-
-    /// [`ApexEngine::submit`] with an additional admission cap: the
-    /// mechanism's worst-case loss must fit under
-    /// `min(remaining budget, cap)` or the query is denied. This is how a
-    /// session holding only a *slice* of the owner's budget submits — the
-    /// engine-wide budget `B` still bounds the joint spend of every
-    /// session, and the cap additionally bounds this submission.
-    /// `submit` is exactly `submit_capped(…, ∞)`, so an uncapped caller
-    /// pays nothing; a denial (by either bound) still charges nothing.
-    ///
-    /// Implemented as [`ApexEngine::evaluate`] followed by
-    /// [`ApexEngine::commit_capped`], so every submission — including
-    /// this single-threaded convenience path — exercises the two-phase
-    /// protocol.
-    ///
-    /// # Errors
-    /// Same contract as [`ApexEngine::submit`].
-    pub fn submit_capped(
-        &mut self,
-        query: &ExplorationQuery,
-        accuracy: &AccuracySpec,
-        cap: f64,
-    ) -> Result<EngineResponse, EngineError> {
-        let pending = self.evaluate(query, accuracy, cap)?;
-        self.commit_capped(pending, cap)
+        let pending = self.evaluate(query, accuracy, f64::INFINITY)?;
+        self.commit(pending)
     }
 
     /// Extracts the [`EvalContext`] a lock-free evaluate phase runs
@@ -639,7 +617,7 @@ impl ApexEngine {
     /// The evaluate phase of a two-phase submission: prepares the query,
     /// chooses the mechanism under `min(remaining, cap)`, and runs it —
     /// **no budget mutation, no transcript entry**. Pair with
-    /// [`ApexEngine::commit_capped`].
+    /// [`ApexEngine::commit_with`].
     ///
     /// # Errors
     /// Same contract as [`EvalContext::evaluate`].
@@ -652,12 +630,17 @@ impl ApexEngine {
         self.evaluation_context().evaluate(query, accuracy, cap)
     }
 
-    /// [`ApexEngine::commit_capped`] with an infinite cap.
+    /// [`ApexEngine::commit_with`] with an infinite cap and no
+    /// durability hook.
     ///
     /// # Errors
-    /// Same contract as [`ApexEngine::commit_capped`].
+    /// Same contract as [`ApexEngine::commit_with`].
     pub fn commit(&mut self, pending: PendingCharge) -> Result<EngineResponse, EngineError> {
-        self.commit_capped(pending, f64::INFINITY)
+        self.commit_with::<std::convert::Infallible>(pending, f64::INFINITY, |_| Ok(()))
+            .map_err(|e| match e {
+                CommitError::Engine(e) => e,
+                CommitError::Log(never) => match never {},
+            })
     }
 
     /// The commit phase: atomically re-checks that the pending worst
@@ -665,35 +648,24 @@ impl ApexEngine {
     /// **current** ledger, then charges the actual loss and pushes the
     /// transcript entry. A failed re-check — the ledger moved between
     /// evaluate and commit — denies, discards the speculative result,
-    /// and charges nothing.
+    /// and charges nothing. `cap` is how a session holding only a *slice*
+    /// of the owner's budget commits: the engine-wide budget `B` still
+    /// bounds the joint spend of every session, and the cap additionally
+    /// bounds this charge.
+    ///
+    /// `log` is the durability hook: it runs after the commit decision is
+    /// made but **before** any ledger or transcript mutation. If it fails,
+    /// the commit is abandoned with nothing charged — this is how a
+    /// persistence layer makes a charge durable-or-nothing (append the WAL
+    /// record in `log`; a failed append leaves memory and disk agreeing
+    /// that nothing happened).
     ///
     /// # Errors
-    /// [`EngineError::LossAboveWorstCase`] when the pending charge
-    /// reports more loss than its declared worst case (nothing is
-    /// charged).
-    pub fn commit_capped(
-        &mut self,
-        pending: PendingCharge,
-        cap: f64,
-    ) -> Result<EngineResponse, EngineError> {
-        self.commit_capped_with::<std::convert::Infallible>(pending, cap, |_| Ok(()))
-            .map_err(|e| match e {
-                CommitError::Engine(e) => e,
-                CommitError::Log(never) => match never {},
-            })
-    }
-
-    /// [`ApexEngine::commit_capped`] with a durability hook: `log` runs
-    /// after the commit decision is made but **before** any ledger or
-    /// transcript mutation. If it fails, the commit is abandoned with
-    /// nothing charged — this is how a persistence layer makes a charge
-    /// durable-or-nothing (append the WAL record in `log`; a failed
-    /// append leaves memory and disk agreeing that nothing happened).
-    ///
-    /// # Errors
-    /// [`CommitError::Engine`] for engine faults, [`CommitError::Log`]
+    /// [`CommitError::Engine`] for engine faults — among them
+    /// [`EngineError::LossAboveWorstCase`] when the pending charge reports
+    /// more loss than its declared worst case — and [`CommitError::Log`]
     /// when the hook refused. Either way nothing was charged.
-    pub fn commit_capped_with<E>(
+    pub fn commit_with<E>(
         &mut self,
         pending: PendingCharge,
         cap: f64,

@@ -79,6 +79,4 @@ pub use error::EngineError;
 pub use memo::{CompileMemo, CompileStats};
 pub use shared::{EngineSession, SharedEngine};
 pub use transcript::{QueryRecord, Transcript, TranscriptEntry};
-pub use translator::{
-    choose_mechanism, choose_mechanism_cached, choose_mechanism_cached_at_epoch, MechanismChoice,
-};
+pub use translator::{choose_mechanism, choose_mechanism_cached_at_epoch, MechanismChoice};

@@ -321,7 +321,7 @@ impl EngineSession {
         }
         let mut engine = self.engine.inner.lock();
         let cap = (self.allowance - slice.spent).max(0.0);
-        let response = engine.commit_capped_with(pending, cap, log)?;
+        let response = engine.commit_with(pending, cap, log)?;
         if let EngineResponse::Answered(a) = &response {
             slice.spent += a.epsilon;
         }

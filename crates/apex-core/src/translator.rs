@@ -2,7 +2,7 @@
 //! privacy loss (Algorithm 1, Lines 4–10).
 
 use apex_mech::{
-    mechanisms_for_cached, MechError, Mechanism, PreparedQuery, Translation, TranslatorCache,
+    mechanisms_for, MechError, Mechanism, PreparedQuery, Translation, TranslatorCache,
 };
 use apex_query::AccuracySpec;
 
@@ -39,6 +39,11 @@ impl std::fmt::Debug for MechanismChoice {
 /// and remaining budget only (never the data), which Case 3 of the
 /// Theorem 6.2 proof requires.
 ///
+/// The strategy mechanism takes its artifacts from `cache`, so this
+/// translation and the `run` of the chosen mechanism build one strategy
+/// operator + Monte-Carlo translator per workload signature between them.
+/// Cached artifacts are exact, so the cache changes no pick and no ε.
+///
 /// # Errors
 /// Propagates translation failures other than "unsupported kind" (those
 /// are skipped, since the registry may be broader than the query).
@@ -47,28 +52,10 @@ pub fn choose_mechanism(
     acc: &AccuracySpec,
     remaining_budget: f64,
     mode: Mode,
-) -> Result<Option<MechanismChoice>, MechError> {
-    choose_mechanism_cached(q, acc, remaining_budget, mode, None)
-}
-
-/// [`choose_mechanism`] with the strategy mechanism wired to a shared
-/// artifact cache, so the analyzer's translation and the subsequent `run`
-/// reuse one strategy operator + Monte-Carlo translator per workload
-/// signature. The selection logic — and, because cached artifacts are
-/// exact, every selected mechanism and ε — is identical to the uncached
-/// path.
-///
-/// # Errors
-/// Same contract as [`choose_mechanism`].
-pub fn choose_mechanism_cached(
-    q: &PreparedQuery,
-    acc: &AccuracySpec,
-    remaining_budget: f64,
-    mode: Mode,
-    cache: Option<TranslatorCache>,
+    cache: &TranslatorCache,
 ) -> Result<Option<MechanismChoice>, MechError> {
     let mut best: Option<MechanismChoice> = None;
-    for mechanism in mechanisms_for_cached(q.kind(), cache) {
+    for mechanism in mechanisms_for(q.kind(), cache) {
         if !mechanism.supports(q.kind()) {
             continue;
         }
@@ -104,10 +91,11 @@ pub fn choose_mechanism_cached(
     Ok(best)
 }
 
-/// [`choose_mechanism_cached`] under its former name; `_dataset_epoch` is
-/// ignored. The strategy artifacts are data-independent, so the epoch no
-/// longer takes part in the cache key. Kept only because the request-path
-/// benchmark (`benchmark/`, frozen) calls this signature.
+/// [`choose_mechanism`] under a former name; `_dataset_epoch` is ignored
+/// and `None` means a fresh cache. The strategy artifacts are
+/// data-independent, so the epoch no longer takes part in the cache key.
+/// Kept only because the request-path benchmark (`benchmark/`, frozen)
+/// calls this signature.
 ///
 /// # Errors
 /// Same contract as [`choose_mechanism`].
@@ -119,16 +107,19 @@ pub fn choose_mechanism_cached_at_epoch(
     cache: Option<TranslatorCache>,
     _dataset_epoch: u64,
 ) -> Result<Option<MechanismChoice>, MechError> {
-    choose_mechanism_cached(q, acc, remaining_budget, mode, cache)
+    let cache = cache.unwrap_or_default();
+    choose_mechanism(q, acc, remaining_budget, mode, &cache)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apex_data::{Attribute, Domain, Predicate, Schema};
+    use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
     use apex_mech::mc::McConfig;
     use apex_mech::SmArtifacts;
     use apex_query::{ExplorationQuery, Strategy};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn schema() -> Schema {
         Schema::new(vec![Attribute::new(
@@ -142,6 +133,16 @@ mod tests {
         PreparedQuery::prepare(&schema(), q).unwrap()
     }
 
+    /// [`choose_mechanism`] over a fresh cache.
+    fn choose(
+        q: &PreparedQuery,
+        acc: &AccuracySpec,
+        remaining_budget: f64,
+        mode: Mode,
+    ) -> Result<Option<MechanismChoice>, MechError> {
+        choose_mechanism(q, acc, remaining_budget, mode, &TranslatorCache::new())
+    }
+
     #[test]
     fn histogram_wcq_prefers_lm() {
         // Sensitivity-1 histogram: LM beats SM(H2).
@@ -151,7 +152,7 @@ mod tests {
                 .collect(),
         ));
         let acc = AccuracySpec::new(20.0, 0.01).unwrap();
-        let c = choose_mechanism(&q, &acc, f64::INFINITY, Mode::Pessimistic)
+        let c = choose(&q, &acc, f64::INFINITY, Mode::Pessimistic)
             .unwrap()
             .unwrap();
         assert_eq!(c.mechanism.name(), "LM");
@@ -168,13 +169,13 @@ mod tests {
                 .collect(),
         ));
         let acc = AccuracySpec::new(20.0, 1e-15).unwrap();
-        let uppers: Vec<f64> = mechanisms_for_cached(q.kind(), None)
+        let uppers: Vec<f64> = mechanisms_for(q.kind(), &TranslatorCache::new())
             .iter()
             .map(|m| m.translate(&q, &acc).unwrap().upper)
             .collect();
         assert_eq!(uppers.len(), 2, "LM and SM both cost a WCQ");
         assert!(uppers.iter().all(|e| e.is_finite()), "{uppers:?}");
-        let c = choose_mechanism(&q, &acc, f64::INFINITY, Mode::Pessimistic)
+        let c = choose(&q, &acc, f64::INFINITY, Mode::Pessimistic)
             .unwrap()
             .unwrap();
         assert_eq!(
@@ -192,7 +193,7 @@ mod tests {
                 .collect(),
         ));
         let acc = AccuracySpec::new(20.0, 0.01).unwrap();
-        let c = choose_mechanism(&q, &acc, f64::INFINITY, Mode::Pessimistic)
+        let c = choose(&q, &acc, f64::INFINITY, Mode::Pessimistic)
             .unwrap()
             .unwrap();
         assert_eq!(c.mechanism.name(), "SM");
@@ -208,12 +209,12 @@ mod tests {
             100.0,
         ));
         let acc = AccuracySpec::new(20.0, 0.0005).unwrap();
-        let c = choose_mechanism(&q, &acc, f64::INFINITY, Mode::Optimistic)
+        let c = choose(&q, &acc, f64::INFINITY, Mode::Optimistic)
             .unwrap()
             .unwrap();
         assert_eq!(c.mechanism.name(), "MPM");
         // Pessimistic mode refuses the gamble (MPM has the largest εᵘ).
-        let c = choose_mechanism(&q, &acc, f64::INFINITY, Mode::Pessimistic)
+        let c = choose(&q, &acc, f64::INFINITY, Mode::Pessimistic)
             .unwrap()
             .unwrap();
         assert_ne!(c.mechanism.name(), "MPM");
@@ -228,7 +229,7 @@ mod tests {
         ));
         let acc = AccuracySpec::new(20.0, 0.01).unwrap();
         // With effectively no budget, nothing is admissible.
-        let c = choose_mechanism(&q, &acc, 1e-6, Mode::Pessimistic).unwrap();
+        let c = choose(&q, &acc, 1e-6, Mode::Pessimistic).unwrap();
         assert!(c.is_none());
     }
 
@@ -290,6 +291,38 @@ mod tests {
     }
 
     #[test]
+    fn translate_and_run_build_the_artifacts_once() {
+        // One cache carries the SM artifacts from the analyzer's translate
+        // to the chosen mechanism's run: one build, then hits. A second
+        // fresh cache yields the same ε and the same answer, bit for bit.
+        let q = prepare(&ExplorationQuery::wcq(
+            (1..=16)
+                .map(|i| Predicate::range("v", 0.0, (4 * i) as f64))
+                .collect(),
+        ));
+        let acc = AccuracySpec::new(20.0, 0.01).unwrap();
+        let rows = (0..64).map(|i| vec![Value::Int(i % 64)]).collect();
+        let data = Dataset::new(schema(), rows).unwrap();
+        let pick_and_run = |cache: &TranslatorCache| {
+            let c = choose_mechanism(&q, &acc, f64::INFINITY, Mode::Pessimistic, cache)
+                .unwrap()
+                .unwrap();
+            assert_eq!(c.mechanism.name(), "SM");
+            let mut rng = StdRng::seed_from_u64(7);
+            let out = c.mechanism.run(&q, &acc, &data, &mut rng).unwrap();
+            let counts = out.answer.as_counts().unwrap().to_vec();
+            let bits: Vec<u64> = counts.iter().map(|v| v.to_bits()).collect();
+            (c.translation.upper.to_bits(), out.epsilon.to_bits(), bits)
+        };
+        let cache = TranslatorCache::new();
+        let first = pick_and_run(&cache);
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1, "{stats:?}");
+        assert!(stats.hits >= 1, "{stats:?}");
+        assert_eq!(first, pick_and_run(&TranslatorCache::new()));
+    }
+
+    #[test]
     fn selection_is_deterministic() {
         let q = prepare(&ExplorationQuery::wcq(
             (1..=16)
@@ -297,12 +330,8 @@ mod tests {
                 .collect(),
         ));
         let acc = AccuracySpec::new(20.0, 0.01).unwrap();
-        let a = choose_mechanism(&q, &acc, 100.0, Mode::Pessimistic)
-            .unwrap()
-            .unwrap();
-        let b = choose_mechanism(&q, &acc, 100.0, Mode::Pessimistic)
-            .unwrap()
-            .unwrap();
+        let a = choose(&q, &acc, 100.0, Mode::Pessimistic).unwrap().unwrap();
+        let b = choose(&q, &acc, 100.0, Mode::Pessimistic).unwrap().unwrap();
         assert_eq!(a.mechanism.name(), b.mechanism.name());
         assert_eq!(a.translation, b.translation);
     }

@@ -38,7 +38,7 @@ use apex_bench::{
 };
 use apex_core::{choose_mechanism, Mode};
 use apex_data::{Dataset, Predicate};
-use apex_mech::{mechanisms_for, PreparedQuery};
+use apex_mech::{mechanisms_for, PreparedQuery, TranslatorCache};
 use apex_query::{AccuracySpec, ExplorationQuery, QueryAnswer};
 use apex_serve::json::Json;
 use rand::rngs::StdRng;
@@ -266,6 +266,8 @@ struct Ctx {
     seed: u64,
     threads: usize,
     data: OnceLock<Datasets>,
+    /// The strategy mechanism's artifacts, one cache for the whole run.
+    cache: TranslatorCache,
     /// ER records per entry of `Sizes::er_pairs`.
     er: Mutex<BTreeMap<usize, Vec<Rec>>>,
 }
@@ -342,7 +344,7 @@ fn picked_runs(
         let truth = q.compiled().true_answer(data);
         for ratio in ALPHAS {
             let acc = accuracy(data, ratio);
-            let pick = choose_mechanism(&q, &acc, f64::INFINITY, Mode::Optimistic);
+            let pick = choose_mechanism(&q, &acc, f64::INFINITY, Mode::Optimistic, &cx.cache);
             let pick = pick
                 .expect("translation succeeds")
                 .expect("B = ∞ admits one");
@@ -382,7 +384,7 @@ fn costs(
     let q = bq.prepare(data.schema())?;
     let acc = accuracy(data, ratio);
     let mut out = Vec::new();
-    for mech in mechanisms_for(q.kind()) {
+    for mech in mechanisms_for(q.kind(), &cx.cache) {
         let Ok(t) = mech.translate(&q, &acc) else {
             continue;
         };
@@ -415,8 +417,13 @@ fn table2(cx: &Ctx) -> Result<Vec<Rec>, BenchError> {
         let data = cx.data().get(bq.dataset);
         let q = bq.prepare(data.schema())?;
         for ratio in [0.02, 0.08] {
-            let pick =
-                choose_mechanism(&q, &accuracy(data, ratio), f64::INFINITY, Mode::Optimistic);
+            let pick = choose_mechanism(
+                &q,
+                &accuracy(data, ratio),
+                f64::INFINITY,
+                Mode::Optimistic,
+                &cx.cache,
+            );
             let pick = pick
                 .expect("translation succeeds")
                 .expect("B = ∞ admits one");
@@ -787,11 +794,13 @@ fn main() -> ExitCode {
 fn run(args: &Args) -> Result<bool, BenchError> {
     let sizes = if args.quick { &QUICK } else { &FULL };
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cache = TranslatorCache::new();
     let cxs = SEEDS.map(|seed| Ctx {
         sizes,
         seed,
         threads,
         data: OnceLock::new(),
+        cache: cache.clone(),
         er: Mutex::default(),
     });
     let chosen = |f: &&Figure| args.figures.is_empty() || args.figures.contains(&f.name);

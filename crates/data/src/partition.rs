@@ -380,13 +380,11 @@ impl DomainPartition {
 
     /// Merged cell id of one concrete row.
     ///
-    /// Public so the query layer can fold a row mutation into an existing
-    /// histogram in O(1) per row instead of rescanning the dataset. The
-    /// row must lie within the domain this partition was built over
-    /// (values below/above the numeric coverage clamp to the edge cells —
-    /// callers maintaining histograms incrementally must check domain
-    /// membership first and extend the partition when it grows).
-    pub fn cell_of_row(&self, row: &[Value]) -> usize {
+    /// The row must lie within the domain this partition was built over:
+    /// values below/above the numeric coverage clamp to the edge cells. A
+    /// dataset therefore clears its views on a widening insert instead of
+    /// folding it (see [`Self::fold_rows`]).
+    pub(crate) fn cell_of_row(&self, row: &[Value]) -> usize {
         let mut idx = 0usize;
         let mut stride = 1usize;
         for (k, &ai) in self.attrs.iter().enumerate() {
@@ -418,7 +416,7 @@ impl DomainPartition {
     /// yields, bit for bit, the histogram of the post-mutation rows —
     /// provided every row lies inside the domain this partition was built
     /// over (see [`Self::cell_of_row`]).
-    pub fn fold_rows(
+    pub(crate) fn fold_rows(
         &self,
         inserted: &[Vec<Value>],
         deleted: &[Vec<Value>],
@@ -463,47 +461,6 @@ impl DomainPartition {
                 .iter()
                 .map(AttrSegments::heap_bytes)
                 .sum::<usize>()
-    }
-
-    /// Maps every merged cell of `self` to the merged cell of `new` that
-    /// contains it, when `new` was built from the **same workload** over a
-    /// (possibly widened) domain. Returns `None` if the partitions are
-    /// structurally incompatible — some old cell straddles two new cells —
-    /// which cannot happen for pure domain growth (widening only adds
-    /// boundaries outside the old coverage) but is checked rather than
-    /// assumed.
-    ///
-    /// With this map, a histogram over the old partition carries over to
-    /// the new one in O(n_cells) (`x_new[map[c]] += x_old[c]`) instead of
-    /// an O(|D|) rescan: every old row lies inside the old domain, so its
-    /// old cell's representative locates it correctly in the new grid.
-    pub fn remap_to(&self, new: &DomainPartition) -> Option<Vec<usize>> {
-        if self.attrs != new.attrs || self.n_predicates != new.n_predicates {
-            return None;
-        }
-        let arity = self.attrs.iter().max().map_or(0, |&a| a + 1);
-        let mut rep_row: Vec<Value> = vec![Value::Null; arity];
-        let mut radix_idx = vec![0usize; self.segments.len()];
-        let mut map: Vec<Option<usize>> = vec![None; self.n_cells];
-        for &old_cell in &self.elementary_to_cell {
-            for (k, &ai) in self.attrs.iter().enumerate() {
-                rep_row[ai] = self.segments[k].representative(radix_idx[k]);
-            }
-            let new_cell = new.cell_of_row(&rep_row);
-            match map[old_cell] {
-                None => map[old_cell] = Some(new_cell),
-                Some(prev) if prev == new_cell => {}
-                Some(_) => return None, // old cell straddles two new cells
-            }
-            for (idx, seg) in radix_idx.iter_mut().zip(&self.segments) {
-                *idx += 1;
-                if *idx < seg.len() {
-                    break;
-                }
-                *idx = 0;
-            }
-        }
-        map.into_iter().collect()
     }
 }
 

@@ -39,7 +39,7 @@ pub use lm::LaplaceMechanism;
 pub use ltm::LaplaceTopKMechanism;
 pub use mpm::MultiPokingMechanism;
 pub use prepared::PreparedQuery;
-pub use registry::{mechanisms_for, mechanisms_for_cached};
+pub use registry::mechanisms_for;
 pub use relax::relax_laplace;
 pub use sm::{SmArtifacts, StrategyMechanism};
 pub use traits::{MechError, MechOutput, Mechanism, Translation};

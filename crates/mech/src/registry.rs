@@ -15,27 +15,17 @@ use crate::{
 /// * WCQ — `LM`, `SM` (H2)
 /// * ICQ — `LM`, `SM` (H2), `MPM`
 /// * TCQ — `LM`, `LTM`
-pub fn mechanisms_for(kind: QueryKind) -> Vec<Box<dyn Mechanism>> {
-    mechanisms_for_cached(kind, None)
-}
-
-/// [`mechanisms_for`], with the strategy mechanism wired to a shared
-/// artifact cache (strategy operator + Monte-Carlo translator) when one is
-/// provided. The engine in `apex-core` passes its cache here so repeated
-/// queries over the same domain partition skip the MC resampling.
-pub fn mechanisms_for_cached(
-    kind: QueryKind,
-    cache: Option<TranslatorCache>,
-) -> Vec<Box<dyn Mechanism>> {
+///
+/// The strategy mechanism takes its artifacts (strategy operator +
+/// Monte-Carlo translator) from `cache`, so repeated queries over the same
+/// domain partition skip the MC resampling.
+pub fn mechanisms_for(kind: QueryKind, cache: &TranslatorCache) -> Vec<Box<dyn Mechanism>> {
     let sm = || -> Box<dyn Mechanism> {
-        match &cache {
-            Some(c) => Box::new(StrategyMechanism::with_cache(
-                apex_query::Strategy::H2,
-                McConfig::default(),
-                c.clone(),
-            )),
-            None => Box::new(StrategyMechanism::h2()),
-        }
+        Box::new(StrategyMechanism::new(
+            apex_query::Strategy::H2,
+            McConfig::default(),
+            cache.clone(),
+        ))
     };
     let mut out: Vec<Box<dyn Mechanism>> = vec![Box::new(LaplaceMechanism)];
     match kind {
@@ -52,10 +42,17 @@ pub fn mechanisms_for_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PreparedQuery;
+    use apex_data::{Attribute, Domain, Predicate, Schema};
+    use apex_query::{AccuracySpec, ExplorationQuery};
+
+    fn suite(kind: QueryKind) -> Vec<Box<dyn Mechanism>> {
+        mechanisms_for(kind, &TranslatorCache::new())
+    }
 
     #[test]
     fn wcq_suite() {
-        let ms = mechanisms_for(QueryKind::Wcq);
+        let ms = suite(QueryKind::Wcq);
         let names: Vec<_> = ms.iter().map(|m| m.name()).collect();
         assert_eq!(names, vec!["LM", "SM"]);
         assert!(ms.iter().all(|m| m.supports(QueryKind::Wcq)));
@@ -63,31 +60,41 @@ mod tests {
 
     #[test]
     fn icq_suite() {
-        let ms = mechanisms_for(QueryKind::Icq { threshold: 1.0 });
+        let ms = suite(QueryKind::Icq { threshold: 1.0 });
         let names: Vec<_> = ms.iter().map(|m| m.name()).collect();
         assert_eq!(names, vec!["LM", "SM", "MPM"]);
     }
 
     #[test]
-    fn cached_suite_matches_uncached() {
+    fn every_suite_builds_into_the_given_cache() {
+        // The WCQ and the ICQ over one workload share its artifacts: the
+        // first translation builds them, the second hits.
+        let schema = Schema::new(vec![Attribute::new(
+            "v",
+            Domain::IntRange { min: 0, max: 15 },
+        )])
+        .unwrap();
+        let w: Vec<Predicate> = (1..=4)
+            .map(|i| Predicate::range("v", 0.0, (4 * i) as f64))
+            .collect();
+        let acc = AccuracySpec::new(8.0, 0.05).unwrap();
         let cache = TranslatorCache::new();
-        for kind in [
-            QueryKind::Wcq,
-            QueryKind::Icq { threshold: 1.0 },
-            QueryKind::Tcq { k: 2 },
+        for q in [
+            ExplorationQuery::wcq(w.clone()),
+            ExplorationQuery::icq(w, 1.0),
         ] {
-            let plain: Vec<_> = mechanisms_for(kind).iter().map(|m| m.name()).collect();
-            let cached: Vec<_> = mechanisms_for_cached(kind, Some(cache.clone()))
-                .iter()
-                .map(|m| m.name())
-                .collect();
-            assert_eq!(plain, cached);
+            let q = PreparedQuery::prepare(&schema, &q).unwrap();
+            let suite = mechanisms_for(q.kind(), &cache);
+            let sm = suite.iter().find(|m| m.name() == "SM").unwrap();
+            sm.translate(&q, &acc).unwrap();
         }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, cache.len()), (1, 1, 1));
     }
 
     #[test]
     fn tcq_suite() {
-        let ms = mechanisms_for(QueryKind::Tcq { k: 3 });
+        let ms = suite(QueryKind::Tcq { k: 3 });
         let names: Vec<_> = ms.iter().map(|m| m.name()).collect();
         assert_eq!(names, vec!["LM", "LTM"]);
         assert!(ms.iter().all(|m| m.supports(QueryKind::Tcq { k: 3 })));

@@ -63,15 +63,15 @@ impl SmArtifacts {
     }
 
     /// [`SmArtifacts::build`] through a cache, with the verify-on-hit
-    /// collision check.
+    /// collision check: how [`StrategyMechanism`] gets its artifacts.
     ///
     /// `signature` must be the workload's structural signature
     /// (`CsrMatrix::signature`; pass the precomputed
     /// `CompiledWorkload::signature` to avoid an `O(nnz)` rehash). It is
     /// a 64-bit hash and analyst workloads are adversarial input in a DP
     /// engine, so a hit is verified against the actual structure: on a
-    /// collision the artifacts are rebuilt uncached rather than answering
-    /// with another workload's reconstruction.
+    /// collision the artifacts are built afresh, outside the cache, rather
+    /// than answering with another workload's reconstruction.
     ///
     /// # Errors
     /// Propagates build failures.
@@ -137,38 +137,25 @@ impl SmArtifacts {
 /// the strategy is a matrix-free [`apex_linalg::StrategyOperator`] — the
 /// `O(n³)` pseudoinverse of the old pipeline is replaced by structured
 /// normal-equation solves (`O(n)` per right-hand side for `H_b`), so no
-/// dense `A⁺` or `W A⁺` is ever materialized. When constructed
-/// [`with_cache`](StrategyMechanism::with_cache), the artifacts (operator
-/// + Monte-Carlo translator) are memoized per workload-signature.
+/// dense `A⁺` or `W A⁺` is ever materialized. The artifacts (operator +
+/// Monte-Carlo translator) always come from a [`TranslatorCache`], keyed
+/// by workload signature, so `translate` and the `run` that follows build
+/// them once between them.
 #[derive(Debug, Clone)]
 pub struct StrategyMechanism {
     strategy: Strategy,
     mc: McConfig,
-    cache: Option<TranslatorCache>,
+    cache: TranslatorCache,
 }
 
 impl StrategyMechanism {
-    /// A strategy mechanism with the paper's default `H2` hierarchy.
-    pub fn h2() -> Self {
-        Self::new(Strategy::H2, McConfig::default())
-    }
-
-    /// A strategy mechanism over an arbitrary strategy and MC settings.
-    pub fn new(strategy: Strategy, mc: McConfig) -> Self {
+    /// A strategy mechanism over `strategy` and MC settings whose
+    /// artifacts are looked up in / inserted into `cache`.
+    pub fn new(strategy: Strategy, mc: McConfig, cache: TranslatorCache) -> Self {
         Self {
             strategy,
             mc,
-            cache: None,
-        }
-    }
-
-    /// Like [`StrategyMechanism::new`], but artifacts (operator + MC
-    /// translator) are looked up in / inserted into `cache`.
-    pub fn with_cache(strategy: Strategy, mc: McConfig, cache: TranslatorCache) -> Self {
-        Self {
-            strategy,
-            mc,
-            cache: Some(cache),
+            cache,
         }
     }
 
@@ -177,19 +164,16 @@ impl StrategyMechanism {
         self.strategy
     }
 
-    /// Builds (or fetches) the derived artifacts for a query.
+    /// Fetches (or builds) the derived artifacts for a query.
     fn artifacts(&self, q: &PreparedQuery) -> Result<Arc<SmArtifacts>, MechError> {
-        let w = q.compiled().csr();
-        match &self.cache {
-            None => Ok(Arc::new(SmArtifacts::build(w, self.strategy, self.mc)?)),
-            Some(cache) => SmArtifacts::get_or_build_cached(
-                cache,
-                w,
-                q.compiled().signature(),
-                self.strategy,
-                self.mc,
-            ),
-        }
+        let w = q.compiled();
+        SmArtifacts::get_or_build_cached(
+            &self.cache,
+            w.csr(),
+            w.signature(),
+            self.strategy,
+            self.mc,
+        )
     }
 
     /// The effective WCQ-level failure probability for a query kind:
@@ -303,13 +287,18 @@ mod tests {
         }
     }
 
+    /// A strategy mechanism over a cache of its own.
+    fn fresh(strategy: Strategy) -> StrategyMechanism {
+        StrategyMechanism::new(strategy, small_mc(), TranslatorCache::new())
+    }
+
     #[test]
     fn sm_beats_lm_on_prefix_workloads() {
         // The headline claim of Section 5.2: for high-sensitivity (prefix)
         // workloads the H2 strategy costs far less than plain Laplace.
         let q = PreparedQuery::prepare(&schema(), &prefix_query(32)).unwrap();
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
-        let sm = StrategyMechanism::new(Strategy::H2, small_mc());
+        let sm = fresh(Strategy::H2);
         let e_sm = sm.translate(&q, &acc).unwrap().upper;
         let e_lm = LaplaceMechanism.translate(&q, &acc).unwrap().upper;
         assert!(
@@ -327,7 +316,7 @@ mod tests {
             .collect();
         let q = PreparedQuery::prepare(&schema(), &ExplorationQuery::wcq(hist)).unwrap();
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
-        let sm = StrategyMechanism::new(Strategy::H2, small_mc());
+        let sm = fresh(Strategy::H2);
         let e_sm = sm.translate(&q, &acc).unwrap().upper;
         let e_lm = LaplaceMechanism.translate(&q, &acc).unwrap().upper;
         assert!(
@@ -343,7 +332,7 @@ mod tests {
         let acc = AccuracySpec::new(80.0, beta).unwrap();
         let d = data();
         let truth = q.compiled().true_answer(&d);
-        let sm = StrategyMechanism::new(Strategy::H2, small_mc());
+        let sm = fresh(Strategy::H2);
         let mut rng = StdRng::seed_from_u64(11);
         let runs = 120;
         let mut failures = 0;
@@ -374,7 +363,7 @@ mod tests {
             .map(|i| Predicate::range("v", 0.0, (4 * i) as f64))
             .collect();
         let acc = AccuracySpec::new(40.0, 0.01).unwrap();
-        let sm = StrategyMechanism::new(Strategy::H2, small_mc());
+        let sm = fresh(Strategy::H2);
         let wcq = PreparedQuery::prepare(&schema(), &ExplorationQuery::wcq(preds.clone())).unwrap();
         let icq = PreparedQuery::prepare(&schema(), &ExplorationQuery::icq(preds, 100.0)).unwrap();
         let ew = sm.translate(&wcq, &acc).unwrap().upper;
@@ -389,7 +378,7 @@ mod tests {
             .collect();
         let q = PreparedQuery::prepare(&schema(), &ExplorationQuery::icq(preds, 250.0)).unwrap();
         let acc = AccuracySpec::new(100.0, 0.05).unwrap();
-        let sm = StrategyMechanism::new(Strategy::H2, small_mc());
+        let sm = fresh(Strategy::H2);
         let mut rng = StdRng::seed_from_u64(4);
         let out = sm.run(&q, &acc, &data(), &mut rng).unwrap();
         // Bin 0 holds counts 64+63+...+57 = 484 >> 250 + α.
@@ -401,7 +390,7 @@ mod tests {
         let preds: Vec<Predicate> = (0..4).map(|i| Predicate::eq("v", i as i64)).collect();
         let q = PreparedQuery::prepare(&schema(), &ExplorationQuery::tcq(preds, 2)).unwrap();
         let acc = AccuracySpec::new(10.0, 0.05).unwrap();
-        let sm = StrategyMechanism::h2();
+        let sm = fresh(Strategy::H2);
         assert!(!sm.supports(q.kind()));
         assert!(matches!(
             sm.translate(&q, &acc),
@@ -411,17 +400,18 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_translations_are_identical() {
-        // Caching must be invisible to the analyzer: same ε bit-for-bit.
+        // Caching must be invisible to the analyzer: the ε of a miss and
+        // of a hit equal, bit for bit, that of artifacts built afresh.
         let q = PreparedQuery::prepare(&schema(), &prefix_query(16)).unwrap();
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
-        let plain = StrategyMechanism::new(Strategy::H2, small_mc());
+        let built = SmArtifacts::build(q.compiled().csr(), Strategy::H2, small_mc()).unwrap();
+        let e_built = Translation::exact(built.translator.translate(acc.alpha(), acc.beta()));
         let cache = TranslatorCache::new();
-        let cached = StrategyMechanism::with_cache(Strategy::H2, small_mc(), cache.clone());
-        let e_plain = plain.translate(&q, &acc).unwrap();
+        let cached = StrategyMechanism::new(Strategy::H2, small_mc(), cache.clone());
         let e_cached_miss = cached.translate(&q, &acc).unwrap();
         let e_cached_hit = cached.translate(&q, &acc).unwrap();
-        assert_eq!(e_plain, e_cached_miss);
-        assert_eq!(e_plain, e_cached_hit);
+        assert_eq!(e_built, e_cached_miss);
+        assert_eq!(e_built, e_cached_hit);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
@@ -432,8 +422,8 @@ mod tests {
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
         let q16 = PreparedQuery::prepare(&schema(), &prefix_query(16)).unwrap();
         let q8 = PreparedQuery::prepare(&schema(), &prefix_query(8)).unwrap();
-        let h2 = StrategyMechanism::with_cache(Strategy::H2, small_mc(), cache.clone());
-        let h4 = StrategyMechanism::with_cache(
+        let h2 = StrategyMechanism::new(Strategy::H2, small_mc(), cache.clone());
+        let h4 = StrategyMechanism::new(
             Strategy::Hierarchical { branching: 4 },
             small_mc(),
             cache.clone(),
@@ -455,7 +445,7 @@ mod tests {
         let q8 = PreparedQuery::prepare(&schema(), &prefix_query(8)).unwrap();
         let q16 = PreparedQuery::prepare(&schema(), &prefix_query(16)).unwrap();
         let cache = TranslatorCache::new();
-        let sm = StrategyMechanism::with_cache(Strategy::H2, small_mc(), cache.clone());
+        let sm = StrategyMechanism::new(Strategy::H2, small_mc(), cache.clone());
 
         // Build q8's artifacts, then plant them under q16's key.
         let poisoned_key = SmCacheKey {
@@ -473,10 +463,8 @@ mod tests {
 
         // The "collided" entry must not leak into q16's translation.
         let via_cache = sm.translate(&q16, &acc).unwrap();
-        let fresh = StrategyMechanism::new(Strategy::H2, small_mc())
-            .translate(&q16, &acc)
-            .unwrap();
-        assert_eq!(via_cache, fresh);
+        let rebuilt = fresh(Strategy::H2).translate(&q16, &acc).unwrap();
+        assert_eq!(via_cache, rebuilt);
     }
 
     #[test]
@@ -485,7 +473,7 @@ mod tests {
         let acc = AccuracySpec::new(80.0, 0.1).unwrap();
         let d = data();
         let cache = TranslatorCache::new();
-        let sm = StrategyMechanism::with_cache(Strategy::H2, small_mc(), cache.clone());
+        let sm = StrategyMechanism::new(Strategy::H2, small_mc(), cache.clone());
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..5 {
             let out = sm.run(&q, &acc, &d, &mut rng).unwrap();
@@ -503,7 +491,7 @@ mod tests {
         // summation order (the two simulate the same noise streams).
         let q = PreparedQuery::prepare(&schema(), &prefix_query(16)).unwrap();
         let acc = AccuracySpec::new(40.0, 0.05).unwrap();
-        let sm = StrategyMechanism::new(Strategy::H2, small_mc());
+        let sm = fresh(Strategy::H2);
         let art = sm.artifacts(&q).unwrap();
         let (recon, oracle) =
             McTranslator::dense_oracle(q.compiled().csr(), Strategy::H2, small_mc());
@@ -535,7 +523,7 @@ mod tests {
             .collect();
         let q = PreparedQuery::prepare(&schema(), &ExplorationQuery::wcq(hist)).unwrap();
         let acc = AccuracySpec::new(30.0, 0.05).unwrap();
-        let sm = StrategyMechanism::new(Strategy::Identity, small_mc());
+        let sm = fresh(Strategy::Identity);
         let e_sm = sm.translate(&q, &acc).unwrap().upper;
         let e_lm = LaplaceMechanism.translate(&q, &acc).unwrap().upper;
         let ratio = e_sm / e_lm;

@@ -31,4 +31,4 @@ pub use accuracy::{AccuracyError, AccuracySpec};
 pub use parser::{parse_query, ParseError, ParsedQuery};
 pub use query::{ExplorationQuery, QueryAnswer, QueryKind};
 pub use strategy::{Strategy, StrategyError};
-pub use workload::{CompiledWorkload, DeltaError, HistogramDelta, WorkloadError};
+pub use workload::{CompiledWorkload, WorkloadError};

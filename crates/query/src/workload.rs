@@ -6,9 +6,9 @@
 //! stay far below 50% density. All products (`true_answer`, sensitivity)
 //! run over nonzeros.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use apex_data::{Dataset, DomainPartition, PartitionError, Predicate, RowDelta, Schema};
+use apex_data::{Dataset, DomainPartition, PartitionError, Predicate, Schema};
 use apex_linalg::{CsrBuilder, CsrMatrix};
 
 /// Errors raised when compiling a workload.
@@ -16,9 +16,6 @@ use apex_linalg::{CsrBuilder, CsrMatrix};
 pub enum WorkloadError {
     /// Domain partitioning failed.
     Partition(PartitionError),
-    /// An extension target is not a pure domain growth of this workload's
-    /// partition (different workload, or a cell straddles the new grid).
-    Incompatible(String),
 }
 
 impl From<PartitionError> for WorkloadError {
@@ -31,62 +28,11 @@ impl std::fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WorkloadError::Partition(e) => write!(f, "cannot compile workload: {e}"),
-            WorkloadError::Incompatible(m) => write!(f, "cannot extend workload: {m}"),
         }
     }
 }
 
 impl std::error::Error for WorkloadError {}
-
-/// Why a [`RowDelta`] could not be folded into a compiled workload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeltaError {
-    /// A delta row lies outside the domain this workload was compiled
-    /// over — the mutation grew the domain, so the caller must recompile
-    /// against the widened schema (see [`CompiledWorkload::extended`],
-    /// which also yields a cell remap carrying the old histogram over).
-    DomainGrowth(String),
-    /// A delta row does not match the compiled schema at all (arity).
-    RowMismatch(String),
-}
-
-impl std::fmt::Display for DeltaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeltaError::DomainGrowth(m) => write!(f, "delta grows the domain: {m}"),
-            DeltaError::RowMismatch(m) => write!(f, "delta row mismatch: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for DeltaError {}
-
-/// A sparse histogram update: the observable effect of a [`RowDelta`] on
-/// the cell-count vector `x = T_W(D)`, computed in O(rows touched) —
-/// no dataset rescan. Cells are deduplicated and carry net counts, so a
-/// delta that inserts and deletes in the same cell collapses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramDelta {
-    /// `(cell, net count change)`, sorted by cell, zero entries dropped.
-    pub updates: Vec<(usize, f64)>,
-    /// Epoch the originating mutation committed (from the [`RowDelta`]).
-    pub epoch: u64,
-}
-
-impl HistogramDelta {
-    /// Whether the delta changes nothing (e.g. insert + delete of the
-    /// same rows, or a delete that matched nothing).
-    pub fn is_empty(&self) -> bool {
-        self.updates.is_empty()
-    }
-
-    /// Folds the delta into a histogram vector in O(cells touched).
-    pub fn apply_to(&self, x: &mut [f64]) {
-        for &(cell, dv) in &self.updates {
-            x[cell] += dv;
-        }
-    }
-}
 
 /// A workload compiled against a schema: the minimal domain partition, the
 /// `L × |dom_W(R)|` 0/1 matrix `W`, and its sensitivity `‖W‖₁`.
@@ -99,15 +45,11 @@ pub struct CompiledWorkload {
     /// Shared with the dataset's maintained histogram of this partition
     /// (which outlives the compiled workload), hence the `Arc`.
     partition: Arc<DomainPartition>,
-    /// Schema the partition was built over — consulted by
-    /// [`Self::apply_delta`] to tell in-domain mutations from ones that
-    /// grew the domain (which require [`Self::extended`]).
+    /// Schema the partition was built over: a widening insert changes
+    /// the dataset's schema, and a workload is recompiled against it.
     schema: Schema,
     /// The `L × n_cells` 0/1 incidence structure, sparse.
     csr: CsrMatrix,
-    /// Transposed incidence (cell → query rows touching it), built on the
-    /// first incremental answer update only.
-    cell_to_queries: OnceLock<Vec<Vec<u32>>>,
     sensitivity: f64,
     /// Structural signature of the compiled incidence (cache key for
     /// derived artifacts: the strategy operator and MC translator).
@@ -133,7 +75,6 @@ impl CompiledWorkload {
             partition,
             schema: schema.clone(),
             csr,
-            cell_to_queries: OnceLock::new(),
             sensitivity,
             signature,
         })
@@ -188,86 +129,6 @@ impl CompiledWorkload {
         self.csr
             .matvec(&x)
             .expect("histogram length matches matrix columns")
-    }
-
-    /// Folds a committed [`RowDelta`] into a [`HistogramDelta`] in
-    /// O(rows touched): each inserted/deleted row locates its partition
-    /// cell directly — no dataset rescan. A checked wrapper over
-    /// [`DomainPartition::fold_rows`], the primitive the dataset's own
-    /// views are maintained with.
-    ///
-    /// # Errors
-    /// [`DeltaError::DomainGrowth`] when a delta row lies outside the
-    /// domain this workload was compiled over (the mutation widened the
-    /// schema): recompile via [`Self::extended`] and retry against the
-    /// new workload. [`DeltaError::RowMismatch`] on arity mismatch.
-    pub fn apply_delta(&self, delta: &RowDelta) -> Result<HistogramDelta, DeltaError> {
-        let arity = self.schema.arity();
-        for row in delta.inserted.iter().chain(&delta.deleted) {
-            if row.len() != arity {
-                return Err(DeltaError::RowMismatch(format!(
-                    "expected {arity} values, got {}",
-                    row.len()
-                )));
-            }
-            self.schema
-                .validate_row(row)
-                .map_err(|e| DeltaError::DomainGrowth(e.to_string()))?;
-        }
-        let mut net = std::collections::BTreeMap::new();
-        self.partition
-            .fold_rows(&delta.inserted, &delta.deleted, |cell, dv| {
-                *net.entry(cell).or_insert(0.0) += dv;
-            });
-        Ok(HistogramDelta {
-            updates: net.into_iter().filter(|&(_, v)| v != 0.0).collect(),
-            epoch: delta.epoch,
-        })
-    }
-
-    /// Folds a [`HistogramDelta`] into a workload answer vector
-    /// `y = W x` in O(Σ queries touching each changed cell), via the
-    /// transposed CSR incidence (built once, lazily).
-    pub fn update_answer(&self, delta: &HistogramDelta, y: &mut [f64]) {
-        let t = self.cell_to_queries.get_or_init(|| {
-            let mut t = vec![Vec::new(); self.partition.n_cells()];
-            for i in 0..self.partition.n_predicates() {
-                for &c in self.partition.cells_of(i) {
-                    t[c].push(i as u32);
-                }
-            }
-            t
-        });
-        for &(cell, dv) in &delta.updates {
-            for &q in &t[cell] {
-                y[q as usize] += dv;
-            }
-        }
-    }
-
-    /// Recompiles this workload against a **widened** schema (domain
-    /// growth from an insert) and returns the new compiled workload plus
-    /// the old-cell → new-cell map: an existing histogram carries over in
-    /// O(n_cells) (`x_new[map[c]] += x_old[c]`) instead of an O(|D|)
-    /// rescan, because widening only adds cell boundaries outside the old
-    /// coverage.
-    ///
-    /// # Errors
-    /// Compilation failures propagate; [`WorkloadError::Incompatible`] if
-    /// `workload` is not the workload this was compiled from (the remap
-    /// would be ill-defined).
-    pub fn extended(
-        &self,
-        schema: &Schema,
-        workload: &[Predicate],
-    ) -> Result<(Self, Vec<usize>), WorkloadError> {
-        let new = Self::compile(schema, workload)?;
-        let map = self.partition.remap_to(new.partition()).ok_or_else(|| {
-            WorkloadError::Incompatible(
-                "target partition is not a domain growth of this one".into(),
-            )
-        })?;
-        Ok((new, map))
     }
 
     /// The schema this workload was compiled over.
@@ -368,68 +229,47 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_matches_full_rescan() {
+    fn mutations_fold_into_the_dataset_view() {
         let mut d = data(&[5, 15, 15, 25, 95]);
         let w = histogram_workload(10, 10);
         let c = CompiledWorkload::compile(&schema(), &w).unwrap();
-        let mut x = c.histogram(&d);
-        let mut y = c.csr().matvec(&x).unwrap();
+        c.histogram(&d);
 
-        let delta = d
-            .insert_rows(&[vec![Value::Int(15)], vec![Value::Int(77)]])
+        d.insert_rows(&[vec![Value::Int(15)], vec![Value::Int(77)]])
             .unwrap();
-        let hd = c.apply_delta(&delta).unwrap();
-        hd.apply_to(&mut x);
-        c.update_answer(&hd, &mut y);
-        assert_eq!(x, rescan(&c, &d), "insert: incremental == rescan");
-        assert_eq!(x, c.histogram(&d), "insert: the dataset's view folded too");
-        assert_eq!(y, c.true_answer(&d), "insert: answers track");
+        let x = c.histogram(&d);
+        assert_eq!(x, rescan(&c, &d), "insert: the view folded == rescan");
+        assert_eq!(c.true_answer(&d), c.csr().matvec(&x).unwrap());
 
-        let delta = d.delete_rows(&[vec![Value::Int(15)]]).unwrap();
-        let hd = c.apply_delta(&delta).unwrap();
-        hd.apply_to(&mut x);
-        c.update_answer(&hd, &mut y);
-        assert_eq!(x, rescan(&c, &d), "delete: incremental == rescan");
-        assert_eq!(x, c.histogram(&d), "delete: the dataset's view folded too");
-        assert_eq!(y, c.true_answer(&d), "delete: answers track");
+        d.delete_rows(&[vec![Value::Int(15)]]).unwrap();
+        let x = c.histogram(&d);
+        assert_eq!(x, rescan(&c, &d), "delete: the view folded == rescan");
+        assert_eq!(c.true_answer(&d), c.csr().matvec(&x).unwrap());
+
+        // Insert and delete in one cell (the bin [10, 20)) cancel out.
+        d.insert_rows(&[vec![Value::Int(17)]]).unwrap();
+        d.delete_rows(&[vec![Value::Int(17)]]).unwrap();
+        assert_eq!(c.histogram(&d), x, "a self-cancelling pair");
+        let s = d.view_stats();
+        assert_eq!((s.misses, s.folds), (1, 4), "one scan, then folds only");
     }
 
     #[test]
-    fn self_cancelling_delta_is_empty() {
-        let c = CompiledWorkload::compile(&schema(), &histogram_workload(10, 10)).unwrap();
-        let delta = apex_data::RowDelta {
-            inserted: vec![vec![Value::Int(15)]],
-            deleted: vec![vec![Value::Int(17)]], // same bin [10,20)
-            epoch: 1,
-        };
-        let hd = c.apply_delta(&delta).unwrap();
-        assert!(hd.is_empty());
-    }
-
-    #[test]
-    fn domain_growth_is_detected_and_extension_carries_the_histogram() {
+    fn a_widening_insert_is_served_by_a_recompile_over_the_new_schema() {
         let mut d = data(&[5, 15, 95]);
         let w = histogram_workload(10, 10);
         let c = CompiledWorkload::compile(&schema(), &w).unwrap();
-        let x_old = c.histogram(&d);
+        c.histogram(&d);
 
-        // Insert widens the domain: 500 is outside IntRange{0,99}.
-        let delta = d.insert_rows(&[vec![Value::Int(500)]]).unwrap();
-        assert!(matches!(
-            c.apply_delta(&delta),
-            Err(DeltaError::DomainGrowth(_))
-        ));
-
-        // Extend against the widened schema; carry the histogram over and
-        // fold the delta in — bit-identical to a from-scratch rebuild.
-        let (c2, map) = c.extended(d.schema(), &w).unwrap();
-        let mut x = vec![0.0; c2.n_cells()];
-        for (cell, v) in x_old.iter().enumerate() {
-            x[map[cell]] += v;
-        }
-        c2.apply_delta(&delta).unwrap().apply_to(&mut x);
-        assert_eq!(x, rescan(&c2, &d));
-        assert_eq!(x, c2.histogram(&d));
+        // 500 lies outside IntRange{0,99}: the insert widens the schema
+        // and clears the views; the workload recompiles against the new
+        // schema and its first histogram is a rescan.
+        d.insert_rows(&[vec![Value::Int(500)]]).unwrap();
+        assert_ne!(d.schema(), &schema());
+        let c2 = CompiledWorkload::compile(d.schema(), &w).unwrap();
+        assert_eq!(c2.histogram(&d), rescan(&c2, &d));
+        assert_eq!(c2.histogram(&d).iter().sum::<f64>(), 4.0);
+        assert_eq!(c2.true_answer(&d), c.true_answer(&data(&[5, 15, 95])));
     }
 
     #[test]
@@ -458,20 +298,6 @@ mod tests {
         assert_eq!(b.histogram(&d), rescan(&b, &d));
         let s = d.view_stats();
         assert_eq!((s.hits, s.misses), (2, 2));
-    }
-
-    #[test]
-    fn delta_arity_mismatch_is_rejected() {
-        let c = CompiledWorkload::compile(&schema(), &histogram_workload(10, 10)).unwrap();
-        let delta = apex_data::RowDelta {
-            inserted: vec![vec![Value::Int(1), Value::Int(2)]],
-            deleted: vec![],
-            epoch: 1,
-        };
-        assert!(matches!(
-            c.apply_delta(&delta),
-            Err(DeltaError::RowMismatch(_))
-        ));
     }
 
     #[test]

@@ -146,8 +146,8 @@ fn parse_args() -> Args {
             "--admin-token" => args.admin_token = Some(take("--admin-token")),
             "--force-truncate-wal" => args.force_truncate_wal = true,
             "--budget" => {
-                args.budget = take("--budget").parse().unwrap_or_else(|_| {
-                    eprintln!("--budget must be a number");
+                args.budget = parse_budget(&take("--budget")).unwrap_or_else(|| {
+                    eprintln!("--budget must be a positive, finite number");
                     usage()
                 })
             }
@@ -174,6 +174,12 @@ fn parse_num(s: &str, flag: &str) -> usize {
             usage()
         }
     }
+}
+
+/// A privacy budget: a number, positive and finite (an engine refuses any
+/// other, so the flag does too).
+fn parse_budget(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|b: &f64| b.is_finite() && *b > 0.0)
 }
 
 /// How a tenant's durable store came to be at boot.
@@ -253,9 +259,6 @@ fn main() {
                 );
                 for (name, spent, budget) in &report.budgets {
                     println!("  {name}: spent {spent:.4} of B = {budget}");
-                }
-                for (name, ms) in &report.prepare_ms {
-                    println!("  {name}: translator prepare_ms {ms:.1} (cold)");
                 }
                 println!(
                     "  store: {} ingested, {} opened from disk, pool hits {}, \
@@ -470,4 +473,21 @@ fn main() {
         s.flush_transcripts();
     }
     println!("apex-serve: shut down cleanly");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_budget;
+
+    #[test]
+    fn budget_must_be_a_positive_finite_number() {
+        assert_eq!(parse_budget("1"), Some(1.0));
+        assert_eq!(parse_budget("0.25"), Some(0.25));
+        assert_eq!(parse_budget("1e-3"), Some(1e-3));
+        for bad in [
+            "NaN", "nan", "0", "-0", "-1", "inf", "-inf", "infinity", "", "one",
+        ] {
+            assert_eq!(parse_budget(bad), None, "{bad:?}");
+        }
+    }
 }

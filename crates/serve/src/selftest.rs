@@ -72,10 +72,7 @@ use std::time::{Duration, Instant};
 use apex_core::{EngineConfig, Mode};
 use apex_data::store::{Manifest, TranscriptLog};
 use apex_data::synth::{adult_dataset, nytaxi_dataset};
-use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
-use apex_mech::mc::McConfig;
-use apex_mech::{PreparedQuery, SmArtifacts};
-use apex_query::{ExplorationQuery, Strategy};
+use apex_data::{Attribute, Dataset, Domain, Schema, Value};
 
 use crate::client;
 use crate::invariants::{self, Acked, Observed, Slack, When};
@@ -145,11 +142,6 @@ pub struct SelfTestReport {
     pub cache_misses: u64,
     /// Per-dataset `(name, spent, budget)` at the end.
     pub budgets: Vec<(String, f64, f64)>,
-    /// Per-tenant `(name, millis)` cold translator-prepare timings for a
-    /// representative workload, through `SmArtifacts::build` — the
-    /// prepare a cache miss runs. Observability only — printed, never
-    /// asserted on (machine speed is not an invariant).
-    pub prepare_ms: Vec<(String, f64)>,
     /// Whether the run started from a non-empty recovered ledger (the
     /// second CI pass against one state dir).
     pub recovered_baseline: bool,
@@ -712,8 +704,6 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
         ));
     }
 
-    report.prepare_ms = prepare_timings(cfg);
-
     // The compaction-pause scenario: force WAL rotations against a slow
     // in-flight query — rotation must not wait on the evaluate phase.
     let wide = &mut acked[ix("wide")];
@@ -790,55 +780,6 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     report.recovery_replayed = replayed;
     check(&restarted, When::Recovered, &acked)?;
     Ok(report)
-}
-
-/// Times one cold `SmArtifacts::build` — the prepare a cache miss runs —
-/// per tenant on a workload representative of what the scripted clients
-/// submit (the wide tenant uses the compaction scenario's prefix shape).
-/// Pure observability: the printed numbers make prepare-path regressions
-/// visible in CI logs without turning machine speed into an assertion.
-fn prepare_timings(cfg: &SelfTestConfig) -> Vec<(String, f64)> {
-    let wide_prefixes = cfg
-        .slow_query_prefixes
-        .clamp(2, WIDE_DOMAIN as usize / WIDE_STEP);
-    let probes: Vec<(&str, Schema, Vec<Predicate>)> = vec![
-        (
-            "adult",
-            adult_dataset(1, 7).schema().clone(),
-            vec![
-                Predicate::range("age", 17.0, 40.0),
-                Predicate::range("age", 40.0, 60.0),
-                Predicate::range("age", 60.0, 91.0),
-            ],
-        ),
-        (
-            "taxi",
-            nytaxi_dataset(1, 9).schema().clone(),
-            vec![
-                Predicate::range("passenger_count", 1.0, 3.0),
-                Predicate::range("passenger_count", 3.0, 11.0),
-            ],
-        ),
-        (
-            "wide",
-            wide_dataset().schema().clone(),
-            (1..=wide_prefixes)
-                .map(|i| Predicate::range("v", 0.0, (i * WIDE_STEP) as f64))
-                .collect(),
-        ),
-    ];
-    let mut timings = Vec::new();
-    for (name, schema, workload) in probes {
-        let Ok(q) = PreparedQuery::prepare(&schema, &ExplorationQuery::wcq(workload)) else {
-            continue; // a broken probe workload is not a service invariant
-        };
-        let t0 = Instant::now();
-        let prepared = SmArtifacts::build(q.compiled().csr(), Strategy::H2, McConfig::default());
-        if prepared.is_ok() {
-            timings.push((name.to_string(), t0.elapsed().as_secs_f64() * 1e3));
-        }
-    }
-    timings
 }
 
 /// What the compaction-pause scenario measured.

@@ -5,11 +5,12 @@
 //! statistical allowance" is a meaningful check at a few hundred runs.
 
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
+use apex_mech::mc::McConfig;
 use apex_mech::{
     LaplaceMechanism, LaplaceTopKMechanism, Mechanism, MultiPokingMechanism, PreparedQuery,
-    StrategyMechanism,
+    StrategyMechanism, TranslatorCache,
 };
-use apex_query::{AccuracySpec, ExplorationQuery};
+use apex_query::{AccuracySpec, ExplorationQuery, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -81,11 +82,17 @@ fn lm_wcq_accuracy_holds() {
     );
 }
 
+/// The strategy mechanism as the engine builds it: H2, the default
+/// Monte-Carlo settings, artifacts from a cache.
+fn sm_h2() -> StrategyMechanism {
+    StrategyMechanism::new(Strategy::H2, McConfig::default(), TranslatorCache::new())
+}
+
 #[test]
 fn sm_wcq_accuracy_holds_on_prefixes() {
     let d = staircase();
     let q = PreparedQuery::prepare(&schema(), &ExplorationQuery::wcq(prefix_bins())).unwrap();
-    let failures = count_wcq_failures(&StrategyMechanism::h2(), &q, &d);
+    let failures = count_wcq_failures(&sm_h2(), &q, &d);
     assert!(
         failures <= failure_allowance(),
         "{failures} failures in {RUNS} runs"
@@ -119,7 +126,7 @@ fn lm_icq_accuracy_holds() {
 
 #[test]
 fn sm_icq_accuracy_holds() {
-    let failures = count_icq_failures(&StrategyMechanism::h2(), 150.0);
+    let failures = count_icq_failures(&sm_h2(), 150.0);
     assert!(failures <= failure_allowance(), "{failures} failures");
 }
 
