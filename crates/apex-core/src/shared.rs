@@ -303,9 +303,11 @@ impl EngineSession {
     /// [`EngineSession::commit`] with a durability hook: `log` runs at
     /// the commit point — after the decision, before any ledger
     /// mutation, with the session→engine locks held — so a persistence
-    /// layer can append its write-ahead record atomically with the
-    /// charge. If `log` fails, **nothing is charged** on either ledger:
-    /// the charge is durable-or-nothing, no refund path needed.
+    /// layer can stage its write-ahead record, in log order, atomically
+    /// with the charge. If `log` fails, **nothing is charged** on either
+    /// ledger, no refund path needed. The hook only appends: the caller
+    /// waits for the record's durability after this returns, with both
+    /// locks released, and acks only then.
     ///
     /// # Errors
     /// See [`CommitError`]; every error leaves both ledgers untouched.

@@ -20,8 +20,13 @@
 //! **Resident datasets only.** A paged dataset keeps no views and scans
 //! its store through the buffer pool for every histogram. Clones of a
 //! paged dataset share one row store, so its views would also have to
-//! track the store's epoch; docs/PERFORMANCE.md ("What was left out, and
-//! why") has the measurements behind leaving that out.
+//! track the store's epoch. Built that way, they cut the request
+//! benchmark's `paged_mutating` median query 14.2 → 0.24 ms but raise its
+//! peak RSS by 84 %, past the benchmark's bound — not through the views:
+//! the benchmark client keeps up to 4 000 answered queries for its
+//! accuracy check, and a faster service fills that buffer further. So
+//! they wait on a benchmark change that makes that retention independent
+//! of throughput (docs/PERFORMANCE.md, "What was left out, and why").
 //!
 //! **Consistency.** The cache is part of the dataset *value*: it is cloned
 //! with it, folded only under `&mut Dataset`, and read only through

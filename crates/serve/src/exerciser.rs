@@ -10,6 +10,10 @@
 //! kill may leave the one commit or mutation it interrupted durable but
 //! unacked, so recovery gets that [`Slack`]: an in-flight commit's εᵘ
 //! (never more — the evaluate phase fixed the worst case), one mutation.
+//! That covers a kill at `state.submit.staged`, where the commit is
+//! charged and its locks released but its sync not yet awaited. The
+//! world's WAL never syncs, so no covering sync fails here and the live
+//! checks need no slack; a state test covers the failed sync.
 //! Views are volatile, so a crash simply loses them — recovery needs no
 //! protocol for them.
 //!

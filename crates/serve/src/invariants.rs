@@ -12,7 +12,7 @@
 //! | `protocol` | every response is a `201` open, a `200` (answer, mutation ack, budget read, close) or a `409`, with every field its kind carries | each | each | each | each |
 //! | `ε ≤ εᵘ` | an answer's charged loss is within the worst case its admission checked | each | each | each | each |
 //! | `spent ≤ B` | the tenant ledger never passes `B`; a budget read shows neither it nor the session past its slice | each, L, R | each, R+ | L, R | L, R |
-//! | `spent == acked Σε` | the ledger moved by exactly the acked ε; recovered, by that plus at most the in-flight εᵘ | L, R | each, R+ | L, R | L, R |
+//! | `spent == acked Σε` | the ledger moved by exactly the acked ε, plus at most the εᵘ of commits charged but not acked (live: a failed covering sync; recovered: the commit a kill cut) | L, R | each, R+ | L, R | L, R |
 //! | `grant conservation` | granted == live allowances + spend of closed sessions + reclaimed | L, R | each, R+ | L, R | L, R |
 //! | `denials == 409s` | the engine recorded exactly the denials clients saw (transcripts do not survive a restart) | L | each | L | L |
 //! | `applied == epoch` | the epoch moved with every applied mutation, those are the acked ones (plus in-flight slack), rows are the base plus the net acked rows, the acked epoch is served | L, R | each, R+ | L, R | L, R |
@@ -161,8 +161,9 @@ pub enum When {
     Recovered,
 }
 
-/// Un-acked operations that may or may not have landed: a commit a crash
-/// cut (its εᵘ), mutation batches never acked (`rows_per_mutation` each).
+/// Un-acked operations that may or may not have landed: a commit charged
+/// but never acked — a kill cut it, or its covering sync failed — (its
+/// εᵘ), mutation batches never acked (`rows_per_mutation` each).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Slack {
     pub epsilon: f64,
@@ -319,6 +320,9 @@ mod tests {
             ..none
         };
         assert_eq!(named(When::Recovered, &over, eps), [""; 0]);
+        // Live, the same slack covers a charge whose sync failed.
+        assert_eq!(named(When::Live, &over, none), ["spent == acked Σε"]);
+        assert_eq!(named(When::Live, &over, eps), [""; 0]);
         // Never below what was acked, whatever the slack.
         let mut under = good.clone();
         under.spent -= 0.05;

@@ -1,6 +1,6 @@
 //! Admission, charge and durability ordering: the two-phase submission,
-//! the WAL append every budget-mutating event makes before its ack, and
-//! the compaction that folds the WAL into a snapshot.
+//! the WAL append and sync every budget-mutating event makes before its
+//! ack, and the compaction that folds the WAL into a snapshot.
 
 use std::sync::atomic::Ordering;
 
@@ -11,7 +11,7 @@ use super::sessions::InFlightGuard;
 use super::ServerState;
 use crate::lockx;
 use crate::snapshot::{self, Snapshot, TenantLedger};
-use crate::wal::{GateCount, WalRecord, WalStats, WalWriter};
+use crate::wal::{GateCount, SharedWal, Staged, WalRecord, WalStats, WalWriter};
 
 /// What a submission through [`ServerState::submit`] produced.
 #[derive(Debug)]
@@ -66,8 +66,10 @@ pub enum SubmitError {
     /// The write-ahead append failed at the commit point — the charge
     /// was **neither acked nor applied**: the append runs before the
     /// ledger mutation, so a refused record leaves memory and disk
-    /// agreeing that nothing happened (in-memory `spent` can never run
-    /// ahead of what recovery reconstructs): `500`.
+    /// agreeing that nothing happened. Or the covering sync failed after
+    /// the charge: never acked, the writer poisoned, and in-memory
+    /// `spent` over-counts by at most that charge — the safe direction:
+    /// `500`.
     Wal(std::io::Error),
     /// A mutation batch whose rows encode to more than 64 KiB — refused
     /// before anything was logged or applied: `413`.
@@ -99,14 +101,17 @@ impl ServerState {
     /// translations and mechanism runs proceed concurrently with other
     /// sessions and with compaction — then commits under the shared side
     /// of the ledger gate, where the WAL append and the charge form one
-    /// atomic step (append first: a refused append charges nothing). The
-    /// router must not ack an unlogged charge, and with this ordering it
-    /// cannot: the response only exists if its record was appended.
+    /// atomic step (append first: a refused append charges nothing), and
+    /// waits there, with the engine lock released, for the sync covering
+    /// the record. The router must not ack an unsynced charge, and with
+    /// this ordering it cannot: the response only exists once its record
+    /// is durable.
     ///
     /// # Errors
     /// [`SubmitError::Engine`] for malformed queries or mechanism
     /// faults, [`SubmitError::Wal`] when the write-ahead append failed
-    /// (nothing was charged).
+    /// (nothing was charged) or its covering sync did (charged, never
+    /// acked).
     pub fn submit(
         &self,
         id: u64,
@@ -162,27 +167,38 @@ impl ServerState {
         &self,
         flight: SubmitInFlight,
     ) -> Result<SubmitOutcome, SubmitError> {
-        // COMMIT: the shared side of the ledger gate covers exactly the
-        // re-check + append + charge, so compaction (exclusive side)
-        // cannot snapshot a charge while pushing its WAL record into the
-        // next generation — and never waits on an in-flight evaluate.
+        // COMMIT: the shared side of the ledger gate covers the re-check
+        // + append + charge and the covering sync, so compaction
+        // (exclusive side) cannot snapshot a charge while pushing its WAL
+        // record into the next generation — and never waits on an
+        // in-flight evaluate.
         let _gate = lockx::read(&self.ledger_gate);
         apex_core::sched_point!("state.submit.commit_gate");
         let id = flight.id;
+        let mut staged = None;
         let response = match flight.session.commit_with(flight.pending, |response| {
-            self.log(match response {
+            staged = self.stage(match response {
                 EngineResponse::Answered(a) => WalRecord::Debit {
                     session: id,
                     epsilon: a.epsilon,
                 },
                 EngineResponse::Denied => WalRecord::Deny { session: id },
-            })
+            })?;
+            Ok(())
         }) {
             Ok(r) => r,
             Err(CommitError::Engine(EngineError::SessionClosed)) => return Ok(SubmitOutcome::Gone),
             Err(CommitError::Engine(e)) => return Err(SubmitError::Engine(e)),
             Err(CommitError::Log(e)) => return Err(SubmitError::Wal(e)),
         };
+        // Charged, with the session and engine locks released: a commit
+        // on the same tenant can append now and share this record's
+        // sync. A failed sync poisons the writer and errors without an
+        // ack; the charge stays — an over-count, the safe direction.
+        apex_core::sched_point!("state.submit.staged");
+        if let (Some(staged), Some(wal)) = (staged, self.wal()) {
+            wal.await_durable(staged).map_err(SubmitError::Wal)?;
+        }
         drop(_gate);
         drop(flight.pin);
         apex_core::sched_point!("state.submit.done");
@@ -199,8 +215,22 @@ impl ServerState {
     /// for a denial — see [`crate::wal::SharedWal::append`]); a no-op
     /// without persistence.
     pub(super) fn log(&self, record: WalRecord) -> Result<(), std::io::Error> {
+        self.writable_wal()?
+            .map_or(Ok(()), |wal| wal.append(&record))
+    }
+
+    /// Appends one WAL record without waiting for its sync (see
+    /// [`crate::wal::SharedWal::stage`]); `None` without persistence.
+    fn stage(&self, record: WalRecord) -> Result<Option<Staged>, std::io::Error> {
+        self.writable_wal()?
+            .map_or(Ok(None), |wal| wal.stage(&record))
+    }
+
+    /// The WAL, unless an injected append fault fires first; `None`
+    /// without persistence.
+    fn writable_wal(&self) -> Result<Option<&SharedWal>, std::io::Error> {
         let Some(p) = &self.persist else {
-            return Ok(());
+            return Ok(None);
         };
         apex_core::sched_point!("state.log.enter");
         #[cfg(any(test, feature = "sched"))]
@@ -210,7 +240,7 @@ impl ServerState {
         {
             return Err(std::io::Error::other("injected WAL append fault"));
         }
-        p.wal.append(&record)
+        Ok(Some(&p.wal))
     }
 
     /// Marks the calling shard worker a present writer until the guard
@@ -290,6 +320,17 @@ impl ServerState {
     pub(crate) fn inject_wal_faults(&self, n: u64) {
         if let Some(p) = &self.persist {
             p.fail_appends.store(n, Ordering::SeqCst);
+        }
+    }
+
+    /// Makes the next `n` covering syncs fail after their records were
+    /// written (no-op without persistence): a commit then errors after
+    /// its charge, and the writer is poisoned. No exerciser operation
+    /// arms it: the exerciser's WAL never syncs.
+    #[cfg(test)]
+    pub(crate) fn inject_sync_faults(&self, n: u64) {
+        if let Some(p) = &self.persist {
+            p.wal.fail_syncs.store(n, Ordering::SeqCst);
         }
     }
 

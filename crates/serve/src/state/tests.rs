@@ -4,7 +4,7 @@ use super::*;
 use crate::clock::ManualClock;
 use crate::snapshot::{self, Snapshot, TenantLedger};
 use crate::wal;
-use apex_core::EngineConfig;
+use apex_core::{EngineConfig, EngineResponse};
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
 use apex_query::{AccuracySpec, ExplorationQuery};
 
@@ -764,21 +764,29 @@ fn wal(state: &ServerState) -> WalStats {
     state.wal_stats().unwrap()
 }
 
-/// Opens a session from a second present worker and returns once
-/// that worker leads a group and is gathering.
-fn gathering_worker<'s>(
+/// Runs `op` on a second present worker and returns once that worker
+/// leads a group and is gathering.
+fn gathering_worker<'s, T: Send + 's>(
     scope: &'s std::thread::Scope<'s, '_>,
     state: &'s ServerState,
-) -> std::thread::ScopedJoinHandle<'s, ()> {
+    op: impl FnOnce() -> T + Send + 's,
+) -> std::thread::ScopedJoinHandle<'s, T> {
     let before = wal(state).gathers;
     let handle = scope.spawn(move || {
         let _present = state.writer_present();
-        state.create_session("b", 0.01).unwrap().unwrap();
+        op()
     });
     while wal(state).gathers == before {
         std::thread::yield_now();
     }
     handle
+}
+
+/// Opens a session on tenant "b": one durable record.
+fn open_b(state: &ServerState) -> impl FnOnce() + Send + '_ {
+    move || {
+        state.create_session("b", 0.01).unwrap().unwrap();
+    }
 }
 
 #[test]
@@ -812,7 +820,7 @@ fn sync_gate_pairs_two_present_writers_under_one_sync() {
     // Worker A holds a request but has not reached `log` yet.
     let a = state.writer_present();
     std::thread::scope(|scope| {
-        let b = gathering_worker(scope, &state);
+        let b = gathering_worker(scope, &state, open_b(&state));
         assert_eq!(wal(&state).syncs, 0, "B must wait for A");
         state.create_session("a", 0.01).unwrap().unwrap();
         b.join().unwrap();
@@ -832,11 +840,105 @@ fn sync_gate_pairs_two_present_writers_under_one_sync() {
 }
 
 #[test]
+fn sync_gate_pairs_two_commits_on_one_tenant() {
+    // One tenant, one engine lock: the leader waits for its sync with
+    // that lock released, so the peer's Debit joins its group instead
+    // of blocking until the backstop ends the gather.
+    let (state, dir) = gate_state("gate-same-tenant");
+    let ids = [0.4, 0.4].map(|allowance| state.create_session("a", allowance).unwrap().unwrap());
+    let acc = AccuracySpec::new(25.0, 0.05).unwrap();
+    let answered = |outcome| matches!(outcome, SubmitOutcome::Response(r) if !r.is_denied());
+    // Worker A holds a request but has not submitted it yet.
+    let a = state.writer_present();
+    std::thread::scope(|scope| {
+        let b = gathering_worker(scope, &state, || {
+            state.submit(ids[1], &histogram(), &acc).unwrap()
+        });
+        assert_eq!(wal(&state).syncs, 2, "B must wait for A");
+        assert!(answered(state.submit(ids[0], &histogram(), &acc).unwrap()));
+        assert!(answered(b.join().unwrap()));
+    });
+    drop(a);
+    assert_eq!(
+        wal(&state),
+        WalStats {
+            durable_records: 4,
+            covered: 4,
+            syncs: 3,
+            gathers: 1,
+            ..WalStats::default()
+        },
+        "one sync covers both Debit records, and no gather timed out"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_covering_sync_failing_after_the_charge_is_never_acked() {
+    use crate::invariants::{check, Acked, Observed, Slack, When};
+    let dir = temp_dir("syncfault");
+    let acc = AccuracySpec::new(25.0, 0.05).unwrap();
+    let (state, _) = mk().build_recovered(PersistOptions::new(&dir)).unwrap();
+    let state = Arc::new(state);
+    let observe = |state: &Arc<ServerState>| Observed::read(std::slice::from_ref(state), 0, "a");
+    let base = observe(&state);
+    let id = state.create_session("a", 0.9).unwrap().unwrap();
+    let mut acked = Acked {
+        opened: 1,
+        granted: 0.9,
+        ..Acked::default()
+    };
+    let SubmitOutcome::Response(EngineResponse::Answered(a)) =
+        state.submit(id, &histogram(), &acc).unwrap()
+    else {
+        panic!("the first query must be answered");
+    };
+    (acked.answered, acked.epsilon) = (1, a.epsilon);
+
+    // The record is written and charged; its sync fails.
+    state.inject_sync_faults(1);
+    let SubmitPhase::Pending(flight) = state.submit_evaluate(id, &histogram(), &acc).unwrap()
+    else {
+        panic!("the second query must reach its commit");
+    };
+    let upper = flight.epsilon_upper().expect("admitted");
+    match state.submit_commit(flight) {
+        Err(SubmitError::Wal(_)) => {}
+        other => panic!("a failed sync must surface as a WAL error, got {other:?}"),
+    }
+    // The writer is poisoned: the next append fails too.
+    assert!(matches!(
+        state.submit(id, &histogram(), &acc),
+        Err(SubmitError::Wal(_))
+    ));
+    // Live, the ledger holds the unacked charge — exactly one εᵘ over
+    // the acks here, where ε equals εᵘ — and nothing else.
+    let live = observe(&state);
+    assert!(
+        (live.spent - (acked.epsilon + upper)).abs() < 1e-9,
+        "{live:?}"
+    );
+    let slack = Slack {
+        epsilon: upper,
+        ..Slack::default()
+    };
+    check(When::Live, &base, &live, &acked, slack).unwrap();
+    assert!(check(When::Live, &base, &live, &acked, Slack::default()).is_err());
+
+    // Recovered: at least the acks, at most that εᵘ more.
+    drop(state);
+    let (state, _) = mk().build_recovered(PersistOptions::new(&dir)).unwrap();
+    let recovered = observe(&Arc::new(state));
+    check(When::Recovered, &base, &recovered, &acked, slack).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sync_gate_leaver_releases_a_gathering_leader() {
     let (state, dir) = gate_state("gate-leaver");
     let a = state.writer_present();
     std::thread::scope(|scope| {
-        let b = gathering_worker(scope, &state);
+        let b = gathering_worker(scope, &state, open_b(&state));
         // A's request returns early — a 404 that never reaches
         // `log` — and B keeps waiting while A still holds it…
         let acc = AccuracySpec::new(25.0, 0.05).unwrap();
@@ -946,7 +1048,7 @@ fn sync_gate_leader_waits_a_peers_evaluate_out_and_pairs() {
             state.submit(id, &histogram(), &acc).unwrap();
         });
         reached.recv().unwrap();
-        let b = gathering_worker(scope, state);
+        let b = gathering_worker(scope, state, open_b(state));
         // A moving into evaluate does not end B's gather…
         go.send(()).unwrap();
         reached.recv().unwrap();

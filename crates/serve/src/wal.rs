@@ -3,11 +3,11 @@
 //!
 //! A restart that forgets spent privacy budget silently refills `B` —
 //! the one failure a DP engine can never afford. So the rule is strict
-//! write-ahead ordering per event: charge in memory → append + sync the
-//! record → only then write the HTTP response. A crash between charge
-//! and append loses an event the client was never acked (recovered spend
-//! can only *undercount relative to memory*, never relative to acks);
-//! a crash between append and ack recovers spend the client never saw —
+//! write-ahead ordering per event: append the record → charge in memory
+//! → sync → only then write the HTTP response. A crash before the sync
+//! may lose an event the client was never acked (recovered spend can
+//! only *undercount relative to memory*, never relative to acks); a
+//! crash between sync and ack recovers spend the client never saw —
 //! recovered-spent ≥ acked-sum always holds.
 //!
 //! ## On-disk format
@@ -41,6 +41,8 @@
 
 use std::fs::File;
 use std::path::Path;
+#[cfg(any(test, feature = "sched"))]
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -388,7 +390,16 @@ impl WalWriter {
 pub(crate) struct SharedWal {
     active: Mutex<Active>,
     gate: SyncGate,
+    /// Fault injection beside the state's `fail_appends`: the next N
+    /// covering syncs fail, after their records were written and charged.
+    #[cfg(any(test, feature = "sched"))]
+    pub(crate) fail_syncs: AtomicU64,
 }
+
+/// A record appended but not yet known durable: its place in the sync
+/// sequence and the file a covering sync must reach.
+#[derive(Debug)]
+pub(crate) struct Staged(u64, Arc<File>);
 
 #[derive(Debug)]
 struct Active {
@@ -411,27 +422,44 @@ impl SharedWal {
                 append_seq: 0,
             }),
             gate: SyncGate::default(),
+            #[cfg(any(test, feature = "sched"))]
+            fail_syncs: AtomicU64::new(0),
         }
     }
 
     /// Appends `record` and returns once it is durable — or, for a
-    /// denial, once it is ordered. Denials need *ordering* but not
-    /// *durability*: they charge nothing, so losing the tail of them in a
-    /// crash changes no recovered state, and a deny-heavy workload — the
-    /// steady state of an exhausted tenant — must not pay a durability
-    /// fsync per 409.
+    /// denial, once it is ordered: [`SharedWal::stage`], then
+    /// [`SharedWal::await_durable`].
     ///
     /// # Errors
     /// The append or the covering sync failing. A failed sync poisons the
     /// writer: every later append fails too.
     pub(crate) fn append(&self, record: &WalRecord) -> std::io::Result<()> {
+        match self.stage(record)? {
+            Some(staged) => self.await_durable(staged),
+            None => Ok(()),
+        }
+    }
+
+    /// Appends `record` under the writer lock and returns what its ack
+    /// must wait for: `None` for a denial or a writer that never syncs,
+    /// else the [`Staged`] record for [`SharedWal::await_durable`].
+    /// Denials need *ordering* but not *durability*: they charge
+    /// nothing, so losing the tail of them in a crash changes no
+    /// recovered state, and a deny-heavy workload — the steady state of
+    /// an exhausted tenant — must not pay a durability fsync per 409.
+    ///
+    /// # Errors
+    /// The append failing; the record was rolled back (see
+    /// [`WalWriter::append`]).
+    pub(crate) fn stage(&self, record: &WalRecord) -> std::io::Result<Option<Staged>> {
         // Append under the writer lock, fsync after releasing it (see
         // `SyncGate`): a sibling handler can append the next record
         // while this one's sync is in flight, and a completed sync
         // covers every record appended before it started. With the
         // fsync inside the lock, every record costs a full journal
         // commit plus a scheduler wakeup, back to back.
-        let (seq, sync_me) = {
+        let staged = {
             let mut active = lockx::lock(&self.active);
             // A denial's sync handle is dropped: the record is ordered
             // in the file but never fsynced and never enters the sync
@@ -441,30 +469,31 @@ impl SharedWal {
                 .append_deferred(record)?
                 .filter(|_| !matches!(record, WalRecord::Deny { .. }));
             active.records_since_rotation += 1;
-            if sync_me.is_some() {
+            sync_me.map(|file| {
                 active.append_seq += 1;
-            }
-            (active.append_seq, sync_me)
+                Staged(active.append_seq, file)
+            })
         };
         // A `state.` name: it closes `ServerState::log`'s append, and the
         // exerciser's pinned schedules and `yield_traces` refer to it.
         apex_core::sched_point!("state.log.appended");
-        match sync_me {
-            Some(file) => self.sync_through(seq, &file),
-            None => Ok(()), // a denial, or a writer that never syncs
-        }
+        Ok(staged)
     }
 
     /// Group commit (see `SyncGate`): returns once a `sync_data` that
-    /// began after append `seq` completed. Loop invariant: on every
+    /// began after the staged append completed. Loop invariant: on every
     /// pass, either the record is already durable (return), or a group
     /// is gathering (join it), or a sync is in flight (wait for its
     /// result), or this thread leads a new group. A leader that
     /// straddled a WAL rotation syncs the old generation's file —
     /// harmless, the snapshot that rotated it already covers those
     /// records (and the state's exclusive ledger gate keeps a rotation
-    /// from racing an in-flight append-and-sync).
-    fn sync_through(&self, seq: u64, file: &File) -> std::io::Result<()> {
+    /// from racing an in-flight stage-and-wait).
+    ///
+    /// # Errors
+    /// The covering sync failing. The writer is then poisoned: every
+    /// later append fails too.
+    pub(crate) fn await_durable(&self, Staged(seq, file): Staged) -> std::io::Result<()> {
         let gate = &self.gate;
         let mut prog = lockx::lock(&gate.progress);
         let mut joined = false;
@@ -514,6 +543,14 @@ impl SharedWal {
         // the call returns.
         let target = lockx::lock(&self.active).append_seq;
         let result = file.sync_data();
+        #[cfg(any(test, feature = "sched"))]
+        let result = match self
+            .fail_syncs
+            .fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1))
+        {
+            Ok(_) => Err(std::io::Error::other("injected WAL sync fault")),
+            Err(_) => result,
+        };
         let mut prog = lockx::lock(&gate.progress);
         prog.phase = SyncPhase::Idle;
         prog.members = 0;
@@ -760,10 +797,8 @@ pub struct WalStats {
 }
 
 /// The backstop on a gather: how long a leader waits for a present
-/// peer that neither joins nor leaves — in practice one blocked behind
-/// the leader's own engine lock (same tenant), which cannot append
-/// until the leader's commit returns, or one that went from parsing
-/// into a translator-cache miss while the leader waited.
+/// peer that neither joins nor leaves — in practice one that went from
+/// parsing into a translator-cache miss while the leader waited.
 const SYNC_GATHER_TIMEOUT: Duration = Duration::from_micros(200);
 
 #[cfg(test)]

@@ -73,6 +73,7 @@ const SUBMIT_ANSWERED: &[&str] = &[
     "engine.commit.post_log",
     "engine.commit.done",
     "session.commit.done",
+    "state.submit.staged",
     "state.submit.done",
 ];
 
@@ -91,6 +92,7 @@ const SUBMIT_DENIED: &[&str] = &[
     "state.log.appended",
     "engine.commit.post_log",
     "session.commit.done",
+    "state.submit.staged",
     "state.submit.done",
 ];
 
