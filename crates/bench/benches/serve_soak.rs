@@ -232,7 +232,7 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
     let (set, _) = build_shard_set(&dir, shards, names);
     let base: Vec<Observed> = names
         .iter()
-        .map(|n| Observed::read(set.states(), set.ring().shard_for(n), n))
+        .map(|n| Observed::read(set.owner(n), n))
         .collect();
     let handle = serve_sharded("127.0.0.1:0", set.clone(), ServeConfig::default())
         .expect("soak server bind");
@@ -441,7 +441,7 @@ fn soak_one(shards: usize, sessions: usize, names: &[String]) -> SoakResult {
         .collect();
     let check = |set: &ShardSet, when| {
         for (t, name) in names.iter().enumerate() {
-            let after = Observed::read(set.states(), set.ring().shard_for(name), name);
+            let after = Observed::read(set.owner(name), name);
             invariants::check(when, &base[t], &after, &wire[t], Slack::default())
                 .unwrap_or_else(|e| panic!("{when:?}: tenant {name}: {e}"));
         }

@@ -354,7 +354,7 @@ impl World {
                 .set_bug_charge_before_log(true);
         }
         let state = Arc::new(state);
-        world.base = Observed::read(std::slice::from_ref(&state), 0, TENANT);
+        world.base = Observed::read(&state, TENANT);
         world.state = Some(state);
         // …while the allowance admits exactly one worst-case answer:
         // the second concurrent commit must re-check and deny, which is
@@ -461,7 +461,7 @@ impl World {
     /// Invariants that must hold between any two steps of a schedule.
     fn check_live(&self) -> Result<(), String> {
         let state = self.state.as_ref().expect("world is live");
-        let after = Observed::read(std::slice::from_ref(state), 0, TENANT);
+        let after = Observed::read(state, TENANT);
         invariants::check(
             When::Live,
             &self.base,
@@ -494,7 +494,7 @@ impl World {
             .build_recovered(persist_opts(&self.dir))
             .map_err(|e| format!("recovery failed: {e:?}"))?;
         let state = Arc::new(state);
-        let after = Observed::read(std::slice::from_ref(&state), 0, TENANT);
+        let after = Observed::read(&state, TENANT);
         let out = invariants::check(When::Recovered, &self.base, &after, &self.acked, slack);
         (self.base, self.acked) = (after, Acked::default());
         (self.inflight_upper, self.mut_inflight) = (0.0, false);

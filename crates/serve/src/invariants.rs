@@ -21,8 +21,6 @@
 //! Comparing `after − base` lets a driver start from a recovered,
 //! non-empty state (the self-test's second pass) without a special case.
 
-use std::sync::Arc;
-
 use crate::json::Json;
 use crate::state::ServerState;
 
@@ -105,7 +103,8 @@ impl Acked {
     }
 }
 
-/// Per-tenant server state, read in process and summed over shards.
+/// Per-tenant server state, read in process from the one state that
+/// owns the tenant.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Observed {
     /// Ledger spend, the budget `B`, and closed sessions' remainders.
@@ -117,8 +116,8 @@ pub struct Observed {
     pub live_spent: f64,
     /// Denials in the engines' transcripts.
     pub denied: u64,
-    /// From the owning shard's copy, the one that serves: epoch, mutations
-    /// applied, scanned rows, the first view differing from a rescan.
+    /// Epoch, mutations applied, scanned rows, the first view differing
+    /// from a rescan.
     pub epoch: u64,
     pub applied: u64,
     pub rows: u64,
@@ -126,30 +125,27 @@ pub struct Observed {
 }
 
 impl Observed {
-    /// Reads `tenant`'s ledger from every state (`ShardSet::states`)
-    /// serving it, and its data from `states[owner]`
-    /// (`ShardSet::ring().shard_for`).
-    pub fn read(states: &[Arc<ServerState>], owner: usize, tenant: &str) -> Observed {
+    /// Reads `tenant` from `state`, the one that owns it
+    /// (`ShardSet::owner`); all zero when it is not registered there.
+    pub fn read(state: &ServerState, tenant: &str) -> Observed {
         let mut o = Observed::default();
-        for (state, t) in states.iter().filter_map(|s| Some((s, s.tenant(tenant)?))) {
-            let ledger = t.engine.export_ledger();
-            (o.spent, o.budget) = (o.spent + ledger.spent, ledger.budget);
-            o.denied += ledger.denied as u64;
-            o.reclaimed += t.reclaimed();
-            for s in state.list_sessions().iter().map(|s| &s.session) {
-                if s.dataset == tenant {
-                    o.live_allowance += s.allowance;
-                    o.live_spent += s.spent;
-                }
+        let Some(t) = state.tenant(tenant) else {
+            return o;
+        };
+        let ledger = t.engine.export_ledger();
+        (o.spent, o.budget, o.denied) = (ledger.spent, ledger.budget, ledger.denied as u64);
+        o.reclaimed = t.reclaimed();
+        for s in state.list_sessions().iter().map(|s| &s.session) {
+            if s.dataset == tenant {
+                o.live_allowance += s.allowance;
+                o.live_spent += s.spent;
             }
         }
-        if let Some(t) = states[owner].tenant(tenant) {
-            t.engine.with_engine(|e| {
-                (o.epoch, o.applied, o.rows) =
-                    (e.epoch(), e.mutations_applied(), e.dataset_scan_rows());
-                o.view_divergence = e.audit_dataset_views().err();
-            });
-        }
+        t.engine.with_engine(|e| {
+            (o.epoch, o.applied, o.rows) =
+                (e.epoch(), e.mutations_applied(), e.dataset_scan_rows());
+            o.view_divergence = e.audit_dataset_views().err();
+        });
         o
     }
 }

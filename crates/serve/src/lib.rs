@@ -39,14 +39,15 @@
 //!   checks a bearer token);
 //! * [`shard`] — the shard layer: N shard workers each owning its own
 //!   engines, ledger gate, WAL sequence, and `state-dir/shard-K/`
-//!   directory; tenants routed by consistent hashing; a nonblocking
+//!   directory; tenants routed by consistent hashing, each registered
+//!   only on the shard the ring routes it to; a nonblocking
 //!   accept/dispatch loop with bounded per-shard queues (full ⇒ 503 +
 //!   `Retry-After`) and graceful shutdown; parallel per-shard recovery at
 //!   boot; the cross-shard endpoints (`/healthz`, aggregated `/v1/stats`,
 //!   admin list / shutdown);
 //! * [`invariants`] — the whole correctness contract, checked in one
 //!   place: a per-tenant wire model of what clients were acked, an
-//!   in-process observation of the shards, and the invariants between
+//!   in-process observation of the owning shard, and the invariants between
 //!   them (`spent ≤ B`, spent == acked Σε, grant conservation, denials ==
 //!   409s, applied == epoch, view == rescan) — every harness calls it;
 //! * [`selftest`] — the end-to-end gate CI runs (`--self-test`): a

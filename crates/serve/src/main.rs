@@ -32,9 +32,12 @@
 //! files. A moved tenant's new owner would charge a fresh ledger and let
 //! it spend B again, so startup refuses (`RecoverError::MovedSpend`,
 //! naming the tenant, the shard and the ε spent there) whenever a tenant
-//! has spent anything on a shard the new ring does not route it to. Keep
-//! the shard count stable for a given state dir; tenants that have spent
-//! nothing may move freely.
+//! has spent anything, holds a live session, or has logged row mutations
+//! on a shard the new ring does not route it to (its new owner would
+//! also serve the base rows). A smaller count leaves `shard-K` dirs past
+//! the ring, and the same holds for every tenant they name. Keep the
+//! shard count stable for a given state dir; tenants with none of these
+//! may move freely.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -44,7 +47,7 @@ use apex_core::{EngineConfig, Mode};
 use apex_data::store::Manifest;
 use apex_data::synth::{adult_dataset, nytaxi_dataset};
 use apex_data::Dataset;
-use apex_serve::shard::{serve_sharded, ServeConfig, ShardSet};
+use apex_serve::shard::{serve_sharded, ServeConfig, ShardRing, ShardSet};
 use apex_serve::state::{start_reaper, PersistOptions};
 use apex_serve::{selftest, ServerState};
 
@@ -301,17 +304,18 @@ fn main() {
         return;
     }
 
+    // The bundled tenants: name, synthesizer, engine seed.
+    let tenants: [(&str, &(dyn Fn() -> Dataset + Sync), u64); 2] = [
+        ("adult", &|| adult_dataset(args.rows, 7), 0xA9E5_1001),
+        ("taxi", &|| nytaxi_dataset(args.rows, 9), 0xA9E5_1002),
+    ];
     // With --data-dir, tenants live on disk: synthesize-and-ingest on
     // the first boot, open-and-verify (no re-synthesis) afterward. Done
-    // once, up front — every shard then opens the same read-only page
-    // files through its own buffer pool.
+    // once, up front, on this thread — the owning shard then opens the
+    // committed store through its own buffer pool.
     let data_root = args.data_dir.as_ref().map(PathBuf::from);
     if let Some(root) = &data_root {
-        let tenants: [(&str, &dyn Fn() -> Dataset); 2] = [
-            ("adult", &|| adult_dataset(args.rows, 7)),
-            ("taxi", &|| nytaxi_dataset(args.rows, 9)),
-        ];
-        for (name, synth) in tenants {
+        for (name, synth, _) in tenants {
             match ensure_ingested(root, name, synth, args.pool_frames) {
                 Ok(Ingested::Fresh { rows, pages }) => {
                     println!(
@@ -331,36 +335,32 @@ fn main() {
         }
     }
 
-    // Every shard registers every tenant (the ring decides who serves
-    // whom), with shard-distinct seeds so mechanism noise streams never
-    // correlate across shards.
+    // Each shard builds only the tenants the ring routes to it, so every
+    // dataset exists once. Seeds keep the shard-distinct form, so a
+    // tenant's noise stream on its owner is unchanged.
     let cache = apex_core::TranslatorCache::with_capacity(args.cache_cap);
+    let ring = ShardRing::new(args.shards);
     let mk = |shard: usize| {
-        let config = |seed: u64| EngineConfig {
-            budget: args.budget,
-            mode: Mode::Optimistic,
-            seed: seed ^ ((shard as u64) << 32),
-        };
-        let dataset = |name: &str, synth: &dyn Fn() -> Dataset| match &data_root {
-            Some(root) => {
-                Dataset::open_paged(&root.join(name), args.pool_frames).unwrap_or_else(|e| {
-                    eprintln!("refusing to start: shard {shard} open {name:?}: {e}");
-                    std::process::exit(1);
-                })
+        let mut builder = ServerState::builder_with_cache(cache.clone());
+        for (name, synth, seed) in tenants {
+            if ring.shard_for(name) != shard {
+                continue;
             }
-            None => synth(),
-        };
-        let mut builder = ServerState::builder_with_cache(cache.clone())
-            .dataset(
-                "adult",
-                dataset("adult", &|| adult_dataset(args.rows, 7)),
-                config(0xA9E5_1001),
-            )
-            .dataset(
-                "taxi",
-                dataset("taxi", &|| nytaxi_dataset(args.rows, 9)),
-                config(0xA9E5_1002),
-            );
+            let data = match &data_root {
+                Some(root) => Dataset::open_paged(&root.join(name), args.pool_frames)
+                    .unwrap_or_else(|e| {
+                        eprintln!("refusing to start: shard {shard} open {name:?}: {e}");
+                        std::process::exit(1);
+                    }),
+                None => synth(),
+            };
+            let config = EngineConfig {
+                budget: args.budget,
+                mode: Mode::Optimistic,
+                seed: seed ^ ((shard as u64) << 32),
+            };
+            builder = builder.dataset(name, data, config);
+        }
         if let Some(root) = &data_root {
             // Shard-private transcript logs (one writer per log).
             let tdir = root.join("transcripts").join(format!("shard-{shard}"));
@@ -442,7 +442,7 @@ fn main() {
     };
     println!(
         "apex-serve listening on http://{} ({} shards x {} workers, cache cap {}, \
-         B = {} per dataset per shard{}{}; POST /v1/admin/shutdown to stop)",
+         B = {} per dataset{}{}; POST /v1/admin/shutdown to stop)",
         handle.addr(),
         set.shards(),
         args.workers(),

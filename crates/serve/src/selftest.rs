@@ -77,7 +77,7 @@ use apex_data::{Attribute, Dataset, Domain, Schema, Value};
 use crate::client;
 use crate::invariants::{self, Acked, Observed, Slack, When};
 use crate::json::Json;
-use crate::shard::{serve_sharded, ServeConfig, ShardSet};
+use crate::shard::{serve_sharded, ServeConfig, ShardRing, ShardSet};
 use crate::state::{PersistOptions, RecoverError, ServerState, ServerStateBuilder};
 
 /// Self-test knobs (`--shards/--workers-per-shard/--sessions/--submits/
@@ -180,7 +180,7 @@ pub struct SelfTestReport {
     pub wal_syncs: Vec<(u64, u64)>,
 }
 
-/// The tenants every shard serves.
+/// The tenants served, each by the one shard the ring routes it to.
 const TENANTS: [&str; 3] = ["adult", "taxi", "wide"];
 
 /// Per-dataset budget for the scripted workload.
@@ -323,14 +323,16 @@ fn ensure_paged(data_root: &std::path::Path, name: &str, rows: usize) -> Result<
     Ok(true)
 }
 
-/// Builds one shard's state. The adult/taxi tenants open the paged
-/// stores [`ensure_paged`] prepared under `data_root` (each shard gets
-/// its own buffer pool over the shared read-only page files); the `wide`
-/// tenant stays resident — it exists to make translator prepare slow,
-/// not to exercise storage.
+/// Builds shard `shard`'s state with the tenants `ring` routes to it.
+/// The adult/taxi tenants open the paged stores [`ensure_paged`]
+/// prepared under `data_root` (through the owning shard's buffer pool);
+/// the `wide` tenant stays resident — it exists to make translator
+/// prepare slow, not to exercise storage.
 fn build_state(
     cache: apex_core::TranslatorCache,
     data_root: &std::path::Path,
+    shard: usize,
+    ring: &ShardRing,
 ) -> ServerStateBuilder {
     let open = |name: &str| {
         // Store-sized pool: the persistence leg asserts warm rescans are
@@ -344,34 +346,19 @@ fn build_state(
         Dataset::open_paged(&dir, pages + 1)
             .unwrap_or_else(|e| panic!("paged {name} store vanished between ingest and open: {e}"))
     };
-    ServerState::builder_with_cache(cache)
-        .dataset(
-            "adult",
-            open("adult"),
-            EngineConfig {
-                budget: BUDGET,
-                mode: Mode::Pessimistic,
-                seed: 0x5E1F_0001,
-            },
-        )
-        .dataset(
-            "taxi",
-            open("taxi"),
-            EngineConfig {
-                budget: BUDGET,
-                mode: Mode::Pessimistic,
-                seed: 0x5E1F_0002,
-            },
-        )
-        .dataset(
-            "wide",
-            wide_dataset(),
-            EngineConfig {
-                budget: WIDE_BUDGET,
-                mode: Mode::Pessimistic,
-                seed: 0x5E1F_0003,
-            },
-        )
+    let tenants: [(&str, &dyn Fn() -> Dataset, f64, u64); 3] = [
+        ("adult", &|| open("adult"), BUDGET, 0x5E1F_0001),
+        ("taxi", &|| open("taxi"), BUDGET, 0x5E1F_0002),
+        ("wide", &wide_dataset, WIDE_BUDGET, 0x5E1F_0003),
+    ];
+    let mut builder = ServerState::builder_with_cache(cache);
+    for (name, data, budget, seed) in tenants {
+        if ring.shard_for(name) == shard {
+            let mode = Mode::Pessimistic;
+            builder = builder.dataset(name, data(), EngineConfig { budget, mode, seed });
+        }
+    }
+    builder
 }
 
 /// Recovers all shards from `dir/shard-K` (in parallel), sharing one
@@ -384,11 +371,12 @@ fn recover(
     data_root: &std::path::Path,
 ) -> Result<(ShardSet, usize), String> {
     let cache = apex_core::TranslatorCache::with_capacity(cfg.cache_cap);
+    let ring = ShardRing::new(cfg.shards);
     ShardSet::recover(
         dir,
         cfg.shards,
         |shard| {
-            build_state(cache.clone(), data_root)
+            build_state(cache.clone(), data_root, shard, &ring)
                 .transcripts_under(&data_root.join("transcripts").join(format!("shard-{shard}")))
                 .unwrap_or_else(|e| panic!("transcript logs must open: {e}"))
         },
@@ -464,13 +452,11 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             }
         }
     }
-    // Each tenant as recovered, summed across shards (its charges live in
-    // its owner shard's ledger alone: recovery refuses a dir whose spend
-    // sits on a shard this ring does not route to), and what its clients
+    // Each tenant as its owner shard recovered it, and what its clients
     // are acked from here on: the invariants hold between the two.
     let base: Vec<Observed> = TENANTS
         .iter()
-        .map(|t| Observed::read(set.states(), set.ring().shard_for(t), t))
+        .map(|t| Observed::read(set.owner(t), t))
         .collect();
     let recovered_baseline = base.iter().any(|o| o.spent > 0.0);
     let mut acked = vec![Acked::default(); TENANTS.len()];
@@ -483,7 +469,7 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     let check = |set: &ShardSet, when, acked: &[Acked]| -> Result<Vec<Observed>, String> {
         let mut seen = Vec::new();
         for (t, name) in TENANTS.iter().enumerate() {
-            let after = Observed::read(set.states(), set.ring().shard_for(name), name);
+            let after = Observed::read(set.owner(name), name);
             invariants::check(when, &base[t], &after, &acked[t], Slack::default())
                 .map_err(|e| format!("{name}: {e}"))?;
             seen.push(after);

@@ -21,12 +21,16 @@
 //! never needs a lookup, ids stay unique across shards, and they remain
 //! below 2^53 (exact in JSON doubles) for up to 2^13 shards.
 //!
+//! A tenant is registered only on the shard the ring routes it to, so it
+//! has one ledger (one budget `B`) and one copy of its data; a request
+//! that reaches another shard finds no tenant there (`404`).
+//!
 //! The `TranslatorCache` stays a single `Arc`-shared instance across
 //! shards (its artifacts are data-independent), so cross-tenant cache
 //! hits survive sharding. Recovery replays each shard's
 //! WAL-over-snapshot independently and in parallel at boot, and
-//! `/v1/stats` aggregates per-shard ledgers plus exposes the per-shard
-//! breakdown.
+//! `/v1/stats` reports each dataset from its owning shard plus a
+//! per-shard breakdown.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -36,8 +40,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use apex_mech::CacheStats;
 
 use crate::http::{self, BufParse, Request, Response};
 use crate::json::Json;
@@ -168,13 +170,15 @@ pub struct ShardSet {
 impl ShardSet {
     /// Builds `shards` **in-memory** shard states (no persistence).
     /// `mk(k)` supplies shard `k`'s builder — typically
-    /// [`ServerState::builder_with_cache`] over one shared cache, with
-    /// every tenant registered on every shard (the ring decides who
-    /// serves whom; budgets are charged only on the owner).
+    /// [`ServerState::builder_with_cache`] over one shared cache. Shard
+    /// `k` keeps only the tenants the ring routes to it, so `mk` may
+    /// register every tenant; one that skips building what
+    /// `ShardRing::new(shards).shard_for(name)` puts elsewhere saves that
+    /// dataset's memory.
     pub fn build(shards: usize, mk: impl Fn(usize) -> ServerStateBuilder) -> Self {
         let ring = ShardRing::new(shards);
         let states = (0..ring.shards())
-            .map(|k| Arc::new(mk(k).session_id_base(shard_id_base(k)).build()))
+            .map(|k| Arc::new(mk(k).shard(k, &ring).build()))
             .collect();
         Self { ring, states }
     }
@@ -183,15 +187,20 @@ impl ShardSet {
     /// parallel** — one thread per shard replays that shard's
     /// WAL-over-snapshot; a slow or large shard never serializes the
     /// others. The first shard to refuse recovery fails the whole boot.
+    /// Shard `k` keeps only the tenants the ring routes to it, as in
+    /// [`ShardSet::build`].
     ///
-    /// Every shard loads every tenant's ledger, but only the tenant's
-    /// owner charges it. So a tenant with spend on a shard the ring does
-    /// not route it to — the dir was written under another shard count —
-    /// refuses the boot: its new owner would start from a fresh ledger.
+    /// A shard's snapshot may name a tenant the ring routes elsewhere —
+    /// the dir was written under another shard count. If that tenant has
+    /// spend, a live session or a resident mutation log there, the boot
+    /// is refused ([`RecoverError::MovedSpend`]): its owner would start
+    /// from a fresh ledger and the base rows. A bare ledger is dropped.
+    /// The same holds for the dirs `root/shard-k`, `k ≥ shards`, that a
+    /// larger shard count left: each is recovered as a shard that owns
+    /// nothing.
     ///
     /// # Errors
-    /// The first [`RecoverError`] any shard reported, else
-    /// [`RecoverError::MovedSpend`] for the first stranded spend.
+    /// The first [`RecoverError`] any shard reported, in shard order.
     pub fn recover(
         root: &Path,
         shards: usize,
@@ -204,15 +213,10 @@ impl ShardSet {
             (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
             for (k, slot) in slots.iter_mut().enumerate() {
-                let mk = &mk;
-                let opts = &opts;
+                let (mk, opts, ring) = (&mk, &opts, &ring);
                 scope.spawn(move || {
                     let dir = snapshot::shard_dir(root, k);
-                    *slot = Some(
-                        mk(k)
-                            .session_id_base(shard_id_base(k))
-                            .build_recovered(opts(&dir)),
-                    );
+                    *slot = Some(mk(k).shard(k, ring).build_recovered(opts(&dir)));
                 });
             }
         });
@@ -223,18 +227,13 @@ impl ShardSet {
             states.push(Arc::new(state));
             reports.push(report);
         }
-        for (shard, state) in states.iter().enumerate() {
-            for (tenant, t) in state.tenants() {
-                let (owner, spent) = (ring.shard_for(tenant), t.engine.spent());
-                if owner != shard && spent > 0.0 {
-                    return Err(RecoverError::MovedSpend {
-                        tenant: tenant.clone(),
-                        shard,
-                        owner,
-                        spent,
-                    });
-                }
-            }
+        // A dir past the ring, written under more shards, must hold
+        // nothing either: recover it as a shard that owns no tenant.
+        for k in (n..).take_while(|&k| snapshot::shard_dir(root, k).is_dir()) {
+            let dir = snapshot::shard_dir(root, k);
+            ServerState::builder(1)
+                .shard(k, &ring)
+                .build_recovered(opts(&dir))?;
         }
         Ok((Self { ring, states }, reports))
     }
@@ -269,17 +268,12 @@ impl ShardSet {
         self.states.iter().map(|s| s.session_count()).sum()
     }
 
-    /// `tenant`'s spent budget summed across shards. Only the owner
-    /// charges, because session creation routes by the same decoded
-    /// `"dataset"` its router opens the session for, and
-    /// [`ShardSet::recover`] refuses a dir whose spend sits on a shard the
-    /// ring no longer routes to — so the sum is the owner's ledger.
+    /// `tenant`'s spent budget: its owner's ledger, the only one (0 for
+    /// an unknown tenant).
     pub fn spent(&self, tenant: &str) -> f64 {
-        self.states
-            .iter()
-            .filter_map(|s| s.tenant(tenant))
-            .map(|t| t.engine.spent())
-            .sum()
+        self.owner(tenant)
+            .tenant(tenant)
+            .map_or(0.0, |t| t.engine.spent())
     }
 
     /// Compacts every shard (the clean-shutdown path). The first error
@@ -301,108 +295,64 @@ impl ShardSet {
     }
 }
 
-/// The `/v1/stats` body: totals across shards plus a `shards`
-/// breakdown.
+/// The `/v1/stats` body: totals across shards, each dataset as its
+/// owning shard reports it, and a `shards` breakdown.
 pub fn stats_json(set: &ShardSet) -> Json {
     let mut dataset_entries = Vec::new();
-    for (name, _) in set.state(0).tenants() {
-        let mut budget = 0.0;
-        let (mut spent, mut reclaimed) = (0.0f64, 0.0f64);
-        let (mut answered, mut denied) = (0usize, 0usize);
-        let mut sessions = 0usize;
-        let mut cache = CacheStats::default();
-        // Durable-store telemetry, summed over the shards' per-tenant
-        // buffer pools. `paged` stays false for resident datasets and
-        // the store object reads all-zero.
-        let mut paged = false;
-        let mut epoch = 0u64;
-        // Live-mutation telemetry: only the owning shard's engine ever
-        // mutates, so max (not sum) across shards is the true value.
-        let (mut mutation_epoch, mut mutations_applied) = (0u64, 0u64);
-        let mut pool = apex_data::PoolStats::default();
-        let (mut transcript_records, mut transcript_dropped) = (0u64, 0u64);
-        // Maintained histograms live with each shard's copy of the
-        // dataset; only the owning shard's is ever asked, so the sum is
-        // its counters.
-        let mut views = apex_data::ViewStats::default();
-        let mut compile = apex_core::CompileStats::default();
-        for st in set.states() {
-            let Some(t) = st.tenant(name) else { continue };
-            let v = t.view_stats();
-            views.entries += v.entries;
-            views.bytes += v.bytes;
-            views.hits += v.hits;
-            views.misses += v.misses;
-            views.folds += v.folds;
-            views.cleared += v.cleared;
-            let c = t.engine.with_engine(|e| e.compile_stats());
-            compile.entries += c.entries;
-            compile.bytes += c.bytes;
-            compile.hits += c.hits;
-            compile.misses += c.misses;
+    for st in set.states() {
+        for (name, t) in st.tenants() {
+            // `paged` stays false for a resident dataset, whose store
+            // object reads all-zero.
+            let pool = t.store_stats();
+            let pool_stats = pool.unwrap_or_default();
             let ledger = t.engine.export_ledger();
-            budget = ledger.budget;
-            spent += ledger.spent;
-            answered += ledger.answered;
-            denied += ledger.denied;
-            reclaimed += t.reclaimed();
-            sessions += st.session_count_for(name);
-            let local = t.cache.local_stats();
-            cache.hits += local.hits;
-            cache.misses += local.misses;
-            cache.evictions += local.evictions;
-            if let Some(s) = t.store_stats() {
-                paged = true;
-                pool = pool.merge(&s);
-            }
-            if let Some(e) = t.dataset_epoch() {
-                epoch = epoch.max(e);
-            }
-            mutation_epoch = mutation_epoch.max(t.engine.epoch());
-            mutations_applied = mutations_applied.max(t.engine.mutations_applied());
-            transcript_records += t.transcript_records();
-            transcript_dropped += t.transcript_dropped();
+            dataset_entries.push((
+                name.clone(),
+                Json::obj(vec![
+                    ("cache", wire::cache_stats_json(t.cache.local_stats())),
+                    ("views", wire::view_stats_json(t.view_stats())),
+                    (
+                        "compile",
+                        wire::compile_stats_json(t.engine.with_engine(|e| e.compile_stats())),
+                    ),
+                    (
+                        "store",
+                        Json::obj(vec![
+                            ("paged", Json::Bool(pool.is_some())),
+                            ("epoch", Json::from(t.dataset_epoch().unwrap_or(0))),
+                            ("pool_hits", Json::from(pool_stats.hits)),
+                            ("pool_misses", Json::from(pool_stats.misses)),
+                            ("pool_evictions", Json::from(pool_stats.evictions)),
+                            ("pool_flushes", Json::from(pool_stats.flushes)),
+                            ("transcript_records", Json::from(t.transcript_records())),
+                            ("transcript_dropped", Json::from(t.transcript_dropped())),
+                        ]),
+                    ),
+                    (
+                        "budget",
+                        Json::obj(vec![
+                            ("budget", Json::Num(ledger.budget)),
+                            ("spent", Json::Num(ledger.spent)),
+                            ("remaining", Json::Num(ledger.budget - ledger.spent)),
+                            ("reclaimed", Json::Num(t.reclaimed())),
+                        ]),
+                    ),
+                    (
+                        "transcript",
+                        Json::obj(vec![
+                            ("answered", Json::from(ledger.answered)),
+                            ("denied", Json::from(ledger.denied)),
+                        ]),
+                    ),
+                    ("sessions", Json::from(st.session_count_for(name))),
+                    ("epoch", Json::from(t.engine.epoch())),
+                    (
+                        "mutations_applied",
+                        Json::from(t.engine.mutations_applied()),
+                    ),
+                ]),
+            ));
         }
-        dataset_entries.push((
-            name.clone(),
-            Json::obj(vec![
-                ("cache", wire::cache_stats_json(cache)),
-                ("views", wire::view_stats_json(views)),
-                ("compile", wire::compile_stats_json(compile)),
-                (
-                    "store",
-                    Json::obj(vec![
-                        ("paged", Json::Bool(paged)),
-                        ("epoch", Json::from(epoch)),
-                        ("pool_hits", Json::from(pool.hits)),
-                        ("pool_misses", Json::from(pool.misses)),
-                        ("pool_evictions", Json::from(pool.evictions)),
-                        ("pool_flushes", Json::from(pool.flushes)),
-                        ("transcript_records", Json::from(transcript_records)),
-                        ("transcript_dropped", Json::from(transcript_dropped)),
-                    ]),
-                ),
-                (
-                    "budget",
-                    Json::obj(vec![
-                        ("budget", Json::Num(budget)),
-                        ("spent", Json::Num(spent)),
-                        ("remaining", Json::Num(budget - spent)),
-                        ("reclaimed", Json::Num(reclaimed)),
-                    ]),
-                ),
-                (
-                    "transcript",
-                    Json::obj(vec![
-                        ("answered", Json::from(answered)),
-                        ("denied", Json::from(denied)),
-                    ]),
-                ),
-                ("sessions", Json::from(sessions)),
-                ("epoch", Json::from(mutation_epoch)),
-                ("mutations_applied", Json::from(mutations_applied)),
-            ]),
-        ));
     }
 
     let shard_entries: Vec<Json> = set
@@ -1028,10 +978,11 @@ fn route_global(set: &ShardSet, req: &Request) -> Response {
             if req.method != "GET" {
                 return Response::json(405, wire::error_json("use GET"));
             }
+            let datasets: usize = set.states().iter().map(|s| s.tenants().len()).sum();
             let body = Json::obj(vec![
                 ("status", Json::from("ok")),
                 ("shards", Json::from(set.shards())),
-                ("datasets", Json::from(set.state(0).tenants().len())),
+                ("datasets", Json::from(datasets)),
                 ("sessions", Json::from(set.session_count())),
             ]);
             Response::json(200, body.render())
@@ -1374,6 +1325,23 @@ mod tests {
         }))
     }
 
+    /// A builder with `name` as its only tenant (B = 10).
+    fn lone_tenant(name: &str) -> ServerStateBuilder {
+        let config = EngineConfig {
+            budget: 10.0,
+            mode: Mode::Optimistic,
+            seed: 0x5EED,
+        };
+        ServerState::builder(4).dataset(name, tiny_dataset(8), config)
+    }
+
+    fn unsynced(dir: &Path) -> PersistOptions {
+        PersistOptions {
+            sync: false,
+            ..PersistOptions::new(dir)
+        }
+    }
+
     #[test]
     fn ring_is_deterministic_and_pinned() {
         // Two independent constructions agree on every tenant…
@@ -1569,15 +1537,12 @@ mod tests {
             assert_eq!(status, 200, "{resp:?}");
             assert_eq!(resp.get("epoch").and_then(Json::as_u64), Some(1));
 
-            // Only the owner shard's engine moved; replicas stay pristine.
+            // The owner's engine moved, and no other shard holds a copy.
             let owner = set.ring().shard_for(name);
             for (k, st) in set.states().iter().enumerate() {
-                let expect = if k == owner { 1 } else { 0 };
-                assert_eq!(
-                    st.tenant(name).unwrap().engine.epoch(),
-                    expect,
-                    "tenant {name} epoch on shard {k}"
-                );
+                let epoch = st.tenant(name).map(|t| t.engine.epoch());
+                let expect = (k == owner).then_some(1);
+                assert_eq!(epoch, expect, "tenant {name} on shard {k}");
             }
         }
         // An unknown dataset still routes (to some shard) and 404s there.
@@ -1590,7 +1555,7 @@ mod tests {
         .unwrap();
         assert_eq!(status, 404);
 
-        // Aggregated stats report the owner's epoch, not a replica's 0.
+        // Stats report the owner's epoch.
         let (status, stats) = client::request(addr, "GET", "/v1/stats", None).unwrap();
         assert_eq!(status, 200);
         for name in &tenants {
@@ -2171,5 +2136,211 @@ mod tests {
         let (set, _) = ShardSet::recover(&root, 1, mk, opts).unwrap();
         assert_eq!(set.spent(&moved).to_bits(), spent.to_bits());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn recovery_refuses_a_live_session_stranded_by_a_reshard() {
+        // A tenant the 2-shard ring moves off shard 0, with a session open
+        // for all of B and nothing spent yet.
+        let root = crate::testutil::temp_dir("reshard-session");
+        let moved = split_tenants(2, 1).pop().unwrap();
+        let mk = |_: usize| lone_tenant(&moved);
+        {
+            let (set, _) = ShardSet::recover(&root, 1, mk, unsynced).unwrap();
+            let id = set.state(0).create_session(&moved, 10.0).unwrap();
+            assert!(id.is_some());
+        }
+
+        // Two shards: the session's id still routes to shard 0, which
+        // would charge its ledger, while the owner charges a fresh one.
+        let Err(err) = ShardSet::recover(&root, 2, mk, unsynced) else {
+            panic!("recovered a live session that two ledgers could charge");
+        };
+        assert!(
+            matches!(&err, RecoverError::MovedSpend { tenant, shard: 0, owner: 1, spent }
+                if *tenant == moved && *spent == 0.0),
+            "wrong refusal: {err}"
+        );
+        assert!(err.to_string().contains(moved.as_str()), "{err}");
+        // The original shard count still recovers the session.
+        let (set, _) = ShardSet::recover(&root, 1, mk, unsynced).unwrap();
+        assert_eq!(set.state(0).session_count_for(&moved), 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn recovery_refuses_row_mutations_stranded_by_a_reshard() {
+        // A resident tenant the 2-shard ring moves off shard 0, with two
+        // acked row inserts logged under shard 0 and no spend.
+        let root = crate::testutil::temp_dir("reshard-rows");
+        let moved = split_tenants(2, 1).pop().unwrap();
+        let (mk, opts) = (|_: usize| lone_tenant(&moved), unsynced);
+        let scan = |set: &ShardSet| {
+            let t = set.owner(&moved).tenant(&moved).unwrap();
+            t.engine.with_engine(|e| e.dataset_scan_rows())
+        };
+        let rows = {
+            let (set, _) = ShardSet::recover(&root, 1, mk, opts).unwrap();
+            let inserted = [vec![Value::Int(3)], vec![Value::Int(5)]];
+            set.state(0).mutate_rows(&moved, true, &inserted).unwrap();
+            scan(&set)
+        };
+        assert_eq!(rows, 18);
+
+        // Two shards: the owner would attach an empty log under shard-1
+        // and serve the 16 base rows.
+        match ShardSet::recover(&root, 2, mk, opts) {
+            Err(RecoverError::MovedSpend {
+                tenant,
+                shard,
+                owner,
+                spent,
+            }) => assert_eq!(
+                (tenant.as_str(), shard, owner, spent),
+                (moved.as_str(), 0, 1, 0.0)
+            ),
+            Ok((set, _)) => panic!(
+                "recovered; the owner scans {} rows, acked {rows}",
+                scan(&set)
+            ),
+            Err(e) => panic!("wrong refusal: {e}"),
+        }
+        let (set, _) = ShardSet::recover(&root, 1, mk, opts).unwrap();
+        assert_eq!(scan(&set), rows);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn recovery_refuses_spend_left_past_a_shrunk_ring() {
+        // A tenant the 2-shard ring puts on shard 1, charged there; at
+        // 1 shard its owner is shard 0, and `shard-1/` is past the ring.
+        let root = crate::testutil::temp_dir("shrink");
+        let moved = split_tenants(2, 1).pop().unwrap();
+        let (mk, opts) = (|_: usize| lone_tenant(&moved), unsynced);
+        let spent = {
+            let (set, _) = ShardSet::recover(&root, 2, mk, opts).unwrap();
+            let acc = apex_query::AccuracySpec::new(25.0, 0.05).unwrap();
+            let query =
+                apex_query::ExplorationQuery::wcq(vec![apex_data::Predicate::range("v", 0.0, 4.0)]);
+            let id = set.state(1).create_session(&moved, 2.0).unwrap().unwrap();
+            set.state(1).submit(id, &query, &acc).unwrap();
+            set.spent(&moved)
+        };
+        assert!(spent > 0.0);
+
+        match ShardSet::recover(&root, 1, mk, opts) {
+            Err(RecoverError::MovedSpend {
+                tenant,
+                shard,
+                owner,
+                spent: stranded,
+            }) => {
+                assert_eq!((tenant.as_str(), shard, owner), (moved.as_str(), 1, 0));
+                assert_eq!(stranded.to_bits(), spent.to_bits());
+            }
+            Ok((set, _)) => panic!("recovered; shard 0 reports spent {}", set.spent(&moved)),
+            Err(e) => panic!("wrong refusal: {e}"),
+        }
+        let (set, _) = ShardSet::recover(&root, 2, mk, opts).unwrap();
+        assert_eq!(set.spent(&moved).to_bits(), spent.to_bits());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn recovery_drops_the_bare_ledgers_every_shard_used_to_hold() {
+        // A 2-shard dir in the layout where every shard registered every
+        // tenant: each shard's snapshot names all four, and only the
+        // owners were charged.
+        let root = crate::testutil::temp_dir("upgrade");
+        let tenants = split_tenants(2, 2);
+        let ring = ShardRing::new(2);
+        let cache = TranslatorCache::with_capacity(64);
+        let every = |k: usize| {
+            let mut b = ServerState::builder_with_cache(cache.clone());
+            for (i, name) in tenants.iter().enumerate() {
+                b = b.dataset(
+                    name,
+                    tiny_dataset(8),
+                    EngineConfig {
+                        budget: 10.0,
+                        mode: Mode::Optimistic,
+                        seed: 0x0DD + (k as u64) * 10 + i as u64,
+                    },
+                );
+            }
+            b
+        };
+        let opts = unsynced;
+        let acc = apex_query::AccuracySpec::new(25.0, 0.05).unwrap();
+        let query =
+            apex_query::ExplorationQuery::wcq(vec![apex_data::Predicate::range("v", 0.0, 4.0)]);
+        let mut charged = Vec::new();
+        for k in 0..2 {
+            let dir = snapshot::shard_dir(&root, k);
+            let (state, _) = every(k).build_recovered(opts(&dir)).unwrap();
+            for name in tenants.iter().filter(|n| ring.shard_for(n) == k) {
+                let id = state.create_session(name, 2.0).unwrap().unwrap();
+                state.submit(id, &query, &acc).unwrap();
+                state.expire_session(id).unwrap();
+                charged.push((name.clone(), state.tenant(name).unwrap().engine.spent()));
+            }
+            let named = snapshot::read_snapshot(&dir)
+                .unwrap()
+                .unwrap()
+                .tenants
+                .len();
+            assert_eq!(named, tenants.len(), "shard {k} must hold every tenant");
+        }
+        assert!(charged.iter().all(|(_, spent)| *spent > 0.0));
+
+        let (set, _) = ShardSet::recover(&root, 2, every, opts).unwrap();
+        for (name, spent) in &charged {
+            assert_eq!(set.spent(name).to_bits(), spent.to_bits(), "{name}");
+        }
+        for k in 0..2 {
+            let snap = snapshot::read_snapshot(&snapshot::shard_dir(&root, k));
+            for t in snap.unwrap().unwrap().tenants {
+                assert_eq!(
+                    ring.shard_for(&t.name),
+                    k,
+                    "shard {k} still names {}",
+                    t.name
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn each_tenant_is_registered_only_on_its_ring_owner() {
+        for shards in [1usize, 2, 4] {
+            let tenants = split_tenants(shards, 2);
+            let every = |_: usize| {
+                let mut b = ServerState::builder(16);
+                for name in &tenants {
+                    let config = EngineConfig {
+                        budget: 1.0,
+                        mode: Mode::Optimistic,
+                        seed: 1,
+                    };
+                    b = b.dataset(name, tiny_dataset(8), config);
+                }
+                b
+            };
+            let root = crate::testutil::temp_dir("owners");
+            let built = ShardSet::build(shards, every);
+            let (recovered, _) = ShardSet::recover(&root, shards, every, unsynced).unwrap();
+            for (how, set) in [("build", &built), ("recover", &recovered)] {
+                for name in &tenants {
+                    let holders: Vec<usize> = (0..shards)
+                        .filter(|&k| set.state(k).tenant(name).is_some())
+                        .collect();
+                    let owner = set.ring().shard_for(name);
+                    assert_eq!(holders, vec![owner], "{how} at {shards} shards: {name}");
+                }
+            }
+            drop(recovered);
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 }

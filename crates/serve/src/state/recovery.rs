@@ -98,11 +98,13 @@ pub enum RecoverError {
     /// could double a mutation the dataset's own log holds, dropping it
     /// could lose one. Names the record's dataset.
     WalMutation(String),
-    /// A tenant has spent budget on a shard the current ring no longer
-    /// routes it to: the state dir was written under another shard
-    /// count. Its new owner would charge a fresh ledger, and the tenant
-    /// could spend `B` again — stop, and restart with the shard count the
-    /// dir was written with.
+    /// A tenant has spent budget, holds a live session, or has logged
+    /// row mutations on a shard the current ring no longer routes it to:
+    /// the state dir was written under another shard count. Its new owner
+    /// would charge a fresh ledger while the old shard's session ids
+    /// still reach the old one, so the tenant could spend `B` again, and
+    /// it would serve the base rows without the acked mutations — stop,
+    /// and restart with the shard count the dir was written with.
     MovedSpend {
         /// The moved tenant.
         tenant: String,
@@ -110,7 +112,8 @@ pub enum RecoverError {
         shard: usize,
         /// The shard the current ring routes the tenant to.
         owner: usize,
-        /// The ε the stranded ledger has charged.
+        /// The ε the stranded ledger has charged (0 when only a live
+        /// session or a mutation log is stranded).
         spent: f64,
     },
     /// A tenant's logged row mutations failed to re-apply on recovery —
@@ -172,9 +175,10 @@ impl std::fmt::Display for RecoverError {
                 spent,
             } => write!(
                 f,
-                "tenant \"{tenant}\" has spent {spent} on shard {shard}, but this shard count \
-                 routes it to shard {owner}, which would charge a fresh ledger and let it spend \
-                 B again — restart with the shard count the state dir was written with"
+                "tenant \"{tenant}\" has spent {spent}, or holds a live session or logged row \
+                 mutations, on shard {shard}, but this shard count routes it to shard {owner}, \
+                 which would start it from a fresh ledger and its base rows — restart with the \
+                 shard count the state dir was written with"
             ),
             RecoverError::MutationReplay { tenant, source } => {
                 write!(f, "mutation log of \"{tenant}\" failed to replay: {source}")
@@ -373,12 +377,37 @@ impl ServerStateBuilder {
             })?;
         }
 
-        // 3. Everything the image names must be registered.
+        // 3. Everything the image names must be registered — unless the
+        // ring routes it to another shard. Such a tenant must hold
+        // nothing here: no spend and no live session, else its owner
+        // would charge a second, fresh ledger; and no resident mutation
+        // log (step 4's `rows/<tenant>/`), else its owner would serve the
+        // base rows without the acked mutations. A bare ledger (an older
+        // layout registered every tenant on every shard) is dropped by
+        // the compaction in step 8.
+        let placement = self.shard.clone();
         let mut state = self.build();
         let named =
             (snap.tenants.iter().map(|t| &t.name)).chain(snap.sessions.iter().map(|s| &s.dataset));
-        if let Some(name) = named.into_iter().find(|n| state.tenant(n).is_none()) {
-            return Err(RecoverError::UnknownTenant(name.clone()));
+        for name in named.filter(|n| state.tenant(n).is_none()) {
+            let moved = placement
+                .as_ref()
+                .map(|(k, ring)| (*k, ring.shard_for(name)));
+            let Some((shard, owner)) = moved.filter(|(k, owner)| k != owner) else {
+                return Err(RecoverError::UnknownTenant(name.clone()));
+            };
+            let ledger = snap.tenants.iter().find(|t| t.name == *name);
+            let spent = ledger.map_or(0.0, |t| t.spent);
+            let logged = opts.dir.join("rows").join(name).exists();
+            if spent > 0.0 || logged || snap.sessions.iter().any(|s| s.dataset == *name) {
+                let tenant = name.clone();
+                return Err(RecoverError::MovedSpend {
+                    tenant,
+                    shard,
+                    owner,
+                    spent,
+                });
+            }
         }
 
         // 4. Give every tenant its dataset's own mutation log: a resident

@@ -13,6 +13,7 @@ use apex_data::{Dataset, PoolStats, StoreError};
 use super::{ServerState, SubmitError};
 use crate::clock::{Clock, SystemClock};
 use crate::lockx;
+use crate::shard::{shard_id_base, ShardRing};
 
 /// One tenant dataset: its engine plus its scope of the shared cache.
 #[derive(Debug)]
@@ -177,7 +178,8 @@ pub struct ServerStateBuilder {
     clock: Arc<dyn Clock>,
     ttl: Option<Duration>,
     admin_token: Option<String>,
-    session_id_base: u64,
+    /// `Some((k, ring))` inside a shard set: this is shard `k` of `ring`.
+    pub(super) shard: Option<(usize, ShardRing)>,
 }
 
 impl ServerStateBuilder {
@@ -188,7 +190,7 @@ impl ServerStateBuilder {
             clock: Arc::new(SystemClock::new()),
             ttl: None,
             admin_token: None,
-            session_id_base: 0,
+            shard: None,
         }
     }
 
@@ -250,24 +252,31 @@ impl ServerStateBuilder {
         self
     }
 
-    /// Offsets every session id: allocation starts at `base + 1` and the
-    /// tombstone watermark covers `(base, next)`. Shard sets pass
-    /// `shard << 40` so ids are globally unique and name their shard.
-    /// Must be stable across restarts of the same state directory.
-    pub fn session_id_base(mut self, base: u64) -> Self {
-        self.session_id_base = base;
+    /// Makes this builder shard `k` of `ring`. Session ids start above
+    /// `k << 40`, so every id names its shard and the shards' sequences
+    /// never collide; and the build keeps only the tenants the ring
+    /// routes to `k`, so each tenant has one owner, one ledger and one
+    /// copy of its data. Must be stable across restarts of the same state
+    /// directory.
+    pub(crate) fn shard(mut self, k: usize, ring: &ShardRing) -> Self {
+        self.shard = Some((k, ring.clone()));
         self
     }
 
     /// Finishes an **in-memory** registry (no persistence) — also the
     /// state [`ServerStateBuilder::build_recovered`] replays into.
-    pub fn build(self) -> ServerState {
+    pub fn build(mut self) -> ServerState {
+        let mut session_id_base = 0;
+        if let Some((k, ring)) = &self.shard {
+            self.tenants.retain(|(name, _)| ring.shard_for(name) == *k);
+            session_id_base = shard_id_base(*k);
+        }
         ServerState {
             tenants: self.tenants,
             cache: self.cache,
             sessions: RwLock::new(HashMap::new()),
-            next_session: AtomicU64::new(self.session_id_base + 1),
-            session_id_base: self.session_id_base,
+            next_session: AtomicU64::new(session_id_base + 1),
+            session_id_base,
             clock: self.clock,
             ttl_millis: self
                 .ttl

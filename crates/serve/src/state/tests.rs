@@ -880,7 +880,7 @@ fn a_covering_sync_failing_after_the_charge_is_never_acked() {
     let acc = AccuracySpec::new(25.0, 0.05).unwrap();
     let (state, _) = mk().build_recovered(PersistOptions::new(&dir)).unwrap();
     let state = Arc::new(state);
-    let observe = |state: &Arc<ServerState>| Observed::read(std::slice::from_ref(state), 0, "a");
+    let observe = |state: &Arc<ServerState>| Observed::read(state, "a");
     let base = observe(&state);
     let id = state.create_session("a", 0.9).unwrap().unwrap();
     let mut acked = Acked {

@@ -362,7 +362,7 @@ fn crash_and_recover(
     let set = Arc::new(set);
     let base: Vec<Observed> = tenants
         .iter()
-        .map(|t| Observed::read(set.states(), set.ring().shard_for(t), t))
+        .map(|t| Observed::read(set.owner(t), t))
         .collect();
     let cfg = apex_serve::ServeConfig {
         workers_per_shard: 4,
@@ -428,7 +428,7 @@ fn crash_and_recover(
     );
     let check = |set: &ShardSet, when| {
         for (t, name) in tenants.iter().enumerate() {
-            let after = Observed::read(set.states(), set.ring().shard_for(name), name);
+            let after = Observed::read(set.owner(name), name);
             invariants::check(when, &base[t], &after, &acked[t], Slack::default())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
@@ -701,7 +701,7 @@ fn hammer_with_reaper_never_overshoots_budget() {
             .session_ttl(Duration::from_millis(3))
             .build(),
     );
-    let base = Observed::read(std::slice::from_ref(&state), 0, "demo");
+    let base = Observed::read(&state, "demo");
     let reaper = start_reaper(state.clone(), Duration::from_millis(1));
 
     let open = format!("{{\"dataset\":\"demo\",\"budget\":{}}}", B * 3.0 / 8.0);
@@ -770,7 +770,7 @@ fn hammer_with_reaper_never_overshoots_budget() {
 
     // Exactly-once release accounting is grant conservation with every
     // session closed: a double release would push reclaimed past it.
-    let after = Observed::read(std::slice::from_ref(&state), 0, "demo");
+    let after = Observed::read(&state, "demo");
     invariants::check(When::Live, &base, &after, &acked, Slack::default())
         .unwrap_or_else(|e| panic!("{e}"));
     assert!(acked.epsilon > 0.0, "the hammer must answer something");
