@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use apex_mech::CacheStats;
 use apex_query::{AccuracySpec, ExplorationQuery};
 use parking_lot::Mutex;
 
@@ -142,20 +141,6 @@ impl SharedEngine {
     /// Runs `f` with the locked engine (e.g. to inspect the transcript).
     pub fn with_engine<T>(&self, f: impl FnOnce(&ApexEngine) -> T) -> T {
         f(&self.inner.lock())
-    }
-
-    /// Hit/miss/eviction counters of the engine's translator cache,
-    /// aggregated over every scope of the underlying storage (see
-    /// [`crate::TranslatorCache::stats`]).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.lock().translator_cache().stats()
-    }
-
-    /// The translator-cache counters attributable to *this engine's*
-    /// lookups (its scope of a possibly shared cache — see
-    /// [`crate::TranslatorCache::local_stats`]).
-    pub fn local_cache_stats(&self) -> CacheStats {
-        self.inner.lock().translator_cache().local_stats()
     }
 
     /// Opens an analyst **session** holding a slice of the budget: the
@@ -348,11 +333,6 @@ impl EngineSession {
         Some((self.allowance - slice.spent).max(0.0))
     }
 
-    /// Whether the session has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.slice.lock().closed
-    }
-
     /// The slice of the budget this session was opened with.
     pub fn allowance(&self) -> f64 {
         self.allowance
@@ -498,8 +478,9 @@ mod tests {
         assert_eq!(won.len(), 1, "close must release exactly once");
         assert!((won[0] - (0.5 - spent)).abs() < 1e-12);
 
-        // The corpse denies with SessionClosed, not a budget denial.
-        assert!(sess.is_closed());
+        // The corpse stays closed and denies with SessionClosed, not a
+        // budget denial.
+        assert_eq!(sess.close(), None);
         assert!(matches!(
             sess.submit(&query(), &acc),
             Err(EngineError::SessionClosed)
@@ -608,11 +589,14 @@ mod tests {
         let acc = AccuracySpec::new(20.0, 0.01).unwrap();
         shared.submit(&query(), &acc).unwrap();
         shared.submit(&query(), &acc).unwrap();
-        let stats = shared.cache_stats();
+        let (stats, local) = shared.with_engine(|e| {
+            let cache = e.translator_cache();
+            (cache.stats(), cache.local_stats())
+        });
         assert!(stats.misses >= 1);
         assert!(stats.hits >= 1);
         // This engine owns its cache, so its scope saw every lookup.
-        assert_eq!(shared.local_cache_stats(), stats);
+        assert_eq!(local, stats);
     }
 
     #[test]

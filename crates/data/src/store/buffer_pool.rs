@@ -22,7 +22,7 @@
 //!   [`StoreError::AllPinned`] rather than evicting under a reader.
 
 use super::file_manager::FileManager;
-use super::page::{self, PAGE_SIZE};
+use super::page::PAGE_SIZE;
 use super::StoreError;
 use std::collections::HashMap;
 use std::sync::{Mutex, RwLock};
@@ -266,7 +266,8 @@ impl<'a> PageRef<'a> {
 
     /// Write access to the page buffer; marks the frame dirty. The closure
     /// is responsible for keeping the length field coherent
-    /// ([`page::set_len`]); the checksum is recomputed at write-back.
+    /// ([`page::set_len`](super::page::set_len)); the checksum is
+    /// recomputed at write-back.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         {
             let mut meta = self.pool.meta.lock().expect("pool meta");
@@ -274,11 +275,6 @@ impl<'a> PageRef<'a> {
         }
         let mut buf = self.pool.frames[self.frame].write().expect("frame lock");
         f(&mut buf)
-    }
-
-    /// The used payload, copied out (convenience for scans).
-    pub fn payload_to_vec(&self) -> Vec<u8> {
-        self.with_read(|buf| page::payload(buf).to_vec())
     }
 }
 

@@ -41,10 +41,11 @@
 //!   engines, ledger gate, WAL sequence, and `state-dir/shard-K/`
 //!   directory; tenants routed by consistent hashing, each registered
 //!   only on the shard the ring routes it to; a nonblocking
-//!   accept/dispatch loop with bounded per-shard queues (full ⇒ 503 +
-//!   `Retry-After`) and graceful shutdown; parallel per-shard recovery at
-//!   boot; the cross-shard endpoints (`/healthz`, aggregated `/v1/stats`,
-//!   admin list / shutdown);
+//!   accept/dispatch loop feeding one condvar work queue per shard,
+//!   bounded at a constant 256 requests (full ⇒ 503 + `Retry-After`),
+//!   and graceful shutdown; parallel per-shard recovery at boot; the
+//!   cross-shard endpoints (`/healthz`, `/v1/stats` with each dataset
+//!   once from its owner, admin list / shutdown);
 //! * [`invariants`] — the whole correctness contract, checked in one
 //!   place: a per-tenant wire model of what clients were acked, an
 //!   in-process observation of the owning shard, and the invariants between

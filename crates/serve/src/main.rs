@@ -431,7 +431,6 @@ fn main() {
 
     let cfg = ServeConfig {
         workers_per_shard: args.workers(),
-        ..ServeConfig::default()
     };
     let handle = match serve_sharded(args.addr.as_str(), set.clone(), cfg) {
         Ok(h) => h,

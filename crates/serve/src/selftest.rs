@@ -23,7 +23,7 @@
 //!    already has history (CI runs the gate twice against one
 //!    directory), the run starts from the *recovered* baseline and the
 //!    check covers what moved since.
-//! 5. **paged persistence** — the adult/taxi tenants live in the durable
+//! 5. **paged persistence** — the adult/trips tenants live in the durable
 //!    paged store under a data dir (caller-supplied, or `<state dir>/data`
 //!    so the twice-against-one-dir smoke reopens it). The first pass
 //!    ingests; every later pass must *open* the stores from disk — zero
@@ -50,6 +50,9 @@
 //!    durable_records`, no worker still present, and `durable_records`
 //!    equal to the durable operations its clients were acked (one per
 //!    session opened, one per answer; denials are not durable records).
+//!    A shard that owns a scripted tenant must report more than zero: at
+//!    2 shards the ring puts `adult` on shard 1 and `trips` on
+//!    shard 0, so the 2-shard gate covers both shards' WALs.
 //!
 //! Sessions *oversubscribe* on purpose: each holds a slice of `B` large
 //! enough that the slices jointly exceed `B`, so both the per-session and
@@ -180,8 +183,12 @@ pub struct SelfTestReport {
     pub wal_syncs: Vec<(u64, u64)>,
 }
 
-/// The tenants served, each by the one shard the ring routes it to.
-const TENANTS: [&str; 3] = ["adult", "taxi", "wide"];
+/// The tenants served, each by the one shard the ring routes it to;
+/// `trips` holds the synthetic taxi data.
+const TENANTS: [&str; 3] = ["adult", "trips", "wide"];
+
+/// The paged tenants the scripted clients drive, alternately.
+const SCRIPTED: [&str; 2] = ["adult", "trips"];
 
 /// Per-dataset budget for the scripted workload.
 const BUDGET: f64 = 0.6;
@@ -217,10 +224,10 @@ fn query_for(dataset: &str, submit: usize) -> String {
         ("adult", _) => "BIN adult ON COUNT(*) WHERE W = { education_num IN [1, 9), \
                          education_num IN [9, 17) } ERROR 30 CONFIDENCE 0.99;"
             .to_string(),
-        (_, 0) => "BIN taxi ON COUNT(*) WHERE W = { passenger_count IN [1, 3), \
+        (_, 0) => "BIN trips ON COUNT(*) WHERE W = { passenger_count IN [1, 3), \
                    passenger_count IN [3, 11) } ERROR 30 CONFIDENCE 0.99;"
             .to_string(),
-        _ => "BIN taxi ON COUNT(*) WHERE W = { pickup_hour IN [0, 8), pickup_hour IN [8, 16), \
+        _ => "BIN trips ON COUNT(*) WHERE W = { pickup_hour IN [0, 8), pickup_hour IN [8, 16), \
               pickup_hour IN [16, 24) } ERROR 30 CONFIDENCE 0.99;"
             .to_string(),
     }
@@ -324,7 +331,7 @@ fn ensure_paged(data_root: &std::path::Path, name: &str, rows: usize) -> Result<
 }
 
 /// Builds shard `shard`'s state with the tenants `ring` routes to it.
-/// The adult/taxi tenants open the paged stores [`ensure_paged`]
+/// The adult/trips tenants open the paged stores [`ensure_paged`]
 /// prepared under `data_root` (through the owning shard's buffer pool);
 /// the `wide` tenant stays resident — it exists to make translator
 /// prepare slow, not to exercise storage.
@@ -348,7 +355,7 @@ fn build_state(
     };
     let tenants: [(&str, &dyn Fn() -> Dataset, f64, u64); 3] = [
         ("adult", &|| open("adult"), BUDGET, 0x5E1F_0001),
-        ("taxi", &|| open("taxi"), BUDGET, 0x5E1F_0002),
+        ("trips", &|| open("trips"), BUDGET, 0x5E1F_0002),
         ("wide", &wide_dataset, WIDE_BUDGET, 0x5E1F_0003),
     ];
     let mut builder = ServerState::builder_with_cache(cache);
@@ -422,7 +429,7 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
     let data_root = cfg.data_dir.clone().unwrap_or_else(|| dir.join("data"));
     let mut datasets_synthesized = 0u32;
     let mut datasets_opened = 0u32;
-    for name in ["adult", "taxi"] {
+    for name in SCRIPTED {
         if ensure_paged(&data_root, name, cfg.rows)? {
             datasets_synthesized += 1;
         } else {
@@ -482,7 +489,6 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
         set.clone(),
         ServeConfig {
             workers_per_shard: cfg.server_threads,
-            ..ServeConfig::default()
         },
     )
     .map_err(|e| format!("bind failed: {e}"))?;
@@ -565,6 +571,11 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
                  operations, wal reports {wal:?}"
             ));
         }
+        if durable == 0 && SCRIPTED.iter().any(|t| set.ring().shard_for(t) == k) {
+            return Err(format!(
+                "shard {k} owns a scripted tenant but logged no durable record: {wal:?}"
+            ));
+        }
         report.wal_syncs.push((durable, syncs));
     }
     let global = stats
@@ -577,7 +588,7 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
         return Err("shared translator cache saw no hits across sessions".into());
     }
 
-    for name in ["adult", "taxi"] {
+    for name in SCRIPTED {
         let d = stats
             .get("datasets")
             .and_then(|d| d.get(name))
@@ -867,7 +878,7 @@ fn client_script(
     slice: f64,
     submits: usize,
 ) -> Result<(&'static str, Acked), String> {
-    let dataset = if index % 2 == 0 { "adult" } else { "taxi" };
+    let dataset = SCRIPTED[index % 2];
     let mut acked = Acked::default();
     let mut conn = client::Conn::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let body = format!("{{\"dataset\":\"{dataset}\",\"budget\":{slice}}}");
@@ -969,6 +980,13 @@ mod tests {
         assert!(
             report.recovery_replayed > 0,
             "the restart leg must replay per-shard WAL"
+        );
+        // The scripted tenants cover both shards, so each logged records.
+        assert_eq!(report.wal_syncs.len(), 2);
+        assert!(
+            report.wal_syncs.iter().all(|&(durable, _)| durable > 0),
+            "a shard got no scripted traffic: {:?}",
+            report.wal_syncs
         );
         for (name, spent, budget) in &report.budgets {
             assert!(spent <= &(budget + 1e-9), "{name}: {spent} > {budget}");

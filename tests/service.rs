@@ -366,7 +366,6 @@ fn crash_and_recover(
         .collect();
     let cfg = apex_serve::ServeConfig {
         workers_per_shard: 4,
-        ..Default::default()
     };
     let handle = apex_serve::serve_sharded("127.0.0.1:0", set.clone(), cfg).unwrap();
     let addr = handle.addr();
