@@ -109,10 +109,11 @@ impl CompileMemo {
     }
 }
 
-/// The predicates as bytes. A node is a tag, a length-prefixed string and
-/// the 64-bit words its tag implies (floats by their bits), so nodes
-/// delimit themselves and equal keys are byte-identical workloads.
-fn key_of(workload: &[Predicate]) -> Vec<u8> {
+/// The predicates as bytes — the memo's key. A node is a tag, a
+/// length-prefixed string and the 64-bit words its tag implies (floats by
+/// their bits), so nodes delimit themselves and equal keys are
+/// byte-identical workloads.
+pub fn key_of(workload: &[Predicate]) -> Vec<u8> {
     fn put(out: &mut Vec<u8>, tag: u8, text: &str, words: &[u64]) {
         out.push(tag);
         out.extend((text.len() as u32).to_le_bytes());

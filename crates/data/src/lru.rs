@@ -1,12 +1,14 @@
 //! One least-recently-used map with an entry cap and a byte cap — the
 //! container under the dataset's maintained histograms
-//! ([`crate::views`]), the translator cache (`apex_mech::cache`) and the
-//! engine's compile memo (`apex_core::memo`).
+//! ([`crate::views`]), the translator cache (`apex_mech::cache`), the
+//! engine's compile memo (`apex_core::memo`) and the service's per-shard
+//! parse memo (`apex_serve::parse_memo`).
 //!
 //! Not thread-safe by itself: each user keeps it behind its own lock.
 //! Eviction scans for the oldest tick, O(entries) — the caps are tens to a
 //! few hundred entries.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -55,8 +57,13 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
     }
 
     /// The value under `key` if `usable` accepts it — a hit, marked as
-    /// just used — or a miss.
-    pub fn get(&mut self, key: &K, usable: impl FnOnce(&V) -> bool) -> Option<&mut V> {
+    /// just used — or a miss. `key` may be any borrowed form of `K`, so a
+    /// `Box<str>`-keyed map is looked up by `&str` without allocating.
+    pub fn get<Q>(&mut self, key: &Q, usable: impl FnOnce(&V) -> bool) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.tick += 1;
         match self.map.get_mut(key).filter(|s| usable(&s.value)) {
             Some(slot) => {

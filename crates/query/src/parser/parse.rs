@@ -6,6 +6,15 @@ use apex_data::{CmpOp, Predicate, Value};
 use super::lexer::{lex, LexError, Token};
 use crate::{AccuracyError, AccuracySpec, ExplorationQuery, QueryKind};
 
+/// The deepest predicate the parser builds. An atom is one level, and
+/// each `NOT`, each pair of parentheses and each further term of an
+/// `AND`/`OR` chain adds one (`a AND b AND c` is the left-deep
+/// `(a AND b) AND c`, three levels). Evaluating, hashing, compiling and
+/// dropping a predicate all recurse on its tree, so the limit is what
+/// keeps one request body from overflowing a worker's stack; the parser
+/// counts while it reads and refuses at the first level past it.
+pub const MAX_PREDICATE_DEPTH: usize = 256;
+
 /// A fully parsed query statement.
 #[derive(Debug, Clone)]
 pub struct ParsedQuery {
@@ -39,6 +48,8 @@ pub enum ParseError {
     Accuracy(AccuracyError),
     /// `LIMIT k` with a non-positive or non-integral `k`.
     BadLimit(f64),
+    /// A predicate nests deeper than [`MAX_PREDICATE_DEPTH`].
+    TooDeep,
 }
 
 impl From<LexError> for ParseError {
@@ -72,6 +83,10 @@ impl std::fmt::Display for ParseError {
             }
             ParseError::Accuracy(e) => write!(f, "invalid accuracy clause: {e}"),
             ParseError::BadLimit(k) => write!(f, "LIMIT must be a positive integer, got {k}"),
+            ParseError::TooDeep => write!(
+                f,
+                "predicate nests deeper than {MAX_PREDICATE_DEPTH} levels"
+            ),
         }
     }
 }
@@ -81,6 +96,15 @@ impl std::error::Error for ParseError {}
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+}
+
+/// An operator waiting on the predicate parser's stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    Not,
+    Paren,
+    And,
+    Or,
 }
 
 impl Parser {
@@ -96,39 +120,46 @@ impl Parser {
         t
     }
 
-    fn expect(&mut self, want: &Token, expected: &'static str) -> Result<(), ParseError> {
+    /// Consumes the token that is not what the grammar `expected` there,
+    /// and names it (or the end of input) in the error.
+    fn unexpected(&mut self, expected: &'static str) -> ParseError {
         match self.next() {
-            Some(t) if &t == want => Ok(()),
-            Some(t) => Err(ParseError::Unexpected {
+            Some(t) => ParseError::Unexpected {
                 at: self.pos - 1,
                 found: format!("{t:?}"),
                 expected,
-            }),
-            None => Err(ParseError::UnexpectedEnd { expected }),
+            },
+            None => ParseError::UnexpectedEnd { expected },
+        }
+    }
+
+    fn expect(&mut self, want: &Token, expected: &'static str) -> Result<(), ParseError> {
+        if self.peek() == Some(want) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.unexpected(expected))
         }
     }
 
     fn expect_number(&mut self, expected: &'static str) -> Result<f64, ParseError> {
-        match self.next() {
-            Some(Token::Number(v)) => Ok(v),
-            Some(t) => Err(ParseError::Unexpected {
-                at: self.pos - 1,
-                found: format!("{t:?}"),
-                expected,
-            }),
-            None => Err(ParseError::UnexpectedEnd { expected }),
+        match self.peek() {
+            Some(&Token::Number(v)) => {
+                self.pos += 1;
+                Ok(v)
+            }
+            _ => Err(self.unexpected(expected)),
         }
     }
 
     fn expect_ident(&mut self, expected: &'static str) -> Result<String, ParseError> {
-        match self.next() {
-            Some(Token::Ident(s)) => Ok(s),
-            Some(t) => Err(ParseError::Unexpected {
-                at: self.pos - 1,
-                found: format!("{t:?}"),
-                expected,
-            }),
-            None => Err(ParseError::UnexpectedEnd { expected }),
+        match self.peek() {
+            Some(Token::Ident(s)) => {
+                let s = s.clone();
+                self.pos += 1;
+                Ok(s)
+            }
+            _ => Err(self.unexpected(expected)),
         }
     }
 
@@ -216,113 +247,121 @@ impl Parser {
         })
     }
 
-    /// Predicate grammar (precedence: NOT > AND > OR).
+    /// Predicate grammar (precedence: NOT > AND > OR; parentheses group).
+    /// Parsed with an operand stack and an operator stack instead of by
+    /// recursion, so no input runs the parser out of stack; each operand
+    /// carries its depth, checked against [`MAX_PREDICATE_DEPTH`] as it is
+    /// built.
     fn predicate(&mut self) -> Result<Predicate, ParseError> {
-        self.or_expr()
-    }
-
-    fn or_expr(&mut self) -> Result<Predicate, ParseError> {
-        let mut left = self.and_expr()?;
-        while matches!(self.peek(), Some(Token::Or)) {
-            self.next();
-            let right = self.and_expr()?;
-            left = left.or(right);
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<Predicate, ParseError> {
-        let mut left = self.unary_expr()?;
-        while matches!(self.peek(), Some(Token::And)) {
-            self.next();
-            let right = self.unary_expr()?;
-            left = left.and(right);
-        }
-        Ok(left)
-    }
-
-    fn unary_expr(&mut self) -> Result<Predicate, ParseError> {
-        match self.peek() {
-            Some(Token::Not) => {
+        let mut operands: Vec<(Predicate, usize)> = Vec::new();
+        let mut ops: Vec<Op> = Vec::new();
+        // The `NOT`s and open parentheses on `ops`.
+        let mut nest = 0;
+        loop {
+            // An operand: any `NOT`s and `(`s, then `TRUE` or an atom.
+            while let Some(op) = match self.peek() {
+                Some(Token::Not) => Some(Op::Not),
+                Some(Token::LParen) => Some(Op::Paren),
+                _ => None,
+            } {
                 self.next();
-                Ok(self.unary_expr()?.not())
+                nest += 1;
+                // Whatever follows is at least one level deep.
+                checked_depth(nest + 1)?;
+                ops.push(op);
             }
-            Some(Token::LParen) => {
+            let operand = if matches!(self.peek(), Some(Token::True)) {
                 self.next();
-                let inner = self.or_expr()?;
-                self.expect(&Token::RParen, ")")?;
-                Ok(inner)
-            }
-            Some(Token::True) => {
-                self.next();
-                Ok(Predicate::True)
-            }
-            _ => self.atom(),
-        }
-    }
-
-    /// `attr op literal | attr IN [lo, hi) | attr IS [NOT] NULL`
-    fn atom(&mut self) -> Result<Predicate, ParseError> {
-        let attr = self.expect_ident("attribute name")?;
-        match self.next() {
-            Some(Token::Eq) => Ok(Predicate::Cmp {
-                attr,
-                op: CmpOp::Eq,
-                value: self.literal()?,
-            }),
-            Some(Token::Ne) => Ok(Predicate::Cmp {
-                attr,
-                op: CmpOp::Ne,
-                value: self.literal()?,
-            }),
-            Some(Token::Lt) => Ok(Predicate::Cmp {
-                attr,
-                op: CmpOp::Lt,
-                value: self.literal()?,
-            }),
-            Some(Token::Le) => Ok(Predicate::Cmp {
-                attr,
-                op: CmpOp::Le,
-                value: self.literal()?,
-            }),
-            Some(Token::Gt) => Ok(Predicate::Cmp {
-                attr,
-                op: CmpOp::Gt,
-                value: self.literal()?,
-            }),
-            Some(Token::Ge) => Ok(Predicate::Cmp {
-                attr,
-                op: CmpOp::Ge,
-                value: self.literal()?,
-            }),
-            Some(Token::Is) => {
-                let negated = if matches!(self.peek(), Some(Token::Not)) {
-                    self.next();
-                    true
-                } else {
-                    false
+                (Predicate::True, 1)
+            } else {
+                self.atom()?
+            };
+            operands.push(operand);
+            // Then the `NOT`s it closes, any `)`s, and the next operator.
+            loop {
+                while ops.last() == Some(&Op::Not) {
+                    ops.pop();
+                    nest -= 1;
+                    reduce(&mut operands, Op::Not)?;
+                }
+                let next = match self.peek() {
+                    Some(Token::And) => Some(Op::And),
+                    Some(Token::Or) => Some(Op::Or),
+                    Some(Token::RParen) => Some(Op::Paren),
+                    _ => None,
                 };
+                // Fold every pending AND and OR that binds at least as
+                // tightly as `next`: left-associative, AND over OR.
+                while let Some(&top @ (Op::And | Op::Or)) = ops.last() {
+                    if next == Some(Op::And) && top == Op::Or {
+                        break;
+                    }
+                    ops.pop();
+                    reduce(&mut operands, top)?;
+                }
+                match next {
+                    Some(Op::Paren) if ops.last() == Some(&Op::Paren) => {
+                        self.next();
+                        ops.pop();
+                        nest -= 1;
+                        reduce(&mut operands, Op::Paren)?;
+                    }
+                    Some(op @ (Op::And | Op::Or)) => {
+                        self.next();
+                        ops.push(op);
+                        break;
+                    }
+                    _ if ops.is_empty() => {
+                        let (predicate, _) = operands.pop().expect("one operand is left");
+                        return Ok(predicate);
+                    }
+                    // A parenthesis is still open.
+                    _ => return Err(self.unexpected(")")),
+                }
+            }
+        }
+    }
+
+    /// `attr op literal | attr IN [lo, hi) | attr IS [NOT] NULL`, with its
+    /// depth (`IS NOT NULL` is a `NOT` over `IS NULL`).
+    fn atom(&mut self) -> Result<(Predicate, usize), ParseError> {
+        let attr = self.expect_ident("attribute name")?;
+        let op = match self.peek() {
+            Some(Token::Eq) => CmpOp::Eq,
+            Some(Token::Ne) => CmpOp::Ne,
+            Some(Token::Lt) => CmpOp::Lt,
+            Some(Token::Le) => CmpOp::Le,
+            Some(Token::Gt) => CmpOp::Gt,
+            Some(Token::Ge) => CmpOp::Ge,
+            Some(Token::Is) => {
+                self.next();
+                let negated = matches!(self.peek(), Some(Token::Not));
+                if negated {
+                    self.next();
+                }
                 self.expect(&Token::Null, "NULL")?;
                 let p = Predicate::is_null(attr);
-                Ok(if negated { p.not() } else { p })
+                return Ok(if negated { (p.not(), 2) } else { (p, 1) });
             }
             Some(Token::In) => {
+                self.next();
                 self.expect(&Token::LBracket, "[")?;
                 let lo = self.expect_number("range lower bound")?;
                 self.expect(&Token::Comma, ",")?;
                 let hi = self.expect_number("range upper bound")?;
                 self.expect(&Token::RParen, ")")?;
-                Ok(Predicate::range(attr, lo, hi))
+                return Ok((Predicate::range(attr, lo, hi), 1));
             }
-            Some(t) => Err(ParseError::Unexpected {
-                at: self.pos - 1,
-                found: format!("{t:?}"),
-                expected: "comparison operator, IS, or IN",
-            }),
-            None => Err(ParseError::UnexpectedEnd {
-                expected: "comparison operator",
-            }),
-        }
+            Some(_) => return Err(self.unexpected("comparison operator, IS, or IN")),
+            None => {
+                return Err(ParseError::UnexpectedEnd {
+                    expected: "comparison operator",
+                })
+            }
+        };
+        self.next();
+        let value = self.literal()?;
+        Ok((Predicate::Cmp { attr, op, value }, 1))
     }
 
     /// Number, string, or boolean literal. Integral numbers become
@@ -348,6 +387,36 @@ impl Parser {
                 expected: "literal",
             }),
         }
+    }
+}
+
+/// Applies `op` to the operand on top of the stack (for AND and OR, to
+/// the top two): the result is one level deeper than its deepest input.
+fn reduce(operands: &mut Vec<(Predicate, usize)>, op: Op) -> Result<(), ParseError> {
+    let (right, mut depth) = operands.pop().expect("an operand");
+    let predicate = match op {
+        Op::Not => right.not(),
+        Op::Paren => right,
+        Op::And | Op::Or => {
+            let (left, left_depth) = operands.pop().expect("a left operand");
+            depth = depth.max(left_depth);
+            if op == Op::And {
+                left.and(right)
+            } else {
+                left.or(right)
+            }
+        }
+    };
+    operands.push((predicate, checked_depth(depth + 1)?));
+    Ok(())
+}
+
+/// `depth` if it is within [`MAX_PREDICATE_DEPTH`].
+fn checked_depth(depth: usize) -> Result<usize, ParseError> {
+    if depth > MAX_PREDICATE_DEPTH {
+        Err(ParseError::TooDeep)
+    } else {
+        Ok(depth)
     }
 }
 
@@ -480,6 +549,113 @@ mod tests {
             Err(ParseError::UnexpectedEnd { .. })
         ));
         assert!(parse_query("SELECT * FROM t").is_err());
+    }
+
+    /// `NOT` `n` times around one atom: `n + 1` levels.
+    fn nots(n: usize) -> String {
+        format!("{}x = 1", "NOT ".repeat(n))
+    }
+
+    /// An `AND` chain of `n` atoms: `n` levels.
+    fn chain(n: usize) -> String {
+        vec!["x = 1"; n].join(" AND ")
+    }
+
+    /// `n` pairs of parentheses around one atom: `n + 1` levels.
+    fn parens(n: usize) -> String {
+        format!("{}x = 1{}", "(".repeat(n), ")".repeat(n))
+    }
+
+    #[test]
+    fn predicates_up_to_the_depth_limit_parse() {
+        let max = MAX_PREDICATE_DEPTH;
+        for text in [nots(max - 1), chain(max), parens(max - 1)] {
+            let q = parse_query(&format!("BIN D ON COUNT(*) WHERE {{ {text}, {text} }};"))
+                .unwrap_or_else(|e| panic!("{e}: {}", &text[..40]));
+            assert_eq!(q.query.len(), 2);
+        }
+        // An OR of AND chains counts the deeper side.
+        let mixed = format!("{} OR x = 2", chain(max - 1));
+        assert!(parse_predicate(&mixed).is_ok());
+        // `IS NOT NULL` is two levels.
+        let is_not_null = format!("{}x IS NOT NULL", "NOT ".repeat(max - 2));
+        assert!(parse_predicate(&is_not_null).is_ok());
+    }
+
+    #[test]
+    fn one_level_past_the_limit_is_refused() {
+        let max = MAX_PREDICATE_DEPTH;
+        for text in [
+            nots(max),
+            chain(max + 1),
+            parens(max),
+            format!("{} OR x = 2", chain(max)),
+            format!("{}x IS NOT NULL", "NOT ".repeat(max - 1)),
+            format!("NOT ({})", chain(max - 1)),
+        ] {
+            assert_eq!(parse_predicate(&text), Err(ParseError::TooDeep));
+        }
+    }
+
+    #[test]
+    fn the_parser_does_not_recurse() {
+        // On a shard worker's 2 MiB stack a recursive parser aborts the
+        // process on both refused bodies; this one parses the deepest
+        // accepted predicates, and refuses those bodies, on an eighth of
+        // it.
+        let worker = std::thread::Builder::new().stack_size(256 << 10);
+        let handle = worker.spawn(|| {
+            let max = MAX_PREDICATE_DEPTH;
+            for text in [parens(max - 1), nots(max - 1), chain(max)] {
+                assert!(parse_predicate(&text).is_ok());
+            }
+            let deep_not = format!("BIN D ON COUNT(*) WHERE {{ {} }};", nots(10_000));
+            let long_and = format!("BIN D ON COUNT(*) WHERE {{ {} }};", chain(80_000));
+            (parse_query(&deep_not).err(), parse_query(&long_and).err())
+        });
+        let (not, and) = handle.unwrap().join().unwrap();
+        assert_eq!(not, Some(ParseError::TooDeep));
+        assert_eq!(and, Some(ParseError::TooDeep));
+        assert!(ParseError::TooDeep.to_string().contains("256"));
+    }
+
+    #[test]
+    fn mixed_nesting_keeps_precedence_and_grouping() {
+        let p =
+            parse_predicate("NOT (a = 1 OR b = 2) AND c = 3 OR NOT NOT d = 4 AND (e = 5)").unwrap();
+        assert_eq!(
+            format!("{p}"),
+            "((NOT ((a = 1 OR b = 2)) AND c = 3) OR (NOT (NOT (d = 4)) AND e = 5))"
+        );
+        let p = parse_predicate("a = 1 OR b = 2 OR c = 3 AND d = 4 AND e = 5").unwrap();
+        assert_eq!(
+            format!("{p}"),
+            "((a = 1 OR b = 2) OR ((c = 3 AND d = 4) AND e = 5))"
+        );
+        let p = parse_predicate("((a = 1)) AND TRUE").unwrap();
+        assert_eq!(p, Predicate::eq("a", 1_i64).and(Predicate::True));
+    }
+
+    #[test]
+    fn unbalanced_parentheses_are_reported() {
+        assert_eq!(
+            parse_predicate("(a = 1 AND (b = 2)"),
+            Err(ParseError::UnexpectedEnd { expected: ")" })
+        );
+        assert!(matches!(
+            parse_query("BIN D ON COUNT(*) WHERE { (a = 1 };"),
+            Err(ParseError::Unexpected { expected: ")", .. })
+        ));
+        assert!(matches!(
+            parse_query("BIN D ON COUNT(*) WHERE { a = 1) };"),
+            Err(ParseError::Unexpected { expected: "}", .. })
+        ));
+        assert!(matches!(
+            parse_predicate("NOT"),
+            Err(ParseError::UnexpectedEnd {
+                expected: "attribute name"
+            })
+        ));
     }
 
     #[test]

@@ -34,6 +34,8 @@
 //!   cache with per-tenant stat scopes — and row mutations) and
 //!   `recovery` (the directory lock, WAL-over-snapshot replay, and each
 //!   resident tenant's mutation log under `rows/<tenant>/`);
+//! * [`parse_memo`] — each shard's memo of query text → parse, through
+//!   which the router reads every query text;
 //! * [`router`] — per-shard endpoint dispatch and status-code mapping (a
 //!   *denied* query is 409, an *expired* session is 410, the admin plane
 //!   checks a bearer token);
@@ -81,6 +83,7 @@ pub mod http;
 pub mod invariants;
 pub mod json;
 pub(crate) mod lockx;
+pub mod parse_memo;
 pub mod router;
 pub mod selftest;
 pub mod shard;

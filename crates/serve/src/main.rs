@@ -265,12 +265,13 @@ fn main() {
                 }
                 println!(
                     "  store: {} ingested, {} opened from disk, pool hits {}, \
-                     view hits {}, compile hits {}, transcript records {}",
+                     view hits {}, compile hits {}, parse hits {}, transcript records {}",
                     report.datasets_synthesized,
                     report.datasets_opened,
                     report.store_pool_hits,
                     report.view_hits,
                     report.compile_hits,
+                    report.parse_hits,
                     report.transcript_records
                 );
                 println!(

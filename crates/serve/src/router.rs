@@ -178,14 +178,16 @@ fn submit(state: &ServerState, id: u64, req: &Request) -> Response {
         Ok(b) => b,
         Err(resp) => return resp,
     };
-    let (query, accuracy) = match wire::parse_query_request(&body) {
-        Ok(qa) => qa,
+    // The shard's parse memo parses a text only the first time it sees it.
+    let parsed = wire::decode_query_request(&body, |text| state.parses().parse(text));
+    let (parsed, accuracy) = match parsed {
+        Ok(pa) => pa,
         Err(msg) => return Response::json(400, wire::error_json(&msg)),
     };
     // The state layer resolves the session without holding the map lock
     // during the (possibly slow) mechanism run, and WAL-logs the outcome
     // before returning — this response is the ack.
-    match state.submit(id, &query, &accuracy) {
+    match state.submit(id, &parsed.query, &accuracy) {
         Ok(SubmitOutcome::Response(resp)) => {
             let status = match resp {
                 EngineResponse::Answered(_) => 200,
@@ -855,6 +857,87 @@ mod tests {
         let parsed = crate::json::parse(&r.body).unwrap();
         assert_eq!(parsed.get("spent").and_then(Json::as_f64), Some(0.0));
         assert_eq!(s.state(0).tenant("grid").unwrap().engine.spent(), 0.0);
+    }
+
+    fn parse_stats(s: &ShardSet) -> (u64, u64, u64) {
+        let stats = crate::json::parse(&route(s, &req("GET", "/v1/stats", "")).body).unwrap();
+        let parse = stats
+            .get("shards")
+            .and_then(Json::as_arr)
+            .and_then(|shards| shards[0].get("parse"))
+            .cloned()
+            .unwrap();
+        let field = |name| parse.get(name).and_then(Json::as_u64).unwrap();
+        (field("entries"), field("hits"), field("misses"))
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_400_and_the_shard_keeps_serving() {
+        // Both bodies fit the 1 MiB body cap, and without the parser's
+        // depth limit each aborted the whole process with a stack
+        // overflow on a 2 MiB worker stack.
+        let s = state();
+        let id = open_session(&s, r#"{"dataset":"demo","budget":5}"#);
+        let query = |workload: &str| {
+            format!(
+                r#"{{"query":"BIN demo ON COUNT(*) WHERE {{ {workload} }} ERROR 30 CONFIDENCE 0.95;"}}"#
+            )
+        };
+        let deep_not = query(&format!("{}v = 1", "NOT ".repeat(10_000)));
+        let long_and = query(&vec!["v = 1"; 80_000].join(" AND "));
+        assert!(long_and.len() < 1 << 20);
+        let ok = query("v IN [0, 4), v IN [4, 8)");
+        let path = format!("/v1/sessions/{id}/query");
+        for body in [&deep_not, &long_and] {
+            let r = route(&s, &req("POST", &path, body));
+            assert_eq!(r.status, 400, "{}", r.body);
+            assert!(r.body.contains("deeper than 256"), "{}", r.body);
+            let r = route(&s, &req("POST", &path, &ok));
+            assert_eq!(r.status, 200, "{}", r.body);
+        }
+        // The refusals charged nothing: two answers' worth was spent.
+        let engine = &s.state(0).tenant("demo").unwrap().engine;
+        assert_eq!(engine.with_engine(|e| e.transcript().len()), 2);
+
+        // A predicate exactly at the limit is served: 255 NOTs over an
+        // atom, and a 256-term AND chain.
+        let at_limit = [
+            format!("{}v IN [0, 4)", "NOT ".repeat(255)),
+            vec!["v IN [0, 4)"; 256].join(" AND "),
+        ];
+        let r = route(&s, &req("POST", &path, &query(&at_limit.join(", "))));
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+
+    #[test]
+    fn a_repeated_text_is_parsed_once_and_errors_never_stay() {
+        let s = state();
+        let id = open_session(&s, r#"{"dataset":"demo","budget":5}"#);
+        let path = format!("/v1/sessions/{id}/query");
+        let bad =
+            r#"{"query":"BIN demo ON COUNT(*) WHERE { v IN [0, 4) ERROR 8 CONFIDENCE 0.95;"}"#;
+        for _ in 0..3 {
+            let r = route(&s, &req("POST", &path, bad));
+            assert_eq!(r.status, 400, "{}", r.body);
+            assert!(r.body.contains("query syntax"), "{}", r.body);
+        }
+        assert_eq!(parse_stats(&s), (0, 0, 3));
+        // The same text at two accuracies set by fields: one parse, and
+        // each answer is charged for its own α.
+        let q = |alpha: f64| {
+            format!(
+                r#"{{"query":"BIN demo ON COUNT(*) WHERE {{ v IN [0, 8) }} ERROR 8 CONFIDENCE 0.95;","alpha":{alpha}}}"#
+            )
+        };
+        let mut eps = Vec::new();
+        for alpha in [4.0, 16.0] {
+            let r = route(&s, &req("POST", &path, &q(alpha)));
+            assert_eq!(r.status, 200, "{}", r.body);
+            let body = crate::json::parse(&r.body).unwrap();
+            eps.push(body.get("epsilon_upper").and_then(Json::as_f64).unwrap());
+        }
+        assert_eq!(parse_stats(&s), (1, 1, 4));
+        assert!(eps[0] > eps[1], "a tighter α costs more: {eps:?}");
     }
 
     #[test]

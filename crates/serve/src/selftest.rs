@@ -172,6 +172,9 @@ pub struct SelfTestReport {
     /// Compile-memo hits on the resident tenant (must be > 0: the shape
     /// repeated after the mutation compiles once).
     pub compile_hits: u64,
+    /// Parse-memo hits the repeated `wide` text added on its owner shard
+    /// (must be > 0: a text sent twice is parsed once).
+    pub parse_hits: u64,
     /// Transcript records across all tenants and shards at shutdown.
     pub transcript_records: u64,
     /// Row-mutation batches acked over the wire (the live-update leg:
@@ -677,10 +680,26 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             ));
         }
     }
+    let parse_hits = |stats: &Json| {
+        let k = set.ring().shard_for("wide");
+        stats
+            .get("shards")
+            .and_then(Json::as_arr)
+            .and_then(|s| s.get(k))
+            .and_then(|s| s.get("parse"))
+            .and_then(|p| p.get("hits"))
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("stats missing shards[{k}].parse.hits"))
+    };
+    let parse_hits_before = parse_hits(&stats)?;
     ask_wide(addr, "post-mutation", &mut acked[ix("wide")])?;
     // Leg 7: that answer read the view the first one left and the insert
-    // folded (audited against a rescan above).
+    // folded (audited against a rescan above), from the first one's parse.
     let (_, stats) = client::request(addr, "GET", "/v1/stats", None)?;
+    report.parse_hits = parse_hits(&stats)?.saturating_sub(parse_hits_before);
+    if report.parse_hits == 0 {
+        return Err("parse memo not used: the repeated wide text was parsed again".into());
+    }
     let wide = |object: &str, field: &str| {
         stats
             .get("datasets")
@@ -933,6 +952,7 @@ mod tests {
             "repeated shapes read maintained views"
         );
         assert!(report.compile_hits > 0, "repeated shapes compile once");
+        assert!(report.parse_hits > 0, "a repeated text is parsed once");
         assert!(
             report.transcript_records >= report.answered + report.denied,
             "every response must reach a transcript log"

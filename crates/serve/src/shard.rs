@@ -365,6 +365,7 @@ pub fn stats_json(set: &ShardSet) -> Json {
                 ("sessions", Json::from(st.session_count())),
                 ("expired", Json::from(st.expired_count())),
                 ("session_id_base", Json::from(st.session_id_base())),
+                ("parse", wire::parse_stats_json(st.parses().stats())),
             ];
             // Memory-only shards have no WAL and report no block.
             if let Some(wal) = st.wal_stats() {
@@ -1509,6 +1510,45 @@ mod tests {
         handle.stop();
         handle.join();
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn deeply_nested_queries_over_the_socket_are_400_and_the_server_keeps_serving() {
+        // Each body once aborted the whole process: the parser recursed
+        // once per level on a shard worker's 2 MiB stack.
+        let handle = serve_sharded(
+            "127.0.0.1:0",
+            demo_set(1, &["demo".to_string()]),
+            ServeConfig::default(),
+        )
+        .unwrap();
+        let addr = handle.addr();
+        let (status, opened) = client::request(
+            addr,
+            "POST",
+            "/v1/sessions",
+            Some(r#"{"dataset":"demo","budget":5}"#),
+        )
+        .unwrap();
+        assert_eq!(status, 201, "{opened:?}");
+        let id = opened.get("session").and_then(Json::as_u64).unwrap();
+        let path = format!("/v1/sessions/{id}/query");
+        let query = |workload: &str| {
+            format!(
+                r#"{{"query":"BIN demo ON COUNT(*) WHERE {{ {workload} }} ERROR 30 CONFIDENCE 0.95;"}}"#
+            )
+        };
+        let deep_not = query(&format!("{}v = 1", "NOT ".repeat(10_000)));
+        let long_and = query(&vec!["v = 1"; 80_000].join(" AND "));
+        for body in [&deep_not, &long_and] {
+            let (status, resp) = client::request(addr, "POST", &path, Some(body)).unwrap();
+            assert_eq!(status, 400, "{resp:?}");
+            let ok = query("v IN [0, 4), v IN [4, 8)");
+            let (status, resp) = client::request(addr, "POST", &path, Some(&ok)).unwrap();
+            assert_eq!(status, 200, "{resp:?}");
+        }
+        handle.stop();
+        handle.join();
     }
 
     /// One durable shard with two workers, and a clock that panics on

@@ -83,6 +83,7 @@ use std::sync::{Arc, RwLock};
 use apex_core::TranslatorCache;
 
 use crate::clock::Clock;
+use crate::parse_memo::ParseMemo;
 use crate::wal::SharedWal;
 
 pub use crate::wal::WalStats;
@@ -117,6 +118,8 @@ struct Persist {
 pub struct ServerState {
     tenants: Vec<(String, Tenant)>,
     cache: TranslatorCache,
+    /// Query text → its parse, shared by this shard's tenants.
+    parses: ParseMemo,
     sessions: RwLock<HashMap<u64, SessionEntry>>,
     /// Ids are handed out sequentially from here, which doubles as the
     /// tombstone predicate: any id above [`ServerState::session_id_base`]
@@ -174,6 +177,12 @@ impl ServerState {
     /// The shared cache's root handle (global stats, capacity, size).
     pub fn cache(&self) -> &TranslatorCache {
         &self.cache
+    }
+
+    /// This shard's parse memo: the router parses every query text
+    /// through it.
+    pub fn parses(&self) -> &ParseMemo {
+        &self.parses
     }
 
     /// The session TTL in milliseconds, when one is configured.

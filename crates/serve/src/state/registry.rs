@@ -13,6 +13,7 @@ use apex_data::{Dataset, PoolStats, StoreError};
 use super::{ServerState, SubmitError};
 use crate::clock::{Clock, SystemClock};
 use crate::lockx;
+use crate::parse_memo::ParseMemo;
 use crate::shard::{shard_id_base, ShardRing};
 
 /// One tenant dataset: its engine plus its scope of the shared cache.
@@ -274,6 +275,7 @@ impl ServerStateBuilder {
         ServerState {
             tenants: self.tenants,
             cache: self.cache,
+            parses: ParseMemo::default(),
             sessions: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(session_id_base + 1),
             session_id_base,

@@ -13,8 +13,10 @@
 //! [`EngineResponse`] — a denial is not an error, it is a first-class
 //! response (HTTP 409 at the transport layer).
 
+use std::borrow::Borrow;
+
 use apex_core::{Answered, EngineResponse};
-use apex_query::parser::parse_query;
+use apex_query::parser::{parse_query, ParseError, ParsedQuery};
 use apex_query::{AccuracySpec, ExplorationQuery, QueryAnswer};
 
 use crate::json::Json;
@@ -56,15 +58,32 @@ pub fn parse_create_session(body: &Json) -> Result<CreateSession, String> {
 /// A human-readable message: missing fields, syntax errors from the
 /// query parser, or an invalid/missing accuracy requirement.
 pub fn parse_query_request(body: &Json) -> Result<(ExplorationQuery, AccuracySpec), String> {
+    let (parsed, accuracy) = decode_query_request(body, parse_query)?;
+    Ok((parsed.query, accuracy))
+}
+
+/// The one query-envelope decoder: takes the statement from `"query"`,
+/// parses it with `parse` (a shard's router passes its parse memo's,
+/// every other caller [`parse_query`]), then applies any explicit
+/// `"alpha"`/`"beta"` fields over the statement's own clause. The
+/// override follows the parse, so a memoised parse serves every request's
+/// own accuracy.
+///
+/// # Errors
+/// As [`parse_query_request`].
+pub fn decode_query_request<P: Borrow<ParsedQuery>>(
+    body: &Json,
+    parse: impl FnOnce(&str) -> Result<P, ParseError>,
+) -> Result<(P, AccuracySpec), String> {
     let text = body
         .get("query")
         .and_then(Json::as_str)
         .ok_or("missing string field \"query\"")?;
-    let parsed = parse_query(text).map_err(|e| format!("query syntax: {e}"))?;
+    let parsed = parse(text).map_err(|e| format!("query syntax: {e}"))?;
 
     let alpha = body.get("alpha").and_then(Json::as_f64);
     let beta = body.get("beta").and_then(Json::as_f64);
-    let accuracy = match (alpha, beta, parsed.accuracy) {
+    let accuracy = match (alpha, beta, parsed.borrow().accuracy) {
         // Explicit fields override the statement's clause wholesale.
         (Some(a), Some(b), _) => AccuracySpec::new(a, b).map_err(|e| e.to_string())?,
         (Some(a), None, Some(acc)) => acc.with_alpha(a).map_err(|e| e.to_string())?,
@@ -80,7 +99,7 @@ pub fn parse_query_request(body: &Json) -> Result<(ExplorationQuery, AccuracySpe
             )
         }
     };
-    Ok((parsed.query, accuracy))
+    Ok((parsed, accuracy))
 }
 
 /// A decoded `POST /v1/datasets/{name}/rows` body.
@@ -293,6 +312,18 @@ pub fn compile_stats_json(stats: apex_core::CompileStats) -> Json {
     ])
 }
 
+/// Renders one shard's parse-memo counters (`/v1/stats`
+/// `shards[k].parse`). Hits and misses follow the query texts sent to the
+/// shard only.
+pub fn parse_stats_json(stats: crate::parse_memo::ParseStats) -> Json {
+    Json::obj(vec![
+        ("entries", Json::from(stats.entries)),
+        ("bytes", Json::from(stats.bytes)),
+        ("hits", Json::from(stats.hits)),
+        ("misses", Json::from(stats.misses)),
+    ])
+}
+
 /// Renders one shard's group-commit counters (`/v1/stats`
 /// `shards[k].wal`): `durable_records / syncs` is records per sync.
 pub fn wal_stats_json(stats: crate::state::WalStats) -> Json {
@@ -361,6 +392,28 @@ mod tests {
         let (_, acc) = parse_query_request(&body).unwrap();
         assert_eq!(acc.alpha(), 20.0);
         assert!((acc.beta() - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn each_request_gets_its_own_accuracy_from_one_memoised_parse() {
+        let memo = crate::parse_memo::ParseMemo::default();
+        let stmt = "BIN d ON COUNT(*) WHERE { v IN [0, 4) } ERROR 10 CONFIDENCE 0.95;";
+        for (fields, alpha, beta) in [
+            ("", 10.0, 0.05),
+            (r#","alpha":20"#, 20.0, 0.05),
+            (r#","beta":0.01"#, 10.0, 0.01),
+            (r#","alpha":5,"beta":0.2"#, 5.0, 0.2),
+            ("", 10.0, 0.05),
+        ] {
+            let body = json::parse(&format!(r#"{{"query":"{stmt}"{fields}}}"#)).unwrap();
+            let (parsed, acc) = decode_query_request(&body, |t| memo.parse(t)).unwrap();
+            assert_eq!(acc.alpha(), alpha, "{fields}");
+            assert!((acc.beta() - beta).abs() < 1e-12, "{fields}");
+            // The shared parse keeps the statement's own clause.
+            assert_eq!(parsed.accuracy.map(|a| a.alpha()), Some(10.0));
+        }
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 4, 1));
     }
 
     #[test]
