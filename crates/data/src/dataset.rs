@@ -748,7 +748,9 @@ mod tests {
         }
         let path = dir.join(crate::store::MUTATION_LOG_FILE);
         let mut rotted = std::fs::read(&path).unwrap();
-        let middle = rotted.len() - (rotted.len() - 8) / 3 * 2; // three equal frames
+        let format = &crate::store::mutation_log::MUTATION_LOG_FORMAT;
+        let end = crate::store::framed::prefix_len(format, &rotted).unwrap() as usize;
+        let middle = end - (end - 8) / 3 * 2; // three equal batches
         rotted[middle + 20] ^= 1;
         std::fs::write(&path, &rotted).unwrap();
         let mut again = demo();

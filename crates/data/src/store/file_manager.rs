@@ -33,6 +33,7 @@ pub const FORMAT_VERSION: u32 = 2;
 /// `u32` length (a page table is 4 bytes per page).
 const MANIFEST_FORMAT: Format = Format {
     magic: b"APEXDST2",
+    v1_magic: None,
     max_payload: 1 << 30,
 };
 const PAGES_FILE: &str = "pages.dat";

@@ -3,7 +3,7 @@
 //! A store directory gains one [framed log](super::framed):
 //!
 //! ```text
-//! <dir>/mutations.log    magic "APEXMUT1", then one frame per mutation
+//! <dir>/mutations.log    magic "APEXMUT2", then one batch per mutation
 //! payload := op:u8 row_count:u32 row*        (rows via the page codec)
 //! ```
 //!
@@ -43,7 +43,8 @@ pub const MUTATION_LOG_FILE: &str = "mutations.log";
 /// The mutation log's magic and payload cap (64 MiB — a sanity bound so a
 /// corrupt length field cannot drive a huge allocation during replay).
 pub const MUTATION_LOG_FORMAT: Format = Format {
-    magic: b"APEXMUT1",
+    magic: b"APEXMUT2",
+    v1_magic: Some(b"APEXMUT1"),
     max_payload: 1 << 26,
 };
 
@@ -121,9 +122,9 @@ impl MutationLog {
             return Err(StoreError::LogOutOfStep { applied, logged });
         }
         if let Some(valid_len) = tail.valid_len() {
-            framed::truncate(&path, valid_len)?;
+            framed::truncate(&path, &MUTATION_LOG_FORMAT, valid_len)?;
         }
-        let writer = FramedWriter::open(&path, &MUTATION_LOG_FORMAT)?;
+        let writer = FramedWriter::open(&path, &MUTATION_LOG_FORMAT, true)?;
         Ok(Self { writer })
     }
 
@@ -276,23 +277,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn prefix_len(path: &Path) -> u64 {
+        framed::prefix_len(&MUTATION_LOG_FORMAT, &std::fs::read(path).unwrap()).unwrap()
+    }
+
     #[test]
     fn torn_tail_is_cut_on_open_and_appends_continue() {
         let dir = tmp_dir("torn");
         let mut log = MutationLog::open(&dir).unwrap();
         log.append(MutationOp::Insert, rows(2)).unwrap();
         drop(log);
-        // Crash mid-append: half a record of garbage at the tail.
+        // Crash mid-append: half a record of garbage where the next
+        // record goes, over the zeroed room.
         let path = dir.join(MUTATION_LOG_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
-        let keep = bytes.len();
-        bytes.extend_from_slice(&[0xAB; 9]);
+        let (keep, len) = (prefix_len(&path), bytes.len());
+        bytes[keep as usize..][..9].fill(0xAB);
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(collect(&dir).len(), 1);
 
         let mut log = MutationLog::open(&dir).unwrap();
         assert_eq!(log.next_seq(), 1);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), keep as u64);
+        assert_eq!(prefix_len(&path), keep);
+        // The cut re-zeroed the garbage: the room survives.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len as u64);
         log.append(MutationOp::Delete, rows(1)).unwrap();
         assert_eq!(collect(&dir).len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -303,9 +311,7 @@ mod tests {
         let dir = tmp_dir("flip");
         let mut log = MutationLog::open(&dir).unwrap();
         log.append(MutationOp::Insert, rows(1)).unwrap();
-        let first_end = std::fs::metadata(dir.join(MUTATION_LOG_FILE))
-            .unwrap()
-            .len();
+        let first_end = prefix_len(&dir.join(MUTATION_LOG_FILE));
         log.append(MutationOp::Insert, rows(2)).unwrap();
         drop(log);
         // Flip one bit inside the second record: replay does not fail, it
@@ -331,8 +337,10 @@ mod tests {
         };
         let mut bytes = MUTATION_LOG_FORMAT.magic.to_vec();
         framed::push_frame(&mut bytes, 0, &record(0).encode_payload());
+        framed::push_trailer(&mut bytes, 1);
         // A gap: replay must stop after the first record.
         framed::push_frame(&mut bytes, 2, &record(2).encode_payload());
+        framed::push_trailer(&mut bytes, 3);
         std::fs::write(dir.join(MUTATION_LOG_FILE), &bytes).unwrap();
         assert_eq!(collect(&dir).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();

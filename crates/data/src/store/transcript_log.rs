@@ -1,10 +1,11 @@
 //! Append-only audit transcript: one [framed log](super::framed) per
 //! tenant, `<dir>/transcript.log`, records opaque byte strings.
 //!
-//! Appends are staged in memory; [`TranscriptLog::flush`] writes them
-//! with one `write_all` after the last durable frame and fsyncs — the
-//! per-query path makes no syscall, and no durable byte is ever
-//! rewritten. Records appended since the last flush are lost on a crash:
+//! Appends are staged in memory; [`TranscriptLog::flush`] writes them as
+//! one batch over the zeroed room after the last durable batch and
+//! fsyncs — the per-query path makes no syscall, and a flush overwrites
+//! only zeros, never a durable frame. Records appended since the last
+//! flush are lost on a crash:
 //! acceptable for transcripts, whose source of truth for *charges* is the
 //! service WAL; this log exists so auditors can replay what was asked and
 //! answered.
@@ -23,7 +24,8 @@ pub const TRANSCRIPT_FILE: &str = "transcript.log";
 
 /// The transcript log's magic and largest record.
 pub const TRANSCRIPT_FORMAT: Format = Format {
-    magic: b"APEXTRN1",
+    magic: b"APEXTRN2",
+    v1_magic: Some(b"APEXTRN1"),
     max_payload: 64 << 10,
 };
 
@@ -57,9 +59,9 @@ impl TranscriptLog {
         let path = dir.join(TRANSCRIPT_FILE);
         if let (_, Tail::Torn { valid_len }) = framed::read(&path, &TRANSCRIPT_FORMAT, |_, _| true)?
         {
-            framed::truncate(&path, valid_len)?;
+            framed::truncate(&path, &TRANSCRIPT_FORMAT, valid_len)?;
         }
-        let writer = FramedWriter::open(&path, &TRANSCRIPT_FORMAT)?;
+        let writer = FramedWriter::open(&path, &TRANSCRIPT_FORMAT, true)?;
         Ok(Self { writer })
     }
 
@@ -163,17 +165,24 @@ mod tests {
         let path = dir.join(TRANSCRIPT_FILE);
         let mut log = TranscriptLog::open(&dir).unwrap();
         let mut durable = Vec::new();
+        let prefix = || {
+            let bytes = std::fs::read(&path).unwrap();
+            let end = framed::prefix_len(&TRANSCRIPT_FORMAT, &bytes).unwrap();
+            bytes[..end as usize].to_vec()
+        };
         for i in 0..10u32 {
             log.append(format!("r{i}").as_bytes()).unwrap();
             log.flush().unwrap();
             // Every byte an earlier flush made durable is still there,
             // unchanged: a torn flush can only damage its own records.
-            let now = std::fs::read(&path).unwrap();
+            let now = prefix();
             assert!(now.len() > durable.len() && now.starts_with(&durable));
             durable = now;
         }
+        let before = std::fs::read(&path).unwrap();
         log.flush().unwrap(); // nothing staged: no-op
-        assert_eq!(std::fs::read(&path).unwrap(), durable);
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(prefix(), durable);
         assert_eq!(collect(&dir).len(), 10);
         std::fs::remove_dir_all(&dir).unwrap();
     }

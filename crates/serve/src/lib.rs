@@ -24,7 +24,7 @@
 //!   their one durable record is the dataset's own mutation log;
 //! * [`snapshot`] — periodic compaction of the ledger + session table,
 //!   the state-directory layout recovery reads, and the fold
-//!   (`Snapshot::apply`) that replays a WAL record into an image;
+//!   (`Fold::apply`) that replays a WAL record into an image;
 //! * [`clock`] — injectable time, so session-TTL behavior is
 //!   deterministic under test;
 //! * [`state`] — four modules over that core: `ledger` (admission,

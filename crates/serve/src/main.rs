@@ -278,10 +278,10 @@ fn main() {
                     "  mutations: {} row batches acked, epochs re-verified after restart",
                     report.mutations_acked
                 );
-                for (k, (records, syncs)) in report.wal_syncs.iter().enumerate() {
+                for (k, (records, syncs, room)) in report.wal_syncs.iter().enumerate() {
                     println!(
                         "  shard {k} group commit: {records} durable records in {syncs} syncs \
-                         ({:.2} records/sync)",
+                         ({:.2} records/sync), {room} bytes of wal room left",
                         *records as f64 / (*syncs).max(1) as f64
                     );
                 }

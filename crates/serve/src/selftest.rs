@@ -181,9 +181,11 @@ pub struct SelfTestReport {
     /// one paged tenant, one resident tenant; each verified live and
     /// re-verified after the restart).
     pub mutations_acked: u64,
-    /// Per shard, `(durable_records, syncs)` once the scripted clients
-    /// were done: their ratio is the records-per-sync group commit got.
-    pub wal_syncs: Vec<(u64, u64)>,
+    /// Per shard, `(durable_records, syncs, room_bytes)` once the
+    /// scripted clients were done: the first two's ratio is the
+    /// records-per-sync group commit got; the last is the zeroed room
+    /// left in the shard's WAL generation.
+    pub wal_syncs: Vec<(u64, u64, u64)>,
 }
 
 /// The tenants served, each by the one shard the ring routes it to;
@@ -579,7 +581,9 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
                 "shard {k} owns a scripted tenant but logged no durable record: {wal:?}"
             ));
         }
-        report.wal_syncs.push((durable, syncs));
+        report
+            .wal_syncs
+            .push((durable, syncs, field("room_bytes")?));
     }
     let global = stats
         .get("cache")
@@ -1004,7 +1008,7 @@ mod tests {
         // The scripted tenants cover both shards, so each logged records.
         assert_eq!(report.wal_syncs.len(), 2);
         assert!(
-            report.wal_syncs.iter().all(|&(durable, _)| durable > 0),
+            report.wal_syncs.iter().all(|&(durable, ..)| durable > 0),
             "a shard got no scripted traffic: {:?}",
             report.wal_syncs
         );

@@ -13,15 +13,18 @@
 //!   wal-<GEN>.log   generation-numbered WALs; the snapshot records the
 //!                   generation it covers *through*, recovery replays
 //!                   only generations beyond it
+//!   wal-spare.log   the last covered generation, records zeroed: the
+//!                   next generation's file (see [`SPARE_WAL`])
 //! ```
 //!
 //! The rotation protocol is crash-safe at every step: the next WAL
 //! generation is opened first, then the snapshot is written to a temp
 //! file, fsynced, and renamed over `snapshot.bin` (the commit point),
-//! and stale generations are deleted last. A crash anywhere leaves
-//! either the old snapshot + old WALs (plus, at most, an empty next
-//! generation), or the new snapshot with the old WALs correctly ignored
-//! (their generation is covered) — never a double-count, never a loss.
+//! and stale generations are deleted last (the newest recycled as the
+//! spare). A crash anywhere leaves either the old snapshot + old WALs
+//! (plus, at most, an empty next generation), or the new snapshot with
+//! the old WALs correctly ignored (their generation is covered) — never
+//! a double-count, never a loss.
 //!
 //! Snapshot corruption is **always** fatal for recovery: unlike a WAL
 //! tail, a snapshot is compacted history with nothing to truncate back
@@ -35,7 +38,7 @@ use std::path::{Path, PathBuf};
 
 use apex_data::store::framed::{self, Format};
 
-use crate::wal::{push_list, push_str, Fields, WalRecord};
+use crate::wal::{push_list, push_str, Fields, WalRecord, WalWriter};
 
 /// Snapshot file magic (format version pinned in the last byte; 4 drops
 /// the mutation journal — a row mutation's one durable record is its
@@ -45,6 +48,7 @@ use crate::wal::{push_list, push_str, Fields, WalRecord};
 /// length.
 pub const SNAPSHOT_FORMAT: Format = Format {
     magic: b"APEXSNP4",
+    v1_magic: None,
     max_payload: 1 << 30,
 };
 
@@ -91,7 +95,7 @@ pub struct Snapshot {
     pub sessions: Vec<SessionImage>,
 }
 
-/// Why [`Snapshot::apply`] cannot fold a WAL record into the image.
+/// Why [`Fold::apply`] cannot fold a WAL record into the image.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FoldError {
     /// The record names a session that was never opened.
@@ -148,68 +152,6 @@ impl Snapshot {
         f.end(snapshot)
     }
 
-    /// Folds one WAL record into the image — recovery is this fold over
-    /// every record past `covered_gen`, in file order. `closed` carries
-    /// the dataset of each session the fold has closed: a debit may be
-    /// ordered after its session's close (two racing appenders inside
-    /// one generation) and must still charge that session's tenant. An
-    /// open enters its tenant in the ledgers, so checking
-    /// [`Snapshot::tenants`] after the fold covers every name the WAL
-    /// used.
-    ///
-    /// # Errors
-    /// See [`FoldError`].
-    pub fn apply(
-        &mut self,
-        record: WalRecord,
-        closed: &mut HashMap<u64, String>,
-    ) -> Result<(), FoldError> {
-        match record {
-            WalRecord::Open {
-                session,
-                dataset,
-                allowance,
-            } => {
-                self.ledger(&dataset);
-                self.next_session = self.next_session.max(session + 1);
-                self.sessions.push(SessionImage {
-                    id: session,
-                    dataset,
-                    allowance,
-                    spent: 0.0,
-                });
-            }
-            WalRecord::Debit { session, epsilon } => {
-                let dataset = self.dataset_of(session, closed)?;
-                if let Some(s) = self.sessions.iter_mut().find(|s| s.id == session) {
-                    s.spent += epsilon;
-                }
-                self.ledger(&dataset).spent += epsilon;
-            }
-            WalRecord::Deny { session } => {
-                self.dataset_of(session, closed)?;
-            }
-            WalRecord::Close { session, released } => {
-                let dataset = self.dataset_of(session, closed)?;
-                self.sessions.retain(|s| s.id != session);
-                self.ledger(&dataset).reclaimed += released;
-                closed.insert(session, dataset);
-            }
-            WalRecord::Mutate { dataset, .. } => return Err(FoldError::Mutation(dataset)),
-        }
-        Ok(())
-    }
-
-    /// The dataset of a session that is live in the image or that the
-    /// fold closed.
-    fn dataset_of(&self, id: u64, closed: &HashMap<u64, String>) -> Result<String, FoldError> {
-        let live = self.sessions.iter().find(|s| s.id == id);
-        live.map(|s| &s.dataset)
-            .or_else(|| closed.get(&id))
-            .cloned()
-            .ok_or(FoldError::UnknownSession(id))
-    }
-
     /// `name`'s ledger, entered at zero on first use.
     fn ledger(&mut self, name: &str) -> &mut TenantLedger {
         if !self.tenants.iter().any(|t| t.name == name) {
@@ -221,6 +163,98 @@ impl Snapshot {
         }
         let ledger = self.tenants.iter_mut().find(|t| t.name == name);
         ledger.expect("entered above")
+    }
+}
+
+/// Recovery's fold of WAL records into a snapshot image — recovery is
+/// this fold over every record past `covered_gen`, in file order. The
+/// image's sessions are indexed by id, so each record costs O(1)
+/// whatever the size of the session table.
+#[derive(Debug)]
+pub struct Fold {
+    image: Snapshot,
+    /// Where each live session sits in `image.sessions`.
+    live: HashMap<u64, usize>,
+    /// The dataset of each session the fold has closed: a debit may be
+    /// ordered after its session's close (two racing appenders inside one
+    /// generation) and must still charge that session's tenant.
+    closed: HashMap<u64, String>,
+}
+
+impl Fold {
+    /// Starts the fold from `image` (the snapshot, or an empty one).
+    pub fn new(image: Snapshot) -> Self {
+        let live = image.sessions.iter().enumerate();
+        let live = live.map(|(i, s)| (s.id, i)).collect();
+        Self {
+            image,
+            live,
+            closed: HashMap::new(),
+        }
+    }
+
+    /// Folds one record into the image. An open enters its tenant in the
+    /// ledgers, so checking [`Snapshot::tenants`] after the fold covers
+    /// every name the WAL used.
+    ///
+    /// # Errors
+    /// See [`FoldError`].
+    pub fn apply(&mut self, record: WalRecord) -> Result<(), FoldError> {
+        match record {
+            WalRecord::Open {
+                session,
+                dataset,
+                allowance,
+            } => {
+                let image = &mut self.image;
+                image.ledger(&dataset);
+                image.next_session = image.next_session.max(session + 1);
+                self.live.insert(session, image.sessions.len());
+                image.sessions.push(SessionImage {
+                    id: session,
+                    dataset,
+                    allowance,
+                    spent: 0.0,
+                });
+            }
+            WalRecord::Debit { session, epsilon } => {
+                let dataset = self.dataset_of(session)?;
+                if let Some(&i) = self.live.get(&session) {
+                    self.image.sessions[i].spent += epsilon;
+                }
+                self.image.ledger(&dataset).spent += epsilon;
+            }
+            WalRecord::Deny { session } => {
+                self.dataset_of(session)?;
+            }
+            WalRecord::Close { session, released } => {
+                let dataset = self.dataset_of(session)?;
+                if let Some(i) = self.live.remove(&session) {
+                    self.image.sessions.swap_remove(i);
+                    if let Some(moved) = self.image.sessions.get(i) {
+                        self.live.insert(moved.id, i);
+                    }
+                }
+                self.image.ledger(&dataset).reclaimed += released;
+                self.closed.insert(session, dataset);
+            }
+            WalRecord::Mutate { dataset, .. } => return Err(FoldError::Mutation(dataset)),
+        }
+        Ok(())
+    }
+
+    /// The dataset of a session that is live in the image or that the
+    /// fold closed.
+    fn dataset_of(&self, id: u64) -> Result<String, FoldError> {
+        let live = self.live.get(&id).map(|&i| &self.image.sessions[i].dataset);
+        live.or_else(|| self.closed.get(&id))
+            .cloned()
+            .ok_or(FoldError::UnknownSession(id))
+    }
+
+    /// The folded image.
+    pub fn finish(self) -> Snapshot {
+        self.image
     }
 }
 
@@ -289,6 +323,24 @@ pub fn list_wal_gens(dir: &Path) -> io::Result<Vec<u64>> {
     Ok(gens)
 }
 
+/// A covered WAL generation kept for reuse: its records zeroed and
+/// synced, its room already written. The next generation is made by
+/// renaming it into place instead of zero-filling a fresh file
+/// (PostgreSQL recycles its WAL segments the same way). The name is no
+/// generation's, so recovery never reads it.
+pub const SPARE_WAL: &str = "wal-spare.log";
+
+/// Keeps covered generation `gen`, whose writer `old` a rotation just
+/// replaced, as the spare when there is none: its records are zeroed
+/// (and synced when the WAL syncs) before the rename, so a spare never
+/// holds one. Best-effort: a generation not recycled is pruned.
+pub fn recycle_wal(dir: &Path, gen: u64, mut old: WalWriter) {
+    let spare = dir.join(SPARE_WAL);
+    if !spare.exists() && old.reset().is_ok() {
+        let _ = fs::rename(wal_path(dir, gen), spare);
+    }
+}
+
 /// Deletes WAL generations `≤ covered_gen` (already folded into the
 /// snapshot). Best-effort: a file that refuses to die is retried on the
 /// next compaction; it is *covered*, so recovery ignores it either way.
@@ -300,6 +352,28 @@ pub fn prune_wals(dir: &Path, covered_gen: u64) {
             }
         }
     }
+}
+
+/// Opens the writer for generation `gen`, which holds no record yet: the
+/// spare renamed into place when there is one, else a fresh file of
+/// zeroed room. A spare that does not open empty is deleted for a fresh
+/// file; a file already at the generation's name (a stray from a failed
+/// rotation) is reused as it is.
+///
+/// # Errors
+/// I/O failures opening or creating the file.
+pub fn open_next_wal(dir: &Path, gen: u64, sync: bool) -> io::Result<WalWriter> {
+    let path = wal_path(dir, gen);
+    let spare = dir.join(SPARE_WAL);
+    if spare.exists() && !path.exists() {
+        fs::rename(&spare, &path)?;
+        match WalWriter::open(&path, sync) {
+            Ok(writer) if writer.records() == 0 => return Ok(writer),
+            _ => {}
+        }
+        fs::remove_file(&path)?;
+    }
+    WalWriter::open(&path, sync)
 }
 
 #[cfg(test)]
@@ -339,6 +413,165 @@ mod tests {
         assert_eq!(Snapshot::decode(&empty.encode()), Some(empty));
     }
 
+    /// The fold recovery ran before sessions were indexed: a linear
+    /// search per debit, a `retain` per close. The reference the indexed
+    /// [`Fold`] must agree with.
+    fn linear_fold(mut image: Snapshot, records: &[WalRecord]) -> Result<Snapshot, FoldError> {
+        let mut closed: HashMap<u64, String> = HashMap::new();
+        let dataset_of = |image: &Snapshot, closed: &HashMap<u64, String>, id| {
+            let live = image.sessions.iter().find(|s| s.id == id);
+            live.map(|s| &s.dataset)
+                .or_else(|| closed.get(&id))
+                .cloned()
+                .ok_or(FoldError::UnknownSession(id))
+        };
+        for record in records.iter().cloned() {
+            match record {
+                WalRecord::Open {
+                    session,
+                    dataset,
+                    allowance,
+                } => {
+                    image.ledger(&dataset);
+                    image.next_session = image.next_session.max(session + 1);
+                    image.sessions.push(SessionImage {
+                        id: session,
+                        dataset,
+                        allowance,
+                        spent: 0.0,
+                    });
+                }
+                WalRecord::Debit { session, epsilon } => {
+                    let dataset = dataset_of(&image, &closed, session)?;
+                    if let Some(s) = image.sessions.iter_mut().find(|s| s.id == session) {
+                        s.spent += epsilon;
+                    }
+                    image.ledger(&dataset).spent += epsilon;
+                }
+                WalRecord::Deny { session } => {
+                    dataset_of(&image, &closed, session)?;
+                }
+                WalRecord::Close { session, released } => {
+                    let dataset = dataset_of(&image, &closed, session)?;
+                    image.sessions.retain(|s| s.id != session);
+                    image.ledger(&dataset).reclaimed += released;
+                    closed.insert(session, dataset);
+                }
+                WalRecord::Mutate { dataset, .. } => return Err(FoldError::Mutation(dataset)),
+            }
+        }
+        Ok(image)
+    }
+
+    /// A seeded WAL over a snapshot of live sessions: opens, debits,
+    /// denials and closes in random order, with debits after their
+    /// session's close, and — at the end of some seeds — a record for a
+    /// session that never existed.
+    fn seeded_history(seed: u64) -> (Snapshot, Vec<WalRecord>) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let names = ["adult", "taxi", "wide"];
+        let mut image = Snapshot {
+            covered_gen: 4,
+            next_session: 40,
+            tenants: vec![TenantLedger {
+                name: "adult".into(),
+                spent: 0.25,
+                reclaimed: 0.0,
+            }],
+            sessions: Vec::new(),
+        };
+        for id in 0..40 {
+            if next(3) > 0 {
+                image.sessions.push(SessionImage {
+                    id,
+                    dataset: names[next(3) as usize].into(),
+                    allowance: 0.5,
+                    spent: next(8) as f64 / 64.0,
+                });
+            }
+        }
+        let mut live: Vec<u64> = image.sessions.iter().map(|s| s.id).collect();
+        let mut closed = Vec::new();
+        let mut id = image.next_session;
+        let mut records = Vec::new();
+        for _ in 0..600 {
+            let pick = |list: &[u64], r: u64| list[r as usize % list.len()];
+            let record = match next(10) {
+                0..=1 => {
+                    live.push(id);
+                    id += 1;
+                    WalRecord::Open {
+                        session: id - 1,
+                        dataset: names[next(3) as usize].into(),
+                        allowance: next(16) as f64 / 16.0,
+                    }
+                }
+                2..=5 if !live.is_empty() => WalRecord::Debit {
+                    session: pick(&live, next(1 << 20)),
+                    epsilon: next(32) as f64 / 128.0,
+                },
+                6 if !closed.is_empty() => WalRecord::Debit {
+                    session: pick(&closed, next(1 << 20)),
+                    epsilon: 1.0 / 64.0,
+                },
+                7 if !live.is_empty() => WalRecord::Deny {
+                    session: pick(&live, next(1 << 20)),
+                },
+                _ if !live.is_empty() => {
+                    let session = live.swap_remove(next(live.len() as u64) as usize);
+                    closed.push(session);
+                    WalRecord::Close {
+                        session,
+                        released: next(8) as f64 / 32.0,
+                    }
+                }
+                _ => continue,
+            };
+            records.push(record);
+        }
+        if seed % 4 == 0 {
+            records.push(WalRecord::Debit {
+                session: id + 7,
+                epsilon: 0.5,
+            });
+        }
+        (image, records)
+    }
+
+    /// Property: the indexed fold recovers the same ledgers, the same
+    /// live sessions (in any order) and the same watermark as the linear
+    /// fold it replaced — and refuses the same unknown session.
+    #[test]
+    fn the_indexed_fold_agrees_with_the_linear_fold() {
+        for seed in 0..64 {
+            let (image, records) = seeded_history(seed);
+            let mut fold = Fold::new(image.clone());
+            let indexed = records
+                .iter()
+                .try_for_each(|r| fold.apply(r.clone()))
+                .map(|()| fold.finish());
+            let linear = linear_fold(image, &records);
+            match (indexed, linear) {
+                (Ok(mut indexed), Ok(mut linear)) => {
+                    indexed.sessions.sort_by_key(|s| s.id);
+                    linear.sessions.sort_by_key(|s| s.id);
+                    assert_eq!(indexed, linear, "seed {seed}");
+                    assert!(!indexed.sessions.is_empty(), "seed {seed}");
+                }
+                (indexed, linear) => {
+                    assert_eq!(indexed.err(), linear.err(), "seed {seed}");
+                    assert_eq!(seed % 4, 0, "seed {seed} refused");
+                }
+            }
+        }
+    }
+
     #[test]
     fn any_single_bit_flip_is_fatal() {
         let dir = crate::testutil::temp_dir("snapshot-flip");
@@ -368,6 +601,62 @@ mod tests {
         // So is a well-framed payload that is not a snapshot.
         framed::write_atomic(&path, &SNAPSHOT_FORMAT, &sample().encode()[..20]).unwrap();
         assert!(read_snapshot(&dir).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The newest covered generation becomes the spare, with no record
+    /// left in it and its room kept; the next generation is that file,
+    /// renamed; a spare that no longer opens is replaced by a fresh file.
+    #[test]
+    fn a_covered_generation_is_recycled_as_the_next_one() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = crate::testutil::temp_dir("snapshot-spare");
+        fs::create_dir_all(&dir).unwrap();
+        let mut writers: Vec<WalWriter> = [1, 2]
+            .map(|gen| {
+                let mut w = WalWriter::open(&wal_path(&dir, gen), false).unwrap();
+                w.append(&WalRecord::Deny { session: gen }).unwrap();
+                w
+            })
+            .into();
+        let (len, ino) = {
+            let m = fs::metadata(wal_path(&dir, 2)).unwrap();
+            (m.len(), m.ino())
+        };
+        recycle_wal(&dir, 2, writers.pop().unwrap());
+        prune_wals(&dir, 2);
+        assert_eq!(list_wal_gens(&dir).unwrap(), Vec::<u64>::new());
+        let spare = dir.join(SPARE_WAL);
+        let m = fs::metadata(&spare).unwrap();
+        assert_eq!((m.len(), m.ino()), (len, ino), "gen 2 is the spare");
+        assert_eq!(
+            crate::wal::read_wal(&spare).unwrap(),
+            (Vec::new(), crate::wal::WalTail::Clean)
+        );
+
+        let mut w = open_next_wal(&dir, 3, false).unwrap();
+        assert!(!spare.exists());
+        assert_eq!(fs::metadata(wal_path(&dir, 3)).unwrap().ino(), ino);
+        w.append(&WalRecord::Deny { session: 3 }).unwrap();
+        let (records, _) = crate::wal::read_wal(&wal_path(&dir, 3)).unwrap();
+        assert_eq!(records, [WalRecord::Deny { session: 3 }]);
+
+        // A spare is kept only while there is none.
+        let mut next = WalWriter::open(&wal_path(&dir, 4), false).unwrap();
+        next.append(&WalRecord::Deny { session: 4 }).unwrap();
+        recycle_wal(&dir, 3, w);
+        recycle_wal(&dir, 4, next);
+        assert_eq!(list_wal_gens(&dir).unwrap(), [4]);
+        prune_wals(&dir, 4);
+
+        // A spare damaged in its room does not open: a fresh file instead.
+        let mut bytes = fs::read(&spare).unwrap();
+        bytes[100] = 0x5A;
+        fs::write(&spare, &bytes).unwrap();
+        open_next_wal(&dir, 5, false).unwrap();
+        assert!(!spare.exists());
+        let (records, tail) = crate::wal::read_wal(&wal_path(&dir, 5)).unwrap();
+        assert_eq!((records.len(), tail), (0, crate::wal::WalTail::Clean));
         fs::remove_dir_all(&dir).unwrap();
     }
 

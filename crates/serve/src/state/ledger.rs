@@ -11,7 +11,7 @@ use super::sessions::InFlightGuard;
 use super::ServerState;
 use crate::lockx;
 use crate::snapshot::{self, Snapshot, TenantLedger};
-use crate::wal::{GateCount, SharedWal, Staged, WalRecord, WalStats, WalWriter};
+use crate::wal::{GateCount, SharedWal, Staged, WalRecord, WalStats};
 
 /// What a submission through [`ServerState::submit`] produced.
 #[derive(Debug)]
@@ -278,21 +278,29 @@ impl ServerState {
         let Some(p) = &self.persist else {
             return Ok(());
         };
+        // Open the next generation before taking the gate: no commit
+        // should wait on readying its zeroed room (the recycled spare,
+        // or a fresh file). Compactions are serialised, so the
+        // generation cannot move until this one rotates.
+        let _one = lockx::lock(&p.compacting);
+        let next_gen = p.wal.generation() + 1;
+        let new_path = snapshot::wal_path(&p.dir, next_gen);
+        let next = snapshot::open_next_wal(&p.dir, next_gen, p.sync);
         let _gate = lockx::write(&self.ledger_gate);
-        let new_gen = p.wal.rotate(|gen| {
+        let (new_gen, old) = p.wal.rotate(|gen| {
             apex_core::sched_point!("state.compact.enter");
-            // Open the next generation BEFORE committing the snapshot
-            // that covers the current one. The snapshot rename is the
+            // The next generation is in hand BEFORE the snapshot that
+            // covers the current one commits. The snapshot rename is the
             // commit point: once it claims `covered_gen = G`, no acked
             // record may ever land in `wal-G.log` again — so the `G+1`
-            // writer must already be in hand. Failing here leaves the
+            // writer must already be open. Failing to open it leaves the
             // old snapshot + old writer fully intact (a stray empty
             // `wal-(G+1).log` is harmless: recovery replays it as
             // empty). The reverse order would, on a failed open, keep
             // appending acked debits to a generation the just-committed
             // snapshot tells recovery to ignore.
-            let new_path = snapshot::wal_path(&p.dir, gen + 1);
-            let writer = WalWriter::open(&new_path, p.sync)?;
+            debug_assert_eq!(new_path, snapshot::wal_path(&p.dir, gen + 1));
+            let writer = next?;
             apex_core::sched_point!("state.compact.new_gen");
             if let Err(e) = snapshot::write_snapshot(&p.dir, &self.snapshot_image(gen)) {
                 // Nothing was appended to the new generation yet; remove
@@ -307,6 +315,7 @@ impl ServerState {
             Ok(writer)
         })?;
         drop(_gate);
+        snapshot::recycle_wal(&p.dir, new_gen - 1, old);
         snapshot::prune_wals(&p.dir, new_gen - 1);
         apex_core::sched_point!("state.compact.done");
         Ok(())

@@ -78,7 +78,7 @@ mod tests;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use apex_core::TranslatorCache;
 
@@ -106,6 +106,9 @@ struct Persist {
     /// directory.
     _lock: recovery::DirLock,
     wal: SharedWal,
+    /// Serialises compactions, which open the next WAL generation before
+    /// they take the ledger gate.
+    compacting: Mutex<()>,
     /// Fault injection for tests and the schedule exerciser: the next N
     /// appends fail with an I/O error, exercising the
     /// durable-or-nothing commit contract.

@@ -1,6 +1,6 @@
 //! Durable state: the state-directory lock, and recovery — the WAL
 //! generations past the snapshot folded over it
-//! ([`Snapshot::apply`](snapshot::Snapshot::apply)), then re-imposed on
+//! ([`Fold::apply`](snapshot::Fold::apply)), then re-imposed on
 //! fresh engines whose datasets have replayed their own mutation logs.
 
 use std::collections::HashMap;
@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 #[cfg(any(test, feature = "sched"))]
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
 use apex_core::EngineError;
@@ -16,7 +16,7 @@ use apex_core::EngineError;
 use super::{Persist, ServerState, ServerStateBuilder, SessionEntry};
 use crate::lockx;
 use crate::snapshot;
-use crate::wal::{self, SharedWal, WalTail, WalWriter};
+use crate::wal::{self, SharedWal, WalTail};
 
 /// Durability configuration for [`ServerStateBuilder::build_recovered`].
 #[derive(Debug, Clone)]
@@ -355,7 +355,7 @@ impl ServerStateBuilder {
         let mut report = RecoveryReport::default();
 
         // 1. The snapshot (damage here is always fatal).
-        let mut snap = snapshot::read_snapshot(&opts.dir)
+        let snap = snapshot::read_snapshot(&opts.dir)
             .map_err(|e| {
                 if e.kind() == std::io::ErrorKind::InvalidData {
                     RecoverError::CorruptSnapshot(e.to_string())
@@ -369,13 +369,14 @@ impl ServerStateBuilder {
         // order.
         let records = read_wal_gens(&opts, snap.covered_gen, &mut report)?;
         report.replayed = records.len();
-        let mut closed = HashMap::new();
+        let mut fold = snapshot::Fold::new(snap);
         for record in records {
-            snap.apply(record, &mut closed).map_err(|e| match e {
+            fold.apply(record).map_err(|e| match e {
                 snapshot::FoldError::UnknownSession(id) => RecoverError::UnknownSession(id),
                 snapshot::FoldError::Mutation(name) => RecoverError::WalMutation(name),
             })?;
         }
+        let snap = fold.finish();
 
         // 3. Everything the image names must be registered — unless the
         // ring routes it to another shard. Such a tenant must hold
@@ -454,7 +455,7 @@ impl ServerStateBuilder {
         let all_gens = snapshot::list_wal_gens(&opts.dir)?;
         let covered_gen = snap.covered_gen;
         let new_gen = all_gens.last().map_or(covered_gen, |&g| g.max(covered_gen)) + 1;
-        let writer = WalWriter::open(&snapshot::wal_path(&opts.dir, new_gen), opts.sync)?;
+        let writer = snapshot::open_next_wal(&opts.dir, new_gen, opts.sync)?;
         state.next_session = AtomicU64::new(snap.next_session.max(state.session_id_base + 1));
         state.persist = Some(Persist {
             dir: opts.dir,
@@ -462,6 +463,7 @@ impl ServerStateBuilder {
             sync: opts.sync,
             _lock: lock,
             wal: SharedWal::new(writer, new_gen),
+            compacting: Mutex::new(()),
             #[cfg(any(test, feature = "sched"))]
             fail_appends: AtomicU64::new(0),
         });

@@ -12,8 +12,11 @@
 //!
 //! ## On-disk format
 //!
-//! A [framed log](apex_data::store::framed) with magic `APEXWAL2`, one
-//! frame per record, `payload := tag:u8 fields…` (fixed-width LE fields).
+//! A [framed log](apex_data::store::framed) with magic `APEXWAL3`, one
+//! batch (a frame and its trailer) per record, written over the log's
+//! pre-zeroed room, `payload := tag:u8 fields…` (fixed-width LE fields).
+//! Generations of the v1 layout (`APEXWAL2`) still read; recovery never
+//! appends to one, it opens a fresh generation.
 //! Tags: 1 = session open, 2 = budget debit (an answered query),
 //! 3 = deny (audit only — charges nothing), 4 = session close
 //! (TTL expiry or admin, carrying the released unspent slice).
@@ -37,7 +40,9 @@
 //! recovery truncates it and proceeds. [`WalTail::Corrupt`] is bit rot:
 //! recovery refuses to start unless explicitly told to truncate. A file
 //! with any other magic (an older format) is an error, never a tail. No
-//! partial record is ever replayed in any mode.
+//! partial record is ever replayed in any mode. A bit flip in the final
+//! record is corrupt, not torn: its batch's trailer shows it was written
+//! whole.
 
 use std::fs::File;
 use std::path::Path;
@@ -54,7 +59,8 @@ use crate::lockx;
 
 /// The WAL's magic (format version in the last byte) and payload cap.
 pub const WAL_FORMAT: Format = Format {
-    magic: b"APEXWAL2",
+    magic: b"APEXWAL3",
+    v1_magic: Some(b"APEXWAL2"),
     max_payload: 64 << 10,
 };
 
@@ -95,7 +101,7 @@ pub enum WalRecord {
     /// A row mutation — **frozen**: the record of a format in which the
     /// WAL carried mutations. Nothing writes it any more (a mutation's one
     /// durable record is its dataset's mutation log) and
-    /// [`Snapshot::apply`](crate::snapshot::Snapshot::apply) refuses one.
+    /// [`Fold::apply`](crate::snapshot::Fold::apply) refuses one.
     /// It keeps its codec for callers that measure a record's size.
     Mutate {
         /// The mutated tenant dataset.
@@ -191,8 +197,9 @@ impl WalRecord {
     }
 
     /// The record as one frame (with `seq` 0): what an append writes,
-    /// byte for byte but for `seq` and the checksum over it. For callers
-    /// that measure a record's on-disk size.
+    /// byte for byte but for `seq` and the checksum over it, and for the
+    /// [`framed::TRAILER`] bytes that close its batch. For callers that
+    /// measure a record's size.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         framed::push_frame(&mut out, 0, &self.encode_payload());
@@ -295,12 +302,13 @@ pub fn read_wal(path: &Path) -> std::io::Result<(Vec<WalRecord>, WalTail)> {
     Ok((records, tail))
 }
 
-/// Truncates a damaged WAL at the end of its valid prefix, in place.
+/// Cuts a damaged WAL back to the end of its valid prefix, in place
+/// ([`framed::truncate`]: a v2 generation keeps its zeroed room).
 ///
 /// # Errors
 /// Propagates I/O failures.
 pub fn truncate_wal(path: &Path, valid_len: u64) -> std::io::Result<()> {
-    framed::truncate(path, valid_len)
+    framed::truncate(path, &WAL_FORMAT, valid_len)
 }
 
 /// An append handle: each append synced to disk before it returns. The
@@ -315,18 +323,35 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Opens `path` for appending, writing the magic when the file is
-    /// new or empty.
+    /// Opens `path` for appending at its valid prefix's end; a new or
+    /// empty file gets the magic and a chunk of zeroed room (synced when
+    /// the writer syncs).
     ///
     /// # Errors
-    /// Propagates I/O failures; refuses a file that is not a WAL of this
-    /// version or whose tail is damaged.
+    /// Propagates I/O failures; refuses a file that is not a WAL or whose
+    /// tail is damaged.
     pub fn open(path: &Path, sync: bool) -> std::io::Result<Self> {
-        let log = FramedWriter::open(path, &WAL_FORMAT)?;
-        if sync && log.frames() == 0 {
-            log.file().sync_all()?;
-        }
+        let log = FramedWriter::open(path, &WAL_FORMAT, sync)?;
         Ok(Self { log, sync })
+    }
+
+    /// Records in this generation's file.
+    pub fn records(&self) -> u64 {
+        self.log.frames()
+    }
+
+    /// Zeroed bytes left in this generation's file.
+    pub fn room(&self) -> u64 {
+        self.log.room()
+    }
+
+    /// Empties this generation's file for reuse as a later one: every
+    /// record zeroed, and synced when the writer syncs.
+    ///
+    /// # Errors
+    /// I/O failures.
+    pub fn reset(&mut self) -> std::io::Result<()> {
+        self.log.reset(self.sync)
     }
 
     /// Appends one record; when the writer syncs (production), the
@@ -359,8 +384,9 @@ impl WalWriter {
 
     /// Appends one record *without* syncing, returning (when this writer
     /// syncs at all) the file handle the caller must `sync_data` before
-    /// acking. The point is lock scope: the fsync — the 100µs+ part —
-    /// runs after the mutex guarding this writer is released, so a
+    /// acking. The point is lock scope: the fsync — most of an ack's
+    /// time on a tiny tenant — runs after the mutex guarding this writer
+    /// is released, so a
     /// sibling appends the next record meanwhile and its own fsync rides
     /// the same journal commit: group commit, supplied by the kernel.
     ///
@@ -579,6 +605,11 @@ impl SharedWal {
         }
     }
 
+    /// The generation appends go to.
+    pub(crate) fn generation(&self) -> u64 {
+        lockx::lock(&self.active).gen
+    }
+
     /// Whether `every` records or more were appended since the last
     /// rotation.
     pub(crate) fn due(&self, every: u64) -> bool {
@@ -588,19 +619,21 @@ impl SharedWal {
     /// Rotates to the next generation, under the writer lock: `next`
     /// receives the current generation and returns the writer for the
     /// one after it (compaction commits its snapshot in between). On
-    /// error the current writer stays. Returns the new generation.
+    /// error the current writer stays. Returns the new generation and
+    /// the writer it replaced.
     ///
     /// # Errors
     /// Whatever `next` returns.
     pub(crate) fn rotate(
         &self,
         next: impl FnOnce(u64) -> std::io::Result<WalWriter>,
-    ) -> std::io::Result<u64> {
+    ) -> std::io::Result<(u64, WalWriter)> {
         let mut active = lockx::lock(&self.active);
-        active.writer = next(active.gen)?;
+        let next = next(active.gen)?;
+        let old = std::mem::replace(&mut active.writer, next);
         active.gen += 1;
         active.records_since_rotation = 0;
-        Ok(active.gen)
+        Ok((active.gen, old))
     }
 
     /// The group-commit counters.
@@ -609,9 +642,11 @@ impl SharedWal {
         // grows, so this order can never show `covered` above
         // `durable_records`.
         let prog = *lockx::lock(&self.gate.progress);
+        let active = lockx::lock(&self.active);
         WalStats {
             covered: prog.synced,
-            durable_records: lockx::lock(&self.active).append_seq,
+            durable_records: active.append_seq,
+            room_bytes: active.writer.room(),
             syncs: prog.syncs,
             gathers: prog.gathers,
             gather_timeouts: prog.gather_timeouts,
@@ -794,6 +829,9 @@ pub struct WalStats {
     pub gather_timeouts: u64,
     /// Workers holding a request right now; zero on an idle shard.
     pub present: u64,
+    /// Zeroed bytes left in the current generation's file: appends
+    /// within them sync data only.
+    pub room_bytes: u64,
 }
 
 /// The backstop on a gather: how long a leader waits for a present
@@ -866,10 +904,13 @@ mod tests {
         read
     }
 
+    /// The v2 image of `records`, one batch each, as a writer lays them
+    /// down (without room).
     fn encode_log(records: &[WalRecord]) -> Vec<u8> {
         let mut bytes = WAL_FORMAT.magic.to_vec();
         for (seq, r) in records.iter().enumerate() {
             framed::push_frame(&mut bytes, seq as u64, &r.encode_payload());
+            framed::push_trailer(&mut bytes, seq as u64 + 1);
         }
         bytes
     }
@@ -930,17 +971,35 @@ mod tests {
         for payload in [&[9u8, 0, 0][..], &[3u8, 1][..], &[]] {
             let mut bytes = prefix.clone();
             framed::push_frame(&mut bytes, 2, payload);
+            framed::push_trailer(&mut bytes, 3);
             let (decoded, tail) = read_image("wal-class", &bytes).unwrap();
             assert_eq!(decoded, records[..2]);
             assert_eq!(tail, WalTail::Corrupt { valid_len }, "{payload:?}");
         }
 
-        // Half a record → torn at the same boundary.
+        // Half a record, zeros behind it → torn at the same boundary; a
+        // flip in a whole final record (its trailer intact) → corrupt.
         let mut bytes = prefix.clone();
         bytes.extend_from_slice(&records[2].encode()[..10]);
+        bytes.resize(bytes.len() + 64, 0);
         let (decoded, tail) = read_image("wal-class", &bytes).unwrap();
         assert_eq!(decoded, records[..2]);
         assert_eq!(tail, WalTail::Torn { valid_len });
+        let mut bytes = encode_log(&records[..3]);
+        bytes[valid_len as usize + 20] ^= 4;
+        let (decoded, tail) = read_image("wal-class", &bytes).unwrap();
+        assert_eq!(decoded, records[..2]);
+        assert_eq!(tail, WalTail::Corrupt { valid_len });
+
+        // A generation of the v1 layout still reads.
+        let mut v1 = WAL_FORMAT.v1_magic.unwrap().to_vec();
+        for (seq, r) in records.iter().enumerate() {
+            framed::push_frame(&mut v1, seq as u64, &r.encode_payload());
+        }
+        assert_eq!(
+            read_image("wal-class", &v1).unwrap(),
+            (records.clone(), WalTail::Clean)
+        );
 
         let mut old = encode_log(&records);
         old[..8].copy_from_slice(b"APEXWAL1");
@@ -972,10 +1031,11 @@ mod tests {
         assert_eq!(decoded.len(), records.len() + 1);
         assert_eq!(decoded[..records.len()], records);
 
-        // Simulate a crash mid-append: drop half a record at the end.
+        // Simulate a crash mid-append: half a record where the next one
+        // goes, over the zeroed room.
         let mut bytes = std::fs::read(&path).unwrap();
-        let garbage_at = bytes.len();
-        bytes.extend_from_slice(&records[0].encode()[..5]);
+        let garbage_at = framed::prefix_len(&WAL_FORMAT, &bytes).unwrap() as usize;
+        bytes[garbage_at..][..5].copy_from_slice(&records[0].encode()[..5]);
         std::fs::write(&path, &bytes).unwrap();
         let (decoded, tail) = read_wal(&path).unwrap();
         assert_eq!(decoded.len(), records.len() + 1);
@@ -995,6 +1055,38 @@ mod tests {
         assert!(decoded.is_empty());
         assert_eq!(tail, WalTail::Clean);
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What the sync saving rests on: a generation is created with its
+    /// zeroed room, and appends within the room never change the file's
+    /// length, so each ack's `sync_data` has no size or extent to commit.
+    /// `room_bytes` counts the room down.
+    #[test]
+    fn appends_within_the_room_never_change_the_file_length() {
+        let dir = crate::testutil::temp_dir("wal-room");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let wal = SharedWal::new(WalWriter::open(&path, true).unwrap(), 0);
+        let len = || std::fs::metadata(&path).unwrap().len();
+        let created = len();
+        assert_eq!(created, framed::ROOM_CHUNK);
+        let debit = WalRecord::Debit {
+            session: 7,
+            epsilon: 0.125,
+        };
+        let per = (debit.encode().len() + framed::TRAILER) as u64;
+        let mut room = wal.stats().room_bytes;
+        assert_eq!(room, created - WAL_FORMAT.magic.len() as u64);
+        for n in 0..200 {
+            wal.append(&debit).unwrap();
+            assert_eq!(len(), created, "append {n} grew the file");
+            let now = wal.stats().room_bytes;
+            assert_eq!(now, room - per, "append {n}");
+            room = now;
+        }
+        let (records, tail) = read_wal(&path).unwrap();
+        assert_eq!((records.len(), tail), (200, WalTail::Clean));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

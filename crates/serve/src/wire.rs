@@ -334,6 +334,7 @@ pub fn wal_stats_json(stats: crate::state::WalStats) -> Json {
         ("gathers", Json::from(stats.gathers)),
         ("gather_timeouts", Json::from(stats.gather_timeouts)),
         ("present", Json::from(stats.present)),
+        ("room_bytes", Json::from(stats.room_bytes)),
     ])
 }
 

@@ -514,11 +514,14 @@ fn corrupt_wal_tail_refuses_then_truncates_with_consent() {
     };
     assert!(spent_live > 0.0);
 
-    // Flip one bit inside the final WAL record.
+    // Flip one bit inside the final WAL record: the last byte of its
+    // frame, before the trailer that closes it and the zeroed room.
     let gens = apex_serve::snapshot::list_wal_gens(&dir).unwrap();
     let wal = apex_serve::snapshot::wal_path(&dir, *gens.last().unwrap());
     let mut bytes = std::fs::read(&wal).unwrap();
-    let last = bytes.len() - 1;
+    let framed = &apex_data::store::framed::prefix_len;
+    let end = framed(&apex_serve::wal::WAL_FORMAT, &bytes).unwrap() as usize;
+    let last = end - apex_data::store::framed::TRAILER - 1;
     bytes[last] ^= 0x10;
     std::fs::write(&wal, &bytes).unwrap();
 

@@ -13,11 +13,14 @@
 //! - reopen-after-kill round-trips exactly the committed state, for both
 //!   row stores and transcript logs (unflushed tail records are lost,
 //!   flushed ones survive, corruption in either is detected);
-//! - **every** single-bit flip and **every** byte-truncation of the
-//!   mutation log stops replay at the last valid record — never a wrong
-//!   or reordered record — and the full store open path re-applies
-//!   exactly that valid acked prefix, refusing a log cut below what the
-//!   manifest already applied;
+//! - **every** single-bit flip of the mutation log — its final record and
+//!   that record's trailer included, and the zeroed room behind them —
+//!   and **every** byte-cut of a record write stops replay at the last
+//!   valid record — never a wrong or reordered record — and the full
+//!   store open path re-applies exactly that valid acked prefix, refusing
+//!   a log cut below what the manifest already applied;
+//! - a transcript flush cut at any byte, zeros behind it, is cut on open
+//!   back to the flushes before it;
 //! - files of a previous on-disk format are refused by name and left
 //!   byte-identical.
 //!
@@ -30,8 +33,9 @@
 //! flips bits in the actual file and asserts the full `open`+scan path
 //! reports them, so the two layers can't drift apart.
 
-use apex_data::store::framed::{self, FRAME_HEADER, MAGIC_LEN};
+use apex_data::store::framed::{self, FRAME_HEADER, MAGIC_LEN, TRAILER};
 use apex_data::store::mutation_log::MUTATION_LOG_FORMAT;
+use apex_data::store::transcript_log::TRANSCRIPT_FORMAT;
 use apex_data::store::{
     page, Manifest, MutationLog, MutationOp, MutationRecord, PagedRows, TranscriptLog,
     MUTATION_LOG_FILE, PAGE_CAPACITY, PAGE_SIZE,
@@ -263,19 +267,30 @@ fn reopen_after_kill_round_trips_the_committed_state() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Byte ranges of the consecutive records in a pristine mutation log
-/// (the magic belongs to none of them).
+/// Byte ranges of the consecutive records in a pristine mutation log,
+/// each a batch of its frame and trailer (the magic and the zeroed room
+/// behind the last trailer belong to none of them).
 fn record_spans(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut spans = Vec::new();
     let mut off = MAGIC_LEN;
     let (_, tail) = framed::scan(&MUTATION_LOG_FORMAT, bytes, |_, payload| {
-        spans.push(off..off + FRAME_HEADER + payload.len());
-        off += FRAME_HEADER + payload.len();
+        spans.push(off..off + FRAME_HEADER + payload.len() + TRAILER);
+        off = spans.last().unwrap().end;
         true
     })
     .unwrap();
     assert_eq!(tail, framed::Tail::Clean, "the pristine log must parse");
+    let end = framed::prefix_len(&MUTATION_LOG_FORMAT, bytes).unwrap();
+    assert_eq!(off as u64, end, "one batch per record");
     spans
+}
+
+/// The bytes a flip sweep covers: the valid prefix and a slice of the
+/// zeroed room behind it (the rest of the room is more of the same).
+fn swept(bytes: &[u8], spans: &[std::ops::Range<usize>]) -> usize {
+    let end = spans.last().map_or(MAGIC_LEN, |s| s.end);
+    assert!(bytes[end..].iter().all(|&b| b == 0));
+    (end + 2 * TRAILER).min(bytes.len())
 }
 
 /// A three-record mutation log (insert, delete, insert) plus its byte
@@ -314,13 +329,13 @@ fn every_single_bit_flip_of_the_mutation_log_stops_replay_at_the_last_valid_reco
     let dir = tmp_dir("mlog-flip");
     let (path, pristine, spans, clean) = seeded_mutation_log(&dir);
 
-    for bit in 0..pristine.len() * 8 {
+    for bit in 0..swept(&pristine, &spans) * 8 {
         let mut bytes = pristine.clone();
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
         let mut replayed = Vec::new();
         let outcome = MutationLog::replay(&dir, |r| replayed.push(r));
-        let Some(hit) = spans.iter().position(|s| s.contains(&(bit / 8))) else {
+        if bit / 8 < MAGIC_LEN {
             // A flip in the magic: not a mutation log at all — refused,
             // nothing replayed.
             assert!(
@@ -329,7 +344,10 @@ fn every_single_bit_flip_of_the_mutation_log_stops_replay_at_the_last_valid_reco
             );
             assert!(replayed.is_empty());
             continue;
-        };
+        }
+        // A flip in the room behind the last record loses no record.
+        let hit = spans.iter().position(|s| s.contains(&(bit / 8)));
+        let hit = hit.unwrap_or(spans.len());
         let n = outcome.unwrap();
         assert_eq!(
             n as usize, hit,
@@ -351,8 +369,14 @@ fn every_byte_truncation_of_the_mutation_log_replays_only_whole_records() {
     let dir = tmp_dir("mlog-trunc");
     let (path, pristine, spans, clean) = seeded_mutation_log(&dir);
 
-    for len in 0..pristine.len() {
-        std::fs::write(&path, &pristine[..len]).unwrap();
+    for len in 0..spans.last().unwrap().end {
+        // A record write cut at `len` leaves the room's zeros behind what
+        // landed; a log whose magic was cut has no room yet.
+        let mut cut = pristine[..len].to_vec();
+        if len >= MAGIC_LEN {
+            cut.resize(pristine.len(), 0);
+        }
+        std::fs::write(&path, &cut).unwrap();
         let whole = spans.iter().filter(|s| s.end <= len).count();
         let mut replayed = Vec::new();
         let n = MutationLog::replay(&dir, |r| replayed.push(r)).unwrap();
@@ -363,13 +387,21 @@ fn every_byte_truncation_of_the_mutation_log_replays_only_whole_records() {
         assert_eq!(replayed, clean[..whole]);
 
         // `open` heals the tear: the file is cut back to the last whole
-        // record (or to its bare magic) and the next append continues at
-        // that sequence number.
+        // record (or to its bare magic), its room re-zeroed, and the next
+        // append continues at that sequence number.
         let boundary = spans[..whole].last().map_or(MAGIC_LEN, |s| s.end);
         let log = MutationLog::open(&dir).unwrap();
         assert_eq!(log.next_seq() as usize, whole);
         drop(log);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), boundary as u64);
+        let healed = std::fs::read(&path).unwrap();
+        let end = framed::prefix_len(&MUTATION_LOG_FORMAT, &healed).unwrap();
+        assert_eq!(end, boundary as u64, "cut at {len}");
+        assert_eq!(healed[..boundary], pristine[..boundary]);
+        assert_eq!(
+            healed.len(),
+            pristine.len(),
+            "cut at {len}: the room is gone"
+        );
     }
     std::fs::write(&path, &pristine).unwrap();
     assert_eq!(MutationLog::replay(&dir, |_| {}).unwrap(), 3);
@@ -419,17 +451,19 @@ fn a_corrupt_acked_mutation_stops_store_replay_at_the_last_valid_record() {
     let snap = tmp_dir("mlog-store-snap");
     copy_dir(&dir, &snap);
 
-    for bit in (0..pristine_log.len() * 8).step_by(13) {
+    for bit in (0..swept(&pristine_log, &spans) * 8).step_by(13) {
         copy_dir(&snap, &dir);
         let mut bytes = pristine_log.clone();
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&log_path, &bytes).unwrap();
-        let Some(hit) = spans.iter().position(|s| s.contains(&(bit / 8))) else {
+        if bit / 8 < MAGIC_LEN {
             // A flip in the magic: not a mutation log — the open fails
             // rather than guess what the file was.
             assert!(PagedRows::open(&dir, 4).is_err(), "flip at offset {bit}");
             continue;
-        };
+        }
+        let hit = spans.iter().position(|s| s.contains(&(bit / 8)));
+        let hit = hit.unwrap_or(spans.len());
         let store = PagedRows::open(&dir, 4).unwrap();
         assert_eq!(
             store.mutations_applied() as usize,
@@ -475,10 +509,12 @@ fn transcript_log_kill_and_corruption_semantics() {
     assert_eq!(replayed[9], b"flushed-9");
 
     // Corruption in the log is detected the same way as in row stores:
-    // every flip fails the replay, which never yields a changed record.
+    // every flip — in the flushed batch, its trailer, or the zeroed room
+    // behind it — fails the replay, which never yields a changed record.
     let path = dir.join("transcript.log");
     let pristine = std::fs::read(&path).unwrap();
-    for bit in 0..pristine.len() * 8 {
+    let end = framed::prefix_len(&TRANSCRIPT_FORMAT, &pristine).unwrap() as usize;
+    for bit in 0..(end + 2 * TRAILER) * 8 {
         let mut bytes = pristine.clone();
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
@@ -490,10 +526,10 @@ fn transcript_log_kill_and_corruption_semantics() {
         assert_eq!(seen, replayed[..seen.len()], "flip at offset {bit}");
     }
 
-    // A crash mid-flush leaves a torn tail: `open` cuts it, the flushed
-    // records before it are untouched.
+    // A crash mid-flush leaves a torn tail over the room: `open` zeroes
+    // it, the flushed records before it are untouched.
     let mut torn = pristine.clone();
-    torn.extend_from_slice(&pristine[MAGIC_LEN..MAGIC_LEN + 11]);
+    torn.copy_within(MAGIC_LEN..MAGIC_LEN + 11, end);
     std::fs::write(&path, &torn).unwrap();
 
     // Reopen-and-append continues where the flush left off.
@@ -504,7 +540,47 @@ fn transcript_log_kill_and_corruption_semantics() {
     log.flush().unwrap();
     drop(log);
     assert_eq!(TranscriptLog::replay(&dir, |_| {}).unwrap(), 11);
-    assert!(std::fs::read(&path).unwrap().starts_with(&pristine));
+    assert!(std::fs::read(&path).unwrap().starts_with(&pristine[..end]));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_transcript_flush_cut_at_any_byte_is_cut_back_to_the_flushes_before_it() {
+    let dir = tmp_dir("log-cut");
+    let mut log = TranscriptLog::open(&dir).unwrap();
+    let records: Vec<Vec<u8>> = (0..5).map(|i| format!("rec-{i}").into_bytes()).collect();
+    for (i, r) in records.iter().enumerate() {
+        log.append(r).unwrap();
+        if i == 2 {
+            log.flush().unwrap();
+        }
+    }
+    let path = dir.join("transcript.log");
+    let first = framed::prefix_len(&TRANSCRIPT_FORMAT, &std::fs::read(&path).unwrap()).unwrap();
+    log.flush().unwrap();
+    drop(log);
+    let pristine = std::fs::read(&path).unwrap();
+    let end = framed::prefix_len(&TRANSCRIPT_FORMAT, &pristine).unwrap();
+    let (first, end) = (first as usize, end as usize);
+
+    for cut in first + 1..end {
+        let mut image = pristine[..cut].to_vec();
+        image.resize(pristine.len(), 0);
+        std::fs::write(&path, &image).unwrap();
+        // Replay reports the tear after the first flush's records…
+        let mut seen = Vec::new();
+        let replay = TranscriptLog::replay(&dir, |r| seen.push(r.to_vec()));
+        assert!(replay.is_err(), "cut at {cut} read clean");
+        assert_eq!(seen, records[..3], "cut at {cut}");
+        // …and `open` cuts it: the second flush is gone, the room kept.
+        let log = TranscriptLog::open(&dir).unwrap();
+        assert_eq!(log.record_count(), 3, "cut at {cut}");
+        drop(log);
+        let healed = std::fs::read(&path).unwrap();
+        assert_eq!(healed[..first], pristine[..first]);
+        assert!(healed[first..].iter().all(|&b| b == 0), "cut at {cut}");
+        assert_eq!(healed.len(), pristine.len());
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
