@@ -447,6 +447,12 @@ impl ApexEngine {
         self.data.view_stats()
     }
 
+    /// Chunks and heap bytes of the dataset's resident row store (zero
+    /// when paged).
+    pub fn dataset_row_store_stats(&self) -> apex_data::RowStoreStats {
+        self.data.row_store_stats()
+    }
+
     /// Compares every maintained histogram with a rescan, bit for bit
     /// (`apex_data::Dataset::audit_views`): views checked, or the first
     /// divergence. For the schedule exerciser and the service self-test.
@@ -478,8 +484,10 @@ impl ApexEngine {
     /// them into the dataset's maintained histograms. Values may widen
     /// numeric domains (the schema grows and the histograms are dropped;
     /// workloads compile afresh against it). In-flight [`EvalContext`]s
-    /// are safe: resident datasets are snapshotted by the `Arc` clone, and
-    /// paged scans each observe one consistent storage epoch — either
+    /// are safe: resident datasets are snapshotted by the `Arc` clone
+    /// (when one is held, `Arc::make_mut` copies the chunk list and the
+    /// insert copies only the tail chunk), and paged scans each observe
+    /// one consistent storage epoch — either
     /// way, a commit whose evaluate raced this mutation is refused as
     /// epoch-stale, so the mutation is a serialization point, not a data
     /// race.
@@ -533,7 +541,7 @@ impl ApexEngine {
     /// the service self-test's persistence leg.
     pub fn dataset_scan_rows(&self) -> u64 {
         let mut n = 0u64;
-        self.data.for_each_row(|_| n += 1);
+        self.data.for_each_chunk(|c| n += c.len() as u64);
         n
     }
 

@@ -10,7 +10,7 @@
 //! * `open/<rows>` — time `PagedRows::open`: manifest checksum +
 //!   version check, schema decode, coverage check. This is the restart
 //!   path and must stay O(manifest), not O(data);
-//! * `scan_cold/<rows>` — full `for_each_row` pass through a 4-frame
+//! * `scan_cold/<rows>` — full `for_each_chunk` pass through a 4-frame
 //!   pool on a freshly opened store: every page comes off disk and
 //!   through checksum verification;
 //! * `scan_warm/<rows>` — the same pass with a pool big enough to hold
@@ -117,7 +117,7 @@ fn bench_rows(rows: usize, samples: usize) -> Vec<BenchResult> {
     // every timed region.
     let data = adult_dataset(rows, 7);
     let schema = data.schema().clone();
-    let row_vecs = data.rows().to_vec();
+    let row_vecs = data.to_rows();
 
     let mut results = Vec::new();
 
@@ -159,7 +159,9 @@ fn bench_rows(rows: usize, samples: usize) -> Vec<BenchResult> {
         let store = PagedRows::open(&dir, COLD_POOL_FRAMES).expect("open succeeds");
         let mut n = 0u64;
         let t0 = Instant::now();
-        store.for_each_row(|_| n += 1).expect("scan succeeds");
+        store
+            .for_each_chunk(|c| n += c.len() as u64)
+            .expect("scan succeeds");
         let ns = t0.elapsed().as_nanos() as u64;
         assert_eq!(n as usize, rows);
         assert!(
@@ -173,12 +175,16 @@ fn bench_rows(rows: usize, samples: usize) -> Vec<BenchResult> {
         let store =
             PagedRows::open(&dir, pages as usize + 1).expect("open with a store-sized pool");
         let mut primed = 0u64;
-        store.for_each_row(|_| primed += 1).expect("priming scan"); // fault everything in
+        store
+            .for_each_chunk(|c| primed += c.len() as u64)
+            .expect("priming scan"); // fault everything in
         assert_eq!(primed as usize, rows);
         results.push(measure(format!("scan_warm/{rows}"), rows, samples, || {
             let mut n = 0u64;
             let t0 = Instant::now();
-            store.for_each_row(|_| n += 1).expect("warm scan succeeds");
+            store
+                .for_each_chunk(|c| n += c.len() as u64)
+                .expect("warm scan succeeds");
             let ns = t0.elapsed().as_nanos() as u64;
             assert_eq!(n as usize, rows);
             ns

@@ -19,6 +19,16 @@
 //!   (`SmArtifacts::build`, the prepare a translator-cache miss runs),
 //!   and rescan for histogram + answers.
 //!
+//! * `mutate_reader_held` group, `insert_k1/<n>` and `delete_k64/<n>` — a
+//!   one-row insert and a 64-row delete (rows spread evenly over the
+//!   dataset) on a 100 000-row *resident* taxi dataset inside an
+//!   `ApexEngine`, timed while an `EvalContext` holds the dataset — the
+//!   case where `Arc::make_mut` must copy before the mutation applies.
+//!   Each sample builds a fresh engine over a clone of one base dataset
+//!   (untimed), as the service's tenant is a clone of the catalog's.
+//!   This is what a resident row store's layout costs a live mutation;
+//!   no mutation log is attached, so no fsync is in the sample.
+//!
 //! Medians land in `BENCH_mutate.json` in the shape `bench_gate` parses;
 //! the full run also asserts the acceptance ratio — incremental beats the
 //! rebuild by >= 3x at k=64, n=16384 (the incremental side makes four
@@ -32,6 +42,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use apex_bench::json_escape as esc;
+use apex_core::{ApexEngine, EngineConfig};
+use apex_data::synth::nytaxi_dataset;
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
 use apex_mech::mc::McConfig;
 use apex_mech::SmArtifacts;
@@ -51,6 +63,13 @@ const QUICK_BATCHES: &[usize] = &[1, 64];
 /// Timed runs per id (median reported).
 const FULL_SAMPLES: usize = 7;
 const QUICK_SAMPLES: usize = 3;
+
+/// The `mutate_reader_held` dataset size and delete batch; both modes
+/// measure them (the quick smoke is gated against the committed rows).
+const READER_ROWS: usize = 100_000;
+const READER_DELETE: usize = 64;
+const READER_SAMPLES: usize = 15;
+const QUICK_READER_SAMPLES: usize = 5;
 
 /// Value domain width: ~100 partition cells under the prefix workload,
 /// the paper's 100-predicate scale, so the re-prepare side carries a
@@ -96,6 +115,7 @@ fn random_rows(rng: &mut StdRng, n: usize) -> Vec<Vec<Value>> {
 }
 
 struct BenchResult {
+    group: &'static str,
     id: String,
     samples_ns: Vec<u64>,
     rows: usize,
@@ -147,7 +167,76 @@ fn main() {
             results.push(full);
         }
     }
+    let reader_samples = if quick {
+        QUICK_READER_SAMPLES
+    } else {
+        READER_SAMPLES
+    };
+    for r in bench_reader_held(reader_samples) {
+        println!(
+            "mutate_reader_held {}: median {:.3} ms",
+            r.id,
+            r.median_ns() as f64 / 1e6
+        );
+        results.push(r);
+    }
     write_json(&results, quick);
+}
+
+/// The `mutate_reader_held` rows: one-row insert and 64-row delete on a
+/// resident taxi dataset while an `EvalContext` holds it.
+fn bench_reader_held(samples: usize) -> [BenchResult; 2] {
+    let base = nytaxi_dataset(READER_ROWS, 7);
+    let stride = READER_ROWS / READER_DELETE;
+    let mut victims = Vec::with_capacity(READER_DELETE);
+    let mut i = 0;
+    base.for_each_row(|row| {
+        if i % stride == stride / 2 && victims.len() < READER_DELETE {
+            victims.push(row.to_vec());
+        }
+        i += 1;
+    });
+    let config = EngineConfig {
+        budget: 1.0,
+        ..Default::default()
+    };
+    let time = |id: &str, mutate: &dyn Fn(&mut ApexEngine) -> usize, want: usize| {
+        let samples_ns = (0..samples)
+            .map(|_| {
+                let mut engine = ApexEngine::new(base.clone(), config);
+                let held = engine.evaluation_context();
+                let t0 = Instant::now();
+                let touched = mutate(&mut engine);
+                let ns = t0.elapsed().as_nanos() as u64;
+                assert_eq!(touched, want, "{id}: every requested row applies");
+                drop((held, engine));
+                ns
+            })
+            .collect();
+        BenchResult {
+            group: "mutate_reader_held",
+            id: format!("{id}/{READER_ROWS}"),
+            samples_ns,
+            rows: READER_ROWS,
+        }
+    };
+    let one = [victims[0].clone()];
+    let insert = time(
+        "insert_k1",
+        &|e| e.insert_rows(&one).expect("insert applies").inserted.len(),
+        1,
+    );
+    let delete = time(
+        "delete_k64",
+        &|e| {
+            e.delete_rows(&victims)
+                .expect("delete applies")
+                .deleted
+                .len()
+        },
+        READER_DELETE,
+    );
+    [insert, delete]
 }
 
 /// Measures one (n, k) configuration both ways.
@@ -165,6 +254,7 @@ fn bench_pair(n: usize, k: usize, samples: usize) -> (BenchResult, BenchResult) 
     let mem = Dataset::new(schema.clone(), base.clone()).unwrap();
     let mut live = mem.ingest_paged(&dir, 1, 64).unwrap();
     let incremental = BenchResult {
+        group: "mutate",
         id: format!("incremental_k{k}/{n}"),
         rows: n,
         samples_ns: (0..samples)
@@ -192,6 +282,7 @@ fn bench_pair(n: usize, k: usize, samples: usize) -> (BenchResult, BenchResult) 
     let full_dir = scratch_dir(&format!("full-n{n}-k{k}"));
     let mut epoch = 0u64;
     let full = BenchResult {
+        group: "mutate",
         id: format!("full_k{k}/{n}"),
         rows: n,
         samples_ns: (0..samples)
@@ -256,7 +347,7 @@ fn write_json(results: &[BenchResult], quick: bool) {
             format!(
                 "{{\"group\": \"{}\", \"id\": \"{}\", \"median_ns\": {}, \"mean_ns\": {:.1}, \
                  \"min_ns\": {}, \"samples\": {}, \"iters_per_sample\": 1, \"rows\": {}}}",
-                esc("mutate"),
+                esc(r.group),
                 esc(&r.id),
                 r.median_ns(),
                 r.mean_ns(),

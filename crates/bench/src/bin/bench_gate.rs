@@ -21,8 +21,9 @@
 //! 4. no shared group may be empty in the smoke run.
 //!
 //! **Regression rule** (the `translator_prepare_multi`, `serve_soak`,
-//! `dataset_store` and `mutate` groups only — the prepare medians, soak
-//! ns/session, store ingest/open/scan and mutation medians are the perf
+//! `dataset_store`, `mutate` and `mutate_reader_held` groups only — the
+//! prepare medians, soak ns/session, store ingest/open/scan and mutation
+//! medians are the perf
 //! numbers this repo actually promises, and they are stable enough on a
 //! quiet CI runner to gate on):
 //!
@@ -55,6 +56,7 @@ const REGRESS_GROUPS: &[&str] = &[
     "serve_soak",
     "dataset_store",
     "mutate",
+    "mutate_reader_held",
 ];
 
 /// Rule 5's default allowance for a smoke median over the committed one.
@@ -466,7 +468,8 @@ mod tests {
     #[test]
     fn the_committed_mutate_file_matches_a_quick_shape() {
         // A --quick mutate run measures the small row count with the two
-        // small batch sizes; the committed file must accept that subset.
+        // small batch sizes, plus both reader-held rows at their one size;
+        // the committed file must accept that subset.
         let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mutate.json");
         let smoke = write_tmp(
             "s11",
@@ -475,6 +478,8 @@ mod tests {
                 ("mutate", "full_k1/4096"),
                 ("mutate", "incremental_k64/4096"),
                 ("mutate", "full_k64/4096"),
+                ("mutate_reader_held", "insert_k1/100000"),
+                ("mutate_reader_held", "delete_k64/100000"),
             ]),
         );
         assert_eq!(

@@ -120,7 +120,7 @@ pub fn materialize(
     let schema = Schema::new(attrs)?;
 
     let mut rows = Vec::with_capacity(pairs.len());
-    for row in pairs.rows() {
+    pairs.for_each_row(|row| {
         let mut out = Vec::with_capacity(schema.arity());
         for &(ia, ib) in &null_sources {
             out.push(Value::Bool(row[ia].is_null() || row[ib].is_null()));
@@ -133,7 +133,7 @@ pub fn materialize(
             _ => Value::Bool(false),
         });
         rows.push(out);
-    }
+    });
 
     let table = Dataset::new(schema, rows)?;
     Ok(MaterializedPairs {

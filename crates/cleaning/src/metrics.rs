@@ -33,30 +33,26 @@ fn predictions(m: &MaterializedPairs, selected: &[usize], conjunction: bool) -> 
                 .expect("materialized predicate column exists")
         })
         .collect();
-    m.table
-        .rows()
-        .iter()
-        .map(|row| {
-            if cols.is_empty() {
-                return false;
-            }
-            let mut vals = cols.iter().map(|&c| row[c] == Value::Bool(true));
-            if conjunction {
-                vals.all(|b| b)
-            } else {
-                vals.any(|b| b)
-            }
-        })
-        .collect()
+    let mut out = Vec::with_capacity(m.table.len());
+    m.table.for_each_row(|row| {
+        let mut vals = cols.iter().map(|&c| row[c] == Value::Bool(true));
+        out.push(
+            !cols.is_empty()
+                && if conjunction {
+                    vals.all(|b| b)
+                } else {
+                    vals.any(|b| b)
+                },
+        );
+    });
+    out
 }
 
 fn labels(table: &Dataset) -> Vec<bool> {
     let il = table.schema().index_of("label").expect("label column");
-    table
-        .rows()
-        .iter()
-        .map(|r| r[il] == Value::Bool(true))
-        .collect()
+    let mut out = Vec::with_capacity(table.len());
+    table.for_each_row(|r| out.push(r[il] == Value::Bool(true)));
+    out
 }
 
 /// Precision and recall of the formula `∨/∧ selected` against the labels.

@@ -124,7 +124,7 @@ mod tests {
         let ia = d.schema().index_of("title_a").unwrap();
         let ib = d.schema().index_of("title_b").unwrap();
         let any_true = d
-            .rows()
+            .to_rows()
             .iter()
             .filter(|r| r[il] == Value::Bool(true) && r[ia] == r[ib])
             .any(|r| p.eval_pair(&d, r));
@@ -142,11 +142,11 @@ mod tests {
         let p =
             SimilarityPredicate::new("title", Transformation::TwoGrams, Similarity::Cosine, 0.0);
         let ia = d.schema().index_of("title_a").unwrap();
-        for row in d.rows() {
+        d.for_each_row(|row| {
             if row[ia].is_null() {
                 assert!(!p.eval_pair(&d, row));
             }
-        }
+        });
     }
 
     #[test]

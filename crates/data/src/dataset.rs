@@ -1,10 +1,12 @@
 //! Multiset table instances.
 
+use crate::chunk::{Chunk, RowStore};
+use crate::store::paged::PageWriter;
 use crate::store::{widen_schema, DatasetLog, MutationOp, PagedRows, PoolStats, StoreError};
 use crate::views::{ViewCache, ViewStats};
 use crate::{DomainPartition, Predicate, Schema, SchemaError, Value};
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// The observable effect of one committed mutation batch: the rows that
 /// actually entered/left the dataset, and the epoch stamped by the
@@ -71,18 +73,25 @@ impl From<StoreError> for MutationError {
     }
 }
 
-/// Row storage: resident or paged through the buffer pool.
+/// Row storage: resident chunks, or pages decoded into chunks as they
+/// stream through the buffer pool.
 #[derive(Debug, Clone)]
 enum Rows {
-    /// Fully resident (synthesized or built by tests).
-    Mem(Vec<Vec<Value>>),
-    /// Backed by a durable page file; rows stream through the pool.
-    Paged {
-        store: Arc<PagedRows>,
-        /// Lazy full materialization for the few legacy callers of
-        /// [`Dataset::rows`]; scans never touch this.
-        resident: Arc<OnceLock<Vec<Vec<Value>>>>,
-    },
+    /// Resident (synthesized or built by tests): the chunk list, whose
+    /// chunks clones share.
+    Mem(RowStore),
+    /// Backed by a durable page file.
+    Paged(Arc<PagedRows>),
+}
+
+/// Size of a dataset's resident row store (`/v1/stats` `rows`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowStoreStats {
+    /// Chunks in the store (0 when paged: pages live in the pool).
+    pub chunks: usize,
+    /// Heap bytes of those chunks. A clone shares its chunks, so two
+    /// datasets that report the same bytes may hold them once.
+    pub bytes: usize,
 }
 
 /// An instance `D` of a schema: a multiset of tuples.
@@ -90,11 +99,12 @@ enum Rows {
 /// This is the *sensitive* object in APEx — everything the analyst learns
 /// about it must flow through a differentially private mechanism. Access
 /// control is the engine's job; this type's job is storage. A dataset is
-/// either **resident** (plain `Vec` of rows, as synthesized) or **paged**
-/// (opened from a durable store directory; rows are checksum-verified and
-/// streamed page-by-page through a buffer pool, so the instance can be
-/// larger than memory). Mechanisms only ever consume the schema and a row
-/// stream, so they cannot tell the difference.
+/// either **resident** (a [`RowStore`] of shared, immutable chunks of
+/// typed columns; a clone shares every chunk) or **paged** (opened from a
+/// durable store directory; rows are checksum-verified and streamed
+/// page-by-page through a buffer pool, so the instance can be larger
+/// than memory). Either way a scan reads [`Chunk`]s
+/// ([`Self::for_each_chunk`]), so mechanisms cannot tell the difference.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Shared by clones; a widening insert installs a new `Arc`, so
@@ -119,9 +129,9 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    fn from_rows(schema: Schema, rows: Rows) -> Self {
+    fn from_rows(schema: Arc<Schema>, rows: Rows) -> Self {
         Self {
-            schema: Arc::new(schema),
+            schema,
             rows,
             mem_epoch: 0,
             mem_applied: 0,
@@ -131,61 +141,77 @@ impl Dataset {
     }
 
     fn from_store(store: PagedRows) -> Self {
-        Self::from_rows(
-            store.schema(),
-            Rows::Paged {
-                store: Arc::new(store),
-                resident: Arc::new(OnceLock::new()),
-            },
-        )
+        Self::from_rows(Arc::new(store.schema()), Rows::Paged(Arc::new(store)))
     }
 
     /// Creates an empty dataset over `schema`.
     pub fn empty(schema: Schema) -> Self {
-        Self::from_rows(schema, Rows::Mem(Vec::new()))
+        Self::from_rows(Arc::new(schema), Rows::Mem(RowStore::default()))
     }
 
     /// Creates a dataset from pre-built rows, validating each against the
     /// schema.
     pub fn new(schema: Schema, rows: Vec<Vec<Value>>) -> Result<Self, SchemaError> {
-        for row in &rows {
-            schema.validate_row(row)?;
-        }
-        Ok(Self::from_rows(schema, Rows::Mem(rows)))
+        Self::from_row_iter(schema, rows)
+    }
+
+    /// [`Self::new`] over a row stream: each row is validated and packed
+    /// into the chunks as it arrives, so a generator never holds its rows
+    /// as `Value`s all at once.
+    pub fn from_row_iter(
+        schema: Schema,
+        rows: impl IntoIterator<Item = Vec<Value>>,
+    ) -> Result<Self, SchemaError> {
+        let mut store = RowStore::default();
+        let mut invalid = Ok(());
+        store.append(
+            &schema,
+            rows.into_iter()
+                .map_while(|row| match schema.validate_row(&row) {
+                    Ok(()) => Some(row),
+                    Err(e) => {
+                        invalid = Err(e);
+                        None
+                    }
+                }),
+        );
+        invalid?;
+        Ok(Self::from_rows(Arc::new(schema), Rows::Mem(store)))
     }
 
     /// Persists this dataset into `dir` (pages + checksums + manifest) and
     /// returns a paged dataset reading back from it. `epoch` stamps the
     /// generation; bump it on re-ingest. `pool_frames` bounds how many
-    /// 8 KiB pages the returned dataset keeps resident.
+    /// 8 KiB pages the returned dataset keeps resident. The rows stream
+    /// across through a scan, so a paged source (e.g. a tenant copied
+    /// into a new data dir) is never loaded whole; it may not be
+    /// re-ingested into its own directory.
     pub fn ingest_paged(
         &self,
         dir: &Path,
         epoch: u64,
         pool_frames: usize,
     ) -> Result<Dataset, StoreError> {
-        let store = match &self.rows {
-            Rows::Mem(rows) => PagedRows::ingest(
-                dir,
-                &self.schema,
-                rows.iter().map(|r| r.as_slice()),
-                epoch,
-                pool_frames,
-            )?,
-            Rows::Paged { store, .. } => {
-                // Re-ingest from the existing store (e.g. copying a tenant
-                // into a new data dir): stream rows across.
-                let rows = store.materialize()?;
-                PagedRows::ingest(
-                    dir,
-                    &self.schema,
-                    rows.iter().map(|r| r.as_slice()),
-                    epoch,
-                    pool_frames,
-                )?
+        if let Rows::Paged(store) = &self.rows {
+            let same = |a: &Path, b: &Path| match (a.canonicalize(), b.canonicalize()) {
+                (Ok(a), Ok(b)) => a == b,
+                _ => false,
+            };
+            if same(store.dir(), dir) {
+                return Err(StoreError::Codec(
+                    "a paged dataset cannot be re-ingested into its own directory".into(),
+                ));
             }
-        };
-        Ok(Self::from_store(store))
+        }
+        let mut writer = PageWriter::create(dir, pool_frames)?;
+        let mut written = Ok(());
+        self.for_each_row(|row| {
+            if written.is_ok() {
+                written = writer.push(row);
+            }
+        });
+        written?;
+        Ok(Self::from_store(writer.finish(&self.schema, epoch)?))
     }
 
     /// Opens a dataset previously persisted with [`Self::ingest_paged`],
@@ -198,14 +224,25 @@ impl Dataset {
 
     /// Whether this dataset is backed by the durable store.
     pub fn is_paged(&self) -> bool {
-        matches!(self.rows, Rows::Paged { .. })
+        matches!(self.rows, Rows::Paged(_))
     }
 
     /// Buffer-pool counters, when paged.
     pub fn pool_stats(&self) -> Option<PoolStats> {
         match &self.rows {
             Rows::Mem(_) => None,
-            Rows::Paged { store, .. } => Some(store.pool_stats()),
+            Rows::Paged(store) => Some(store.pool_stats()),
+        }
+    }
+
+    /// Chunks and heap bytes of the resident row store (zero when paged).
+    pub fn row_store_stats(&self) -> RowStoreStats {
+        match &self.rows {
+            Rows::Mem(store) => RowStoreStats {
+                chunks: store.chunks().len(),
+                bytes: store.heap_bytes(),
+            },
+            Rows::Paged(_) => RowStoreStats::default(),
         }
     }
 
@@ -213,7 +250,7 @@ impl Dataset {
     pub fn storage_epoch(&self) -> Option<u64> {
         match &self.rows {
             Rows::Mem(_) => None,
-            Rows::Paged { store, .. } => Some(store.epoch()),
+            Rows::Paged(store) => Some(store.epoch()),
         }
     }
 
@@ -225,7 +262,7 @@ impl Dataset {
     pub fn epoch(&self) -> u64 {
         match &self.rows {
             Rows::Mem(_) => self.mem_epoch,
-            Rows::Paged { store, .. } => store.epoch(),
+            Rows::Paged(store) => store.epoch(),
         }
     }
 
@@ -233,7 +270,7 @@ impl Dataset {
     pub fn mutations_applied(&self) -> u64 {
         match &self.rows {
             Rows::Mem(_) => self.mem_applied,
-            Rows::Paged { store, .. } => store.mutations_applied(),
+            Rows::Paged(store) => store.mutations_applied(),
         }
     }
 
@@ -273,13 +310,14 @@ impl Dataset {
     /// — replay re-derives the same widened schema); any other mismatch is
     /// refused before anything is logged. The batch is durable before it
     /// applies when the dataset has a mutation log (paged datasets always
-    /// do: log ack + copy-on-write pages + manifest epoch bump).
+    /// do: log ack + copy-on-write pages + manifest epoch bump). A
+    /// resident dataset rewrites only its tail chunk.
     pub fn insert_rows(&mut self, rows: &[Vec<Value>]) -> Result<RowDelta, MutationError> {
         if rows.is_empty() {
             return Err(MutationError::EmptyBatch);
         }
         let (schema, epoch) = match &mut self.rows {
-            Rows::Mem(existing) => {
+            Rows::Mem(store) => {
                 let widened = widen_schema(&self.schema, rows);
                 for row in rows {
                     widened.validate_row(row)?;
@@ -288,16 +326,14 @@ impl Dataset {
                     let mut log = log.lock().expect("mutation log lock");
                     log.append(self.mem_applied, MutationOp::Insert, rows)?; // ← the ack point
                 }
-                existing.extend(rows.iter().cloned());
+                store.append(&widened, rows);
                 self.mem_epoch += 1;
                 self.mem_applied += 1;
                 (widened, self.mem_epoch)
             }
-            Rows::Paged { store, resident } => {
+            Rows::Paged(store) => {
                 let outcome = store.insert_rows(rows)?;
-                // Drop any stale materialization; the store may have
-                // widened the schema, mirrored below.
-                *resident = Arc::new(OnceLock::new());
+                // The store may have widened the schema, mirrored below.
                 (store.schema(), outcome.epoch)
             }
         };
@@ -322,13 +358,15 @@ impl Dataset {
     /// row in `rows`, as one committed mutation. Rows with no match are
     /// silent no-ops; the returned [`RowDelta`] lists what was actually
     /// removed. Resident and paged datasets share these semantics, so the
-    /// same request yields the same delta on either backing.
+    /// same request yields the same delta on either backing. The wanted
+    /// rows are hashed once; a resident dataset rewrites only the chunks
+    /// that held a deleted row.
     pub fn delete_rows(&mut self, rows: &[Vec<Value>]) -> Result<RowDelta, MutationError> {
         if rows.is_empty() {
             return Err(MutationError::EmptyBatch);
         }
         let (deleted, epoch) = match &mut self.rows {
-            Rows::Mem(existing) => {
+            Rows::Mem(store) => {
                 let arity = self.schema.arity();
                 if let Some(row) = rows.iter().find(|row| row.len() != arity) {
                     let msg = format!("expected {arity} values, got {}", row.len());
@@ -338,25 +376,13 @@ impl Dataset {
                     let mut log = log.lock().expect("mutation log lock");
                     log.append(self.mem_applied, MutationOp::Delete, rows)?; // ← the ack point
                 }
-                let mut want: Vec<&Vec<Value>> = rows.iter().collect();
-                let mut deleted = Vec::new();
-                let mut kept = Vec::with_capacity(existing.len());
-                for row in existing.drain(..) {
-                    if let Some(pos) = want.iter().position(|w| **w == row) {
-                        want.remove(pos);
-                        deleted.push(row);
-                    } else {
-                        kept.push(row);
-                    }
-                }
-                *existing = kept;
+                let deleted = store.delete(&self.schema, rows);
                 self.mem_epoch += 1;
                 self.mem_applied += 1;
                 (deleted, self.mem_epoch)
             }
-            Rows::Paged { store, resident } => {
+            Rows::Paged(store) => {
                 let outcome = store.delete_rows(rows)?;
-                *resident = Arc::new(OnceLock::new());
                 (outcome.deleted, outcome.epoch)
             }
         };
@@ -383,8 +409,8 @@ impl Dataset {
     /// Number of tuples `|D|`.
     pub fn len(&self) -> usize {
         match &self.rows {
-            Rows::Mem(rows) => rows.len(),
-            Rows::Paged { store, .. } => store.row_count() as usize,
+            Rows::Mem(store) => store.len(),
+            Rows::Paged(store) => store.row_count() as usize,
         }
     }
 
@@ -393,27 +419,47 @@ impl Dataset {
         self.len() == 0
     }
 
-    /// Streams every row through `f` with bounded memory: resident
-    /// datasets iterate the vector, paged datasets go page-by-page
-    /// through the buffer pool (checksum-verified). This is the accessor
-    /// mechanisms and partition histograms use.
+    /// The one scan path: every row, chunk by chunk, in storage order.
+    /// A resident dataset hands out its own chunks; a paged one decodes
+    /// each page into a chunk on its way through the buffer pool
+    /// (checksum-verified), so memory stays bounded. Read a chunk's
+    /// cells with [`Chunk::get`] against [`Self::schema`].
     ///
     /// # Panics
     ///
     /// On storage corruption detected mid-scan. The store fails stop:
     /// serving a silently wrong histogram would corrupt every noisy
     /// answer derived from it, which is strictly worse than dying.
-    pub fn for_each_row(&self, mut f: impl FnMut(&[Value])) {
+    pub fn for_each_chunk(&self, mut f: impl FnMut(&Chunk)) {
         match &self.rows {
-            Rows::Mem(rows) => {
-                for row in rows {
-                    f(row);
-                }
-            }
-            Rows::Paged { store, .. } => store
-                .for_each_row(f)
+            Rows::Mem(store) => store.chunks().iter().for_each(|c| f(c)),
+            Rows::Paged(store) => store
+                .for_each_chunk(f)
                 .unwrap_or_else(|e| panic!("paged dataset scan failed: {e}")),
         }
+    }
+
+    /// Streams every row through `f` as owned values, over
+    /// [`Self::for_each_chunk`]: each chunk is written into one reused
+    /// buffer a column at a time, then handed out row by row. Same
+    /// panics.
+    pub fn for_each_row(&self, mut f: impl FnMut(&[Value])) {
+        let width = self.schema.arity();
+        let mut buf = Vec::new();
+        self.for_each_chunk(|c| {
+            c.write_rows(&self.schema, &mut buf);
+            for r in 0..c.len() {
+                f(&buf[r * width..(r + 1) * width]);
+            }
+        });
+    }
+
+    /// Every row, owned, in storage order — for tests and diagnostics.
+    /// It copies the whole dataset; scans use [`Self::for_each_chunk`].
+    pub fn to_rows(&self) -> Vec<Vec<Value>> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_row(|row| out.push(row.to_vec()));
+        out
     }
 
     /// The histogram `x = T_W(D)` over `partition`'s cells. A resident
@@ -460,22 +506,6 @@ impl Dataset {
         Ok(views.len())
     }
 
-    /// Immutable access to the rows as one slice.
-    ///
-    /// For a paged dataset this materializes **all** rows on first call
-    /// (kept for the lifetime of the dataset) — fine for tests and small
-    /// tables, wrong for scans: use [`Self::for_each_row`] there.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        match &self.rows {
-            Rows::Mem(rows) => rows,
-            Rows::Paged { store, resident } => resident.get_or_init(|| {
-                store
-                    .materialize()
-                    .unwrap_or_else(|e| panic!("paged dataset materialization failed: {e}"))
-            }),
-        }
-    }
-
     /// Appends a row after validating it — the pre-serving *builder* API
     /// (synthesis, tests). Deliberately does **not** bump the epoch: a
     /// dataset under construction has no consumers to invalidate (its
@@ -486,8 +516,8 @@ impl Dataset {
     pub fn push(&mut self, row: Vec<Value>) -> Result<(), SchemaError> {
         self.schema.validate_row(&row)?;
         match &mut self.rows {
-            Rows::Mem(rows) if self.log.is_none() => {
-                rows.push(row);
+            Rows::Mem(store) if self.log.is_none() => {
+                store.append(&self.schema, [row]);
                 self.views.clear();
                 Ok(())
             }
@@ -524,12 +554,13 @@ impl Dataset {
     /// the case study to vary `|D|`; Figure 7).
     pub fn take(&self, n: usize) -> Dataset {
         let mut rows = Vec::with_capacity(n.min(self.len()));
-        self.for_each_row(|row| {
-            if rows.len() < n {
-                rows.push(row.to_vec());
-            }
+        self.for_each_chunk(|c| {
+            let room = n - rows.len();
+            rows.extend((0..c.len().min(room)).map(|r| c.row(&self.schema, r)));
         });
-        Self::from_rows((*self.schema).clone(), Rows::Mem(rows))
+        let mut store = RowStore::default();
+        store.append(&self.schema, &rows);
+        Self::from_rows(Arc::new((*self.schema).clone()), Rows::Mem(store))
     }
 }
 
@@ -568,7 +599,7 @@ mod tests {
         let d = demo();
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());
-        assert_eq!(d.rows()[0][0], Value::Int(25));
+        assert_eq!(d.to_rows()[0][0], Value::Int(25));
     }
 
     #[test]
@@ -604,7 +635,7 @@ mod tests {
         let d = demo();
         let t = d.take(2);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.rows()[1][0], Value::Int(60));
+        assert_eq!(t.to_rows()[1][0], Value::Int(60));
         // Taking more than available returns everything.
         assert_eq!(d.take(100).len(), 4);
     }
@@ -619,8 +650,8 @@ mod tests {
         assert_eq!(paged.schema(), mem.schema());
         let p = Predicate::cmp("age", CmpOp::Gt, 50_i64);
         assert_eq!(paged.count(&p).unwrap(), mem.count(&p).unwrap());
-        assert_eq!(paged.rows(), mem.rows());
-        assert_eq!(paged.take(2).rows(), mem.take(2).rows());
+        assert_eq!(paged.to_rows(), mem.to_rows());
+        assert_eq!(paged.take(2).to_rows(), mem.take(2).to_rows());
         assert_eq!(paged.storage_epoch(), Some(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -677,7 +708,7 @@ mod tests {
         let d2 = paged.delete_rows(&del).unwrap();
         assert_eq!(d1.deleted, d2.deleted);
         assert_eq!(d1.deleted.len(), 1); // the ghost row removed nothing
-        assert_eq!(mem.rows(), paged.rows());
+        assert_eq!(mem.to_rows(), paged.to_rows());
         assert_eq!(mem.mutations_applied(), 2);
         assert_eq!(paged.mutations_applied(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -726,7 +757,7 @@ mod tests {
         // The rebuilt base plus its log is the mutated dataset, exactly.
         let mut again = demo();
         again.attach_mutation_log(&dir).unwrap();
-        assert_eq!(again.rows(), d.rows());
+        assert_eq!(again.to_rows(), d.to_rows());
         assert_eq!(again.schema(), d.schema());
         assert_eq!((again.epoch(), again.mutations_applied()), (2, 2));
         // Appends continue at the replayed position.
@@ -775,7 +806,7 @@ mod tests {
         assert!(matches!(d.insert_rows(&row), Err(MutationError::Store(_))));
         assert!(matches!(d.delete_rows(&row), Err(MutationError::Store(_))));
         assert_eq!((d.epoch(), d.mutations_applied()), (0, 0));
-        assert_eq!(d.rows(), demo().rows());
+        assert_eq!(d.to_rows(), demo().to_rows());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -809,12 +840,287 @@ mod tests {
         paged
             .delete_rows(&[vec![Value::Int(25), Value::from("M")]])
             .unwrap();
-        let want = paged.rows().to_vec();
+        let want = paged.to_rows();
         drop(paged);
         let reopened = Dataset::open_paged(&dir, 2).unwrap();
         assert_eq!(reopened.epoch(), 3);
         assert_eq!(reopened.mutations_applied(), 2);
-        assert_eq!(reopened.rows(), want.as_slice());
+        assert_eq!(reopened.to_rows(), want);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // ------------------------------------------- the chunked row store
+
+    use crate::chunk::CHUNK_ROWS;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn chunk_ptrs(d: &Dataset) -> Vec<Arc<crate::Chunk>> {
+        match &d.rows {
+            Rows::Mem(store) => store.chunks().to_vec(),
+            Rows::Paged(_) => panic!("a resident dataset"),
+        }
+    }
+
+    #[test]
+    fn clones_share_chunks_and_mutations_replace_only_what_they_touch() {
+        let d = crate::synth::nytaxi_dataset(100_000, 3);
+        let mut clone = d.clone();
+        let (ours, theirs) = (chunk_ptrs(&d), chunk_ptrs(&clone));
+        assert_eq!(ours.len(), 100_000usize.div_ceil(CHUNK_ROWS));
+        assert!(ours.iter().zip(&theirs).all(|(a, b)| Arc::ptr_eq(a, b)));
+
+        // A one-row insert after the clone replaces only the tail chunk.
+        let row = ours[5].row(d.schema(), 7);
+        clone.insert_rows(std::slice::from_ref(&row)).unwrap();
+        let after = chunk_ptrs(&clone);
+        assert_eq!(after.len(), ours.len());
+        let last = ours.len() - 1;
+        assert!((0..last).all(|i| Arc::ptr_eq(&ours[i], &after[i])));
+        assert!(!Arc::ptr_eq(&ours[last], &after[last]));
+        assert_eq!((d.len(), clone.len()), (100_000, 100_001));
+
+        // A delete replaces only the chunks that held a deleted row: row 7
+        // of chunk 5 (its first occurrence) and a row of chunk 40.
+        let other = ours[40].row(d.schema(), 0);
+        let delta = clone.delete_rows(&[row.clone(), other]).unwrap();
+        assert_eq!(delta.deleted.len(), 2);
+        let deleted = chunk_ptrs(&clone);
+        for (i, (a, b)) in after.iter().zip(&deleted).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), i != 5 && i != 40, "chunk {i}");
+        }
+        // The original never moved.
+        assert!(ours
+            .iter()
+            .zip(&chunk_ptrs(&d))
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
+    /// Every variant and edge case a column holds.
+    fn edge_schema() -> Schema {
+        Schema::new(vec![
+            Attribute::new(
+                "i",
+                Domain::IntRange {
+                    min: i64::MIN,
+                    max: i64::MAX,
+                },
+            ),
+            Attribute::new(
+                "f",
+                Domain::FloatRange {
+                    min: -1e300,
+                    max: 1e300,
+                },
+            ),
+            Attribute::new(
+                "c",
+                Domain::Categorical(vec!["a".into(), "ünï".into(), "".into()]),
+            ),
+            Attribute::new("b", Domain::Boolean),
+            Attribute::new("t", Domain::Text),
+        ])
+        .unwrap()
+    }
+
+    fn edge_row(rng: &mut StdRng) -> Vec<Value> {
+        let big = (1i64 << 53) + 1;
+        let null = |rng: &mut StdRng| rng.gen_range(0..6) == 0;
+        let i = match rng.gen_range(0..5) {
+            _ if null(rng) => Value::Null,
+            0 => Value::Int(big),
+            1 => Value::Int(-big - 2),
+            2 => Value::Int(i64::MIN),
+            _ => Value::Int(rng.gen_range(-3..3)),
+        };
+        let f = match rng.gen_range(0..6) {
+            _ if null(rng) => Value::Null,
+            0 => Value::Float(-0.0),
+            1 => Value::Float(0.0),
+            2 => Value::Int(big), // an Int in a float column, past 2⁵³
+            3 => Value::Int(rng.gen_range(-2..2)),
+            _ => Value::Float(rng.gen_range(-2..2) as f64 * 0.5),
+        };
+        let c = match rng.gen_range(0..3usize) {
+            _ if null(rng) => Value::Null,
+            k => Value::from(["a", "ünï", ""][k]),
+        };
+        let b = if null(rng) {
+            Value::Null
+        } else {
+            Value::Bool(rng.gen())
+        };
+        let t = match rng.gen_range(0..4) {
+            _ if null(rng) => Value::Null,
+            0 => Value::from(""),
+            1 => Value::from("日本語 ✓"),
+            _ => Value::Str(format!("t{}", rng.gen_range(0..3))),
+        };
+        vec![i, f, c, b, t]
+    }
+
+    /// Bit-exact row equality: the variant and every bit (`-0.0` is not
+    /// `0.0` here).
+    fn same_bits(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+        let cell = |x: &Value, y: &Value| match (x, y) {
+            (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
+            _ => x == y,
+        };
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(r, s)| r.len() == s.len() && r.iter().zip(s).all(|(x, y)| cell(x, y)))
+    }
+
+    #[test]
+    fn every_variant_round_trips_exactly_through_the_chunks() {
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows: Vec<Vec<Value>> = (0..3 * CHUNK_ROWS + 17)
+                .map(|_| edge_row(&mut rng))
+                .collect();
+            let mut d = Dataset::new(edge_schema(), rows[..CHUNK_ROWS + 5].to_vec()).unwrap();
+            for batch in rows[CHUNK_ROWS + 5..].chunks(300) {
+                d.insert_rows(batch).unwrap();
+            }
+            assert!(same_bits(&d.to_rows(), &rows), "seed {seed}");
+            // The scan hands out the same cells, borrowed.
+            let mut scanned = Vec::new();
+            d.for_each_chunk(|c| {
+                for r in 0..c.len() {
+                    scanned.push((0..5).map(|k| c.get(d.schema(), r, k).to_value()).collect());
+                }
+            });
+            assert!(same_bits(&scanned, &rows), "seed {seed}");
+            // A paged copy decodes its pages into the same chunk type.
+            let dir = tmp_dir(&format!("edge-{seed}"));
+            assert!(same_bits(
+                &d.ingest_paged(&dir, 1, 4).unwrap().to_rows(),
+                &rows
+            ));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    fn int_rows(values: impl IntoIterator<Item = i64>) -> Vec<Vec<Value>> {
+        values.into_iter().map(|v| vec![Value::Int(v)]).collect()
+    }
+
+    fn int_dataset(n: usize) -> Dataset {
+        let schema = Schema::new(vec![Attribute::new(
+            "v",
+            Domain::IntRange {
+                min: 0,
+                max: 1 << 20,
+            },
+        )])
+        .unwrap();
+        Dataset::new(schema, int_rows((0..n as i64).map(|i| i % 1000))).unwrap()
+    }
+
+    fn chunk_lens(d: &Dataset) -> Vec<usize> {
+        chunk_ptrs(d).iter().map(|c| c.len()).collect()
+    }
+
+    #[test]
+    fn inserts_fill_the_tail_chunk_then_open_a_new_one() {
+        let mut d = int_dataset(CHUNK_ROWS - 3);
+        d.insert_rows(&int_rows(0..3)).unwrap(); // exactly fills the tail
+        assert_eq!(chunk_lens(&d), [CHUNK_ROWS]);
+        d.insert_rows(&int_rows(0..1)).unwrap(); // overflows into a new chunk
+        assert_eq!(chunk_lens(&d), [CHUNK_ROWS, 1]);
+        d.insert_rows(&int_rows(0..2 * CHUNK_ROWS as i64)).unwrap();
+        assert_eq!(chunk_lens(&d), [CHUNK_ROWS, CHUNK_ROWS, CHUNK_ROWS, 1]);
+        assert_eq!(d.len(), 3 * CHUNK_ROWS + 1);
+    }
+
+    #[test]
+    fn deletes_take_first_occurrences_across_chunks_and_drop_empty_chunks() {
+        // Values repeat every 1 000 rows, so duplicates sit in several
+        // chunks; a delete of three copies takes the first three.
+        let mut d = int_dataset(4 * CHUNK_ROWS);
+        let delta = d.delete_rows(&int_rows([7, 7, 7])).unwrap();
+        assert_eq!(delta.deleted, int_rows([7, 7, 7]));
+        let left = d.to_rows();
+        let sevens: Vec<usize> = (0..left.len())
+            .filter(|&i| left[i][0] == Value::Int(7))
+            .collect();
+        // 7 sat at rows 7 and 1 007 (chunk 0), 2 007 (chunk 1), 3 007 and
+        // 4 007; the last two survive, three rows earlier.
+        assert_eq!(sevens, [3004, 4004]);
+        // A delete that empties a chunk drops it.
+        let mut d = int_dataset(CHUNK_ROWS + 2);
+        let tail = int_rows([(CHUNK_ROWS % 1000) as i64, (CHUNK_ROWS % 1000 + 1) as i64]);
+        d.delete_rows(&int_rows(0..1000)).unwrap();
+        d.delete_rows(&int_rows(0..(CHUNK_ROWS % 1000) as i64))
+            .unwrap();
+        assert_eq!(d.to_rows(), tail);
+        assert_eq!(chunk_lens(&d), [2]);
+        d.delete_rows(&tail).unwrap();
+        assert!(chunk_lens(&d).is_empty() && d.is_empty());
+    }
+
+    /// The delete as a single `Vec` of rows did it: scan in storage
+    /// order, match each row against the first wanted row equal to it.
+    fn linear_delete(rows: &mut Vec<Vec<Value>>, want: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        let mut want: Vec<&Vec<Value>> = want.iter().collect();
+        let mut deleted = Vec::new();
+        let mut kept = Vec::with_capacity(rows.len());
+        for row in rows.drain(..) {
+            if let Some(pos) = want.iter().position(|w| **w == row) {
+                want.remove(pos);
+                deleted.push(row);
+            } else {
+                kept.push(row);
+            }
+        }
+        *rows = kept;
+        deleted
+    }
+
+    #[test]
+    fn the_hashed_delete_matches_the_linear_first_occurrence_loop() {
+        for script in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0xDE1E7E ^ script);
+            let mut model: Vec<Vec<Value>> = (0..rng.gen_range(0..3 * CHUNK_ROWS))
+                .map(|_| edge_row(&mut rng))
+                .collect();
+            let mut d = Dataset::new(edge_schema(), model.clone()).unwrap();
+            for step in 0..6 {
+                if rng.gen_range(0..3) == 0 {
+                    let batch: Vec<Vec<Value>> = (0..rng.gen_range(1..200))
+                        .map(|_| edge_row(&mut rng))
+                        .collect();
+                    d.insert_rows(&batch).unwrap();
+                    model.extend(batch);
+                    continue;
+                }
+                // Stored rows (some twice), rows that may not exist, and
+                // stored rows with -0.0 and 0.0 swapped.
+                let mut want = Vec::new();
+                for _ in 0..rng.gen_range(1..96) {
+                    let mut row = match (model.is_empty(), rng.gen_range(0..4)) {
+                        (false, 0..=2) => model[rng.gen_range(0..model.len())].clone(),
+                        _ => edge_row(&mut rng),
+                    };
+                    if let Value::Float(f) = &mut row[1] {
+                        if *f == 0.0 && rng.gen() {
+                            *f = -*f;
+                        }
+                    }
+                    want.push(row);
+                }
+                let oracle = linear_delete(&mut model, &want);
+                let delta = d.delete_rows(&want).unwrap();
+                assert!(
+                    same_bits(&delta.deleted, &oracle),
+                    "script {script} step {step}"
+                );
+                assert!(
+                    same_bits(&d.to_rows(), &model),
+                    "script {script} step {step}"
+                );
+            }
+        }
     }
 }

@@ -7,6 +7,8 @@
 //! * [`Value`] / [`DataType`] — the typed cell values,
 //! * [`Schema`] / [`Attribute`] / [`Domain`] — the public schema,
 //! * [`Dataset`] — a multiset instance of the schema,
+//! * [`chunk`] — its row store: shared, immutable chunks of typed columns,
+//!   read cell by cell as [`ValueRef`]s,
 //! * [`Predicate`] — the boolean predicate language `φ: dom(R) → {0,1}`
 //!   that workloads are built from,
 //! * [`partition`] — the workload-driven domain partitioning
@@ -22,6 +24,7 @@
 //!   pool, page codec) that lets a [`Dataset`] live on disk, be opened
 //!   without re-synthesis, and grow past memory (docs/STORAGE.md).
 
+pub mod chunk;
 pub mod dataset;
 mod lru;
 pub mod partition;
@@ -32,11 +35,12 @@ pub mod synth;
 pub mod value;
 pub mod views;
 
-pub use dataset::{Dataset, MutationError, RowDelta};
+pub use chunk::{Chunk, RowStore, CHUNK_ROWS};
+pub use dataset::{Dataset, MutationError, RowDelta, RowStoreStats};
 pub use lru::{BoundedLru, CacheStats};
 pub use partition::{DomainPartition, PartitionError};
 pub use predicate::{CmpOp, Predicate};
 pub use schema::{Attribute, Domain, Schema, SchemaError};
 pub use store::{PoolStats, StoreError};
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};
 pub use views::ViewStats;

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::predicate::CmpOp;
-use crate::{Dataset, Domain, Predicate, Schema, SchemaError, Value};
+use crate::{Dataset, Domain, Predicate, Schema, SchemaError, Value, ValueRef};
 
 /// Errors raised while partitioning a domain against a workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,7 +141,7 @@ impl AttrSegments {
     }
 
     /// Segment index of a concrete value.
-    fn locate(&self, v: &Value) -> usize {
+    fn locate(&self, v: ValueRef<'_>) -> usize {
         match self {
             AttrSegments::Numeric { starts, .. } => match v.as_f64() {
                 None => starts.len(), // NULL segment
@@ -159,15 +159,15 @@ impl AttrSegments {
                 mentioned,
                 other_rep,
             } => match v {
-                Value::Str(s) => mentioned
+                ValueRef::Str(s) => mentioned
                     .iter()
                     .position(|m| m == s)
                     .unwrap_or(mentioned.len()),
                 _ => mentioned.len() + usize::from(other_rep.is_some()), // NULL segment
             },
             AttrSegments::Boolean => match v {
-                Value::Bool(false) => 0,
-                Value::Bool(true) => 1,
+                ValueRef::Bool(false) => 0,
+                ValueRef::Bool(true) => 1,
                 _ => 2,
             },
         }
@@ -388,7 +388,7 @@ impl DomainPartition {
         let mut idx = 0usize;
         let mut stride = 1usize;
         for (k, &ai) in self.attrs.iter().enumerate() {
-            idx += stride * self.segments[k].locate(&row[ai]);
+            idx += stride * self.segments[k].locate(ValueRef::from(&row[ai]));
             stride *= self.segments[k].len();
         }
         self.elementary_to_cell[idx]
@@ -400,12 +400,33 @@ impl DomainPartition {
     /// asks [`Dataset::histogram`], which scans only for a partition it
     /// has not seen.
     ///
-    /// Streams rows (page-by-page for a paged dataset), so memory is
-    /// bounded by the buffer pool even when `D` exceeds RAM.
+    /// Reads the rows chunk by chunk ([`Dataset::for_each_chunk`]; page by
+    /// page for a paged dataset, so memory is bounded by the buffer pool
+    /// even when `D` exceeds RAM), a driving column at a time: each row's
+    /// elementary cell id accumulates in a per-chunk buffer, exactly as
+    /// [`Self::cell_of_row`] computes it, and a categorical column looks
+    /// its segments up once per category instead of once per row.
     pub fn histogram(&self, data: &Dataset) -> Vec<f64> {
         let mut x = vec![0.0; self.n_cells];
-        data.for_each_row(|row| {
-            x[self.cell_of_row(row)] += 1.0;
+        let mut idx = Vec::new();
+        let attrs = data.schema().attributes();
+        data.for_each_chunk(|chunk| {
+            idx.clear();
+            idx.resize(chunk.len(), 0usize);
+            let mut stride = 1usize;
+            for (k, &ai) in self.attrs.iter().enumerate() {
+                let seg = &self.segments[k];
+                chunk.map_column(
+                    &attrs[ai].domain,
+                    ai,
+                    |v| stride * seg.locate(v),
+                    |r, s| idx[r] += s,
+                );
+                stride *= seg.len();
+            }
+            for &i in &idx {
+                x[self.elementary_to_cell[i]] += 1.0;
+            }
         });
         x
     }

@@ -161,6 +161,7 @@ impl BufferPool {
                 pool: self,
                 frame: idx,
                 page_no,
+                read_from_disk: false,
             });
         }
         meta.stats.misses += 1;
@@ -200,6 +201,7 @@ impl BufferPool {
             pool: self,
             frame: idx,
             page_no,
+            read_from_disk: !fresh,
         })
     }
 
@@ -250,12 +252,19 @@ pub struct PageRef<'a> {
     pool: &'a BufferPool,
     frame: usize,
     page_no: u32,
+    read_from_disk: bool,
 }
 
 impl<'a> PageRef<'a> {
     /// The page number this guard pins.
     pub fn page_no(&self) -> u32 {
         self.page_no
+    }
+
+    /// Whether this pin read the page from disk — so the read verified
+    /// its checksum just now — rather than finding it resident.
+    pub fn read_from_disk(&self) -> bool {
+        self.read_from_disk
     }
 
     /// Read access to the full page buffer (header + payload).

@@ -17,7 +17,8 @@
 //! was mis-assembled still fails loudly.
 
 use super::StoreError;
-use crate::{Attribute, Domain, Schema, Value};
+use crate::chunk::{Chunk, Codes};
+use crate::{Attribute, Domain, Schema, Value, ValueRef};
 
 fn err(m: impl Into<String>) -> StoreError {
     StoreError::Codec(m.into())
@@ -54,31 +55,36 @@ fn take<'a>(b: &'a [u8], n: usize, what: &str) -> Result<(&'a [u8], &'a [u8]), S
 }
 
 fn take_value(b: &[u8]) -> Result<(Value, &[u8]), StoreError> {
+    take_value_ref(b).map(|(v, rest)| (v.to_value(), rest))
+}
+
+#[inline]
+fn take_value_ref(b: &[u8]) -> Result<(ValueRef<'_>, &[u8]), StoreError> {
     let (tag, rest) = take(b, 1, "value tag")?;
     match tag[0] {
-        0 => Ok((Value::Null, rest)),
+        0 => Ok((ValueRef::Null, rest)),
         1 => {
             let (head, rest) = take(rest, 8, "int")?;
             Ok((
-                Value::Int(i64::from_le_bytes(head.try_into().expect("8 bytes"))),
+                ValueRef::Int(i64::from_le_bytes(head.try_into().expect("8 bytes"))),
                 rest,
             ))
         }
         2 => {
             let (head, rest) = take(rest, 8, "float")?;
             let bits = u64::from_le_bytes(head.try_into().expect("8 bytes"));
-            Ok((Value::Float(f64::from_bits(bits)), rest))
+            Ok((ValueRef::Float(f64::from_bits(bits)), rest))
         }
         3 => {
             let (head, rest) = take(rest, 4, "string length")?;
             let len = u32::from_le_bytes(head.try_into().expect("4 bytes")) as usize;
             let (s, rest) = take(rest, len, "string bytes")?;
             let s = std::str::from_utf8(s).map_err(|_| err("invalid utf8 in string value"))?;
-            Ok((Value::Str(s.to_string()), rest))
+            Ok((ValueRef::Str(s), rest))
         }
         4 => {
             let (head, rest) = take(rest, 1, "bool")?;
-            Ok((Value::Bool(head[0] != 0), rest))
+            Ok((ValueRef::Bool(head[0] != 0), rest))
         }
         t => Err(err(format!("unknown value tag {t}"))),
     }
@@ -157,20 +163,38 @@ pub fn take_rows(b: &[u8]) -> Result<(Vec<Vec<Value>>, &[u8]), StoreError> {
     Ok((rows, rest))
 }
 
-/// Decodes a page payload (`row_count:u16` + rows), invoking `f` per row.
-/// Strict: the payload must be consumed exactly.
-pub fn decode_rows(payload: &[u8], mut f: impl FnMut(&[Value])) -> Result<u64, StoreError> {
+/// Decodes a page payload (`row_count:u16` + rows) into `chunk`,
+/// appending its rows — the paged half of the one scan path, and how a
+/// paged delete reads a page. Strict: the payload must be consumed
+/// exactly, and a value that does not fit its column's type is a codec
+/// error too.
+pub(crate) fn decode_page(
+    payload: &[u8],
+    schema: &Schema,
+    codes: &Codes<'_>,
+) -> Result<Chunk, StoreError> {
     let (head, mut rest) = take(payload, 2, "page row count")?;
-    let n = u16::from_le_bytes(head.try_into().expect("2 bytes")) as u64;
+    let n = u16::from_le_bytes(head.try_into().expect("2 bytes")) as usize;
+    let mut chunk = Chunk::new(schema, n);
     for _ in 0..n {
-        let (row, r) = take_row(rest)?;
-        f(&row);
+        let (head, r) = take(rest, 2, "row arity")?;
         rest = r;
+        let arity = u16::from_le_bytes(head.try_into().expect("2 bytes")) as usize;
+        if arity != chunk.width() {
+            let want = chunk.width();
+            return Err(err(format!("row of {arity} values, schema has {want}")));
+        }
+        for col in 0..arity {
+            let (v, r) = take_value_ref(rest)?;
+            chunk.push_cell(codes, col, v).map_err(err)?;
+            rest = r;
+        }
+        chunk.end_row();
     }
     if !rest.is_empty() {
         return Err(err(format!("{} trailing bytes after last row", rest.len())));
     }
-    Ok(n)
+    Ok(chunk)
 }
 
 // ---------------------------------------------------------------- schema
@@ -319,17 +343,43 @@ mod tests {
             let sz = push_row(&mut payload, row);
             assert_eq!(sz, row_size(row));
         }
-        let mut back = Vec::new();
-        let n = decode_rows(&payload, |r| back.push(r.to_vec())).unwrap();
-        assert_eq!(n, 2);
+        let schema = demo_schema();
+        let back = decode(&schema, &payload).unwrap();
         assert_eq!(back, rows);
+        // A value of the wrong type for its column is refused.
+        let mut payload = 1u16.to_le_bytes().to_vec();
+        push_row(
+            &mut payload,
+            &[
+                Value::from("M"),
+                Value::from("M"),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ],
+        );
+        assert!(decode(&schema, &payload).is_err());
+    }
+
+    /// The page's rows through [`decode_page`], read back as values.
+    fn decode(schema: &Schema, payload: &[u8]) -> Result<Vec<Vec<Value>>, StoreError> {
+        let chunk = decode_page(payload, schema, &Codes::new(schema))?;
+        Ok((0..chunk.len()).map(|r| chunk.row(schema, r)).collect())
+    }
+
+    fn one_int_column() -> Schema {
+        Schema::new(vec![Attribute::new(
+            "v",
+            Domain::IntRange { min: 0, max: 9 },
+        )])
+        .unwrap()
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut payload = vec![0u8; 2]; // zero rows
         payload.push(7);
-        assert!(decode_rows(&payload, |_| {}).is_err());
+        assert!(decode(&one_int_column(), &payload).is_err());
     }
 
     #[test]
@@ -338,7 +388,7 @@ mod tests {
         payload.extend_from_slice(&1u16.to_le_bytes()); // one row
         payload.extend_from_slice(&1u16.to_le_bytes()); // one value
         payload.push(9); // bogus tag
-        assert!(decode_rows(&payload, |_| {}).is_err());
+        assert!(decode(&one_int_column(), &payload).is_err());
     }
 
     #[test]

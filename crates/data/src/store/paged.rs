@@ -30,12 +30,13 @@
 //! entry, so a scan concurrent with a mutation sees one consistent
 //! epoch throughout.
 
-use super::buffer_pool::{BufferPool, PoolStats};
+use super::buffer_pool::{BufferPool, PageRef, PoolStats};
 use super::codec;
 use super::file_manager::{FileManager, Manifest, FORMAT_VERSION};
 use super::mutation_log::{DatasetLog, MutationLog, MutationOp, MutationRecord};
 use super::page::{self, PAGE_CAPACITY, PAGE_HEADER, PAGE_SIZE};
 use super::StoreError;
+use crate::chunk::{Chunk, Codes, RowMatcher};
 use crate::{Domain, Schema, SchemaError, Value};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
@@ -46,7 +47,7 @@ pub const DEFAULT_POOL_FRAMES: usize = 64;
 /// Committed store state: everything the manifest carries, decoded.
 #[derive(Debug, Clone)]
 struct Meta {
-    schema: Schema,
+    schema: Arc<Schema>,
     row_count: u64,
     /// Logical page → physical page in `pages.dat`.
     table: Vec<u32>,
@@ -202,6 +203,109 @@ fn decode_meta_payload(bytes: &[u8]) -> Result<(Schema, u64, Vec<u32>), StoreErr
     Ok((schema, applied, table))
 }
 
+/// Packs a row stream into pages through a buffer pool (so a pool
+/// smaller than the dataset exercises dirty write-back), then makes them
+/// durable and commits the manifest: [`PagedRows::ingest`] over an
+/// iterator, [`crate::Dataset::ingest_paged`] over a scan.
+pub(crate) struct PageWriter {
+    fm: FileManager,
+    pool: BufferPool,
+    dir: PathBuf,
+    page_no: u32,
+    row_count: u64,
+    payload: Vec<u8>,
+    rows_in_page: u16,
+}
+
+impl PageWriter {
+    /// Starts a fresh store in `dir`, replacing any there.
+    pub(crate) fn create(dir: &Path, pool_frames: usize) -> Result<Self, StoreError> {
+        let fm = FileManager::create(dir)?;
+        // A stale mutation log must not replay over the fresh generation.
+        match std::fs::remove_file(dir.join(super::MUTATION_LOG_FILE)) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        let mut payload = Vec::with_capacity(PAGE_CAPACITY);
+        payload.extend_from_slice(&0u16.to_le_bytes());
+        Ok(Self {
+            fm,
+            pool: BufferPool::new(pool_frames),
+            dir: dir.to_path_buf(),
+            page_no: 0,
+            row_count: 0,
+            payload,
+            rows_in_page: 0,
+        })
+    }
+
+    fn seal_page(&mut self) -> Result<(), StoreError> {
+        self.payload[..2].copy_from_slice(&self.rows_in_page.to_le_bytes());
+        {
+            let guard = self.pool.pin_new(&self.fm, self.page_no)?;
+            let payload = &self.payload;
+            guard.with_write(|buf| {
+                buf[PAGE_HEADER..PAGE_HEADER + payload.len()].copy_from_slice(payload);
+                page::set_len(buf, payload.len() as u32);
+            });
+        }
+        self.payload.truncate(2);
+        self.page_no += 1;
+        self.rows_in_page = 0;
+        Ok(())
+    }
+
+    /// Appends one row.
+    pub(crate) fn push(&mut self, row: &[Value]) -> Result<(), StoreError> {
+        let sz = codec::row_size(row);
+        if sz > PAGE_CAPACITY - 2 {
+            return Err(StoreError::Codec(format!(
+                "row of {sz} bytes exceeds page capacity"
+            )));
+        }
+        if self.payload.len() + sz > PAGE_CAPACITY || self.rows_in_page == u16::MAX {
+            self.seal_page()?;
+        }
+        codec::push_row(&mut self.payload, row);
+        self.rows_in_page += 1;
+        self.row_count += 1;
+        Ok(())
+    }
+
+    /// Durability order: pages → fsync → manifest (atomic rename); then
+    /// the opened store.
+    pub(crate) fn finish(mut self, schema: &Schema, epoch: u64) -> Result<PagedRows, StoreError> {
+        if self.rows_in_page > 0 {
+            self.seal_page()?;
+        }
+        self.pool.flush_all(&self.fm)?;
+        self.fm.sync()?;
+        let table: Vec<u32> = (0..self.page_no).collect();
+        self.fm.bump_epoch(&Manifest {
+            format_version: FORMAT_VERSION,
+            epoch,
+            page_count: self.page_no,
+            record_count: self.row_count,
+            payload: encode_meta_payload(schema, 0, &table),
+        })?;
+        Ok(PagedRows {
+            mutators: Mutex::new(DatasetLog::new(&self.dir)),
+            fm: self.fm,
+            pool: Arc::new(self.pool),
+            dir: self.dir,
+            meta: RwLock::new(Meta {
+                schema: Arc::new(schema.clone()),
+                row_count: self.row_count,
+                table,
+                phys_pages: self.page_no,
+                epoch,
+                applied: 0,
+            }),
+        })
+    }
+}
+
 impl PagedRows {
     /// Writes `rows` (already validated against `schema`) into `dir` and
     /// returns the opened store. Any existing store in `dir` is replaced
@@ -214,79 +318,11 @@ impl PagedRows {
         epoch: u64,
         pool_frames: usize,
     ) -> Result<Self, StoreError> {
-        let fm = FileManager::create(dir)?;
-        // A stale mutation log must not replay over the fresh generation.
-        match std::fs::remove_file(dir.join(super::MUTATION_LOG_FILE)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        let pool = BufferPool::new(pool_frames);
-
-        let mut page_no: u32 = 0;
-        let mut row_count: u64 = 0;
-        let mut payload: Vec<u8> = Vec::with_capacity(PAGE_CAPACITY);
-        let mut rows_in_page: u16 = 0;
-        payload.extend_from_slice(&0u16.to_le_bytes());
-
-        let seal_page = |page_no: u32, payload: &mut Vec<u8>, rows_in_page: u16| {
-            payload[..2].copy_from_slice(&rows_in_page.to_le_bytes());
-            let guard = pool.pin_new(&fm, page_no)?;
-            guard.with_write(|buf| {
-                buf[PAGE_HEADER..PAGE_HEADER + payload.len()].copy_from_slice(payload);
-                page::set_len(buf, payload.len() as u32);
-            });
-            payload.truncate(2);
-            Ok::<(), StoreError>(())
-        };
-
+        let mut writer = PageWriter::create(dir, pool_frames)?;
         for row in rows {
-            let sz = codec::row_size(row);
-            if sz > PAGE_CAPACITY - 2 {
-                return Err(StoreError::Codec(format!(
-                    "row of {sz} bytes exceeds page capacity"
-                )));
-            }
-            if payload.len() + sz > PAGE_CAPACITY || rows_in_page == u16::MAX {
-                seal_page(page_no, &mut payload, rows_in_page)?;
-                page_no += 1;
-                rows_in_page = 0;
-            }
-            codec::push_row(&mut payload, row);
-            rows_in_page += 1;
-            row_count += 1;
+            writer.push(row)?;
         }
-        if rows_in_page > 0 {
-            seal_page(page_no, &mut payload, rows_in_page)?;
-            page_no += 1;
-        }
-
-        // Durability order: pages → fsync → manifest (atomic rename).
-        pool.flush_all(&fm)?;
-        fm.sync()?;
-        let table: Vec<u32> = (0..page_no).collect();
-        fm.bump_epoch(&Manifest {
-            format_version: FORMAT_VERSION,
-            epoch,
-            page_count: page_no,
-            record_count: row_count,
-            payload: encode_meta_payload(schema, 0, &table),
-        })?;
-
-        Ok(Self {
-            fm,
-            pool: Arc::new(pool),
-            dir: dir.to_path_buf(),
-            meta: RwLock::new(Meta {
-                schema: schema.clone(),
-                row_count,
-                table,
-                phys_pages: page_no,
-                epoch,
-                applied: 0,
-            }),
-            mutators: Mutex::new(DatasetLog::new(dir)),
-        })
+        writer.finish(schema, epoch)
     }
 
     /// Opens and verifies an existing store: manifest checksum + version,
@@ -320,7 +356,7 @@ impl PagedRows {
             pool: Arc::new(BufferPool::new(pool_frames)),
             dir: dir.to_path_buf(),
             meta: RwLock::new(Meta {
-                schema,
+                schema: Arc::new(schema),
                 row_count: manifest.record_count,
                 table,
                 phys_pages: manifest.page_count,
@@ -357,7 +393,12 @@ impl PagedRows {
 
     /// The schema recorded at ingest, as widened by later inserts.
     pub fn schema(&self) -> Schema {
-        self.meta.read().expect("paged meta").schema.clone()
+        (*self.meta.read().expect("paged meta").schema).clone()
+    }
+
+    /// The directory the store lives in.
+    pub fn dir(&self) -> &Path {
+        &self.dir
     }
 
     /// Logical row count (from the manifest, no scan needed).
@@ -453,7 +494,7 @@ impl PagedRows {
 
         match record.op {
             MutationOp::Insert => {
-                schema = widen_schema(&schema, &record.rows);
+                schema = Arc::new(widen_schema(&schema, &record.rows));
                 // Start from the tail page's payload when it has room.
                 let mut payload: Vec<u8>;
                 let mut rows_in_page: u16;
@@ -506,31 +547,21 @@ impl PagedRows {
                 }
             }
             MutationOp::Delete => {
-                let mut want: Vec<&Vec<Value>> = record.rows.iter().collect();
+                let mut want = RowMatcher::new(&record.rows);
+                let codes = Codes::new(&schema);
                 for slot in table.iter_mut() {
-                    if want.is_empty() {
+                    if want.is_done() {
                         break;
                     }
-                    let phys = *slot;
-                    let guard = self.pool.pin(&self.fm, phys)?;
-                    let payload = guard.with_read(|buf| {
-                        page::verify(buf, phys).map(|_| page::payload(buf).to_vec())
-                    })?;
-                    let mut kept: Vec<Vec<Value>> = Vec::new();
-                    let mut changed = false;
-                    codec::decode_rows(&payload, |row| {
-                        if let Some(pos) = want.iter().position(|w| w.as_slice() == row) {
-                            want.remove(pos);
-                            deleted.push(row.to_vec());
-                            changed = true;
-                        } else {
-                            kept.push(row.to_vec());
-                        }
-                    })?;
-                    if changed {
-                        let mut new_payload = (kept.len() as u16).to_le_bytes().to_vec();
-                        for row in &kept {
-                            codec::push_row(&mut new_payload, row);
+                    let (_pinned, chunk) = self.pin_chunk(*slot, &schema, &codes)?;
+                    let hit = chunk.take_matches(&schema, &mut want);
+                    if !hit.is_empty() {
+                        deleted.extend(hit.iter().map(|&r| chunk.row(&schema, r)));
+                        let kept = (0..chunk.len()).filter(|r| hit.binary_search(r).is_err());
+                        let mut new_payload =
+                            ((chunk.len() - hit.len()) as u16).to_le_bytes().to_vec();
+                        for r in kept {
+                            codec::push_row(&mut new_payload, &chunk.row(&schema, r));
                         }
                         let fresh = phys_next;
                         phys_next += 1;
@@ -579,29 +610,23 @@ impl PagedRows {
         Ok(outcome)
     }
 
-    /// Streams every row through `f`, page by page via the pool. Memory
-    /// is bounded by the pool capacity regardless of dataset size. Each
-    /// page is checksum-verified on its way in from disk; corruption
-    /// surfaces as an error here, not as silently wrong counts. The page
-    /// table is snapshotted at entry: a scan racing a mutation sees one
-    /// consistent epoch end to end.
-    pub fn for_each_row(&self, mut f: impl FnMut(&[Value])) -> Result<(), StoreError> {
-        let (table, row_count) = {
+    /// Streams every page through `f` as one decoded [`Chunk`], via the
+    /// pool. Memory is bounded by the pool capacity plus one page's chunk
+    /// regardless of dataset size. Each page is checksum-verified on its
+    /// way in from disk; corruption surfaces as an error here, not as
+    /// silently wrong counts. The page table is snapshotted at entry: a
+    /// scan racing a mutation sees one consistent epoch end to end.
+    pub fn for_each_chunk(&self, mut f: impl FnMut(&Chunk)) -> Result<(), StoreError> {
+        let (table, row_count, schema) = {
             let meta = self.meta.read().expect("paged meta");
-            (meta.table.clone(), meta.row_count)
+            (meta.table.clone(), meta.row_count, meta.schema.clone())
         };
+        let codes = Codes::new(&schema);
         let mut seen: u64 = 0;
         for &phys in &table {
-            let guard = self.pool.pin(&self.fm, phys)?;
-            // Decode under the read lock: rows borrow the frame only
-            // transiently (each row is materialized by the codec).
-            guard.with_read(|buf| {
-                let _ = page::verify(buf, phys)?; // re-check resident frames too
-                codec::decode_rows(page::payload(buf), |row| {
-                    seen += 1;
-                    f(row);
-                })
-            })?;
+            let (_pinned, chunk) = self.pin_chunk(phys, &schema, &codes)?;
+            seen += chunk.len() as u64;
+            f(&chunk);
         }
         if seen != row_count {
             return Err(StoreError::Codec(format!(
@@ -611,11 +636,33 @@ impl PagedRows {
         Ok(())
     }
 
-    /// Materializes all rows (used by legacy `Dataset::rows()` callers;
-    /// unbounded memory — scans should prefer [`Self::for_each_row`]).
-    pub fn materialize(&self) -> Result<Vec<Vec<Value>>, StoreError> {
+    /// Pins physical page `phys` and decodes it into one chunk sized to
+    /// the page; the page stays pinned while the caller holds the guard.
+    /// A page the pin read from disk was checksum-verified by that read;
+    /// a frame that was already resident is verified again here, so
+    /// every byte a scan serves was checked after it was last read.
+    fn pin_chunk(
+        &self,
+        phys: u32,
+        schema: &Schema,
+        codes: &Codes<'_>,
+    ) -> Result<(PageRef<'_>, Chunk), StoreError> {
+        let guard = self.pool.pin(&self.fm, phys)?;
+        let chunk = guard.with_read(|buf| {
+            if !guard.read_from_disk() {
+                page::verify(buf, phys)?;
+            }
+            codec::decode_page(page::payload(buf), schema, codes)
+        })?;
+        Ok((guard, chunk))
+    }
+
+    /// Every row, owned, in storage order: for tests and diagnostics
+    /// (unbounded memory; scans use [`Self::for_each_chunk`]).
+    pub fn to_rows(&self) -> Result<Vec<Vec<Value>>, StoreError> {
+        let schema = self.schema();
         let mut out = Vec::with_capacity(self.row_count() as usize);
-        self.for_each_row(|row| out.push(row.to_vec()))?;
+        self.for_each_chunk(|c| out.extend((0..c.len()).map(|r| c.row(&schema, r))))?;
         Ok(out)
     }
 }
@@ -666,7 +713,7 @@ mod tests {
         let store = PagedRows::open(&dir, 4).unwrap();
         assert_eq!(store.schema(), schema);
         assert_eq!(store.epoch(), 1);
-        assert_eq!(store.materialize().unwrap(), rows);
+        assert_eq!(store.to_rows().unwrap(), rows);
         // The 4-frame pool never holds more than 4 of the pages.
         assert!(store.pool_stats().misses >= store.page_count() as u64 - 4);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -680,10 +727,7 @@ mod tests {
         let store =
             PagedRows::ingest(&dir, &schema, rows.iter().map(|r| r.as_slice()), 1, 1).unwrap();
         assert!(store.pool_stats().flushes >= store.page_count() as u64);
-        assert_eq!(
-            PagedRows::open(&dir, 2).unwrap().materialize().unwrap(),
-            rows
-        );
+        assert_eq!(PagedRows::open(&dir, 2).unwrap().to_rows().unwrap(), rows);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -695,7 +739,7 @@ mod tests {
         let store = PagedRows::open(&dir, 2).unwrap();
         assert_eq!(store.row_count(), 0);
         assert_eq!(store.page_count(), 0);
-        assert!(store.materialize().unwrap().is_empty());
+        assert!(store.to_rows().unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -709,7 +753,7 @@ mod tests {
         PagedRows::ingest(&dir, &schema, second.iter().map(|r| r.as_slice()), 2, 2).unwrap();
         let store = PagedRows::open(&dir, 2).unwrap();
         assert_eq!(store.epoch(), 2);
-        assert_eq!(store.materialize().unwrap(), second);
+        assert_eq!(store.to_rows().unwrap(), second);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -745,7 +789,7 @@ mod tests {
         bytes.extend_from_slice(&vec![0xAAu8; PAGE_SIZE / 2]);
         std::fs::write(&pages, &bytes).unwrap();
         let store = PagedRows::open(&dir, 4).unwrap();
-        assert_eq!(store.materialize().unwrap(), rows);
+        assert_eq!(store.to_rows().unwrap(), rows);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -767,13 +811,13 @@ mod tests {
         assert_eq!(store.row_count(), 102);
         let mut want = rows.clone();
         want.extend(extra.clone());
-        assert_eq!(store.materialize().unwrap(), want);
+        assert_eq!(store.to_rows().unwrap(), want);
         drop(store);
         // Reopen: the committed state includes the mutation.
         let store = PagedRows::open(&dir, 4).unwrap();
         assert_eq!(store.epoch(), 2);
         assert_eq!(store.mutations_applied(), 1);
-        assert_eq!(store.materialize().unwrap(), want);
+        assert_eq!(store.to_rows().unwrap(), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -789,7 +833,7 @@ mod tests {
         assert_eq!(outcome.deleted, vec![rows[3].clone()]);
         assert_eq!(store.row_count(), 10);
         // One copy of the duplicate row must survive.
-        let left = store.materialize().unwrap();
+        let left = store.to_rows().unwrap();
         assert_eq!(left.iter().filter(|r| **r == rows[3]).count(), 1);
         // Deleting a row that does not exist removes nothing.
         let missing = vec![vec![Value::Int(12345), Value::Str("ghost".into())]];
@@ -852,7 +896,7 @@ mod tests {
         let mut want = rows.clone();
         want.extend(extra);
         want.extend(ghost);
-        assert_eq!(store.materialize().unwrap(), want);
+        assert_eq!(store.to_rows().unwrap(), want);
         // Re-opening again is stable (replay is idempotent via `applied`).
         drop(store);
         let store = PagedRows::open(&dir, 4).unwrap();
@@ -875,7 +919,7 @@ mod tests {
         assert!(store.page_count() > pages_before);
         let mut want = rows.clone();
         want.extend(extra.clone());
-        assert_eq!(store.materialize().unwrap(), want);
+        assert_eq!(store.to_rows().unwrap(), want);
         // Delete a band spread over several pages.
         let band: Vec<Vec<Value>> = rows[50..150].to_vec();
         let outcome = store.delete_rows(&band).unwrap();
@@ -885,7 +929,7 @@ mod tests {
         drop(store);
         let store = PagedRows::open(&dir, 4).unwrap();
         assert_eq!(store.row_count(), 600);
-        let left = store.materialize().unwrap();
+        let left = store.to_rows().unwrap();
         assert_eq!(left.iter().filter(|r| **r == rows[60]).count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -124,8 +124,7 @@ pub fn adult_dataset(n: usize, seed: u64) -> Dataset {
         "armed-forces",
     ];
 
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
+    let rows = (0..n).map(|_| {
         // Age: clipped log-normal-ish around 37.
         let z: f64 = standard_normal(&mut rng);
         let age = (37.0 + 13.0 * z).round().clamp(17.0, 90.0) as i64;
@@ -153,7 +152,7 @@ pub fn adult_dataset(n: usize, seed: u64) -> Dataset {
             .clamp(1.0, 99.0) as i64;
         let label = rng.gen::<f64>() < 0.24;
 
-        rows.push(vec![
+        vec![
             Value::Int(age),
             Value::from(workclass),
             Value::Int(education),
@@ -163,9 +162,9 @@ pub fn adult_dataset(n: usize, seed: u64) -> Dataset {
             Value::Int(capital_gain),
             Value::Int(hours),
             Value::Bool(label),
-        ]);
-    }
-    Dataset::new(schema, rows).expect("generated rows conform to schema")
+        ]
+    });
+    Dataset::from_row_iter(schema, rows).expect("generated rows conform to schema")
 }
 
 /// Standard normal via Box–Muller (avoids pulling in `rand_distr`).
@@ -184,16 +183,16 @@ mod tests {
     fn generation_is_deterministic() {
         let a = adult_dataset(500, 7);
         let b = adult_dataset(500, 7);
-        assert_eq!(a.rows(), b.rows());
+        assert_eq!(a.to_rows(), b.to_rows());
         let c = adult_dataset(500, 8);
-        assert_ne!(a.rows(), c.rows());
+        assert_ne!(a.to_rows(), c.to_rows());
     }
 
     #[test]
     fn rows_conform_to_schema() {
         let d = adult_dataset(2_000, 42);
         assert_eq!(d.len(), 2_000);
-        for row in d.rows() {
+        for row in &d.to_rows() {
             d.schema().validate_row(row).unwrap();
         }
     }
@@ -219,7 +218,7 @@ mod tests {
         let d = adult_dataset(5_000, 3);
         let idx = d.schema().index_of("age").unwrap();
         let mean: f64 = d
-            .rows()
+            .to_rows()
             .iter()
             .map(|r| r[idx].as_f64().unwrap())
             .sum::<f64>()

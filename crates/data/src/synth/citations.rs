@@ -270,7 +270,7 @@ mod tests {
         };
         let a = citations_dataset(&cfg);
         let b = citations_dataset(&cfg);
-        assert_eq!(a.rows(), b.rows());
+        assert_eq!(a.to_rows(), b.to_rows());
     }
 
     #[test]
@@ -313,7 +313,7 @@ mod tests {
             d.schema().index_of("label").unwrap(),
         );
         let mut sims = Vec::new();
-        for row in d.rows() {
+        for row in &d.to_rows() {
             if row[il] == Value::Bool(true) {
                 let a: std::collections::HashSet<&str> =
                     row[ia].as_str().unwrap().split(' ').collect();
@@ -334,7 +334,7 @@ mod tests {
             ..Default::default()
         };
         let d = citations_dataset(&cfg);
-        for row in d.rows() {
+        for row in &d.to_rows() {
             d.schema().validate_row(row).unwrap();
         }
     }

@@ -54,8 +54,7 @@ pub fn nytaxi_schema() -> Schema {
 pub fn nytaxi_dataset(n: usize, seed: u64) -> Dataset {
     let schema = nytaxi_schema();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
+    let rows = (0..n).map(|_| {
         // Exponential-ish trip distance, median ≈ 1.6 miles.
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let dist = (-2.3 * u.ln()).min(99.9);
@@ -80,7 +79,7 @@ pub fn nytaxi_dataset(n: usize, seed: u64) -> Dataset {
             rng.gen_range(2..=4)
         };
 
-        rows.push(vec![
+        vec![
             Value::Float(dist),
             Value::Float(fare),
             Value::Float(total),
@@ -90,9 +89,9 @@ pub fn nytaxi_dataset(n: usize, seed: u64) -> Dataset {
             Value::Int(day),
             Value::Int(hour),
             Value::Int(payment),
-        ]);
-    }
-    Dataset::new(schema, rows).expect("generated rows conform to schema")
+        ]
+    });
+    Dataset::from_row_iter(schema, rows).expect("generated rows conform to schema")
 }
 
 /// Passenger counts: ~72% singletons, geometric tail up to 10.
@@ -148,13 +147,13 @@ mod tests {
     fn generation_is_deterministic() {
         let a = nytaxi_dataset(300, 11);
         let b = nytaxi_dataset(300, 11);
-        assert_eq!(a.rows(), b.rows());
+        assert_eq!(a.to_rows(), b.to_rows());
     }
 
     #[test]
     fn rows_conform_to_schema() {
         let d = nytaxi_dataset(1_000, 5);
-        for row in d.rows() {
+        for row in &d.to_rows() {
             d.schema().validate_row(row).unwrap();
         }
     }

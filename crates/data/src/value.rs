@@ -89,6 +89,59 @@ impl Value {
     }
 }
 
+/// A borrowed view of one cell: what a scan over the row store hands
+/// out, so reading a row allocates nothing. Equality is [`Value`]'s
+/// (`Float` compares with `==`, so `-0.0 == 0.0` and NaN equals
+/// nothing), and [`ValueRef::to_value`] gives back the stored value
+/// exactly, bits included.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// Integer value.
+    Int(i64),
+    /// Floating point value.
+    Float(f64),
+    /// String value.
+    Str(&'a str),
+    /// Boolean value.
+    Bool(bool),
+    /// SQL-style NULL.
+    Null,
+}
+
+impl ValueRef<'_> {
+    /// The owned value.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(s.to_string()),
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Null => Value::Null,
+        }
+    }
+
+    /// Numeric view, as [`Value::as_f64`].
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(i) => Some(i as f64),
+            ValueRef::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Null => ValueRef::Null,
+        }
+    }
+}
+
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)

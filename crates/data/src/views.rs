@@ -30,9 +30,13 @@
 //!
 //! **Consistency.** The cache is part of the dataset *value*: it is cloned
 //! with it, folded only under `&mut Dataset`, and read only through
-//! `&Dataset`, and the rows of a resident dataset belong to that value
-//! alone — so a view can never describe other rows than its dataset's.
-//! The lock guards lookup and insert only — a scan never runs under it.
+//! `&Dataset`. Clones share their rows' chunks ([`crate::chunk`]), but a
+//! chunk never changes once built: a mutation swaps new chunks into the
+//! mutating value's own chunk list and folds that value's own views, and
+//! every other clone keeps its list and its views as they were. So the
+//! rows a value's views describe are exactly the chunks its list holds —
+//! a view can never describe other rows than its dataset's. The lock
+//! guards lookup and insert only — a scan never runs under it.
 //!
 //! **Bounds.** At most [`MAX_VIEWS`] views and [`MAX_VIEW_BYTES`] of
 //! cells + mapping per dataset, least-recently-used out first; a single

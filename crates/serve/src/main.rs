@@ -263,6 +263,9 @@ fn main() {
                 for (name, spent, budget) in &report.budgets {
                     println!("  {name}: spent {spent:.4} of B = {budget}");
                 }
+                for (name, chunks, bytes) in &report.row_stores {
+                    println!("  {name} rows: {chunks} resident chunks, {bytes} bytes");
+                }
                 println!(
                     "  store: {} ingested, {} opened from disk, pool hits {}, \
                      view hits {}, compile hits {}, parse hits {}, transcript records {}",

@@ -186,6 +186,9 @@ pub struct SelfTestReport {
     /// records-per-sync group commit got; the last is the zeroed room
     /// left in the shard's WAL generation.
     pub wal_syncs: Vec<(u64, u64, u64)>,
+    /// Per tenant, `(name, chunks, bytes)` of its resident row store from
+    /// `/v1/stats` `rows` (zero for a paged tenant).
+    pub row_stores: Vec<(String, u64, u64)>,
 }
 
 /// The tenants served, each by the one shard the ring routes it to;
@@ -713,6 +716,22 @@ fn run_in_dir(cfg: &SelfTestConfig, dir: &std::path::Path) -> Result<SelfTestRep
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("stats missing datasets.wide.{object}.{field}"))
     };
+    // Each tenant's resident row store, as `/v1/stats` reports it (the
+    // paged tenants read zero: their rows live in the buffer pool).
+    for name in TENANTS {
+        let field = |f: &str| {
+            stats
+                .get("datasets")
+                .and_then(|d| d.get(name))
+                .and_then(|d| d.get("rows"))
+                .and_then(|r| r.get(f))
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("stats missing datasets.{name}.rows.{f}"))
+        };
+        report
+            .row_stores
+            .push((name.to_string(), field("chunks")?, field("bytes")?));
+    }
     let folds = wide("views", "folds")?;
     report.view_hits = wide("views", "hits")?;
     report.compile_hits = wide("compile", "hits")?;

@@ -311,6 +311,7 @@ pub fn stats_json(set: &ShardSet) -> Json {
                     ("shard", Json::from(k)),
                     ("cache", wire::cache_stats_json(t.cache.local_stats())),
                     ("views", wire::view_stats_json(t.view_stats())),
+                    ("rows", wire::row_store_stats_json(t.row_store_stats())),
                     (
                         "compile",
                         wire::compile_stats_json(t.engine.with_engine(|e| e.compile_stats())),

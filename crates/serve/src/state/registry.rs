@@ -97,6 +97,12 @@ impl Tenant {
         self.engine.with_engine(|e| e.dataset_view_stats())
     }
 
+    /// Chunks and heap bytes of this tenant's resident row store (zero
+    /// when paged).
+    pub fn row_store_stats(&self) -> apex_data::RowStoreStats {
+        self.engine.with_engine(|e| e.dataset_row_store_stats())
+    }
+
     /// Storage epoch of this tenant's dataset (None = resident).
     pub fn dataset_epoch(&self) -> Option<u64> {
         self.engine.with_engine(|e| e.dataset_epoch())

@@ -301,6 +301,16 @@ pub fn view_stats_json(stats: apex_data::ViewStats) -> Json {
     ])
 }
 
+/// Renders the size of one dataset's resident row store (`/v1/stats`
+/// `rows`): its chunk count and heap bytes, both zero when paged. They
+/// follow `|D|` and the schema, which are public.
+pub fn row_store_stats_json(stats: apex_data::RowStoreStats) -> Json {
+    Json::obj(vec![
+        ("chunks", Json::from(stats.chunks)),
+        ("bytes", Json::from(stats.bytes)),
+    ])
+}
+
 /// Renders one dataset's compile-memo counters (`/v1/stats` `compile`).
 /// Hits and misses follow the query text and the public schema only.
 pub fn compile_stats_json(stats: apex_core::CompileStats) -> Json {

@@ -178,7 +178,7 @@ fn on_disk_page_bit_flips_surface_through_open_and_scan() {
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &bytes).unwrap();
         hit_pages.insert(bit / (PAGE_SIZE * 8));
-        let outcome = PagedRows::open(&dir, 4).and_then(|s| s.materialize());
+        let outcome = PagedRows::open(&dir, 4).and_then(|s| s.to_rows());
         match outcome {
             Err(_) => {}
             Ok(served) => panic!(
@@ -189,10 +189,7 @@ fn on_disk_page_bit_flips_surface_through_open_and_scan() {
     }
     assert!(hit_pages.len() >= 2, "the stride must cover every page");
     std::fs::write(&path, &pristine).unwrap();
-    assert_eq!(
-        PagedRows::open(&dir, 4).unwrap().materialize().unwrap(),
-        rows
-    );
+    assert_eq!(PagedRows::open(&dir, 4).unwrap().to_rows().unwrap(), rows);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -216,10 +213,7 @@ fn every_byte_truncation_of_the_page_file_is_rejected() {
         );
         std::fs::write(&path, &pristine).unwrap();
     }
-    assert_eq!(
-        PagedRows::open(&dir, 4).unwrap().materialize().unwrap(),
-        rows
-    );
+    assert_eq!(PagedRows::open(&dir, 4).unwrap().to_rows().unwrap(), rows);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -235,10 +229,7 @@ fn a_torn_final_append_is_never_served() {
     let mut torn = pristine.clone();
     torn.extend_from_slice(&xorshift_bytes(PAGE_SIZE / 2, 0xDEAD));
     std::fs::write(&path, &torn).unwrap();
-    assert_eq!(
-        PagedRows::open(&dir, 4).unwrap().materialize().unwrap(),
-        rows
-    );
+    assert_eq!(PagedRows::open(&dir, 4).unwrap().to_rows().unwrap(), rows);
 
     // The nastier case: the torn tail is a byte-exact copy of a *valid*
     // page. It would pass verification if read — the manifest, not the
@@ -246,7 +237,7 @@ fn a_torn_final_append_is_never_served() {
     let mut forged = pristine.clone();
     forged.extend_from_slice(&pristine[..PAGE_SIZE]);
     std::fs::write(&path, &forged).unwrap();
-    let served = PagedRows::open(&dir, 4).unwrap().materialize().unwrap();
+    let served = PagedRows::open(&dir, 4).unwrap().to_rows().unwrap();
     assert_eq!(served, rows, "a forged page beyond coverage was served");
 
     std::fs::remove_dir_all(&dir).unwrap();
@@ -262,7 +253,7 @@ fn reopen_after_kill_round_trips_the_committed_state() {
     for _ in 0..3 {
         let store = PagedRows::open(&dir, 2).unwrap();
         assert_eq!(store.row_count(), 1_500);
-        assert_eq!(store.materialize().unwrap(), rows);
+        assert_eq!(store.to_rows().unwrap(), rows);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -473,7 +464,7 @@ fn a_corrupt_acked_mutation_stops_store_replay_at_the_last_valid_record() {
         let mut want = base.clone();
         want.extend(extra[..hit].iter().cloned());
         assert_eq!(
-            store.materialize().unwrap(),
+            store.to_rows().unwrap(),
             want,
             "log bit flip at offset {bit} leaked into the served rows"
         );
@@ -485,7 +476,7 @@ fn a_corrupt_acked_mutation_stops_store_replay_at_the_last_valid_record() {
     assert_eq!(store.mutations_applied(), 2);
     let mut want = base.clone();
     want.extend(extra.iter().cloned());
-    assert_eq!(store.materialize().unwrap(), want);
+    assert_eq!(store.to_rows().unwrap(), want);
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&snap).unwrap();
 }
