@@ -117,6 +117,7 @@ impl Column {
         }
     }
 
+    #[inline]
     fn get<'a>(&'a self, domain: &'a Domain, r: usize) -> ValueRef<'a> {
         if self.nulls.get(r) {
             return ValueRef::Null;
@@ -356,7 +357,9 @@ impl Chunk {
 
     /// Calls `f(r, key(cell))` for every row `r` of column `col`. A
     /// categorical column evaluates `key` once per category and NULL,
-    /// not once per row.
+    /// not once per row; integer and float columns are read straight
+    /// from their cells (these loops carry a delete's row hashing and
+    /// every histogram).
     pub(crate) fn map_column<K: Copy>(
         &self,
         domain: &Domain,
@@ -378,6 +381,32 @@ impl Chunk {
                             table[i as usize]
                         },
                     );
+                }
+            }
+            (Cells::Int(v), _) => {
+                let null = key(ValueRef::Null);
+                for (r, &i) in v.iter().enumerate() {
+                    f(
+                        r,
+                        if c.nulls.get(r) {
+                            null
+                        } else {
+                            key(ValueRef::Int(i))
+                        },
+                    );
+                }
+            }
+            (Cells::Float { bits, ints }, _) => {
+                let null = key(ValueRef::Null);
+                for (r, &b) in bits.iter().enumerate() {
+                    let v = if c.nulls.get(r) {
+                        null
+                    } else if ints.get(r) {
+                        key(ValueRef::Int(b as i64))
+                    } else {
+                        key(ValueRef::Float(f64::from_bits(b)))
+                    };
+                    f(r, v);
                 }
             }
             _ => (0..self.len).for_each(|r| f(r, key(c.get(domain, r)))),
