@@ -18,11 +18,14 @@
 //! * Resident pages never exceed `capacity`; frames are pre-allocated.
 //! * A dirty frame is written back (re-sealed with a fresh CRC) before
 //!   its frame is reused, and on [`BufferPool::flush_all`].
+//! * A read that fails (corrupt page, short read, I/O error) leaves its
+//!   frame empty — clean, unpinned, mapped to no page — never labelled
+//!   with the page it displaced.
 //! * When every frame is pinned, a miss fails with
 //!   [`StoreError::AllPinned`] rather than evicting under a reader.
 
 use super::file_manager::FileManager;
-use super::page::PAGE_SIZE;
+use super::page::{self, PAGE_SIZE};
 use super::StoreError;
 use std::collections::HashMap;
 use std::sync::{Mutex, RwLock};
@@ -61,6 +64,16 @@ struct Slot {
     referenced: bool,
 }
 
+impl Slot {
+    /// A frame that holds no page.
+    const EMPTY: Slot = Slot {
+        page_no: NO_PAGE,
+        pin: 0,
+        dirty: false,
+        referenced: false,
+    };
+}
+
 struct Meta {
     map: HashMap<u32, usize>,
     slots: Vec<Slot>,
@@ -93,14 +106,7 @@ impl BufferPool {
         let frames = (0..capacity)
             .map(|_| RwLock::new(vec![0u8; PAGE_SIZE]))
             .collect();
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                page_no: NO_PAGE,
-                pin: 0,
-                dirty: false,
-                referenced: false,
-            })
-            .collect();
+        let slots = (0..capacity).map(|_| Slot::EMPTY).collect();
         Self {
             frames,
             meta: Mutex::new(Meta {
@@ -177,19 +183,28 @@ impl BufferPool {
                 // commit's job (flush_all + sync before Manifest::write).
                 let mut buf = self.frames[idx].write().expect("frame lock");
                 fm.write_page(old, &mut buf)?;
+                meta.slots[idx].dirty = false;
                 meta.stats.flushes += 1;
             }
             meta.map.remove(&old);
             meta.stats.evictions += 1;
         }
 
-        {
+        let read = {
             let mut buf = self.frames[idx].write().expect("frame lock");
             if fresh {
                 buf.fill(0);
+                Ok(0)
             } else {
-                fm.read_page(page_no, &mut buf)?;
+                fm.read_page(page_no, &mut buf)
             }
+        };
+        if let Err(e) = read {
+            // The frame holds the failed read's bytes and belongs to no
+            // page now: left labelled `old`, a later eviction would seal
+            // those bytes as `old` or unmap a live frame of it.
+            meta.slots[idx] = Slot::EMPTY;
+            return Err(e);
         }
         meta.map.insert(page_no, idx);
         let slot = &mut meta.slots[idx];
@@ -261,16 +276,26 @@ impl<'a> PageRef<'a> {
         self.page_no
     }
 
-    /// Whether this pin read the page from disk — so the read verified
-    /// its checksum just now — rather than finding it resident.
-    pub fn read_from_disk(&self) -> bool {
-        self.read_from_disk
-    }
-
     /// Read access to the full page buffer (header + payload).
     pub fn with_read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         let buf = self.pool.frames[self.frame].read().expect("frame lock");
         f(&buf)
+    }
+
+    /// Read access to the page's used payload, checksum-verified. A page
+    /// this pin read from disk was verified by that read; a frame that
+    /// was already resident is verified again here, so every byte served
+    /// was checked after it was last read.
+    pub fn with_verified<R>(
+        &self,
+        f: impl FnOnce(&[u8]) -> Result<R, StoreError>,
+    ) -> Result<R, StoreError> {
+        self.with_read(|buf| {
+            if !self.read_from_disk {
+                page::verify(buf, self.page_no)?;
+            }
+            f(page::payload(buf))
+        })
     }
 
     /// Write access to the page buffer; marks the frame dirty. The closure
@@ -437,6 +462,67 @@ mod tests {
         pool.flush_all(&fm).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         assert_eq!(fm.read_page(0, &mut buf).unwrap(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Flips one payload byte of page `no` in the page file.
+    fn corrupt_page(dir: &Path, no: u32) {
+        let path = dir.join("pages.dat");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[no as usize * PAGE_SIZE + PAGE_HEADER] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn a_failed_read_into_a_dirty_victim_corrupts_no_page() {
+        let dir = tmp_dir("failed-read");
+        let fm = seed_pages(&dir, 3);
+        let pool = BufferPool::new(1);
+        pool.pin(&fm, 0).unwrap().with_write(|buf| {
+            buf[PAGE_HEADER] = 0xAA;
+            set_len(buf, 8);
+        });
+        corrupt_page(&dir, 1);
+        // The miss writes page 0 back, then the read of page 1 fails.
+        assert!(matches!(
+            pool.pin(&fm, 1),
+            Err(StoreError::CorruptPage { .. })
+        ));
+        assert_eq!(pool.resident_pages(), 0);
+        // Reusing the frame must not seal page 1's bytes as page 0.
+        pool.pin(&fm, 2)
+            .unwrap()
+            .with_read(|buf| assert_eq!(buf[PAGE_HEADER], 2));
+        let mut buf = vec![0u8; PAGE_SIZE];
+        fm.read_page(0, &mut buf).unwrap();
+        assert_eq!(buf[PAGE_HEADER], 0xAA, "page 0's write was lost");
+        assert_eq!(pool.stats().flushes, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_read_leaves_no_orphan_to_unmap_a_live_frame() {
+        let dir = tmp_dir("orphan");
+        let fm = seed_pages(&dir, 6);
+        let pool = BufferPool::new(3);
+        for no in 0..3 {
+            pool.pin(&fm, no).unwrap();
+        }
+        corrupt_page(&dir, 3);
+        // The clock evicts page 0's frame for this read, which fails.
+        assert!(pool.pin(&fm, 3).is_err());
+        // Page 0 comes back in another frame and is written, still pinned.
+        let live = pool.pin(&fm, 0).unwrap();
+        live.with_write(|buf| buf[PAGE_HEADER] = 0xAA);
+        pool.pin(&fm, 4).unwrap();
+        // This miss reuses the failed read's frame; it must not unmap the
+        // live frame of page 0.
+        pool.pin(&fm, 5).unwrap();
+        let misses = pool.stats().misses;
+        let again = pool.pin(&fm, 0).unwrap();
+        assert_eq!(pool.stats().misses, misses, "page 0 was unmapped");
+        again.with_read(|buf| assert_eq!(buf[PAGE_HEADER], 0xAA));
+        drop((live, again));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -501,9 +501,7 @@ impl PagedRows {
                 let mut replaces: Option<usize> = None; // logical slot being rewritten
                 if let Some(&tail_phys) = table.last() {
                     let guard = self.pool.pin(&self.fm, tail_phys)?;
-                    payload = guard.with_read(|buf| {
-                        page::verify(buf, tail_phys).map(|_| page::payload(buf).to_vec())
-                    })?;
+                    payload = guard.with_verified(|p| Ok(p.to_vec()))?;
                     rows_in_page = u16::from_le_bytes(payload[..2].try_into().expect("2 bytes"));
                     replaces = Some(table.len() - 1);
                 } else {
@@ -638,9 +636,7 @@ impl PagedRows {
 
     /// Pins physical page `phys` and decodes it into one chunk sized to
     /// the page; the page stays pinned while the caller holds the guard.
-    /// A page the pin read from disk was checksum-verified by that read;
-    /// a frame that was already resident is verified again here, so
-    /// every byte a scan serves was checked after it was last read.
+    /// The payload is verified by [`PageRef::with_verified`]'s rule.
     fn pin_chunk(
         &self,
         phys: u32,
@@ -648,12 +644,7 @@ impl PagedRows {
         codes: &Codes<'_>,
     ) -> Result<(PageRef<'_>, Chunk), StoreError> {
         let guard = self.pool.pin(&self.fm, phys)?;
-        let chunk = guard.with_read(|buf| {
-            if !guard.read_from_disk() {
-                page::verify(buf, phys)?;
-            }
-            codec::decode_page(page::payload(buf), schema, codes)
-        })?;
+        let chunk = guard.with_verified(|p| codec::decode_page(p, schema, codes))?;
         Ok((guard, chunk))
     }
 

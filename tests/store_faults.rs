@@ -22,7 +22,10 @@
 //! - a transcript flush cut at any byte, zeros behind it, is cut on open
 //!   back to the flushes before it;
 //! - files of a previous on-disk format are refused by name and left
-//!   byte-identical.
+//!   byte-identical;
+//! - a page read that fails in the buffer pool — corrupt or truncated —
+//!   leaves no frame that could later seal its bytes as another page or
+//!   unmap a live one.
 //!
 //! The logs' framing has its own generic sweeps next to the one
 //! implementation (`apex_data::store::framed`); the sweeps here drive the
@@ -37,8 +40,8 @@ use apex_data::store::framed::{self, FRAME_HEADER, MAGIC_LEN, TRAILER};
 use apex_data::store::mutation_log::MUTATION_LOG_FORMAT;
 use apex_data::store::transcript_log::TRANSCRIPT_FORMAT;
 use apex_data::store::{
-    page, Manifest, MutationLog, MutationOp, MutationRecord, PagedRows, TranscriptLog,
-    MUTATION_LOG_FILE, PAGE_CAPACITY, PAGE_SIZE,
+    page, BufferPool, FileManager, Manifest, MutationLog, MutationOp, MutationRecord, PagedRows,
+    TranscriptLog, MUTATION_LOG_FILE, PAGE_CAPACITY, PAGE_HEADER, PAGE_SIZE,
 };
 use apex_data::{Attribute, Domain, Schema, StoreError, Value};
 use std::path::{Path, PathBuf};
@@ -214,6 +217,96 @@ fn every_byte_truncation_of_the_page_file_is_rejected() {
         std::fs::write(&path, &pristine).unwrap();
     }
     assert_eq!(PagedRows::open(&dir, 4).unwrap().to_rows().unwrap(), rows);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A raw page file of `n` sealed pages, page `no`'s payload all `no`.
+fn seeded_page_file(dir: &Path, n: u32) -> FileManager {
+    std::fs::create_dir_all(dir).unwrap();
+    let fm = FileManager::create(dir).unwrap();
+    for no in 0..n {
+        let mut buf = vec![no as u8; PAGE_SIZE];
+        page::set_len(&mut buf, PAGE_CAPACITY as u32);
+        fm.write_page(no, &mut buf).unwrap();
+    }
+    fm.sync().unwrap();
+    fm
+}
+
+#[test]
+fn a_failed_pool_read_never_corrupts_another_page() {
+    // A one-frame pool holds page 0 dirty; the miss for a damaged page 1
+    // writes page 0 back and then fails its read. Page 0 must still read
+    // back as written — from the pool and from disk — whatever the damage.
+    let flips = [0, 5, 9, PAGE_HEADER, PAGE_SIZE / 2, PAGE_SIZE - 1];
+    let cuts = [0, 1, PAGE_SIZE / 2, PAGE_SIZE - 1];
+    let damages = flips
+        .iter()
+        .map(|&at| (format!("flip at {at}"), Some(at), None))
+        .chain(
+            cuts.iter()
+                .map(|&at| (format!("cut at {at}"), None, Some(at))),
+        );
+    for (what, flip, cut) in damages {
+        let dir = tmp_dir("pool-failed-read");
+        let fm = seeded_page_file(&dir, 2);
+        let pool = BufferPool::new(1);
+        pool.pin(&fm, 0)
+            .unwrap()
+            .with_write(|buf| buf[PAGE_HEADER] = 0xAA);
+        let path = dir.join("pages.dat");
+        if let Some(at) = flip {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[PAGE_SIZE + at] ^= 1 << 3;
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        if let Some(at) = cut {
+            let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            f.set_len((PAGE_SIZE + at) as u64).unwrap();
+        }
+        assert!(
+            matches!(
+                pool.pin(&fm, 1),
+                Err(StoreError::CorruptPage { page_no: 1, .. })
+            ),
+            "{what}: the damaged page was served"
+        );
+        pool.pin(&fm, 0)
+            .unwrap()
+            .with_read(|buf| assert_eq!(buf[PAGE_HEADER..PAGE_HEADER + 2], [0xAA, 0], "{what}"));
+        pool.flush_all(&fm).unwrap();
+        let mut buf = vec![0u8; PAGE_SIZE];
+        fm.read_page(0, &mut buf).unwrap();
+        assert_eq!(
+            buf[PAGE_HEADER..PAGE_HEADER + 2],
+            [0xAA, 0],
+            "{what}: page 0 on disk"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // A failed read's frame, reused later, must not unmap the live frame
+    // its displaced page was re-pinned into.
+    let dir = tmp_dir("pool-orphan");
+    let fm = seeded_page_file(&dir, 6);
+    let pool = BufferPool::new(3);
+    for no in 0..3 {
+        pool.pin(&fm, no).unwrap();
+    }
+    let path = dir.join("pages.dat");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[3 * PAGE_SIZE + PAGE_HEADER] ^= 1;
+    std::fs::write(&path, &bytes).unwrap();
+    // The clock picks page 0's frame for this read, which fails.
+    assert!(pool.pin(&fm, 3).is_err(), "the corrupt page was served");
+    let live = pool.pin(&fm, 0).unwrap();
+    live.with_write(|buf| buf[PAGE_HEADER] = 0xAA);
+    pool.pin(&fm, 4).unwrap();
+    pool.pin(&fm, 5).unwrap(); // reuses the failed read's frame
+    pool.pin(&fm, 0)
+        .unwrap()
+        .with_read(|buf| assert_eq!(buf[PAGE_HEADER], 0xAA, "a stale copy of page 0 was served"));
+    drop(live);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
