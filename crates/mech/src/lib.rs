@@ -33,6 +33,11 @@ pub mod relax;
 pub mod sm;
 pub mod traits;
 
+/// The core budget the translator's misses share: a shard worker marks
+/// itself busy while it routes a request, and a miss borrows helpers only
+/// from idle cores (see [`mc`]).
+pub use apex_linalg::par;
+
 pub use cache::{CacheStats, SmCacheKey, TranslatorCache};
 pub use laplace::Laplace;
 pub use lm::LaplaceMechanism;

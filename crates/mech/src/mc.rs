@@ -22,12 +22,15 @@
 //! vectors through the matrix-free `A⁺` of a [`StrategyOperator`] and the
 //! sparse workload ([`unit_errors_operator_blocked`]) — no dense `A⁺` or
 //! `W A⁺` is ever materialized, and the inner loops are independent
-//! fixed-width lanes instead of loop-carried reductions.
+//! fixed-width lanes instead of loop-carried reductions. A miss runs on
+//! the thread that asked for it, and idle cores help: the translator
+//! borrows helpers from the process-wide core budget ([`par`]), and every
+//! participant claims the next unclaimed panel from a shared cursor.
 //!
 //! Determinism is load-bearing (the privacy analyzer's deny decision must
 //! be a pure function of its inputs), so each sample index draws from its
 //! **own seeded RNG stream** derived from `(cfg.seed, index)`. Panel width
-//! and thread count therefore cannot reorder sampling or change a result.
+//! and participant count therefore cannot reorder sampling or change a result.
 //! Noise value `k` of sample `index` is [`unit_laplace`] of that stream's
 //! `k`-th word — a function of `(seed, index, k)` and IEEE arithmetic
 //! alone (no libm), whether [`fill_noise_panel`] draws it on a vector
@@ -41,7 +44,9 @@
 //! `apex-oracle` crate (same noise streams) must match it to ≈1e-9
 //! relative; only the floating-point summation order differs.
 
-use apex_linalg::{CsrMatrix, OpScratch, StrategyOperator};
+use std::sync::Mutex;
+
+use apex_linalg::{par, CsrMatrix, OpScratch, StrategyOperator};
 use rand::rngs::{StdRng, StdRngLanes};
 use rand::{RngCore, SeedableRng};
 
@@ -240,14 +245,19 @@ impl McTranslator {
             op.cols(),
             "workload and strategy operator must share the domain"
         );
+        // The asking thread computes and idle cores help (`par`); a
+        // shard worker already holds its busy mark.
+        let _caller = par::busy();
+        let helpers = par::lend_helpers(cfg.samples.div_ceil(SAMPLE_BLOCK).saturating_sub(1));
         let unit_errors = unit_errors_operator_blocked(
             workload,
             op,
             cfg.samples,
             cfg.seed,
-            apex_linalg::max_threads(),
+            1 + helpers.count(),
             SAMPLE_BLOCK,
         );
+        drop(helpers);
         let recon_frobenius = recon_frobenius_via_operator(workload, op);
         Self::from_parts(strat_sensitivity, recon_frobenius, cfg, unit_errors)
     }
@@ -347,19 +357,18 @@ impl McTranslator {
 /// `O(nnz(W) + solve cost)`, but the inner loops are independent
 /// fixed-width lanes instead of loop-carried reductions.
 ///
+/// `threads` participants compute: the caller and `threads − 1` scoped
+/// helpers (none are spawned at `threads = 1`). Each claims the next
+/// unclaimed `block`-sample panel from a shared cursor until none is
+/// left, so a descheduled participant delays only the panel it holds.
 /// A panel column's result does not depend on the panel around it, and
-/// every sample owns its RNG stream and output slot, so the thread count
-/// and the panel width `block` (both clamped to ≥ 1) never change a
-/// result — pinned by property tests against `threads = 1, block = 1`
+/// every sample owns its RNG stream and output slot, so the participant
+/// count and the panel width (both clamped to ≥ 1) never change a result
+/// — pinned by property tests against `threads = 1, block = 1`
 /// (parallelism must never change a privacy decision). The effective
-/// panel width is additionally capped so the per-thread noise panel stays
-/// within a fixed memory budget (see `capped_panel_width`); that cap is
-/// equally invisible in the results.
-///
-/// Samples are split across scoped threads in **balanced** contiguous
-/// chunks (`base + 1` samples for the first `samples % threads` threads,
-/// `base` for the rest), so no thread gets a systematically short or empty
-/// chunk when `samples % threads != 0`.
+/// panel width is additionally capped so each participant's noise panel
+/// stays within a fixed memory budget (see `capped_panel_width`); that
+/// cap is equally invisible in the results.
 pub fn unit_errors_operator_blocked(
     workload: &CsrMatrix,
     op: &dyn StrategyOperator,
@@ -369,58 +378,51 @@ pub fn unit_errors_operator_blocked(
     block: usize,
 ) -> Vec<f64> {
     let mut errors = vec![0.0_f64; samples];
-    if samples == 0 {
-        return errors;
-    }
     let m = op.rows();
     let block = capped_panel_width(block, m);
     let l = workload.rows();
-    let t = threads.clamp(1, samples);
-    let base = samples / t;
-    let extra = samples % t;
+    let helpers = threads.clamp(1, samples.div_ceil(block).max(1)) - 1;
     // Row classification is O(nnz); build it once and share it across
-    // threads instead of re-deriving it inside every panel product.
-    let panel_plan = workload.panel_plan();
-    std::thread::scope(|s| {
-        let mut rest: &mut [f64] = &mut errors;
-        let mut offset = 0usize;
-        for i in 0..t {
-            let len = base + usize::from(i < extra);
-            let (slice, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let first = offset;
-            offset += len;
-            let plan = &panel_plan;
-            s.spawn(move || {
-                // Per-thread panels: the noise panel, the pinv output
-                // panel, the workload product panel, and the solver's
-                // sweep buffers are allocated once and reused for every
-                // panel, so the steady-state loop is allocation-free.
-                // Buffers are fully overwritten per panel — results stay
-                // bit-identical for any thread count and panel width.
-                let mut eta_panel: Vec<f64> = Vec::new();
-                let mut recon_panel: Vec<f64> = Vec::new();
-                let mut w_panel: Vec<f64> = Vec::new();
-                let mut scratch = OpScratch::new();
-                let mut start = 0usize;
-                while start < slice.len() {
-                    let bs = block.min(slice.len() - start);
-                    eta_panel.resize(m * bs, 0.0);
-                    fill_noise_panel(&mut eta_panel, m, seed, (first + start) as u64);
-                    op.pinv_apply_multi(&eta_panel, bs, &mut recon_panel, &mut scratch)
-                        .expect("noise length matches operator rows");
-                    workload
-                        .matvec_panel_with_plan(plan, &recon_panel, bs, &mut w_panel)
-                        .expect("workload and operator share the domain");
-                    for (j, e) in slice[start..start + bs].iter_mut().enumerate() {
-                        *e = w_panel[j * l..(j + 1) * l]
-                            .iter()
-                            .fold(0.0_f64, |mx, v| mx.max(v.abs()));
-                    }
-                    start += bs;
-                }
-            });
+    // participants instead of re-deriving it inside every panel product.
+    let plan = workload.panel_plan();
+    let cursor = Mutex::new(errors.chunks_mut(block).enumerate());
+    // The lock is held for `next` alone, never across a panel.
+    let claim = || cursor.lock().expect("claiming a panel never panics").next();
+    let participate = || {
+        #[cfg(test)]
+        let _computing = tests::Computing::enter(seed);
+        // Per-participant panels: the noise panel, the pinv output panel,
+        // the workload product panel, and the solver's sweep buffers are
+        // allocated once and reused for every panel, so the steady-state
+        // loop is allocation-free. Buffers are fully overwritten per
+        // panel — results stay bit-identical for any participant count
+        // and panel width.
+        let mut eta_panel: Vec<f64> = Vec::new();
+        let mut recon_panel: Vec<f64> = Vec::new();
+        let mut w_panel: Vec<f64> = Vec::new();
+        let mut scratch = OpScratch::new();
+        while let Some((p, out)) = claim() {
+            let bs = out.len();
+            eta_panel.resize(m * bs, 0.0);
+            fill_noise_panel(&mut eta_panel, m, seed, (p * block) as u64);
+            op.pinv_apply_multi(&eta_panel, bs, &mut recon_panel, &mut scratch)
+                .expect("noise length matches operator rows");
+            workload
+                .matvec_panel_with_plan(&plan, &recon_panel, bs, &mut w_panel)
+                .expect("workload and operator share the domain");
+            for (j, e) in out.iter_mut().enumerate() {
+                *e = w_panel[j * l..(j + 1) * l]
+                    .iter()
+                    .fold(0.0_f64, |mx, v| mx.max(v.abs()));
+            }
         }
+    };
+    // A scope with no helper spawns no thread: the caller computes alone.
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(participate);
+        }
+        participate();
     });
     errors
 }
@@ -485,6 +487,8 @@ mod tests {
     use apex_linalg::{CsrBuilder, HierarchicalOperator, IdentityOperator};
     use apex_oracle::{frobenius_norm, pinv, Matrix};
     use apex_query::Strategy;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     impl McTranslator {
         /// The dense oracle: one noise vector and one dense `matvec`
@@ -718,7 +722,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_identical_to_allocating_reference() {
-        // The pipeline reuses per-thread scratch buffers; re-derive every
+        // The pipeline reuses per-participant scratch buffers; re-derive every
         // sample with fresh allocations and demand bitwise equality.
         for (n, samples) in [(5usize, 40usize), (33, 130), (64, 700)] {
             let w = prefix_workload_csr(n);
@@ -750,8 +754,10 @@ mod tests {
         for (n, samples) in [(7usize, 1usize), (16, 37), (33, 260)] {
             let w = prefix_workload_csr(n);
             let op = Strategy::H2.operator(n).unwrap();
+            // 16-sample panels, so every case but the first has several
+            // panels to claim.
             let run = |threads| {
-                unit_errors_operator_blocked(&w, op.as_ref(), samples, 0xBEE, threads, SAMPLE_BLOCK)
+                unit_errors_operator_blocked(&w, op.as_ref(), samples, 0xBEE, threads, 16)
             };
             let one = run(1);
             for threads in [2usize, 3, 8, 64] {
@@ -796,7 +802,7 @@ mod tests {
 
     #[test]
     fn single_rhs_translator_agrees_exactly_with_blocked_translator() {
-        // The served constructor (host thread count, default panel width)
+        // The served constructor (budgeted participants, default panel width)
         // against the one-sample-per-panel samples, sorted as it sorts.
         let n = 27;
         let w = prefix_workload_csr(n);
@@ -867,22 +873,115 @@ mod tests {
     }
 
     #[test]
-    fn thread_chunks_are_balanced() {
-        // 10 samples across 4 threads must split 3/3/2/2 (never 3/3/3/1,
-        // and never an empty trailing chunk) — checked behaviorally: every
-        // thread count and remainder combination reproduces the
-        // single-thread result, including threads > samples.
+    fn every_participant_count_matches_one_thread() {
+        // Fewer samples than participants, one ragged panel, several: the
+        // cursor hands out whatever panels there are, and the result is
+        // the single-thread one for every count.
         let n = 16;
         let w = prefix_workload_csr(n);
         let op = Strategy::H2.operator(n).unwrap();
         for samples in [1usize, 2, 9, 10, 37] {
-            let run = |threads| {
-                unit_errors_operator_blocked(&w, op.as_ref(), samples, 0xFA1, threads, SAMPLE_BLOCK)
-            };
+            let run =
+                |threads| unit_errors_operator_blocked(&w, op.as_ref(), samples, 0xFA1, threads, 4);
             let one = run(1);
             for threads in [2usize, 3, 4, 7, samples, samples + 5, 64] {
                 assert_eq!(one, run(threads), "samples={samples} threads={threads}");
             }
+        }
+    }
+
+    #[test]
+    fn concurrent_oversubscribed_prepares_are_bit_identical_to_one_thread() {
+        // Two prepares at once, each with more participants than cores,
+        // over panel widths around the default and a ragged last panel.
+        let n = 16;
+        let w = prefix_workload_csr(n);
+        let op = HierarchicalOperator::new(n, 2).unwrap();
+        let samples = 8 * SAMPLE_BLOCK + 37;
+        let reference = unit_errors_one_by_one(&w, &op, samples, 0xC0C0);
+        let threads = apex_linalg::max_threads() + 2;
+        for block in [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1] {
+            let [a, b] = std::thread::scope(|s| {
+                [(); 2]
+                    .map(|()| {
+                        s.spawn(|| {
+                            unit_errors_operator_blocked(&w, &op, samples, 0xC0C0, threads, block)
+                        })
+                    })
+                    .map(|h| h.join().unwrap())
+            });
+            assert_eq!(reference, a, "block={block}");
+            assert_eq!(reference, b, "block={block}");
+        }
+    }
+
+    /// Prepares with this seed report their computing participants.
+    const PROBED_SEED: u64 = 0x9EA4;
+    /// Participants computing for a probed prepare, and the most at once.
+    static COMPUTING: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    /// A participant's presence in the probe, for the length of its
+    /// claim loop. Other tests' prepares run concurrently in this binary
+    /// and are not counted.
+    pub(super) struct Computing(bool);
+
+    impl Computing {
+        pub(super) fn enter(seed: u64) -> Self {
+            let probed = seed == PROBED_SEED;
+            if probed {
+                let now = COMPUTING.fetch_add(1, Ordering::SeqCst) + 1;
+                PEAK.fetch_max(now, Ordering::SeqCst);
+            }
+            Self(probed)
+        }
+    }
+
+    impl Drop for Computing {
+        fn drop(&mut self) {
+            if self.0 {
+                COMPUTING.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_misses_compute_on_at_most_the_cores_or_the_busy_workers() {
+        // Busy workers that each take misses back to back: the askers
+        // compute, and only cores no worker holds help. Prepares elsewhere
+        // in this binary can only take helpers away from these.
+        let cores = apex_linalg::max_threads();
+        let n = 64;
+        let w = prefix_workload_csr(n);
+        let op = Strategy::H2.operator(n).unwrap();
+        let cfg = McConfig {
+            samples: 6 * SAMPLE_BLOCK,
+            seed: PROBED_SEED,
+            ..Default::default()
+        };
+        let reference = unit_errors_one_by_one(&w, op.as_ref(), cfg.samples, cfg.seed);
+        for workers in [1usize, 2, cores + 1] {
+            PEAK.store(0, Ordering::SeqCst);
+            let marked = Barrier::new(workers);
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| {
+                        let _worker = par::busy();
+                        marked.wait();
+                        for _ in 0..3 {
+                            let t = McTranslator::with_operator(&w, op.as_ref(), 1.0, cfg);
+                            let mut want = reference.clone();
+                            want.sort_by(f64::total_cmp);
+                            assert_eq!(t.unit_errors(), want);
+                        }
+                    });
+                }
+            });
+            let peak = PEAK.load(Ordering::SeqCst);
+            assert!(
+                (1..=cores.max(workers)).contains(&peak),
+                "{workers} busy workers on {cores} cores computed on {peak} threads"
+            );
         }
     }
 

@@ -71,15 +71,11 @@ struct Args {
 }
 
 impl Args {
-    /// Worker threads per shard: the explicit flag, else a
-    /// parallelism-derived default.
+    /// Worker threads per shard: the explicit flag, else a default from
+    /// the cores the translator's core budget counts.
     fn workers(&self) -> usize {
-        self.workers_per_shard.unwrap_or_else(|| {
-            let cores = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4);
-            (cores / self.shards.max(1)).clamp(2, 8)
-        })
+        self.workers_per_shard
+            .unwrap_or_else(|| (apex_mech::par::max_threads() / self.shards.max(1)).clamp(2, 8))
     }
 }
 

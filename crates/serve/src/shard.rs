@@ -732,7 +732,12 @@ fn shard_worker(
         loop {
             let Work { mut conn, req } = work;
             served += 1;
+            // Routing occupies a core: a translator-cache miss it runs
+            // borrows helpers only from cores no busy worker holds
+            // (`apex_mech::par`). The mark drops with the closure, so
+            // a panic caught here releases it too.
             let resp = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _busy = apex_mech::par::busy();
                 router::route(state, &req)
             })) {
                 Ok(resp) => resp,
