@@ -9,7 +9,10 @@
 //! are capped, and the caller enforces a wall-clock deadline per request
 //! ([`REQUEST_DEADLINE`]), so a slow-dripping client cannot hold a
 //! connection slot indefinitely. Malformed requests map to proper 4xx /
-//! 501 statuses.
+//! 501 statuses; so does ambiguous framing — a `Content-Length` that is
+//! not one run of digits, or two that disagree, is 400. The parser keeps
+//! the version's connection default: an HTTP/1.0 request closes unless
+//! it asks for keep-alive.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -35,6 +38,8 @@ pub struct Request {
     /// Request path, query string stripped.
     pub path: String,
     /// Header `(name, value)` pairs, names lowercased, values trimmed.
+    /// An HTTP/1.0 request that does not ask for keep-alive reads
+    /// `connection: close` first: that is its version's default.
     pub headers: Vec<(String, String)>,
     /// Raw body bytes (empty when the request carried none).
     pub body: Vec<u8>,
@@ -205,8 +210,8 @@ pub(crate) fn parse_buffered(buf: &[u8]) -> BufParse {
 
     // Headers: Content-Length frames the body; the rest (notably
     // Authorization) is kept for the router.
-    let mut content_length = 0usize;
-    let mut headers = Vec::new();
+    let mut content_length = None;
+    let mut headers: Vec<(String, String)> = Vec::new();
     for (count, line) in lines.enumerate() {
         if count >= MAX_HEADERS || line.len() > MAX_LINE {
             return BufParse::Bad(400);
@@ -220,18 +225,37 @@ pub(crate) fn parse_buffered(buf: &[u8]) -> BufParse {
         let name = name.trim();
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            match value.parse::<usize>() {
-                Ok(n) if n <= MAX_BODY => content_length = n,
-                Ok(_) => return BufParse::Bad(413),
-                Err(_) => return BufParse::Bad(400),
+            // One value, 1*DIGIT (RFC 9112 §6.3): a sign, a list or two
+            // different lengths leave the body's end ambiguous.
+            if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                return BufParse::Bad(400);
             }
+            let n = value.parse::<usize>().unwrap_or(usize::MAX);
+            if content_length.is_some_and(|seen| seen != n) {
+                return BufParse::Bad(400);
+            }
+            if n > MAX_BODY {
+                return BufParse::Bad(413);
+            }
+            content_length = Some(n);
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             return BufParse::Bad(501);
         }
         headers.push((name.to_ascii_lowercase(), value.to_string()));
     }
 
-    let total = head_len + content_length;
+    // HTTP/1.0 closes after the response unless the client asks for
+    // keep-alive (RFC 9112 §9.3); HTTP/1.1 stays open unless it says close.
+    let keep_alive = |(n, v): &(String, String)| {
+        n == "connection"
+            && v.split(',')
+                .any(|t| t.trim().eq_ignore_ascii_case("keep-alive"))
+    };
+    if version == "HTTP/1.0" && !headers.iter().any(keep_alive) {
+        headers.insert(0, ("connection".into(), "close".into()));
+    }
+
+    let total = head_len + content_length.unwrap_or(0);
     if buf.len() < total {
         return BufParse::NeedMore;
     }
@@ -367,6 +391,73 @@ mod tests {
         assert!(out.starts_with("HTTP/1.1 400 "), "{out}");
         let out = roundtrip(&handle, "GET / HTTP/2\r\n\r\n");
         assert!(out.starts_with("HTTP/1.1 501 "), "{out}");
+        handle.stop();
+        handle.join();
+    }
+
+    #[test]
+    fn content_length_is_one_run_of_digits_with_one_value() {
+        let post = |headers: &str| format!("POST /x HTTP/1.1\r\n{headers}\r\nhello");
+        for bad in [
+            "Content-Length: +5\r\n",
+            "Content-Length: -5\r\n",
+            "Content-Length: 0x5\r\n",
+            "Content-Length: 5 5\r\n",
+            "Content-Length: 5, 5\r\n",
+            "Content-Length:\r\n",
+            "Content-Length: 5\r\nContent-Length: 4\r\n",
+            "Content-Length: 5\r\ncontent-length: 05x\r\n",
+        ] {
+            assert_eq!(bad_status(&post(bad)), 400, "{bad:?}");
+        }
+        // Repeats of one value frame the body as one would, and so do
+        // leading zeros; a run of digits too long for any body is 413.
+        for good in [
+            "Content-Length: 5\r\nContent-Length: 5\r\n",
+            "Content-Length: 005\r\n",
+        ] {
+            assert_eq!(complete(&post(good)).body_str(), Some("hello"), "{good:?}");
+        }
+        assert_eq!(
+            bad_status(&post("Content-Length: 99999999999999999999999\r\n")),
+            413
+        );
+        // And on the wire: the refusal is answered, then the socket closes.
+        let handle = one_shard_server("127.0.0.1:0", Arc::new(crate::SystemClock::new()));
+        let out = roundtrip(&handle, &post("Content-Length: +5\r\n"));
+        assert!(out.starts_with("HTTP/1.1 400 "), "{out}");
+        handle.stop();
+        handle.join();
+    }
+
+    #[test]
+    fn http_1_0_closes_unless_it_asks_for_keep_alive() {
+        let handle = one_shard_server("127.0.0.1:0", Arc::new(crate::SystemClock::new()));
+        // No Connection header: answered with `Connection: close`, then
+        // the server closes the socket.
+        let mut conn = crate::client::Conn::connect(handle.addr()).unwrap();
+        conn.send(&["GET /healthz HTTP/1.0\r\n\r\n".into()])
+            .unwrap();
+        let reply = conn.recv().unwrap();
+        assert_eq!(reply.status, 200, "{reply:?}");
+        assert!(reply.head.contains("Connection: close"), "{reply:?}");
+        let closed = conn.recv().unwrap_err();
+        assert_eq!(closed.kind(), std::io::ErrorKind::UnexpectedEof, "{closed}");
+        // Asking for keep-alive keeps the connection for the next request,
+        // whichever way the token is spelled.
+        let mut conn = crate::client::Conn::connect(handle.addr()).unwrap();
+        for connection in ["keep-alive", "Keep-Alive", "foo, keep-alive"] {
+            let raw = format!("GET /healthz HTTP/1.0\r\nConnection: {connection}\r\n\r\n");
+            conn.send(&[raw]).unwrap();
+            let reply = conn.recv().unwrap();
+            assert_eq!(reply.status, 200, "{reply:?}");
+            assert!(reply.head.contains("Connection: keep-alive"), "{reply:?}");
+        }
+        // HTTP/1.1 without the header stays open as before.
+        conn.send(&["GET /healthz HTTP/1.1\r\n\r\n".into()])
+            .unwrap();
+        let reply = conn.recv().unwrap();
+        assert!(reply.head.contains("Connection: keep-alive"), "{reply:?}");
         handle.stop();
         handle.join();
     }

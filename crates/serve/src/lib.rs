@@ -36,18 +36,24 @@
 //!   resident tenant's mutation log under `rows/<tenant>/`);
 //! * [`parse_memo`] — each shard's memo of query text → parse, through
 //!   which the router reads every query text;
-//! * [`router`] — per-shard endpoint dispatch and status-code mapping (a
-//!   *denied* query is 409, an *expired* session is 410, the admin plane
-//!   checks a bearer token);
+//! * [`router`] — the one endpoint table: each request is decoded once
+//!   into its endpoint (path, session id or dataset name, its one method,
+//!   a session-open's body), gated in one place (the admin bearer token
+//!   first — 401 — then 404, 400 and 405), told which shard owns it or
+//!   that it is cross-shard, and answered there, with the status-code
+//!   mapping (a *denied* query is 409, an *expired* session is 410);
 //! * [`shard`] — the shard layer: N shard workers each owning its own
 //!   engines, ledger gate, WAL sequence, and `state-dir/shard-K/`
 //!   directory; tenants routed by consistent hashing, each registered
 //!   only on the shard the ring routes it to; a nonblocking
-//!   accept/dispatch loop feeding one condvar work queue per shard,
-//!   bounded at a constant 256 requests (full ⇒ 503 + `Retry-After`),
-//!   and graceful shutdown; parallel per-shard recovery at boot; the
-//!   cross-shard endpoints (`/healthz`, `/v1/stats` with each dataset
-//!   once from its owner, admin list / shutdown);
+//!   accept/dispatch loop that decodes each request through the router,
+//!   answers refusals and the cross-shard endpoints (`/healthz`,
+//!   `/v1/stats` with each dataset once from its owner, admin list /
+//!   shutdown) inline, and hands each shard-owned endpoint, decoded, to
+//!   one condvar work queue per shard, bounded at a constant 256 requests
+//!   (full ⇒ 503 + `Retry-After`); keep-alive by HTTP version (1.1 stays
+//!   open, 1.0 closes unless asked); graceful shutdown; parallel
+//!   per-shard recovery at boot;
 //! * [`invariants`] — the whole correctness contract, checked in one
 //!   place: a per-tenant wire model of what clients were acked, an
 //!   in-process observation of the owning shard, and the invariants between

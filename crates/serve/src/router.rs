@@ -1,30 +1,40 @@
-//! Per-shard endpoint dispatch: path + method → handler, against one
-//! shard's [`ServerState`].
+//! The one endpoint table. A request becomes an [`Endpoint`] in one pass
+//! ([`decode`]): its path, its session id or dataset name, its one
+//! allowed method, and for `POST /v1/sessions` its decoded body. The
+//! endpoint names the shard that owns it ([`Endpoint::shard`]), and the
+//! same table answers it: on that shard's worker ([`serve`]), or — for
+//! the cross-shard endpoints — over every shard, inline on the event
+//! thread ([`serve_global`]), so `/healthz` answers while queues are full.
 //!
-//! | Endpoint                              | Meaning                                  |
-//! |---------------------------------------|------------------------------------------|
-//! | `POST /v1/sessions`                   | open a session (dataset + budget slice)  |
-//! | `POST /v1/sessions/{id}/query`        | submit a query (200 answered, 409 denied)|
-//! | `GET  /v1/sessions/{id}/budget`       | session + engine budget state            |
-//! | `POST /v1/sessions/{id}/close`        | close a session, reclaim its remainder   |
-//! | `POST /v1/datasets/{name}/rows`       | admin: insert/delete rows (live dataset) |
-//! | `POST /v1/admin/sessions/{id}/expire` | admin: force-expire a session            |
+//! | Endpoint                              | Owner                  | Meaning                                  |
+//! |---------------------------------------|------------------------|------------------------------------------|
+//! | `POST /v1/sessions`                   | the dataset's shard    | open a session (dataset + budget slice)  |
+//! | `POST /v1/sessions/{id}/query`        | the id's shard         | submit a query (200 answered, 409 denied)|
+//! | `GET  /v1/sessions/{id}/budget`       | the id's shard         | session + engine budget state            |
+//! | `POST /v1/sessions/{id}/close`        | the id's shard         | close a session, reclaim its remainder   |
+//! | `POST /v1/datasets/{name}/rows`       | the dataset's shard    | admin: insert/delete rows (live dataset) |
+//! | `POST /v1/admin/sessions/{id}/expire` | the id's shard         | admin: force-expire a session            |
+//! | `GET  /healthz`                       | every shard            | liveness, shard/dataset/session counts   |
+//! | `GET  /v1/stats`                      | every shard            | each dataset once, from its owner        |
+//! | `GET  /v1/admin/sessions`             | every shard            | admin: list sessions                     |
+//! | `POST /v1/admin/shutdown`             | every shard            | admin: graceful shutdown                 |
 //!
-//! The cross-shard endpoints — `GET /healthz`, `GET /v1/stats`,
-//! `GET /v1/admin/sessions`, `POST /v1/admin/shutdown` — never reach this
-//! router: the shard layer answers them on its event thread over every
-//! shard's state (`shard::target_for` decides which is which).
+//! The gate, in the order [`decode`] applies it: the admin token (401),
+//! then the path (404), the session id (400 when it is not an integer,
+//! 404 when it names a shard the set does not have), the method (405)
+//! and the `POST /v1/sessions` body (400). The token comes first, so an
+//! admin request without it learns nothing else.
 //!
-//! Status mapping: malformed bodies and engine-rejected queries (unknown
-//! attributes, empty workloads) are 400; unknown datasets/sessions 404;
-//! an **expired** session is 410 (it once lived — distinct from 404); a
-//! **denied** query is 409 — denial is part of the privacy protocol, not
-//! a server fault, so it gets its own signal distinct from 4xx client
-//! errors and 2xx answers. A mutation batch over the batch bound is 413
-//! (refused before anything is logged or applied). A failed write-ahead
-//! append is 500: the charge is never acked without its log record. So
-//! is a failed mutation-log append (a storage fault, not the client's):
-//! the mutation is neither acked nor applied.
+//! Status mapping past the gate: malformed bodies and engine-rejected
+//! queries (unknown attributes, empty workloads) are 400; unknown
+//! datasets/sessions 404; an **expired** session is 410 (it once lived —
+//! distinct from 404); a **denied** query is 409 — denial is part of the
+//! privacy protocol, not a server fault, so it gets its own signal
+//! distinct from 4xx client errors and 2xx answers. A mutation batch over
+//! the batch bound is 413 (refused before anything is logged or applied).
+//! A failed write-ahead append is 500: the charge is never acked without
+//! its log record. So is a failed mutation-log append (a storage fault,
+//! not the client's): the mutation is neither acked nor applied.
 //!
 //! Row mutations live under `/v1/datasets/...` rather than `/v1/admin/...`
 //! so shard routing can key them by dataset name, but they carry the same
@@ -42,51 +52,123 @@ use apex_data::MutationError;
 
 use crate::http::{Request, Response};
 use crate::json::Json;
+use crate::shard::{self, session_shard, ShardRing, ShardSet};
 use crate::state::{ServerState, SessionStatus, SubmitError, SubmitOutcome};
-use crate::wire;
+use crate::wire::{self, CreateSession};
 
-/// Routes one request. Pure: all side effects go through `state`.
-pub fn route(state: &Arc<ServerState>, req: &Request) -> Response {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match segments.as_slice() {
-        ["v1", "sessions"] => method(req, "POST", || create_session(state, req)),
-        ["v1", "sessions", id, "query"] => {
-            with_session_id(id, |id| method(req, "POST", || submit(state, id, req)))
+/// A request's endpoint, decoded once and past the gate.
+#[derive(Debug)]
+pub(crate) enum Endpoint {
+    /// `POST /v1/sessions`, with its decoded body.
+    Open(CreateSession),
+    /// `POST /v1/sessions/{id}/query`.
+    Query(u64),
+    /// `GET /v1/sessions/{id}/budget`.
+    Budget(u64),
+    /// `POST /v1/sessions/{id}/close`.
+    Close(u64),
+    /// `POST /v1/admin/sessions/{id}/expire`.
+    Expire(u64),
+    /// `POST /v1/datasets/{name}/rows`.
+    Rows(String),
+    /// `GET /healthz`.
+    Health,
+    /// `GET /v1/stats`.
+    Stats,
+    /// `GET /v1/admin/sessions`.
+    Sessions,
+    /// `POST /v1/admin/shutdown`.
+    Shutdown,
+}
+
+impl Endpoint {
+    /// The shard that serves this endpoint, or `None` for a cross-shard
+    /// one. A session's id names its shard; a dataset's name is routed by
+    /// the ring, so its sessions, its mutations and the queries they race
+    /// all serialize on one engine.
+    pub(crate) fn shard(&self, ring: &ShardRing) -> Option<usize> {
+        match self {
+            Endpoint::Open(create) => Some(ring.shard_for(&create.dataset)),
+            Endpoint::Rows(name) => Some(ring.shard_for(name)),
+            Endpoint::Query(id)
+            | Endpoint::Budget(id)
+            | Endpoint::Close(id)
+            | Endpoint::Expire(id) => Some(session_shard(*id)),
+            Endpoint::Health | Endpoint::Stats | Endpoint::Sessions | Endpoint::Shutdown => None,
         }
-        ["v1", "sessions", id, "budget"] => {
-            with_session_id(id, |id| method(req, "GET", || budget(state, id)))
-        }
-        ["v1", "sessions", id, "close"] => {
-            with_session_id(id, |id| method(req, "POST", || close_session(state, id)))
-        }
-        ["v1", "datasets", name, "rows"] => match admin_auth(state, req) {
-            Ok(()) => method(req, "POST", || mutate(state, name, req)),
-            Err(resp) => resp,
-        },
-        ["v1", "admin", rest @ ..] => match admin_auth(state, req) {
-            Ok(()) => admin(state, req, rest),
-            Err(resp) => resp,
-        },
-        _ => Response::json(404, wire::error_json("no such endpoint")),
     }
 }
 
-/// Admin sub-router (auth already checked).
-fn admin(state: &Arc<ServerState>, req: &Request, segments: &[&str]) -> Response {
-    match segments {
-        ["sessions", id, "expire"] => {
-            with_session_id(id, |id| method(req, "POST", || admin_expire(state, id)))
+/// Decodes `req` into its endpoint, or the reply that refuses it (the
+/// gate in the module docs). `shards` bounds the shard a session id may
+/// name; `admin_token` is the configured token, if any.
+pub(crate) fn decode(
+    req: &Request,
+    shards: usize,
+    admin_token: Option<&str>,
+) -> Result<Endpoint, Response> {
+    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    match segments.as_slice() {
+        ["healthz"] => allow(req, "GET", Endpoint::Health),
+        ["v1", "stats"] => allow(req, "GET", Endpoint::Stats),
+        ["v1", "sessions"] => {
+            allow(req, "POST", ())?;
+            let create = wire::parse_create_session(&parse_body(req)?);
+            Ok(Endpoint::Open(create.map_err(|msg| error(400, &msg))?))
         }
-        _ => Response::json(404, wire::error_json("no such admin endpoint")),
+        ["v1", "sessions", id, action @ ..] => match (session_id(id, shards)?, action) {
+            (id, ["query"]) => allow(req, "POST", Endpoint::Query(id?)),
+            (id, ["budget"]) => allow(req, "GET", Endpoint::Budget(id?)),
+            (id, ["close"]) => allow(req, "POST", Endpoint::Close(id?)),
+            _ => Err(error(404, "no such endpoint")),
+        },
+        ["v1", "datasets", name, "rows"] => {
+            admin_auth(req, admin_token)?;
+            allow(req, "POST", Endpoint::Rows((*name).to_string()))
+        }
+        ["v1", "admin", rest @ ..] => {
+            admin_auth(req, admin_token)?;
+            match rest {
+                ["sessions"] => allow(req, "GET", Endpoint::Sessions),
+                ["shutdown"] => allow(req, "POST", Endpoint::Shutdown),
+                ["sessions", id, action @ ..] => match (session_id(id, shards)?, action) {
+                    (id, ["expire"]) => allow(req, "POST", Endpoint::Expire(id?)),
+                    _ => Err(error(404, "no such admin endpoint")),
+                },
+                _ => Err(error(404, "no such admin endpoint")),
+            }
+        }
+        _ => Err(error(404, "no such endpoint")),
+    }
+}
+
+/// A path's session id. The outer `Err` refuses an integer whose shard
+/// is not below `shards` at once, whatever the path asks of it: nothing
+/// here can own it. The inner one refuses a non-integer, once the path
+/// names an endpoint.
+fn session_id(raw: &str, shards: usize) -> Result<Result<u64, Response>, Response> {
+    match raw.parse::<u64>() {
+        Ok(id) if session_shard(id) >= shards => Err(no_such_session()),
+        Ok(id) => Ok(Ok(id)),
+        Err(_) => Ok(Err(error(400, "session id must be an integer"))),
+    }
+}
+
+/// Passes `ok` through when the request uses `want`, the endpoint's one
+/// method.
+fn allow<T>(req: &Request, want: &str, ok: T) -> Result<T, Response> {
+    if req.method == want {
+        Ok(ok)
+    } else {
+        Err(error(405, &format!("use {want}")))
     }
 }
 
 /// Checks the bearer token when one is configured. Constant-time
 /// comparison: the verdict leaks nothing about how much of the token
-/// matched. `pub(crate)` so the shard layer can guard its aggregated
-/// admin endpoints with the same rule.
-pub(crate) fn admin_auth(state: &ServerState, req: &Request) -> Result<(), Response> {
-    let Some(expected) = state.admin_token() else {
+/// matched.
+fn admin_auth(req: &Request, expected: Option<&str>) -> Result<(), Response> {
+    let Some(expected) = expected else {
         return Ok(());
     };
     let presented = req
@@ -97,9 +179,9 @@ pub(crate) fn admin_auth(state: &ServerState, req: &Request) -> Result<(), Respo
     if constant_time_eq(presented.as_bytes(), expected.as_bytes()) {
         Ok(())
     } else {
-        Err(Response::json(
+        Err(error(
             401,
-            wire::error_json("admin endpoints require Authorization: Bearer <token>"),
+            "admin endpoints require Authorization: Bearer <token>",
         ))
     }
 }
@@ -111,78 +193,128 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
 }
 
-fn method(req: &Request, want: &str, handler: impl FnOnce() -> Response) -> Response {
-    if req.method == want {
-        handler()
-    } else {
-        Response::json(405, wire::error_json(&format!("use {want}")))
-    }
-}
-
-fn with_session_id(raw: &str, f: impl FnOnce(u64) -> Response) -> Response {
-    match raw.parse::<u64>() {
-        Ok(id) => f(id),
-        Err(_) => Response::json(400, wire::error_json("session id must be an integer")),
-    }
+fn error(status: u16, msg: &str) -> Response {
+    Response::json(status, wire::error_json(msg))
 }
 
 fn parse_body(req: &Request) -> Result<Json, Response> {
     let text = req
         .body_str()
-        .ok_or_else(|| Response::json(400, wire::error_json("body must be UTF-8 JSON")))?;
-    crate::json::parse(text).map_err(|e| Response::json(400, wire::error_json(&e.to_string())))
+        .ok_or_else(|| error(400, "body must be UTF-8 JSON"))?;
+    crate::json::parse(text).map_err(|e| error(400, &e.to_string()))
 }
 
-fn create_session(state: &ServerState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let create = match wire::parse_create_session(&body) {
-        Ok(c) => c,
-        Err(msg) => return Response::json(400, wire::error_json(&msg)),
-    };
+/// Routes one request against one shard's state, as a lone shard: every
+/// session id is its to answer (an id it never issued is its own 404),
+/// and it serves no cross-shard endpoint (404). Pure: all side effects go
+/// through `state`.
+pub fn route(state: &Arc<ServerState>, req: &Request) -> Response {
+    match decode(req, usize::MAX, state.admin_token()) {
+        Ok(endpoint) => serve(state, &endpoint, req),
+        Err(resp) => resp,
+    }
+}
+
+/// Answers an endpoint its shard owns, against that shard's `state`.
+pub(crate) fn serve(state: &ServerState, endpoint: &Endpoint, req: &Request) -> Response {
+    match endpoint {
+        Endpoint::Open(create) => create_session(state, create),
+        Endpoint::Query(id) => submit(state, *id, req),
+        Endpoint::Budget(id) => budget(state, *id),
+        // An admin expire is a close the operator forces.
+        Endpoint::Close(id) | Endpoint::Expire(id) => close_session(state, *id),
+        Endpoint::Rows(name) => mutate(state, name, req),
+        Endpoint::Health | Endpoint::Stats | Endpoint::Sessions | Endpoint::Shutdown => {
+            error(404, "no such endpoint")
+        }
+    }
+}
+
+/// Answers a cross-shard endpoint over every shard of `set`. All cheap:
+/// counter reads and ledger exports. A shard-owned endpoint is not one.
+pub(crate) fn serve_global(set: &ShardSet, endpoint: &Endpoint) -> Response {
+    match endpoint {
+        Endpoint::Health => {
+            let datasets: usize = set.states().iter().map(|s| s.tenants().len()).sum();
+            let body = Json::obj(vec![
+                ("status", Json::from("ok")),
+                ("shards", Json::from(set.shards())),
+                ("datasets", Json::from(datasets)),
+                ("sessions", Json::from(set.session_count())),
+            ]);
+            Response::json(200, body.render())
+        }
+        Endpoint::Stats => Response::json(200, shard::stats_json(set).render()),
+        Endpoint::Sessions => {
+            let mut sessions: Vec<_> = set
+                .states()
+                .iter()
+                .flat_map(|s| s.list_sessions())
+                .collect();
+            sessions.sort_by_key(|s| s.session.id);
+            let ttl = set.state(0).ttl_millis();
+            let body = Json::obj(vec![
+                (
+                    "sessions",
+                    Json::Arr(sessions.into_iter().map(wire::session_info_json).collect()),
+                ),
+                ("expired", Json::from(set.expired_count())),
+                ("ttl_millis", ttl.map(Json::from).unwrap_or(Json::Null)),
+            ]);
+            Response::json(200, body.render())
+        }
+        Endpoint::Shutdown => {
+            let status = Json::obj(vec![("status", Json::from("shutting down"))]);
+            let mut resp = Response::json(202, status.render());
+            resp.shutdown = true;
+            resp
+        }
+        _ => error(404, "no such endpoint"),
+    }
+}
+
+fn create_session(state: &ServerState, create: &CreateSession) -> Response {
     let id = match state.create_session(&create.dataset, create.budget) {
         Ok(Some(id)) => id,
-        Ok(None) => {
-            return Response::json(
-                404,
-                wire::error_json(&format!("no dataset named \"{}\"", create.dataset)),
-            )
-        }
+        Ok(None) => return error(404, &format!("no dataset named \"{}\"", create.dataset)),
         Err(e) => return wal_failed(&e),
     };
     let body = Json::obj(vec![
         ("session", Json::from(id)),
-        ("dataset", Json::from(create.dataset)),
+        ("dataset", Json::from(create.dataset.as_str())),
         ("allowance", Json::Num(create.budget)),
     ]);
     Response::json(201, body.render())
 }
 
-fn gone() -> Response {
-    Response::json(410, wire::error_json("session expired"))
+fn no_such_session() -> Response {
+    error(404, "no such session")
+}
+
+/// A session that is not live: expired (410, it once lived) or never
+/// issued (404).
+fn not_live(state: &ServerState, id: u64) -> Response {
+    match state.session_status(id) {
+        SessionStatus::Expired => error(410, "session expired"),
+        _ => no_such_session(),
+    }
 }
 
 /// The write-ahead append failed, so the budget event was not acked (see
 /// `state::SubmitError`).
 fn wal_failed(e: &std::io::Error) -> Response {
-    Response::json(
-        500,
-        wire::error_json(&format!("write-ahead log append failed: {e}")),
-    )
+    error(500, &format!("write-ahead log append failed: {e}"))
 }
 
 fn submit(state: &ServerState, id: u64, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
     // The shard's parse memo parses a text only the first time it sees it.
-    let parsed = wire::decode_query_request(&body, |text| state.parses().parse(text));
-    let (parsed, accuracy) = match parsed {
+    let decoded = parse_body(req).and_then(|body| {
+        wire::decode_query_request(&body, |text| state.parses().parse(text))
+            .map_err(|msg| error(400, &msg))
+    });
+    let (parsed, accuracy) = match decoded {
         Ok(pa) => pa,
-        Err(msg) => return Response::json(400, wire::error_json(&msg)),
+        Err(resp) => return resp,
     };
     // The state layer resolves the session without holding the map lock
     // during the (possibly slow) mechanism run, and WAL-logs the outcome
@@ -195,23 +327,19 @@ fn submit(state: &ServerState, id: u64, req: &Request) -> Response {
             };
             Response::json(status, wire::engine_response_json(&resp).render())
         }
-        Ok(SubmitOutcome::Gone) => gone(),
-        Ok(SubmitOutcome::NoSuchSession) => {
-            Response::json(404, wire::error_json("no such session"))
-        }
+        Ok(SubmitOutcome::Gone) => error(410, "session expired"),
+        Ok(SubmitOutcome::NoSuchSession) => no_such_session(),
         // A mechanism overshooting its declared worst case is an engine
         // fault, not a client error — the charge was refused (nothing
         // spent), and the client should see a server-side failure.
         Err(SubmitError::Engine(e @ EngineError::LossAboveWorstCase { .. })) => {
-            Response::json(500, wire::error_json(&e.to_string()))
+            error(500, &e.to_string())
         }
-        Err(SubmitError::Engine(e)) => Response::json(400, wire::error_json(&e.to_string())),
+        Err(SubmitError::Engine(e)) => error(400, &e.to_string()),
         Err(SubmitError::Wal(e)) => wal_failed(&e),
         // Queries never build mutation batches; unreachable here, mapped
         // anyway so the error enum stays total.
-        Err(e @ SubmitError::BatchTooLarge { .. }) => {
-            Response::json(413, wire::error_json(&e.to_string()))
-        }
+        Err(e @ SubmitError::BatchTooLarge { .. }) => error(413, &e.to_string()),
     }
 }
 
@@ -222,13 +350,11 @@ fn submit(state: &ServerState, id: u64, req: &Request) -> Response {
 /// mutation is refused at commit with a stale-epoch error (mapped to 400
 /// via the query path) and nothing is charged.
 fn mutate(state: &ServerState, name: &str, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let m = match wire::parse_mutate_rows(&body) {
+    let decoded = parse_body(req)
+        .and_then(|body| wire::parse_mutate_rows(&body).map_err(|msg| error(400, &msg)));
+    let m = match decoded {
         Ok(m) => m,
-        Err(msg) => return Response::json(400, wire::error_json(&msg)),
+        Err(resp) => return resp,
     };
     match state.mutate_rows(name, m.insert, &m.rows) {
         Ok(crate::state::MutateOutcome::Applied(delta)) => {
@@ -241,19 +367,16 @@ fn mutate(state: &ServerState, name: &str, req: &Request) -> Response {
                 wire::mutation_json(name, m.insert, &delta, applied).render(),
             )
         }
-        Ok(crate::state::MutateOutcome::NoSuchDataset) => Response::json(
-            404,
-            wire::error_json(&format!("no dataset named \"{name}\"")),
-        ),
-        Err(e @ SubmitError::BatchTooLarge { .. }) => {
-            Response::json(413, wire::error_json(&e.to_string()))
+        Ok(crate::state::MutateOutcome::NoSuchDataset) => {
+            error(404, &format!("no dataset named \"{name}\""))
         }
+        Err(e @ SubmitError::BatchTooLarge { .. }) => error(413, &e.to_string()),
         // The mutation log or the page store failed: nothing applied.
         Err(SubmitError::Engine(e @ EngineError::Mutation(MutationError::Store(_)))) => {
-            Response::json(500, wire::error_json(&e.to_string()))
+            error(500, &e.to_string())
         }
         // Arity/type mismatches, empty-batch refusals: client errors.
-        Err(SubmitError::Engine(e)) => Response::json(400, wire::error_json(&e.to_string())),
+        Err(SubmitError::Engine(e)) => error(400, &e.to_string()),
         Err(SubmitError::Wal(e)) => wal_failed(&e),
     }
 }
@@ -262,10 +385,7 @@ fn budget(state: &ServerState, id: u64) -> Response {
     let Some((dataset, session)) =
         state.with_session(id, |s| (s.dataset.clone(), s.session.clone()))
     else {
-        return match state.session_status(id) {
-            SessionStatus::Expired => gone(),
-            _ => Response::json(404, wire::error_json("no such session")),
-        };
+        return not_live(state, id);
     };
     let engine = session.engine();
     let body = wire::budget_json(
@@ -277,10 +397,6 @@ fn budget(state: &ServerState, id: u64) -> Response {
         engine.spent(),
     );
     Response::json(200, body.render())
-}
-
-fn admin_expire(state: &ServerState, id: u64) -> Response {
-    close_session(state, id)
 }
 
 /// Closing a session (analyst `close` or admin `expire`): removes it,
@@ -295,10 +411,7 @@ fn close_session(state: &ServerState, id: u64) -> Response {
             ])
             .render(),
         ),
-        Ok(None) => match state.session_status(id) {
-            SessionStatus::Expired => gone(),
-            _ => Response::json(404, wire::error_json("no such session")),
-        },
+        Ok(None) => not_live(state, id),
         Err(e) => wal_failed(&e),
     }
 }
@@ -328,9 +441,9 @@ mod tests {
         d
     }
 
-    /// A one-shard set over `builder`: the tests drive the server's own
-    /// dispatch decision (`shard::dispatch`), so the cross-shard
-    /// endpoints are reachable exactly as they are over a socket.
+    /// A one-shard set over `builder`: the tests make the server's own
+    /// calls (`route` below), so the cross-shard endpoints are reachable
+    /// exactly as they are over a socket.
     fn set_of(builder: ServerStateBuilder) -> ShardSet {
         let builder = std::cell::RefCell::new(Some(builder));
         ShardSet::build(1, |_| builder.borrow_mut().take().expect("one shard"))
@@ -340,8 +453,16 @@ mod tests {
         set_of(ServerState::builder(16).dataset("demo", demo_dataset(), EngineConfig::default()))
     }
 
+    /// What the event loop and a shard worker make of one parsed request,
+    /// without the sockets and queues.
     fn route(set: &ShardSet, req: &Request) -> Response {
-        crate::shard::dispatch(set, req)
+        match set.endpoint(req) {
+            Err(resp) => resp,
+            Ok(endpoint) => match endpoint.shard(set.ring()) {
+                None => serve_global(set, &endpoint),
+                Some(k) => serve(set.state(k), &endpoint, req),
+            },
+        }
     }
 
     fn req(method: &str, path: &str, body: &str) -> Request {
@@ -583,6 +704,26 @@ mod tests {
             &req_auth("POST", "/v1/admin/sessions/777/expire", "", "s3cret"),
         );
         assert_eq!(r.status, 404);
+    }
+
+    #[test]
+    fn the_admin_token_is_checked_before_the_session_id_names_a_shard() {
+        let s = set_of(
+            ServerState::builder(16)
+                .dataset("demo", demo_dataset(), EngineConfig::default())
+                .admin_token("s3cret"),
+        );
+        // The first id past this one-shard set: no shard here owns it.
+        let ghost = crate::shard::shard_id_base(1) + 1;
+        let path = format!("/v1/admin/sessions/{ghost}/expire");
+        for method_ in ["POST", "GET"] {
+            assert_eq!(route(&s, &req(method_, &path, "")).status, 401);
+            let wrong = req_auth(method_, &path, "", "wrong");
+            assert_eq!(route(&s, &wrong).status, 401);
+            let r = route(&s, &req_auth(method_, &path, "", "s3cret"));
+            assert_eq!(r.status, 404, "{}", r.body);
+            assert!(r.body.contains("no such session"), "{}", r.body);
+        }
     }
 
     #[test]

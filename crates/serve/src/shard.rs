@@ -4,13 +4,17 @@
 //! name — adding a shard moves only ~1/(N+1) of tenants, so a resharded
 //! deployment migrates a bounded slice of state instead of all of it.
 //!
-//! One nonblocking event thread accepts connections, reads just enough
-//! of each request to extract the routing key (the tenant name for
-//! `POST /v1/sessions`, the shard bits of the session id for everything
-//! session-scoped), then hands the connection to the owning shard's
-//! work queue, bounded at [`QUEUE_CAP`] requests. A full queue sheds the
-//! request with `503` + `Retry-After` — backpressure is explicit, never
-//! unbounded memory. Responses default to HTTP keep-alive: after a
+//! One nonblocking event thread accepts connections and decodes each
+//! request once, through the router's one endpoint table
+//! ([`router::decode`]): a refusal or a cross-shard endpoint is answered
+//! inline, and a shard-owned one — its owner named by the tenant name
+//! for `POST /v1/sessions` and row mutations, by the shard bits of the
+//! session id for everything session-scoped — goes with its connection
+//! and its decoded endpoint to the owning shard's work queue, bounded at
+//! [`QUEUE_CAP`] requests. The shard worker serves that endpoint without
+//! decoding the request again. A full queue sheds the request with
+//! `503` + `Retry-After` — backpressure is explicit, never unbounded
+//! memory. Responses default to HTTP keep-alive: after a
 //! shard worker writes its response, the connection migrates back to
 //! the event loop and its next request may route to a *different*
 //! shard, so one client connection can reach every shard.
@@ -43,7 +47,7 @@ use std::time::{Duration, Instant};
 use crate::http::{self, BufParse, Request, Response};
 use crate::json::Json;
 use crate::lockx;
-use crate::router;
+use crate::router::{self, Endpoint};
 use crate::snapshot;
 use crate::state::{PersistOptions, RecoverError, RecoveryReport, ServerState, ServerStateBuilder};
 use crate::wire;
@@ -262,9 +266,20 @@ impl ShardSet {
         &self.states[self.ring.shard_for(tenant)]
     }
 
+    /// Decodes `req` against this set ([`router::decode`]). Every shard
+    /// carries the same admin token; shard 0's is checked.
+    pub(crate) fn endpoint(&self, req: &Request) -> Result<Endpoint, Response> {
+        router::decode(req, self.shards(), self.state(0).admin_token())
+    }
+
     /// Live sessions across all shards.
     pub fn session_count(&self) -> usize {
         self.states.iter().map(|s| s.session_count()).sum()
+    }
+
+    /// Expired-session tombstones across all shards.
+    pub fn expired_count(&self) -> usize {
+        self.states.iter().map(|s| s.expired_count()).sum()
     }
 
     /// `tenant`'s spent budget: its owner's ledger, the only one (0 for
@@ -380,15 +395,7 @@ pub fn stats_json(set: &ShardSet) -> Json {
     let root = set.state(0).cache();
     Json::obj(vec![
         ("sessions", Json::from(set.session_count())),
-        (
-            "expired",
-            Json::from(
-                set.states()
-                    .iter()
-                    .map(|s| s.expired_count())
-                    .sum::<usize>(),
-            ),
-        ),
+        ("expired", Json::from(set.expired_count())),
         ("shard_count", Json::from(set.shards())),
         (
             "cache",
@@ -465,10 +472,12 @@ struct ConnState {
 /// plus one max-size body plus pipelined slack.
 const MAX_CONN_BUF: usize = http::MAX_BODY + http::MAX_LINE * (http::MAX_HEADERS + 2) + (64 << 10);
 
-/// One request handed to a shard worker, carrying its connection.
+/// One request handed to a shard worker, carrying its connection and
+/// its decoded endpoint.
 struct Work {
     conn: ConnState,
     req: Request,
+    endpoint: Endpoint,
 }
 
 /// A shard's bounded work queue: the event thread pushes, the shard's
@@ -631,8 +640,8 @@ const WBUF_FLUSH: usize = 32 << 10;
 
 /// What the sticky wait on a keep-alive connection produced.
 enum Sticky {
-    /// The next request arrived and routes to this worker's shard.
-    Serve(Request),
+    /// The next request arrived and this worker's shard owns it.
+    Serve(Request, Endpoint),
     /// No (complete) request within the window, or it routes elsewhere:
     /// park the connection back in the event loop.
     Park,
@@ -641,22 +650,25 @@ enum Sticky {
 }
 
 /// Waits up to `wait` for the connection's next request. Only a
-/// complete request that routes to shard `k` is consumed; anything
-/// else (partial bytes, malformed input, a foreign-shard or global
-/// request) stays buffered for the event loop to handle.
+/// complete request whose endpoint shard `k` owns is consumed, decoded;
+/// anything else (partial bytes, malformed input, a refusal, a
+/// foreign-shard or cross-shard request) stays buffered for the event
+/// loop to answer.
 fn sticky_next(conn: &mut ConnState, set: &ShardSet, k: usize, wait: Duration) -> Sticky {
     let deadline = Instant::now() + wait;
     let mut chunk = [0u8; 4096];
     loop {
         match http::parse_buffered(&conn.buf) {
             BufParse::Complete(req, consumed) => {
-                if matches!(target_for(set, &req), Target::Shard(s) if s == k) {
-                    conn.buf.drain(..consumed);
-                    conn.read_start = None;
-                    conn.last_activity = Instant::now();
-                    return Sticky::Serve(req);
-                }
-                return Sticky::Park;
+                return match set.endpoint(&req) {
+                    Ok(endpoint) if endpoint.shard(set.ring()) == Some(k) => {
+                        conn.buf.drain(..consumed);
+                        conn.read_start = None;
+                        conn.last_activity = Instant::now();
+                        Sticky::Serve(req, endpoint)
+                    }
+                    _ => Sticky::Park,
+                };
             }
             BufParse::Bad(_) => return Sticky::Park, // event loop answers it
             BufParse::NeedMore => {
@@ -692,9 +704,9 @@ fn sticky_next(conn: &mut ConnState, set: &ShardSet, k: usize, wait: Duration) -
     }
 }
 
-/// One shard worker: drain the shard's queue, route against the shard's
-/// own state, write the response, and migrate the connection back to
-/// the event loop when it stays open.
+/// One shard worker: drain the shard's queue, serve each decoded
+/// endpoint against the shard's own state, write the response, and
+/// migrate the connection back to the event loop when it stays open.
 ///
 /// After each response the worker lingers for [`STICKY_WAIT`] on the
 /// connection: a session's open → query → close all hash to the same
@@ -730,7 +742,11 @@ fn shard_worker(
         let mut present = Some(state.writer_present());
         let mut served = 0;
         loop {
-            let Work { mut conn, req } = work;
+            let Work {
+                mut conn,
+                req,
+                endpoint,
+            } = work;
             served += 1;
             // Routing occupies a core: a translator-cache miss it runs
             // borrows helpers only from cores no busy worker holds
@@ -738,15 +754,13 @@ fn shard_worker(
             // a panic caught here releases it too.
             let resp = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _busy = apex_mech::par::busy();
-                router::route(state, &req)
+                router::serve(state, &endpoint, &req)
             })) {
                 Ok(resp) => resp,
                 Err(_) => Response::json(500, "{\"error\":\"internal error\"}".into()),
             };
-            if resp.shutdown {
-                stop.store(true, Ordering::SeqCst);
-            }
-            let keep = wants_keep_alive(&req) && !resp.shutdown;
+            // A worker serves no cross-shard endpoint, so never a shutdown.
+            let keep = wants_keep_alive(&req);
             // Response writes are blocking (with a timeout): the payloads
             // are small and a worker must not drop a half-written response.
             if !conn.worker_io {
@@ -767,10 +781,12 @@ fn shard_worker(
             // responses pile up in wbuf — one flush syscall per burst
             // instead of one per response.
             if conn.wbuf.len() < WBUF_FLUSH && served < STICKY_MAX && !stop.load(Ordering::SeqCst) {
-                if let Sticky::Serve(next_req) = sticky_next(&mut conn, set, k, Duration::ZERO) {
+                if let Sticky::Serve(req, endpoint) = sticky_next(&mut conn, set, k, Duration::ZERO)
+                {
                     work = Work {
                         conn,
-                        req: next_req,
+                        req,
+                        endpoint,
                     };
                     continue;
                 }
@@ -793,11 +809,12 @@ fn shard_worker(
             // pathological streams.
             if served < STICKY_MAX && !stop.load(Ordering::SeqCst) {
                 match sticky_next(&mut conn, set, k, STICKY_WAIT) {
-                    Sticky::Serve(next_req) => {
+                    Sticky::Serve(req, endpoint) => {
                         present = Some(state.writer_present());
                         work = Work {
                             conn,
-                            req: next_req,
+                            req,
+                            endpoint,
                         };
                         continue;
                     }
@@ -808,151 +825,6 @@ fn shard_worker(
             park(conn);
             break;
         }
-    }
-}
-
-/// Where one parsed request must go.
-enum Target {
-    /// Session- or tenant-scoped: the owning shard's queue.
-    Shard(usize),
-    /// Cross-shard (healthz, stats, admin list/shutdown): handled inline.
-    Global,
-    /// Answerable without touching any shard.
-    Reply(Response),
-}
-
-fn target_for(set: &ShardSet, req: &Request) -> Target {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match segments.as_slice() {
-        ["v1", "sessions"] => {
-            // Tenant-routed by the router's own decoder, so the shard
-            // that opens the session owns the dataset it is opened for;
-            // a body the router would reject goes to shard 0 for the
-            // proper 400/404/405.
-            let shard = req
-                .body_str()
-                .and_then(|text| crate::json::parse(text).ok())
-                .and_then(|body| wire::parse_create_session(&body).ok())
-                .map(|create| set.ring().shard_for(&create.dataset))
-                .unwrap_or(0);
-            Target::Shard(shard)
-        }
-        // Row mutations go to the shard that owns the dataset's engine —
-        // the same ring decision that routes its sessions, so mutations
-        // and the queries they race serialize on one engine worker.
-        ["v1", "datasets", name, ..] => Target::Shard(set.ring().shard_for(name)),
-        ["v1", "sessions", id, ..] | ["v1", "admin", "sessions", id, ..] => {
-            match id.parse::<u64>() {
-                Ok(id) => {
-                    let shard = session_shard(id);
-                    if shard < set.shards() {
-                        Target::Shard(shard)
-                    } else {
-                        // An id from a larger past deployment: nothing
-                        // here can own it.
-                        Target::Reply(Response::json(404, wire::error_json("no such session")))
-                    }
-                }
-                // Router answers "session id must be an integer".
-                Err(_) => Target::Shard(0),
-            }
-        }
-        _ => Target::Global,
-    }
-}
-
-/// The cross-shard endpoints, handled on the event thread (all cheap:
-/// counter reads and ledger exports).
-fn route_global(set: &ShardSet, req: &Request) -> Response {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match segments.as_slice() {
-        ["healthz"] => {
-            if req.method != "GET" {
-                return Response::json(405, wire::error_json("use GET"));
-            }
-            let datasets: usize = set.states().iter().map(|s| s.tenants().len()).sum();
-            let body = Json::obj(vec![
-                ("status", Json::from("ok")),
-                ("shards", Json::from(set.shards())),
-                ("datasets", Json::from(datasets)),
-                ("sessions", Json::from(set.session_count())),
-            ]);
-            Response::json(200, body.render())
-        }
-        ["v1", "stats"] => {
-            if req.method != "GET" {
-                return Response::json(405, wire::error_json("use GET"));
-            }
-            Response::json(200, stats_json(set).render())
-        }
-        ["v1", "admin", rest @ ..] => {
-            // Every shard carries the same admin token; shard 0 checks.
-            if let Err(resp) = router::admin_auth(set.state(0), req) {
-                return resp;
-            }
-            match rest {
-                ["shutdown"] => {
-                    if req.method != "POST" {
-                        return Response::json(405, wire::error_json("use POST"));
-                    }
-                    let mut resp = Response::json(
-                        202,
-                        Json::obj(vec![("status", Json::from("shutting down"))]).render(),
-                    );
-                    resp.shutdown = true;
-                    resp
-                }
-                ["sessions"] => {
-                    if req.method != "GET" {
-                        return Response::json(405, wire::error_json("use GET"));
-                    }
-                    let mut sessions: Vec<_> = set
-                        .states()
-                        .iter()
-                        .flat_map(|s| s.list_sessions())
-                        .collect();
-                    sessions.sort_by_key(|s| s.session.id);
-                    let body = Json::obj(vec![
-                        (
-                            "sessions",
-                            Json::Arr(sessions.into_iter().map(wire::session_info_json).collect()),
-                        ),
-                        (
-                            "expired",
-                            Json::from(
-                                set.states()
-                                    .iter()
-                                    .map(|s| s.expired_count())
-                                    .sum::<usize>(),
-                            ),
-                        ),
-                        (
-                            "ttl_millis",
-                            set.state(0)
-                                .ttl_millis()
-                                .map(Json::from)
-                                .unwrap_or(Json::Null),
-                        ),
-                    ]);
-                    Response::json(200, body.render())
-                }
-                _ => Response::json(404, wire::error_json("no such admin endpoint")),
-            }
-        }
-        _ => Response::json(404, wire::error_json("no such endpoint")),
-    }
-}
-
-/// The dispatch decision of the event loop and a shard worker for one
-/// parsed request, without the sockets and queues — what the router
-/// tests drive, so they cover `target_for` and the cross-shard endpoints
-/// exactly as the server wires them.
-#[cfg(test)]
-pub(crate) fn dispatch(set: &ShardSet, req: &Request) -> Response {
-    match target_for(set, req) {
-        Target::Reply(resp) => resp,
-        Target::Global => route_global(set, req),
-        Target::Shard(k) => router::route(set.state(k), req),
     }
 }
 
@@ -1050,35 +922,35 @@ fn service_conn(
                 conn.read_start = None;
                 *progress = true;
                 let keep = wants_keep_alive(&req);
-                match target_for(set, &req) {
-                    Target::Reply(resp) => {
-                        if !respond_inline(&mut conn, &resp, keep) {
-                            return None;
+                // A refusal and a cross-shard endpoint are answered here,
+                // so `/healthz` answers while every queue is full.
+                let resp = match set.endpoint(&req) {
+                    Err(resp) => resp,
+                    Ok(endpoint) => match endpoint.shard(set.ring()) {
+                        None => router::serve_global(set, &endpoint),
+                        Some(k) => {
+                            let work = Work {
+                                conn,
+                                req,
+                                endpoint,
+                            };
+                            let Err(work) = queues[k].try_send(work) else {
+                                return None;
+                            };
+                            // Backpressure: shed THIS request, keep the
+                            // connection — the client retries after
+                            // `Retry-After` without reconnecting.
+                            conn = work.conn;
+                            Response::unavailable(RETRY_AFTER_SECS)
                         }
-                        // Loop: the buffer may hold a pipelined request.
-                    }
-                    Target::Global => {
-                        let resp = route_global(set, &req);
-                        if resp.shutdown {
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        if !respond_inline(&mut conn, &resp, keep && !resp.shutdown) {
-                            return None;
-                        }
-                    }
-                    Target::Shard(k) => {
-                        let Err(work) = queues[k].try_send(Work { conn, req }) else {
-                            return None;
-                        };
-                        // Backpressure: shed THIS request, keep the
-                        // connection — the client retries after
-                        // `Retry-After` without reconnecting.
-                        conn = work.conn;
-                        let resp = Response::unavailable(RETRY_AFTER_SECS);
-                        if !respond_inline(&mut conn, &resp, keep) {
-                            return None;
-                        }
-                    }
+                    },
+                };
+                if resp.shutdown {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                // Loop on success: the buffer may hold a pipelined request.
+                if !respond_inline(&mut conn, &resp, keep && !resp.shutdown) {
+                    return None;
                 }
             }
         }
@@ -1788,8 +1660,14 @@ mod tests {
             format!(r#"{{"dataset":"{target}","budget":10}}"#),
         ];
         let query = r#"{"query":"BIN t ON COUNT(*) WHERE W = { v IN [0, 4), v IN [4, 8) } ERROR 4 CONFIDENCE 0.95;"}"#;
+        // What the event loop and the owning shard's worker make of it.
+        let dispatch = |req: &Request| {
+            let endpoint = set.endpoint(req).unwrap();
+            let k = endpoint.shard(set.ring()).unwrap();
+            router::serve(set.state(k), &endpoint, req)
+        };
         for body in &bodies {
-            let resp = dispatch(&set, &Request::new("POST", "/v1/sessions", body));
+            let resp = dispatch(&Request::new("POST", "/v1/sessions", body));
             assert_eq!(resp.status, 201, "{body}: {}", resp.body);
             let created = crate::json::parse(&resp.body).unwrap();
             let id = created.get("session").and_then(Json::as_u64).unwrap();
@@ -1797,7 +1675,7 @@ mod tests {
             // Drain the session: answer until denied.
             let path = format!("/v1/sessions/{id}/query");
             for _ in 0..1000 {
-                let resp = dispatch(&set, &Request::new("POST", &path, query));
+                let resp = dispatch(&Request::new("POST", &path, query));
                 if resp.status != 200 {
                     assert_eq!(resp.status, 409, "{}", resp.body);
                     break;

@@ -1089,7 +1089,7 @@ fn sync_gate_counts_survive_a_panic_inside_evaluate() {
     let (state, dir) = gate_state("gate-panic");
     let id = state.create_session("a", 0.5).unwrap().unwrap();
     let (reached, _rx) = std::sync::mpsc::channel();
-    // What a shard worker does around `router::route`.
+    // What a shard worker does around `router::serve`.
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _present = state.writer_present();
         let _hook = apex_core::sched::hook_scope(std::rc::Rc::new(AtPoint {
