@@ -406,7 +406,7 @@ mod tests {
             "Content-Length: 5, 5\r\n",
             "Content-Length:\r\n",
             "Content-Length: 5\r\nContent-Length: 4\r\n",
-            "Content-Length: 5\r\ncontent-length: 05x\r\n",
+            "Content-Length: 5\r\ncontent-length: 50\r\n",
         ] {
             assert_eq!(bad_status(&post(bad)), 400, "{bad:?}");
         }

@@ -231,7 +231,8 @@ pub(crate) fn serve(state: &ServerState, endpoint: &Endpoint, req: &Request) -> 
 }
 
 /// Answers a cross-shard endpoint over every shard of `set`. All cheap:
-/// counter reads and ledger exports. A shard-owned endpoint is not one.
+/// counter reads and ledger exports. A shard-owned endpoint never comes
+/// here (its shard serves it); it would get a 404.
 pub(crate) fn serve_global(set: &ShardSet, endpoint: &Endpoint) -> Response {
     match endpoint {
         Endpoint::Health => {
