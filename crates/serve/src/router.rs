@@ -65,10 +65,10 @@ pub(crate) enum Endpoint {
     Query(u64),
     /// `GET /v1/sessions/{id}/budget`.
     Budget(u64),
-    /// `POST /v1/sessions/{id}/close`.
+    /// `POST /v1/sessions/{id}/close`, and the operator's
+    /// `POST /v1/admin/sessions/{id}/expire` once past the token: both
+    /// close the session.
     Close(u64),
-    /// `POST /v1/admin/sessions/{id}/expire`.
-    Expire(u64),
     /// `POST /v1/datasets/{name}/rows`.
     Rows(String),
     /// `GET /healthz`.
@@ -90,10 +90,9 @@ impl Endpoint {
         match self {
             Endpoint::Open(create) => Some(ring.shard_for(&create.dataset)),
             Endpoint::Rows(name) => Some(ring.shard_for(name)),
-            Endpoint::Query(id)
-            | Endpoint::Budget(id)
-            | Endpoint::Close(id)
-            | Endpoint::Expire(id) => Some(session_shard(*id)),
+            Endpoint::Query(id) | Endpoint::Budget(id) | Endpoint::Close(id) => {
+                Some(session_shard(*id))
+            }
             Endpoint::Health | Endpoint::Stats | Endpoint::Sessions | Endpoint::Shutdown => None,
         }
     }
@@ -132,7 +131,7 @@ pub(crate) fn decode(
                 ["sessions"] => allow(req, "GET", Endpoint::Sessions),
                 ["shutdown"] => allow(req, "POST", Endpoint::Shutdown),
                 ["sessions", id, action @ ..] => match (session_id(id, shards)?, action) {
-                    (id, ["expire"]) => allow(req, "POST", Endpoint::Expire(id?)),
+                    (id, ["expire"]) => allow(req, "POST", Endpoint::Close(id?)),
                     _ => Err(error(404, "no such admin endpoint")),
                 },
                 _ => Err(error(404, "no such admin endpoint")),
@@ -221,8 +220,7 @@ pub(crate) fn serve(state: &ServerState, endpoint: &Endpoint, req: &Request) -> 
         Endpoint::Open(create) => create_session(state, create),
         Endpoint::Query(id) => submit(state, *id, req),
         Endpoint::Budget(id) => budget(state, *id),
-        // An admin expire is a close the operator forces.
-        Endpoint::Close(id) | Endpoint::Expire(id) => close_session(state, *id),
+        Endpoint::Close(id) => close_session(state, *id),
         Endpoint::Rows(name) => mutate(state, name, req),
         Endpoint::Health | Endpoint::Stats | Endpoint::Sessions | Endpoint::Shutdown => {
             error(404, "no such endpoint")
