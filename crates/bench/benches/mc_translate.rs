@@ -10,7 +10,7 @@
 //!   size up to 16384 (`blocked/{n}`).
 //! * `noise_fill` — the sampler floor under every prepare: the `N` =
 //!   10 000 unit-Laplace noise vectors of `m` strategy rows one miss
-//!   draws, panel by panel as the pipeline draws them (`noise_fill/{m}`;
+//!   draws, tile by tile as the pipeline draws them (`noise_fill/{m}`;
 //!   m = 61 and 125 are the `H₂` strategies behind a 16- and a 32-range
 //!   workload, 1 023 a 512-cell domain).
 //! * `mc_translate_domain` — what a translator-cache hit pays: the
@@ -33,8 +33,8 @@
 //! domains; quick runs only write JSON when `APEX_BENCH_JSON` is set, so a
 //! smoke pass can never clobber the committed full-run medians.
 
-use apex_linalg::{CsrBuilder, CsrMatrix};
-use apex_mech::mc::{fill_noise_panel, McConfig, SAMPLE_BLOCK};
+use apex_linalg::{CsrBuilder, CsrMatrix, LANES};
+use apex_mech::mc::{fill_noise_tile, McConfig};
 use apex_mech::SmArtifacts;
 use apex_query::Strategy;
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -106,23 +106,27 @@ fn bench_translator_prepare_multi(c: &mut Criterion) {
     g.finish();
 }
 
-/// The noise one prepare draws, and nothing else: `N` columns of `m`
-/// unit-Laplace values through one reused panel, as
-/// `unit_errors_operator_blocked` fills them on one thread.
+/// The noise one prepare draws, and nothing else: `N` samples of `m`
+/// unit-Laplace values through one reused lane tile, as
+/// `unit_errors_operator_blocked` fills them (full tiles, then a ragged
+/// tail of one-sample tiles).
 fn bench_noise_fill(c: &mut Criterion) {
     let mut g = c.benchmark_group("noise_fill");
     g.sample_size(if quick() { 3 } else { 5 });
     let McConfig { samples, seed, .. } = McConfig::default();
     let rows: &[usize] = if quick() { &[61] } else { &[61, 125, 1023] };
     for &m in rows {
-        let mut panel = vec![0.0_f64; m * SAMPLE_BLOCK];
+        let mut tile = vec![0.0_f64; m * LANES];
         g.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
             b.iter(|| {
-                for start in (0..samples).step_by(SAMPLE_BLOCK) {
-                    let bs = SAMPLE_BLOCK.min(samples - start);
-                    fill_noise_panel(&mut panel[..m * bs], m, seed, start as u64);
+                let full = samples / LANES * LANES;
+                for first in (0..full).step_by(LANES) {
+                    fill_noise_tile(&mut tile, LANES, seed, first as u64);
                 }
-                black_box(panel[0])
+                for first in full..samples {
+                    fill_noise_tile(&mut tile[..m], 1, seed, first as u64);
+                }
+                black_box(tile[0])
             })
         });
     }

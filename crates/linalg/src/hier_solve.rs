@@ -42,12 +42,15 @@
 //! transpose, so operator and CSR paths agree bit for bit —
 //! property-tested in `tests/properties.rs`.
 //!
-//! The panel methods run each kernel at two widths of the same code (see
-//! the `lanes` module): 8-lane tiles, and `W = 1` for single vectors and
-//! ragged tails.
+//! Both actions run on a lane tile as given (see the `lanes` module):
+//! `A⁺` is the cover-list scatter plus the two sweeps, the normal solve
+//! the sweeps alone, each at two widths of the same code — 8-lane tiles,
+//! and `W = 1` for single vectors and ragged tails. Nothing is packed or
+//! unpacked on the way; the column-major panel methods are the trait's
+//! pack → tile → unpack wrappers.
 
-use crate::lanes::{pack_lanes, unpack_lanes, LANES};
-use crate::operator::{check_panel, OpScratch, StrategyOperator};
+use crate::lanes::{check_tile, LANES};
+use crate::operator::{OpScratch, StrategyOperator};
 use crate::{LinalgError, Result};
 
 /// One node of the interval tree, in BFS order (children contiguous).
@@ -64,15 +67,6 @@ struct Node {
     gamma: f64,
     /// `s_v = Σ (M_v⁻¹ 1)`: 1 for leaves, `γ/(1+γ)` for internal nodes.
     s: f64,
-}
-
-/// Which action a tile of the panel methods computes.
-#[derive(Debug, Clone, Copy)]
-enum Action {
-    /// `A⁺ y`: the cover-list scatter `Aᵀ y`, then the solve.
-    Pinv,
-    /// `(AᵀA)⁻¹ b`: the solve alone.
-    Solve,
 }
 
 /// The hierarchical strategy `H_b` over `n` cells as a matrix-free
@@ -259,12 +253,14 @@ impl HierarchicalOperator {
     fn solve_sweeps_lanes<const W: usize>(
         &self,
         b: &[f64],
-        sx: &mut [f64],
-        coeff: &mut [f64],
+        sx: &mut Vec<f64>,
+        coeff: &mut Vec<f64>,
         x: &mut [f64],
     ) {
         let nodes = &self.nodes;
         let m = nodes.len();
+        sx.resize(m * W, 0.0);
+        coeff.resize(m * W, 0.0);
 
         // Bottom-up: per node, the entry sum of its subtree solution
         // `Σ (M_v⁻¹ b_v)` (`sx`) and the Sherman–Morrison coefficient
@@ -323,61 +319,11 @@ impl HierarchicalOperator {
         }
     }
 
-    /// One tile of `W` columns: pack, scatter (for [`Action::Pinv`]),
-    /// solve, unpack into `dst`.
-    fn tile<const W: usize>(
-        &self,
-        action: Action,
-        src: &[f64],
-        dst: &mut [f64],
-        s: &mut OpScratch,
-    ) {
-        let n = self.n;
-        let b = match action {
-            Action::Pinv => {
-                let y = pack_lanes::<W>(src, self.rows.len(), &mut s.panel_a);
-                s.panel_b.resize(n * W, 0.0);
-                self.scatter_lanes::<W>(y, &mut s.panel_b);
-                &s.panel_b
-            }
-            Action::Solve => pack_lanes::<W>(src, n, &mut s.panel_b),
-        };
-        let nodes = self.nodes.len();
-        s.sweep_a.resize(nodes * W, 0.0);
-        s.sweep_b.resize(nodes * W, 0.0);
-        unpack_lanes::<W>(dst, n, &mut s.panel_c, |x| {
-            self.solve_sweeps_lanes::<W>(b, &mut s.sweep_a, &mut s.sweep_b, x)
-        });
-    }
-
-    /// The panel methods: full tiles of [`LANES`] columns, then the
-    /// ragged tail one column at a time — the same kernels at `W = 1`.
-    fn panel(
-        &self,
-        action: Action,
-        src: &[f64],
-        k: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut OpScratch,
-    ) -> Result<()> {
-        let n = self.n;
-        let (len, op) = match action {
-            Action::Pinv => (self.rows.len(), "hier pinv_apply_multi"),
-            Action::Solve => (n, "hier solve_normal_multi"),
-        };
-        check_panel(src.len(), len, k, op)?;
-        out.resize(k * n, 0.0);
-        let full = k / LANES * LANES;
-        let (src_tiles, src_tail) = src.split_at(full * len);
-        let (out_tiles, out_tail) = out.split_at_mut(full * n);
-        let tiles = src_tiles.chunks_exact(LANES * len);
-        for (s, d) in tiles.zip(out_tiles.chunks_exact_mut(LANES * n)) {
-            self.tile::<LANES>(action, s, d, scratch);
-        }
-        for (s, d) in src_tail.chunks_exact(len).zip(out_tail.chunks_exact_mut(n)) {
-            self.tile::<1>(action, s, d, scratch);
-        }
-        Ok(())
+    /// `A⁺` of one tile: the cover-list scatter `Aᵀ y`, then the solve.
+    fn pinv_tile<const W: usize>(&self, y: &[f64], x: &mut [f64], s: &mut OpScratch) {
+        s.adjoint.resize(self.n * W, 0.0);
+        self.scatter_lanes::<W>(y, &mut s.adjoint);
+        self.solve_sweeps_lanes::<W>(&s.adjoint, &mut s.sweep_a, &mut s.sweep_b, x);
     }
 }
 
@@ -407,24 +353,43 @@ impl StrategyOperator for HierarchicalOperator {
         self.l1_norm
     }
 
-    fn pinv_apply_multi(
+    fn pinv_apply_tile(
         &self,
         ys: &[f64],
-        k: usize,
-        out: &mut Vec<f64>,
+        width: usize,
+        out: &mut [f64],
         scratch: &mut OpScratch,
     ) -> Result<()> {
-        self.panel(Action::Pinv, ys, k, out, scratch)
+        let (m, n) = self.shape();
+        check_tile((ys.len(), m), (out.len(), n), width, "hier pinv_apply_tile")?;
+        if width == LANES {
+            self.pinv_tile::<LANES>(ys, out, scratch);
+        } else {
+            self.pinv_tile::<1>(ys, out, scratch);
+        }
+        Ok(())
     }
 
-    fn solve_normal_multi(
+    fn solve_normal_tile(
         &self,
         bs: &[f64],
-        k: usize,
-        out: &mut Vec<f64>,
+        width: usize,
+        out: &mut [f64],
         scratch: &mut OpScratch,
     ) -> Result<()> {
-        self.panel(Action::Solve, bs, k, out, scratch)
+        let n = self.n;
+        check_tile(
+            (bs.len(), n),
+            (out.len(), n),
+            width,
+            "hier solve_normal_tile",
+        )?;
+        if width == LANES {
+            self.solve_sweeps_lanes::<LANES>(bs, &mut scratch.sweep_a, &mut scratch.sweep_b, out);
+        } else {
+            self.solve_sweeps_lanes::<1>(bs, &mut scratch.sweep_a, &mut scratch.sweep_b, out);
+        }
+        Ok(())
     }
 }
 
@@ -580,6 +545,46 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_lane_tile_is_its_lanes_each_alone() {
+        // The tile entry points on an interleaved tile as a caller builds
+        // it (no panel around it): lane `l` equals the one-vector result,
+        // and a width other than 1 or LANES, or a length that does not
+        // match the width, is refused.
+        let mut scratch = OpScratch::new();
+        for (n, b) in [(9usize, 2usize), (33, 3)] {
+            let op = HierarchicalOperator::new(n, b).unwrap();
+            let m = op.rows();
+            let ys = panel(m, LANES, (n * b) as u64);
+            let mut out = vec![f64::NAN; n * LANES];
+            op.pinv_apply_tile(&ys, LANES, &mut out, &mut scratch)
+                .unwrap();
+            let bs = panel(n, LANES, (n + b) as u64);
+            let mut z = vec![f64::NAN; n * LANES];
+            op.solve_normal_tile(&bs, LANES, &mut z, &mut scratch)
+                .unwrap();
+            for l in 0..LANES {
+                let lane = |t: &[f64], len| (0..len).map(|i| t[i * LANES + l]).collect::<Vec<_>>();
+                let want = op.pinv_apply(&lane(&ys, m)).unwrap();
+                assert_eq!(bits(&lane(&out, n)), bits(&want), "pinv n={n} lane {l}");
+                assert_eq!(
+                    bits(&lane(&z, n)),
+                    bits(&solve(&op, &lane(&bs, n))),
+                    "solve n={n} lane {l}"
+                );
+            }
+            assert!(op
+                .pinv_apply_tile(&ys[..3 * m], 3, &mut out[..3 * n], &mut scratch)
+                .is_err());
+            assert!(op
+                .pinv_apply_tile(&ys, LANES, &mut out[1..], &mut scratch)
+                .is_err());
+            assert!(op
+                .solve_normal_tile(&bs[1..], LANES, &mut z, &mut scratch)
+                .is_err());
         }
     }
 

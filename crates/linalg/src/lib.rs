@@ -28,6 +28,7 @@ pub mod par;
 pub mod sparse;
 
 pub use hier_solve::HierarchicalOperator;
+pub use lanes::LANES;
 pub use operator::{IdentityOperator, OpScratch, SharedOperator, StrategyOperator};
 pub use par::max_threads;
 pub use sparse::{CsrBuilder, CsrMatrix, PanelPlan};

@@ -7,8 +7,8 @@
 //! * `ŷ = A x + η` — one [`StrategyOperator::apply`];
 //! * `A⁺ ŷ = (AᵀA)⁻¹ Aᵀ ŷ` — one [`StrategyOperator::pinv_apply`] (for
 //!   full column rank, which every APEx strategy has), or
-//!   [`StrategyOperator::pinv_apply_multi`] over a panel of `ŷ`s;
-//! * `(AᵀA)⁻¹ b` over a panel — [`StrategyOperator::solve_normal_multi`],
+//!   [`StrategyOperator::pinv_apply_tile`] over a lane tile of `ŷ`s;
+//! * `(AᵀA)⁻¹ b` over a tile — [`StrategyOperator::solve_normal_tile`],
 //!   the trace identity behind `‖W A⁺‖_F`;
 //! * the sensitivity `‖A‖₁` — a scalar the operator knows structurally.
 //!
@@ -22,16 +22,22 @@
 
 use std::sync::Arc;
 
+use crate::lanes::{check_tile, panel_by_tiles};
 use crate::{LinalgError, Result};
 
 /// The action of a full-column-rank strategy matrix `A ∈ ℝ^{m × n}`,
 /// `m ≥ n`, without committing to a representation.
 ///
+/// An operator implements each action once, on a lane tile: `width ∈
+/// {1, LANES}` right-hand sides stored lane-interleaved (`ys[i * width +
+/// l]` is element `i` of lane `l`; see [`crate::LANES`]). A lane's result
+/// does not depend on the width, on the other lanes or on what `scratch`
+/// holds: a tile is exactly its lanes, each computed alone.
+///
 /// The panel methods take `k` right-hand sides stored column-major
 /// (`xs[j * len..(j + 1) * len]` is column `j`) and resize `out` to `k`
-/// columns of `cols` each. A column's result does not depend on `k`, on
-/// its position in the panel or on what `scratch` holds: a panel is
-/// exactly its columns, each computed alone.
+/// columns of `cols` each. They pack full tiles, run the tile method and
+/// unpack, so a panel column is exactly what the tile method computes.
 pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
     /// `(rows, cols)` of the underlying `A` — rows are strategy queries,
     /// cols are domain cells.
@@ -47,6 +53,35 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
     /// strategy's sensitivity.
     fn l1_operator_norm(&self) -> f64;
 
+    /// `A⁺ y = (AᵀA)⁻¹ Aᵀ y` for each lane of the tile `ys` (`rows ×
+    /// width`) into `out` (`cols × width`) — the entry point of the
+    /// Monte-Carlo prepare.
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] when `width` is neither 1 nor
+    /// [`crate::LANES`], or a length does not match it.
+    fn pinv_apply_tile(
+        &self,
+        ys: &[f64],
+        width: usize,
+        out: &mut [f64],
+        scratch: &mut OpScratch,
+    ) -> Result<()>;
+
+    /// `(AᵀA)⁻¹ b` for each lane of the tile `bs` (`cols × width`) into
+    /// `out` (`cols × width`) — the trace identity behind `‖W A⁺‖_F`.
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] when `width` is neither 1 nor
+    /// [`crate::LANES`], or a length does not match it.
+    fn solve_normal_tile(
+        &self,
+        bs: &[f64],
+        width: usize,
+        out: &mut [f64],
+        scratch: &mut OpScratch,
+    ) -> Result<()>;
+
     /// Number of strategy rows `m`.
     fn rows(&self) -> usize {
         self.shape().0
@@ -57,9 +92,8 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
         self.shape().1
     }
 
-    /// `A⁺ y = (AᵀA)⁻¹ Aᵀ y` for each of the `k` columns of `ys` (each
-    /// `rows` long) — the panel entry point of the blocked Monte-Carlo
-    /// prepare.
+    /// `A⁺ y` for each of the `k` columns of `ys` (each `rows` long):
+    /// [`StrategyOperator::pinv_apply_tile`] over a column-major panel.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `ys.len() != k * rows`.
@@ -69,9 +103,15 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
         k: usize,
         out: &mut Vec<f64>,
         scratch: &mut OpScratch,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        let (m, n) = self.shape();
+        let tile =
+            |t: &[f64], w, o: &mut [f64], s: &mut OpScratch| self.pinv_apply_tile(t, w, o, s);
+        tiled_panel(ys, (m, n), k, out, scratch, "pinv_apply_multi", tile)
+    }
 
-    /// `(AᵀA)⁻¹ b` for each of the `k` columns of `bs` (each `cols` long).
+    /// `(AᵀA)⁻¹ b` for each of the `k` columns of `bs` (each `cols` long):
+    /// [`StrategyOperator::solve_normal_tile`] over a column-major panel.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `bs.len() != k * cols`.
@@ -81,17 +121,22 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
         k: usize,
         out: &mut Vec<f64>,
         scratch: &mut OpScratch,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        let n = self.cols();
+        let tile =
+            |t: &[f64], w, o: &mut [f64], s: &mut OpScratch| self.solve_normal_tile(t, w, o, s);
+        tiled_panel(bs, (n, n), k, out, scratch, "solve_normal_multi", tile)
+    }
 
-    /// `A⁺ y` for one vector: a one-column
-    /// [`StrategyOperator::pinv_apply_multi`] — the strategy mechanism's
+    /// `A⁺ y` for one vector: a one-lane
+    /// [`StrategyOperator::pinv_apply_tile`] — the strategy mechanism's
     /// per-answer reconstruction.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `y.len() != rows`.
     fn pinv_apply(&self, y: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.pinv_apply_multi(y, 1, &mut out, &mut OpScratch::new())?;
+        let mut out = vec![0.0; self.cols()];
+        self.pinv_apply_tile(y, 1, &mut out, &mut OpScratch::new())?;
         Ok(out)
     }
 }
@@ -100,7 +145,8 @@ pub trait StrategyOperator: std::fmt::Debug + Send + Sync {
 /// state want (operators are immutable once built).
 pub type SharedOperator = Arc<dyn StrategyOperator>;
 
-/// Reusable scratch space for the panel methods of [`StrategyOperator`].
+/// Reusable scratch space for the tile and panel methods of
+/// [`StrategyOperator`].
 ///
 /// Holding one `OpScratch` per worker thread makes the Monte-Carlo
 /// prepare's steady-state loop allocation-free: buffers grow to the
@@ -114,13 +160,13 @@ pub struct OpScratch {
     pub(crate) sweep_a: Vec<f64>,
     /// Node-sized sweep buffer (Sherman–Morrison coefficients).
     pub(crate) sweep_b: Vec<f64>,
-    /// Lane-interleaved packed input panel.
-    pub(crate) panel_a: Vec<f64>,
-    /// Lane-interleaved intermediate panel (`Aᵀ` of a noise panel, or the
-    /// packed right-hand sides of a solve).
-    pub(crate) panel_b: Vec<f64>,
-    /// Lane-interleaved output panel.
-    pub(crate) panel_c: Vec<f64>,
+    /// Cell-sized tile: `Aᵀ y` of a tile, the right-hand sides its solve
+    /// reads.
+    pub(crate) adjoint: Vec<f64>,
+    /// A panel method's packed input tile.
+    pub(crate) packed: Vec<f64>,
+    /// A panel method's output tile, before it is unpacked.
+    pub(crate) unpacked: Vec<f64>,
 }
 
 impl OpScratch {
@@ -128,6 +174,36 @@ impl OpScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// A panel method: checks the column-major panel `src` (`k` columns of
+/// `lens.0`), sizes `out` to `k` columns of `lens.1`, and runs `tile` over
+/// it through the lane staging buffers of `scratch`.
+fn tiled_panel(
+    src: &[f64],
+    (in_len, out_len): (usize, usize),
+    k: usize,
+    out: &mut Vec<f64>,
+    scratch: &mut OpScratch,
+    op: &'static str,
+    tile: impl Fn(&[f64], usize, &mut [f64], &mut OpScratch) -> Result<()>,
+) -> Result<()> {
+    check_panel(src.len(), in_len, k, op)?;
+    out.resize(k * out_len, 0.0);
+    let mut packed = std::mem::take(&mut scratch.packed);
+    let mut unpacked = std::mem::take(&mut scratch.unpacked);
+    let result = panel_by_tiles(
+        src,
+        in_len,
+        k,
+        out,
+        out_len,
+        (&mut packed, &mut unpacked),
+        |t, w, o| tile(t, w, o, scratch),
+    );
+    scratch.packed = packed;
+    scratch.unpacked = unpacked;
+    result
 }
 
 /// Validates a column-major panel: `len` must be exactly `k` columns of
@@ -155,11 +231,10 @@ impl IdentityOperator {
         Self { n }
     }
 
-    /// `out ← xs` after checking the panel shape: `A⁺ = (AᵀA)⁻¹ = I`.
-    fn copy_panel(&self, xs: &[f64], k: usize, out: &mut Vec<f64>, op: &'static str) -> Result<()> {
-        check_panel(xs.len(), self.n, k, op)?;
-        out.clear();
-        out.extend_from_slice(xs);
+    /// `out ← xs` after checking the tile shape: `A⁺ = (AᵀA)⁻¹ = I`.
+    fn copy_tile(&self, xs: &[f64], width: usize, out: &mut [f64], op: &'static str) -> Result<()> {
+        check_tile((xs.len(), self.n), (out.len(), self.n), width, op)?;
+        out.copy_from_slice(xs);
         Ok(())
     }
 }
@@ -178,24 +253,24 @@ impl StrategyOperator for IdentityOperator {
         1.0
     }
 
-    fn pinv_apply_multi(
+    fn pinv_apply_tile(
         &self,
         ys: &[f64],
-        k: usize,
-        out: &mut Vec<f64>,
+        width: usize,
+        out: &mut [f64],
         _scratch: &mut OpScratch,
     ) -> Result<()> {
-        self.copy_panel(ys, k, out, "identity pinv_apply_multi")
+        self.copy_tile(ys, width, out, "identity pinv_apply_tile")
     }
 
-    fn solve_normal_multi(
+    fn solve_normal_tile(
         &self,
         bs: &[f64],
-        k: usize,
-        out: &mut Vec<f64>,
+        width: usize,
+        out: &mut [f64],
         _scratch: &mut OpScratch,
     ) -> Result<()> {
-        self.copy_panel(bs, k, out, "identity solve_normal_multi")
+        self.copy_tile(bs, width, out, "identity solve_normal_tile")
     }
 }
 

@@ -13,7 +13,8 @@
 //! numerically dense, so the served pipeline never forms it and applies
 //! `A⁺` matrix-free instead (see [`crate::StrategyOperator`]).
 
-use crate::lanes::{pack_lanes, unpack_lanes, LANES};
+use crate::lanes::{check_tile, panel_by_tiles, LANES};
+use crate::operator::check_panel;
 use crate::{LinalgError, Result};
 
 /// A compressed-sparse-row `f64` matrix.
@@ -30,7 +31,7 @@ pub struct CsrMatrix {
     values: Vec<f64>,
 }
 
-/// Row classification for [`CsrMatrix::matvec_panel_with_plan`], built by
+/// Row classification for [`CsrMatrix::matvec_tile_with_plan`], built by
 /// [`CsrMatrix::panel_plan`]: which rows are prefix-sum-shaped (answered
 /// by one shared running-sum sweep per tile) and which need the generic
 /// per-row kernel. Valid only for the matrix it was built from.
@@ -168,13 +169,13 @@ impl CsrMatrix {
             .collect())
     }
 
-    /// Classifies this matrix's rows for [`CsrMatrix::matvec_panel_with_plan`].
+    /// Classifies this matrix's rows for [`CsrMatrix::matvec_tile_with_plan`].
     ///
     /// A "prefix row" reads columns `0..hi` contiguously with unit
     /// weights — the shape of every range/CDF workload row over the
     /// leading cells — so its dot product is a prefix sum of `x`. The
     /// classification walks every stored nonzero (`O(nnz)`), so callers
-    /// issuing many panel products against the same matrix build the plan
+    /// issuing many tile products against the same matrix build the plan
     /// once and reuse it.
     pub fn panel_plan(&self) -> PanelPlan {
         let mut prefix: Vec<(usize, usize)> = Vec::new(); // (hi, row)
@@ -198,18 +199,17 @@ impl CsrMatrix {
         }
     }
 
-    /// Multi-RHS matvec: `xs` holds `k` column-major input columns of
-    /// length `cols` each (`xs[c * cols..(c + 1) * cols]` is column `c`);
-    /// `out` is resized to `k * rows` and column `c` of it receives
-    /// `self * xsᶜ`. The plan must come from [`CsrMatrix::panel_plan`] on
-    /// this same matrix.
+    /// Multi-RHS matvec on one lane tile: `xt` holds `width ∈ {1, LANES}`
+    /// input vectors lane-interleaved (`xt[j * width + l]` is element `j`
+    /// of lane `l`, `cols × width`), and lane `l` of `yt` (`rows × width`)
+    /// receives `self * x_l`. The plan must come from
+    /// [`CsrMatrix::panel_plan`] on this same matrix.
     ///
-    /// Full tiles of eight columns are processed lane-interleaved, so one
-    /// walk over the sparsity pattern serves the whole tile with
-    /// independent per-lane accumulators; the ragged tail runs the same
-    /// kernel one column at a time (see the `lanes` module). Per lane, each
-    /// row accumulates its nonzeros in ascending-k order starting from
-    /// 0.0, so a column's result does not depend on the panel around it.
+    /// One walk over the sparsity pattern serves the whole tile with
+    /// independent per-lane accumulators (see the `lanes` module). Per
+    /// lane, each row accumulates its nonzeros in ascending-k order
+    /// starting from 0.0, so a lane's result does not depend on the width
+    /// or on the other lanes.
     ///
     /// One shared running accumulator per lane serves all prefix rows at
     /// once: after `hi` additions it holds exactly the ascending-k fold
@@ -217,6 +217,31 @@ impl CsrMatrix {
     /// 0.0), so emitting it at each row's boundary equals the row's dot
     /// product while doing `O(max hi)` work per tile instead of
     /// `O(Σ hi)`. Other rows keep the generic per-row kernel.
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] when `width` is neither 1 nor
+    /// [`LANES`], or a length does not match it.
+    pub fn matvec_tile_with_plan(
+        &self,
+        plan: &PanelPlan,
+        xt: &[f64],
+        width: usize,
+        yt: &mut [f64],
+    ) -> Result<()> {
+        let shapes = ((xt.len(), self.cols), (yt.len(), self.rows));
+        check_tile(shapes.0, shapes.1, width, "csr matvec_tile")?;
+        if width == LANES {
+            self.plan_tile::<LANES>(plan, xt, yt);
+        } else {
+            self.plan_tile::<1>(plan, xt, yt);
+        }
+        Ok(())
+    }
+
+    /// [`CsrMatrix::matvec_tile_with_plan`] over a column-major panel:
+    /// `xs` holds `k` input columns of length `cols` each (`xs[c *
+    /// cols..(c + 1) * cols]` is column `c`); `out` is resized to `k *
+    /// rows` and column `c` of it receives `self * xsᶜ`.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when `xs.len() != k * cols`.
@@ -227,82 +252,59 @@ impl CsrMatrix {
         k: usize,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        if xs.len() != self.cols.saturating_mul(k) {
-            return Err(LinalgError::ShapeMismatch {
-                op: "csr matvec_panel",
-                lhs: (self.cols, k),
-                rhs: (xs.len(), 1),
-            });
-        }
-        let (n, m) = (self.cols, self.rows);
-        out.resize(k * m, 0.0);
-        if n == 0 || m == 0 {
-            out.fill(0.0);
-            return Ok(());
-        }
+        check_panel(xs.len(), self.cols, k, "csr matvec_panel")?;
+        out.resize(k * self.rows, 0.0);
         // Lane-interleaved staging buffers, reused across the tiles of
         // this call.
         let (mut xt, mut yt) = (Vec::new(), Vec::new());
-        let full = k / LANES * LANES;
-        let (x_tiles, x_tail) = xs.split_at(full * n);
-        let (out_tiles, out_tail) = out.split_at_mut(full * m);
-        let tiles = x_tiles.chunks_exact(LANES * n);
-        for (x, o) in tiles.zip(out_tiles.chunks_exact_mut(LANES * m)) {
-            self.panel_tile::<LANES>(plan, x, o, &mut xt, &mut yt);
-        }
-        for (x, o) in x_tail.chunks_exact(n).zip(out_tail.chunks_exact_mut(m)) {
-            self.panel_tile::<1>(plan, x, o, &mut xt, &mut yt);
-        }
-        Ok(())
+        panel_by_tiles(
+            xs,
+            self.cols,
+            k,
+            out,
+            self.rows,
+            (&mut xt, &mut yt),
+            |t, w, o| self.matvec_tile_with_plan(plan, t, w, o),
+        )
     }
 
-    /// One tile of `W` columns of [`CsrMatrix::matvec_panel_with_plan`]:
-    /// pack, the shared prefix sweep, the general rows, unpack into `out`.
-    fn panel_tile<const W: usize>(
-        &self,
-        plan: &PanelPlan,
-        x: &[f64],
-        out: &mut [f64],
-        xt: &mut Vec<f64>,
-        yt: &mut Vec<f64>,
-    ) {
+    /// The plan kernel on one tile of `W` lanes: the shared prefix sweep,
+    /// then the general rows.
+    fn plan_tile<const W: usize>(&self, plan: &PanelPlan, xt: &[f64], yt: &mut [f64]) {
         let PanelPlan {
             prefix,
             general,
             sweep_hi,
         } = plan;
-        let xt = pack_lanes::<W>(x, self.cols, xt);
         // Every row is a prefix row or a general row, so the kernel writes
         // every entry of `yt`.
-        unpack_lanes::<W>(out, self.rows, yt, |yt| {
-            let mut acc = [0.0f64; W];
-            let mut next = 0usize;
-            while next < prefix.len() && prefix[next].0 == 0 {
+        let mut acc = [0.0f64; W];
+        let mut next = 0usize;
+        while next < prefix.len() && prefix[next].0 == 0 {
+            let r = prefix[next].1;
+            yt[r * W..(r + 1) * W].copy_from_slice(&acc);
+            next += 1;
+        }
+        for j in 0..*sweep_hi {
+            for (a, &xv) in acc.iter_mut().zip(&xt[j * W..(j + 1) * W]) {
+                *a += xv;
+            }
+            while next < prefix.len() && prefix[next].0 == j + 1 {
                 let r = prefix[next].1;
                 yt[r * W..(r + 1) * W].copy_from_slice(&acc);
                 next += 1;
             }
-            for j in 0..*sweep_hi {
+        }
+        for &i in general {
+            let (cols, vals) = self.row(i);
+            let mut acc = [0.0f64; W];
+            for (&j, &v) in cols.iter().zip(vals) {
                 for (a, &xv) in acc.iter_mut().zip(&xt[j * W..(j + 1) * W]) {
-                    *a += xv;
-                }
-                while next < prefix.len() && prefix[next].0 == j + 1 {
-                    let r = prefix[next].1;
-                    yt[r * W..(r + 1) * W].copy_from_slice(&acc);
-                    next += 1;
+                    *a += v * xv;
                 }
             }
-            for &i in general {
-                let (cols, vals) = self.row(i);
-                let mut acc = [0.0f64; W];
-                for (&j, &v) in cols.iter().zip(vals) {
-                    for (a, &xv) in acc.iter_mut().zip(&xt[j * W..(j + 1) * W]) {
-                        *a += v * xv;
-                    }
-                }
-                yt[i * W..(i + 1) * W].copy_from_slice(&acc);
-            }
-        });
+            yt[i * W..(i + 1) * W].copy_from_slice(&acc);
+        }
     }
 
     /// The transpose, `O(nnz + rows + cols)` by counting sort.
@@ -523,6 +525,13 @@ mod tests {
                 .matvec_panel_with_plan(&plan, &vec![0.0; 2 * s.cols() - 1], 2, &mut out)
                 .is_err());
         }
+        // The tile entry point refuses widths other than 1 and LANES.
+        let s = &mats[1];
+        let mut yt = vec![0.0; 3 * s.rows()];
+        let xt = vec![1.0; 3 * s.cols()];
+        assert!(s
+            .matvec_tile_with_plan(&s.panel_plan(), &xt, 3, &mut yt)
+            .is_err());
         // Empty shapes: a full tile plus a tail of all-zero rows, and of
         // no rows at all.
         for z in [CsrMatrix::zeros(3, 0), CsrMatrix::zeros(0, 4)] {

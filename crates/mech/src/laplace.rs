@@ -8,8 +8,8 @@
 //!
 //! [`unit_laplace`] is the only code in the workspace that turns RNG bits
 //! into Laplace noise: [`Laplace::sample`] is `b ×` it on
-//! `rng.next_u64()`, and the Monte-Carlo translator's panel filler
-//! ([`crate::mc::fill_noise_panel`]) applies it lane-wise. Its logarithm is
+//! `rng.next_u64()`, and the Monte-Carlo translator's tile filler
+//! ([`crate::mc::fill_noise_tile`]) applies it lane-wise. Its logarithm is
 //! `ln_normal` below — plain IEEE arithmetic, no libm call — so a seeded
 //! noise stream is a function of the seed and IEEE-754 alone, on every
 //! host, and the mechanisms' noise and the translator's simulated noise

@@ -18,45 +18,49 @@
 //!
 //! # The simulation pipeline
 //!
-//! There is one: [`McTranslator::with_operator`] pushes panels of noise
-//! vectors through the matrix-free `A⁺` of a [`StrategyOperator`] and the
-//! sparse workload ([`unit_errors_operator_blocked`]) — no dense `A⁺` or
-//! `W A⁺` is ever materialized, and the inner loops are independent
-//! fixed-width lanes instead of loop-carried reductions. A miss runs on
-//! the thread that asked for it, and idle cores help: the translator
-//! borrows helpers from the process-wide core budget ([`par`]), and every
-//! participant claims the next unclaimed panel from a shared cursor.
+//! There is one: [`McTranslator::with_operator`] runs each [`LANES`]-sample
+//! tile from its noise draw through the matrix-free `A⁺` of a
+//! [`StrategyOperator`] and the sparse workload to its `‖·‖∞`, in
+//! lane-interleaved buffers ([`unit_errors_operator_blocked`]) — no dense
+//! `W A⁺` is ever materialized, no panel is built or transposed, and the
+//! inner loops are independent fixed-width lanes. A miss runs on the
+//! thread that asked for it, and idle cores help: the translator borrows
+//! helpers from the process-wide core budget ([`par`]), and every
+//! participant claims the next block of samples from a shared cursor.
 //!
 //! Determinism is load-bearing (the privacy analyzer's deny decision must
 //! be a pure function of its inputs), so each sample index draws from its
-//! **own seeded RNG stream** derived from `(cfg.seed, index)`. Panel width
-//! and participant count therefore cannot reorder sampling or change a result.
+//! **own seeded RNG stream** derived from `(cfg.seed, index)`. Claim size,
+//! tile width and participant count therefore cannot change a result.
 //! Noise value `k` of sample `index` is [`unit_laplace`] of that stream's
 //! `k`-th word — a function of `(seed, index, k)` and IEEE arithmetic
-//! alone (no libm), whether [`fill_noise_panel`] draws it on a vector
-//! lane or an oracle draws it through [`crate::Laplace::sample`].
+//! alone (no libm), whether [`fill_noise_tile`] draws it on a vector lane
+//! or an oracle draws it through [`crate::Laplace::sample`].
 //!
 //! The tests pin the pipeline two ways. Run at one thread with one-sample
-//! panels, [`unit_errors_operator_blocked`] sends every sample through the
-//! kernels' one-column instance; every other thread count and panel width
-//! must match that **bit for bit**. And inside this module's tests, a
-//! dense serial simulation over a materialized `W A⁺` from the dev-only
-//! `apex-oracle` crate (same noise streams) must match it to ≈1e-9
-//! relative; only the floating-point summation order differs.
+//! claims, [`unit_errors_operator_blocked`] sends every sample through the
+//! kernels' one-lane instance; every other thread count and claim size
+//! must match that **bit for bit**. And a dense serial simulation over a
+//! materialized `W A⁺` from the dev-only `apex-oracle` crate (same noise
+//! streams) must match it to ≈1e-9 relative (summation order differs).
 
 use std::sync::Mutex;
 
-use apex_linalg::{par, CsrMatrix, OpScratch, StrategyOperator};
+use apex_linalg::{par, CsrMatrix, OpScratch, StrategyOperator, LANES};
 use rand::rngs::{StdRng, StdRngLanes};
 use rand::{RngCore, SeedableRng};
 
 use crate::laplace::unit_laplace;
 
-/// Samples per noise panel: large enough to amortize the kernel setup,
-/// small enough that a panel (`m × 512` doubles) stays in cache for
-/// realistic strategy sizes. The panel width never changes results
-/// (bit-identity is per sample), only wall-clock and peak memory.
+/// Samples a participant claims from the shared cursor at a time: large
+/// enough that the cursor's lock is rare, small enough that helpers share
+/// a miss. The claim size never changes results (bit-identity is per
+/// sample), only how the samples are spread over participants.
 pub const SAMPLE_BLOCK: usize = 512;
+
+// One 64-bit word per lane per noise row: the lockstep generator fills
+// exactly one lane tile.
+const _: () = assert!(StdRngLanes::LANES == LANES);
 
 /// z-score for the (1 − p/2) normal quantile used in the confidence band.
 fn z_score(p: f64) -> f64 {
@@ -172,53 +176,43 @@ fn sample_stream(seed: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(stream_seed(seed, index))
 }
 
-/// Fills a column-major noise panel of `m`-long columns: column `j`
-/// becomes the first `m` unit-Laplace draws of stream `(seed, first + j)`
-/// — exactly what `Laplace::new(1.0).sample` yields on
-/// `sample_stream(seed, first + j)`, so how columns are grouped is
-/// invisible in the values.
+/// Fills one lane tile of noise, `width ∈ {1, LANES}` samples wide:
+/// `tile[k * width + l]` becomes the `k`-th unit-Laplace draw of stream
+/// `(seed, first + l)` — exactly what `Laplace::new(1.0).sample` yields on
+/// `sample_stream(seed, first + l)`, whatever the width.
 ///
-/// Columns are taken [`StdRngLanes::LANES`] at a time: their streams step
-/// in lockstep and [`unit_laplace`] runs across the lanes (the sampler is
-/// the largest single stage of a translator-cache miss). A ragged tail of
-/// fewer columns falls to the scalar generator.
+/// A full tile steps its [`LANES`] streams in lockstep and runs
+/// [`unit_laplace`] across the lanes (the largest single stage of a
+/// translator-cache miss); each row is built as a lane array and stored
+/// whole, which keeps the lanes one vector body.
 ///
 /// # Panics
-/// Panics if `m == 0` or `panel.len()` is not a multiple of `m`.
-pub fn fill_noise_panel(panel: &mut [f64], m: usize, seed: u64, first: u64) {
-    const LANES: usize = StdRngLanes::LANES;
-    assert_eq!(panel.len() % m, 0, "panel must hold whole columns");
-    let mut index = first;
-    let mut groups = panel.chunks_exact_mut(LANES * m);
-    for group in &mut groups {
-        let mut rng = StdRngLanes::seed_from_u64(std::array::from_fn(|l| {
-            stream_seed(seed, index + l as u64)
-        }));
-        for k in 0..m {
-            let bits = rng.next_u64();
-            // Draw first, scatter after: the bounds checks of the strided
-            // stores would otherwise sit between the lanes.
-            let mut noise = [0.0_f64; LANES];
-            for (v, &b) in noise.iter_mut().zip(&bits) {
-                *v = unit_laplace(b);
-            }
-            for (l, &v) in noise.iter().enumerate() {
-                group[l * m + k] = v;
-            }
-        }
-        index += LANES as u64;
+/// Panics if `width` is neither 1 nor [`LANES`], or does not divide
+/// `tile.len()`.
+pub fn fill_noise_tile(tile: &mut [f64], width: usize, seed: u64, first: u64) {
+    assert_eq!(tile.len() % width, 0, "a tile holds whole rows");
+    if width == 1 {
+        let mut rng = sample_stream(seed, first);
+        tile.fill_with(|| unit_laplace(rng.next_u64()));
+        return;
     }
-    for col in groups.into_remainder().chunks_exact_mut(m) {
-        let mut rng = sample_stream(seed, index);
-        col.fill_with(|| unit_laplace(rng.next_u64()));
-        index += 1;
+    assert_eq!(width, LANES, "a noise tile is 1 or LANES samples wide");
+    let mut rng =
+        StdRngLanes::seed_from_u64(std::array::from_fn(|l| stream_seed(seed, first + l as u64)));
+    for row in tile.chunks_exact_mut(LANES) {
+        let bits = rng.next_u64();
+        let mut noise = [0.0_f64; LANES];
+        for (v, &b) in noise.iter_mut().zip(&bits) {
+            *v = unit_laplace(b);
+        }
+        row.copy_from_slice(&noise);
     }
 }
 
 impl McTranslator {
     /// Prepares the translator by simulating `cfg.samples` unit-scale
     /// reconstruction errors `‖W A⁺ η‖∞` through a [`StrategyOperator`] —
-    /// `A⁺η` comes from [`StrategyOperator::pinv_apply_multi`], never a
+    /// `A⁺η` comes from [`StrategyOperator::pinv_apply_tile`], never a
     /// dense `W A⁺`.
     ///
     /// The Chebyshev bound's `‖W A⁺‖_F` is computed without
@@ -348,27 +342,23 @@ impl McTranslator {
     }
 }
 
-/// The matrix-free simulation: noise vectors (`m` = strategy rows, the
-/// same per-sample streams as the oracles) are drawn into column-major
-/// panels and pushed through `A⁺` via
-/// [`StrategyOperator::pinv_apply_multi`] and the sparse workload via
-/// [`CsrMatrix::matvec_panel_with_plan`] — one interval-tree /
-/// sparsity-pattern walk amortized over a whole panel. Per sample still
-/// `O(nnz(W) + solve cost)`, but the inner loops are independent
-/// fixed-width lanes instead of loop-carried reductions.
+/// The matrix-free simulation, one [`LANES`]-sample tile at a time: a
+/// tile's noise (`m` = strategy rows, the oracles' per-sample streams) is
+/// drawn lane-interleaved ([`fill_noise_tile`]) and stays in that layout
+/// through [`StrategyOperator::pinv_apply_tile`], the workload's
+/// [`CsrMatrix::matvec_tile_with_plan`] and a per-lane `‖·‖∞` folded in
+/// row order from `0.0`. A participant holds three tiles, not panels.
 ///
 /// `threads` participants compute: the caller and `threads − 1` scoped
 /// helpers (none are spawned at `threads = 1`). Each claims the next
-/// unclaimed `block`-sample panel from a shared cursor until none is
-/// left, so a descheduled participant delays only the panel it holds.
-/// A panel column's result does not depend on the panel around it, and
-/// every sample owns its RNG stream and output slot, so the participant
-/// count and the panel width (both clamped to ≥ 1) never change a result
-/// — pinned by property tests against `threads = 1, block = 1`
-/// (parallelism must never change a privacy decision). The effective
-/// panel width is additionally capped so each participant's noise panel
-/// stays within a fixed memory budget (see `capped_panel_width`); that
-/// cap is equally invisible in the results.
+/// unclaimed `block` samples from a shared cursor until none are left, so
+/// a descheduled participant delays only the block it holds, and runs its
+/// block as full tiles plus a ragged tail of one-sample (`W = 1`) tiles.
+/// A lane's result does not depend on the tile around it, and every
+/// sample owns its RNG stream and output slot, so the participant count
+/// and the claim size (both clamped to ≥ 1) never change a result —
+/// pinned by tests against `threads = 1, block = 1`, which sends every
+/// sample through the `W = 1` instance alone.
 pub fn unit_errors_operator_blocked(
     workload: &CsrMatrix,
     op: &dyn StrategyOperator,
@@ -378,42 +368,47 @@ pub fn unit_errors_operator_blocked(
     block: usize,
 ) -> Vec<f64> {
     let mut errors = vec![0.0_f64; samples];
-    let m = op.rows();
-    let block = capped_panel_width(block, m);
+    let (m, n) = op.shape();
     let l = workload.rows();
+    let block = block.max(1);
     let helpers = threads.clamp(1, samples.div_ceil(block).max(1)) - 1;
     // Row classification is O(nnz); build it once and share it across
-    // participants instead of re-deriving it inside every panel product.
+    // participants instead of re-deriving it inside every tile product.
     let plan = workload.panel_plan();
     let cursor = Mutex::new(errors.chunks_mut(block).enumerate());
-    // The lock is held for `next` alone, never across a panel.
-    let claim = || cursor.lock().expect("claiming a panel never panics").next();
+    // The lock is held for `next` alone, never across a block.
+    let claim = || cursor.lock().expect("claiming a block never panics").next();
     let participate = || {
         #[cfg(test)]
         let _computing = tests::Computing::enter(seed);
-        // Per-participant panels: the noise panel, the pinv output panel,
-        // the workload product panel, and the solver's sweep buffers are
-        // allocated once and reused for every panel, so the steady-state
-        // loop is allocation-free. Buffers are fully overwritten per
-        // panel — results stay bit-identical for any participant count
-        // and panel width.
-        let mut eta_panel: Vec<f64> = Vec::new();
-        let mut recon_panel: Vec<f64> = Vec::new();
-        let mut w_panel: Vec<f64> = Vec::new();
+        // Per-participant tiles (noise, `A⁺` of it, the workload product)
+        // and solver scratch: allocated once, fully overwritten by every
+        // tile, so the loop is allocation-free and history-blind.
+        let mut eta = vec![0.0_f64; m * LANES];
+        let mut recon = vec![0.0_f64; n * LANES];
+        let mut product = vec![0.0_f64; l * LANES];
         let mut scratch = OpScratch::new();
-        while let Some((p, out)) = claim() {
-            let bs = out.len();
-            eta_panel.resize(m * bs, 0.0);
-            fill_noise_panel(&mut eta_panel, m, seed, (p * block) as u64);
-            op.pinv_apply_multi(&eta_panel, bs, &mut recon_panel, &mut scratch)
+        // Samples `first..first + w` as one tile of width `w`.
+        let mut tile = |first: usize, maxes: &mut [f64]| {
+            let w = maxes.len();
+            let eta = &mut eta[..m * w];
+            let recon = &mut recon[..n * w];
+            let product = &mut product[..l * w];
+            fill_noise_tile(eta, w, seed, first as u64);
+            op.pinv_apply_tile(eta, w, recon, &mut scratch)
                 .expect("noise length matches operator rows");
             workload
-                .matvec_panel_with_plan(&plan, &recon_panel, bs, &mut w_panel)
+                .matvec_tile_with_plan(&plan, recon, w, product)
                 .expect("workload and operator share the domain");
-            for (j, e) in out.iter_mut().enumerate() {
-                *e = w_panel[j * l..(j + 1) * l]
-                    .iter()
-                    .fold(0.0_f64, |mx, v| mx.max(v.abs()));
+            if w == LANES {
+                lane_max::<LANES>(product, maxes);
+            } else {
+                lane_max::<1>(product, maxes);
+            }
+        };
+        while let Some((p, out)) = claim() {
+            for (start, w) in tiles(out.len()) {
+                tile(p * block + start, &mut out[start..start + w]);
             }
         }
     };
@@ -427,54 +422,57 @@ pub fn unit_errors_operator_blocked(
     errors
 }
 
-/// Caps a requested panel width so the per-panel working buffers stay
-/// within a fixed ~8 MiB budget. [`SAMPLE_BLOCK`]-wide panels at very
-/// large strategies (78 MiB of noise at n = 16384) thrash the cache and
-/// TLB badly enough to make the blocked path *slower* than narrow panels;
-/// panel width provably never changes results (pinned by the
-/// `blocked_is_bit_identical_*` tests), so clamping it is a locality
-/// decision the caller never observes.
-fn capped_panel_width(requested: usize, col_len: usize) -> usize {
-    const PANEL_BUDGET_BYTES: usize = 8 << 20;
-    const MIN_WIDTH: usize = 8;
-    let fit = PANEL_BUDGET_BYTES / (8 * col_len.max(1));
-    requested.max(1).min(fit.max(MIN_WIDTH))
+/// `(start, width)` of the tiles over `len` samples or rows: full
+/// [`LANES`] tiles, then a ragged tail of one-wide tiles.
+fn tiles(len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let full = len / LANES * LANES;
+    let lanes = (0..full).step_by(LANES).map(|s| (s, LANES));
+    lanes.chain((full..len).map(|s| (s, 1)))
+}
+
+/// `maxes[l] = ‖lane l of tile‖∞`, each lane folded in row order from
+/// `0.0` — the one-column fold, replicated across `W` lanes.
+fn lane_max<const W: usize>(tile: &[f64], maxes: &mut [f64]) {
+    let mut mx = [0.0_f64; W];
+    for row in tile.chunks_exact(W) {
+        for (a, &v) in mx.iter_mut().zip(row) {
+            *a = a.max(v.abs());
+        }
+    }
+    maxes.copy_from_slice(&mx);
 }
 
 /// `‖W A⁺‖_F` without materializing `W A⁺`, via
 /// `‖W A⁺‖_F² = tr(W (AᵀA)⁻¹ Wᵀ) = Σ_i wᵢᵀ (AᵀA)⁻¹ wᵢ` — normal solves
 /// over the workload rows (`O(L · n)` total for the hierarchical family),
-/// pushed through [`StrategyOperator::solve_normal_multi`] in panels of
-/// densified rows. A panel column's solve does not depend on the panel
-/// around it, so the returned norm is unchanged by the panel width.
+/// [`LANES`] densified rows to a tile through
+/// [`StrategyOperator::solve_normal_tile`] and a ragged tail one row at a
+/// time. A lane's solve does not depend on the tile around it, and the
+/// dot products are summed in row order, so the norm is the row-ordered
+/// sum of one-row solves.
 pub fn recon_frobenius_via_operator(workload: &CsrMatrix, op: &dyn StrategyOperator) -> f64 {
     let n = workload.cols();
-    let l = workload.rows();
-    let chunk = capped_panel_width(usize::MAX, n);
-    let mut panel: Vec<f64> = Vec::new();
-    let mut z: Vec<f64> = Vec::new();
+    let mut rhs = vec![0.0_f64; n * LANES];
+    let mut z = vec![0.0_f64; n * LANES];
     let mut scratch = OpScratch::new();
     let mut total = 0.0_f64;
-    let mut start = 0usize;
-    while start < l {
-        let k = chunk.min(l - start);
-        panel.clear();
-        panel.resize(k * n, 0.0);
-        for (c, col) in panel.chunks_exact_mut(n).enumerate() {
+    for (start, w) in tiles(workload.rows()) {
+        let (rhs, z) = (&mut rhs[..n * w], &mut z[..n * w]);
+        rhs.fill(0.0);
+        for c in 0..w {
             let (cols, vals) = workload.row(start + c);
             for (&j, &v) in cols.iter().zip(vals) {
-                col[j] = v;
+                rhs[j * w + c] = v;
             }
         }
-        op.solve_normal_multi(&panel, k, &mut z, &mut scratch)
+        op.solve_normal_tile(rhs, w, z, &mut scratch)
             .expect("workload and operator share the domain");
-        for c in 0..k {
+        for c in 0..w {
             let (cols, vals) = workload.row(start + c);
-            let zc = &z[c * n..(c + 1) * n];
             // wᵢᵀ zᵢ over the sparse support only.
-            total += cols.iter().zip(vals).map(|(&j, &v)| v * zc[j]).sum::<f64>();
+            let dot: f64 = cols.iter().zip(vals).map(|(&j, &v)| v * z[j * w + c]).sum();
+            total += dot;
         }
-        start += k;
     }
     // M⁻¹ is SPD, so each summand is ≥ 0 up to rounding.
     total.max(0.0).sqrt()
@@ -484,11 +482,11 @@ pub fn recon_frobenius_via_operator(workload: &CsrMatrix, op: &dyn StrategyOpera
 mod tests {
     use super::*;
     use crate::Laplace;
-    use apex_linalg::{CsrBuilder, HierarchicalOperator, IdentityOperator};
+    use apex_linalg::{CsrBuilder, HierarchicalOperator, IdentityOperator, SharedOperator};
     use apex_oracle::{frobenius_norm, pinv, Matrix};
     use apex_query::Strategy;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
+    use std::sync::{Arc, Barrier};
 
     impl McTranslator {
         /// The dense oracle: one noise vector and one dense `matvec`
@@ -568,6 +566,29 @@ mod tests {
         let mut b = CsrBuilder::new(n);
         for i in 0..n {
             b.push_interval_row(0, i + 1);
+        }
+        b.finish()
+    }
+
+    /// A `cold_translate`-shaped workload: `ranges` random ranges over a
+    /// 4096-value domain, cut at their endpoints into cells, so most rows
+    /// start past cell 0 (general rows of the plan), not prefix rows.
+    fn cold_workload_csr(ranges: usize, salt: u64) -> CsrMatrix {
+        let mut rng = StdRng::seed_from_u64(salt);
+        let spans: Vec<(u64, u64)> = (0..ranges)
+            .map(|_| {
+                let (a, b) = (rng.next_u64() % 4096, rng.next_u64() % 4096);
+                (a.min(b), a.max(b) + 1)
+            })
+            .collect();
+        let mut cuts: Vec<u64> = spans.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+        cuts.extend([0, 4096]);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let cell = |v: u64| cuts.binary_search(&v).unwrap();
+        let mut b = CsrBuilder::new(cuts.len() - 1);
+        for (lo, hi) in spans {
+            b.push_interval_row(cell(lo), cell(hi));
         }
         b.finish()
     }
@@ -785,6 +806,83 @@ mod tests {
     }
 
     #[test]
+    fn blocked_is_bit_identical_on_cold_shaped_workloads() {
+        // The served shape: 16 and 32 random ranges (n ≈ 2 × ranges
+        // cells, mostly general rows) through H2, with claim sizes that
+        // leave ragged tails of one-sample tiles inside every claim and
+        // sample counts that leave a ragged last claim.
+        for (ranges, salt) in [(16usize, 0xC01D_u64), (16, 7), (32, 0xC01D), (32, 11)] {
+            let w = cold_workload_csr(ranges, salt);
+            assert!(!plan_is_all_prefix(&w), "ranges={ranges}: no general rows");
+            let op = Strategy::H2.operator(w.cols()).unwrap();
+            for samples in [37usize, 523] {
+                let reference = unit_errors_one_by_one(&w, op.as_ref(), samples, 0xC01D);
+                for block in [1usize, 7, 8, 9, SAMPLE_BLOCK] {
+                    for threads in [1usize, 2] {
+                        let got = unit_errors_operator_blocked(
+                            &w,
+                            op.as_ref(),
+                            samples,
+                            0xC01D,
+                            threads,
+                            block,
+                        );
+                        assert_eq!(
+                            reference, got,
+                            "ranges={ranges} salt={salt} N={samples} block={block} threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether every row of `w` reads the leading cells with unit weights.
+    fn plan_is_all_prefix(w: &CsrMatrix) -> bool {
+        (0..w.rows()).all(|i| w.row(i).0.iter().enumerate().all(|(p, &j)| p == j))
+    }
+
+    #[test]
+    fn frobenius_is_the_row_ordered_sum_of_single_solves() {
+        // Rows per tile on either side of a lane group (1..LANES + 3), and
+        // the cold shapes, through H2, H3 and the identity: the tiled norm
+        // is bit-equal to one `solve_normal` per row, dotted over the
+        // row's support and summed in row order.
+        let mut cases: Vec<CsrMatrix> = (1..=LANES + 3).map(prefix_workload_csr).collect();
+        cases.extend([cold_workload_csr(16, 3), cold_workload_csr(32, 5)]);
+        for w in &cases {
+            let n = w.cols();
+            let ops: [SharedOperator; 3] = [
+                Strategy::H2.operator(n).unwrap(),
+                Strategy::Hierarchical { branching: 3 }.operator(n).unwrap(),
+                Arc::new(IdentityOperator::new(n)),
+            ];
+            for op in &ops {
+                let mut total = 0.0_f64;
+                let mut z = Vec::new();
+                for i in 0..w.rows() {
+                    let (cols, vals) = w.row(i);
+                    let mut row = vec![0.0; n];
+                    for (&j, &v) in cols.iter().zip(vals) {
+                        row[j] = v;
+                    }
+                    op.solve_normal_multi(&row, 1, &mut z, &mut OpScratch::new())
+                        .unwrap();
+                    total += cols.iter().zip(vals).map(|(&j, &v)| v * z[j]).sum::<f64>();
+                }
+                let want = total.max(0.0).sqrt();
+                let got = recon_frobenius_via_operator(w, op.as_ref());
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{op:?} over {} rows",
+                    w.rows()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn blocked_is_bit_identical_around_the_default_block_size() {
         // SAMPLE_BLOCK − 1 / SAMPLE_BLOCK / SAMPLE_BLOCK + 1 panels, with
         // enough samples that full panels, ragged lane tails, and a ragged
@@ -815,24 +913,23 @@ mod tests {
     }
 
     #[test]
-    fn panel_fill_is_bit_identical_to_the_scalar_sampler() {
-        // Whole lane groups, ragged tails on either side of a group, the
-        // default panel and one short of it; columns of one value, fewer
-        // than a group's worth, and the two cold-workload strategy sizes.
+    fn tile_fill_is_bit_identical_to_the_scalar_sampler() {
+        // Both tile widths, over rows of one value, fewer than a lane
+        // group's worth, and the two cold-workload strategy sizes.
         let unit = Laplace::new(1.0);
         for first in [0u64, 1_000_003] {
             for m in [1usize, 7, 61, 125] {
-                for bs in [1usize, 7, 8, 9, SAMPLE_BLOCK - 1, SAMPLE_BLOCK] {
-                    let mut panel = vec![f64::NAN; m * bs];
-                    fill_noise_panel(&mut panel, m, 0xF111, first);
-                    for (j, col) in panel.chunks_exact(m).enumerate() {
-                        let mut rng = sample_stream(0xF111, first + j as u64);
-                        for (k, v) in col.iter().enumerate() {
+                for width in [1usize, LANES] {
+                    let mut tile = vec![f64::NAN; m * width];
+                    fill_noise_tile(&mut tile, width, 0xF111, first);
+                    for l in 0..width {
+                        let mut rng = sample_stream(0xF111, first + l as u64);
+                        for k in 0..m {
                             let want = unit.sample(&mut rng);
                             assert_eq!(
-                                v.to_bits(),
+                                tile[k * width + l].to_bits(),
                                 want.to_bits(),
-                                "first={first} m={m} bs={bs} col {j} row {k}"
+                                "first={first} m={m} width={width} lane {l} row {k}"
                             );
                         }
                     }
