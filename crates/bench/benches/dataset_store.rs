@@ -16,6 +16,13 @@
 //! * `scan_warm/<rows>` — the same pass with a pool big enough to hold
 //!   the whole store, after a priming scan: every page is a pool hit.
 //!   The cold/warm gap is what the buffer pool buys.
+//! * `histogram_cold/<rows>` — one `DomainPartition::histogram` scan of
+//!   a resident dataset, read with no view: the partition of 16 random
+//!   ranges over a 4 096-value integer attribute that every query of the
+//!   request benchmark's `cold_translate` workload scans. One sample
+//!   scans each of 8 such partitions and reports the mean per scan, at
+//!   least 8 samples are taken, and `median_ns / rows` is the scan's ns
+//!   per row.
 //!
 //! The criterion shim's calibrated iteration loop would re-run ingest
 //! inside one sample (each run needs a fresh scratch dir), so this
@@ -30,6 +37,9 @@ use std::time::Instant;
 use apex_bench::json_escape as esc;
 use apex_data::store::PagedRows;
 use apex_data::synth::adult_dataset;
+use apex_data::{Attribute, Dataset, Domain, DomainPartition, Predicate, Schema, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Row-count domain points. The full run measures both; `--quick`
 /// re-measures only the small one, so every smoke id exists in the
@@ -45,6 +55,12 @@ const QUICK_SAMPLES: usize = 3;
 /// Frames for the cold scan — far fewer than the store's pages, so the
 /// pool must evict and re-read continuously.
 const COLD_POOL_FRAMES: usize = 4;
+
+/// `histogram_cold`: the `cold_translate` shape — ranges per workload,
+/// the attribute's domain size, and the partitions one sample scans.
+const COLD_RANGES: usize = 16;
+const COLD_DOMAIN: i64 = 4096;
+const COLD_PARTITIONS: usize = 8;
 
 fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
@@ -196,7 +212,48 @@ fn bench_rows(rows: usize, samples: usize) -> Vec<BenchResult> {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+    results.push(histogram_cold(rows, samples));
     results
+}
+
+/// `histogram_cold/<rows>`: the scan a query without a maintained view
+/// pays, per partition.
+fn histogram_cold(rows: usize, samples: usize) -> BenchResult {
+    let schema = Schema::new(vec![Attribute::new(
+        "v",
+        Domain::IntRange {
+            min: 0,
+            max: COLD_DOMAIN - 1,
+        },
+    )])
+    .expect("static schema");
+    let mut rng = StdRng::seed_from_u64(0xC01D);
+    let values = (0..rows)
+        .map(|_| vec![Value::Int(rng.gen_range(0..COLD_DOMAIN))])
+        .collect();
+    let data = Dataset::new(schema.clone(), values).expect("rows are in the domain");
+    let partitions: Vec<DomainPartition> = (0..COLD_PARTITIONS)
+        .map(|_| {
+            let ranges: Vec<Predicate> = (0..COLD_RANGES)
+                .map(|_| {
+                    let (a, b) = (rng.gen_range(0..COLD_DOMAIN), rng.gen_range(0..COLD_DOMAIN));
+                    Predicate::range("v", a.min(b) as f64, (a.max(b) + 1) as f64)
+                })
+                .collect();
+            DomainPartition::build(&schema, &ranges).expect("a cold-shaped partition")
+        })
+        .collect();
+    let samples = samples.max(8);
+    measure(format!("histogram_cold/{rows}"), rows, samples, || {
+        let mut counted = 0.0;
+        let t0 = Instant::now();
+        for p in &partitions {
+            counted += p.histogram(&data).iter().sum::<f64>();
+        }
+        let ns = t0.elapsed().as_nanos() as u64 / COLD_PARTITIONS as u64;
+        assert_eq!(counted, (rows * COLD_PARTITIONS) as f64);
+        ns
+    })
 }
 
 fn write_json(results: &[BenchResult], quick: bool) {

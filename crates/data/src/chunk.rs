@@ -35,7 +35,7 @@ pub const CHUNK_ROWS: usize = 1024;
 /// past the last set bit are never allocated, so a column without NULLs
 /// keeps an empty null bitmap and a clear bit costs nothing to append.
 #[derive(Debug, Clone, Default)]
-struct Bits {
+pub(crate) struct Bits {
     words: Vec<u64>,
 }
 
@@ -47,7 +47,8 @@ impl Bits {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
-    fn get(&self, i: usize) -> bool {
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> bool {
         self.words
             .get(i / 64)
             .is_some_and(|w| w >> (i % 64) & 1 == 1)
@@ -62,7 +63,9 @@ impl Bits {
         }
     }
 
-    fn any(&self) -> bool {
+    /// Whether any bit is set: a scan asks once per chunk, then reads
+    /// bits per row only where one is.
+    pub(crate) fn any(&self) -> bool {
         self.words.iter().any(|&w| w != 0)
     }
 
@@ -74,7 +77,7 @@ impl Bits {
 /// One column's cells, typed by the attribute's domain. A NULL cell
 /// holds a placeholder (0, `false`, "") and is set in the null bitmap.
 #[derive(Debug, Clone)]
-enum Cells {
+pub(crate) enum Cells {
     /// `IntRange`.
     Int(Vec<i64>),
     /// `FloatRange`: an `f64`'s bits, or, where `ints` is set, the bits
@@ -355,11 +358,20 @@ impl Chunk {
                 .all(|(c, w)| ValueRef::from(w) == self.get(schema, r, c))
     }
 
+    /// Column `col`'s typed cells and its null bitmap, borrowed: what a
+    /// scan kernel loops over directly, one tight loop per column type,
+    /// instead of reading a [`ValueRef`] per row. A NULL row holds its
+    /// type's placeholder in the cells.
+    pub(crate) fn column(&self, col: usize) -> (&Cells, &Bits) {
+        let c = &self.cols[col];
+        (&c.cells, &c.nulls)
+    }
+
     /// Calls `f(r, key(cell))` for every row `r` of column `col`. A
     /// categorical column evaluates `key` once per category and NULL,
     /// not once per row; integer and float columns are read straight
-    /// from their cells (these loops carry a delete's row hashing and
-    /// every histogram).
+    /// from their cells. This loop carries a delete's row hashing; the
+    /// histogram scan reads [`Self::column`] instead.
     pub(crate) fn map_column<K: Copy>(
         &self,
         domain: &Domain,

@@ -13,11 +13,30 @@
 //! The construction is data-independent (only the public schema and the
 //! workload are consulted), which is essential: the matrix `W` and its
 //! sensitivity `‖W‖₁` must not leak anything about `D`.
+//!
+//! **Cuts.** A predicate compares numbers as `f64`, whatever the
+//! literal's type (`Value::partial_cmp_sql`), so every numeric condition
+//! becomes a real threshold `c` that splits `< c` from `>= c`: `<` and
+//! `>=` cut at `c`, `<=` and `>` at the next `f64` above `c`, `=` and `!=`
+//! at both, `[low, high)` at `low` and `high`. The attribute's domain
+//! type, not the literal's, then decides the split:
+//!
+//! * `IntRange`: the cut moves to the smallest `i64` whose `as f64`
+//!   reaches `c` — `⌈c⌉` below 2⁵³, and past it the first integer that
+//!   rounds up to `c` — so `v >= 2.5` splits at 3 and `v <= 5` at 6. The
+//!   segments keep `i64` starts and a row's `i64` is compared with them
+//!   directly.
+//! * `FloatRange`: the cut stays at `c`, `-0.0` taken as `+0.0`, so
+//!   `x <= 5` over `0.0, 0.1, …` splits just above 5.0, not at 6. A cell
+//!   that arrived as `Value::Int` is compared as `i as f64`.
+//!
+//! A cut outside the domain splits nothing and is dropped.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
+use crate::chunk::{Bits, Cells};
 use crate::predicate::CmpOp;
 use crate::{Dataset, Domain, Predicate, Schema, SchemaError, Value, ValueRef};
 
@@ -60,14 +79,20 @@ impl std::fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// Per-attribute elementary segmentation.
+/// Per-attribute elementary segmentation. Every variant ends in one NULL
+/// segment, at index `len() - 1`.
 #[derive(Debug, Clone, PartialEq)]
 enum AttrSegments {
-    /// Numeric attribute: sorted cut positions `c₁ < … < c_k` partitioning
-    /// the domain into `[min, c₁), [c₁, c₂), …, [c_k, end)`, plus one NULL
-    /// segment at index `cuts.len() + 1`. Segment `i < cuts.len()+1` starts
-    /// at `starts[i]`.
-    Numeric { starts: Vec<f64>, is_int: bool },
+    /// `IntRange` attribute: integer segment starts `t₀ < t₁ < … < t_k`,
+    /// `t₀` the domain minimum; segment `i` holds the integers in
+    /// `[tᵢ, tᵢ₊₁)`. Each `tᵢ` is the smallest `i64` whose `as f64`
+    /// reaches its cut ([`int_threshold`]), so comparing a row's `i64`
+    /// with `tᵢ` decides exactly what a predicate's `f64` comparison does.
+    Int { starts: Vec<i64> },
+    /// `FloatRange` attribute: segment starts `c₀ < c₁ < … < c_k`, `c₀`
+    /// the domain minimum, a zero always `+0.0`; segment `i` holds
+    /// `[cᵢ, cᵢ₊₁)`.
+    Float { starts: Vec<f64> },
     /// Categorical/text attribute: one segment per mentioned value, one
     /// "other" segment, one NULL segment (last).
     Categorical {
@@ -81,10 +106,32 @@ enum AttrSegments {
     Boolean,
 }
 
+/// Boundaries hash by their bits. A float zero is always `+0.0`, so two
+/// segmentations equal by `==` (what [`DomainPartition::same_mapping`]
+/// compares) hash alike.
+impl Hash for AttrSegments {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            AttrSegments::Int { starts } => starts.hash(h),
+            AttrSegments::Float { starts } => {
+                starts.len().hash(h);
+                starts.iter().for_each(|s| s.to_bits().hash(h));
+            }
+            AttrSegments::Categorical {
+                mentioned,
+                other_rep,
+            } => (mentioned, other_rep).hash(h),
+            AttrSegments::Boolean => {}
+        }
+    }
+}
+
 impl AttrSegments {
     fn len(&self) -> usize {
         match self {
-            AttrSegments::Numeric { starts, .. } => starts.len() + 1, // + NULL
+            AttrSegments::Int { starts } => starts.len() + 1, // + NULL
+            AttrSegments::Float { starts } => starts.len() + 1,
             AttrSegments::Categorical {
                 mentioned,
                 other_rep,
@@ -95,7 +142,8 @@ impl AttrSegments {
 
     fn heap_bytes(&self) -> usize {
         match self {
-            AttrSegments::Numeric { starts, .. } => std::mem::size_of_val(starts.as_slice()),
+            AttrSegments::Int { starts } => std::mem::size_of_val(starts.as_slice()),
+            AttrSegments::Float { starts } => std::mem::size_of_val(starts.as_slice()),
             AttrSegments::Categorical {
                 mentioned,
                 other_rep,
@@ -108,17 +156,14 @@ impl AttrSegments {
         }
     }
 
-    /// Representative value of segment `i` (the NULL segment is last).
+    /// Representative value of segment `i` (the NULL segment is last):
+    /// a member of the segment, so a predicate evaluated on it holds for
+    /// the whole segment.
     fn representative(&self, i: usize) -> Value {
         match self {
-            AttrSegments::Numeric { starts, is_int } => {
-                if i == starts.len() {
-                    Value::Null
-                } else if *is_int {
-                    Value::Int(starts[i] as i64)
-                } else {
-                    Value::Float(starts[i])
-                }
+            AttrSegments::Int { starts } => starts.get(i).map_or(Value::Null, |&t| Value::Int(t)),
+            AttrSegments::Float { starts } => {
+                starts.get(i).map_or(Value::Null, |&c| Value::Float(c))
             }
             AttrSegments::Categorical {
                 mentioned,
@@ -140,45 +185,97 @@ impl AttrSegments {
         }
     }
 
-    /// Segment index of a concrete value.
+    /// Segment index of one value — the locate behind both the views'
+    /// fold ([`DomainPartition::cell_of_row`]) and, per category, the
+    /// typed scan ([`Self::locate_column`]). An integer is compared with
+    /// the `i64` starts, a float (or an `Int` in a float attribute, as
+    /// `i as f64`) with the `f64` starts. NULL, and a value outside the
+    /// attribute's type (never a validated row's), go to the NULL
+    /// segment.
     fn locate(&self, v: ValueRef<'_>) -> usize {
-        match self {
-            AttrSegments::Numeric { starts, .. } => match v.as_f64() {
-                None => starts.len(), // NULL segment
-                Some(x) => {
-                    // Largest i with starts[i] <= x; starts[0] is the domain
-                    // minimum so x < starts[0] clamps to 0.
-                    match starts.binary_search_by(|s| s.partial_cmp(&x).unwrap()) {
-                        Ok(i) => i,
-                        Err(0) => 0,
-                        Err(i) => i - 1,
-                    }
-                }
-            },
-            AttrSegments::Categorical {
-                mentioned,
-                other_rep,
-            } => match v {
-                ValueRef::Str(s) => mentioned
-                    .iter()
-                    .position(|m| m == s)
-                    .unwrap_or(mentioned.len()),
-                _ => mentioned.len() + usize::from(other_rep.is_some()), // NULL segment
-            },
-            AttrSegments::Boolean => match v {
-                ValueRef::Bool(false) => 0,
-                ValueRef::Bool(true) => 1,
-                _ => 2,
-            },
+        match (self, v) {
+            (AttrSegments::Int { starts }, ValueRef::Int(i)) => segment_of(starts, i),
+            (AttrSegments::Float { starts }, ValueRef::Float(x)) => segment_of(starts, x),
+            (AttrSegments::Float { starts }, ValueRef::Int(i)) => segment_of(starts, i as f64),
+            (AttrSegments::Categorical { mentioned, .. }, ValueRef::Str(s)) => mentioned
+                .iter()
+                .position(|m| m == s)
+                .unwrap_or(mentioned.len()),
+            (AttrSegments::Boolean, ValueRef::Bool(b)) => usize::from(b),
+            _ => self.len() - 1,
         }
     }
+
+    /// Calls `f(r, segment)` for each of a chunk column's `rows`, in one
+    /// tight loop per column type over its typed cells, segment for
+    /// segment what [`Self::locate`] gives each cell. The null bitmap is
+    /// asked once per chunk; only a chunk with NULLs reads it per row, to
+    /// send just those rows to the NULL segment. `cat` maps a categorical
+    /// column's codes to segments.
+    #[inline]
+    fn locate_column(
+        &self,
+        (cells, nulls): (&Cells, &Bits),
+        rows: usize,
+        cat: &[usize],
+        mut f: impl FnMut(usize, usize),
+    ) {
+        let null = self.len() - 1;
+        let has_nulls = nulls.any();
+        let mut put = |r: usize, seg: usize| {
+            f(r, if has_nulls && nulls.get(r) { null } else { seg });
+        };
+        match (self, cells) {
+            (AttrSegments::Int { starts }, Cells::Int(v)) => {
+                for (r, &i) in v.iter().enumerate() {
+                    put(r, segment_of(starts, i));
+                }
+            }
+            (AttrSegments::Float { starts }, Cells::Float { bits, ints }) => {
+                let has_ints = ints.any();
+                for (r, &b) in bits.iter().enumerate() {
+                    let x = if has_ints && ints.get(r) {
+                        b as i64 as f64
+                    } else {
+                        f64::from_bits(b)
+                    };
+                    put(r, segment_of(starts, x));
+                }
+            }
+            (AttrSegments::Categorical { .. }, Cells::Cat(codes)) => {
+                for (r, &c) in codes.iter().enumerate() {
+                    put(r, cat[c as usize]);
+                }
+            }
+            (AttrSegments::Categorical { .. }, Cells::Text { ends, arena }) => {
+                let mut start = 0;
+                for (r, &end) in ends.iter().enumerate() {
+                    put(r, self.locate(ValueRef::Str(&arena[start..end as usize])));
+                    start = end as usize;
+                }
+            }
+            (AttrSegments::Boolean, Cells::Bool(b)) => {
+                for r in 0..rows {
+                    put(r, usize::from(b.get(r)));
+                }
+            }
+            _ => unreachable!("a partition scans the columns of the schema it was built over"),
+        }
+    }
+}
+
+/// Segment of `v` among sorted segment starts: the last start `<= v`; a
+/// value below the first start (outside the domain) clamps to segment 0.
+#[inline]
+fn segment_of<T: PartialOrd>(starts: &[T], v: T) -> usize {
+    starts.partition_point(|t| *t <= v).saturating_sub(1)
 }
 
 /// Collected atomic conditions for one attribute.
 #[derive(Debug, Default)]
 struct AttrConditions {
-    /// Numeric cut positions in half-open normal form: every comparison is
-    /// rewritten so a cut at `c` means "cells split into `< c` and `>= c`".
+    /// Numeric cuts as real thresholds: a cut at `c` splits `< c` from
+    /// `>= c` (see the module doc for how each comparison maps to one).
     cuts: Vec<f64>,
     /// Mentioned categorical/text constants.
     strings: Vec<String>,
@@ -321,9 +418,13 @@ impl DomainPartition {
 
     fn with_mapping_hash(mut self) -> Self {
         let mut h = DefaultHasher::new();
-        (self.n_cells, &self.attrs, &self.elementary_to_cell).hash(&mut h);
-        // Floats print round-trip exact, so equal text is equal boundaries.
-        format!("{:?}", self.segments).hash(&mut h);
+        (
+            self.n_cells,
+            &self.attrs,
+            &self.elementary_to_cell,
+            &self.segments,
+        )
+            .hash(&mut h);
         self.mapping_hash = h.finish();
         self
     }
@@ -339,9 +440,8 @@ impl DomainPartition {
             n_predicates: 0,
             incidence: Vec::new(),
             attrs: vec![0],
-            segments: vec![AttrSegments::Numeric {
-                starts: (0..cells).map(|c| c as f64).collect(),
-                is_int: true,
+            segments: vec![AttrSegments::Int {
+                starts: (0..cells as i64).collect(),
             }],
             elementary_to_cell: (0..=cells).collect(),
             mapping_hash: 0,
@@ -378,7 +478,8 @@ impl DomainPartition {
             .collect()
     }
 
-    /// Merged cell id of one concrete row.
+    /// Merged cell id of one concrete row, by the same per-attribute
+    /// locate as the typed scan ([`Self::histogram`]).
     ///
     /// The row must lie within the domain this partition was built over:
     /// values below/above the numeric coverage clamp to the edge cells. A
@@ -402,33 +503,45 @@ impl DomainPartition {
     ///
     /// Reads the rows chunk by chunk ([`Dataset::for_each_chunk`]; page by
     /// page for a paged dataset, so memory is bounded by the buffer pool
-    /// even when `D` exceeds RAM), a driving column at a time: each row's
-    /// elementary cell id accumulates in a per-chunk buffer, exactly as
-    /// [`Self::cell_of_row`] computes it, and a categorical column looks
-    /// its segments up once per category instead of once per row.
+    /// even when `D` exceeds RAM). Each driving column runs one typed
+    /// loop over its cells ([`Chunk::column`](crate::Chunk)): an `i64`
+    /// column against the integer starts, a float column against the
+    /// `f64` starts, a categorical column through a code → segment table
+    /// built once per scan. Each row's mixed-radix elementary id
+    /// accumulates in a per-chunk buffer, so a row lands where
+    /// [`Self::cell_of_row`] puts it, and a second pass counts the
+    /// buffer into its merged cells. Counts are integers until the end,
+    /// so `x` holds exact counts.
     pub fn histogram(&self, data: &Dataset) -> Vec<f64> {
-        let mut x = vec![0.0; self.n_cells];
-        let mut idx = Vec::new();
         let attrs = data.schema().attributes();
+        let cat: Vec<Vec<usize>> = self
+            .attrs
+            .iter()
+            .zip(&self.segments)
+            .map(|(&ai, seg)| match &attrs[ai].domain {
+                Domain::Categorical(cats) => {
+                    cats.iter().map(|c| seg.locate(ValueRef::Str(c))).collect()
+                }
+                _ => Vec::new(),
+            })
+            .collect();
+        let cell = &self.elementary_to_cell;
+        let mut counts = vec![0u64; self.n_cells];
+        let mut idx = Vec::new();
         data.for_each_chunk(|chunk| {
+            let rows = chunk.len();
             idx.clear();
-            idx.resize(chunk.len(), 0usize);
+            idx.resize(rows, 0usize);
             let mut stride = 1usize;
-            for (k, &ai) in self.attrs.iter().enumerate() {
-                let seg = &self.segments[k];
-                chunk.map_column(
-                    &attrs[ai].domain,
-                    ai,
-                    |v| stride * seg.locate(v),
-                    |r, s| idx[r] += s,
-                );
+            for (k, (&ai, seg)) in self.attrs.iter().zip(&self.segments).enumerate() {
+                seg.locate_column(chunk.column(ai), rows, &cat[k], |r, s| idx[r] += stride * s);
                 stride *= seg.len();
             }
             for &i in &idx {
-                x[self.elementary_to_cell[i]] += 1.0;
+                counts[cell[i]] += 1;
             }
         });
-        x
+        counts.into_iter().map(|n| n as f64).collect()
     }
 
     /// The fold primitive of incremental maintenance: reports `(cell, +1)`
@@ -497,28 +610,15 @@ fn collect_conditions(
             let ai = schema.index_of(attr)?;
             let entry = conds.entry(ai).or_default();
             match value {
-                Value::Int(c) => {
-                    let c = *c as f64;
-                    // Normalize to half-open cuts over the integers.
+                // A numeric literal compares as an `f64` whatever its own
+                // type, so the cut is a real threshold; the attribute's
+                // domain decides how it splits (`build_segments`).
+                Value::Int(_) | Value::Float(_) => {
+                    let c = value.as_f64().expect("a numeric literal");
                     match op {
                         CmpOp::Lt | CmpOp::Ge => entry.cuts.push(c),
-                        CmpOp::Le | CmpOp::Gt => entry.cuts.push(c + 1.0),
-                        CmpOp::Eq | CmpOp::Ne => {
-                            entry.cuts.push(c);
-                            entry.cuts.push(c + 1.0);
-                        }
-                    }
-                }
-                Value::Float(c) => {
-                    match op {
-                        CmpOp::Lt | CmpOp::Ge => entry.cuts.push(*c),
-                        // For continuous domains `<= c` differs from `< c`
-                        // only on the measure-zero point c; cut just above.
-                        CmpOp::Le | CmpOp::Gt => entry.cuts.push(next_up(*c)),
-                        CmpOp::Eq | CmpOp::Ne => {
-                            entry.cuts.push(*c);
-                            entry.cuts.push(next_up(*c));
-                        }
+                        CmpOp::Le | CmpOp::Gt => entry.cuts.push(next_up(c)),
+                        CmpOp::Eq | CmpOp::Ne => entry.cuts.extend([c, next_up(c)]),
                     }
                 }
                 Value::Str(s) => entry.strings.push(s.clone()),
@@ -553,17 +653,33 @@ fn collect_conditions(
 fn build_segments(domain: &Domain, c: AttrConditions) -> AttrSegments {
     match domain {
         Domain::IntRange { min, max } => {
-            let lo = *min as f64;
-            let hi = *max as f64 + 1.0; // exclusive end over the integers
-            AttrSegments::Numeric {
-                starts: numeric_starts(lo, hi, c.cuts),
-                is_int: true,
-            }
+            // A cut splits the domain's integers when its threshold lies
+            // in `(min, max]`.
+            let mut starts: Vec<i64> = c
+                .cuts
+                .into_iter()
+                .filter_map(int_threshold)
+                .filter(|t| t > min && t <= max)
+                .collect();
+            starts.push(*min);
+            starts.sort_unstable();
+            starts.dedup();
+            AttrSegments::Int { starts }
         }
-        Domain::FloatRange { min, max } => AttrSegments::Numeric {
-            starts: numeric_starts(*min, *max, c.cuts),
-            is_int: false,
-        },
+        Domain::FloatRange { min, max } => {
+            // `-0.0 == 0.0`: one zero, so equal boundaries have equal bits.
+            let plus_zero = |c: f64| if c == 0.0 { 0.0 } else { c };
+            let mut starts: Vec<f64> = c
+                .cuts
+                .into_iter()
+                .filter(|c| c > min && c < max)
+                .map(plus_zero)
+                .collect();
+            starts.push(plus_zero(*min));
+            starts.sort_by(f64::total_cmp);
+            starts.dedup();
+            AttrSegments::Float { starts }
+        }
         Domain::Categorical(cats) => {
             let mut mentioned: Vec<String> =
                 c.strings.into_iter().filter(|s| cats.contains(s)).collect();
@@ -595,13 +711,27 @@ fn build_segments(domain: &Domain, c: AttrConditions) -> AttrSegments {
     }
 }
 
-/// Sorted, deduplicated segment start positions within `[lo, hi)`.
-fn numeric_starts(lo: f64, hi: f64, mut cuts: Vec<f64>) -> Vec<f64> {
-    cuts.retain(|&c| c > lo && c < hi);
-    cuts.push(lo);
-    cuts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    cuts.dedup();
-    cuts
+/// The smallest `i64` whose `as f64` is at least `c`: an integer row
+/// `v` is on the `>= c` side of a cut exactly when `v >= int_threshold(c)`.
+/// Below 2⁵³ this is `⌈c⌉` (over the integers `v < c ⇔ v < ⌈c⌉`); beyond,
+/// the integers just below `⌈c⌉` that `as f64` rounds up to it count too.
+/// `None` when no `i64` reaches `c`, or `c` is NaN.
+fn int_threshold(c: f64) -> Option<i64> {
+    if c.is_nan() || c > i64::MAX as f64 {
+        return None;
+    }
+    let reaches = |v: i64| v as f64 >= c;
+    // `⌈c⌉` saturates into range and reaches `c`. The integers that round
+    // up to it lie within half an `f64` ulp below, under 2¹⁰ of them.
+    let mut t = c.ceil() as i64;
+    let mut step = 1 << 10;
+    while step > 0 {
+        if t.checked_sub(step).is_some_and(reaches) {
+            t -= step;
+        }
+        step /= 2;
+    }
+    Some(t)
 }
 
 /// The smallest f64 strictly greater than `x` (finite inputs).
@@ -626,6 +756,7 @@ fn next_up(x: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::{Attribute, Domain};
+    use std::sync::Arc;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -802,6 +933,244 @@ mod tests {
         let x = p.histogram(&d);
         let t: f64 = p.cells_of(0).iter().map(|&c| x[c]).sum();
         assert_eq!(t, 2.0);
+    }
+
+    /// The rows a predicate's cells hold, per predicate.
+    fn covered(p: &DomainPartition, x: &[f64]) -> Vec<f64> {
+        (0..p.n_predicates())
+            .map(|i| p.cells_of(i).iter().map(|&c| x[c]).sum())
+            .collect()
+    }
+
+    /// `x` over `[min, max)` holding `values`.
+    fn floats(min: f64, max: f64, values: impl IntoIterator<Item = f64>) -> Dataset {
+        let s = Schema::new(vec![Attribute::new("x", Domain::FloatRange { min, max })]).unwrap();
+        let rows = values.into_iter().map(|v| vec![Value::Float(v)]).collect();
+        Dataset::new(s, rows).unwrap()
+    }
+
+    #[test]
+    fn an_int_literal_cuts_a_float_attribute_at_its_real_value() {
+        // 0.0, 0.1, …, 9.9: an integral literal parses as `Value::Int`.
+        let d = floats(0.0, 10.0, (0..100).map(|i| f64::from(i) / 10.0));
+        let workload: Vec<Predicate> = [CmpOp::Le, CmpOp::Gt, CmpOp::Eq, CmpOp::Ne, CmpOp::Lt]
+            .into_iter()
+            .map(|op| Predicate::cmp("x", op, 5_i64))
+            .collect();
+        let p = DomainPartition::build(d.schema(), &workload).unwrap();
+        let got = covered(&p, &p.histogram(&d));
+        assert_eq!(got, [51.0, 49.0, 1.0, 99.0, 50.0]);
+        for (pred, n) in workload.iter().zip(&got) {
+            assert_eq!(*n, d.count(pred).unwrap() as f64, "{pred:?}");
+        }
+    }
+
+    #[test]
+    fn a_fractional_cut_on_an_int_attribute_rounds_up() {
+        let s = Schema::new(vec![Attribute::new(
+            "v",
+            Domain::IntRange { min: 0, max: 99 },
+        )])
+        .unwrap();
+        let d = Dataset::new(s.clone(), (0..100).map(|i| vec![Value::Int(i)]).collect()).unwrap();
+        let workload = vec![
+            Predicate::cmp("v", CmpOp::Ge, 2.5),
+            Predicate::cmp("v", CmpOp::Lt, 2.5),
+            Predicate::range("v", 2.5, 10.0),
+            Predicate::cmp("v", CmpOp::Le, 2.5),
+            Predicate::cmp("v", CmpOp::Eq, 2.5),
+            Predicate::cmp("v", CmpOp::Gt, -0.5),
+        ];
+        let p = DomainPartition::build(&s, &workload).unwrap();
+        let got = covered(&p, &p.histogram(&d));
+        assert_eq!(got, [97.0, 3.0, 7.0, 3.0, 0.0, 100.0]);
+        for (pred, n) in workload.iter().zip(&got) {
+            assert_eq!(*n, d.count(pred).unwrap() as f64, "{pred:?}");
+        }
+    }
+
+    #[test]
+    fn signed_zero_cuts_share_one_mapping_and_one_view() {
+        let d = floats(-1.0, 1.0, (-10..10).map(|i| f64::from(i) / 10.0));
+        let neg = Arc::new(
+            DomainPartition::build(d.schema(), &[Predicate::range("x", -0.0, 0.5)]).unwrap(),
+        );
+        let pos = Arc::new(
+            DomainPartition::build(d.schema(), &[Predicate::range("x", 0.0, 0.5)]).unwrap(),
+        );
+        assert!(neg.same_mapping(&pos));
+        assert_eq!(neg.mapping_hash(), pos.mapping_hash());
+        assert_eq!(d.histogram(&neg), d.histogram(&pos));
+        let stats = d.view_stats();
+        assert_eq!((stats.entries, stats.misses, stats.hits), (1, 1, 1));
+    }
+
+    #[test]
+    fn int_thresholds_are_the_smallest_i64_reaching_the_cut() {
+        let two53 = 1_i64 << 53;
+        let centres = [0, two53, -two53, 1 << 62, -(1 << 62), i64::MAX, i64::MIN];
+        let mut cuts = vec![2.5, -2.5, 0.5, -0.5, 0.0, -0.0, f64::NEG_INFINITY];
+        for c in centres {
+            for d in -2100..=2100_i64 {
+                let f = c.saturating_add(d) as f64;
+                cuts.extend([f, next_up(f), -next_up(-f), f + 0.5, f - 0.5]);
+            }
+        }
+        for c in cuts {
+            let Some(t) = int_threshold(c) else {
+                assert!(c > i64::MAX as f64, "no threshold for {c}");
+                continue;
+            };
+            assert!(t as f64 >= c, "{t} does not reach {c}");
+            assert!(
+                t == i64::MIN || ((t - 1) as f64) < c,
+                "{} reaches {c}",
+                t - 1
+            );
+        }
+        for c in [f64::NAN, f64::INFINITY, 2.0 * i64::MAX as f64] {
+            assert_eq!(int_threshold(c), None, "{c}");
+        }
+        assert_eq!(int_threshold(i64::MAX as f64), Some(i64::MAX - 511));
+    }
+
+    /// The typed scan against its reference: `cell_of_row` folded over
+    /// every row, bit for bit, resident and paged, for random workloads
+    /// over one to three driving attributes of every column type — with
+    /// and without NULLs, float cells that arrived as `Int`, fractional
+    /// cuts, integer domains across ±2⁵³ and at `i64::MIN`/`MAX` — at
+    /// chunk-edge row counts.
+    #[test]
+    fn typed_scan_equals_the_per_row_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let two53 = 1_i64 << 53;
+        let cats: Vec<String> = ["a", "b", "c", "d"].map(String::from).to_vec();
+        let s = Schema::new(vec![
+            Attribute::new("i", Domain::IntRange { min: -50, max: 50 }),
+            Attribute::new(
+                "f",
+                Domain::FloatRange {
+                    min: -5.0,
+                    max: 5.0,
+                },
+            ),
+            Attribute::new("c", Domain::Categorical(cats.clone())),
+            Attribute::new("b", Domain::Boolean),
+            Attribute::new("t", Domain::Text),
+            Attribute::new(
+                "near",
+                Domain::IntRange {
+                    min: -two53 - 64,
+                    max: two53 + 64,
+                },
+            ),
+            Attribute::new(
+                "wide",
+                Domain::IntRange {
+                    min: i64::MIN,
+                    max: i64::MAX,
+                },
+            ),
+        ])
+        .unwrap();
+        let names = ["i", "f", "c", "b", "t", "near", "wide"];
+        let words = ["x", "y", "zz", ""];
+        let mut rng = StdRng::seed_from_u64(47);
+        fn pick<T: Clone>(rng: &mut StdRng, xs: &[T]) -> T {
+            xs[rng.gen_range(0..xs.len())].clone()
+        }
+        // An integer near one of the domains' edges or ±2⁵³.
+        fn edge(rng: &mut StdRng, min: i64, max: i64) -> i64 {
+            let two53 = 1_i64 << 53;
+            let c = pick(rng, &[min, max, two53, -two53, 0]);
+            c.saturating_add(rng.gen_range(-40..=40)).clamp(min, max)
+        }
+        let numeric = |rng: &mut StdRng, name: &str| -> Value {
+            let v = match name {
+                "i" => rng.gen_range(-60..=60),
+                "f" => rng.gen_range(-6..=6),
+                "near" => edge(rng, -two53 - 64, two53 + 64),
+                _ => edge(rng, i64::MIN, i64::MAX),
+            };
+            match rng.gen_range(0..3) {
+                0 => Value::Int(v),
+                1 => Value::Float(v as f64),
+                _ => Value::Float(v as f64 + pick(rng, &[0.5, -0.25, 0.1])),
+            }
+        };
+        let dir = std::env::temp_dir().join(format!("apex-typed-scan-{}", std::process::id()));
+        for (case, rows) in [1023, 1024, 1025].into_iter().enumerate() {
+            for with_nulls in [false, true] {
+                let mut data = Dataset::empty(s.clone());
+                for _ in 0..rows {
+                    let mut row = vec![
+                        Value::Int(rng.gen_range(-50..=50)),
+                        if rng.gen_bool(0.3) {
+                            Value::Int(rng.gen_range(-5..5))
+                        } else {
+                            Value::Float(rng.gen_range(-50..50) as f64 / 10.0)
+                        },
+                        Value::Str(pick(&mut rng, &cats)),
+                        Value::Bool(rng.gen_bool(0.5)),
+                        Value::from(pick(&mut rng, &words)),
+                        Value::Int(edge(&mut rng, -two53 - 64, two53 + 64)),
+                        Value::Int(edge(&mut rng, i64::MIN, i64::MAX)),
+                    ];
+                    for v in &mut row {
+                        if with_nulls && rng.gen_bool(0.1) {
+                            *v = Value::Null;
+                        }
+                    }
+                    data.push(row).unwrap();
+                }
+                let at = dir.join(format!("{case}-{with_nulls}"));
+                let paged = data.ingest_paged(&at, 1, 4).unwrap();
+                for _ in 0..12 {
+                    let mut driving: Vec<&str> = names.to_vec();
+                    let k = rng.gen_range(1..=3);
+                    for j in 0..k {
+                        let pick = rng.gen_range(j..driving.len());
+                        driving.swap(j, pick);
+                    }
+                    driving.truncate(k);
+                    let workload: Vec<Predicate> = (0..rng.gen_range(1..5))
+                        .map(|_| {
+                            let conds = driving.iter().map(|&a| match a {
+                                "c" => Predicate::eq(a, pick(&mut rng, &["a", "c", "q"])),
+                                "b" => Predicate::eq(a, rng.gen_bool(0.5)),
+                                "t" => Predicate::eq(a, pick(&mut rng, &words)),
+                                _ if rng.gen_bool(0.2) => Predicate::is_null(a),
+                                _ => {
+                                    let ops = [
+                                        CmpOp::Eq,
+                                        CmpOp::Ne,
+                                        CmpOp::Lt,
+                                        CmpOp::Le,
+                                        CmpOp::Gt,
+                                        CmpOp::Ge,
+                                    ];
+                                    Predicate::cmp(a, pick(&mut rng, &ops), numeric(&mut rng, a))
+                                }
+                            });
+                            conds.reduce(Predicate::and).expect("one driving attribute")
+                        })
+                        .collect();
+                    let p = DomainPartition::build(&s, &workload).unwrap();
+                    for d in [&data, &paged] {
+                        let mut reference = vec![0.0; p.n_cells()];
+                        d.for_each_row(|row| reference[p.cell_of_row(row)] += 1.0);
+                        let x = p.histogram(d);
+                        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&x), bits(&reference), "{workload:?} over {rows} rows");
+                        for (pred, n) in workload.iter().zip(covered(&p, &x)) {
+                            assert_eq!(n, d.count(pred).unwrap() as f64, "{pred:?}");
+                        }
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use apex_core::CompileMemo;
-use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
+use apex_data::{Attribute, CmpOp, Dataset, Domain, Predicate, Schema, Value};
 use apex_linalg::OpScratch;
 use apex_mech::mc::{unit_errors_operator_blocked, SAMPLE_BLOCK};
 use apex_mech::{Laplace, LaplaceMechanism, Mechanism, PreparedQuery};
@@ -287,6 +287,94 @@ fn partition_answers_match_direct_counts() {
         let ans = q.compiled().true_answer(&d);
         for (i, pred) in wl.iter().enumerate() {
             assert_eq!(ans[i], d.count(pred).unwrap() as f64);
+        }
+    }
+}
+
+/// Every comparison operator × literal type × domain type: the cells a
+/// predicate covers hold exactly the rows [`Dataset::count`] counts. The
+/// attribute's domain, not the literal's type, decides where a cut falls:
+/// `x <= 5` on a float attribute, or `v >= 2.5` on an integer one.
+#[test]
+fn partition_cells_hold_what_each_predicate_counts() {
+    let mut rng = StdRng::seed_from_u64(47);
+    let cats = ["a", "b", "c"];
+    let s = Schema::new(vec![
+        Attribute::new("i", Domain::IntRange { min: -20, max: 20 }),
+        Attribute::new(
+            "f",
+            Domain::FloatRange {
+                min: -2.0,
+                max: 2.0,
+            },
+        ),
+        Attribute::new("c", Domain::Categorical(cats.map(String::from).to_vec())),
+        Attribute::new("t", Domain::Text),
+        Attribute::new("b", Domain::Boolean),
+    ])
+    .unwrap();
+    let ops = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    for case in 0..CASES {
+        let mut d = Dataset::empty(s.clone());
+        for _ in 0..rng.gen_range(0..200) {
+            let mut row = vec![
+                Value::Int(rng.gen_range(-20_i64..=20)),
+                if rng.gen_bool(0.2) {
+                    Value::Int(rng.gen_range(-2..2))
+                } else {
+                    Value::Float(f64::from(rng.gen_range(-20_i32..20)) / 10.0)
+                },
+                Value::from(cats[rng.gen_range(0..3_usize)]),
+                Value::from(["a", "x", ""][rng.gen_range(0..3_usize)]),
+                Value::Bool(rng.gen_bool(0.5)),
+            ];
+            for v in &mut row {
+                if rng.gen_bool(0.1) {
+                    *v = Value::Null;
+                }
+            }
+            d.push(row).unwrap();
+        }
+        for attr in ["i", "f", "c", "t", "b"] {
+            let k: i32 = rng.gen_range(-22..=22);
+            let literals = [
+                Value::Int(k.into()),
+                Value::Int((k / 10).into()),
+                Value::Float(f64::from(k)),
+                Value::Float(f64::from(k) / 10.0),
+                Value::Float(f64::from(k) + 0.5),
+                Value::Float(-0.0),
+                Value::from(["a", "x", "q"][rng.gen_range(0..3_usize)]),
+                Value::Bool(rng.gen_bool(0.5)),
+            ];
+            // A string attribute's segments are its mentioned values plus
+            // one "other": only `=` and `!=` are cell-constant on it.
+            let ordered_string = |op: CmpOp, v: &Value| {
+                matches!(v, Value::Str(_)) && !matches!(op, CmpOp::Eq | CmpOp::Ne)
+            };
+            let mut workload: Vec<Predicate> = ops
+                .iter()
+                .flat_map(|&op| literals.iter().map(move |v| (op, v)))
+                .filter(|&(op, v)| !(ordered_string(op, v) && matches!(attr, "c" | "t")))
+                .map(|(op, v)| Predicate::cmp(attr, op, v.clone()))
+                .collect();
+            let (lo, hi) = (f64::from(k) / 10.0, f64::from(k) / 4.0 + 0.5);
+            workload.push(Predicate::range(attr, lo.min(hi), lo.max(hi)));
+            workload.push(Predicate::is_null(attr));
+            let p = apex_data::DomainPartition::build(&s, &workload).unwrap();
+            let x = p.histogram(&d);
+            for (i, pred) in workload.iter().enumerate() {
+                let via: f64 = p.cells_of(i).iter().map(|&c| x[c]).sum();
+                let direct = d.count(pred).unwrap() as f64;
+                assert_eq!(via, direct, "case {case}: {pred:?}");
+            }
         }
     }
 }
